@@ -130,7 +130,7 @@ fn run_daemon(config_path: &str, dump_rib: Option<&str>, opts: ReactorOptions) -
             return ExitCode::from(2);
         }
     }
-    match outcome {
+    let code = match outcome {
         RunOutcome::Converged => {
             eprintln!("dbgpd: as {asn}: converged");
             reactor.linger();
@@ -143,7 +143,9 @@ fn run_daemon(config_path: &str, dump_rib: Option<&str>, opts: ReactorOptions) -
             );
             ExitCode::FAILURE
         }
-    }
+    };
+    eprintln!("dbgpd: as {asn}: metrics {}", reactor.metrics_text());
+    code
 }
 
 fn run_oracle(config_paths: &[String], dump_dir: Option<&str>) -> ExitCode {

@@ -31,4 +31,4 @@ pub use config::{DaemonConfig, NeighborSpec};
 pub use dump::{all_established, dump_node};
 pub use node::{Node, NodeOutput};
 pub use oracle::Oracle;
-pub use reactor::{Reactor, ReactorOptions, RunOutcome};
+pub use reactor::{Reactor, ReactorOptions, ReactorStats, RunOutcome};

@@ -89,6 +89,11 @@ impl Node {
         self.cores.values().filter(|c| c.state() == SessionState::Established).count()
     }
 
+    /// Bytes allocated for receive buffering across every session.
+    pub fn rx_capacity(&self) -> usize {
+        self.cores.values().map(SessionCore::rx_capacity).sum()
+    }
+
     /// All configured peer IDs.
     pub fn peer_ids(&self) -> Vec<PeerId> {
         self.cores.keys().copied().collect()

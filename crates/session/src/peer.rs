@@ -152,6 +152,11 @@ impl SessionCore {
         self.active_half().map(|h| h.session.ia_support()).unwrap_or(false)
     }
 
+    /// Bytes allocated for receive buffering, both connection slots.
+    pub fn rx_capacity(&self) -> usize {
+        self.out.rx.capacity() + self.inb.as_ref().map_or(0, |h| h.rx.capacity())
+    }
+
     /// Earliest future instant [`SessionCore::poll`] needs to run.
     pub fn next_deadline(&self) -> Option<Millis> {
         let a = self.out.session.next_deadline();

@@ -40,6 +40,16 @@ struct PeerEntry {
     /// Set while the session is Established; carries the negotiated
     /// capabilities and the peer's router ID for the decision process.
     summary: Option<SessionSummary>,
+    /// The last eBGP export built for this peer: the installed route it
+    /// was built from (held, so that its address cannot be reused while
+    /// the entry lives) and what the peer is sent for it. Routes are
+    /// immutable behind their `Arc` and a neighbor's configuration
+    /// never changes, so the same installed route always exports the
+    /// same way; every NLRI of a multi-NLRI UPDATE installs one
+    /// interned route, which makes this one slot a refcount bump per
+    /// prefix where there was a deep clone. Only consulted when the
+    /// export policy has no clauses: a clause may match on the prefix.
+    last_export: Option<(Arc<Route>, Arc<Route>)>,
 }
 
 /// Staged output toward one peer while coalescing is on. A prefix lives
@@ -70,6 +80,9 @@ pub struct RoutingCore {
     incremental: bool,
     /// Full decision scans skipped by the incremental fast path.
     fast_path_hits: u64,
+    /// Exports answered from a peer's `last_export` / built afresh.
+    exports_shared: u64,
+    exports_computed: u64,
     /// Reusable decision-scratch buffers — always empty between calls;
     /// the `'static` parameters are placeholders transmuted over while
     /// the (empty) vecs are checked out by `select_best`.
@@ -97,6 +110,8 @@ impl RoutingCore {
             opts: DecisionOptions::default(),
             incremental: true,
             fast_path_hits: 0,
+            exports_shared: 0,
+            exports_computed: 0,
             scratch_arcs: Vec::new(),
             scratch_cands: Vec::new(),
             coalesce: false,
@@ -126,6 +141,21 @@ impl RoutingCore {
     /// Full decision scans the incremental fast path has avoided.
     pub fn full_scans_avoided(&self) -> u64 {
         self.fast_path_hits
+    }
+
+    /// Exports that reused the route already built for the same
+    /// installed route and peer — every NLRI after the first of an
+    /// attribute block.
+    pub fn exports_shared(&self) -> u64 {
+        self.exports_shared
+    }
+
+    /// Exports that built a new route: the first of an attribute block
+    /// toward an eBGP peer, and every one a policy clause may rewrite.
+    /// (A transparent iBGP export forwards the installed route itself
+    /// and counts as neither.)
+    pub fn exports_computed(&self) -> u64 {
+        self.exports_computed
     }
 
     /// Enable/disable update coalescing. While on, `RibOp::Announce`
@@ -211,7 +241,7 @@ impl RoutingCore {
     /// Register a neighbor. Panics if the peer ID is already used.
     pub fn add_peer(&mut self, id: PeerId, cfg: NeighborConfig) {
         assert!(!self.peers.contains_key(&id), "duplicate peer {id}");
-        self.peers.insert(id, PeerEntry { cfg, summary: None });
+        self.peers.insert(id, PeerEntry { cfg, summary: None, last_export: None });
     }
 
     /// The neighbor configuration for a peer.
@@ -250,6 +280,7 @@ impl RoutingCore {
         let mut out = Vec::new();
         if let Some(peer) = self.peers.get_mut(&id) {
             peer.summary = None;
+            peer.last_export = None;
             self.adj_out.drop_peer(id);
             self.pending.remove(&id);
             for prefix in self.adj_in.drop_peer(id) {
@@ -624,7 +655,7 @@ impl RoutingCore {
 
     /// The route to advertise to `peer` for `prefix`, or `None` to
     /// withdraw/suppress.
-    fn export_route(&self, id: PeerId, prefix: &Ipv4Prefix) -> Option<Arc<Route>> {
+    fn export_route(&mut self, id: PeerId, prefix: &Ipv4Prefix) -> Option<Arc<Route>> {
         let entry = self.loc_rib.get(prefix)?;
         let peer = &self.peers[&id];
         match entry.source {
@@ -640,22 +671,36 @@ impl RoutingCore {
             }
             RouteSource::Local => {}
         }
-        if peer.cfg.is_ibgp() {
-            // iBGP forwards the route unmodified; with a transparent
-            // export policy the interned Loc-RIB route is shared as-is.
-            if peer.cfg.export.clauses.is_empty() && peer.cfg.export.default_permit {
-                return Some(Arc::clone(&entry.route));
-            }
-            let mut route = (*entry.route).clone();
-            if !peer.cfg.export.apply(prefix, &mut route, peer.cfg.peer_as) {
+        let export = &peer.cfg.export;
+        if export.clauses.is_empty() {
+            if !export.default_permit {
                 return None;
             }
-            return Some(Arc::new(route));
+            // iBGP forwards the route unmodified: the interned Loc-RIB
+            // route is shared as-is.
+            if peer.cfg.is_ibgp() {
+                return Some(Arc::clone(&entry.route));
+            }
+            if let Some((installed, exported)) = &peer.last_export {
+                if Arc::ptr_eq(installed, &entry.route) {
+                    self.exports_shared += 1;
+                    return Some(Arc::clone(exported));
+                }
+            }
+            self.exports_computed += 1;
+            let exported = Arc::new(entry.route.for_ebgp_export(self.asn, peer.cfg.local_addr));
+            let memo = (Arc::clone(&entry.route), Arc::clone(&exported));
+            self.peers.get_mut(&id).expect("looked up above").last_export = Some(memo);
+            return Some(exported);
         }
-        let mut route = entry.route.for_ebgp_export(self.asn, peer.cfg.local_addr);
-        if !peer.cfg.export.apply(prefix, &mut route, peer.cfg.peer_as) {
-            return None;
-        }
-        Some(Arc::new(route))
+        // A clause may match on the prefix or rewrite the route: built
+        // per prefix.
+        self.exports_computed += 1;
+        let mut route = if peer.cfg.is_ibgp() {
+            (*entry.route).clone()
+        } else {
+            entry.route.for_ebgp_export(self.asn, peer.cfg.local_addr)
+        };
+        export.apply(prefix, &mut route, peer.cfg.peer_as).then(|| Arc::new(route))
     }
 }

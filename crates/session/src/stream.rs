@@ -16,6 +16,10 @@ use dbgp_wire::message::BgpMessage;
 
 /// Buffers received bytes and yields complete BGP messages.
 ///
+/// Memory is bounded by the largest partial message, not by session
+/// lifetime: the buffer reclaims the front that framed messages were
+/// consumed from before it grows (see [`StreamReassembler::capacity`]).
+///
 /// Decode errors are fatal to the underlying session (RFC 4271 §6):
 /// after [`StreamReassembler::next_message`] returns an error the
 /// buffer contents are undefined and the host must tear the connection
@@ -48,6 +52,13 @@ impl StreamReassembler {
     /// Bytes buffered but not yet framed.
     pub fn pending(&self) -> usize {
         self.buf.len()
+    }
+
+    /// Bytes allocated for the receive buffer. Stays at a few read
+    /// chunks however many bytes the session has carried; the soak
+    /// tests and the daemon's metrics read it.
+    pub fn capacity(&self) -> usize {
+        self.buf.capacity()
     }
 
     /// Drop all buffered bytes (connection reset).

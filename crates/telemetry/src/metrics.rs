@@ -203,6 +203,12 @@ impl MetricsRegistry {
         }
     }
 
+    /// [`snapshot`](Self::snapshot) as one line of JSON text, for hosts
+    /// that print their metrics and do not otherwise handle JSON.
+    pub fn snapshot_text(&self, at: u64) -> String {
+        serde_json::to_string(&self.snapshot(at)).expect("a JSON value always serialises")
+    }
+
     /// Stable JSON snapshot (`dbgp-metrics/v1`). Field order is
     /// registration order, so snapshots are byte-deterministic.
     pub fn snapshot(&self, at: u64) -> Value {
