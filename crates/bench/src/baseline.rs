@@ -2,52 +2,32 @@
 //! baseline.
 //!
 //! The baseline is load-bearing: the telemetry overhead budget (<3%
-//! events/sec on waxman-1000), the zero-copy speedup table and the
-//! parallel-engine speedups are all measured against it, so CI refuses
-//! a baseline document that silently lost a field or changed a type.
-//! `sim_bench --quick` (and `--validate-only`) calls
-//! [`validate_sim_bench_schema`] and exits nonzero listing every
+//! events/sec on waxman-1000) and the allocation gate are measured
+//! against it, so CI refuses a baseline document that silently lost a
+//! field or changed a type. `sim_bench --quick` (and `--validate-only`)
+//! calls [`validate_sim_bench_schema`] and exits nonzero listing every
 //! problem found.
 //!
-//! Schema v5 (this revision) adds the convergence-hot-path accounting:
-//! every per-scenario record carries `full_scans_avoided` (decision
-//! fast-path hits of the incremental decision process) and
-//! `frames_coalesced` (always 0 on the classic scenarios, which run
-//! per-change); the `hier_50k` block gains the deterministic-coalescing
-//! leg (`mrai0_updates_encoded` vs `mrai0_coalesced_updates_encoded`,
-//! `frames_coalesced`, and the `coalesce_rib_match` bit asserting the
-//! packed stream converged to the identical RIB); the `fulltable` block
-//! gains `full_scans_avoided`; and two new top-level fields record the
-//! windowed engine's `serial_fallback_threshold` and the instrumented
-//! `phase_times` breakdown (decode/decide/encode/queue wall seconds on
-//! a serial waxman-1000 leg). v4 added the sharded-engine accounting
-//! (per-record shard count, `edge_cut_fraction`, the `hier_50k` block);
-//! v3 added the routing-table-scale `fulltable` block; v2 recorded both
-//! engine tiers per scenario; all of that is retained. Older documents
-//! — v1 through v4 — are rejected by tag *and* by field list, so a
-//! stale generator can't slip an old-shape document past CI.
+//! The rule is "the tag equals [`SIM_BENCH_SCHEMA`] and every required
+//! field is present with its type"; a document from any other schema
+//! generation fails on the tag alone. v6 (this revision) is the
+//! one-engine shape: each scenario is timed once (`wall_seconds`,
+//! `events_per_sec`), and the per-engine columns, shard accounting and
+//! cross-host `baseline`/`speedup` blocks of v2–v5 are gone with the
+//! engines they described (EXPERIMENTS.md, "Engine decision record").
 
 use serde_json::Value;
 
 /// Schema identifier every `BENCH_sim.json` document must carry.
-pub const SIM_BENCH_SCHEMA: &str = "dbgp-sim-bench/v5";
+pub const SIM_BENCH_SCHEMA: &str = "dbgp-sim-bench/v6";
 
-/// Fields every per-scenario record must carry, with their types
-/// checked: `quiesced` is a bool; the wall-time, events-per-sec,
-/// speedup and edge-cut fields are floats; everything else an unsigned
-/// integer.
-pub const REQUIRED_METRICS: [&str; 20] = [
+/// Fields every per-scenario record must carry.
+pub const REQUIRED_METRICS: [&str; 14] = [
     "nodes",
     "edges",
     "events",
-    "threads",
-    "shards",
-    "edge_cut_fraction",
-    "wall_seconds_serial",
-    "events_per_sec_serial",
-    "wall_seconds_parallel",
-    "events_per_sec_parallel",
-    "parallel_speedup",
+    "wall_seconds",
+    "events_per_sec",
     "messages",
     "bytes_delivered",
     "updates_encoded",
@@ -59,27 +39,17 @@ pub const REQUIRED_METRICS: [&str; 20] = [
     "quiesced",
 ];
 
-/// Fields the `hier_50k` block must carry. `events_per_shard` is an
-/// array of unsigned per-shard committed-event counts (its sum must
-/// equal `events`; the generator asserts that before writing). The
-/// `mrai0_*` pair comes from the coalescing leg: the same topology run
-/// per-change vs staged at `mrai = 0`, whose packed stream must encode
-/// fewer frames (`mrai0_coalesced_updates_encoded` <
-/// `mrai0_updates_encoded`) while converging to the identical RIB
-/// (`coalesce_rib_match`).
-pub const REQUIRED_HIER: [&str; 20] = [
+/// Fields the `hier_50k` block must carry. The `mrai0_*` pair comes
+/// from the coalescing leg: the same topology run per-change vs staged
+/// at `mrai = 0`, whose packed stream must encode fewer frames
+/// (`mrai0_coalesced_updates_encoded` < `mrai0_updates_encoded`) while
+/// converging to the identical RIB (`coalesce_rib_match`).
+pub const REQUIRED_HIER: [&str; 13] = [
     "nodes",
     "edges",
     "events",
-    "threads",
-    "shards",
-    "edge_cut_fraction",
-    "events_per_shard",
-    "wall_seconds_serial",
-    "events_per_sec_serial",
-    "wall_seconds_sharded",
-    "events_per_sec_sharded",
-    "sharded_speedup",
+    "wall_seconds",
+    "events_per_sec",
     "messages",
     "best_changes",
     "full_scans_avoided",
@@ -90,9 +60,7 @@ pub const REQUIRED_HIER: [&str; 20] = [
     "quiesced",
 ];
 
-/// Fields every record in the `fulltable` block must carry. The float
-/// set holds the derived rates; `quiesced` is the burst-replay
-/// convergence bit; everything else is an unsigned count.
+/// Fields every record in the `fulltable` block must carry.
 pub const REQUIRED_FULLTABLE: [&str; 12] = [
     "routes",
     "updates",
@@ -109,40 +77,85 @@ pub const REQUIRED_FULLTABLE: [&str; 12] = [
 ];
 
 /// Fields the top-level `phase_times` block must carry: wall seconds
-/// spent in each hot-path phase of an instrumented serial waxman-1000
-/// leg, plus the leg's total wall time. Host-dependent, like every
-/// other wall-clock figure in the document.
+/// spent in each hot-path phase of an instrumented waxman-1000 leg,
+/// plus the leg's total wall time. Host-dependent, like every other
+/// wall-clock figure in the document.
 pub const REQUIRED_PHASE_TIMES: [&str; 5] =
     ["decode_seconds", "decide_seconds", "encode_seconds", "queue_seconds", "wall_seconds"];
 
-/// Fields the Tier A sweep block must carry (scenario-level
-/// parallelism: a multi-seed run timed serial vs pooled).
-pub const REQUIRED_TIER_A: [&str; 6] = [
+/// Fields the `seed_sweep` block must carry (scenario-level
+/// parallelism: a multi-seed run timed on one thread vs the pool).
+pub const REQUIRED_SEED_SWEEP: [&str; 6] = [
     "seeds",
     "threads",
     "total_events",
     "wall_seconds_serial",
-    "wall_seconds_parallel",
-    "parallel_speedup",
+    "wall_seconds_pooled",
+    "pooled_speedup",
 ];
 
+/// A field's type is a function of its name, whichever block it sits
+/// in: two bools, the wall-clock and rate fields are floats, every
+/// other field an unsigned count.
 fn field_ok(record: &Value, field: &str) -> bool {
     match field {
         "quiesced" | "coalesce_rib_match" => record.get(field).and_then(Value::as_bool).is_some(),
-        "wall_seconds_serial"
-        | "wall_seconds_parallel"
-        | "wall_seconds_sharded"
-        | "events_per_sec_serial"
-        | "events_per_sec_parallel"
-        | "events_per_sec_sharded"
-        | "parallel_speedup"
-        | "sharded_speedup"
-        | "edge_cut_fraction" => record.get(field).and_then(Value::as_f64).is_some(),
-        "events_per_shard" => record
-            .get(field)
-            .and_then(Value::as_array)
-            .is_some_and(|a| !a.is_empty() && a.iter().all(|v| v.as_u64().is_some())),
+        "wall_seconds"
+        | "events_per_sec"
+        | "wall_seconds_serial"
+        | "wall_seconds_pooled"
+        | "pooled_speedup"
+        | "bytes_per_route"
+        | "ingest_seconds"
+        | "routes_per_sec_ingest"
+        | "decode_ns_per_route"
+        | "rib_bytes_per_route"
+        | "burst_events_per_sec"
+        | "decode_seconds"
+        | "decide_seconds"
+        | "encode_seconds"
+        | "queue_seconds" => record.get(field).and_then(Value::as_f64).is_some(),
         _ => record.get(field).and_then(Value::as_u64).is_some(),
+    }
+}
+
+/// Check one record against its field list, naming problems `path.field`.
+fn check_record(problems: &mut Vec<String>, path: &str, record: &Value, fields: &[&str]) {
+    for field in fields {
+        if !field_ok(record, field) {
+            problems.push(format!("{path}.{field} missing or mistyped"));
+        }
+    }
+}
+
+/// Check a top-level single-record block.
+fn check_block(problems: &mut Vec<String>, doc: &Value, block: &str, fields: &[&str]) {
+    match doc.get(block) {
+        Some(record) if record.as_object().is_some() => {
+            check_record(problems, block, record, fields)
+        }
+        _ => problems.push(format!("missing object block \"{block}\"")),
+    }
+}
+
+/// Check a top-level block of named records, one of which must be
+/// `anchor`.
+fn check_records(
+    problems: &mut Vec<String>,
+    doc: &Value,
+    block: &str,
+    anchor: &str,
+    fields: &[&str],
+) {
+    let Some(records) = doc.get(block).and_then(Value::as_object) else {
+        problems.push(format!("missing object block \"{block}\""));
+        return;
+    };
+    if !records.iter().any(|(name, _)| name == anchor) {
+        problems.push(format!("{block} lacks the {anchor} scenario"));
+    }
+    for (name, record) in records {
+        check_record(problems, &format!("{block}.{name}"), record, fields);
     }
 }
 
@@ -150,40 +163,24 @@ fn field_ok(record: &Value, field: &str) -> bool {
 /// problems, one human-readable line each (empty = valid).
 pub fn validate_sim_bench_schema(doc: &Value) -> Vec<String> {
     let mut problems = Vec::new();
-    match doc.get("schema").and_then(Value::as_str) {
-        Some(tag) if tag == SIM_BENCH_SCHEMA => {}
-        Some(tag) if tag.starts_with("dbgp-sim-bench/") => {
-            problems.push(format!(
-                "schema \"{tag}\" is outdated: this validator requires \"{SIM_BENCH_SCHEMA}\" \
-                 (regenerate with a full `sim_bench` run)"
-            ));
-        }
-        _ => problems.push(format!("schema field must be \"{SIM_BENCH_SCHEMA}\"")),
+    let tag = doc.get("schema").and_then(Value::as_str);
+    if tag != Some(SIM_BENCH_SCHEMA) {
+        problems.push(format!(
+            "schema must be \"{SIM_BENCH_SCHEMA}\", found \"{}\" \
+             (regenerate with a full `sim_bench` run)",
+            tag.unwrap_or("")
+        ));
     }
-    if doc.get("seed").and_then(Value::as_u64).is_none() {
-        problems.push("seed must be an unsigned integer".into());
-    }
-    for field in ["threads", "host_cpus", "serial_fallback_threshold"] {
+    for field in ["seed", "threads", "host_cpus"] {
         if doc.get(field).and_then(Value::as_u64).is_none() {
             problems.push(format!("{field} must be an unsigned integer"));
         }
     }
-    match doc.get("phase_times") {
-        Some(pt) if pt.as_object().is_some() => {
-            for field in REQUIRED_PHASE_TIMES {
-                if pt.get(field).and_then(Value::as_f64).is_none() {
-                    problems.push(format!("phase_times.{field} missing or mistyped"));
-                }
-            }
-        }
-        _ => problems.push("missing object block \"phase_times\"".into()),
-    }
-    // An oversubscribed recording host cannot measure parallel speedup:
-    // with fewer CPUs than worker threads the "parallel" and "sharded"
-    // columns are bookkeeping-overhead checks, not speedups. Such a
-    // document must say so next to the numbers, keyed by the CPU count
-    // that makes it true, so nobody (human or CI) reads ~1.0x as a
-    // regression or a win.
+    // An oversubscribed recording host cannot measure the pooled seed
+    // sweep: with fewer CPUs than worker threads its speedup column is a
+    // bookkeeping-overhead check. Such a document must say so next to
+    // the numbers, so nobody (human or CI) reads ~1.0x as a regression
+    // or a win.
     let host_cpus = doc.get("host_cpus").and_then(Value::as_u64);
     let threads = doc.get("threads").and_then(Value::as_u64);
     if let (Some(cpus), Some(threads)) = (host_cpus, threads) {
@@ -191,85 +188,18 @@ pub fn validate_sim_bench_schema(doc: &Value) -> Vec<String> {
             match doc.get("host_cpus_note").and_then(Value::as_str) {
                 Some(note) if !note.trim().is_empty() => {}
                 _ => problems.push(format!(
-                    "host_cpus={cpus} < threads={threads}: parallel/sharded timings are not \
+                    "host_cpus={cpus} < threads={threads}: the pooled sweep timing is not \
                      measured speedup; a non-empty \"host_cpus_note\" string must say so \
                      (or re-record on a host with >= {threads} CPUs)"
                 )),
             }
         }
     }
-    for block in ["baseline", "current"] {
-        let Some(scenarios) = doc.get(block).and_then(Value::as_object) else {
-            problems.push(format!("missing object block \"{block}\""));
-            continue;
-        };
-        if !scenarios.iter().any(|(name, _)| name == "waxman50_churn") {
-            problems.push(format!("{block} lacks the waxman50_churn scenario"));
-        }
-        for (name, record) in scenarios {
-            for field in REQUIRED_METRICS {
-                if !field_ok(record, field) {
-                    problems.push(format!("{block}.{name}.{field} missing or mistyped"));
-                }
-            }
-        }
-    }
-    if doc.get("speedup").and_then(Value::as_object).is_none() {
-        problems.push("missing object block \"speedup\"".into());
-    }
-    match doc.get("fulltable").and_then(Value::as_object) {
-        Some(records) => {
-            if !records.iter().any(|(name, _)| name == "fulltable_100k") {
-                problems.push("fulltable lacks the fulltable_100k scenario".into());
-            }
-            for (name, record) in records {
-                for field in REQUIRED_FULLTABLE {
-                    let ok = match field {
-                        "quiesced" => record.get(field).and_then(Value::as_bool).is_some(),
-                        "bytes_per_route"
-                        | "ingest_seconds"
-                        | "routes_per_sec_ingest"
-                        | "decode_ns_per_route"
-                        | "rib_bytes_per_route"
-                        | "burst_events_per_sec" => {
-                            record.get(field).and_then(Value::as_f64).is_some()
-                        }
-                        _ => record.get(field).and_then(Value::as_u64).is_some(),
-                    };
-                    if !ok {
-                        problems.push(format!("fulltable.{name}.{field} missing or mistyped"));
-                    }
-                }
-            }
-        }
-        None => problems.push("missing object block \"fulltable\"".into()),
-    }
-    match doc.get("hier_50k") {
-        Some(hier) if hier.as_object().is_some() => {
-            for field in REQUIRED_HIER {
-                if !field_ok(hier, field) {
-                    problems.push(format!("hier_50k.{field} missing or mistyped"));
-                }
-            }
-        }
-        _ => problems.push("missing object block \"hier_50k\"".into()),
-    }
-    match doc.get("tier_a") {
-        Some(tier_a) if tier_a.as_object().is_some() => {
-            for field in REQUIRED_TIER_A {
-                let ok = match field {
-                    "wall_seconds_serial" | "wall_seconds_parallel" | "parallel_speedup" => {
-                        tier_a.get(field).and_then(Value::as_f64).is_some()
-                    }
-                    _ => tier_a.get(field).and_then(Value::as_u64).is_some(),
-                };
-                if !ok {
-                    problems.push(format!("tier_a.{field} missing or mistyped"));
-                }
-            }
-        }
-        _ => problems.push("missing object block \"tier_a\"".into()),
-    }
+    check_block(&mut problems, doc, "phase_times", &REQUIRED_PHASE_TIMES);
+    check_records(&mut problems, doc, "current", "waxman50_churn", &REQUIRED_METRICS);
+    check_records(&mut problems, doc, "fulltable", "fulltable_100k", &REQUIRED_FULLTABLE);
+    check_block(&mut problems, doc, "hier_50k", &REQUIRED_HIER);
+    check_block(&mut problems, doc, "seed_sweep", &REQUIRED_SEED_SWEEP);
     problems
 }
 
@@ -281,10 +211,7 @@ mod tests {
     fn record() -> Value {
         json!({
             "nodes": 50u64, "edges": 97u64, "events": 1000u64,
-            "threads": 4u64, "shards": 1u64, "edge_cut_fraction": 0.0f64,
-            "wall_seconds_serial": 0.5f64, "events_per_sec_serial": 2000.0f64,
-            "wall_seconds_parallel": 0.25f64, "events_per_sec_parallel": 4000.0f64,
-            "parallel_speedup": 2.0f64,
+            "wall_seconds": 0.5f64, "events_per_sec": 2000.0f64,
             "messages": 10u64, "bytes_delivered": 100u64,
             "updates_encoded": 5u64, "encode_cache_hits": 3u64,
             "bytes_allocated": 4096u64, "best_changes": 7u64,
@@ -296,11 +223,7 @@ mod tests {
     fn hier_record() -> Value {
         json!({
             "nodes": 50_000u64, "edges": 78_000u64, "events": 2_000_000u64,
-            "threads": 4u64, "shards": 4u64, "edge_cut_fraction": 0.12f64,
-            "events_per_shard": [500_000u64, 500_000u64, 500_000u64, 500_000u64],
-            "wall_seconds_serial": 20.0f64, "events_per_sec_serial": 100_000.0f64,
-            "wall_seconds_sharded": 10.0f64, "events_per_sec_sharded": 200_000.0f64,
-            "sharded_speedup": 2.0f64,
+            "wall_seconds": 20.0f64, "events_per_sec": 100_000.0f64,
             "messages": 1_000_000u64, "best_changes": 100_000u64,
             "full_scans_avoided": 50_000u64,
             "mrai0_updates_encoded": 900_000u64,
@@ -320,11 +243,11 @@ mod tests {
         })
     }
 
-    fn tier_a() -> Value {
+    fn seed_sweep() -> Value {
         json!({
             "seeds": 8u64, "threads": 4u64, "total_events": 12345u64,
-            "wall_seconds_serial": 1.0f64, "wall_seconds_parallel": 0.5f64,
-            "parallel_speedup": 2.0f64,
+            "wall_seconds_serial": 1.0f64, "wall_seconds_pooled": 0.5f64,
+            "pooled_speedup": 2.0f64,
         })
     }
 
@@ -346,35 +269,30 @@ mod tests {
             "seed": 42u64,
             "threads": 4u64,
             "host_cpus": 4u64,
-            "serial_fallback_threshold": 8u64,
             "phase_times": phase_times(),
-            "baseline": { "waxman50_churn": record() },
             "current": { "waxman50_churn": record() },
-            "speedup": {},
+            "seed_sweep": seed_sweep(),
             "fulltable": { "fulltable_100k": fulltable_record() },
             "hier_50k": hier_record(),
-            "tier_a": tier_a(),
         })
     }
 
-    fn set(doc: &mut Value, block: &str, field: &str, v: Value) {
-        let rec = doc
-            .get_mut(block)
-            .and_then(|b| b.get_mut("waxman50_churn"))
-            .and_then(Value::as_object_mut)
-            .unwrap();
-        if let Some(slot) = rec.iter_mut().find(|(k, _)| k == field) {
-            slot.1 = v;
+    /// The record at `path` (block, then optionally a named record).
+    fn record_mut<'a>(doc: &'a mut Value, path: &[&str]) -> &'a mut Vec<(String, Value)> {
+        let mut v = doc;
+        for key in path {
+            v = v.get_mut(key).unwrap();
         }
+        v.as_object_mut().unwrap()
     }
 
-    fn remove(doc: &mut Value, block: &str, field: &str) {
-        let rec = doc
-            .get_mut(block)
-            .and_then(|b| b.get_mut("waxman50_churn"))
-            .and_then(Value::as_object_mut)
-            .unwrap();
-        rec.retain(|(k, _)| k != field);
+    fn set(doc: &mut Value, path: &[&str], field: &str, v: Value) {
+        let slot = record_mut(doc, path).iter_mut().find(|(k, _)| k == field).unwrap();
+        slot.1 = v;
+    }
+
+    fn remove(doc: &mut Value, path: &[&str], field: &str) {
+        record_mut(doc, path).retain(|(k, _)| k != field);
     }
 
     #[test]
@@ -383,22 +301,16 @@ mod tests {
     }
 
     /// A document recorded with fewer CPUs than worker threads must
-    /// carry a `host_cpus_note` admitting the parallel columns are not
+    /// carry a `host_cpus_note` admitting the pooled column is not
     /// measured speedup; with the note it passes, without it (or with
     /// a blank one) it is rejected.
     #[test]
     fn single_cpu_recordings_require_the_host_cpus_note() {
         let single_cpu = |note: Option<Value>| {
             let mut doc = valid_doc();
-            if let Some(o) = doc.as_object_mut() {
-                for slot in o.iter_mut() {
-                    if slot.0 == "host_cpus" {
-                        slot.1 = Value::UInt(1);
-                    }
-                }
-                if let Some(n) = note {
-                    o.push(("host_cpus_note".into(), n));
-                }
+            set(&mut doc, &[], "host_cpus", Value::UInt(1));
+            if let Some(n) = note {
+                record_mut(&mut doc, &[]).push(("host_cpus_note".into(), n));
             }
             doc
         };
@@ -415,7 +327,7 @@ mod tests {
         assert_eq!(problems.len(), 1, "a blank note is no note: {problems:?}");
 
         let noted = single_cpu(Some(Value::String(
-            "host_cpus=1: parallel timings are overhead checks, not speedup".into(),
+            "host_cpus=1: the pooled sweep is an overhead check, not speedup".into(),
         )));
         assert_eq!(validate_sim_bench_schema(&noted), Vec::<String>::new());
 
@@ -423,306 +335,91 @@ mod tests {
         // host_cpus == threads and passes above); threads <= cpus with
         // an extra note present is also fine.
         let mut doc = valid_doc();
-        if let Some(o) = doc.as_object_mut() {
-            o.push(("host_cpus_note".into(), Value::String("recorded on 4 cores".into())));
-        }
+        record_mut(&mut doc, &[])
+            .push(("host_cpus_note".into(), Value::String("recorded on 4 cores".into())));
         assert_eq!(validate_sim_bench_schema(&doc), Vec::<String>::new());
     }
 
+    /// Dropping any required field of any block yields exactly the one
+    /// problem naming it.
     #[test]
-    fn every_required_metric_is_load_bearing() {
-        for field in REQUIRED_METRICS {
-            let mut doc = valid_doc();
-            remove(&mut doc, "current", field);
-            let problems = validate_sim_bench_schema(&doc);
-            assert_eq!(
-                problems,
-                vec![format!("current.waxman50_churn.{field} missing or mistyped")],
-                "dropping {field} must be caught"
-            );
+    fn every_required_field_is_load_bearing() {
+        let blocks: [(&[&str], &str, &[&str]); 5] = [
+            (&["current", "waxman50_churn"], "current.waxman50_churn", &REQUIRED_METRICS),
+            (&["phase_times"], "phase_times", &REQUIRED_PHASE_TIMES),
+            (&["hier_50k"], "hier_50k", &REQUIRED_HIER),
+            (&["fulltable", "fulltable_100k"], "fulltable.fulltable_100k", &REQUIRED_FULLTABLE),
+            (&["seed_sweep"], "seed_sweep", &REQUIRED_SEED_SWEEP),
+        ];
+        for (path, name, fields) in blocks {
+            for field in fields {
+                let mut doc = valid_doc();
+                remove(&mut doc, path, field);
+                assert_eq!(
+                    validate_sim_bench_schema(&doc),
+                    vec![format!("{name}.{field} missing or mistyped")],
+                    "dropping {name}.{field} must be caught"
+                );
+            }
         }
     }
 
     #[test]
     fn type_confusion_is_caught() {
-        let mut doc = valid_doc();
-        set(&mut doc, "baseline", "events", Value::String("1000".into()));
-        let problems = validate_sim_bench_schema(&doc);
-        assert_eq!(problems, vec!["baseline.waxman50_churn.events missing or mistyped"]);
-
-        let mut doc = valid_doc();
-        set(&mut doc, "baseline", "quiesced", Value::UInt(1));
-        assert_eq!(
-            validate_sim_bench_schema(&doc),
-            vec!["baseline.waxman50_churn.quiesced missing or mistyped"]
-        );
-
-        let mut doc = valid_doc();
-        set(&mut doc, "baseline", "parallel_speedup", Value::String("2x".into()));
-        assert_eq!(
-            validate_sim_bench_schema(&doc),
-            vec!["baseline.waxman50_churn.parallel_speedup missing or mistyped"]
-        );
+        let churn: &[&str] = &["current", "waxman50_churn"];
+        for (field, wrong) in [
+            ("events", Value::String("1000".into())),
+            ("quiesced", Value::UInt(1)),
+            ("events_per_sec", Value::String("2000/s".into())),
+        ] {
+            let mut doc = valid_doc();
+            set(&mut doc, churn, field, wrong);
+            assert_eq!(
+                validate_sim_bench_schema(&doc),
+                vec![format!("current.waxman50_churn.{field} missing or mistyped")]
+            );
+        }
     }
 
     #[test]
-    fn missing_blocks_and_bad_schema_tag_are_caught() {
+    fn missing_blocks_and_anchor_scenarios_are_caught() {
         let mut doc = valid_doc();
-        if let Some(o) = doc.as_object_mut() {
-            o.retain(|(k, _)| k != "baseline");
-        }
-        assert!(validate_sim_bench_schema(&doc)
-            .contains(&"missing object block \"baseline\"".to_string()));
+        remove(&mut doc, &[], "hier_50k");
+        assert_eq!(validate_sim_bench_schema(&doc), vec!["missing object block \"hier_50k\""]);
 
-        let doc = json!({"schema": "bogus/v9"});
+        let mut doc = valid_doc();
+        remove(&mut doc, &["fulltable"], "fulltable_100k");
+        assert_eq!(
+            validate_sim_bench_schema(&doc),
+            vec!["fulltable lacks the fulltable_100k scenario"]
+        );
+
+        let mut doc = valid_doc();
+        remove(&mut doc, &["current"], "waxman50_churn");
+        record_mut(&mut doc, &["current"]).push(("other".into(), record()));
+        assert_eq!(
+            validate_sim_bench_schema(&doc),
+            vec!["current lacks the waxman50_churn scenario"]
+        );
+    }
+
+    /// Any tag but the current one is rejected on the tag alone — an
+    /// older generation (here v5, otherwise complete) and a foreign
+    /// document alike.
+    #[test]
+    fn a_wrong_schema_tag_is_rejected() {
+        let mut doc = valid_doc();
+        set(&mut doc, &[], "schema", Value::String("dbgp-sim-bench/v5".into()));
         let problems = validate_sim_bench_schema(&doc);
-        assert!(problems.iter().any(|p| p.contains("schema field")));
+        assert_eq!(problems.len(), 1, "{problems:?}");
+        assert!(
+            problems[0].contains(SIM_BENCH_SCHEMA) && problems[0].contains("dbgp-sim-bench/v5"),
+            "{problems:?}"
+        );
+
+        let problems = validate_sim_bench_schema(&json!({"schema": "bogus/v9"}));
+        assert!(problems.iter().any(|p| p.contains("schema must be")));
         assert!(problems.iter().any(|p| p.contains("seed")));
-        assert!(problems.iter().any(|p| p.contains("tier_a")));
-    }
-
-    /// The v1→v2 negative test: a document in the *old* shape — v1 tag,
-    /// single `wall_seconds`/`events_per_sec` per record, no thread or
-    /// host accounting — must be rejected both by its tag and by its
-    /// field list.
-    #[test]
-    fn a_v1_document_is_rejected() {
-        let v1_record = json!({
-            "nodes": 50u64, "edges": 97u64, "events": 1000u64,
-            "events_per_sec": 2000.0f64, "wall_seconds": 0.5f64,
-            "messages": 10u64, "bytes_delivered": 100u64,
-            "updates_encoded": 5u64, "encode_cache_hits": 3u64,
-            "bytes_allocated": 4096u64, "best_changes": 7u64,
-            "quiesced": true,
-        });
-        let doc = json!({
-            "schema": "dbgp-sim-bench/v1",
-            "seed": 42u64,
-            "baseline": { "waxman50_churn": v1_record.clone() },
-            "current": { "waxman50_churn": v1_record },
-            "speedup": {},
-        });
-        let problems = validate_sim_bench_schema(&doc);
-        assert!(
-            problems.iter().any(|p| p.contains("outdated") && p.contains("dbgp-sim-bench/v1")),
-            "v1 tag must be called out as outdated: {problems:?}"
-        );
-        assert!(
-            problems.iter().any(|p| p.contains("current.waxman50_churn.wall_seconds_serial")),
-            "v1 records must fail the v2 field list: {problems:?}"
-        );
-        assert!(problems.iter().any(|p| p.contains("host_cpus")));
-        assert!(problems.iter().any(|p| p.contains("tier_a")));
-    }
-
-    /// The v2→v3 negative test: a document in the v2 shape — v2 tag,
-    /// full per-scenario thread accounting, but no `fulltable` block —
-    /// must be rejected both by its tag and by the missing block, so a
-    /// pre-fulltable generator can't pass the v3 validator.
-    #[test]
-    fn a_v2_document_is_rejected() {
-        let mut doc = valid_doc();
-        if let Some(o) = doc.as_object_mut() {
-            o.retain(|(k, _)| k != "fulltable");
-            for slot in o.iter_mut() {
-                if slot.0 == "schema" {
-                    slot.1 = Value::String("dbgp-sim-bench/v2".into());
-                }
-            }
-        }
-        let problems = validate_sim_bench_schema(&doc);
-        assert!(
-            problems.iter().any(|p| p.contains("outdated") && p.contains("dbgp-sim-bench/v2")),
-            "v2 tag must be called out as outdated: {problems:?}"
-        );
-        assert!(
-            problems.contains(&"missing object block \"fulltable\"".to_string()),
-            "the v2 shape lacks the fulltable block: {problems:?}"
-        );
-    }
-
-    /// The v3→v4 negative test: a document in the v3 shape — v3 tag,
-    /// fulltable block present, but no shard accounting on the records
-    /// and no `hier_50k` block — must be rejected by its tag, by the
-    /// missing per-record shard fields, and by the missing block, so a
-    /// pre-sharding generator can't pass the v4 validator.
-    #[test]
-    fn a_v3_document_is_rejected() {
-        let mut doc = valid_doc();
-        if let Some(o) = doc.as_object_mut() {
-            o.retain(|(k, _)| k != "hier_50k");
-            for slot in o.iter_mut() {
-                if slot.0 == "schema" {
-                    slot.1 = Value::String("dbgp-sim-bench/v3".into());
-                }
-            }
-        }
-        for block in ["baseline", "current"] {
-            remove(&mut doc, block, "shards");
-            remove(&mut doc, block, "edge_cut_fraction");
-        }
-        let problems = validate_sim_bench_schema(&doc);
-        assert!(
-            problems.iter().any(|p| p.contains("outdated") && p.contains("dbgp-sim-bench/v3")),
-            "v3 tag must be called out as outdated: {problems:?}"
-        );
-        assert!(
-            problems.iter().any(|p| p.contains("current.waxman50_churn.shards")),
-            "v3 records lack shard accounting: {problems:?}"
-        );
-        assert!(
-            problems.contains(&"missing object block \"hier_50k\"".to_string()),
-            "the v3 shape lacks the hier_50k block: {problems:?}"
-        );
-    }
-
-    /// The v4→v5 negative test: a document in the v4 shape — v4 tag,
-    /// shard accounting and hier block present, but no hot-path
-    /// accounting (`full_scans_avoided` / `frames_coalesced` on the
-    /// records, no coalescing leg in `hier_50k`, no top-level
-    /// `phase_times` or `serial_fallback_threshold`) — must be rejected
-    /// by its tag AND by the missing fields, so a pre-incremental
-    /// generator can't pass the v5 validator.
-    #[test]
-    fn a_v4_document_is_rejected() {
-        let mut doc = valid_doc();
-        if let Some(o) = doc.as_object_mut() {
-            o.retain(|(k, _)| k != "phase_times" && k != "serial_fallback_threshold");
-            for slot in o.iter_mut() {
-                if slot.0 == "schema" {
-                    slot.1 = Value::String("dbgp-sim-bench/v4".into());
-                }
-            }
-        }
-        for block in ["baseline", "current"] {
-            remove(&mut doc, block, "full_scans_avoided");
-            remove(&mut doc, block, "frames_coalesced");
-        }
-        let hier = doc.get_mut("hier_50k").and_then(Value::as_object_mut).unwrap();
-        hier.retain(|(k, _)| {
-            !matches!(
-                k.as_str(),
-                "full_scans_avoided"
-                    | "mrai0_updates_encoded"
-                    | "mrai0_coalesced_updates_encoded"
-                    | "frames_coalesced"
-                    | "coalesce_rib_match"
-            )
-        });
-        let ft = doc
-            .get_mut("fulltable")
-            .and_then(|b| b.get_mut("fulltable_100k"))
-            .and_then(Value::as_object_mut)
-            .unwrap();
-        ft.retain(|(k, _)| k != "full_scans_avoided");
-        let problems = validate_sim_bench_schema(&doc);
-        assert!(
-            problems.iter().any(|p| p.contains("outdated") && p.contains("dbgp-sim-bench/v4")),
-            "v4 tag must be called out as outdated: {problems:?}"
-        );
-        assert!(
-            problems.iter().any(|p| p.contains("current.waxman50_churn.full_scans_avoided")),
-            "v4 records lack hot-path accounting: {problems:?}"
-        );
-        assert!(
-            problems.iter().any(|p| p.contains("hier_50k.coalesce_rib_match")),
-            "the v4 hier block lacks the coalescing leg: {problems:?}"
-        );
-        assert!(
-            problems.iter().any(|p| p.contains("fulltable.fulltable_100k.full_scans_avoided")),
-            "the v4 fulltable record lacks full_scans_avoided: {problems:?}"
-        );
-        assert!(
-            problems.contains(&"missing object block \"phase_times\"".to_string()),
-            "the v4 shape lacks the phase_times block: {problems:?}"
-        );
-        assert!(
-            problems.contains(&"serial_fallback_threshold must be an unsigned integer".to_string()),
-            "the v4 shape lacks the fallback threshold: {problems:?}"
-        );
-    }
-
-    #[test]
-    fn every_phase_time_field_is_load_bearing() {
-        for field in REQUIRED_PHASE_TIMES {
-            let mut doc = valid_doc();
-            let pt = doc.get_mut("phase_times").and_then(Value::as_object_mut).unwrap();
-            pt.retain(|(k, _)| k != field);
-            let problems = validate_sim_bench_schema(&doc);
-            assert_eq!(
-                problems,
-                vec![format!("phase_times.{field} missing or mistyped")],
-                "dropping {field} must be caught"
-            );
-        }
-    }
-
-    #[test]
-    fn every_hier_field_is_load_bearing() {
-        for field in REQUIRED_HIER {
-            let mut doc = valid_doc();
-            let rec = doc.get_mut("hier_50k").and_then(Value::as_object_mut).unwrap();
-            rec.retain(|(k, _)| k != field);
-            let problems = validate_sim_bench_schema(&doc);
-            assert_eq!(
-                problems,
-                vec![format!("hier_50k.{field} missing or mistyped")],
-                "dropping {field} must be caught"
-            );
-        }
-        // A per-shard array with a mistyped element is rejected too.
-        let mut doc = valid_doc();
-        let rec = doc.get_mut("hier_50k").and_then(Value::as_object_mut).unwrap();
-        for slot in rec.iter_mut() {
-            if slot.0 == "events_per_shard" {
-                slot.1 = json!(["many", 2u64]);
-            }
-        }
-        assert_eq!(
-            validate_sim_bench_schema(&doc),
-            vec!["hier_50k.events_per_shard missing or mistyped".to_string()]
-        );
-    }
-
-    #[test]
-    fn every_fulltable_field_is_load_bearing() {
-        for field in REQUIRED_FULLTABLE {
-            let mut doc = valid_doc();
-            let rec = doc
-                .get_mut("fulltable")
-                .and_then(|b| b.get_mut("fulltable_100k"))
-                .and_then(Value::as_object_mut)
-                .unwrap();
-            rec.retain(|(k, _)| k != field);
-            let problems = validate_sim_bench_schema(&doc);
-            assert_eq!(
-                problems,
-                vec![format!("fulltable.fulltable_100k.{field} missing or mistyped")],
-                "dropping {field} must be caught"
-            );
-        }
-        // The anchor record itself is required.
-        let mut doc = valid_doc();
-        if let Some(block) = doc.get_mut("fulltable").and_then(Value::as_object_mut) {
-            block.retain(|(k, _)| k != "fulltable_100k");
-        }
-        assert!(validate_sim_bench_schema(&doc)
-            .contains(&"fulltable lacks the fulltable_100k scenario".to_string()));
-    }
-
-    #[test]
-    fn the_anchor_scenario_is_required() {
-        let doc = json!({
-            "schema": SIM_BENCH_SCHEMA,
-            "seed": 42u64,
-            "threads": 1u64,
-            "host_cpus": 1u64,
-            "baseline": { "other": record() },
-            "current": { "waxman50_churn": record() },
-            "speedup": {},
-            "tier_a": tier_a(),
-        });
-        assert!(validate_sim_bench_schema(&doc)
-            .contains(&"baseline lacks the waxman50_churn scenario".to_string()));
+        assert!(problems.iter().any(|p| p.contains("seed_sweep")));
     }
 }

@@ -3,18 +3,12 @@
 //! deployment topology and a 50-AS Waxman graph, with routing
 //! invariants checked at quiescence.
 //!
-//! Usage: `chaos_table [seed] [--threads N] [--shards K]` — default
-//! seed 42, default threads from `DBGP_THREADS` (else available
-//! parallelism), default shards 1. Everything printed and written is a
-//! function of the seed alone: the same seed produces a byte-identical
-//! `results/chaos.json` at any thread and shard count. Each scenario is
-//! a sealed deterministic unit, so the four rows fan out across the
-//! worker pool (Tier A) and are reduced back in row order; inside each
-//! scenario the attached trace recorder keeps the simulator on its
-//! serial engine, which is exactly what the causal convergence tracker
-//! needs — `--shards` still partitions the event queue, exercising the
-//! router's K-way merge under every fault plan without changing a byte
-//! of output.
+//! Usage: `chaos_table [seed] [--threads N]` — default seed 42, default
+//! threads from `DBGP_THREADS` (else available parallelism). Everything
+//! printed and written is a function of the seed alone: the same seed
+//! produces a byte-identical `results/chaos.json` at any thread count.
+//! Each scenario is a sealed deterministic unit, so the four rows fan
+//! out across the worker pool and are reduced back in row order.
 
 use dbgp_chaos::scenario::{figure8_wiser, scenario_prefix, sim_from_graph};
 use dbgp_chaos::{FaultPlan, InvariantReport, Invariants, ScenarioReport, ScenarioRunner};
@@ -41,11 +35,8 @@ fn reachable_count(sim: &Sim) -> usize {
 
 /// Figure 8 under gulf flaps, with the CF-R1 pass-through expectation
 /// at the source.
-fn fig8_wiser_flap(shards: usize) -> Row {
+fn fig8_wiser_flap() -> Row {
     let mut f = figure8_wiser();
-    if shards > 1 {
-        f.sim.set_shards(shards);
-    }
     // Record the full causal trace; the tracker measures each fault
     // window by scanning the event bus instead of diffing counters.
     f.sim.enable_telemetry(Rc::new(TraceRecorder::unbounded()));
@@ -69,11 +60,8 @@ fn fig8_wiser_flap(shards: usize) -> Row {
 }
 
 /// Figure 8 with a gulf AS rebooting (§3.5 session reset).
-fn fig8_gulf_restart(shards: usize) -> Row {
+fn fig8_gulf_restart() -> Row {
     let mut f = figure8_wiser();
-    if shards > 1 {
-        f.sim.set_shards(shards);
-    }
     f.sim.enable_telemetry(Rc::new(TraceRecorder::unbounded()));
     f.sim.originate(f.d, scenario_prefix());
     f.sim.run(10_000_000);
@@ -93,12 +81,9 @@ fn fig8_gulf_restart(shards: usize) -> Row {
 }
 
 /// Waxman-50 under an overlapping flap storm plus a transit restart.
-fn waxman_flap(seed: u64, shards: usize) -> Row {
+fn waxman_flap(seed: u64) -> Row {
     let graph = waxman_50(seed);
     let mut sim = sim_from_graph(&graph, 10);
-    if shards > 1 {
-        sim.set_shards(shards);
-    }
     sim.enable_telemetry(Rc::new(TraceRecorder::unbounded()));
     sim.set_seed(seed);
     sim.originate(0, scenario_prefix());
@@ -124,12 +109,9 @@ fn waxman_flap(seed: u64, shards: usize) -> Row {
 
 /// Waxman-50 with a hard loss burst on one link while an endpoint
 /// restarts, healed by the burst's closing flap.
-fn waxman_loss_burst(seed: u64, shards: usize) -> Row {
+fn waxman_loss_burst(seed: u64) -> Row {
     let graph = waxman_50(seed.wrapping_add(2));
     let mut sim = sim_from_graph(&graph, 10);
-    if shards > 1 {
-        sim.set_shards(shards);
-    }
     sim.enable_telemetry(Rc::new(TraceRecorder::unbounded()));
     sim.set_seed(seed.wrapping_add(2));
     sim.originate(0, scenario_prefix());
@@ -195,30 +177,39 @@ fn row_json(row: &Row) -> Value {
     })
 }
 
+const USAGE: &str = "usage: chaos_table [seed] [--threads N]";
+
+fn usage_error(problem: &str) -> ! {
+    eprintln!("chaos_table: {problem}\n{USAGE}");
+    std::process::exit(2);
+}
+
 fn main() {
-    let mut seed: u64 = 42;
-    let mut threads = dbgp_par::configured_threads();
-    let mut shards: usize = 1;
+    let mut seed: Option<u64> = None;
+    let mut threads = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         if arg == "--threads" {
-            threads = args
-                .next()
-                .and_then(|v| v.parse().ok())
-                .filter(|&n| n >= 1)
-                .expect("--threads requires a positive integer");
-        } else if arg == "--shards" {
-            shards = args
-                .next()
-                .and_then(|v| v.parse().ok())
-                .filter(|&n| n >= 1)
-                .expect("--shards requires a positive integer");
-        } else if let Ok(s) = arg.parse() {
-            seed = s;
+            threads = Some(
+                args.next()
+                    .and_then(|v| v.parse::<usize>().ok())
+                    .filter(|&n| n >= 1)
+                    .unwrap_or_else(|| usage_error("--threads needs a positive integer")),
+            );
+        } else if arg.starts_with('-') {
+            usage_error(&format!("unknown flag {arg:?}"));
+        } else if seed.is_some() {
+            usage_error(&format!("unexpected second positional argument {arg:?}"));
+        } else {
+            seed = Some(
+                arg.parse().unwrap_or_else(|_| usage_error(&format!("seed {arg:?} is not a u64"))),
+            );
         }
     }
+    let seed = seed.unwrap_or(42);
+    let threads = threads.unwrap_or_else(dbgp_par::configured_threads);
     println!(
-        "churn scenarios, seed {seed}, {threads} thread(s), {shards} shard(s) \
+        "churn scenarios, seed {seed}, {threads} thread(s) \
          (all quantities simulated => deterministic)\n"
     );
     println!(
@@ -234,18 +225,13 @@ fn main() {
         "invariants"
     );
     println!("{:-<115}", "");
-    // Tier A: each scenario builds, runs and reports on its own worker;
-    // the ordered reduce puts rows back in table order regardless of
-    // which finished first.
-    type RowFn = Box<dyn Fn() -> Row + Send + Sync>;
-    let tasks: Vec<RowFn> = vec![
-        Box::new(move || fig8_wiser_flap(shards)),
-        Box::new(move || fig8_gulf_restart(shards)),
-        Box::new(move || waxman_flap(seed, shards)),
-        Box::new(move || waxman_loss_burst(seed, shards)),
-    ];
+    // Each scenario builds, runs and reports on its own worker; the
+    // ordered map puts rows back in table order regardless of which
+    // finished first.
+    let tasks: [fn(u64) -> Row; 4] =
+        [|_| fig8_wiser_flap(), |_| fig8_gulf_restart(), waxman_flap, waxman_loss_burst];
     let pool = dbgp_par::Pool::new(threads);
-    let rows = dbgp_par::par_map(&pool, &tasks, |_, task| task());
+    let rows = dbgp_par::par_map(&pool, &tasks, |_, task| task(seed));
     let mut all_clean = true;
     for row in &rows {
         let stats = row.report.final_stats;

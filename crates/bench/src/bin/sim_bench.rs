@@ -1,54 +1,34 @@
 //! Control-plane throughput baseline: events/sec, UPDATEs encoded, and
 //! bytes allocated for the waxman-50 churn, waxman-1000 convergence and
-//! waxman-5000 scale scenarios, tracked in a committed `BENCH_sim.json`.
-//!
-//! Every scenario is timed twice: once on the serial engine
-//! (`--threads 1`) and once on the lookahead-windowed parallel engine
-//! at the requested thread count. The two runs must agree on every
-//! simulated quantity (events, messages, bytes, churn) — that identity
-//! is asserted here on every invocation, so a determinism regression in
-//! the windowed engine fails the benchmark before it can record a
-//! number. Only wall time (and thus events/sec and speedup) may differ.
+//! waxman-5000 scale scenarios, plus the 50,000-AS hierarchy and the
+//! 100k-route full table, tracked in a committed `BENCH_sim.json`.
 //!
 //! Usage:
 //!   sim_bench                 run all scenarios, write `BENCH_sim.json`
-//!                             (preserving the recorded baseline block,
-//!                             or seeding it from this run if absent)
-//!   sim_bench --quick         run only waxman-50 churn, write
-//!                             `results/BENCH_sim.quick.json`, and
-//!                             validate the committed `BENCH_sim.json`
+//!   sim_bench --quick         run only waxman-50 churn and the full
+//!                             table, write `results/BENCH_sim.quick.json`,
+//!                             and validate the committed `BENCH_sim.json`
 //!                             schema (the CI bench-smoke mode — never
 //!                             rewrites the committed baseline)
 //!   sim_bench --validate-only skip the scenarios entirely and just
 //!                             validate the baseline document's schema
-//!   sim_bench --hier-quick    run the 25×-shrunk hierarchical slice at
-//!                             the requested threads/shards and write
-//!                             `results/hier_quick.json` holding only
-//!                             simulated quantities — byte-identical
-//!                             across thread and shard counts, which the
-//!                             CI determinism job checks by sha256
-//!   sim_bench --phase-times   run only the instrumented serial
-//!                             waxman-1000 leg and print the per-phase
-//!                             wall-time breakdown (decode / decide /
-//!                             encode / queue); the full run embeds the
-//!                             same breakdown as the document's
-//!                             top-level `phase_times` block
+//!   sim_bench --phase-times   run only the instrumented waxman-1000 leg
+//!                             and print the per-phase wall-time breakdown
+//!                             (decode / decide / encode / queue); the
+//!                             full run embeds the same breakdown as the
+//!                             document's top-level `phase_times` block
 //!   --bench-path <path>       validate <path> instead of BENCH_sim.json
-//!   --threads <N>             worker threads for the parallel runs
+//!   --threads <N>             workers for the multi-seed sweep leg
 //!                             (default `DBGP_THREADS`, else available
-//!                             parallelism); `--threads 1` keeps every
-//!                             run on the serial engine
-//!   --shards <K>              shard count for the hierarchical
-//!                             scenarios (default 4); the classic
-//!                             Waxman scenarios always run unsharded so
-//!                             their speedup history stays comparable
+//!                             parallelism); every scenario itself runs
+//!                             on the one serial event loop
 //!
 //! A missing or mistyped required field in the baseline document is a
 //! hard failure: the exit code is nonzero and every problem is listed.
 //! Simulated quantities (events, messages, bytes, churn) are pure
-//! functions of the seed; wall-time, events/sec and parallel speedup
-//! vary with the host (the recording host's CPU count is written into
-//! the document as `host_cpus`).
+//! functions of the seed; wall time and events/sec vary with the host
+//! (the recording host's CPU count is written into the document as
+//! `host_cpus`).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -66,9 +46,8 @@ use serde_json::{json, Value};
 /// Byte-counting shim over the system allocator: `alloc`/grow sizes
 /// accumulate into [`ALLOCATED`] so scenarios can report allocation
 /// pressure, not just peak RSS. The counter is a relaxed atomic, so it
-/// stays coherent when the worker pool allocates from several threads
-/// at once; per-scenario deltas are only meaningful for serial runs
-/// (which is what the tracked `bytes_allocated` records).
+/// stays coherent when the seed sweep's worker pool allocates from
+/// several threads at once.
 struct CountingAlloc;
 
 static ALLOCATED: AtomicU64 = AtomicU64::new(0);
@@ -99,13 +78,13 @@ const SCHEMA: &str = SIM_BENCH_SCHEMA;
 const BENCH_PATH: &str = "BENCH_sim.json";
 const QUICK_PATH: &str = "results/BENCH_sim.quick.json";
 
-/// Allocation regression gate for the serial waxman-1000 run. The
+/// Allocation regression gate for the waxman-1000 run. The
 /// zero-copy pipeline recorded 138 839 840 bytes; the telemetry
 /// metrics registry grew that to 142 982 800, and the incremental
 /// decision process's reusable redecide scratch buffers (candidate
 /// assembly and output staging no longer allocate per event) cut it
-/// ~21% to the value below. The full benchmark asserts the serial
-/// run's `bytes_allocated` stays within [`ALLOC_SLACK_PERCENT`] of
+/// ~21% to the value below. The full benchmark asserts the run's
+/// `bytes_allocated` stays within [`ALLOC_SLACK_PERCENT`] of
 /// this budget.
 const WAXMAN1000_ALLOC_BASELINE: u64 = 112_995_380;
 const ALLOC_SLACK_PERCENT: u64 = 2;
@@ -126,9 +105,9 @@ const FULLTABLE_BURST_EVENTS: usize = 400;
 const FULLTABLE_MAX_DECODE_NS: f64 = 1_000.0;
 const FULLTABLE_MIN_ROUTES_PER_SEC: f64 = 20_000.0;
 
-/// One timed run of a scenario (one engine, one thread count).
-#[derive(Clone)]
-struct RunMeasurement {
+/// One timed run of a scenario.
+struct ScenarioResult {
+    name: &'static str,
     nodes: usize,
     edges: usize,
     events: u64,
@@ -139,63 +118,35 @@ struct RunMeasurement {
     quiesced: bool,
 }
 
-/// A scenario's serial + parallel measurement pair.
-struct ScenarioResult {
-    name: &'static str,
-    threads: usize,
-    serial: RunMeasurement,
-    parallel: RunMeasurement,
-}
-
-impl RunMeasurement {
-    fn events_per_sec(&self) -> f64 {
-        if self.wall_seconds > 0.0 {
-            self.events as f64 / self.wall_seconds
-        } else {
-            0.0
-        }
+fn per_sec(count: u64, wall_seconds: f64) -> f64 {
+    if wall_seconds > 0.0 {
+        count as f64 / wall_seconds
+    } else {
+        0.0
     }
 }
 
 impl ScenarioResult {
-    fn parallel_speedup(&self) -> f64 {
-        if self.parallel.wall_seconds > 0.0 {
-            self.serial.wall_seconds / self.parallel.wall_seconds
-        } else {
-            0.0
-        }
-    }
-
     fn to_json(&self) -> Value {
-        let s = &self.serial;
         json!({
-            "nodes": s.nodes as u64,
-            "edges": s.edges as u64,
-            "events": s.events,
-            "threads": self.threads as u64,
-            "wall_seconds_serial": round6(s.wall_seconds),
-            "events_per_sec_serial": round2(s.events_per_sec()),
-            "wall_seconds_parallel": round6(self.parallel.wall_seconds),
-            "events_per_sec_parallel": round2(self.parallel.events_per_sec()),
-            "parallel_speedup": round2(self.parallel_speedup()),
-            // Classic scenarios run unsharded (one event queue behind
-            // the router) so the recorded speedups stay comparable
-            // across baseline generations.
-            "shards": 1u64,
-            "edge_cut_fraction": 0.0f64,
-            "messages": s.stats.messages,
-            "bytes_delivered": s.stats.bytes,
-            "updates_encoded": s.stats.updates_encoded,
-            "encode_cache_hits": s.stats.encode_cache_hits,
-            "bytes_allocated": s.bytes_allocated,
-            "best_changes": s.stats.best_changes,
+            "nodes": self.nodes as u64,
+            "edges": self.edges as u64,
+            "events": self.events,
+            "wall_seconds": round6(self.wall_seconds),
+            "events_per_sec": round2(per_sec(self.events, self.wall_seconds)),
+            "messages": self.stats.messages,
+            "bytes_delivered": self.stats.bytes,
+            "updates_encoded": self.stats.updates_encoded,
+            "encode_cache_hits": self.stats.encode_cache_hits,
+            "bytes_allocated": self.bytes_allocated,
+            "best_changes": self.stats.best_changes,
             // Decision fast-path hits (incremental decision process) and
             // coalesced frames. The classic scenarios run per-change, so
             // frames_coalesced is always 0 here; the coalescing leg
             // lives in the hier_50k block.
-            "full_scans_avoided": s.full_scans_avoided,
-            "frames_coalesced": s.stats.frames_coalesced,
-            "quiesced": s.quiesced,
+            "full_scans_avoided": self.full_scans_avoided,
+            "frames_coalesced": self.stats.frames_coalesced,
+            "quiesced": self.quiesced,
         })
     }
 }
@@ -215,19 +166,19 @@ fn origin_prefix(node: usize) -> Ipv4Prefix {
     Ipv4Prefix::new(Ipv4Addr::new(10, (node >> 8) as u8, (node & 0xff) as u8, 0), 24).unwrap()
 }
 
-/// Run [`measure`] `repeats` times and keep the fastest run: the
+/// Time a scenario `repeats` times and keep the fastest run: the
 /// simulated quantities are identical across repeats, so best-of-N only
 /// de-noises the wall-clock (and thus events/sec) on a shared host.
-fn measure_best_of(
+fn scenario(
+    name: &'static str,
     graph: &AsGraph,
     origins: usize,
     repeats: usize,
-    threads: usize,
     mut run: impl FnMut(&mut Sim) -> bool,
-) -> RunMeasurement {
-    let mut best: Option<RunMeasurement> = None;
+) -> ScenarioResult {
+    let mut best: Option<ScenarioResult> = None;
     for _ in 0..repeats.max(1) {
-        let result = measure(graph, origins, threads, &mut run);
+        let result = measure(name, graph, origins, &mut run);
         if best.as_ref().is_none_or(|b| result.wall_seconds < b.wall_seconds) {
             best = Some(result);
         }
@@ -239,13 +190,12 @@ fn measure_best_of(
 /// prefix) through converge + churn under the timer and the allocation
 /// counter.
 fn measure(
+    name: &'static str,
     graph: &AsGraph,
     origins: usize,
-    threads: usize,
     mut run: impl FnMut(&mut Sim) -> bool,
-) -> RunMeasurement {
+) -> ScenarioResult {
     let mut sim = sim_from_graph(graph, 10);
-    sim.set_threads(threads);
     sim.set_seed(SEED);
     for node in 0..origins {
         sim.originate(node, origin_prefix(node));
@@ -255,7 +205,8 @@ fn measure(
     let quiesced = run(&mut sim);
     let wall_seconds = start.elapsed().as_secs_f64();
     let bytes_allocated = ALLOCATED.load(Ordering::Relaxed) - alloc_before;
-    RunMeasurement {
+    ScenarioResult {
+        name,
         nodes: sim.node_count(),
         edges: graph.edge_count(),
         events: sim.events_processed(),
@@ -267,76 +218,13 @@ fn measure(
     }
 }
 
-/// Time a scenario on the serial engine and on the windowed engine at
-/// `threads` workers, and assert the two runs are observationally
-/// identical (the Tier B determinism contract). At `threads == 1` the
-/// parallel leg is the serial leg.
-///
-/// The parallel leg runs *first*: whichever leg goes first pays the
-/// page-cache and allocator warm-up for the scenario's working set, so
-/// putting the serial leg second biases the recorded speedup downward
-/// — a reported speedup is never a warm-up artifact.
-fn scenario(
-    name: &'static str,
-    graph: &AsGraph,
-    origins: usize,
-    repeats: usize,
-    threads: usize,
-    mut run: impl FnMut(&mut Sim) -> bool,
-) -> ScenarioResult {
-    let parallel =
-        (threads > 1).then(|| measure_best_of(graph, origins, repeats, threads, &mut run));
-    let serial = measure_best_of(graph, origins, repeats, 1, &mut run);
-    let parallel = match parallel {
-        Some(p) => {
-            assert_runs_identical(name, threads, &serial, &p);
-            p
-        }
-        None => serial.clone(),
-    };
-    ScenarioResult { name, threads, serial, parallel }
-}
-
-/// The determinism gate: every simulated quantity must match between
-/// the serial and parallel runs. Wall time and allocation pressure are
-/// host-dependent and exempt.
-fn assert_runs_identical(
-    name: &str,
-    threads: usize,
-    serial: &RunMeasurement,
-    par: &RunMeasurement,
-) {
-    let digest = |r: &RunMeasurement| {
-        (
-            r.events,
-            r.stats.messages,
-            r.stats.bytes,
-            r.stats.updates_encoded,
-            r.stats.encode_cache_hits,
-            r.stats.best_changes,
-            r.stats.dropped_messages,
-            r.stats.duplicated_messages,
-            r.full_scans_avoided,
-            r.stats.frames_coalesced,
-            r.quiesced,
-        )
-    };
-    assert_eq!(
-        digest(serial),
-        digest(par),
-        "{name}: serial vs {threads}-thread runs diverged \
-         (events, messages, bytes, encodes, cache hits, churn, drops, dups, \
-          fast-path hits, coalesced frames, quiesced)"
-    );
-}
-
 /// Waxman-50 under a deterministic flap storm plus restarts — the
 /// acceptance scenario: re-advertisement churn is exactly what the
 /// encode cache and shared buffers accelerate.
-fn waxman50_churn(threads: usize) -> ScenarioResult {
+fn waxman50_churn() -> ScenarioResult {
     let graph = dbgp_topology::fixtures::waxman_50(SEED);
     // All 50 nodes originate: 50 prefixes of routing state per RIB.
-    scenario("waxman50_churn", &graph, 50, 3, threads, |sim| {
+    scenario("waxman50_churn", &graph, 50, 3, |sim| {
         sim.run(200_000_000);
         let edges: Vec<(usize, usize, bool)> = sim.links().collect();
         let mut plan = FaultPlan::new();
@@ -359,9 +247,9 @@ fn waxman50_churn(threads: usize) -> ScenarioResult {
 /// Waxman-1000 convergence plus a light flap — the ROADMAP scale
 /// target. Twenty origins keep the multi-prefix load realistic without
 /// making the full run take minutes.
-fn waxman1000(threads: usize) -> ScenarioResult {
+fn waxman1000() -> ScenarioResult {
     let graph = waxman::generate(WaxmanParams::default(), SEED);
-    scenario("waxman1000", &graph, 20, 2, threads, |sim| {
+    scenario("waxman1000", &graph, 20, 2, |sim| {
         sim.run(4_000_000_000);
         let converged = sim.pending_events() == 0;
         let edges: Vec<(usize, usize, bool)> = sim.links().collect();
@@ -376,12 +264,12 @@ fn waxman1000(threads: usize) -> ScenarioResult {
     })
 }
 
-/// Waxman-5000 — the scale tier this PR adds. Convergence flooding at
+/// Waxman-5000 — the scale tier. Convergence flooding at
 /// 5000 ASes plus a pair of flaps and a restart; twenty origins, one
 /// repeat (the run dominates the budget at this size).
-fn waxman5000(threads: usize) -> ScenarioResult {
+fn waxman5000() -> ScenarioResult {
     let graph = dbgp_topology::fixtures::waxman_5000(SEED);
-    scenario("waxman5000", &graph, 20, 1, threads, |sim| {
+    scenario("waxman5000", &graph, 20, 1, |sim| {
         sim.run(10_000_000_000);
         let converged = sim.pending_events() == 0;
         let edges: Vec<(usize, usize, bool)> = sim.links().collect();
@@ -396,10 +284,11 @@ fn waxman5000(threads: usize) -> ScenarioResult {
     })
 }
 
-/// Tier A timing: a multi-seed convergence sweep over waxman-50
-/// topologies, fanned out on the scenario-level worker pool. Serial and
-/// parallel sweeps must agree event-for-event (in seed order).
-fn tier_a_sweep(threads: usize) -> Value {
+/// Scenario-level parallelism: a multi-seed convergence sweep over
+/// waxman-50 topologies, timed on one thread and fanned out on the
+/// worker pool. The two sweeps must agree event-for-event (in seed
+/// order).
+fn seed_sweep(threads: usize) -> Value {
     let seeds: Vec<u64> = (0..8).collect();
     let converge = |seed: u64| {
         let graph = dbgp_topology::fixtures::waxman_50(seed);
@@ -411,8 +300,9 @@ fn tier_a_sweep(threads: usize) -> Value {
         sim.run(200_000_000);
         sim.events_processed()
     };
-    // Parallel sweep first, serial second — same warm-up bias as
-    // [`scenario`]: the recorded speedup is a floor, not an artifact.
+    // Pooled sweep first, serial second: whichever goes first pays the
+    // page-cache and allocator warm-up, so the recorded speedup is a
+    // floor, never a warm-up artifact.
     let pooled = (threads > 1).then(|| {
         let start = Instant::now();
         let swept = sweep_seeds(&seeds, threads, converge);
@@ -421,16 +311,16 @@ fn tier_a_sweep(threads: usize) -> Value {
     let start = Instant::now();
     let serial = sweep_seeds(&seeds, 1, converge);
     let wall_serial = start.elapsed().as_secs_f64();
-    let (swept, wall_parallel) = pooled.unwrap_or_else(|| (serial.clone(), wall_serial));
-    assert_eq!(serial, swept, "tier A sweep diverged between 1 and {threads} threads");
+    let (swept, wall_pooled) = pooled.unwrap_or_else(|| (serial.clone(), wall_serial));
+    assert_eq!(serial, swept, "seed sweep diverged between 1 and {threads} threads");
     let total_events: u64 = serial.iter().sum();
     json!({
         "seeds": seeds.len() as u64,
         "threads": threads as u64,
         "total_events": total_events,
         "wall_seconds_serial": round6(wall_serial),
-        "wall_seconds_parallel": round6(wall_parallel),
-        "parallel_speedup": round2(if wall_parallel > 0.0 { wall_serial / wall_parallel } else { 0.0 }),
+        "wall_seconds_pooled": round6(wall_pooled),
+        "pooled_speedup": round2(if wall_pooled > 0.0 { wall_serial / wall_pooled } else { 0.0 }),
     })
 }
 
@@ -496,91 +386,11 @@ fn fulltable_100k() -> FullTableResult {
     result
 }
 
-/// Origins in the hierarchical scenarios: enough stubs advertising to
-/// exercise multi-prefix RIBs without making the serial leg take
-/// minutes at 50,000 ASes.
+/// Origins in the hierarchical scenario: enough stubs advertising to
+/// exercise multi-prefix RIBs without the run taking minutes at 50,000
+/// ASes.
 const HIER_ORIGINS: usize = 8;
 const HIER_HORIZON: u64 = 1_000_000;
-
-/// One run of a hierarchical Gao-Rexford scenario.
-struct HierMeasurement {
-    nodes: usize,
-    edges: usize,
-    events: u64,
-    wall_seconds: f64,
-    stats: dbgp_sim::SimStats,
-    quiesced: bool,
-    shards: usize,
-    edge_cut_fraction: f64,
-    events_per_shard: Vec<u64>,
-    full_scans_avoided: u64,
-}
-
-impl HierMeasurement {
-    fn events_per_sec(&self) -> f64 {
-        if self.wall_seconds > 0.0 {
-            self.events as f64 / self.wall_seconds
-        } else {
-            0.0
-        }
-    }
-}
-
-/// Build the valley-free sim over `topo`, run it to quiescence, and
-/// report. `shards > 1` routes events through per-shard calendar
-/// queues; with `threads > 1` as well, the sharded parallel engine
-/// commits the windows.
-fn run_hier(topo: &dbgp_topology::HierTopology, threads: usize, shards: usize) -> HierMeasurement {
-    let mut sim = dbgp_workload::policy::valley_free_sim(topo, SEED);
-    sim.set_threads(threads);
-    if shards > 1 {
-        sim.set_shards(shards);
-    }
-    dbgp_workload::policy::originate_from_stubs(&mut sim, topo, HIER_ORIGINS);
-    let start = Instant::now();
-    sim.run(HIER_HORIZON);
-    let wall_seconds = start.elapsed().as_secs_f64();
-    let quiesced = sim.pending_events() == 0;
-    let events_per_shard = sim.shard_event_counts();
-    assert_eq!(
-        events_per_shard.iter().sum::<u64>(),
-        sim.events_processed(),
-        "per-shard commit counts must tile the total"
-    );
-    HierMeasurement {
-        nodes: sim.node_count(),
-        edges: topo.edge_count(),
-        events: sim.events_processed(),
-        wall_seconds,
-        stats: sim.stats(),
-        quiesced,
-        shards: sim.shards(),
-        edge_cut_fraction: sim.edge_cut_fraction(),
-        events_per_shard,
-        full_scans_avoided: sim.full_scans_avoided(),
-    }
-}
-
-/// The hier determinism gate: serial and sharded legs must agree on
-/// every simulated quantity.
-fn assert_hier_identical(name: &str, serial: &HierMeasurement, sharded: &HierMeasurement) {
-    let digest = |r: &HierMeasurement| {
-        (
-            r.events,
-            r.stats.messages,
-            r.stats.bytes,
-            r.stats.best_changes,
-            r.full_scans_avoided,
-            r.quiesced,
-        )
-    };
-    assert_eq!(
-        digest(serial),
-        digest(sharded),
-        "{name}: serial vs sharded runs diverged \
-         (events, messages, bytes, churn, fast-path hits, quiesced)"
-    );
-}
 
 /// The converged routing outcome of a hierarchical run, rendered to one
 /// comparable string: FIB next hops plus Loc-RIB paths for every node.
@@ -600,8 +410,8 @@ fn hier_rib_fingerprint(sim: &Sim) -> String {
     out
 }
 
-/// The deterministic-coalescing leg: the hierarchical topology run
-/// serially at `mrai = 0` per-change and again with staging on, so the
+/// The deterministic-coalescing leg: the hierarchical topology run at
+/// `mrai = 0` per-change and again with staging on, so the
 /// frame reduction is attributable to coalescing alone (at the default
 /// MRAI the classic window already batches, masking it). Returns
 /// `(updates_encoded per-change, updates_encoded coalesced,
@@ -644,11 +454,9 @@ fn hier_coalesce_leg(topo: &dbgp_topology::HierTopology) -> (u64, u64, u64, bool
     (soff.updates_encoded, son.updates_encoded, son.frames_coalesced, rib_match)
 }
 
-/// The 50,000-AS hierarchical scenario: serial leg (one thread, one
-/// queue) vs sharded leg at the requested thread/shard counts, plus the
-/// mrai-0 coalescing leg. As with [`scenario`], the sharded leg runs
-/// first so the serial leg gets the warm caches.
-fn hier_50k_scenario(threads: usize, shards: usize) -> Value {
+/// The 50,000-AS hierarchical scenario: one timed valley-free run to
+/// quiescence, plus the mrai-0 coalescing leg.
+fn hier_50k_scenario() -> Value {
     let topo = dbgp_topology::fixtures::hier_50k(SEED);
     println!(
         "\nhier_50k: {} ASes, {} adjacencies ({} transit + {} peering)",
@@ -657,85 +465,44 @@ fn hier_50k_scenario(threads: usize, shards: usize) -> Value {
         topo.transit.edge_count(),
         topo.peering.len()
     );
-    let sharded = run_hier(&topo, threads, shards);
-    let serial = run_hier(&topo, 1, 1);
-    assert_hier_identical("hier_50k", &serial, &sharded);
-    if !serial.quiesced {
+    let mut sim = dbgp_workload::policy::valley_free_sim(&topo, SEED);
+    dbgp_workload::policy::originate_from_stubs(&mut sim, &topo, HIER_ORIGINS);
+    let start = Instant::now();
+    sim.run(HIER_HORIZON);
+    let wall_seconds = start.elapsed().as_secs_f64();
+    if sim.pending_events() != 0 {
         eprintln!("error: hier_50k failed to quiesce inside the horizon");
         std::process::exit(1);
     }
+    let events = sim.events_processed();
+    let stats = sim.stats();
+    let full_scans_avoided = sim.full_scans_avoided();
+    let nodes = sim.node_count();
+    drop(sim);
     println!(
-        "hier_50k: {} events, serial {:.2}s ({:.0} ev/s), sharded[{}x{}t] {:.2}s ({:.0} ev/s), \
-         edge cut {:.3}",
-        serial.events,
-        serial.wall_seconds,
-        serial.events_per_sec(),
-        sharded.shards,
-        threads,
-        sharded.wall_seconds,
-        sharded.events_per_sec(),
-        sharded.edge_cut_fraction,
+        "hier_50k: {events} events in {wall_seconds:.2}s ({:.0} ev/s)",
+        per_sec(events, wall_seconds)
     );
     let (mrai0_updates, mrai0_coalesced, frames_coalesced, rib_match) = hier_coalesce_leg(&topo);
     json!({
-        "nodes": serial.nodes as u64,
-        "edges": serial.edges as u64,
-        "events": serial.events,
-        "threads": threads as u64,
-        "shards": sharded.shards as u64,
-        "edge_cut_fraction": round6(sharded.edge_cut_fraction),
-        "events_per_shard": sharded.events_per_shard,
-        "wall_seconds_serial": round6(serial.wall_seconds),
-        "events_per_sec_serial": round2(serial.events_per_sec()),
-        "wall_seconds_sharded": round6(sharded.wall_seconds),
-        "events_per_sec_sharded": round2(sharded.events_per_sec()),
-        "sharded_speedup": round2(if sharded.wall_seconds > 0.0 {
-            serial.wall_seconds / sharded.wall_seconds
-        } else {
-            0.0
-        }),
-        "messages": serial.stats.messages,
-        "best_changes": serial.stats.best_changes,
-        "full_scans_avoided": serial.full_scans_avoided,
+        "nodes": nodes as u64,
+        "edges": topo.edge_count() as u64,
+        "events": events,
+        "wall_seconds": round6(wall_seconds),
+        "events_per_sec": round2(per_sec(events, wall_seconds)),
+        "messages": stats.messages,
+        "best_changes": stats.best_changes,
+        "full_scans_avoided": full_scans_avoided,
         "mrai0_updates_encoded": mrai0_updates,
         "mrai0_coalesced_updates_encoded": mrai0_coalesced,
         "frames_coalesced": frames_coalesced,
         "coalesce_rib_match": rib_match,
-        "quiesced": serial.quiesced,
+        "quiesced": true,
     })
 }
 
-/// `--hier-quick`: the 25×-shrunk hierarchy at the requested
-/// thread/shard counts, reported as simulated quantities only — the
-/// output file is a pure function of the seed and shard count, so the
-/// CI determinism job diffs its sha256 across thread counts.
-fn hier_quick(threads: usize, shards: usize) -> Value {
-    let topo = dbgp_topology::fixtures::hier_2k(SEED);
-    let m = run_hier(&topo, threads, shards);
-    if !m.quiesced {
-        eprintln!("error: hier_2k quick slice failed to quiesce");
-        std::process::exit(1);
-    }
-    json!({
-        "scenario": "hier_2k",
-        "seed": SEED,
-        "nodes": m.nodes as u64,
-        "edges": m.edges as u64,
-        "shards": m.shards as u64,
-        "edge_cut_fraction": round6(m.edge_cut_fraction),
-        "events": m.events,
-        "events_per_shard": m.events_per_shard,
-        "messages": m.stats.messages,
-        "bytes_delivered": m.stats.bytes,
-        "best_changes": m.stats.best_changes,
-        "last_event_at": m.stats.last_event_at,
-        "quiesced": m.quiesced,
-    })
-}
-
-/// The instrumented hot-path breakdown: one serial waxman-1000
-/// convergence leg with per-phase timing on
-/// ([`Sim::enable_phase_timing`] pins the run to the serial engine),
+/// The instrumented hot-path breakdown: one waxman-1000 convergence
+/// leg with per-phase timing on ([`Sim::enable_phase_timing`]),
 /// reported as wall seconds per phase. Kept out of the timed scenario
 /// legs: the instrumentation costs a branch per site plus two clock
 /// reads per timed region, so the recorded throughput numbers never
@@ -758,7 +525,7 @@ fn phase_times_leg() -> Value {
     let pt = sim.phase_times().expect("phase timing was enabled");
     let secs = |ns: u64| ns as f64 / 1e9;
     println!(
-        "\nphase times (serial waxman1000 convergence, instrumented): \
+        "\nphase times (waxman1000 convergence, instrumented): \
          decode {:.3}s, decide {:.3}s, encode {:.3}s, queue {:.3}s, wall {:.3}s",
         secs(pt.decode_ns),
         secs(pt.decide_ns),
@@ -774,58 +541,6 @@ fn phase_times_leg() -> Value {
         "queue_seconds": round6(secs(pt.queue_ns)),
         "wall_seconds": round6(wall_seconds),
     })
-}
-
-/// Upgrade a `dbgp-sim-bench/v1` scenario record (single `wall_seconds`
-/// / `events_per_sec`, no thread fields — always measured serially) to
-/// the v2 shape, so a baseline recorded before the parallel engine
-/// stays comparable.
-fn upgrade_v1_record(record: &Value) -> Value {
-    let mut out: Vec<(String, Value)> = Vec::new();
-    if let Some(fields) = record.as_object() {
-        for (k, v) in fields {
-            match k.as_str() {
-                "wall_seconds" => {
-                    out.push(("wall_seconds_serial".into(), v.clone()));
-                    out.push(("wall_seconds_parallel".into(), v.clone()));
-                }
-                "events_per_sec" => {
-                    out.push(("events_per_sec_serial".into(), v.clone()));
-                    out.push(("events_per_sec_parallel".into(), v.clone()));
-                }
-                _ => out.push((k.clone(), v.clone())),
-            }
-        }
-    }
-    if record.get("threads").is_none() {
-        out.push(("threads".into(), Value::UInt(1)));
-        out.push(("parallel_speedup".into(), Value::Float(1.0)));
-    }
-    Value::Object(out)
-}
-
-/// Upgrade a `dbgp-sim-bench/v3` scenario record (no shard accounting —
-/// always one queue, zero cut) to the v4 shape, and a v4 record (no
-/// hot-path accounting — every decision was a full scan, nothing ever
-/// coalesced) to the v5 shape, composing with the v1 upgrade so any
-/// committed baseline generation stays comparable.
-fn upgrade_record(record: &Value) -> Value {
-    let mut upgraded = upgrade_v1_record(record);
-    if let Some(fields) = upgraded.as_object_mut() {
-        if !fields.iter().any(|(k, _)| k == "shards") {
-            fields.push(("shards".into(), Value::UInt(1)));
-        }
-        if !fields.iter().any(|(k, _)| k == "edge_cut_fraction") {
-            fields.push(("edge_cut_fraction".into(), Value::Float(0.0)));
-        }
-        if !fields.iter().any(|(k, _)| k == "full_scans_avoided") {
-            fields.push(("full_scans_avoided".into(), Value::UInt(0)));
-        }
-        if !fields.iter().any(|(k, _)| k == "frames_coalesced") {
-            fields.push(("frames_coalesced".into(), Value::UInt(0)));
-        }
-    }
-    upgraded
 }
 
 /// Validate the baseline document at `path`; exits the process with a
@@ -851,90 +566,85 @@ fn enforce_schema(path: &str) {
 
 fn print_table(results: &[ScenarioResult]) {
     println!(
-        "{:<16} {:>6} {:>6} {:>9} {:>12} {:>12} {:>8} {:>9} {:>10} {:>12} {:>8}",
+        "{:<16} {:>6} {:>6} {:>9} {:>12} {:>9} {:>10} {:>12} {:>8}",
         "scenario",
         "nodes",
         "edges",
         "events",
-        "ev/s serial",
-        "ev/s par",
-        "speedup",
+        "ev/s",
         "messages",
         "cachehit",
         "alloc MiB",
         "wall s"
     );
-    println!("{:-<120}", "");
+    println!("{:-<96}", "");
     for r in results {
-        let s = &r.serial;
         println!(
-            "{:<16} {:>6} {:>6} {:>9} {:>12.0} {:>12.0} {:>8.2} {:>9} {:>10} {:>12.1} {:>8.3}",
+            "{:<16} {:>6} {:>6} {:>9} {:>12.0} {:>9} {:>10} {:>12.1} {:>8.3}",
             r.name,
-            s.nodes,
-            s.edges,
-            s.events,
-            s.events_per_sec(),
-            r.parallel.events_per_sec(),
-            r.parallel_speedup(),
-            s.stats.messages,
-            s.stats.encode_cache_hits,
-            s.bytes_allocated as f64 / (1024.0 * 1024.0),
-            s.wall_seconds,
+            r.nodes,
+            r.edges,
+            r.events,
+            per_sec(r.events, r.wall_seconds),
+            r.stats.messages,
+            r.stats.encode_cache_hits,
+            r.bytes_allocated as f64 / (1024.0 * 1024.0),
+            r.wall_seconds,
         );
     }
 }
 
-/// The PR 2 allocation regression gate (serial waxman-1000 run).
+/// The allocation regression gate (waxman-1000 run).
 fn enforce_alloc_budget(results: &[ScenarioResult]) {
     let Some(r) = results.iter().find(|r| r.name == "waxman1000") else {
         return;
     };
     let budget = WAXMAN1000_ALLOC_BASELINE + WAXMAN1000_ALLOC_BASELINE * ALLOC_SLACK_PERCENT / 100;
-    if r.serial.bytes_allocated > budget {
+    if r.bytes_allocated > budget {
         eprintln!(
-            "error: waxman1000 serial run allocated {} bytes, past the tracked \
-             budget of {WAXMAN1000_ALLOC_BASELINE} (+{ALLOC_SLACK_PERCENT}% slack); \
-             the windowed engine must not regress the allocation profile",
-            r.serial.bytes_allocated
+            "error: the waxman1000 run allocated {} bytes, past the tracked \
+             budget of {WAXMAN1000_ALLOC_BASELINE} (+{ALLOC_SLACK_PERCENT}% slack)",
+            r.bytes_allocated
         );
         std::process::exit(1);
     }
 }
 
+const USAGE: &str = "usage: sim_bench [--quick | --validate-only | --phase-times] \
+                     [--bench-path PATH] [--threads N]";
+
+fn usage_error(problem: &str) -> ! {
+    eprintln!("sim_bench: {problem}\n{USAGE}");
+    std::process::exit(2);
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let validate_only = args.iter().any(|a| a == "--validate-only");
-    let bench_path = args
-        .iter()
-        .position(|a| a == "--bench-path")
-        .map(|i| {
-            args.get(i + 1).cloned().unwrap_or_else(|| {
-                eprintln!("--bench-path needs a path");
-                std::process::exit(2);
-            })
-        })
-        .unwrap_or_else(|| BENCH_PATH.to_string());
-    let threads = args
-        .iter()
-        .position(|a| a == "--threads")
-        .map(|i| {
-            args.get(i + 1).and_then(|v| v.parse().ok()).filter(|&n| n >= 1).unwrap_or_else(|| {
-                eprintln!("--threads needs a positive integer");
-                std::process::exit(2);
-            })
-        })
-        .unwrap_or_else(dbgp_par::configured_threads);
-    let shards = args
-        .iter()
-        .position(|a| a == "--shards")
-        .map(|i| {
-            args.get(i + 1).and_then(|v| v.parse().ok()).filter(|&n| n >= 1).unwrap_or_else(|| {
-                eprintln!("--shards needs a positive integer");
-                std::process::exit(2);
-            })
-        })
-        .unwrap_or(4);
+    let mut quick = false;
+    let mut validate_only = false;
+    let mut phase_times_only = false;
+    let mut bench_path = BENCH_PATH.to_string();
+    let mut threads = None;
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--quick" => quick = true,
+            "--validate-only" => validate_only = true,
+            "--phase-times" => phase_times_only = true,
+            "--bench-path" => {
+                bench_path = args.next().unwrap_or_else(|| usage_error("--bench-path needs a path"))
+            }
+            "--threads" => {
+                threads = Some(
+                    args.next()
+                        .and_then(|v| v.parse::<usize>().ok())
+                        .filter(|&n| n >= 1)
+                        .unwrap_or_else(|| usage_error("--threads needs a positive integer")),
+                )
+            }
+            other => usage_error(&format!("unknown argument {other:?}")),
+        }
+    }
+    let threads = threads.unwrap_or_else(dbgp_par::configured_threads);
     let host_cpus = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
 
     if validate_only {
@@ -942,28 +652,18 @@ fn main() {
         return;
     }
 
-    if args.iter().any(|a| a == "--hier-quick") {
-        let doc = hier_quick(threads, shards);
-        std::fs::create_dir_all("results").ok();
-        std::fs::write("results/hier_quick.json", serde_json::to_string_pretty(&doc).unwrap())
-            .unwrap();
-        println!("(wrote results/hier_quick.json at {threads} threads, {shards} shards)");
-        return;
-    }
-
-    if args.iter().any(|a| a == "--phase-times") {
+    if phase_times_only {
         let _ = phase_times_leg();
         return;
     }
 
-    println!("threads {threads}, host cpus {host_cpus}\n");
-    let mut results = vec![waxman50_churn(threads)];
+    let mut results = vec![waxman50_churn()];
     if !quick {
-        results.push(waxman1000(threads));
-        results.push(waxman5000(threads));
+        results.push(waxman1000());
+        results.push(waxman5000());
     }
     print_table(&results);
-    if results.iter().any(|r| !r.serial.quiesced) {
+    if results.iter().any(|r| !r.quiesced) {
         eprintln!("error: a scenario failed to quiesce; refusing to record metrics");
         std::process::exit(1);
     }
@@ -971,23 +671,16 @@ fn main() {
         enforce_alloc_budget(&results);
     }
 
-    let existing =
-        std::fs::read_to_string(BENCH_PATH).ok().and_then(|s| serde_json::from_str(&s).ok());
-
     if quick {
         // --quick is the CI bench-smoke entry point; the full-table
         // scenario runs at full scale there too so the decode budget,
         // ingest floor, and quiesce gates are enforced on every PR.
         let ft = fulltable_100k();
-        let current = scenarios_json(&results);
         let doc = json!({
             "schema": SCHEMA,
             "mode": "quick",
             "seed": SEED,
-            "threads": threads as u64,
-            "host_cpus": host_cpus as u64,
-            "serial_fallback_threshold": Sim::SERIAL_FALLBACK_THRESHOLD as u64,
-            "current": current,
+            "current": scenarios_json(&results),
             "fulltable": { "fulltable_100k": fulltable_json(&ft) },
         });
         std::fs::create_dir_all("results").ok();
@@ -997,64 +690,31 @@ fn main() {
         return;
     }
 
-    let tier_a = tier_a_sweep(threads);
+    println!("\nseed sweep at {threads} threads, host cpus {host_cpus}");
+    let seed_sweep = seed_sweep(threads);
     let ft = fulltable_100k();
-    let hier = hier_50k_scenario(threads, shards);
+    let hier = hier_50k_scenario();
     let phase_times = phase_times_leg();
 
-    // Full mode: keep the recorded baseline (the pre-optimization
-    // numbers this PR is measured against); seed it from this run only
-    // when no baseline exists yet. A v1-era baseline is upgraded to the
-    // v2 record shape in place.
-    let current = scenarios_json(&results);
-    let baseline = existing
-        .as_ref()
-        .and_then(|doc: &Value| doc.get("baseline").and_then(Value::as_object))
-        .map(|scenarios| {
-            Value::Object(scenarios.iter().map(|(k, v)| (k.clone(), upgrade_record(v))).collect())
-        })
-        .unwrap_or_else(|| current.clone());
-    let mut speedup: Vec<(String, Value)> = Vec::new();
-    if let Some(fields) = baseline.as_object() {
-        for (name, base_record) in fields {
-            let base = base_record.get("events_per_sec_serial").and_then(Value::as_f64);
-            let now = current
-                .get(name)
-                .and_then(|r| r.get("events_per_sec_serial"))
-                .and_then(Value::as_f64);
-            if let (Some(base), Some(now)) = (base, now) {
-                if base > 0.0 {
-                    speedup
-                        .push((format!("{name}_events_per_sec"), Value::Float(round2(now / base))));
-                }
-            }
-        }
-    }
     let mut doc = json!({
         "schema": SCHEMA,
         "seed": SEED,
         "threads": threads as u64,
         "host_cpus": host_cpus as u64,
-        // The windowed engine's permanent serial-drain trigger: windows
-        // under this many delivers (for SERIAL_FALLBACK_WINDOWS in a
-        // row) drop the run back to the serial path.
-        "serial_fallback_threshold": Sim::SERIAL_FALLBACK_THRESHOLD as u64,
         "phase_times": phase_times,
-        "baseline": baseline,
-        "current": current,
-        "speedup": Value::Object(speedup),
-        "tier_a": tier_a,
+        "current": scenarios_json(&results),
+        "seed_sweep": seed_sweep,
         "fulltable": { "fulltable_100k": fulltable_json(&ft) },
         "hier_50k": hier,
     });
-    if (host_cpus as u64) < threads as u64 {
+    if host_cpus < threads {
         // The validator requires this admission: with fewer CPUs than
-        // worker threads, the parallel/sharded columns verify overhead
-        // and determinism, they do not measure speedup.
+        // worker threads, the pooled sweep column verifies overhead and
+        // determinism, it does not measure speedup.
         let note = format!(
-            "host_cpus={host_cpus} < threads={threads}: parallel and sharded timings were \
-             recorded on an oversubscribed host and are determinism/overhead checks, not \
-             measured speedup; re-record on a host with >= {threads} CPUs before quoting them"
+            "host_cpus={host_cpus} < threads={threads}: the pooled seed sweep was recorded on an \
+             oversubscribed host and is a determinism/overhead check, not measured speedup; \
+             re-record on a host with >= {threads} CPUs before quoting it"
         );
         if let Some(o) = doc.as_object_mut() {
             // Keep it next to host_cpus (slot 4) so readers see it.

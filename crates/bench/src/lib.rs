@@ -7,9 +7,6 @@ pub mod baseline;
 pub mod fulltable;
 pub mod stress;
 
-pub use baseline::{
-    validate_sim_bench_schema, REQUIRED_FULLTABLE, REQUIRED_METRICS, REQUIRED_PHASE_TIMES,
-    SIM_BENCH_SCHEMA,
-};
+pub use baseline::{validate_sim_bench_schema, SIM_BENCH_SCHEMA};
 pub use fulltable::{full_table_frames, run_full_table, FullTableResult};
 pub use stress::{run_classic_bgp, run_dbgp, StressResult};

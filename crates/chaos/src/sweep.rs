@@ -1,4 +1,4 @@
-//! Multi-seed scenario sweeps on the worker pool (Tier A).
+//! Multi-seed scenario sweeps on the worker pool.
 //!
 //! Chaos studies rarely care about one seed: confidence comes from
 //! running the same fault plan across a family of seeded topologies

@@ -225,13 +225,6 @@ impl DbgpSpeaker {
         self.node_label = node_label;
     }
 
-    /// True when a telemetry sink is attached. The simulator's parallel
-    /// engine refuses to move a speaker across threads while a (non-
-    /// thread-safe) sink handle is live.
-    pub fn telemetry_attached(&self) -> bool {
-        self.sink.is_attached()
-    }
-
     /// Our configuration.
     pub fn config(&self) -> &DbgpConfig {
         &self.cfg

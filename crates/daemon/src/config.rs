@@ -92,7 +92,16 @@ impl DaemonConfig {
                 "listen" => listen = Some(rest.to_string()),
                 "hold-time" => {
                     hold_time_secs =
-                        rest.parse::<u16>().map_err(|_| format!("line {lineno}: bad hold-time"))?
+                        rest.parse::<u16>().map_err(|_| format!("line {lineno}: bad hold-time"))?;
+                    // RFC 4271 §4.2: zero (no keepalives) or at least
+                    // three seconds. Every peer's OPEN decoder refuses 1
+                    // and 2, so the pair would connect-retry forever.
+                    if hold_time_secs == 1 || hold_time_secs == 2 {
+                        return Err(format!(
+                            "line {lineno}: hold-time {hold_time_secs} is unacceptable \
+                             (RFC 4271: 0 or >= 3 seconds)"
+                        ));
+                    }
                 }
                 "connect-retry-ms" => {
                     connect_retry_ms = rest
@@ -216,6 +225,19 @@ neighbor as=65003 passive next-hop=10.0.0.9
         let nc = cfg.neighbor_config(0);
         assert_eq!(nc.session.hold_time_secs, 9);
         assert!(nc.session.advertise_ia);
+
+        // Hold times every RFC 4271 peer would refuse in OPEN fail here,
+        // with the line number; the values either side of them parse.
+        for bad in [1, 2] {
+            let err =
+                DaemonConfig::parse(&text.replace("hold-time 9", &format!("hold-time {bad}")))
+                    .unwrap_err();
+            assert!(err.contains("line 5") && err.contains("hold-time"), "{err}");
+        }
+        for ok in [0, 3] {
+            let cfg = DaemonConfig::parse(&text.replace("hold-time 9", &format!("hold-time {ok}")));
+            assert_eq!(cfg.unwrap().hold_time_secs, ok);
+        }
     }
 
     #[test]

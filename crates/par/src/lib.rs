@@ -14,21 +14,16 @@
 //!   mutex-protected injector queue, and a completion latch). The thread
 //!   that submits a batch participates in draining it, so a pool built
 //!   with `threads = N` applies exactly `N` threads of compute.
-//! - [`par_map`] / [`par_map_reduce`]: ordered fork–join maps. Results
-//!   land in a pre-sized slot vector by input index, so the output order
-//!   is the input order regardless of how the scheduler interleaved the
-//!   jobs.
+//! - [`par_map`]: an ordered fork–join map. Results land in a pre-sized
+//!   slot vector by input index, so the output order is the input order
+//!   regardless of how the scheduler interleaved the jobs.
 //! - [`configured_threads`]: the process-wide thread-count knob. CLI
 //!   `--threads N` flags and the `DBGP_THREADS` environment variable both
 //!   funnel through here; `1` means "use the existing serial paths".
-//! - [`partition`] / [`ShardChannel`]: METIS-lite greedy edge-cut
-//!   sharding of a node/link graph, plus the window-boundary mailboxes
-//!   the sharded engine in `dbgp-sim` exchanges cross-shard events
-//!   through.
 //!
-//! # The ordered-reduce contract
+//! # The ordered-map contract
 //!
-//! `par_map_reduce(pool, items, f)` is observationally equivalent to
+//! `par_map(pool, items, f)` is observationally equivalent to
 //! `items.iter().enumerate().map(|(i, x)| f(i, x)).collect()` provided
 //! `f` is a pure function of its arguments. Jobs may run on any worker
 //! in any interleaving, but each result is written into its own
@@ -42,12 +37,8 @@ use std::panic::{self, AssertUnwindSafe};
 use std::sync::{Condvar, Mutex};
 use std::thread::{self, JoinHandle};
 
-mod shard;
-
-pub use shard::{partition, partition_weighted, Partition, ShardChannel};
-
 /// A unit of work queued on the pool. Lifetime-erased: see the safety
-/// comment in [`Pool::run_batch`].
+/// comment on `Pool::run_batch`.
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
 struct PoolState {
@@ -105,9 +96,9 @@ impl PoolShared {
 /// A persistent worker pool with a batch-submission API.
 ///
 /// `Pool::new(n)` spawns `n - 1` background workers; the submitting
-/// thread is the `n`-th. Batches are submitted with [`Pool::run_batch`]
-/// (usually via [`par_map`]) and block until every job in the batch has
-/// finished, which is what makes non-`'static` borrows in jobs sound.
+/// thread is the `n`-th. Batches are submitted through [`par_map`] and
+/// block until every job in the batch has finished, which is what makes
+/// non-`'static` borrows in jobs sound.
 pub struct Pool {
     shared: std::sync::Arc<PoolShared>,
     workers: Vec<JoinHandle<()>>,
@@ -153,11 +144,6 @@ impl Pool {
         Pool { shared, workers, threads }
     }
 
-    /// A pool sized by [`configured_threads`].
-    pub fn from_env() -> Self {
-        Pool::new(configured_threads())
-    }
-
     /// Total threads of compute this pool applies (including the caller).
     pub fn threads(&self) -> usize {
         self.threads
@@ -176,7 +162,7 @@ impl Pool {
     /// `pending == 0`, i.e. until every job — including any that borrowed
     /// from the caller — has finished executing. No job outlives the
     /// borrowed data.
-    pub fn run_batch<'scope>(&self, jobs: Vec<Box<dyn FnOnce() + Send + 'scope>>) {
+    fn run_batch<'scope>(&self, jobs: Vec<Box<dyn FnOnce() + Send + 'scope>>) {
         if jobs.is_empty() {
             return;
         }
@@ -256,21 +242,6 @@ where
         .collect()
 }
 
-/// Ordered parallel map-reduce: like [`par_map`], but the map results are
-/// folded left-to-right in input order with `reduce`, starting from
-/// `init`. Because the fold runs serially over the ordered results, any
-/// non-commutative reduction (string building, first-error-wins) behaves
-/// exactly as in a serial loop.
-pub fn par_map_reduce<T, R, A, F, G>(pool: &Pool, items: &[T], f: F, init: A, reduce: G) -> A
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-    G: FnMut(A, R) -> A,
-{
-    par_map(pool, items, f).into_iter().fold(init, reduce)
-}
-
 /// The process-wide thread-count default: `DBGP_THREADS` if set to a
 /// positive integer, otherwise [`std::thread::available_parallelism`].
 /// CLI `--threads` flags override this per invocation.
@@ -336,27 +307,6 @@ mod tests {
             hits.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(hits.load(Ordering::Relaxed), 64);
-    }
-
-    #[test]
-    fn ordered_reduce_is_left_to_right() {
-        let pool = Pool::new(4);
-        let items: Vec<u32> = (0..20).collect();
-        let joined = par_map_reduce(
-            &pool,
-            &items,
-            |_, &x| x.to_string(),
-            String::new(),
-            |mut acc, s| {
-                if !acc.is_empty() {
-                    acc.push(',');
-                }
-                acc.push_str(&s);
-                acc
-            },
-        );
-        let expected: Vec<String> = items.iter().map(|x| x.to_string()).collect();
-        assert_eq!(joined, expected.join(","));
     }
 
     #[test]

@@ -27,9 +27,9 @@
 //!   strictly greater than any event admissible to `current` — popping
 //!   the `current` minimum is therefore always the global `(at, seq)`
 //!   minimum;
-//! - events scheduled for the cursor day (or earlier, after a windowed
-//!   replay rewound the clock) go straight into `current`, keeping the
-//!   previous invariant true without ever rescanning buckets;
+//! - events scheduled for the cursor day go straight into `current`,
+//!   keeping the previous invariant true without ever rescanning
+//!   buckets;
 //! - the day width is a pure performance knob: it decides which bucket
 //!   an event waits in, never the `(at, seq)` order it pops in. The
 //!   property suite replays identical schedules at several widths and
@@ -45,8 +45,6 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-
-use dbgp_par::ShardChannel;
 
 /// Simulated milliseconds.
 pub type SimTime = u64;
@@ -166,13 +164,6 @@ impl<E: Eq> EventQueue<E> {
         let at = at.max(self.now);
         let seq = self.seq;
         self.seq += 1;
-        self.insert_keyed(at, seq, event);
-    }
-
-    /// Insert with a caller-assigned key. The shard router uses this to
-    /// spread one global `(at, seq)` sequence across per-shard queues;
-    /// no clamping, no counter updates.
-    pub(crate) fn insert_keyed(&mut self, at: SimTime, seq: u64, event: E) {
         let idx = self.alloc(at, seq, event);
         self.place(idx);
         self.len += 1;
@@ -183,21 +174,14 @@ impl<E: Eq> EventQueue<E> {
 
     /// Pop the next event, advancing the clock.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let (at, _seq, event) = self.pop_keyed()?;
-        self.now = at;
-        self.popped += 1;
-        Some((at, event))
-    }
-
-    /// Pop the next event with its full key, without touching the
-    /// clock or the processed counter (the shard router owns those).
-    pub(crate) fn pop_keyed(&mut self) -> Option<(SimTime, u64, E)> {
         self.settle();
-        let Reverse((at, seq, idx)) = self.current.pop()?;
+        let Reverse((at, _seq, idx)) = self.current.pop()?;
         let event = self.slots[idx as usize].event.take().expect("popped a freed slot");
         self.free.push(idx);
         self.len -= 1;
-        Some((at, seq, event))
+        self.now = at;
+        self.popped += 1;
+        Some((at, event))
     }
 
     /// Timestamp of the next event without popping it (and without
@@ -205,48 +189,8 @@ impl<E: Eq> EventQueue<E> {
     /// leaving later events queued for a subsequent run. May advance
     /// the internal bucket cursor, hence `&mut`.
     pub fn peek_time(&mut self) -> Option<SimTime> {
-        self.peek_key().map(|(at, _)| at)
-    }
-
-    /// Full `(at, seq)` key of the next event; the shard router merges
-    /// shard heads by comparing these.
-    pub(crate) fn peek_key(&mut self) -> Option<(SimTime, u64)> {
         self.settle();
-        self.current.peek().map(|Reverse((at, seq, _))| (*at, *seq))
-    }
-
-    /// Drain every event with `at <= horizon` into `out` (in pop order),
-    /// advancing the clock exactly as repeated [`EventQueue::pop`] calls
-    /// would. The windowed parallel engine uses this to pull one safe
-    /// lookahead window at a time while reusing the caller's buffer —
-    /// neither the arena's backing storage nor `out`'s capacity is
-    /// released, so the drain/refill cycle does not churn the allocator.
-    pub fn drain_upto(&mut self, horizon: SimTime, out: &mut Vec<(SimTime, E)>) {
-        while let Some(at) = self.peek_time() {
-            if at > horizon {
-                break;
-            }
-            out.push(self.pop().expect("peek_time saw an event"));
-        }
-    }
-
-    /// Keyed drain for the sharded engine: like [`EventQueue::drain_upto`]
-    /// but keeps the tie-breaking seq (the commit phase k-way-merges
-    /// shard windows on it) and leaves clock bookkeeping to the router.
-    pub(crate) fn drain_keyed_upto(&mut self, horizon: SimTime, out: &mut Vec<(SimTime, u64, E)>) {
-        while let Some((at, _)) = self.peek_key() {
-            if at > horizon {
-                break;
-            }
-            out.push(self.pop_keyed().expect("peek_key saw an event"));
-        }
-    }
-
-    /// Arena capacity currently reserved (events the queue can hold
-    /// before reallocating). Exposed so capacity-retention across window
-    /// drains is testable.
-    pub fn capacity(&self) -> usize {
-        self.slots.capacity()
+        self.current.peek().map(|Reverse((at, _, _))| *at)
     }
 
     /// Events waiting.
@@ -262,15 +206,6 @@ impl<E: Eq> EventQueue<E> {
     /// Total events processed so far.
     pub fn processed(&self) -> u64 {
         self.popped
-    }
-
-    /// Approximate heap footprint of the queue's own structures (arena,
-    /// free list, calendar bins), for bench reporting.
-    pub fn mem_bytes(&self) -> usize {
-        self.slots.capacity() * std::mem::size_of::<Slot<E>>()
-            + self.free.capacity() * std::mem::size_of::<u32>()
-            + self.buckets.iter().map(|b| b.capacity() * std::mem::size_of::<u32>()).sum::<usize>()
-            + self.current.capacity() * std::mem::size_of::<(SimTime, u64, u32)>()
     }
 
     fn alloc(&mut self, at: SimTime, seq: u64, event: E) -> u32 {
@@ -359,317 +294,6 @@ impl<E: Eq> EventQueue<E> {
         }
         self.buckets = buckets;
         self.mask = mask;
-    }
-}
-
-/// Shard routing hook: which node an event is pinned to. `None` means
-/// the event has no node affinity and lands on shard 0.
-pub trait Routable {
-    /// Node whose shard must process this event, if it has one.
-    fn route_node(&self) -> Option<usize>;
-}
-
-/// K per-shard [`EventQueue`]s behind one global clock and one global
-/// `(at, seq)` key space.
-///
-/// The router is what makes sharding results-neutral: every scheduled
-/// event still draws its tie-breaking `seq` from a single counter, and
-/// every pop (or window drain) is a k-way merge of the shard heads on
-/// the exact `(at, seq)` key — so the observable event order is
-/// identical to one global queue, regardless of how many shards the
-/// events physically wait in. With one shard the router degenerates to
-/// a thin wrapper and the serial engine runs through it unchanged.
-///
-/// During a sharded run's commit phase, newly scheduled events are
-/// *staged* into per-shard [`ShardChannel`] mailboxes instead of being
-/// inserted directly: commits happen on the coordinating thread while
-/// the shard queues are about to be handed back to their workers, and a
-/// cheap `Vec` push keeps the commit loop off the calendar-insert path.
-/// Workers bulk-merge their mailbox at the next window barrier.
-/// Conservative lookahead guarantees staged events fire at or after the
-/// next window, but `peek_time`/`len` still account for them so the
-/// driver loop never misses a pending event.
-#[derive(Debug)]
-pub struct EventRouter<E: Eq + Routable> {
-    shards: Vec<EventQueue<E>>,
-    /// Shard index per node (from `dbgp_par::partition`); nodes beyond
-    /// this table (added after sharding) fall back to shard 0.
-    node_shard: Vec<u16>,
-    staging: Vec<ShardChannel<(SimTime, u64, E)>>,
-    staging_on: bool,
-    staged_len: usize,
-    staged_min: SimTime,
-    /// Events committed per shard, for bench reporting.
-    shard_popped: Vec<u64>,
-    now: SimTime,
-    seq: u64,
-    popped: u64,
-}
-
-impl<E: Eq + Routable> Default for EventRouter<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<E: Eq + Routable> EventRouter<E> {
-    /// A single-shard router at time zero.
-    pub fn new() -> Self {
-        Self::with_capacity(0)
-    }
-
-    /// A single-shard router pre-sized for `cap` events.
-    pub fn with_capacity(cap: usize) -> Self {
-        EventRouter {
-            shards: vec![EventQueue::with_capacity(cap)],
-            node_shard: Vec::new(),
-            staging: vec![ShardChannel::with_capacity(0)],
-            staging_on: false,
-            staged_len: 0,
-            staged_min: SimTime::MAX,
-            shard_popped: vec![0],
-            now: 0,
-            seq: 0,
-            popped: 0,
-        }
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Events committed through each shard so far.
-    pub fn shard_processed(&self) -> &[u64] {
-        &self.shard_popped
-    }
-
-    /// Total staged-mailbox traffic: (pushes, overflows, max high-water).
-    pub fn channel_totals(&self) -> (u64, u64, usize) {
-        let mut pushes = 0;
-        let mut overflows = 0;
-        let mut high = 0;
-        for ch in &self.staging {
-            pushes += ch.pushes();
-            overflows += ch.overflows();
-            high = high.max(ch.high_water());
-        }
-        (pushes, overflows, high)
-    }
-
-    /// Repartition into `shards` queues under `assignment` (shard per
-    /// node). Every queued event keeps its `(at, seq)` key and is
-    /// re-filed into its new home shard; clock and counters carry over,
-    /// so observable order is unaffected. `channel_hint` pre-sizes the
-    /// per-shard staging mailboxes.
-    pub fn set_shards(&mut self, assignment: Vec<u16>, shards: usize, channel_hint: usize) {
-        assert!(!self.staging_on, "cannot repartition mid-window");
-        let shards = shards.max(1);
-        let mut live: Vec<(SimTime, u64, E)> = Vec::new();
-        for q in &mut self.shards {
-            while let Some(t) = q.pop_keyed() {
-                live.push(t);
-            }
-        }
-        self.node_shard = assignment;
-        let per = (live.len() / shards).max(16);
-        self.shards = (0..shards).map(|_| EventQueue::with_capacity(per)).collect();
-        self.staging = (0..shards).map(|_| ShardChannel::with_capacity(channel_hint)).collect();
-        self.shard_popped = vec![0; shards];
-        for (at, seq, e) in live {
-            let s = self.shard_of(&e);
-            self.shards[s].insert_keyed(at, seq, e);
-        }
-    }
-
-    fn shard_of(&self, e: &E) -> usize {
-        if self.shards.len() == 1 {
-            return 0;
-        }
-        match e.route_node() {
-            Some(n) => self.node_shard.get(n).copied().unwrap_or(0) as usize,
-            None => 0,
-        }
-    }
-
-    /// Reserve room for `additional` events, spread across shards.
-    pub fn reserve(&mut self, additional: usize) {
-        let per = additional / self.shards.len();
-        for q in &mut self.shards {
-            q.reserve(per);
-        }
-    }
-
-    /// Retune every shard's calendar day width. A pure throughput knob;
-    /// pop order is unaffected (see [`EventQueue::set_width_shift`]).
-    pub fn set_width_shift(&mut self, shift: u32) {
-        for q in &mut self.shards {
-            q.set_width_shift(shift);
-        }
-    }
-
-    /// Current simulated time.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Schedule `event` to fire `delay` after the current time.
-    pub fn schedule(&mut self, delay: SimTime, event: E) {
-        let at = self.now.saturating_add(delay);
-        self.schedule_at(at, event);
-    }
-
-    /// Schedule at an absolute time (clamped to never run backwards).
-    pub fn schedule_at(&mut self, at: SimTime, event: E) {
-        let at = at.max(self.now);
-        let seq = self.seq;
-        self.seq += 1;
-        let s = self.shard_of(&event);
-        if self.staging_on {
-            self.staging[s].push((at, seq, event));
-            self.staged_len += 1;
-            self.staged_min = self.staged_min.min(at);
-        } else {
-            self.shards[s].insert_keyed(at, seq, event);
-        }
-    }
-
-    /// Shard whose head holds the global `(at, seq)` minimum.
-    fn min_shard(&mut self) -> Option<usize> {
-        let mut best: Option<((SimTime, u64), usize)> = None;
-        for (s, q) in self.shards.iter_mut().enumerate() {
-            if let Some(key) = q.peek_key() {
-                if best.is_none_or(|(bk, _)| key < bk) {
-                    best = Some((key, s));
-                }
-            }
-        }
-        best.map(|(_, s)| s)
-    }
-
-    /// Pop the global next event, advancing the clock.
-    ///
-    /// Callers must ensure no staged event could precede the shard
-    /// heads (the sharded engine flushes staging before serial replay,
-    /// and commit-staged events always land beyond the window horizon).
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let s = self.min_shard()?;
-        let (at, _seq, event) = self.shards[s].pop_keyed().expect("peeked shard must pop");
-        self.now = at;
-        self.popped += 1;
-        self.shard_popped[s] += 1;
-        Some((at, event))
-    }
-
-    /// Timestamp of the global next event — including staged ones —
-    /// without popping.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        let mut best = match self.min_shard() {
-            Some(s) => self.shards[s].peek_key().map(|(at, _)| at),
-            None => None,
-        };
-        if self.staged_len > 0 {
-            best = Some(best.map_or(self.staged_min, |b| b.min(self.staged_min)));
-        }
-        best
-    }
-
-    /// Drain every event with `at <= horizon` into `out` in global pop
-    /// order (k-way merge on `(at, seq)`), advancing the clock exactly
-    /// as repeated [`EventRouter::pop`] calls would. Staged events are
-    /// not drained — flush them first if any could fall in the window.
-    pub fn drain_upto(&mut self, horizon: SimTime, out: &mut Vec<(SimTime, E)>) {
-        while let Some(s) = self.min_shard() {
-            let (at, _) = self.shards[s].peek_key().expect("min shard has a head");
-            if at > horizon {
-                break;
-            }
-            let (at, _seq, event) = self.shards[s].pop_keyed().expect("peeked shard must pop");
-            self.now = at;
-            self.popped += 1;
-            self.shard_popped[s] += 1;
-            out.push((at, event));
-        }
-    }
-
-    /// Rewind (or advance) the clock to `at`. Only the window-replaying
-    /// engines use this: after draining a whole window they replay
-    /// commit effects per event, and each commit must observe the clock
-    /// a serial pop of that event would have set. The final commit
-    /// restores the clock to the drain's end time, so externally the
-    /// clock never runs backwards across windows.
-    pub(crate) fn set_now(&mut self, at: SimTime) {
-        self.now = at;
-    }
-
-    /// Begin staging commit-phase schedules into the mailboxes.
-    pub(crate) fn begin_staging(&mut self) {
-        self.staging_on = true;
-    }
-
-    /// Stop staging, filing any leftovers into their shard queues.
-    pub(crate) fn end_staging(&mut self) {
-        self.flush_staging();
-        self.staging_on = false;
-    }
-
-    /// File every staged event into its shard queue (serially).
-    pub(crate) fn flush_staging(&mut self) {
-        if self.staged_len > 0 {
-            for (q, ch) in self.shards.iter_mut().zip(self.staging.iter_mut()) {
-                for (at, seq, e) in ch.drain() {
-                    q.insert_keyed(at, seq, e);
-                }
-            }
-        }
-        self.staged_len = 0;
-        self.staged_min = SimTime::MAX;
-    }
-
-    /// Exclusive views for the sharded engine's parallel phase: each
-    /// worker takes `&mut` to exactly one shard queue and its mailbox,
-    /// plus the shared node→shard table.
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn split_shards(
-        &mut self,
-    ) -> (&mut [EventQueue<E>], &mut [ShardChannel<(SimTime, u64, E)>], &[u16]) {
-        (&mut self.shards, &mut self.staging, &self.node_shard)
-    }
-
-    /// Account a parallel window: workers merged every mailbox into
-    /// their queues and drained `per_shard` events each.
-    pub(crate) fn note_parallel_drain(&mut self, per_shard: &[usize]) {
-        for (s, &n) in per_shard.iter().enumerate() {
-            self.popped += n as u64;
-            self.shard_popped[s] += n as u64;
-        }
-        self.staged_len = 0;
-        self.staged_min = SimTime::MAX;
-    }
-
-    /// Events waiting (queued plus staged).
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(|q| q.len()).sum::<usize>() + self.staged_len
-    }
-
-    /// True if nothing is scheduled anywhere.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Total events processed so far.
-    pub fn processed(&self) -> u64 {
-        self.popped
-    }
-
-    /// Arena capacity summed across shards.
-    pub fn capacity(&self) -> usize {
-        self.shards.iter().map(|q| q.capacity()).sum()
-    }
-
-    /// Heap footprint summed across shards.
-    pub fn mem_bytes(&self) -> usize {
-        self.shards.iter().map(|q| q.mem_bytes()).sum()
     }
 }
 
@@ -769,45 +393,6 @@ mod tests {
     }
 
     #[test]
-    fn drain_upto_matches_pop_loop_and_respects_horizon() {
-        let mut q = EventQueue::new();
-        q.schedule(10, "a");
-        q.schedule(10, "b");
-        q.schedule(20, "c");
-        q.schedule(25, "d");
-        let mut window = Vec::new();
-        q.drain_upto(20, &mut window);
-        assert_eq!(window, vec![(10, "a"), (10, "b"), (20, "c")]);
-        assert_eq!(q.now(), 20);
-        assert_eq!(q.processed(), 3);
-        assert_eq!(q.pop(), Some((25, "d")));
-    }
-
-    /// Satellite: the pre-sized arena must keep its `with_capacity`
-    /// storage across repeated drain/refill window cycles — the Tier B
-    /// loop drains every window into a reused buffer and must not pay
-    /// reallocation churn for it.
-    #[test]
-    fn capacity_is_retained_across_window_drain_refill_cycles() {
-        let mut q = EventQueue::with_capacity(256);
-        let cap = q.capacity();
-        assert!(cap >= 256);
-        let mut window: Vec<(SimTime, u32)> = Vec::new();
-        for round in 0..50u64 {
-            for i in 0..100u32 {
-                q.schedule((i % 7) as SimTime, i);
-            }
-            let horizon = q.now() + 7;
-            q.drain_upto(horizon, &mut window);
-            assert!(q.capacity() >= cap, "arena shrank on round {round}");
-            window.clear();
-            assert!(window.capacity() >= 100, "window buffer shrank on round {round}");
-        }
-        while q.pop().is_some() {}
-        assert!(q.capacity() >= cap, "arena shrank after full drain");
-    }
-
-    #[test]
     fn counts_processed() {
         let mut q = EventQueue::new();
         for i in 0..5u32 {
@@ -889,71 +474,5 @@ mod tests {
             popped += 1;
         }
         assert_eq!(popped, n);
-    }
-
-    /// A routed event pinned to a node.
-    #[derive(Debug, PartialEq, Eq)]
-    struct Ev(usize, u32);
-
-    impl Routable for Ev {
-        fn route_node(&self) -> Option<usize> {
-            Some(self.0)
-        }
-    }
-
-    /// The router's whole contract: the observable pop order is a pure
-    /// function of the schedule, independent of the shard count — and
-    /// repartitioning a half-full router preserves it too.
-    #[test]
-    fn router_pop_order_is_shard_count_invariant() {
-        let run = |k: usize| {
-            let mut r: EventRouter<Ev> = EventRouter::new();
-            let sched = |r: &mut EventRouter<Ev>, i: u32| {
-                let node = (i as usize * 7) % 16;
-                r.schedule_at(((i as u64) * 13) % 97, Ev(node, i));
-            };
-            for i in 0..100u32 {
-                sched(&mut r, i);
-            }
-            if k > 1 {
-                let assignment: Vec<u16> = (0..16).map(|n| (n % k) as u16).collect();
-                r.set_shards(assignment, k, 8);
-            }
-            for i in 100..200u32 {
-                sched(&mut r, i);
-            }
-            let mut out = Vec::new();
-            while let Some((at, e)) = r.pop() {
-                out.push((at, e.1));
-            }
-            out
-        };
-        let serial = run(1);
-        assert_eq!(serial.len(), 200);
-        assert_eq!(serial, run(2));
-        assert_eq!(serial, run(4));
-        assert_eq!(serial, run(7));
-    }
-
-    /// Staged events count toward `len`/`peek_time` and file into their
-    /// shards on flush, with mailbox traffic accounted.
-    #[test]
-    fn router_staging_accounts_and_flushes() {
-        let mut r: EventRouter<Ev> = EventRouter::new();
-        r.set_shards(vec![0, 1], 2, 4);
-        r.begin_staging();
-        r.schedule_at(10, Ev(1, 1));
-        r.schedule_at(5, Ev(0, 2));
-        assert_eq!(r.len(), 2);
-        assert_eq!(r.peek_time(), Some(5));
-        r.end_staging();
-        assert_eq!(r.pop(), Some((5, Ev(0, 2))));
-        assert_eq!(r.pop(), Some((10, Ev(1, 1))));
-        assert_eq!(r.processed(), 2);
-        assert!(r.is_empty());
-        let (pushes, _overflows, high) = r.channel_totals();
-        assert_eq!(pushes, 2);
-        assert!(high >= 1);
-        assert_eq!(r.shard_processed(), &[1, 1]);
     }
 }

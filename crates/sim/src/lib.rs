@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! A deterministic discrete-event network simulator hosting D-BGP
 //! speakers — the workspace's substitute for the paper's MiniNeXT

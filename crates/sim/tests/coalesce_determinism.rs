@@ -1,10 +1,10 @@
 //! Deterministic update coalescing ([`Sim::set_coalesce`]) contract:
 //!
-//! 1. With coalescing on, the serial, windowed and sharded engines stay
-//!    bit-identical at every checkpoint of a churning run — staging
-//!    deltas are absorbed at event commit (global `(time, seq)` order)
-//!    and flushed at the time barrier, so the flush points, frames and
-//!    RNG draws cannot depend on the engine.
+//! 1. With coalescing on, a run stays a pure function of its seed:
+//!    two runs are bit-identical at every checkpoint of a churning
+//!    scenario — staging deltas are absorbed at event commit and
+//!    flushed at the time barrier, in canonical (node, neighbor,
+//!    prefix) order, never in hash or arrival order.
 //! 2. Coalescing changes the wire stream (fewer, fatter frames — that
 //!    is the point) but never the outcome: the converged Loc-RIBs and
 //!    FIBs match the per-change stream's exactly.
@@ -20,28 +20,10 @@ fn origin_prefix(node: usize) -> Ipv4Prefix {
     format!("10.{}.{}.0/24", (node >> 8) & 0xff, node & 0xff).parse().unwrap()
 }
 
-/// The par_determinism churn scenario, with coalescing configurable.
-fn build(
-    seed: u64,
-    threads: usize,
-    shards: usize,
-    coalesce: bool,
-    mrai: u64,
-) -> (Sim, Vec<(usize, usize)>) {
-    build_with(seed, threads, shards, coalesce, mrai, true)
-}
-
-fn build_with(
-    seed: u64,
-    threads: usize,
-    shards: usize,
-    coalesce: bool,
-    mrai: u64,
-    perturb: bool,
-) -> (Sim, Vec<(usize, usize)>) {
+/// The `determinism.rs` churn scenario, with coalescing configurable.
+fn build(seed: u64, coalesce: bool, mrai: u64, perturb: bool) -> (Sim, Vec<(usize, usize)>) {
     let graph = waxman_50(seed);
     let mut sim = Sim::new();
-    sim.set_threads(threads);
     sim.set_seed(seed ^ 0xD1CE);
     sim.set_mrai(mrai);
     sim.set_coalesce(coalesce);
@@ -59,9 +41,9 @@ fn build_with(
     edges.sort_unstable();
     for &(a, b) in &edges {
         sim.link(a, b, 5 + ((a + b) % 7) as u64, false);
-        // Perturbed links make the commit-phase RNG draw order
-        // load-bearing: a flush point differing between engines would
-        // desynchronize every later draw. (The coalesce-on/off outcome
+        // Perturbed links make the RNG draw order load-bearing: a
+        // flush point differing between runs would desynchronize
+        // every later draw. (The coalesce-on/off outcome
         // comparison turns them off — the two wire streams draw the RNG
         // differently by design, and a duplicated stale announcement
         // landing after its successor legitimately changes the result.)
@@ -73,9 +55,6 @@ fn build_with(
             }
         }
     }
-    if shards > 1 {
-        sim.set_shards(shards);
-    }
     for node in 0..graph.len() {
         sim.originate(node, origin_prefix(node));
     }
@@ -83,7 +62,7 @@ fn build_with(
 }
 
 /// Everything observable, rendered to one comparable string (the
-/// par_determinism fingerprint: stats — including total frame count and
+/// `determinism.rs` fingerprint: stats — including total frame count and
 /// bytes, so a single diverging frame shows up — plus FIBs, Loc-RIBs
 /// and churn records).
 fn fingerprint(sim: &mut Sim) -> String {
@@ -123,8 +102,8 @@ fn rib_fingerprint(sim: &Sim) -> String {
 }
 
 /// Drive the churn scenario, fingerprinting after every segment.
-fn drive(seed: u64, threads: usize, shards: usize, coalesce: bool, mrai: u64) -> Vec<String> {
-    let (mut sim, edges) = build(seed, threads, shards, coalesce, mrai);
+fn drive(seed: u64) -> Vec<String> {
+    let (mut sim, edges) = build(seed, true, 0, true);
     let mut checkpoints = Vec::new();
     sim.run(20_000);
     checkpoints.push(fingerprint(&mut sim));
@@ -143,36 +122,20 @@ fn drive(seed: u64, threads: usize, shards: usize, coalesce: bool, mrai: u64) ->
 }
 
 #[test]
-fn coalescing_is_engine_independent_at_any_thread_count() {
-    let serial = drive(42, 1, 1, true, 0);
-    for threads in [2usize, 4] {
-        let parallel = drive(42, threads, 1, true, 0);
-        assert_eq!(serial.len(), parallel.len());
-        for (i, (s, p)) in serial.iter().zip(parallel.iter()).enumerate() {
-            assert_eq!(
-                s, p,
-                "coalescing: serial vs {threads}-thread runs diverged at checkpoint {i}"
-            );
-        }
-    }
-}
-
-#[test]
-fn coalescing_is_engine_independent_under_sharding() {
-    let serial = drive(42, 1, 1, true, 0);
-    let sharded = drive(42, 4, 4, true, 0);
-    assert_eq!(serial.len(), sharded.len());
-    for (i, (s, p)) in serial.iter().zip(sharded.iter()).enumerate() {
-        assert_eq!(s, p, "coalescing: serial vs 4-thread/4-shard runs diverged at checkpoint {i}");
+fn coalesced_run_is_a_pure_function_of_the_seed() {
+    let (first, second) = (drive(42), drive(42));
+    assert_eq!(first.len(), second.len());
+    for (i, (a, b)) in first.iter().zip(second.iter()).enumerate() {
+        assert_eq!(a, b, "coalescing: two runs of seed 42 diverged at checkpoint {i}");
     }
 }
 
 #[test]
 fn coalescing_reduces_frames_without_changing_the_outcome() {
-    let (mut off, _) = build_with(42, 1, 1, false, 0, false);
+    let (mut off, _) = build(42, false, 0, false);
     off.run(200_000);
     assert_eq!(off.pending_events(), 0, "per-change run must quiesce");
-    let (mut on, _) = build_with(42, 1, 1, true, 0, false);
+    let (mut on, _) = build(42, true, 0, false);
     on.run(200_000);
     assert_eq!(on.pending_events(), 0, "coalesced run must quiesce");
 
@@ -194,10 +157,10 @@ fn coalescing_reduces_frames_without_changing_the_outcome() {
 
 #[test]
 fn coalescing_composes_with_the_mrai_window() {
-    let (mut off, _) = build_with(7, 1, 1, false, 30, false);
+    let (mut off, _) = build(7, false, 30, false);
     off.run(400_000);
     assert_eq!(off.pending_events(), 0);
-    let (mut on, _) = build_with(7, 1, 1, true, 30, false);
+    let (mut on, _) = build(7, true, 30, false);
     on.run(400_000);
     assert_eq!(on.pending_events(), 0);
     assert_eq!(

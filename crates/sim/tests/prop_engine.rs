@@ -1,10 +1,9 @@
 //! The calendar queue's determinism contract, property-tested against
 //! a reference model: a plain `BinaryHeap` over `(time, seq)` keys with
 //! the same clock/clamping semantics the engine documents. Whatever
-//! interleaving of schedules, pops, horizon drains and mid-stream day
-//! width retunes the generator produces — including same-timestamp ties
-//! and events exactly on the drain boundary — the calendar queue must
-//! emit the bit-identical pop sequence.
+//! interleaving of schedules, pops and mid-stream day width retunes the
+//! generator produces — including same-timestamp ties — the calendar
+//! queue must emit the bit-identical pop sequence.
 
 use dbgp_sim::{EventQueue, SimTime};
 use proptest::prelude::*;
@@ -36,15 +35,6 @@ impl RefModel {
     fn peek_time(&self) -> Option<SimTime> {
         self.heap.peek().map(|Reverse((at, _, _))| *at)
     }
-
-    fn drain_upto(&mut self, horizon: SimTime, out: &mut Vec<(SimTime, u32)>) {
-        while let Some(at) = self.peek_time() {
-            if at > horizon {
-                break;
-            }
-            out.push(self.pop().expect("peeked"));
-        }
-    }
 }
 
 /// One generated operation against both queues. The numeric argument is
@@ -60,9 +50,6 @@ enum Op {
     /// the sparse-jump path).
     Far(u16),
     Pop,
-    /// Drain everything up to `now + delta` (window idiom; `delta` may
-    /// be 0, making the horizon land exactly on pending events).
-    Drain(u8),
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
@@ -71,7 +58,6 @@ fn arb_op() -> impl Strategy<Value = Op> {
         any::<u8>().prop_map(|v| Op::Delay(v % 17)),
         any::<u16>().prop_map(Op::Far),
         Just(Op::Pop),
-        any::<u8>().prop_map(|v| Op::Drain(v % 33)),
     ]
 }
 
@@ -82,8 +68,6 @@ fn check(ops: &[Op], shift: u32, mid_shift: u32) -> proptest::test_runner::TestC
     let mut q: EventQueue<u32> = EventQueue::new();
     q.set_width_shift(shift);
     let mut model = RefModel::default();
-    let mut q_out: Vec<(SimTime, u32)> = Vec::new();
-    let mut m_out: Vec<(SimTime, u32)> = Vec::new();
     for (i, &op) in ops.iter().enumerate() {
         if i == ops.len() / 2 {
             // A mid-stream retune rebuckets every pending event; the
@@ -109,14 +93,6 @@ fn check(ops: &[Op], shift: u32, mid_shift: u32) -> proptest::test_runner::TestC
             }
             Op::Pop => {
                 prop_assert_eq!(q.pop(), model.pop(), "pop diverged at op {}", i);
-            }
-            Op::Drain(delta) => {
-                let horizon = model.now + delta as SimTime;
-                q_out.clear();
-                m_out.clear();
-                q.drain_upto(horizon, &mut q_out);
-                model.drain_upto(horizon, &mut m_out);
-                prop_assert_eq!(&q_out, &m_out, "drain diverged at op {}", i);
             }
         }
         prop_assert_eq!(q.peek_time(), model.peek_time(), "peek diverged at op {}", i);

@@ -1,13 +1,12 @@
 //! Metrics registry: counters, gauges, and log2-bucketed histograms with
 //! a stable JSON snapshot schema (`dbgp-metrics/v1`).
 //!
-//! Counters and gauges are atomics, so hot paths running on worker
-//! threads (the simulator's windowed parallel engine, benchmark
-//! harnesses) can bump them through `&self` without racing or tearing.
-//! Histograms keep plain storage and `&mut self` observation: every
-//! histogram in the workspace is observed from single-threaded commit
-//! phases, and an atomic 65-bucket update would tax the serial hot path
-//! for no consumer.
+//! Counters and gauges are atomics, so code running on worker threads
+//! (benchmark harnesses, the daemon) can bump them through `&self`
+//! without racing or tearing. Histograms keep plain storage and
+//! `&mut self` observation: every histogram in the workspace is observed
+//! from one thread, and an atomic 65-bucket update would tax the hot
+//! path for no consumer.
 
 use serde_json::Value;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};

@@ -12,24 +12,18 @@ pub fn waxman_50(seed: u64) -> AsGraph {
 }
 
 /// A 5000-AS Waxman topology with the same §6.3 parameters — the
-/// benchmark tier for the parallel engine, five times the paper's
-/// evaluation scale. Generation takes a moment (distance sampling is
-/// O(n·m) with rejection), so benchmarks build it once and reuse it.
+/// benchmark scale tier, five times the paper's evaluation scale.
+/// Generation takes a moment (distance sampling is O(n·m) with
+/// rejection), so benchmarks build it once and reuse it.
 pub fn waxman_5000(seed: u64) -> AsGraph {
     generate(WaxmanParams { n: 5000, ..WaxmanParams::default() }, seed)
 }
 
 /// The 50,000-AS hierarchical Gao-Rexford tier (12-member tier-1
-/// clique, 988 tier-2, 4,000 regionals, 45,000 stubs) — the benchmark
-/// topology that only the sharded engine makes tractable.
+/// clique, 988 tier-2, 4,000 regionals, 45,000 stubs). The simulator
+/// quiesces 8 stub prefixes on it in 1.5–2.0 s.
 pub fn hier_50k(seed: u64) -> HierTopology {
     generate_hier(HierParams::default(), seed)
-}
-
-/// The same hierarchy shrunk 25× (~2,000 ASes) — the CI `--hier-quick`
-/// determinism slice, small enough to run under a debug build.
-pub fn hier_2k(seed: u64) -> HierTopology {
-    generate_hier(HierParams::default().scaled_down(25), seed)
 }
 
 /// The R-BGP failover diamond: destination 0, a short transit 1, a long
