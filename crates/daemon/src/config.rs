@@ -52,10 +52,6 @@ pub struct DaemonConfig {
     pub networks: Vec<Ipv4Prefix>,
     /// Configured peerings, in file order (peer index = PeerId).
     pub neighbors: Vec<NeighborSpec>,
-    /// Stage UPDATEs per peer and flush them as packed multi-NLRI
-    /// frames once per reactor tick (`coalesce-updates true`). Off by
-    /// default: per-change frames, byte-compatible with prior releases.
-    pub coalesce_updates: bool,
 }
 
 impl DaemonConfig {
@@ -68,7 +64,6 @@ impl DaemonConfig {
         let mut connect_retry_ms = 1_000u64;
         let mut networks = Vec::new();
         let mut neighbors = Vec::new();
-        let mut coalesce_updates = false;
         for (idx, raw) in text.lines().enumerate() {
             let lineno = idx + 1;
             let line = raw.split('#').next().unwrap_or("").trim();
@@ -113,11 +108,6 @@ impl DaemonConfig {
                         .map_err(|_| format!("line {lineno}: bad network prefix"))?,
                 ),
                 "neighbor" => neighbors.push(Self::parse_neighbor(rest, lineno)?),
-                "coalesce-updates" => {
-                    coalesce_updates = rest
-                        .parse::<bool>()
-                        .map_err(|_| format!("line {lineno}: bad coalesce-updates"))?
-                }
                 other => return Err(format!("line {lineno}: unknown directive `{other}`")),
             }
         }
@@ -131,7 +121,6 @@ impl DaemonConfig {
             connect_retry_ms,
             networks,
             neighbors,
-            coalesce_updates,
         };
         // next-hop defaults to the router ID.
         for n in &mut cfg.neighbors {
@@ -250,5 +239,10 @@ neighbor as=65003 passive next-hop=10.0.0.9
     fn rejects_unknown_directive() {
         let text = "local-as 1\nrouter-id 1.1.1.1\nbogus 3\n";
         assert!(DaemonConfig::parse(text).unwrap_err().contains("bogus"));
+        // Export packing is not an option: a config that still asks
+        // for it fails with its line, it is not silently accepted.
+        let text = "local-as 1\nrouter-id 1.1.1.1\n\ncoalesce-updates true\n";
+        let err = DaemonConfig::parse(text).unwrap_err();
+        assert_eq!(err, "line 4: unknown directive `coalesce-updates`");
     }
 }

@@ -56,7 +56,6 @@ impl Node {
             routing.add_peer(id, ncfg);
         }
         let mut node = Node { cores, routing };
-        node.routing.set_coalesce(cfg.coalesce_updates);
         for prefix in &cfg.networks {
             // No peers are up yet: ops are Best-only and discarded.
             let _ = node.routing.originate(0, *prefix);
@@ -172,26 +171,6 @@ impl Node {
         for id in self.peer_ids() {
             let couts = self.cores.get_mut(&id).unwrap().poll(now);
             self.absorb(now, id, couts, &mut out);
-        }
-        out
-    }
-
-    /// Enable routing-core update coalescing: UPDATEs stage per peer
-    /// and flush as packed multi-NLRI frames at the host's batching
-    /// boundary (the reactor calls [`flush_pending`](Self::flush_pending)
-    /// once per tick).
-    pub fn set_coalesce(&mut self, on: bool) {
-        self.routing.set_coalesce(on);
-    }
-
-    /// Drain staged routing-core updates into wire frames, in canonical
-    /// (peer, prefix) order. A no-op unless coalescing is on and
-    /// something is staged.
-    pub fn flush_pending(&mut self) -> Vec<NodeOutput> {
-        let mut out = Vec::new();
-        if self.routing.has_pending() {
-            let ops = self.routing.flush_pending();
-            self.absorb_ops(ops, &mut out);
         }
         out
     }

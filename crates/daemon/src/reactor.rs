@@ -199,6 +199,10 @@ impl Reactor {
             ("reactor.write_would_block_total", self.stats.write_would_block),
             ("routing.exports_shared_total", routing.exports_shared()),
             ("routing.exports_computed_total", routing.exports_computed()),
+            ("routing.exports_oversize_total", routing.exports_oversize()),
+            ("routing.updates_out_total", routing.updates_out()),
+            ("routing.nlri_out_total", routing.nlri_out()),
+            ("routing.withdrawn_out_total", routing.withdrawn_out()),
             ("routing.full_scans_avoided_total", routing.full_scans_avoided()),
         ] {
             let id = reg.counter(name, Semantics::Accumulate);
@@ -270,11 +274,6 @@ impl Reactor {
         let outputs = self.node.poll(now);
         moved |= !outputs.is_empty();
         self.handle(now, outputs);
-        // Coalescing batch boundary: everything staged during this
-        // tick's inputs goes out as packed frames, once per tick.
-        let flushed = self.node.flush_pending();
-        moved |= !flushed.is_empty();
-        self.handle(now, flushed);
         if !self.lingering {
             let due: Vec<PeerId> =
                 self.restart_at.iter().filter(|(_, &at)| at <= now).map(|(&id, _)| id).collect();

@@ -3,10 +3,11 @@
 //! and delays nothing when the receiving peer is slow.
 
 use dbgp_daemon::testutil::{hub_config_text, keepalive_bytes, open_bytes, table_bytes, HUB_AS};
-use dbgp_daemon::{DaemonConfig, Node, Reactor, ReactorOptions, RunOutcome};
+use dbgp_daemon::{DaemonConfig, Node, NodeOutput, Reactor, ReactorOptions, RunOutcome};
 use dbgp_session::{ConnDir, PeerId, StreamReassembler};
-use dbgp_wire::message::{BgpMessage, UpdateMsg};
-use dbgp_wire::Ipv4Prefix;
+use dbgp_wire::attrs::{AsPath, Origin, PathAttribute};
+use dbgp_wire::message::{BgpMessage, UpdateMsg, TYPE_UPDATE};
+use dbgp_wire::{Ipv4Addr, Ipv4Prefix};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
@@ -16,12 +17,8 @@ const FEEDER_AS: u32 = 65001;
 const SINK: PeerId = PeerId(0);
 const FEEDER: PeerId = PeerId(1);
 
-/// Twenty announce/withdraw rounds of a 10,000-route table through an
-/// in-process `Node`, fed in reactor-sized chunks: after every round
-/// the Loc-RIB is empty and the receive buffers are exactly as large as
-/// after the first — 15 MB of UPDATEs later, none of it is still held.
-#[test]
-fn soak_rounds_leave_no_routes_and_no_receive_buffer_growth() {
+/// An in-process hub with the sink's and the feeder's sessions up.
+fn established_node() -> Node {
     let cfg = DaemonConfig::parse(&hub_config_text(None, &[SINK_AS, FEEDER_AS])).expect("config");
     let mut node = Node::from_config(&cfg);
     node.start(0);
@@ -31,15 +28,45 @@ fn soak_rounds_leave_no_routes_and_no_receive_buffer_growth() {
         node.bytes_in(3, peer, ConnDir::In, &keepalive_bytes());
     }
     assert_eq!(node.established_count(), 2);
+    node
+}
 
+/// Frames in a concatenation of well-formed BGP messages.
+fn frame_count(mut stream: &[u8]) -> usize {
+    let mut frames = 0;
+    while !stream.is_empty() {
+        stream = &stream[usize::from(u16::from_be_bytes([stream[16], stream[17]]))..];
+        frames += 1;
+    }
+    frames
+}
+
+/// Twenty announce/withdraw rounds of a 10,000-route table through an
+/// in-process `Node`, fed in reactor-sized chunks: after every round
+/// the Loc-RIB is empty and the receive buffers are exactly as large as
+/// after the first — 15 MB of UPDATEs later, none of it is still held.
+/// The sink is sent the same number of UPDATE frames every round —
+/// the export depends on the UPDATEs fed, not on where a chunk ended —
+/// and no more frames than the feeder sent.
+#[test]
+fn soak_rounds_leave_no_routes_and_no_receive_buffer_growth() {
+    let mut node = established_node();
     let table = table_bytes(10_000, FEEDER_AS);
     let mut now = 10;
+    let fed = frame_count(&table.announce) + frame_count(&table.withdraw);
     let mut after_first_round = None;
+    let mut sent_first_round = None;
     for round in 1..=20 {
+        let mut sent = 0;
         for phase in [&table.announce, &table.withdraw] {
             for chunk in phase.chunks(4096) {
                 now += 1;
-                node.bytes_in(now, FEEDER, ConnDir::In, chunk);
+                for output in node.bytes_in(now, FEEDER, ConnDir::In, chunk) {
+                    if let NodeOutput::Send(SINK, _, frame) = output {
+                        assert!(frame.len() <= 4096, "round {round}: {} byte frame", frame.len());
+                        sent += usize::from(frame[18] == TYPE_UPDATE);
+                    }
+                }
             }
             let installed = node.routing().loc_rib().len();
             let want = if std::ptr::eq(phase, &table.announce) { table.prefixes.len() } else { 0 };
@@ -48,7 +75,45 @@ fn soak_rounds_leave_no_routes_and_no_receive_buffer_growth() {
         let held = node.rx_capacity();
         assert!(held <= 4 * 4096, "round {round}: {held} bytes of receive buffer");
         assert_eq!(*after_first_round.get_or_insert(held), held, "round {round}");
+        assert_eq!(*sent_first_round.get_or_insert(sent), sent, "round {round}");
+        assert!(sent <= fed, "round {round}: fed {fed} frames, sent the sink {sent}");
     }
+}
+
+/// A legal 4095-byte UPDATE whose attribute block fills a frame once the
+/// hub's AS is prepended. The hub used to send the sink 4099 bytes — a
+/// Bad Message Length that resets the sink's session on the feeder's
+/// say-so — and a debug build panicked encoding them. The route is
+/// installed and the sink is sent a withdrawal in its place.
+#[test]
+fn an_update_too_large_to_re_export_costs_no_other_session() {
+    let mut node = established_node();
+    let prefix = Ipv4Prefix::new(Ipv4Addr::new(10, 1, 2, 0), 24).expect("a /24");
+    let attributes = vec![
+        PathAttribute::Origin(Origin::Igp),
+        PathAttribute::AsPath(AsPath::from_sequence(vec![FEEDER_AS])),
+        PathAttribute::NextHop(Ipv4Addr::new(192, 0, 2, 1)),
+        PathAttribute::Communities((0..1011).collect()),
+    ];
+    let update = BgpMessage::Update(UpdateMsg::announce(vec![prefix], attributes)).encode(true);
+    assert_eq!(update.len(), 4095);
+
+    let mut to_sink = Vec::new();
+    for output in node.bytes_in(10, FEEDER, ConnDir::In, &update) {
+        match output {
+            NodeOutput::Send(SINK, _, frame) => to_sink.push(frame),
+            NodeOutput::Send(..) | NodeOutput::Best(..) => {}
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+    assert_eq!(to_sink.len(), 1, "{to_sink:?}");
+    let mut rx = StreamReassembler::new();
+    rx.push(&to_sink[0]);
+    let sent = rx.next_message(true).expect("a well-formed frame");
+    assert_eq!(sent, Some(BgpMessage::Update(UpdateMsg::withdraw(vec![prefix]))));
+    assert_eq!(node.established_count(), 2);
+    assert_eq!(node.routing().loc_rib().len(), 1);
+    assert_eq!(node.routing().exports_oversize(), 1);
 }
 
 /// Connect to the hub as the peer in AS `asn` and bring the session up.
@@ -90,11 +155,12 @@ fn next_message(
 
 /// A live reactor between a feeder and a deliberately slow sink: small
 /// reads with pauses, so the hub's output backs up into its buffer and
-/// the kernel's. The sink must see one single-NLRI UPDATE per route, in
-/// the feeder's order; the feeder then sends a malformed UPDATE and
-/// must be told why (a NOTIFICATION) before the connection closes; the
-/// sink sees every route withdrawn. All of it in far fewer `write`
-/// calls than frames.
+/// the kernel's. The sink must see every route announced exactly once,
+/// in the feeder's order, however the hub packed them into UPDATEs; the
+/// feeder then sends a malformed UPDATE and must be told why (a
+/// NOTIFICATION) before the connection closes; the sink sees every
+/// route withdrawn exactly once. All of it in far fewer `write` calls
+/// than routes.
 #[test]
 fn slow_sink_receives_every_frame_in_order_and_notification_precedes_close() {
     let cfg = DaemonConfig::parse(&hub_config_text(Some("127.0.0.1:0"), &[SINK_AS, FEEDER_AS]))
@@ -109,7 +175,8 @@ fn slow_sink_receives_every_frame_in_order_and_notification_precedes_close() {
         let outcome = hub.run();
         let routing = hub.node().routing();
         let exports = (routing.exports_shared(), routing.exports_computed());
-        (outcome, hub.stats(), exports, hub.metrics_text())
+        let sent = (routing.updates_out(), routing.nlri_out(), routing.withdrawn_out());
+        (outcome, hub.stats(), exports, sent, hub.metrics_text())
     });
     let addr = addr_rx.recv().expect("the hub binds");
 
@@ -133,21 +200,27 @@ fn slow_sink_receives_every_frame_in_order_and_notification_precedes_close() {
         // Let the table pile up before the first read.
         std::thread::sleep(Duration::from_millis(200));
         let mut reads = 0;
-        for (i, prefix) in prefixes.iter().enumerate() {
-            let update: UpdateMsg = slow_update(&mut reads);
-            assert_eq!(update.nlri, [*prefix], "announcement {i} out of order");
-            assert!(update.withdrawn.is_empty());
+        let mut frames = 0u64;
+        let mut announced: Vec<Ipv4Prefix> = Vec::new();
+        while announced.len() < prefixes.len() {
+            let update = slow_update(&mut reads);
+            assert!(update.withdrawn.is_empty() && !update.nlri.is_empty(), "{update:?}");
+            announced.extend(update.nlri);
+            frames += 1;
         }
+        assert!(announced == prefixes, "every route announced once, in the feeder's order");
         let mut withdrawn: Vec<Ipv4Prefix> = Vec::new();
         while withdrawn.len() < prefixes.len() {
             let update = slow_update(&mut reads);
-            assert_eq!((update.nlri.len(), update.withdrawn.len()), (0, 1));
+            assert!(update.nlri.is_empty() && !update.withdrawn.is_empty(), "{update:?}");
             withdrawn.extend(update.withdrawn);
+            frames += 1;
         }
         withdrawn.sort();
-        withdrawn.dedup();
-        assert_eq!(withdrawn.len(), prefixes.len(), "every route withdrawn exactly once");
-        sink // stays open until the hub has converged
+        let mut sorted = prefixes;
+        sorted.sort();
+        assert!(withdrawn == sorted, "every route withdrawn exactly once");
+        (sink, frames) // the socket stays open until the hub has converged
     });
 
     feeder.write_all(&table.announce).expect("announce the table");
@@ -165,20 +238,33 @@ fn slow_sink_receives_every_frame_in_order_and_notification_precedes_close() {
     }
     assert!(notified, "the connection closed without a NOTIFICATION");
 
-    let sink = sink.join().expect("sink thread");
+    let (sink, frames) = sink.join().expect("sink thread");
     // Come back, so that every session is Established and the hub can
     // converge and hand itself back.
     let (_feeder, _) = establish(addr, FEEDER_AS);
-    let (outcome, stats, (shared, computed), metrics) = hub.join().expect("reactor thread");
+    let (outcome, stats, (shared, computed), sent, metrics) = hub.join().expect("reactor thread");
     assert_eq!(outcome, RunOutcome::Converged);
     drop(sink);
 
-    let frames = 2 * table.prefixes.len() as u64;
-    assert!(stats.bytes_out > frames * 23, "{stats:?}");
-    assert!(stats.writes * 20 < frames, "{} writes for {frames} frames", stats.writes);
+    // One UPDATE out per UPDATE in, then the whole table withdrawn in
+    // frames packed to the 4096-byte limit (four bytes to a /24).
+    let routes = table.prefixes.len() as u64;
+    let fed = frame_count(&table.announce) as u64;
+    assert_eq!(frames, fed + (routes * 4).div_ceil(4096 - 23), "UPDATE frames at the sink");
+    assert!(stats.bytes_out > 2 * routes * 4, "{stats:?}");
+    assert!(stats.writes * 20 < 2 * routes, "{} writes for {routes} routes", stats.writes);
     assert!(stats.out_buffer_peak < 128 * 1024, "{stats:?}");
     assert!(shared > 20 * computed, "50 NLRI share one export: {shared} shared, {computed} built");
-    for name in ["dbgp-metrics/v1", "reactor.writes_total", "routing.exports_shared_total"] {
+    assert_eq!(sent, (frames, routes, routes), "the hub's own count of what it sent");
+    for name in [
+        "dbgp-metrics/v1",
+        "reactor.writes_total",
+        "routing.exports_shared_total",
+        "routing.exports_oversize_total",
+        "routing.updates_out_total",
+        "routing.nlri_out_total",
+        "routing.withdrawn_out_total",
+    ] {
         assert!(metrics.contains(name), "{name} missing from {metrics}");
     }
 }

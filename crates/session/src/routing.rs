@@ -21,7 +21,7 @@ use dbgp_telemetry::{SelectionReason, SinkHandle, TraceKind};
 use dbgp_wire::message::UpdateMsg;
 use dbgp_wire::{Ipv4Addr, Ipv4Prefix, WireError};
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// A RIB-level side effect the host must act on, in order.
@@ -50,15 +50,22 @@ struct PeerEntry {
     /// prefix where there was a deep clone. Only consulted when the
     /// export policy has no clauses: a clause may match on the prefix.
     last_export: Option<(Arc<Route>, Arc<Route>)>,
+    /// Adj-RIB-Out changes not yet emitted; empty between calls.
+    staged: Staged,
 }
 
-/// Staged output toward one peer while coalescing is on. A prefix lives
-/// in at most one of the two sets — each staging action removes it from
-/// the other — so a flush can never both announce and withdraw it.
-#[derive(Debug, Default)]
-struct PendingPeer {
-    withdraw: BTreeSet<Ipv4Prefix>,
-    announce: BTreeMap<Ipv4Prefix, Arc<Route>>,
+/// Adj-RIB-Out changes toward one peer since the last
+/// [`RoutingCore::flush_staged`]. Every flush point sits where a prefix
+/// can have changed at most once for a peer — after one section of one
+/// inbound UPDATE, after one `peer_down` — so a prefix is staged at most
+/// once and a flush never both withdraws and announces it.
+#[derive(Default)]
+struct Staged {
+    withdrawn: Vec<Ipv4Prefix>,
+    /// Announcements as runs sharing one exported route, in the order
+    /// the prefixes changed. A prefix joins the last run or opens a new
+    /// one — never an earlier run — so staging is O(1) per prefix.
+    runs: Vec<(Arc<Route>, Vec<Ipv4Prefix>)>,
 }
 
 /// The sans-IO routing core of a BGP speaker.
@@ -83,15 +90,17 @@ pub struct RoutingCore {
     /// Exports answered from a peer's `last_export` / built afresh.
     exports_shared: u64,
     exports_computed: u64,
+    /// Exports dropped because their attribute block fills a frame.
+    exports_oversize: u64,
+    /// UPDATEs emitted, and the NLRI and withdrawn prefixes in them.
+    updates_out: u64,
+    nlri_out: u64,
+    withdrawn_out: u64,
     /// Reusable decision-scratch buffers — always empty between calls;
     /// the `'static` parameters are placeholders transmuted over while
     /// the (empty) vecs are checked out by `select_best`.
     scratch_arcs: Vec<&'static Arc<Route>>,
     scratch_cands: Vec<Candidate<'static>>,
-    /// When true, announce/withdraw UPDATEs are staged per peer instead
-    /// of being returned, for the host to flush as packed frames.
-    coalesce: bool,
-    pending: BTreeMap<PeerId, PendingPeer>,
 }
 
 impl RoutingCore {
@@ -112,10 +121,12 @@ impl RoutingCore {
             fast_path_hits: 0,
             exports_shared: 0,
             exports_computed: 0,
+            exports_oversize: 0,
+            updates_out: 0,
+            nlri_out: 0,
+            withdrawn_out: 0,
             scratch_arcs: Vec::new(),
             scratch_cands: Vec::new(),
-            coalesce: false,
-            pending: BTreeMap::new(),
         }
     }
 
@@ -158,67 +169,25 @@ impl RoutingCore {
         self.exports_computed
     }
 
-    /// Enable/disable update coalescing. While on, `RibOp::Announce`
-    /// ops are staged per (peer, prefix) — last write wins — instead of
-    /// being returned; the host drains them with
-    /// [`flush_pending`](Self::flush_pending) at its batching boundary
-    /// (the daemon's reactor tick) as packed multi-NLRI frames.
-    /// `BestRouteChanged` ops still flow immediately. The initial table
-    /// dump at `peer_up` already packs and is not staged.
-    pub fn set_coalesce(&mut self, on: bool) {
-        debug_assert!(
-            on || self.pending.is_empty(),
-            "disable coalescing only after draining pending updates"
-        );
-        self.coalesce = on;
+    /// Exports not sent because the attribute block left no room for
+    /// one NLRI in a 4096-byte frame; the peer was sent a withdrawal.
+    pub fn exports_oversize(&self) -> u64 {
+        self.exports_oversize
     }
 
-    /// True when staged updates are waiting to be flushed.
-    pub fn has_pending(&self) -> bool {
-        !self.pending.is_empty()
+    /// UPDATEs handed to the host so far.
+    pub fn updates_out(&self) -> u64 {
+        self.updates_out
     }
 
-    /// Drain every staged update into packed UPDATE frames, in
-    /// canonical (peer, prefix) order: withdrawals first (one run of
-    /// [`UpdateMsg::pack_withdrawals`]), then announcements grouped by
-    /// attribute block (one [`UpdateMsg::pack_announcements`] run per
-    /// group, groups in first-seen ascending-prefix order) — the same
-    /// deterministic shape as the initial table dump.
-    pub fn flush_pending(&mut self) -> Vec<RibOp> {
-        let mut out = Vec::new();
-        let pending = std::mem::take(&mut self.pending);
-        for (id, slot) in pending {
-            if !self.is_established(id) {
-                continue;
-            }
-            if !slot.withdraw.is_empty() {
-                let prefixes: Vec<Ipv4Prefix> = slot.withdraw.into_iter().collect();
-                for update in UpdateMsg::pack_withdrawals(&prefixes) {
-                    out.push(RibOp::Announce(id, update));
-                }
-            }
-            if slot.announce.is_empty() {
-                continue;
-            }
-            let mut groups: Vec<(Arc<Route>, Vec<Ipv4Prefix>)> = Vec::new();
-            for (prefix, route) in slot.announce {
-                match groups.iter_mut().find(|(g, _)| Arc::ptr_eq(g, &route) || **g == *route) {
-                    Some((_, members)) => members.push(prefix),
-                    None => groups.push((route, vec![prefix])),
-                }
-            }
-            let peer = &self.peers[&id];
-            let four_octet = peer.summary.map(|s| s.four_octet).unwrap_or(false);
-            let ibgp = peer.cfg.is_ibgp();
-            for (route, members) in groups {
-                for update in
-                    UpdateMsg::pack_announcements(&members, route.to_attrs(ibgp), four_octet)
-                {
-                    out.push(RibOp::Announce(id, update));
-                }
-            }
-        }
-        out
+    /// NLRI prefixes in those UPDATEs.
+    pub fn nlri_out(&self) -> u64 {
+        self.nlri_out
+    }
+
+    /// Withdrawn prefixes in those UPDATEs.
+    pub fn withdrawn_out(&self) -> u64 {
+        self.withdrawn_out
     }
 
     /// Attach a telemetry sink; `node_label` identifies this speaker in
@@ -241,7 +210,10 @@ impl RoutingCore {
     /// Register a neighbor. Panics if the peer ID is already used.
     pub fn add_peer(&mut self, id: PeerId, cfg: NeighborConfig) {
         assert!(!self.peers.contains_key(&id), "duplicate peer {id}");
-        self.peers.insert(id, PeerEntry { cfg, summary: None, last_export: None });
+        self.peers.insert(
+            id,
+            PeerEntry { cfg, summary: None, last_export: None, staged: Staged::default() },
+        );
     }
 
     /// The neighbor configuration for a peer.
@@ -282,10 +254,10 @@ impl RoutingCore {
             peer.summary = None;
             peer.last_export = None;
             self.adj_out.drop_peer(id);
-            self.pending.remove(&id);
             for prefix in self.adj_in.drop_peer(id) {
                 self.redecide(now, prefix, &mut out);
             }
+            self.flush_staged(&mut out);
         }
         out
     }
@@ -315,6 +287,10 @@ impl RoutingCore {
                 self.redecide(now, *prefix, &mut out);
             }
         }
+        // Flushed between the two sections: a prefix both withdrawn and
+        // announced by this UPDATE must end announced at every peer, and
+        // within one flush withdrawals precede announcements.
+        self.flush_staged(&mut out);
         if update.nlri.is_empty() {
             return (out, None);
         }
@@ -372,6 +348,7 @@ impl RoutingCore {
             }
             self.redecide(now, *prefix, &mut out);
         }
+        self.flush_staged(&mut out);
         (out, None)
     }
 
@@ -381,6 +358,7 @@ impl RoutingCore {
         let route = Arc::new(Route::originated(self.router_id));
         self.originated.insert(prefix, route);
         self.redecide(now, prefix, &mut out);
+        self.flush_staged(&mut out);
         out
     }
 
@@ -389,6 +367,7 @@ impl RoutingCore {
         let mut out = Vec::new();
         if self.originated.remove(&prefix).is_some() {
             self.redecide(now, prefix, &mut out);
+            self.flush_staged(&mut out);
         }
         out
     }
@@ -461,7 +440,7 @@ impl RoutingCore {
         let ids: Vec<PeerId> = self.peers.keys().copied().collect();
         for id in ids {
             if self.is_established(id) {
-                self.propagate_to(now, id, prefix, out);
+                self.propagate_to(id, prefix);
             }
         }
     }
@@ -589,43 +568,72 @@ impl RoutingCore {
     }
 
     /// Compute what `peer` should see for `prefix`, diff against
-    /// Adj-RIB-Out, and emit the UPDATE if anything changed.
-    fn propagate_to(&mut self, _now: Millis, id: PeerId, prefix: Ipv4Prefix, out: &mut Vec<RibOp>) {
+    /// Adj-RIB-Out, and stage the change if there is one.
+    fn propagate_to(&mut self, id: PeerId, prefix: Ipv4Prefix) {
         let export = self.export_route(id, &prefix);
-        match export {
-            Some(route) => {
-                if self.adj_out.advertise(id, prefix, Arc::clone(&route)) {
-                    if self.coalesce {
-                        let slot = self.pending.entry(id).or_default();
-                        slot.withdraw.remove(&prefix);
-                        slot.announce.insert(prefix, route);
-                    } else {
-                        let ibgp = self.peers[&id].cfg.is_ibgp();
-                        let update = UpdateMsg::announce(vec![prefix], route.to_attrs(ibgp));
-                        out.push(RibOp::Announce(id, update));
+        let changed = match &export {
+            Some(route) => self.adj_out.advertise(id, prefix, Arc::clone(route)),
+            None => self.adj_out.withdraw(id, &prefix),
+        };
+        if !changed {
+            return;
+        }
+        let staged = &mut self.peers.get_mut(&id).expect("propagating to a known peer").staged;
+        match (export, staged.runs.last_mut()) {
+            (None, _) => staged.withdrawn.push(prefix),
+            (Some(route), Some((run, members))) if Arc::ptr_eq(run, &route) || **run == *route => {
+                members.push(prefix)
+            }
+            (Some(route), _) => staged.runs.push((route, vec![prefix])),
+        }
+    }
+
+    /// Emit everything staged: per peer in ascending `PeerId`, the
+    /// withdrawals ([`UpdateMsg::pack_withdrawals`]) and then one
+    /// [`UpdateMsg::pack_announcements`] per run in staging order, so
+    /// the output is a function of the calls made and nothing else.
+    ///
+    /// A run whose attribute block cannot share a 4096-byte frame with
+    /// one NLRI cannot be sent at all. Its prefixes leave the peer's
+    /// Adj-RIB-Out and join the withdrawals — right if the peer held an
+    /// older route, harmless if it held none.
+    fn flush_staged(&mut self, out: &mut Vec<RibOp>) {
+        for (&id, peer) in self.peers.iter_mut() {
+            let staged = &mut peer.staged;
+            if staged.withdrawn.is_empty() && staged.runs.is_empty() {
+                continue;
+            }
+            let four_octet = peer.summary.is_some_and(|s| s.four_octet);
+            let ibgp = peer.cfg.is_ibgp();
+            let first = out.len();
+            for (route, members) in staged.runs.drain(..) {
+                match UpdateMsg::pack_announcements(&members, route.to_attrs(ibgp), four_octet) {
+                    Some(updates) => {
+                        self.nlri_out += members.len() as u64;
+                        out.extend(updates.into_iter().map(|u| RibOp::Announce(id, u)));
+                    }
+                    None => {
+                        self.exports_oversize += members.len() as u64;
+                        for prefix in &members {
+                            self.adj_out.withdraw(id, prefix);
+                        }
+                        staged.withdrawn.extend(members);
                     }
                 }
             }
-            None => {
-                if self.adj_out.withdraw(id, &prefix) {
-                    if self.coalesce {
-                        let slot = self.pending.entry(id).or_default();
-                        slot.announce.remove(&prefix);
-                        slot.withdraw.insert(prefix);
-                    } else {
-                        out.push(RibOp::Announce(id, UpdateMsg::withdraw(vec![prefix])));
-                    }
-                }
-            }
+            self.withdrawn_out += staged.withdrawn.len() as u64;
+            let withdrawals = UpdateMsg::pack_withdrawals(&staged.withdrawn);
+            staged.withdrawn.clear();
+            out.splice(first..first, withdrawals.into_iter().map(|u| RibOp::Announce(id, u)));
+            self.updates_out += (out.len() - first) as u64;
         }
     }
 
     /// Initial table transfer toward a freshly-established peer: walk
     /// the Loc-RIB in prefix order, group prefixes whose exported
     /// routes are identical, and emit one multi-NLRI UPDATE run per
-    /// group ([`UpdateMsg::pack_announcements`] splits each run at the
-    /// 4096-byte frame limit). Groups keep first-seen (ascending
-    /// prefix) order, so the wire bytes are deterministic.
+    /// group. Groups keep first-seen (ascending prefix) order, so the
+    /// wire bytes are deterministic.
     fn initial_table_dump(&mut self, id: PeerId, out: &mut Vec<RibOp>) {
         let prefixes: Vec<Ipv4Prefix> = self.loc_rib.iter().map(|(p, _)| *p).collect();
         let mut groups: Vec<(Arc<Route>, Vec<Ipv4Prefix>)> = Vec::new();
@@ -642,15 +650,8 @@ impl RoutingCore {
                 None => groups.push((route, vec![prefix])),
             }
         }
-        let peer = &self.peers[&id];
-        let four_octet = peer.summary.map(|s| s.four_octet).unwrap_or(false);
-        let ibgp = peer.cfg.is_ibgp();
-        for (route, members) in groups {
-            for update in UpdateMsg::pack_announcements(&members, route.to_attrs(ibgp), four_octet)
-            {
-                out.push(RibOp::Announce(id, update));
-            }
-        }
+        self.peers.get_mut(&id).expect("dumping to a known peer").staged.runs = groups;
+        self.flush_staged(out);
     }
 
     /// The route to advertise to `peer` for `prefix`, or `None` to

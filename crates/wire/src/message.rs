@@ -246,6 +246,9 @@ impl UpdateMsg {
         1 + (prefix.len() as usize).div_ceil(8)
     }
 
+    /// [`prefix_wire_len`](Self::prefix_wire_len) of a /32.
+    const MAX_PREFIX_WIRE_LEN: usize = 5;
+
     /// Split an announcement of `nlri` under one shared attribute block
     /// into as few UPDATEs as fit in [`MAX_MESSAGE_LEN`] (RFC 4271
     /// §4.3 allows any number of NLRI per message; the 4096-byte frame
@@ -253,27 +256,29 @@ impl UpdateMsg {
     /// attribute `Vec`, so the per-prefix attribute cost on the wire is
     /// amortized across the whole batch.
     ///
-    /// Returns an empty `Vec` for empty `nlri`.
+    /// `None` when the attribute block is so large that a frame could
+    /// not carry one more prefix beside it: such a route cannot be
+    /// announced at all. `Some` of an empty `Vec` for empty `nlri`.
     pub fn pack_announcements(
         nlri: &[Ipv4Prefix],
         attributes: Vec<PathAttribute>,
         four_octet: bool,
-    ) -> Vec<UpdateMsg> {
+    ) -> Option<Vec<UpdateMsg>> {
         if nlri.is_empty() {
-            return Vec::new();
+            return Some(Vec::new());
         }
         let mut attrs_buf = BytesMut::new();
         attrs::encode_attribute_list(&attributes, &mut attrs_buf, four_octet);
         // Header (19) + withdrawn-len (2) + attrs-len (2) + attrs.
         let overhead = MIN_MESSAGE_LEN + 4 + attrs_buf.len();
-        let budget = MAX_MESSAGE_LEN.saturating_sub(overhead);
-        debug_assert!(budget >= 5, "attribute block leaves no room for NLRI");
+        let budget =
+            MAX_MESSAGE_LEN.checked_sub(overhead).filter(|b| *b >= Self::MAX_PREFIX_WIRE_LEN)?;
         let mut out = Vec::new();
         let mut chunk = Vec::new();
         let mut used = 0usize;
         for prefix in nlri {
             let cost = Self::prefix_wire_len(prefix);
-            if used + cost > budget && !chunk.is_empty() {
+            if used + cost > budget {
                 out.push(UpdateMsg::announce(std::mem::take(&mut chunk), attributes.clone()));
                 used = 0;
             }
@@ -281,7 +286,7 @@ impl UpdateMsg {
             used += cost;
         }
         out.push(UpdateMsg::announce(chunk, attributes));
-        out
+        Some(out)
     }
 
     /// Split a withdrawal of `prefixes` into as few UPDATEs as fit in
@@ -633,7 +638,7 @@ mod tests {
             .map(|i| Ipv4Prefix::new(Ipv4Addr(0x0a00_0000 | (i << 8)), 24).unwrap())
             .collect();
         let attrs = sample_update().attributes;
-        let msgs = UpdateMsg::pack_announcements(&nlri, attrs.clone(), true);
+        let msgs = UpdateMsg::pack_announcements(&nlri, attrs.clone(), true).unwrap();
         assert!(msgs.len() > 1, "2000 prefixes cannot fit one frame");
         let mut decoded = Vec::new();
         for msg in &msgs {
@@ -652,10 +657,39 @@ mod tests {
     #[test]
     fn pack_announcements_single_message_when_it_fits() {
         let nlri: Vec<Ipv4Prefix> = vec!["10.0.0.0/8".parse().unwrap()];
-        let msgs = UpdateMsg::pack_announcements(&nlri, sample_update().attributes, true);
+        let msgs = UpdateMsg::pack_announcements(&nlri, sample_update().attributes, true).unwrap();
         assert_eq!(msgs.len(), 1);
         assert_eq!(msgs[0].nlri, nlri);
-        assert!(UpdateMsg::pack_announcements(&[], Vec::new(), true).is_empty());
+        assert_eq!(UpdateMsg::pack_announcements(&[], Vec::new(), true), Some(Vec::new()));
+    }
+
+    #[test]
+    fn pack_announcements_refuses_a_block_that_leaves_no_room_for_a_prefix() {
+        // ORIGIN (4) + AS_PATH (3 + 2 + 4) + NEXT_HOP (7) = 20 octets;
+        // COMMUNITIES adds 4 + 4n. A frame has 4096 - 23 = 4073 octets
+        // for attributes and NLRI together.
+        let block = |communities: u32| {
+            vec![
+                PathAttribute::Origin(Origin::Igp),
+                PathAttribute::AsPath(AsPath::from_sequence(vec![70000])),
+                PathAttribute::NextHop(Ipv4Addr::new(192, 0, 2, 1)),
+                PathAttribute::Communities((0..communities).collect()),
+            ]
+        };
+        let slash32: Vec<Ipv4Prefix> = vec!["10.1.2.3/32".parse().unwrap(); 2];
+        // 1011 communities: 4068 octets of attributes, 5 left — one /32
+        // per frame, each exactly 4096 bytes.
+        let msgs = UpdateMsg::pack_announcements(&slash32, block(1011), true).unwrap();
+        assert_eq!(msgs.len(), 2);
+        for msg in msgs {
+            assert_eq!(BgpMessage::Update(msg).encode(true).len(), MAX_MESSAGE_LEN);
+        }
+        // One more community leaves 1 octet: refused whatever the
+        // prefix, so that a route is announceable or not as a whole.
+        assert_eq!(UpdateMsg::pack_announcements(&slash32, block(1012), true), None);
+        let short: Vec<Ipv4Prefix> = vec!["0.0.0.0/0".parse().unwrap()];
+        assert_eq!(UpdateMsg::pack_announcements(&short, block(1012), true), None);
+        assert_eq!(UpdateMsg::pack_announcements(&short, block(2000), true), None);
     }
 
     #[test]

@@ -128,6 +128,7 @@ fn seed_updates(rng: &mut TestRng) -> Vec<UpdateMsg> {
         return UpdateMsg::pack_withdrawals(&nlri);
     }
     UpdateMsg::pack_announcements(&nlri, attrs, rng.below(2) == 1)
+        .expect("a three-attribute block leaves room for NLRI")
 }
 
 fn mutate(bytes: &mut Vec<u8>, rng: &mut TestRng) {

@@ -154,7 +154,10 @@ impl WorkloadGen {
             let run = (1 + self.rng.gen_range(0..16usize)).min(remaining);
             let nlri: Vec<Ipv4Prefix> = (0..run).map(|_| self.prefix()).collect();
             let attrs = self.attr_block();
-            out.extend(UpdateMsg::pack_announcements(&nlri, attrs, true));
+            out.extend(
+                UpdateMsg::pack_announcements(&nlri, attrs, true)
+                    .expect("a generated attribute block is a few dozen bytes"),
+            );
             remaining -= run;
         }
         out
