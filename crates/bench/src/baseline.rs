@@ -10,19 +10,21 @@
 //!
 //! The rule is "the tag equals [`SIM_BENCH_SCHEMA`] and every required
 //! field is present with its type"; a document from any other schema
-//! generation fails on the tag alone. v6 (this revision) is the
-//! one-engine shape: each scenario is timed once (`wall_seconds`,
-//! `events_per_sec`), and the per-engine columns, shard accounting and
-//! cross-host `baseline`/`speedup` blocks of v2–v5 are gone with the
-//! engines they described (EXPERIMENTS.md, "Engine decision record").
+//! generation fails on the tag alone. v6 was the one-engine shape: each
+//! scenario is timed once (`wall_seconds`, `events_per_sec`), and the
+//! per-engine columns, shard accounting and cross-host
+//! `baseline`/`speedup` blocks of v2–v5 are gone with the engines they
+//! described (EXPERIMENTS.md, "Engine decision record"). v7 (this
+//! revision) is v6 without the columns of `hier_50k`'s deleted mrai-0
+//! leg (EXPERIMENTS.md, the PR 16 decision record).
 
 use serde_json::Value;
 
 /// Schema identifier every `BENCH_sim.json` document must carry.
-pub const SIM_BENCH_SCHEMA: &str = "dbgp-sim-bench/v6";
+pub const SIM_BENCH_SCHEMA: &str = "dbgp-sim-bench/v7";
 
 /// Fields every per-scenario record must carry.
-pub const REQUIRED_METRICS: [&str; 14] = [
+pub const REQUIRED_METRICS: [&str; 13] = [
     "nodes",
     "edges",
     "events",
@@ -35,16 +37,11 @@ pub const REQUIRED_METRICS: [&str; 14] = [
     "bytes_allocated",
     "best_changes",
     "full_scans_avoided",
-    "frames_coalesced",
     "quiesced",
 ];
 
-/// Fields the `hier_50k` block must carry. The `mrai0_*` pair comes
-/// from the coalescing leg: the same topology run per-change vs staged
-/// at `mrai = 0`, whose packed stream must encode fewer frames
-/// (`mrai0_coalesced_updates_encoded` < `mrai0_updates_encoded`) while
-/// converging to the identical RIB (`coalesce_rib_match`).
-pub const REQUIRED_HIER: [&str; 13] = [
+/// Fields the `hier_50k` block must carry.
+pub const REQUIRED_HIER: [&str; 9] = [
     "nodes",
     "edges",
     "events",
@@ -53,10 +50,6 @@ pub const REQUIRED_HIER: [&str; 13] = [
     "messages",
     "best_changes",
     "full_scans_avoided",
-    "mrai0_updates_encoded",
-    "mrai0_coalesced_updates_encoded",
-    "frames_coalesced",
-    "coalesce_rib_match",
     "quiesced",
 ];
 
@@ -95,11 +88,11 @@ pub const REQUIRED_SEED_SWEEP: [&str; 6] = [
 ];
 
 /// A field's type is a function of its name, whichever block it sits
-/// in: two bools, the wall-clock and rate fields are floats, every
+/// in: one bool, the wall-clock and rate fields are floats, every
 /// other field an unsigned count.
 fn field_ok(record: &Value, field: &str) -> bool {
     match field {
-        "quiesced" | "coalesce_rib_match" => record.get(field).and_then(Value::as_bool).is_some(),
+        "quiesced" => record.get(field).and_then(Value::as_bool).is_some(),
         "wall_seconds"
         | "events_per_sec"
         | "wall_seconds_serial"
@@ -215,8 +208,7 @@ mod tests {
             "messages": 10u64, "bytes_delivered": 100u64,
             "updates_encoded": 5u64, "encode_cache_hits": 3u64,
             "bytes_allocated": 4096u64, "best_changes": 7u64,
-            "full_scans_avoided": 4u64, "frames_coalesced": 0u64,
-            "quiesced": true,
+            "full_scans_avoided": 4u64, "quiesced": true,
         })
     }
 
@@ -226,10 +218,6 @@ mod tests {
             "wall_seconds": 20.0f64, "events_per_sec": 100_000.0f64,
             "messages": 1_000_000u64, "best_changes": 100_000u64,
             "full_scans_avoided": 50_000u64,
-            "mrai0_updates_encoded": 900_000u64,
-            "mrai0_coalesced_updates_encoded": 600_000u64,
-            "frames_coalesced": 300_000u64,
-            "coalesce_rib_match": true,
             "quiesced": true,
         })
     }
@@ -404,16 +392,16 @@ mod tests {
     }
 
     /// Any tag but the current one is rejected on the tag alone — an
-    /// older generation (here v5, otherwise complete) and a foreign
+    /// older generation (here v6, otherwise complete) and a foreign
     /// document alike.
     #[test]
     fn a_wrong_schema_tag_is_rejected() {
         let mut doc = valid_doc();
-        set(&mut doc, &[], "schema", Value::String("dbgp-sim-bench/v5".into()));
+        set(&mut doc, &[], "schema", Value::String("dbgp-sim-bench/v6".into()));
         let problems = validate_sim_bench_schema(&doc);
         assert_eq!(problems.len(), 1, "{problems:?}");
         assert!(
-            problems[0].contains(SIM_BENCH_SCHEMA) && problems[0].contains("dbgp-sim-bench/v5"),
+            problems[0].contains(SIM_BENCH_SCHEMA) && problems[0].contains("dbgp-sim-bench/v6"),
             "{problems:?}"
         );
 

@@ -8,7 +8,7 @@
 //! printed and written is a function of the seed alone: the same seed
 //! produces a byte-identical `results/chaos.json` at any thread count.
 //! Each scenario is a sealed deterministic unit, so the four rows fan
-//! out across the worker pool and are reduced back in row order.
+//! out across worker threads and are reduced back in row order.
 
 use dbgp_chaos::scenario::{figure8_wiser, scenario_prefix, sim_from_graph};
 use dbgp_chaos::{FaultPlan, InvariantReport, Invariants, ScenarioReport, ScenarioRunner};
@@ -230,8 +230,7 @@ fn main() {
     // finished first.
     let tasks: [fn(u64) -> Row; 4] =
         [|_| fig8_wiser_flap(), |_| fig8_gulf_restart(), waxman_flap, waxman_loss_burst];
-    let pool = dbgp_par::Pool::new(threads);
-    let rows = dbgp_par::par_map(&pool, &tasks, |_, task| task(seed));
+    let rows = dbgp_par::par_map(threads, &tasks, |_, task| task(seed));
     let mut all_clean = true;
     for row in &rows {
         let stats = row.report.final_stats;

@@ -46,7 +46,7 @@ use serde_json::{json, Value};
 /// Byte-counting shim over the system allocator: `alloc`/grow sizes
 /// accumulate into [`ALLOCATED`] so scenarios can report allocation
 /// pressure, not just peak RSS. The counter is a relaxed atomic, so it
-/// stays coherent when the seed sweep's worker pool allocates from
+/// stays coherent when the seed sweep's workers allocate from
 /// several threads at once.
 struct CountingAlloc;
 
@@ -83,10 +83,11 @@ const QUICK_PATH: &str = "results/BENCH_sim.quick.json";
 /// metrics registry grew that to 142 982 800, and the incremental
 /// decision process's reusable redecide scratch buffers (candidate
 /// assembly and output staging no longer allocate per event) cut it
-/// ~21% to the value below. The full benchmark asserts the run's
-/// `bytes_allocated` stays within [`ALLOC_SLACK_PERCENT`] of
+/// ~21%; the per-element receive loop (no per-frame output
+/// accumulator) took it to the value below. The full benchmark asserts
+/// the run's `bytes_allocated` stays within [`ALLOC_SLACK_PERCENT`] of
 /// this budget.
-const WAXMAN1000_ALLOC_BASELINE: u64 = 112_995_380;
+const WAXMAN1000_ALLOC_BASELINE: u64 = 109_236_884;
 const ALLOC_SLACK_PERCENT: u64 = 2;
 
 /// Routes in the full-table scenario, and the reduced-scale slice the
@@ -140,12 +141,8 @@ impl ScenarioResult {
             "encode_cache_hits": self.stats.encode_cache_hits,
             "bytes_allocated": self.bytes_allocated,
             "best_changes": self.stats.best_changes,
-            // Decision fast-path hits (incremental decision process) and
-            // coalesced frames. The classic scenarios run per-change, so
-            // frames_coalesced is always 0 here; the coalescing leg
-            // lives in the hier_50k block.
+            // Decision fast-path hits (incremental decision process).
             "full_scans_avoided": self.full_scans_avoided,
-            "frames_coalesced": self.stats.frames_coalesced,
             "quiesced": self.quiesced,
         })
     }
@@ -286,7 +283,7 @@ fn waxman5000() -> ScenarioResult {
 
 /// Scenario-level parallelism: a multi-seed convergence sweep over
 /// waxman-50 topologies, timed on one thread and fanned out on the
-/// worker pool. The two sweeps must agree event-for-event (in seed
+/// worker threads. The two sweeps must agree event-for-event (in seed
 /// order).
 fn seed_sweep(threads: usize) -> Value {
     let seeds: Vec<u64> = (0..8).collect();
@@ -392,70 +389,8 @@ fn fulltable_100k() -> FullTableResult {
 const HIER_ORIGINS: usize = 8;
 const HIER_HORIZON: u64 = 1_000_000;
 
-/// The converged routing outcome of a hierarchical run, rendered to one
-/// comparable string: FIB next hops plus Loc-RIB paths for every node.
-/// This is what deterministic coalescing must leave untouched.
-fn hier_rib_fingerprint(sim: &Sim) -> String {
-    let mut out = String::new();
-    for node in 0..sim.node_count() {
-        out.push_str(&format!("fib[{node}]={:?}\n", sim.fib(node)));
-        for (prefix, chosen) in sim.speaker(node).routes() {
-            out.push_str(&format!(
-                "rib[{node}][{prefix}]: via={:?} path={}\n",
-                chosen.neighbor,
-                dbgp_core::render_path(&chosen.ia)
-            ));
-        }
-    }
-    out
-}
-
-/// The deterministic-coalescing leg: the hierarchical topology run at
-/// `mrai = 0` per-change and again with staging on, so the
-/// frame reduction is attributable to coalescing alone (at the default
-/// MRAI the classic window already batches, masking it). Returns
-/// `(updates_encoded per-change, updates_encoded coalesced,
-/// frames_coalesced, rib_match)` and exits nonzero if the coalesced
-/// stream failed to shrink or changed the converged RIB — a broken
-/// coalescer must not be recordable.
-fn hier_coalesce_leg(topo: &dbgp_topology::HierTopology) -> (u64, u64, u64, bool) {
-    let run = |coalesce: bool| {
-        let mut sim = dbgp_workload::policy::valley_free_sim(topo, SEED);
-        sim.set_mrai(0);
-        sim.set_coalesce(coalesce);
-        dbgp_workload::policy::originate_from_stubs(&mut sim, topo, HIER_ORIGINS);
-        sim.run(HIER_HORIZON);
-        if sim.pending_events() != 0 {
-            let leg = if coalesce { "coalesced" } else { "per-change" };
-            eprintln!("error: hier_50k mrai-0 {leg} leg failed to quiesce");
-            std::process::exit(1);
-        }
-        sim
-    };
-    let off = run(false);
-    let on = run(true);
-    let rib_match = hier_rib_fingerprint(&off) == hier_rib_fingerprint(&on);
-    let (soff, son) = (off.stats(), on.stats());
-    println!(
-        "hier_50k mrai-0 coalescing: {} -> {} UPDATE frames ({} coalesced away), RIB match: {}",
-        soff.updates_encoded, son.updates_encoded, son.frames_coalesced, rib_match
-    );
-    if !rib_match {
-        eprintln!("error: coalescing changed the converged hier_50k RIB");
-        std::process::exit(1);
-    }
-    if son.updates_encoded >= soff.updates_encoded || son.frames_coalesced == 0 {
-        eprintln!(
-            "error: the coalesced leg saved no frames ({} vs {} encoded, {} coalesced)",
-            son.updates_encoded, soff.updates_encoded, son.frames_coalesced
-        );
-        std::process::exit(1);
-    }
-    (soff.updates_encoded, son.updates_encoded, son.frames_coalesced, rib_match)
-}
-
 /// The 50,000-AS hierarchical scenario: one timed valley-free run to
-/// quiescence, plus the mrai-0 coalescing leg.
+/// quiescence.
 fn hier_50k_scenario() -> Value {
     let topo = dbgp_topology::fixtures::hier_50k(SEED);
     println!(
@@ -483,7 +418,6 @@ fn hier_50k_scenario() -> Value {
         "hier_50k: {events} events in {wall_seconds:.2}s ({:.0} ev/s)",
         per_sec(events, wall_seconds)
     );
-    let (mrai0_updates, mrai0_coalesced, frames_coalesced, rib_match) = hier_coalesce_leg(&topo);
     json!({
         "nodes": nodes as u64,
         "edges": topo.edge_count() as u64,
@@ -493,10 +427,6 @@ fn hier_50k_scenario() -> Value {
         "messages": stats.messages,
         "best_changes": stats.best_changes,
         "full_scans_avoided": full_scans_avoided,
-        "mrai0_updates_encoded": mrai0_updates,
-        "mrai0_coalesced_updates_encoded": mrai0_coalesced,
-        "frames_coalesced": frames_coalesced,
-        "coalesce_rib_match": rib_match,
         "quiesced": true,
     })
 }

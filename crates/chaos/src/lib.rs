@@ -8,7 +8,7 @@
 //! times, and an [`invariants`] checker that walks forwarding state at
 //! quiescence looking for loops, black holes, path-vector violations
 //! and pass-through damage. Multi-seed sweeps fan out across the
-//! [`sweep`] worker pool with seed-ordered results.
+//! [`sweep`] worker threads with seed-ordered results.
 
 #![warn(missing_docs)]
 

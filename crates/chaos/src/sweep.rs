@@ -1,4 +1,4 @@
-//! Multi-seed scenario sweeps on the worker pool.
+//! Multi-seed scenario sweeps on worker threads.
 //!
 //! Chaos studies rarely care about one seed: confidence comes from
 //! running the same fault plan across a family of seeded topologies
@@ -21,8 +21,7 @@ where
     R: Send,
     F: Fn(u64) -> R + Sync,
 {
-    let pool = dbgp_par::Pool::new(threads);
-    dbgp_par::par_map(&pool, seeds, |_, &seed| scenario(seed))
+    dbgp_par::par_map(threads, seeds, |_, &seed| scenario(seed))
 }
 
 #[cfg(test)]

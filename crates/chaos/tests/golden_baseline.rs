@@ -16,7 +16,7 @@ const BASELINE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/chaos
 /// SHA-256 of the committed `results/chaos.json`, pinned when the
 /// lookahead-windowed parallel engine landed. `chaos_table` must
 /// reproduce this artifact byte-for-byte at *any* `--threads` count —
-/// scenario rows fan out on the worker pool and each row's
+/// scenario rows fan out on worker threads and each row's
 /// simulation replays deterministically — so a changed hash means a
 /// nondeterminism bug (or an intentional scenario change, in which
 /// case regenerate and re-pin alongside the diff that explains it).

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! D-BGP: the paper's contribution — BGPv4 extended with pass-through
 //! support and multi-protocol Integrated Advertisements.
@@ -41,6 +42,4 @@ pub use module::{
     baseline_key, BgpDecision, CandidateIa, DecisionModule, ExportContext, ImportContext,
 };
 pub use neighbor::{DbgpNeighbor, NeighborId, PeerClass};
-pub use speaker::{
-    render_path, Chosen, DbgpConfig, DbgpOutput, DbgpSpeaker, PendingSend, PendingSends,
-};
+pub use speaker::{render_path, Chosen, DbgpConfig, DbgpOutput, DbgpSpeaker};

@@ -27,22 +27,12 @@ use crate::filters::{self, FilterConfig, IslandConfig, RejectReason};
 use crate::iadb::IaDb;
 use crate::module::{BgpDecision, CandidateIa, DecisionModule, ImportContext};
 use crate::neighbor::{DbgpNeighbor, NeighborId, PeerClass};
-use dbgp_rib::PrefixTrie;
+use dbgp_rib::{recycle, PrefixTrie};
 use dbgp_telemetry::{SelectionReason, SinkHandle, TraceKind};
 use dbgp_wire::{Ia, Ipv4Addr, Ipv4Prefix, ProtocolId};
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::sync::Arc;
-
-/// A staged outgoing element: the IA to announce, or `None` for a
-/// withdrawal. Per (neighbor, prefix), last write wins — exactly the
-/// implicit-withdraw semantics the receiver would apply anyway.
-pub type PendingSend = Option<Arc<Ia>>;
-
-/// Per-neighbor staged output of a speaker running with coalescing on:
-/// everything the host should pack into multi-NLRI frames, in canonical
-/// (neighbor, prefix) order.
-pub type PendingSends = BTreeMap<NeighborId, BTreeMap<Ipv4Prefix, PendingSend>>;
 
 /// Speaker-level configuration.
 #[derive(Debug, Clone)]
@@ -151,21 +141,15 @@ pub struct DbgpSpeaker {
     /// fast-path check degenerates to an `is_empty()` test.
     decision_epochs: BTreeMap<Ipv4Prefix, u64>,
     /// Reusable candidate-view buffer for `select` — always empty
-    /// between calls; the `'static` parameter is a placeholder the
-    /// borrow is transmuted over while the (empty) vec is checked out.
+    /// between calls; the `'static` parameter is a placeholder
+    /// [`dbgp_rib::recycle`] swaps for the borrow while the (empty) vec
+    /// is checked out.
     scratch: Vec<CandidateIa<'static>>,
     /// Cached conjunction of every resident module's
     /// `export_is_uniform()`, refreshed on `register_module`. When true,
     /// an unchanged best path implies every rebuilt export is
     /// byte-identical, so the fast path may skip the fan-out entirely.
     all_uniform: bool,
-    /// When true, `SendIa`/`SendWithdraw` are staged into
-    /// `pending_sends` instead of being returned, for the host to flush
-    /// in canonical order as packed frames.
-    coalesce: bool,
-    /// Staged outgoing updates, keyed (neighbor, prefix); last write
-    /// wins per slot.
-    pending_sends: PendingSends,
 }
 
 /// Render an IA's path vector for telemetry ("near far" order, space
@@ -204,8 +188,6 @@ impl DbgpSpeaker {
             decision_epochs: BTreeMap::new(),
             scratch: Vec::new(),
             all_uniform: true,
-            coalesce: false,
-            pending_sends: PendingSends::new(),
         };
         speaker.register_module(Box::new(BgpDecision::new()));
         speaker
@@ -259,32 +241,6 @@ impl DbgpSpeaker {
         self.fast_path_hits
     }
 
-    /// Enable/disable output coalescing. While on, `SendIa` and
-    /// `SendWithdraw` are staged per (neighbor, prefix) — last write
-    /// wins — instead of being returned from `receive_*`; the host
-    /// drains them with [`take_pending_sends`](Self::take_pending_sends)
-    /// at its commit barrier and packs multi-NLRI frames. Turning
-    /// coalescing off with sends still staged would silently drop them,
-    /// so hosts must drain first.
-    pub fn set_coalesce(&mut self, on: bool) {
-        debug_assert!(
-            on || self.pending_sends.is_empty(),
-            "disable coalescing only after draining pending sends"
-        );
-        self.coalesce = on;
-    }
-
-    /// True when staged sends are waiting to be flushed.
-    pub fn has_pending_sends(&self) -> bool {
-        !self.pending_sends.is_empty()
-    }
-
-    /// Drain every staged send. Keys iterate in canonical (neighbor,
-    /// prefix) order; `None` values are withdrawals.
-    pub fn take_pending_sends(&mut self) -> PendingSends {
-        std::mem::take(&mut self.pending_sends)
-    }
-
     /// Mutable access to a registered module (for out-of-band delivery
     /// and inspection).
     pub fn module_mut(&mut self, protocol: ProtocolId) -> Option<&mut (dyn DecisionModule + '_)> {
@@ -307,7 +263,6 @@ impl DbgpSpeaker {
     pub fn neighbor_down(&mut self, id: NeighborId) -> Vec<DbgpOutput> {
         self.neighbors.remove(&id);
         self.adj_out.remove(&id);
-        self.pending_sends.remove(&id);
         let mut out = Vec::new();
         for prefix in self.iadb.drop_neighbor(id) {
             self.redecide(prefix, &mut out);
@@ -528,10 +483,6 @@ impl DbgpSpeaker {
     }
 
     fn propagate_all(&mut self, prefix: Ipv4Prefix, out: &mut Vec<DbgpOutput>) {
-        // A change in candidates can also change what the active module
-        // would select-adjacent state (e.g. R-BGP recomputes its
-        // failover during select); run selection once so module state is
-        // fresh before exports are built.
         let ids: Vec<NeighborId> = self.neighbors.keys().copied().collect();
         for id in ids {
             self.propagate_to(id, prefix, out);
@@ -663,18 +614,9 @@ impl DbgpSpeaker {
         if !self.modules.contains_key(&key) {
             return (None, SelectionReason::Unreachable, 0);
         }
-        // Check out the reusable candidate buffer. SAFETY: the buffer is
-        // always empty here (emptied before check-in below), an empty
-        // `Vec` owns no element the lifetime parameter could dangle
-        // through, and `Vec<T>` layout does not depend on `T`'s
-        // lifetimes — only the capacity allocation is recycled.
-        let mut views: Vec<CandidateIa<'_>> = {
-            let recycled = std::mem::take(&mut self.scratch);
-            debug_assert!(recycled.is_empty());
-            unsafe {
-                std::mem::transmute::<Vec<CandidateIa<'static>>, Vec<CandidateIa<'_>>>(recycled)
-            }
-        };
+        // Check out the reusable candidate buffer (only the capacity
+        // allocation is recycled).
+        let mut views: Vec<CandidateIa<'_>> = recycle(std::mem::take(&mut self.scratch));
         let module = self.modules.get_mut(&key).expect("presence checked above");
         let neighbors = &self.neighbors;
         for (n, ia) in self.iadb.candidates(&prefix) {
@@ -723,11 +665,7 @@ impl DbgpSpeaker {
             self.decision_epochs.remove(&prefix);
         }
         // Check the scratch buffer back in, empty again.
-        views.clear();
-        // SAFETY: emptied on the line above; see the check-out comment.
-        self.scratch = unsafe {
-            std::mem::transmute::<Vec<CandidateIa<'_>>, Vec<CandidateIa<'static>>>(views)
-        };
+        self.scratch = recycle(views);
         result
     }
 
@@ -768,7 +706,7 @@ impl DbgpSpeaker {
                 // With uniform exports the factory product depends only
                 // on (chosen IA, neighbor class): build once per class
                 // and share the Arc across the whole fan-out.
-                let cacheable = self.modules.values().all(|m| m.export_is_uniform());
+                let cacheable = self.all_uniform;
                 if let Some(entry) = self.out_cache.get(&class) {
                     if cacheable && Arc::ptr_eq(&entry.chosen, &chosen_ia) {
                         let ia = Arc::clone(&entry.built);
@@ -822,11 +760,7 @@ impl DbgpSpeaker {
                 let withdrawn =
                     self.adj_out.get_mut(&id).is_some_and(|t| t.remove(&prefix).is_some());
                 if withdrawn {
-                    if self.coalesce {
-                        self.pending_sends.entry(id).or_default().insert(prefix, None);
-                    } else {
-                        out.push(DbgpOutput::SendWithdraw(id, prefix));
-                    }
+                    out.push(DbgpOutput::SendWithdraw(id, prefix));
                 }
             }
         }
@@ -847,11 +781,7 @@ impl DbgpSpeaker {
             slot.get(&prefix).is_some_and(|prev| Arc::ptr_eq(prev, &ia) || **prev == *ia);
         if !unchanged {
             slot.insert(prefix, Arc::clone(&ia));
-            if self.coalesce {
-                self.pending_sends.entry(id).or_default().insert(prefix, Some(ia));
-            } else {
-                out.push(DbgpOutput::SendIa(id, ia));
-            }
+            out.push(DbgpOutput::SendIa(id, ia));
         }
     }
 }
@@ -1322,31 +1252,6 @@ mod tests {
         let outs = speaker.withdraw_origin(p("10.0.0.0/8"));
         assert!(outs.iter().any(|o| matches!(o, DbgpOutput::BestChanged(_, Some(_)))));
         assert_eq!(speaker.best(&p("10.0.0.0/8")).unwrap().neighbor, Some(NeighborId(0)));
-    }
-
-    #[test]
-    fn coalescing_stages_sends_in_canonical_order() {
-        let mut speaker = DbgpSpeaker::new(DbgpConfig::gulf(9));
-        speaker.add_neighbor(NeighborId(0), DbgpNeighbor::dbgp(1));
-        speaker.add_neighbor(NeighborId(1), DbgpNeighbor::dbgp(2));
-        speaker.set_coalesce(true);
-        let outs = speaker.receive_ia(NeighborId(0), hops_ia(1, &[1]));
-        assert!(
-            outs.iter().all(|o| matches!(o, DbgpOutput::BestChanged(..))),
-            "sends are staged, not returned: {outs:?}"
-        );
-        assert!(speaker.has_pending_sends());
-        let pending = speaker.take_pending_sends();
-        assert!(!speaker.has_pending_sends());
-        // Only the uninvolved neighbor has a staged announcement
-        // (split horizon suppresses the source).
-        assert_eq!(pending.len(), 1);
-        let staged = pending.get(&NeighborId(1)).unwrap();
-        assert!(staged.get(&p("10.0.0.0/8")).unwrap().is_some());
-        // A withdrawal overwrites the staged announcement in place.
-        speaker.receive_withdraw(NeighborId(0), p("10.0.0.0/8"));
-        let pending = speaker.take_pending_sends();
-        assert!(pending.get(&NeighborId(1)).unwrap().get(&p("10.0.0.0/8")).unwrap().is_none());
     }
 
     #[test]

@@ -118,7 +118,7 @@ fn run_daemon(config_path: &str, dump_rib: Option<&str>, opts: ReactorOptions) -
     let mut reactor = match Reactor::new(cfg, opts) {
         Ok(r) => r,
         Err(e) => {
-            eprintln!("dbgpd: as {asn}: bind failed: {e}");
+            eprintln!("dbgpd: as {asn}: cannot start: {e}");
             return ExitCode::from(2);
         }
     };

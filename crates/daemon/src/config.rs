@@ -15,7 +15,10 @@
 //! (the peer's listen address; omit for a passive-only peering),
 //! `next-hop=` (our NEXT_HOP toward this peer; defaults to the router
 //! ID), and the bare flags `passive` (never dial) and `ia` (advertise
-//! the D-BGP Integrated-Advertisement capability).
+//! the D-BGP Integrated-Advertisement capability). A `passive` peering
+//! can only be accepted, so a daemon needs a `listen` line to serve one:
+//! the parser takes the file either way (an in-process `Node` and
+//! `--oracle` mode use no socket) and `Reactor::new` refuses it.
 
 use dbgp_session::{NeighborConfig, PeerConfig};
 use dbgp_wire::{Ipv4Addr, Ipv4Prefix};

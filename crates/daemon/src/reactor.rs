@@ -141,7 +141,11 @@ pub struct Reactor {
 }
 
 impl Reactor {
-    /// Bind the listener (if configured) and prepare the node.
+    /// Bind the listener (if configured) and prepare the node. A
+    /// `passive` neighbor is never dialled, so without a listener it
+    /// could never come up and the run would sit out `--max-ms`: such a
+    /// configuration is refused here (an in-process `Node` and
+    /// `--oracle` mode, which need no socket, still take it).
     pub fn new(cfg: DaemonConfig, opts: ReactorOptions) -> io::Result<Self> {
         let listener = match &cfg.listen {
             Some(addr) => {
@@ -149,7 +153,18 @@ impl Reactor {
                 l.set_nonblocking(true)?;
                 Some(l)
             }
-            None => None,
+            None => {
+                if let Some(n) = cfg.neighbors.iter().find(|n| n.passive) {
+                    return Err(io::Error::new(
+                        io::ErrorKind::InvalidInput,
+                        format!(
+                            "neighbor as={} is passive but the config has no `listen` line",
+                            n.peer_as
+                        ),
+                    ));
+                }
+                None
+            }
         };
         let node = Node::from_config(&cfg);
         Ok(Reactor {
@@ -602,6 +617,23 @@ mod tests {
             }
             std::thread::sleep(Duration::from_millis(1));
         }
+    }
+
+    /// A passive neighbor can only be accepted: with nothing listening
+    /// the reactor refuses to start, naming it.
+    #[test]
+    fn a_passive_neighbor_without_a_listener_is_refused() {
+        let text = hub_config_text(None, &[65001, 65002]) + "neighbor as=65003 addr=127.0.0.1:1\n";
+        let cfg = DaemonConfig::parse(&text).expect("the parser takes it: a Node needs no socket");
+        let err = Reactor::new(cfg, ReactorOptions::default()).err().expect("must not start");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert!(err.to_string().contains("neighbor as=65001 is passive"), "{err}");
+        // Dial-only neighbors need no listener.
+        let cfg = DaemonConfig::parse(
+            "local-as 65000\nrouter-id 10.0.0.100\nneighbor as=65003 addr=127.0.0.1:1\n",
+        )
+        .expect("valid");
+        assert!(Reactor::new(cfg, ReactorOptions::default()).is_ok());
     }
 
     /// Pending `[A: OPEN matched, B: closed, C: healthy]` in one pass: A

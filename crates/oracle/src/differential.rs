@@ -428,7 +428,7 @@ pub fn check_scenarios(test_name: &str, cases: u64) {
 /// Each case is a sealed deterministic unit: its RNG is derived from
 /// `(test_name, case)` alone, and each differential run builds its own
 /// production simulator and reference network. Cases therefore fan out
-/// across the pool freely; results come back in case order, and on
+/// across the workers freely; results come back in case order, and on
 /// failure the *lowest-index* diverging case is shrunk and reported —
 /// exactly the case a serial sweep would have stopped at, so failure
 /// output is thread-count-independent.
@@ -439,8 +439,7 @@ pub fn check_scenarios_threaded(test_name: &str, cases: u64, threads: usize) {
             (case, generate_scenario(&mut rng))
         })
         .collect();
-    let pool = dbgp_par::Pool::new(threads);
-    let failures = dbgp_par::par_map(&pool, &scenarios, |_, (case, scenario)| {
+    let failures = dbgp_par::par_map(threads, &scenarios, |_, (case, scenario)| {
         run_differential(scenario).err().map(|d| (*case, d))
     });
     // Shrinking re-runs the scenario dozens of times under a mutating

@@ -147,9 +147,9 @@ pub fn explore(
     let mut trail = Vec::new();
     dfs(base, cfg, check, 0, &mut trail, &mut report)?;
     let seeds: Vec<u64> = (0..cfg.random_schedules).collect();
-    let pool = dbgp_par::Pool::new(dbgp_par::configured_threads());
-    let outcomes =
-        dbgp_par::par_map(&pool, &seeds, |_, &seed| random_schedule(base, cfg, check, seed));
+    let outcomes = dbgp_par::par_map(dbgp_par::configured_threads(), &seeds, |_, &seed| {
+        random_schedule(base, cfg, check, seed)
+    });
     for outcome in outcomes {
         let delivered = outcome?;
         report.schedules += 1;

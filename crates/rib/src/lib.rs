@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! A level-compressed binary prefix trie keyed on [`Ipv4Prefix`].
 //!
@@ -36,6 +37,19 @@
 use dbgp_wire::{Ipv4Addr, Ipv4Prefix};
 use std::collections::BTreeMap;
 use std::fmt;
+
+/// Hand an emptied scratch `Vec` back under a new element type, keeping
+/// its allocation: the decision loops of both routing cores fill a
+/// `Vec` of borrowing views per call, and a view type that differs
+/// from call to call only in its lifetime cannot be named in a struct
+/// field. `v` is cleared first, so the closure never runs; when `T` and
+/// `U` have the same layout std's in-place `collect` reuses the buffer
+/// (pointer and capacity survive — unit-tested below), and when they do
+/// not, the result is simply a fresh empty `Vec`.
+pub fn recycle<T, U>(mut v: Vec<T>) -> Vec<U> {
+    v.clear();
+    v.into_iter().map(|_| unreachable!("cleared above")).collect()
+}
 
 /// Sentinel child index meaning "no child".
 const NIL: u32 = u32::MAX;
@@ -489,6 +503,27 @@ mod tests {
 
     fn p(s: &str) -> Ipv4Prefix {
         s.parse().unwrap()
+    }
+
+    /// The scratch buffers of `DbgpSpeaker::select` and
+    /// `RoutingCore::select_best` ride on this: a round trip through a
+    /// borrowing element type gives back the same allocation.
+    #[test]
+    fn recycle_keeps_the_allocation_across_lifetimes() {
+        let mut parked: Vec<(&'static u32, u64)> = Vec::with_capacity(64);
+        let (ptr, cap) = (parked.as_ptr() as usize, parked.capacity());
+        for round in 0..3u32 {
+            let local = round;
+            let mut views: Vec<(&u32, u64)> = recycle(parked);
+            assert!(views.is_empty());
+            views.push((&local, 7));
+            parked = recycle(views);
+            assert!(parked.is_empty());
+            assert_eq!((parked.as_ptr() as usize, parked.capacity()), (ptr, cap));
+        }
+        // A layout change cannot reuse the buffer; it must still be safe.
+        let other: Vec<[u8; 3]> = recycle(parked);
+        assert!(other.is_empty());
     }
 
     #[test]

@@ -16,7 +16,7 @@ use crate::decision::{self, Candidate, DecisionOptions};
 use crate::rib::{AdjRibIn, AdjRibOut, LocRib, LocRibEntry, RouteSource};
 use crate::route::Route;
 use crate::session::{Millis, SessionSummary};
-use dbgp_rib::PrefixTrie;
+use dbgp_rib::{recycle, PrefixTrie};
 use dbgp_telemetry::{SelectionReason, SinkHandle, TraceKind};
 use dbgp_wire::message::UpdateMsg;
 use dbgp_wire::{Ipv4Addr, Ipv4Prefix, WireError};
@@ -97,8 +97,9 @@ pub struct RoutingCore {
     nlri_out: u64,
     withdrawn_out: u64,
     /// Reusable decision-scratch buffers — always empty between calls;
-    /// the `'static` parameters are placeholders transmuted over while
-    /// the (empty) vecs are checked out by `select_best`.
+    /// the `'static` parameters are placeholders [`dbgp_rib::recycle`]
+    /// swaps for the borrow while `select_best` has the (empty) vecs
+    /// checked out.
     scratch_arcs: Vec<&'static Arc<Route>>,
     scratch_cands: Vec<Candidate<'static>>,
 }
@@ -507,21 +508,10 @@ impl RoutingCore {
         prefix: &Ipv4Prefix,
         explain: bool,
     ) -> (Option<LocRibEntry>, SelectionReason, u32) {
-        // Check out the reusable scratch buffers. SAFETY: both are
-        // always empty here (emptied before check-in below), an empty
-        // `Vec` owns no element the lifetime parameters could dangle
-        // through, and `Vec<T>` layout does not depend on `T`'s
-        // lifetimes — only the capacity allocations are recycled.
-        let mut arcs: Vec<&Arc<Route>> = {
-            let recycled = std::mem::take(&mut self.scratch_arcs);
-            debug_assert!(recycled.is_empty());
-            unsafe { std::mem::transmute::<Vec<&'static Arc<Route>>, Vec<&Arc<Route>>>(recycled) }
-        };
-        let mut candidates: Vec<Candidate<'_>> = {
-            let recycled = std::mem::take(&mut self.scratch_cands);
-            debug_assert!(recycled.is_empty());
-            unsafe { std::mem::transmute::<Vec<Candidate<'static>>, Vec<Candidate<'_>>>(recycled) }
-        };
+        // Check out the reusable scratch buffers (only the capacity
+        // allocations are recycled).
+        let mut arcs: Vec<&Arc<Route>> = recycle(std::mem::take(&mut self.scratch_arcs));
+        let mut candidates: Vec<Candidate<'_>> = recycle(std::mem::take(&mut self.scratch_cands));
         // The decision process borrows plain `&Route` views; `arcs` keeps
         // the interned handles in lockstep so the winner is retained by
         // refcount bump, not deep clone.
@@ -556,14 +546,8 @@ impl RoutingCore {
             None => (None, SelectionReason::Unreachable, n),
         };
         // Check the scratch buffers back in, empty again.
-        arcs.clear();
-        candidates.clear();
-        // SAFETY: emptied on the lines above; see the check-out comment.
-        self.scratch_arcs =
-            unsafe { std::mem::transmute::<Vec<&Arc<Route>>, Vec<&'static Arc<Route>>>(arcs) };
-        self.scratch_cands = unsafe {
-            std::mem::transmute::<Vec<Candidate<'_>>, Vec<Candidate<'static>>>(candidates)
-        };
+        self.scratch_arcs = recycle(arcs);
+        self.scratch_cands = recycle(candidates);
         result
     }
 

@@ -22,7 +22,7 @@ use crate::link::SimRng;
 use bytes::Bytes;
 use dbgp_core::{
     render_path, DbgpConfig, DbgpNeighbor, DbgpOutput, DbgpSpeaker, DbgpUpdate, NeighborId,
-    PeerClass, PendingSends,
+    PeerClass,
 };
 use dbgp_protocols::{MiroPortal, MiroRequest};
 use dbgp_rib::PrefixTrie;
@@ -279,11 +279,6 @@ pub struct SimStats {
     /// IA bodies whose wire bytes were reused from the Adj-RIB-Out
     /// encode cache instead of being re-serialized.
     pub encode_cache_hits: u64,
-    /// Frames saved by deterministic update coalescing: each flushed
-    /// batch of `k > 1` staged elements counts `k - 1` (the frames a
-    /// per-change sender would have emitted for the same elements).
-    /// Always 0 with coalescing off.
-    pub frames_coalesced: u64,
 }
 
 /// Per-(node, prefix) route-churn record, maintained on every
@@ -380,20 +375,9 @@ pub struct Sim {
     /// completely inert — no state, no branches taken, no output
     /// change, so pinned golden results are unaffected.
     capture: Option<BestChangeCapture>,
-    /// Deterministic update coalescing ([`Sim::set_coalesce`]); off by
-    /// default so the classic per-change wire stream is byte-identical
-    /// to prior releases.
-    coalesce: bool,
     /// Incremental decision fast path on every speaker (on by default;
     /// [`Sim::set_incremental`] turns it off for A/B measurement).
     incremental: bool,
-    /// Speaker-staged sends absorbed at event commit, awaiting the
-    /// time-barrier flush. Keyed `(node, neighbor, prefix)` so the
-    /// flush order is canonical regardless of arrival order.
-    staged_sends: BTreeMap<NodeId, PendingSends>,
-    /// Commit-clock value of the most recent staging; the barrier
-    /// flushes as soon as an event with a strictly later time commits.
-    staged_at: SimTime,
     /// Per-phase wall-time accumulators ([`Sim::enable_phase_timing`]);
     /// `None` (the default) keeps the hot path to one predictable
     /// branch per instrumentation site.
@@ -405,8 +389,6 @@ pub struct Sim {
 /// `decode` covers frame decoding, `decide` the receiving speakers'
 /// import/decision work, `encode` outbound wire-byte assembly, and
 /// `queue` delivery scheduling (including link-model application).
-/// Traced runs take the per-element path, which has no decide span, so
-/// enable timing on untraced measurement runs only.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseTimes {
     /// Nanoseconds spent decoding inbound frames.
@@ -454,10 +436,7 @@ impl Sim {
             delay_count: 0,
             width_tuned: false,
             capture: None,
-            coalesce: false,
             incremental: true,
-            staged_sends: BTreeMap::new(),
-            staged_at: 0,
             phase_timing: None,
         }
     }
@@ -497,35 +476,10 @@ impl Sim {
         self.sink.clone()
     }
 
-    /// Change the minimum route advertisement interval (0 disables
-    /// coalescing entirely).
+    /// Change the minimum route advertisement interval (0 sends every
+    /// change at once, one element per frame).
     pub fn set_mrai(&mut self, mrai: SimTime) {
         self.mrai = mrai;
-    }
-
-    /// Enable deterministic update coalescing: every speaker stages its
-    /// sends per (neighbor, prefix) — last write wins — and the engine
-    /// flushes them as packed multi-NLRI frames the moment the global
-    /// commit clock passes the staging time. Off by default: the classic
-    /// per-change wire stream stays byte-identical to prior releases.
-    /// With `mrai > 0` staged sends join the per-neighbor MRAI window at
-    /// the barrier instead of going out immediately. Coalesced frames
-    /// carry no per-element trace causes. Toggle only while nothing is
-    /// staged (before the first run, or between quiesced runs).
-    pub fn set_coalesce(&mut self, on: bool) {
-        debug_assert!(
-            on || self.staged_sends.is_empty(),
-            "disable coalescing only after the staged sends drained"
-        );
-        self.coalesce = on;
-        for node in &mut self.nodes {
-            node.speaker.set_coalesce(on);
-        }
-    }
-
-    /// Whether deterministic update coalescing is on.
-    pub fn coalescing(&self) -> bool {
-        self.coalesce
     }
 
     /// Enable/disable the incremental decision fast path on every
@@ -591,9 +545,6 @@ impl Sim {
         if let Some(recorder) = &self.recorder {
             recorder.set_node_asn(id as u32, speaker.asn());
             speaker.set_telemetry(self.sink.clone(), id as u32);
-        }
-        if self.coalesce {
-            speaker.set_coalesce(true);
         }
         if !self.incremental {
             speaker.set_incremental(false);
@@ -976,13 +927,12 @@ impl Sim {
         // belong to the old incarnation, the new one counts only its
         // re-convergence.
         self.nodes[node].counters = NodeCounters { generation, ..NodeCounters::default() };
-        // The rebooting router loses its coalescing buffers, encode
-        // cache and any undelivered out-of-band responses.
+        // The rebooting router loses its MRAI buffers, encode cache and
+        // any undelivered out-of-band responses.
         self.nodes[node].pending_out.clear();
         self.nodes[node].flush_armed.clear();
         self.nodes[node].oob_inbox.clear();
         self.nodes[node].encode_cache.clear();
-        self.staged_sends.remove(&node);
         for &(peer, same_island, speaks_dbgp) in &peers {
             self.establish(node, peer, same_island, speaks_dbgp, "node-restart", root);
             self.establish(peer, node, same_island, speaks_dbgp, "node-restart", root);
@@ -1020,22 +970,12 @@ impl Sim {
     /// statistics snapshot.
     pub fn run(&mut self, max_time: SimTime) -> SimStats {
         self.tune_width();
-        loop {
-            while let Some(next_at) = self.queue.peek_time() {
-                if next_at > max_time {
-                    break;
-                }
-                let (at, event) = self.queue.pop().expect("peeked event must pop");
-                self.handle_event(at, event);
-            }
-            // End-of-run drain: a quiescing queue can leave coalesced
-            // sends staged (nothing later ever committed). Flushing may
-            // schedule fresh deliveries at or before `max_time`, so loop
-            // until both the queue and the staging area are exhausted.
-            if self.staged_sends.is_empty() {
+        while let Some(next_at) = self.queue.peek_time() {
+            if next_at > max_time {
                 break;
             }
-            self.flush_staged();
+            let (at, event) = self.queue.pop().expect("peeked event must pop");
+            self.handle_event(at, event);
         }
         self.stats
     }
@@ -1060,120 +1000,98 @@ impl Sim {
     /// Process one popped event (the pop already advanced the queue
     /// clock to `at`).
     fn handle_event(&mut self, at: SimTime, event: Event) {
-        self.maybe_flush_staged(at);
         self.stats.last_event_at = at;
-        {
-            match event {
-                Event::Deliver { to, from, bytes, trace } => {
-                    self.stats.messages += 1;
-                    self.stats.bytes += bytes.len() as u64;
-                    self.nodes[to].counters.messages_in += 1;
-                    self.metrics.registry.observe(self.metrics.message_bytes, bytes.len() as u64);
-                    let traced = self.sink.enabled();
-                    let deliver_id = if traced {
-                        self.sink.set_now(at);
-                        self.sink.record_at(
-                            at,
-                            to as u32,
-                            trace.as_ref().map(|t| t.frame),
-                            TraceKind::Deliver { from: from as u32, bytes: bytes.len() as u32 },
-                        )
-                    } else {
-                        None
-                    };
-                    let mut buf = bytes;
-                    let t = self.phase_now();
-                    let decoded = DbgpUpdate::decode(&mut buf);
-                    self.phase_add(t, Phase::Decode);
-                    let Ok(update) = decoded else {
-                        self.stats.decode_errors += 1;
-                        if traced {
-                            self.sink.record_at(
-                                at,
-                                to as u32,
-                                deliver_id,
-                                TraceKind::DecodeError { from: from as u32 },
-                            );
-                        }
-                        return;
-                    };
-                    let Some(&from_id) = self.nodes[to].ids_by_node.get(&from) else {
-                        self.stats.orphaned_deliveries += 1;
-                        return;
-                    };
-                    self.nodes[to].counters.withdraws_in += update.withdrawn.len() as u64;
-                    self.nodes[to].counters.updates_in += update.ias.len() as u64;
-                    if traced {
-                        // Per-element processing: behaviorally identical
-                        // to the batch path below (the speaker never
-                        // reads sim-side state that `apply_local` or
-                        // `dispatch` mutate, and outputs keep the same
-                        // total order), but it lets each Decode event
-                        // parent exactly the outputs it causes.
-                        let causes: &[EventId] =
-                            trace.as_deref().map(|t| t.causes.as_slice()).unwrap_or(&[]);
-                        let mut element = 0usize;
-                        for prefix in update.withdrawn {
-                            let parent = causes.get(element).copied().or(deliver_id);
-                            element += 1;
-                            let decode_id = self.sink.record_at(
-                                at,
-                                to as u32,
-                                parent,
-                                TraceKind::Decode { prefix, from: from as u32, withdraw: true },
-                            );
-                            self.sink.set_ambient_parent(decode_id);
-                            let outputs = self.nodes[to].speaker.receive_withdraw(from_id, prefix);
-                            self.sink.set_ambient_parent(None);
-                            self.apply_local(to, &outputs);
-                            self.dispatch(to, outputs, decode_id);
-                        }
-                        for ia in update.ias {
-                            let parent = causes.get(element).copied().or(deliver_id);
-                            element += 1;
-                            let decode_id = self.sink.record_at(
-                                at,
-                                to as u32,
-                                parent,
-                                TraceKind::Decode {
-                                    prefix: ia.prefix,
-                                    from: from as u32,
-                                    withdraw: false,
-                                },
-                            );
-                            self.sink.set_ambient_parent(decode_id);
-                            let outputs = self.nodes[to].speaker.receive_ia(from_id, ia);
-                            self.sink.set_ambient_parent(None);
-                            self.apply_local(to, &outputs);
-                            self.dispatch(to, outputs, decode_id);
-                        }
-                    } else {
-                        let t = self.phase_now();
-                        let mut outputs = Vec::new();
-                        for prefix in update.withdrawn {
-                            outputs
-                                .extend(self.nodes[to].speaker.receive_withdraw(from_id, prefix));
-                        }
-                        for ia in update.ias {
-                            outputs.extend(self.nodes[to].speaker.receive_ia(from_id, ia));
-                        }
-                        self.phase_add(t, Phase::Decide);
-                        self.apply_local(to, &outputs);
-                        self.dispatch(to, outputs, None);
-                    }
+        match event {
+            Event::Deliver { to, from, bytes, trace } => {
+                self.stats.messages += 1;
+                self.stats.bytes += bytes.len() as u64;
+                self.nodes[to].counters.messages_in += 1;
+                self.metrics.registry.observe(self.metrics.message_bytes, bytes.len() as u64);
+                self.sink.set_now(at);
+                let deliver_id = self.sink.record_at(
+                    at,
+                    to as u32,
+                    trace.as_ref().map(|t| t.frame),
+                    TraceKind::Deliver { from: from as u32, bytes: bytes.len() as u32 },
+                );
+                let mut buf = bytes;
+                let t = self.phase_now();
+                let decoded = DbgpUpdate::decode(&mut buf);
+                self.phase_add(t, Phase::Decode);
+                let Ok(update) = decoded else {
+                    self.stats.decode_errors += 1;
+                    self.sink.record_at(
+                        at,
+                        to as u32,
+                        deliver_id,
+                        TraceKind::DecodeError { from: from as u32 },
+                    );
+                    return;
+                };
+                let Some(&from_id) = self.nodes[to].ids_by_node.get(&from) else {
+                    self.stats.orphaned_deliveries += 1;
+                    return;
+                };
+                self.nodes[to].counters.withdraws_in += update.withdrawn.len() as u64;
+                self.nodes[to].counters.updates_in += update.ias.len() as u64;
+                // One element at a time, in frame order (withdraws, then
+                // IAs): each Decode event parents exactly the outputs it
+                // causes, chained to the sender-side event that put the
+                // element on the wire (or to the Deliver, for a frame
+                // that carried no causes).
+                let causes: &[EventId] = trace.as_deref().map_or(&[], |t| &t.causes);
+                let mut causes = causes.iter().copied();
+                for prefix in update.withdrawn {
+                    let parent = causes.next().or(deliver_id);
+                    self.receive_element(to, from, from_id, parent, prefix, None);
                 }
-                Event::Flush { node, neighbor } => {
-                    self.flush(node, neighbor);
-                }
-                Event::OobRequest { to_addr, from, payload } => {
-                    self.stats.oob_requests += 1;
-                    self.serve_oob(to_addr, from, payload);
-                }
-                Event::OobResponse { to, from_addr, payload } => {
-                    self.nodes[to].oob_inbox.push((from_addr, payload));
+                for ia in update.ias {
+                    let parent = causes.next().or(deliver_id);
+                    self.receive_element(to, from, from_id, parent, ia.prefix, Some(ia));
                 }
             }
+            Event::Flush { node, neighbor } => {
+                self.flush(node, neighbor);
+            }
+            Event::OobRequest { to_addr, from, payload } => {
+                self.stats.oob_requests += 1;
+                self.serve_oob(to_addr, from, payload);
+            }
+            Event::OobResponse { to, from_addr, payload } => {
+                self.nodes[to].oob_inbox.push((from_addr, payload));
+            }
         }
+    }
+
+    /// Feed one decoded frame element (`ia`, or a withdrawal of `prefix`
+    /// when `None`) from neighbor `from_id` to node `to`'s speaker and
+    /// act on what it returns.
+    fn receive_element(
+        &mut self,
+        to: NodeId,
+        from: NodeId,
+        from_id: NeighborId,
+        parent: Option<EventId>,
+        prefix: Ipv4Prefix,
+        ia: Option<Ia>,
+    ) {
+        let decode_id = self.sink.record_at(
+            self.queue.now(),
+            to as u32,
+            parent,
+            TraceKind::Decode { prefix, from: from as u32, withdraw: ia.is_none() },
+        );
+        self.sink.set_ambient_parent(decode_id);
+        let t = self.phase_now();
+        let speaker = &mut self.nodes[to].speaker;
+        let outputs = match ia {
+            Some(ia) => speaker.receive_ia(from_id, ia),
+            None => speaker.receive_withdraw(from_id, prefix),
+        };
+        self.phase_add(t, Phase::Decide);
+        self.sink.set_ambient_parent(None);
+        self.apply_local(to, &outputs);
+        self.dispatch(to, outputs, decode_id);
     }
 
     // ----- internals ----------------------------------------------------
@@ -1241,9 +1159,6 @@ impl Sim {
         self.nodes[me].neighbor_nodes.remove(&id);
         self.nodes[me].ids_by_node.remove(&peer);
         self.nodes[me].pending_out.remove(&id);
-        if let Some(staged) = self.staged_sends.get_mut(&me) {
-            staged.remove(&id);
-        }
         let root = if self.sink.enabled() {
             self.sink.record_at(
                 self.queue.now(),
@@ -1318,95 +1233,6 @@ impl Sim {
             self.nodes[node].pending_out.entry(neighbor).or_default().insert(prefix, (ia, cause));
             if self.nodes[node].flush_armed.insert(neighbor) {
                 self.queue.schedule(self.mrai, Event::Flush { node, neighbor });
-            }
-        }
-        // A coalescing speaker returns no Send* outputs from the calls
-        // that produced `outputs`; it staged them internally. Absorb
-        // that delta here, under the committing clock — every mutation
-        // site (deliveries, originations, session bring-up and teardown)
-        // funnels through this function.
-        if self.coalesce && self.nodes[node].speaker.has_pending_sends() {
-            let staged = self.nodes[node].speaker.take_pending_sends();
-            self.absorb_staged(node, staged);
-        }
-    }
-
-    /// Merge one event's worth of speaker-staged sends into the
-    /// sim-level staging area, stamped with the current commit clock.
-    fn absorb_staged(&mut self, node: NodeId, staged: PendingSends) {
-        if staged.is_empty() {
-            return;
-        }
-        self.staged_at = self.queue.now();
-        let slot = self.staged_sends.entry(node).or_default();
-        for (neighbor, elems) in staged {
-            // Per-prefix inserts overwrite: last write wins, matching
-            // the implicit-withdraw semantics of a per-change stream.
-            slot.entry(neighbor).or_default().extend(elems);
-        }
-    }
-
-    /// The time barrier: flush every staged send the moment an event
-    /// with a strictly later time commits (events sharing the staging
-    /// timestamp still precede the flush, so same-instant updates
-    /// coalesce into one frame).
-    #[inline]
-    fn maybe_flush_staged(&mut self, at: SimTime) {
-        if !self.staged_sends.is_empty() && at > self.staged_at {
-            self.flush_staged();
-        }
-    }
-
-    /// Flush every staged coalesced send, packing each neighbor's batch
-    /// into one multi-NLRI frame (withdrawals first, then IA bodies
-    /// from the encode cache — byte-identical to a fresh encode), in
-    /// canonical (node, neighbor, prefix) order. With `mrai > 0` the
-    /// batch instead joins the neighbor's MRAI window, composing the
-    /// two coalescing layers. Coalesced frames carry no per-element
-    /// trace causes (`trace: None`).
-    fn flush_staged(&mut self) {
-        let staged = std::mem::take(&mut self.staged_sends);
-        for (node, per_neighbor) in staged {
-            for (neighbor, elems) in per_neighbor {
-                let Some(&to) = self.nodes[node].neighbor_nodes.get(&neighbor) else { continue };
-                if self.mrai > 0 {
-                    let pending = self.nodes[node].pending_out.entry(neighbor).or_default();
-                    for (prefix, ia) in elems {
-                        pending.insert(prefix, (ia, None));
-                    }
-                    if self.nodes[node].flush_armed.insert(neighbor) {
-                        self.queue.schedule(self.mrai, Event::Flush { node, neighbor });
-                    }
-                    continue;
-                }
-                let mut withdrawn = Vec::new();
-                let mut ias = Vec::with_capacity(elems.len());
-                for (prefix, ia) in elems {
-                    match ia {
-                        Some(ia) => ias.push(ia),
-                        None => withdrawn.push(prefix),
-                    }
-                }
-                let count = withdrawn.len() + ias.len();
-                let t = self.phase_now();
-                let bytes = if withdrawn.is_empty() && ias.len() == 1 {
-                    self.cached_wire(node, &ias[0]).1
-                } else {
-                    let bodies: Vec<Bytes> =
-                        ias.iter().map(|ia| self.cached_wire(node, ia).0).collect();
-                    if bodies.is_empty() {
-                        self.stats.updates_encoded += 1;
-                    }
-                    DbgpUpdate::encode_frame(&withdrawn, &bodies)
-                };
-                self.phase_add(t, Phase::Encode);
-                if count > 1 {
-                    self.stats.frames_coalesced += (count - 1) as u64;
-                }
-                self.metrics.registry.observe(self.metrics.flush_batch, count as u64);
-                let t = self.phase_now();
-                self.deliver_on_link(node, to, bytes, None);
-                self.phase_add(t, Phase::Queue);
             }
         }
     }
@@ -1492,6 +1318,7 @@ impl Sim {
         (body, announce)
     }
 
+    /// MRAI 0: one change, one frame, now.
     fn send_now(
         &mut self,
         node: NodeId,
@@ -1501,35 +1328,15 @@ impl Sim {
         cause: Option<EventId>,
     ) {
         let Some(&to) = self.nodes[node].neighbor_nodes.get(&neighbor) else { return };
-        let announce = ia.is_some();
-        let t = self.phase_now();
-        let bytes = match ia {
-            Some(ia) => self.cached_wire(node, &ia).1,
-            None => {
-                self.stats.updates_encoded += 1;
-                DbgpUpdate::encode_frame(std::slice::from_ref(&prefix), &[])
-            }
-        };
-        self.phase_add(t, Phase::Encode);
-        let trace = if self.sink.enabled() {
-            let element = self.record_element(node, to, prefix, announce, cause);
-            let frame = self.sink.record_at(
-                self.queue.now(),
-                node as u32,
-                element,
-                TraceKind::Transmit { to: to as u32, bytes: bytes.len() as u32 },
-            );
-            frame.map(|frame| {
-                Box::new(DeliverTrace { frame, causes: element.into_iter().collect() })
-            })
-        } else {
-            None
-        };
-        let t = self.phase_now();
-        self.deliver_on_link(node, to, bytes, trace);
-        self.phase_add(t, Phase::Queue);
+        let cause = std::slice::from_ref(&cause);
+        match ia {
+            Some(ia) => self.emit(node, to, &[], std::slice::from_ref(&ia), cause),
+            None => self.emit(node, to, std::slice::from_ref(&prefix), &[], cause),
+        }
     }
 
+    /// The MRAI window to `neighbor` closed: everything pending goes out
+    /// as one frame.
     fn flush(&mut self, node: NodeId, neighbor: NeighborId) {
         self.nodes[node].flush_armed.remove(&neighbor);
         let Some(pending) = self.nodes[node].pending_out.remove(&neighbor) else { return };
@@ -1540,63 +1347,77 @@ impl Sim {
         let traced = self.sink.enabled();
         let mut withdrawn = Vec::new();
         let mut ias = Vec::with_capacity(pending.len());
-        // Per-element trace metadata in frame order: withdraws first,
-        // then IAs — matching `DbgpUpdate` encode/decode order so the
-        // receiver can zip `causes` against decoded elements.
-        let mut wd_meta = Vec::new();
-        let mut ia_meta = Vec::new();
+        // Per-element causes in frame order, collected only while the
+        // sink records.
+        let mut causes = Vec::new();
+        let mut ia_causes = Vec::new();
         for (prefix, (ia, cause)) in pending {
             match ia {
                 Some(ia) => {
                     if traced {
-                        ia_meta.push((prefix, cause));
+                        ia_causes.push(cause);
                     }
                     ias.push(ia);
                 }
                 None => {
                     if traced {
-                        wd_meta.push((prefix, cause));
+                        causes.push(cause);
                     }
                     withdrawn.push(prefix);
                 }
             }
         }
+        causes.append(&mut ia_causes);
+        self.metrics
+            .registry
+            .observe(self.metrics.flush_batch, (withdrawn.len() + ias.len()) as u64);
+        self.emit(node, to, &withdrawn, &ias, &causes);
+    }
+
+    /// The one frame emitter: put `withdrawn` and `ias` on the
+    /// `node -> to` link as a single frame. `causes` runs parallel to the
+    /// elements in frame order — withdraws first, then IAs, matching
+    /// `DbgpUpdate` encode/decode order so the receiver can zip its
+    /// copy against the decoded elements — and is read only while the
+    /// sink records.
+    fn emit(
+        &mut self,
+        node: NodeId,
+        to: NodeId,
+        withdrawn: &[Ipv4Prefix],
+        ias: &[Arc<Ia>],
+        causes: &[Option<EventId>],
+    ) {
         // Announce frames for a single IA are cached whole; batched
         // frames are assembled from cached bodies (byte-identical to a
         // fresh `DbgpUpdate::encode`, see `encode_frame`).
         let t = self.phase_now();
-        let bytes = if withdrawn.is_empty() && ias.len() == 1 {
-            self.cached_wire(node, &ias[0]).1
+        let bytes = if let ([], [ia]) = (withdrawn, ias) {
+            self.cached_wire(node, ia).1
         } else {
             let bodies: Vec<Bytes> = ias.iter().map(|ia| self.cached_wire(node, ia).0).collect();
             if bodies.is_empty() {
                 self.stats.updates_encoded += 1;
             }
-            DbgpUpdate::encode_frame(&withdrawn, &bodies)
+            DbgpUpdate::encode_frame(withdrawn, &bodies)
         };
         self.phase_add(t, Phase::Encode);
-        self.metrics
-            .registry
-            .observe(self.metrics.flush_batch, (withdrawn.len() + ias.len()) as u64);
-        let trace = if traced {
-            let mut causes = Vec::with_capacity(wd_meta.len() + ia_meta.len());
-            for (prefix, cause) in wd_meta {
-                if let Some(id) = self.record_element(node, to, prefix, false, cause) {
-                    causes.push(id);
-                }
-            }
-            for (prefix, cause) in ia_meta {
-                if let Some(id) = self.record_element(node, to, prefix, true, cause) {
-                    causes.push(id);
-                }
+        let trace = if self.sink.enabled() {
+            let elements = withdrawn
+                .iter()
+                .map(|&prefix| (prefix, false))
+                .chain(ias.iter().map(|ia| (ia.prefix, true)));
+            let mut ids = Vec::with_capacity(causes.len());
+            for ((prefix, announce), &cause) in elements.zip(causes) {
+                ids.extend(self.record_element(node, to, prefix, announce, cause));
             }
             let frame = self.sink.record_at(
                 self.queue.now(),
                 node as u32,
-                causes.first().copied(),
+                ids.first().copied(),
                 TraceKind::Transmit { to: to as u32, bytes: bytes.len() as u32 },
             );
-            frame.map(|frame| Box::new(DeliverTrace { frame, causes }))
+            frame.map(|frame| Box::new(DeliverTrace { frame, causes: ids }))
         } else {
             None
         };

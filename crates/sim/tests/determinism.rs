@@ -86,10 +86,14 @@ fn fingerprint(sim: &mut Sim) -> String {
 
 /// Drive the churn scenario, collecting a fingerprint after every run
 /// segment. The driver sequence (originate, flaps, restarts) is a pure
-/// function of the seed; `observe` gets the freshly built simulation
-/// before anything is originated, to attach whatever it likes.
-fn drive(seed: u64, observe: impl FnOnce(&mut Sim)) -> Vec<String> {
+/// function of the seed and the MRAI (`0` sends every change at once
+/// through `send_now`, anything else batches through `flush` — the two
+/// callers of the one frame emitter); `observe` gets the freshly built
+/// simulation before anything is originated, to attach whatever it
+/// likes.
+fn drive(seed: u64, mrai: u64, observe: impl FnOnce(&mut Sim)) -> Vec<String> {
     let (mut sim, edges) = build(seed);
+    sim.set_mrai(mrai);
     observe(&mut sim);
     for node in 0..sim.node_count() {
         sim.originate(node, origin_prefix(node));
@@ -122,9 +126,15 @@ fn assert_same(what: &str, a: &[String], b: &[String]) {
     }
 }
 
+/// The MRAI settings every test below runs at: none, and the default.
+const MRAIS: [u64; 2] = [0, 30];
+
 #[test]
 fn same_seed_twice_is_bit_identical_on_waxman_50_churn() {
-    assert_same("seed 42 run twice", &drive(42, |_| {}), &drive(42, |_| {}));
+    for mrai in MRAIS {
+        let (a, b) = (drive(42, mrai, |_| {}), drive(42, mrai, |_| {}));
+        assert_same(&format!("seed 42 at mrai {mrai} run twice"), &a, &b);
+    }
 }
 
 proptest! {
@@ -133,24 +143,29 @@ proptest! {
     /// Across seeds: two runs of one seed never diverge.
     #[test]
     fn same_seed_twice_is_bit_identical_across_seeds(seed in 0u64..1000) {
-        assert_same(&format!("seed {seed} run twice"), &drive(seed, |_| {}), &drive(seed, |_| {}));
+        let (a, b) = (drive(seed, 30, |_| {}), drive(seed, 30, |_| {}));
+        assert_same(&format!("seed {seed} run twice"), &a, &b);
     }
 }
 
 /// Observation is neutral: a run with a trace recorder, a best-change
 /// capture ring and the phase timer all attached ends every segment
 /// with the same stats, metrics, RIB snapshot, FIBs, counters and event
-/// count as a bare run of the same seed. There is one event loop, so
-/// attaching an observer cannot change which code path runs.
+/// count as a bare run of the same seed, with and without an MRAI
+/// window. There is one event loop, one receive loop and one frame
+/// emitter, so attaching an observer cannot change which code path
+/// runs — only whether the records that path offers are kept.
 #[test]
 fn attached_observers_do_not_change_the_run() {
-    let bare = drive(42, |_| {});
-    let recorder = Rc::new(TraceRecorder::unbounded());
-    let observed = drive(42, |sim| {
-        sim.enable_telemetry(recorder.clone());
-        sim.capture_best_changes(4096);
-        sim.enable_phase_timing();
-    });
-    assert!(!recorder.is_empty(), "the recorder saw the run");
-    assert_same("bare vs observed runs", &bare, &observed);
+    for mrai in MRAIS {
+        let bare = drive(42, mrai, |_| {});
+        let recorder = Rc::new(TraceRecorder::unbounded());
+        let observed = drive(42, mrai, |sim| {
+            sim.enable_telemetry(recorder.clone());
+            sim.capture_best_changes(4096);
+            sim.enable_phase_timing();
+        });
+        assert!(!recorder.is_empty(), "the recorder saw the run");
+        assert_same(&format!("bare vs observed runs at mrai {mrai}"), &bare, &observed);
+    }
 }

@@ -5,7 +5,7 @@
 //!
 //! Usage: `stability_table [--quick] [--threads N] [--out PATH]` —
 //! default output `results/stability.json`. Rows are sealed
-//! deterministic units fanned out across the worker pool and reduced
+//! deterministic units fanned out across worker threads and reduced
 //! in catalog order, then sorted by (gadget, protocol) before
 //! rendering: the output is byte-identical at any thread count.
 //! Exits non-zero if any row is inconsistent, so CI gates on the
@@ -35,8 +35,7 @@ fn main() -> ExitCode {
     let cfg = if quick { ClassifyConfig::quick() } else { ClassifyConfig::full() };
 
     let cases = catalog();
-    let pool = dbgp_par::Pool::new(threads.max(1));
-    let rows: Vec<Row> = dbgp_par::par_map(&pool, &cases, |_, g| build_row(g, &cfg));
+    let rows: Vec<Row> = dbgp_par::par_map(threads, &cases, |_, g| build_row(g, &cfg));
 
     let mut failures = 0usize;
     for row in &rows {
