@@ -1,6 +1,5 @@
-//! Shared harness code for the benchmark binaries and Criterion benches:
-//! the §5 stress test, implemented once and reported two ways, the
-//! full-table ingestion benchmark behind `fulltable_100k`, plus the
+//! Shared harness code for the benchmark binaries: the §5 stress test,
+//! the full-table ingestion benchmark behind `fulltable_100k`, plus the
 //! `BENCH_sim.json` baseline schema validator `sim_bench` enforces.
 
 pub mod baseline;

@@ -25,7 +25,7 @@ pub use dbgp_session::session;
 pub mod speaker;
 
 pub use config::{NeighborConfig, PeerConfig, PeerId};
-pub use decision::{best, best_with, compare, compare_with, Candidate, DecisionOptions};
+pub use decision::{best, compare, Candidate};
 pub use policy::{Clause, MatchCond, PrefixMatch, RouteMap, SetAction};
 pub use rib::{AdjRibIn, AdjRibOut, LocRib, LocRibEntry, RouteSource};
 pub use route::Route;

@@ -184,7 +184,7 @@ pub trait DecisionModule {
 
 /// The baseline tie-break key: shortest path vector, then lowest
 /// neighbor AS, then lowest neighbor id. [`BgpDecision`] orders by
-/// exactly this key; modules that apply their own criterion first
+/// exactly this key; modules that apply their own measure first
 /// (ranked policies, bandwidth, cost) reuse it as the final tie-break so
 /// every selection is a total order and replays are deterministic.
 pub fn baseline_key(c: &CandidateIa<'_>) -> (usize, u32, u32) {

@@ -27,7 +27,7 @@ use crate::filters::{self, FilterConfig, IslandConfig, RejectReason};
 use crate::iadb::IaDb;
 use crate::module::{BgpDecision, CandidateIa, DecisionModule, ImportContext};
 use crate::neighbor::{DbgpNeighbor, NeighborId, PeerClass};
-use dbgp_rib::{recycle, PrefixTrie};
+use dbgp_rib::{recycle, AdjRib, PrefixTrie};
 use dbgp_telemetry::{SelectionReason, SinkHandle, TraceKind};
 use dbgp_wire::{Ia, Ipv4Addr, Ipv4Prefix, ProtocolId};
 use std::cmp::Ordering;
@@ -116,7 +116,7 @@ pub struct DbgpSpeaker {
     iadb: IaDb,
     loc: PrefixTrie<Chosen>,
     originated: PrefixTrie<Arc<Ia>>,
-    adj_out: BTreeMap<NeighborId, PrefixTrie<Arc<Ia>>>,
+    adj_out: AdjRib<NeighborId, Ia>,
     /// Built-outgoing-IA cache, used only when every resident module's
     /// export is uniform: one entry per (prefix, neighbor-in-island,
     /// speaks-dbgp) class, valid while `chosen` is still the installed
@@ -178,7 +178,7 @@ impl DbgpSpeaker {
             iadb: IaDb::new(),
             loc: PrefixTrie::new(),
             originated: PrefixTrie::new(),
-            adj_out: BTreeMap::new(),
+            adj_out: AdjRib::new(),
             out_cache: BTreeMap::new(),
             processed: 0,
             sink: SinkHandle::none(),
@@ -262,9 +262,9 @@ impl DbgpSpeaker {
     /// Remove a neighbor (session loss): flush its IAs and re-decide.
     pub fn neighbor_down(&mut self, id: NeighborId) -> Vec<DbgpOutput> {
         self.neighbors.remove(&id);
-        self.adj_out.remove(&id);
+        self.adj_out.clear_peer(id);
         let mut out = Vec::new();
-        for prefix in self.iadb.drop_neighbor(id) {
+        for prefix in self.iadb.drop_peer(id) {
             self.redecide(prefix, &mut out);
         }
         out
@@ -644,7 +644,7 @@ impl DbgpSpeaker {
                 let winner = views[best];
                 let arc = self
                     .iadb
-                    .get_arc(winner.neighbor, &prefix)
+                    .get(winner.neighbor, &prefix)
                     .expect("winner was enumerated from the IA DB");
                 (
                     Some(Chosen { neighbor: Some(winner.neighbor), ia: Arc::clone(arc) }),
@@ -757,18 +757,15 @@ impl DbgpSpeaker {
                         }
                     }
                 }
-                let withdrawn =
-                    self.adj_out.get_mut(&id).is_some_and(|t| t.remove(&prefix).is_some());
-                if withdrawn {
+                if self.adj_out.withdraw(id, &prefix) {
                     out.push(DbgpOutput::SendWithdraw(id, prefix));
                 }
             }
         }
     }
 
-    /// Adj-RIB-Out diff: emit `SendIa` only when the outgoing IA differs
-    /// from what the neighbor already has (pointer equality short-circuits
-    /// the deep comparison for cache-shared builds).
+    /// Emit `SendIa` only when the Adj-RIB-Out diff says the outgoing IA
+    /// differs from what the neighbor already has.
     fn stage_send(
         &mut self,
         id: NeighborId,
@@ -776,11 +773,7 @@ impl DbgpSpeaker {
         ia: Arc<Ia>,
         out: &mut Vec<DbgpOutput>,
     ) {
-        let slot = self.adj_out.entry(id).or_default();
-        let unchanged =
-            slot.get(&prefix).is_some_and(|prev| Arc::ptr_eq(prev, &ia) || **prev == *ia);
-        if !unchanged {
-            slot.insert(prefix, Arc::clone(&ia));
+        if self.adj_out.advertise(id, prefix, &ia) {
             out.push(DbgpOutput::SendIa(id, ia));
         }
     }

@@ -11,7 +11,8 @@
 //! neighbor as=65002 addr=127.0.0.1:17902 next-hop=10.0.0.1 ia
 //! ```
 //!
-//! One `neighbor` line per peering. Keys: `as=` (required), `addr=`
+//! One `neighbor` line per peering and one peering per AS (a second line
+//! with the same `as=` is an error). Keys: `as=` (required), `addr=`
 //! (the peer's listen address; omit for a passive-only peering),
 //! `next-hop=` (our NEXT_HOP toward this peer; defaults to the router
 //! ID), and the bare flags `passive` (never dial) and `ia` (advertise
@@ -22,6 +23,7 @@
 
 use dbgp_session::{NeighborConfig, PeerConfig};
 use dbgp_wire::{Ipv4Addr, Ipv4Prefix};
+use std::collections::BTreeMap;
 
 /// One `neighbor` line.
 #[derive(Debug, Clone)]
@@ -67,6 +69,7 @@ impl DaemonConfig {
         let mut connect_retry_ms = 1_000u64;
         let mut networks = Vec::new();
         let mut neighbors = Vec::new();
+        let mut neighbor_lines = BTreeMap::new();
         for (idx, raw) in text.lines().enumerate() {
             let lineno = idx + 1;
             let line = raw.split('#').next().unwrap_or("").trim();
@@ -110,7 +113,22 @@ impl DaemonConfig {
                     rest.parse::<Ipv4Prefix>()
                         .map_err(|_| format!("line {lineno}: bad network prefix"))?,
                 ),
-                "neighbor" => neighbors.push(Self::parse_neighbor(rest, lineno)?),
+                "neighbor" => {
+                    let spec = Self::parse_neighbor(rest, lineno)?;
+                    // An inbound connection is matched to its neighbor by
+                    // the AS in its OPEN, and so is the oracle's reverse
+                    // lookup: a second peering with the same AS could
+                    // never be accepted, and its OPEN would land in the
+                    // first one's session.
+                    if let Some(first) = neighbor_lines.insert(spec.peer_as, lineno) {
+                        return Err(format!(
+                            "line {lineno}: neighbor as={} repeats line {first} \
+                             (peerings are matched by AS: one neighbor per AS)",
+                            spec.peer_as
+                        ));
+                    }
+                    neighbors.push(spec);
+                }
                 other => return Err(format!("line {lineno}: unknown directive `{other}`")),
             }
         }
@@ -236,6 +254,17 @@ neighbor as=65003 passive next-hop=10.0.0.9
     fn rejects_active_neighbor_without_addr() {
         let text = "local-as 1\nrouter-id 1.1.1.1\nneighbor as=2\n";
         assert!(DaemonConfig::parse(text).is_err());
+    }
+
+    #[test]
+    fn rejects_a_second_neighbor_in_the_same_as() {
+        let text = "local-as 1\nrouter-id 1.1.1.1\nlisten 127.0.0.1:1\n\
+                    neighbor as=2 addr=127.0.0.1:2\nneighbor as=3 passive\n\
+                    # same AS, other address\nneighbor as=2 addr=127.0.0.1:4\n";
+        let err = DaemonConfig::parse(text).unwrap_err();
+        assert!(err.starts_with("line 7: neighbor as=2 repeats line 4"), "{err}");
+        let distinct = text.replace("as=2 addr=127.0.0.1:4", "as=4 addr=127.0.0.1:4");
+        assert_eq!(DaemonConfig::parse(&distinct).unwrap().neighbors.len(), 3);
     }
 
     #[test]

@@ -60,13 +60,6 @@ pub fn dump_node(node: &Node) -> String {
     out
 }
 
-/// Render only the stable (schedule-independent) subset used for
-/// oracle comparison: peers are reported by AS with their negotiated
-/// capabilities, routes in full.
-pub fn dump_for_diff(node: &Node) -> String {
-    dump_node(node)
-}
-
 /// True if every configured peer of the node reached Established.
 pub fn all_established(node: &Node) -> bool {
     node.peer_ids().iter().all(|id| node.state(*id) == Some(SessionState::Established))

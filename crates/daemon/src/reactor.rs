@@ -201,7 +201,7 @@ impl Reactor {
     }
 
     /// A `dbgp-metrics/v1` snapshot of this daemon as one line of JSON:
-    /// the reactor's socket counters, the routing core's fast-path
+    /// the reactor's socket counters, the routing core's export
     /// counters and the sessions' receive-buffer footprint, as of now.
     pub fn metrics_text(&self) -> String {
         let mut reg = MetricsRegistry::new();
@@ -218,7 +218,6 @@ impl Reactor {
             ("routing.updates_out_total", routing.updates_out()),
             ("routing.nlri_out_total", routing.nlri_out()),
             ("routing.withdrawn_out_total", routing.withdrawn_out()),
-            ("routing.full_scans_avoided_total", routing.full_scans_avoided()),
         ] {
             let id = reg.counter(name, Semantics::Accumulate);
             reg.set_counter(id, value);

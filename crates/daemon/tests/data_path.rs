@@ -1,13 +1,18 @@
 //! The daemon's data path under load: memory that does not grow with
 //! session lifetime, and a socket-to-socket path that loses, reorders
-//! and delays nothing when the receiving peer is slow.
+//! and delays nothing when the receiving peer is slow — and an
+//! Integrated Advertisement that crosses two daemons which do not know
+//! what one is.
 
 use dbgp_daemon::testutil::{hub_config_text, keepalive_bytes, open_bytes, table_bytes, HUB_AS};
 use dbgp_daemon::{DaemonConfig, Node, NodeOutput, Reactor, ReactorOptions, RunOutcome};
 use dbgp_session::{ConnDir, PeerId, StreamReassembler};
-use dbgp_wire::attrs::{AsPath, Origin, PathAttribute};
+use dbgp_wire::attrs::{
+    code, AsPath, Origin, PathAttribute, FLAG_OPTIONAL, FLAG_PARTIAL, FLAG_TRANSITIVE,
+};
+use dbgp_wire::ia::dkey;
 use dbgp_wire::message::{BgpMessage, UpdateMsg, TYPE_UPDATE};
-use dbgp_wire::{Ipv4Addr, Ipv4Prefix};
+use dbgp_wire::{Ia, Ipv4Addr, Ipv4Prefix, IslandId, ProtocolId};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
@@ -19,16 +24,38 @@ const FEEDER: PeerId = PeerId(1);
 
 /// An in-process hub with the sink's and the feeder's sessions up.
 fn established_node() -> Node {
-    let cfg = DaemonConfig::parse(&hub_config_text(None, &[SINK_AS, FEEDER_AS])).expect("config");
-    let mut node = Node::from_config(&cfg);
+    established_node_in(HUB_AS, SINK_AS, FEEDER_AS)
+}
+
+/// An in-process daemon in AS `local_as` with its sessions to a
+/// downstream neighbor ([`SINK`]) and an upstream one ([`FEEDER`]) up.
+/// No neighbor is configured `ia`: the daemon is IA-oblivious.
+fn established_node_in(local_as: u32, downstream_as: u32, upstream_as: u32) -> Node {
+    let text = hub_config_text(None, &[downstream_as, upstream_as])
+        .replace(&format!("local-as {HUB_AS}"), &format!("local-as {local_as}"));
+    let mut node = Node::from_config(&DaemonConfig::parse(&text).expect("config"));
     node.start(0);
-    for (peer, asn) in [(SINK, SINK_AS), (FEEDER, FEEDER_AS)] {
+    for (peer, asn) in [(SINK, downstream_as), (FEEDER, upstream_as)] {
         node.accepted(1, peer);
         node.bytes_in(2, peer, ConnDir::In, &open_bytes(asn));
         node.bytes_in(3, peer, ConnDir::In, &keepalive_bytes());
     }
     assert_eq!(node.established_count(), 2);
     node
+}
+
+/// What `node` sends its downstream neighbor when `bytes` arrive from
+/// its upstream one.
+fn relayed(node: &mut Node, now: u64, bytes: &[u8]) -> Vec<u8> {
+    let mut downstream = Vec::new();
+    for output in node.bytes_in(now, FEEDER, ConnDir::In, bytes) {
+        match output {
+            NodeOutput::Send(SINK, _, frame) => downstream.extend_from_slice(&frame),
+            NodeOutput::Send(..) | NodeOutput::Best(..) => {}
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+    downstream
 }
 
 /// Frames in a concatenation of well-formed BGP messages.
@@ -98,22 +125,79 @@ fn an_update_too_large_to_re_export_costs_no_other_session() {
     let update = BgpMessage::Update(UpdateMsg::announce(vec![prefix], attributes)).encode(true);
     assert_eq!(update.len(), 4095);
 
-    let mut to_sink = Vec::new();
-    for output in node.bytes_in(10, FEEDER, ConnDir::In, &update) {
-        match output {
-            NodeOutput::Send(SINK, _, frame) => to_sink.push(frame),
-            NodeOutput::Send(..) | NodeOutput::Best(..) => {}
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-    assert_eq!(to_sink.len(), 1, "{to_sink:?}");
+    let to_sink = relayed(&mut node, 10, &update);
+    assert_eq!(frame_count(&to_sink), 1, "{to_sink:?}");
     let mut rx = StreamReassembler::new();
-    rx.push(&to_sink[0]);
+    rx.push(&to_sink);
     let sent = rx.next_message(true).expect("a well-formed frame");
     assert_eq!(sent, Some(BgpMessage::Update(UpdateMsg::withdraw(vec![prefix]))));
     assert_eq!(node.established_count(), 2);
     assert_eq!(node.routing().loc_rib().len(), 1);
     assert_eq!(node.routing().exports_oversize(), 1);
+}
+
+/// The paper's §3.5 pass-through on the code `dbgpd` runs: an IA rides
+/// an UPDATE as the optional-transitive `IA_PAYLOAD` attribute through
+/// two daemons in different ASes, neither of which negotiated the IA
+/// capability or can parse the payload (feeder → hub₁ → hub₂ → sink).
+/// The sink is sent the payload byte for byte, marked PARTIAL by the
+/// first speaker that did not recognise it, beside an AS_PATH that both
+/// hubs prepended themselves to.
+#[test]
+fn an_ia_crosses_two_ia_oblivious_daemons_intact() {
+    const HUB2_AS: u32 = 65010;
+    let mut hub1 = established_node_in(HUB_AS, HUB2_AS, FEEDER_AS);
+    let mut hub2 = established_node_in(HUB2_AS, SINK_AS, HUB_AS);
+
+    let prefix: Ipv4Prefix = "128.6.0.0/16".parse().expect("a /16");
+    let ia = Ia::builder(prefix, Ipv4Addr::new(192, 0, 2, 1))
+        .as_hop(FEEDER_AS)
+        .path_descriptor(ProtocolId::WISER, dkey::WISER_PATH_COST, 15u64.to_be_bytes().to_vec())
+        .island_descriptor(IslandId(500), ProtocolId::SCION, dkey::SCION_PATHS, b"br1 br2".to_vec())
+        .build()
+        .expect("a valid IA");
+    let payload = ia.encode();
+    let attributes = vec![
+        PathAttribute::Origin(Origin::Igp),
+        PathAttribute::AsPath(AsPath::from_sequence(vec![FEEDER_AS])),
+        PathAttribute::NextHop(Ipv4Addr::new(192, 0, 2, 1)),
+        PathAttribute::Unknown {
+            flags: FLAG_OPTIONAL | FLAG_TRANSITIVE,
+            code: code::IA_PAYLOAD,
+            data: payload.clone(),
+        },
+    ];
+    let fed = BgpMessage::Update(UpdateMsg::announce(vec![prefix], attributes)).encode(true);
+
+    let between = relayed(&mut hub1, 10, &fed);
+    let at_sink = relayed(&mut hub2, 11, &between);
+    assert_eq!(frame_count(&at_sink), 1);
+    let mut rx = StreamReassembler::new();
+    rx.push(&at_sink);
+    let Some(BgpMessage::Update(update)) = rx.next_message(true).expect("a well-formed frame")
+    else {
+        panic!("the sink is sent an UPDATE");
+    };
+    assert_eq!(update.nlri, vec![prefix]);
+    assert!(update.withdrawn.is_empty());
+    let mut seen = (false, false);
+    for attr in &update.attributes {
+        match attr {
+            PathAttribute::AsPath(path) => {
+                assert_eq!(*path, AsPath::from_sequence(vec![HUB2_AS, HUB_AS, FEEDER_AS]));
+                seen.0 = true;
+            }
+            PathAttribute::Unknown { flags, code: code::IA_PAYLOAD, data } => {
+                assert_eq!(*data, payload, "the payload crossed byte-identical");
+                let want = FLAG_OPTIONAL | FLAG_TRANSITIVE | FLAG_PARTIAL;
+                assert_eq!(flags & want, want, "flags {flags:#04x}");
+                assert_eq!(Ia::decode(data.clone()).expect("still an IA"), ia);
+                seen.1 = true;
+            }
+            _ => {}
+        }
+    }
+    assert_eq!(seen, (true, true), "AS_PATH and IA_PAYLOAD at the sink: {update:?}");
 }
 
 /// Connect to the hub as the peer in AS `asn` and bring the session up.

@@ -7,7 +7,7 @@
 //! * a fraction of ASes (0–100%, step 10) adopt an *archetype* protocol;
 //!   adopters are chosen uniformly at random, 9 trials, 95% CIs;
 //! * non-upgraded ASes select shortest valley-free paths (BGP's second
-//!   criterion, local preferences being opaque);
+//!   tie-break, local preferences being opaque);
 //! * in the **D-BGP baseline**, archetype control information passes
 //!   through non-upgraded ASes; in the **BGP baseline**, it is dropped
 //!   at the first non-upgraded hop;

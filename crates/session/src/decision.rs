@@ -53,45 +53,9 @@ impl<'a> Candidate<'a> {
     }
 }
 
-/// Knobs for the decision process. The defaults reproduce RFC 4271
-/// exactly; every existing call site uses them.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DecisionOptions {
-    /// Compare MED across different neighbouring ASes too (the
-    /// `bgp always-compare-med` operator knob). Off by default, as in
-    /// RFC 4271: MED is only meaningful between routes from the same
-    /// neighbouring AS.
-    pub always_compare_med: bool,
-}
-
-/// True when [`compare_with`] under `opts` is a strict total order, the
-/// precondition for incremental "strictly worse" pruning: a challenger
-/// that loses to the installed best can then never win a full scan.
-///
-/// The default RFC 4271 MED rule breaks this — MED is consulted only
-/// between routes from the *same* neighbouring AS, which makes the
-/// comparison pair-dependent and intransitive (see the cycle in
-/// `med_default_is_intransitive`), so a challenger that loses to the
-/// incumbent head-to-head can still win the `best_with` fold. With
-/// `always_compare_med` every rung compares per-candidate values
-/// lexicographically, ending at the peer-id rung that never ties, so
-/// the order is total and the fast path is sound.
-pub fn supports_incremental(opts: DecisionOptions) -> bool {
-    opts.always_compare_med
-}
-
 /// Compare two candidates and report the decisive tie-break step.
 /// `Ordering::Greater` means `a` is preferred.
 pub fn compare_explain(a: &Candidate<'_>, b: &Candidate<'_>) -> (Ordering, SelectionReason) {
-    compare_explain_with(a, b, DecisionOptions::default())
-}
-
-/// [`compare_explain`] with explicit [`DecisionOptions`].
-pub fn compare_explain_with(
-    a: &Candidate<'_>,
-    b: &Candidate<'_>,
-    opts: DecisionOptions,
-) -> (Ordering, SelectionReason) {
     // Locally originated routes beat everything.
     let a_local = matches!(a.source, RouteSource::Local);
     let b_local = matches!(b.source, RouteSource::Local);
@@ -115,9 +79,8 @@ pub fn compare_explain_with(
     if origin != Ordering::Equal {
         return (origin, SelectionReason::Origin);
     }
-    // 4. Lowest MED — same neighbouring AS only, unless the operator
-    // asked for always-compare-med.
-    if opts.always_compare_med || a.peer_as == b.peer_as {
+    // 4. Lowest MED — same neighbouring AS only.
+    if a.peer_as == b.peer_as {
         let med = b.route.med.unwrap_or(0).cmp(&a.route.med.unwrap_or(0));
         if med != Ordering::Equal {
             return (med, SelectionReason::Med);
@@ -146,24 +109,14 @@ pub fn compare(a: &Candidate<'_>, b: &Candidate<'_>) -> Ordering {
     compare_explain(a, b).0
 }
 
-/// [`compare`] with explicit [`DecisionOptions`].
-pub fn compare_with(a: &Candidate<'_>, b: &Candidate<'_>, opts: DecisionOptions) -> Ordering {
-    compare_explain_with(a, b, opts).0
-}
-
 /// Pick the index of the best candidate, or `None` if the slice is empty.
 pub fn best(candidates: &[Candidate<'_>]) -> Option<usize> {
-    best_with(candidates, DecisionOptions::default())
-}
-
-/// [`best`] with explicit [`DecisionOptions`].
-pub fn best_with(candidates: &[Candidate<'_>], opts: DecisionOptions) -> Option<usize> {
     if candidates.is_empty() {
         return None;
     }
     let mut best = 0;
     for i in 1..candidates.len() {
-        if compare_with(&candidates[i], &candidates[best], opts) == Ordering::Greater {
+        if compare(&candidates[i], &candidates[best]) == Ordering::Greater {
             best = i;
         }
     }
@@ -173,15 +126,7 @@ pub fn best_with(candidates: &[Candidate<'_>], opts: DecisionOptions) -> Option<
 /// Like [`best`], but also report which tie-break step separated the
 /// winner from the runner-up (the best of the remaining candidates).
 pub fn best_explain(candidates: &[Candidate<'_>]) -> Option<(usize, SelectionReason)> {
-    best_explain_with(candidates, DecisionOptions::default())
-}
-
-/// [`best_explain`] with explicit [`DecisionOptions`].
-pub fn best_explain_with(
-    candidates: &[Candidate<'_>],
-    opts: DecisionOptions,
-) -> Option<(usize, SelectionReason)> {
-    let winner = best_with(candidates, opts)?;
+    let winner = best(candidates)?;
     if candidates.len() == 1 {
         return Some((winner, SelectionReason::OnlyCandidate));
     }
@@ -190,11 +135,11 @@ pub fn best_explain_with(
         if i == winner || i == runner {
             continue;
         }
-        if compare_with(&candidates[i], &candidates[runner], opts) == Ordering::Greater {
+        if compare(&candidates[i], &candidates[runner]) == Ordering::Greater {
             runner = i;
         }
     }
-    let (_, step) = compare_explain_with(&candidates[winner], &candidates[runner], opts);
+    let (_, step) = compare_explain(&candidates[winner], &candidates[runner]);
     Some((winner, step))
 }
 
@@ -352,9 +297,11 @@ mod tests {
     fn med_default_is_intransitive() {
         // The textbook MED cycle: a beats b (different AS, router-id),
         // b beats c (different AS, router-id), c beats a (same AS,
-        // lower MED). This is why `supports_incremental` refuses the
-        // default options: "strictly worse than the incumbent" does not
-        // imply "cannot win a full scan" in a cyclic preference.
+        // lower MED). This is why `RoutingCore` has no incremental fast
+        // path and re-scans every candidate on every change: "strictly
+        // worse than the incumbent" does not imply "cannot win a full
+        // scan" in a cyclic preference, and pruning on it is only sound
+        // over a total order (Daggitt & Griffin, arXiv 2106.01184).
         let mut ra = route(vec![1, 2]);
         ra.med = Some(50);
         let mut rb = route(vec![3, 4]);
@@ -364,18 +311,9 @@ mod tests {
         let a = cand(&ra, 1, 7, true, 1);
         let b = cand(&rb, 2, 8, true, 2);
         let c = cand(&rc, 3, 7, true, 3);
-        let opts = DecisionOptions::default();
-        assert_eq!(compare_with(&a, &b, opts), Ordering::Greater);
-        assert_eq!(compare_with(&b, &c, opts), Ordering::Greater);
-        assert_eq!(compare_with(&c, &a, opts), Ordering::Greater, "cycle closes");
-        assert!(!supports_incremental(opts));
-        // always-compare-med restores transitivity: the MED rung now
-        // fires for every pair, breaking the cycle at a-vs-b.
-        let total = DecisionOptions { always_compare_med: true };
-        assert_eq!(compare_with(&b, &a, total), Ordering::Greater);
-        assert_eq!(compare_with(&b, &c, total), Ordering::Greater);
-        assert_eq!(compare_with(&c, &a, total), Ordering::Greater);
-        assert!(supports_incremental(total));
+        assert_eq!(compare(&a, &b), Ordering::Greater);
+        assert_eq!(compare(&b, &c), Ordering::Greater);
+        assert_eq!(compare(&c, &a), Ordering::Greater, "cycle closes");
     }
 
     #[test]

@@ -44,7 +44,7 @@ pub mod session;
 pub mod stream;
 
 pub use config::{NeighborConfig, PeerConfig, PeerId};
-pub use decision::{best, best_with, compare, compare_with, Candidate, DecisionOptions};
+pub use decision::{best, compare, Candidate};
 pub use peer::{ConnDir, CoreOutput, SessionCore};
 pub use policy::{Clause, MatchCond, PrefixMatch, RouteMap, SetAction};
 pub use rib::{AdjRibIn, AdjRibOut, LocRib, LocRibEntry, RouteSource};

@@ -1,125 +1,27 @@
 //! Routing information bases: Adj-RIB-In, Loc-RIB and Adj-RIB-Out
-//! (RFC 4271 §3.2), backed by the `dbgp-rib` prefix trie.
+//! (RFC 4271 §3.2), all `dbgp-rib` tables.
 //!
-//! Routes are interned behind `Arc` so the decision process, the
-//! Loc-RIB and the per-peer Adj-RIB-Out bookkeeping share one
-//! allocation per distinct route instead of deep-cloning AS paths at
-//! every hand-off; with multi-NLRI UPDATEs one decoded attribute block
-//! is additionally shared across every prefix it announces. Each
-//! per-peer table and the Loc-RIB is a [`PrefixTrie`], so exact
-//! lookups and `longest_match` are bounded by prefix depth rather than
-//! table size, and the decision-process hot paths (`candidates`,
-//! `prefixes`) are allocation-free iterators.
+//! The two Adj-RIBs are one [`AdjRib`] keyed by [`PeerId`]: routes are
+//! interned behind `Arc`, so the decision process, the Loc-RIB and the
+//! per-peer Adj-RIB-Out bookkeeping share one allocation per distinct
+//! route instead of deep-cloning AS paths at every hand-off. The
+//! Loc-RIB is a [`PrefixTrie`], so `longest_match` is bounded by prefix
+//! depth rather than table size.
 
 use crate::config::PeerId;
 use crate::route::Route;
-use dbgp_rib::{Keys, PrefixTrie};
-use dbgp_wire::{Ipv4Addr, Ipv4Prefix};
-use std::collections::BTreeMap;
-use std::iter::Peekable;
+use dbgp_rib::{AdjRib, PrefixTrie};
 use std::sync::Arc;
 
 /// Routes received from each peer, post-import-policy.
-#[derive(Debug, Clone, Default)]
-pub struct AdjRibIn {
-    // BTreeMap (not HashMap) so `candidates` yields peers in ascending
-    // order without a sort.
-    routes: BTreeMap<PeerId, PrefixTrie<Arc<Route>>>,
-}
+pub type AdjRibIn = AdjRib<PeerId, Route>;
 
-impl AdjRibIn {
-    /// Create an empty Adj-RIB-In.
-    pub fn new() -> Self {
-        Self::default()
-    }
+/// What we last advertised to each peer, so withdrawals and implicit
+/// replacements can be generated precisely.
+pub type AdjRibOut = AdjRib<PeerId, Route>;
 
-    /// Store a route from a peer, replacing any previous one (implicit
-    /// withdraw). Returns the replaced route. Takes the route by `Arc`
-    /// so one attribute block decoded from a multi-NLRI UPDATE is
-    /// shared across all the prefixes it announced.
-    pub fn insert(
-        &mut self,
-        peer: PeerId,
-        prefix: Ipv4Prefix,
-        route: Arc<Route>,
-    ) -> Option<Arc<Route>> {
-        self.routes.entry(peer).or_default().insert(prefix, route)
-    }
-
-    /// Remove a route (explicit withdraw). Returns the removed route.
-    pub fn remove(&mut self, peer: PeerId, prefix: &Ipv4Prefix) -> Option<Arc<Route>> {
-        self.routes.get_mut(&peer).and_then(|t| t.remove(prefix))
-    }
-
-    /// Remove everything learned from `peer` (session reset). Returns the
-    /// affected prefixes.
-    pub fn drop_peer(&mut self, peer: PeerId) -> Vec<Ipv4Prefix> {
-        self.routes.remove(&peer).map(|t| t.keys().copied().collect()).unwrap_or_default()
-    }
-
-    /// The route `peer` gave us for `prefix`, if any.
-    pub fn get(&self, peer: PeerId, prefix: &Ipv4Prefix) -> Option<&Route> {
-        self.routes.get(&peer).and_then(|t| t.get(prefix)).map(Arc::as_ref)
-    }
-
-    /// All (peer, route) candidates for one prefix, in ascending peer
-    /// order. Allocation-free: this runs once per decision-process
-    /// invocation.
-    pub fn candidates(
-        &self,
-        prefix: &Ipv4Prefix,
-    ) -> impl Iterator<Item = (PeerId, &Arc<Route>)> + '_ {
-        let prefix = *prefix;
-        self.routes.iter().filter_map(move |(peer, t)| t.get(&prefix).map(|r| (*peer, r)))
-    }
-
-    /// Every prefix any peer has advertised, ascending and
-    /// deduplicated — a lazy k-way merge of the per-peer tries.
-    pub fn prefixes(&self) -> MergedPrefixes<'_> {
-        MergedPrefixes { peers: self.routes.values().map(|t| t.keys().peekable()).collect() }
-    }
-
-    /// Number of distinct peers with at least one route.
-    pub fn peer_count(&self) -> usize {
-        self.routes.values().filter(|t| !t.is_empty()).count()
-    }
-
-    /// Total route count across all peers.
-    pub fn len(&self) -> usize {
-        self.routes.values().map(PrefixTrie::len).sum()
-    }
-
-    /// True if no routes are stored.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Arena bytes held by the per-peer tries (shared route targets
-    /// are counted at the interning site, not here).
-    pub fn memory_bytes(&self) -> usize {
-        self.routes.values().map(PrefixTrie::memory_bytes).sum()
-    }
-}
-
-/// Sorted, deduplicated union of every peer's advertised prefixes.
-/// See [`AdjRibIn::prefixes`].
-pub struct MergedPrefixes<'a> {
-    peers: Vec<Peekable<Keys<'a, Arc<Route>>>>,
-}
-
-impl Iterator for MergedPrefixes<'_> {
-    type Item = Ipv4Prefix;
-
-    fn next(&mut self) -> Option<Ipv4Prefix> {
-        let min = **self.peers.iter_mut().filter_map(|it| it.peek()).min()?;
-        for it in &mut self.peers {
-            if it.peek() == Some(&&min) {
-                it.next();
-            }
-        }
-        Some(min)
-    }
-}
+/// The speaker's view of best paths, one per prefix.
+pub type LocRib = PrefixTrie<LocRibEntry>;
 
 /// Where a Loc-RIB entry came from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -147,247 +49,5 @@ impl PartialEq for LocRibEntry {
             // Pointer equality short-circuits the common "same interned
             // route re-selected" comparison.
             && (Arc::ptr_eq(&self.route, &other.route) || *self.route == *other.route)
-    }
-}
-
-/// The speaker's view of best paths, one per prefix.
-#[derive(Debug, Clone, Default)]
-pub struct LocRib {
-    entries: PrefixTrie<LocRibEntry>,
-}
-
-impl LocRib {
-    /// Create an empty Loc-RIB.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Install (or replace) the best route for a prefix. Returns the
-    /// previous entry.
-    pub fn install(&mut self, prefix: Ipv4Prefix, entry: LocRibEntry) -> Option<LocRibEntry> {
-        self.entries.insert(prefix, entry)
-    }
-
-    /// Remove the route for a prefix entirely.
-    pub fn remove(&mut self, prefix: &Ipv4Prefix) -> Option<LocRibEntry> {
-        self.entries.remove(prefix)
-    }
-
-    /// Exact-prefix lookup.
-    pub fn get(&self, prefix: &Ipv4Prefix) -> Option<&LocRibEntry> {
-        self.entries.get(prefix)
-    }
-
-    /// Longest-prefix-match lookup for a destination address, as the
-    /// data plane would perform it. One trie descent, not a scan.
-    pub fn longest_match(&self, addr: Ipv4Addr) -> Option<(&Ipv4Prefix, &LocRibEntry)> {
-        self.entries.longest_match(addr)
-    }
-
-    /// Iterate all entries in prefix order.
-    pub fn iter(&self) -> impl Iterator<Item = (&Ipv4Prefix, &LocRibEntry)> {
-        self.entries.iter()
-    }
-
-    /// Number of installed prefixes.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True if nothing is installed.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Arena bytes held by the underlying trie.
-    pub fn memory_bytes(&self) -> usize {
-        self.entries.memory_bytes()
-    }
-}
-
-/// What we last advertised to each peer, so withdrawals and implicit
-/// replacements can be generated precisely.
-#[derive(Debug, Clone, Default)]
-pub struct AdjRibOut {
-    routes: BTreeMap<PeerId, PrefixTrie<Arc<Route>>>,
-}
-
-impl AdjRibOut {
-    /// Create an empty Adj-RIB-Out.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record an advertisement. Returns `true` if this changed what the
-    /// peer sees (new route or different attributes).
-    pub fn advertise(&mut self, peer: PeerId, prefix: Ipv4Prefix, route: Arc<Route>) -> bool {
-        let slot = self.routes.entry(peer).or_default();
-        match slot.get(&prefix) {
-            Some(existing) if Arc::ptr_eq(existing, &route) || **existing == *route => false,
-            _ => {
-                slot.insert(prefix, route);
-                true
-            }
-        }
-    }
-
-    /// Record a withdrawal. Returns `true` if the peer had the route.
-    pub fn withdraw(&mut self, peer: PeerId, prefix: &Ipv4Prefix) -> bool {
-        self.routes.get_mut(&peer).is_some_and(|t| t.remove(prefix).is_some())
-    }
-
-    /// Forget everything advertised to `peer` (session reset).
-    pub fn drop_peer(&mut self, peer: PeerId) {
-        self.routes.remove(&peer);
-    }
-
-    /// What we last sent `peer` for `prefix`.
-    pub fn get(&self, peer: PeerId, prefix: &Ipv4Prefix) -> Option<&Route> {
-        self.routes.get(&peer).and_then(|t| t.get(prefix)).map(Arc::as_ref)
-    }
-
-    /// All prefixes currently advertised to `peer`.
-    pub fn prefixes_for(&self, peer: PeerId) -> Vec<Ipv4Prefix> {
-        self.routes.get(&peer).map(|t| t.keys().copied().collect()).unwrap_or_default()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use dbgp_wire::attrs::AsPath;
-
-    fn p(s: &str) -> Ipv4Prefix {
-        s.parse().unwrap()
-    }
-
-    fn route(first_as: u32) -> Route {
-        let mut r = Route::originated(Ipv4Addr::new(10, 0, 0, 1));
-        r.as_path = AsPath::from_sequence(vec![first_as]);
-        r
-    }
-
-    fn arc(first_as: u32) -> Arc<Route> {
-        Arc::new(route(first_as))
-    }
-
-    #[test]
-    fn adj_in_insert_replace_remove() {
-        let mut rib = AdjRibIn::new();
-        assert!(rib.insert(PeerId(1), p("10.0.0.0/8"), arc(1)).is_none());
-        // Implicit withdraw: replacement returns the old route.
-        let old = rib.insert(PeerId(1), p("10.0.0.0/8"), arc(2));
-        assert_eq!(old.as_deref(), Some(&route(1)));
-        assert_eq!(rib.len(), 1);
-        assert_eq!(rib.remove(PeerId(1), &p("10.0.0.0/8")).as_deref(), Some(&route(2)));
-        assert!(rib.is_empty());
-    }
-
-    #[test]
-    fn adj_in_candidates_are_per_prefix_and_ordered() {
-        let mut rib = AdjRibIn::new();
-        rib.insert(PeerId(2), p("10.0.0.0/8"), arc(2));
-        rib.insert(PeerId(1), p("10.0.0.0/8"), arc(1));
-        rib.insert(PeerId(1), p("192.168.0.0/16"), arc(3));
-        let cands: Vec<_> = rib.candidates(&p("10.0.0.0/8")).collect();
-        assert_eq!(cands.len(), 2);
-        assert_eq!(cands[0].0, PeerId(1));
-        assert_eq!(cands[1].0, PeerId(2));
-    }
-
-    #[test]
-    fn adj_in_shares_one_route_across_prefixes() {
-        let mut rib = AdjRibIn::new();
-        let shared = arc(7);
-        rib.insert(PeerId(1), p("10.0.0.0/8"), Arc::clone(&shared));
-        rib.insert(PeerId(1), p("192.168.0.0/16"), Arc::clone(&shared));
-        // Two prefixes, one attribute block: the interned Arc plus our
-        // local handle.
-        assert_eq!(Arc::strong_count(&shared), 3);
-    }
-
-    #[test]
-    fn adj_in_prefixes_merge_sorted_dedup() {
-        let mut rib = AdjRibIn::new();
-        rib.insert(PeerId(2), p("10.0.0.0/8"), arc(2));
-        rib.insert(PeerId(1), p("10.0.0.0/8"), arc(1));
-        rib.insert(PeerId(1), p("192.168.0.0/16"), arc(1));
-        rib.insert(PeerId(3), p("0.0.0.0/0"), arc(3));
-        rib.insert(PeerId(2), p("10.5.0.0/16"), arc(2));
-        let got: Vec<_> = rib.prefixes().collect();
-        assert_eq!(
-            got,
-            vec![p("0.0.0.0/0"), p("10.0.0.0/8"), p("10.5.0.0/16"), p("192.168.0.0/16")]
-        );
-    }
-
-    #[test]
-    fn adj_in_drop_peer_reports_prefixes() {
-        let mut rib = AdjRibIn::new();
-        rib.insert(PeerId(1), p("10.0.0.0/8"), arc(1));
-        rib.insert(PeerId(1), p("192.168.0.0/16"), arc(1));
-        rib.insert(PeerId(2), p("10.0.0.0/8"), arc(2));
-        let mut dropped = rib.drop_peer(PeerId(1));
-        dropped.sort();
-        assert_eq!(dropped, vec![p("10.0.0.0/8"), p("192.168.0.0/16")]);
-        assert_eq!(rib.len(), 1);
-    }
-
-    #[test]
-    fn loc_rib_longest_match() {
-        let mut rib = LocRib::new();
-        rib.install(
-            p("10.0.0.0/8"),
-            LocRibEntry { route: arc(1), source: RouteSource::Peer(PeerId(1)) },
-        );
-        rib.install(
-            p("10.5.0.0/16"),
-            LocRibEntry { route: arc(2), source: RouteSource::Peer(PeerId(2)) },
-        );
-        let (prefix, entry) = rib.longest_match(Ipv4Addr::new(10, 5, 1, 1)).unwrap();
-        assert_eq!(*prefix, p("10.5.0.0/16"));
-        assert_eq!(entry.source, RouteSource::Peer(PeerId(2)));
-        let (prefix, _) = rib.longest_match(Ipv4Addr::new(10, 6, 1, 1)).unwrap();
-        assert_eq!(*prefix, p("10.0.0.0/8"));
-        assert!(rib.longest_match(Ipv4Addr::new(11, 0, 0, 1)).is_none());
-    }
-
-    #[test]
-    fn loc_rib_default_route_catches_all() {
-        let mut rib = LocRib::new();
-        rib.install(Ipv4Prefix::DEFAULT, LocRibEntry { route: arc(1), source: RouteSource::Local });
-        rib.install(
-            p("10.0.0.0/8"),
-            LocRibEntry { route: arc(2), source: RouteSource::Peer(PeerId(1)) },
-        );
-        let (prefix, _) = rib.longest_match(Ipv4Addr::new(8, 8, 8, 8)).unwrap();
-        assert_eq!(*prefix, Ipv4Prefix::DEFAULT);
-        let (prefix, _) = rib.longest_match(Ipv4Addr::new(10, 1, 1, 1)).unwrap();
-        assert_eq!(*prefix, p("10.0.0.0/8"));
-    }
-
-    #[test]
-    fn adj_out_dedupes_identical_advertisements() {
-        let mut rib = AdjRibOut::new();
-        let interned = arc(1);
-        assert!(rib.advertise(PeerId(1), p("10.0.0.0/8"), Arc::clone(&interned)));
-        assert!(
-            !rib.advertise(PeerId(1), p("10.0.0.0/8"), interned),
-            "same interned route, ptr-eq fast path"
-        );
-        assert!(
-            !rib.advertise(PeerId(1), p("10.0.0.0/8"), arc(1)),
-            "equal attributes, no change, no send"
-        );
-        assert!(rib.advertise(PeerId(1), p("10.0.0.0/8"), arc(2)), "changed attributes");
-    }
-
-    #[test]
-    fn adj_out_withdraw_only_if_advertised() {
-        let mut rib = AdjRibOut::new();
-        assert!(!rib.withdraw(PeerId(1), &p("10.0.0.0/8")));
-        rib.advertise(PeerId(1), p("10.0.0.0/8"), arc(1));
-        assert!(rib.withdraw(PeerId(1), &p("10.0.0.0/8")));
-        assert!(!rib.withdraw(PeerId(1), &p("10.0.0.0/8")));
     }
 }

@@ -12,7 +12,7 @@
 //! oracle-vs-daemon bit-match meaningful.
 
 use crate::config::{NeighborConfig, PeerId};
-use crate::decision::{self, Candidate, DecisionOptions};
+use crate::decision::{self, Candidate};
 use crate::rib::{AdjRibIn, AdjRibOut, LocRib, LocRibEntry, RouteSource};
 use crate::route::Route;
 use crate::session::{Millis, SessionSummary};
@@ -20,7 +20,6 @@ use dbgp_rib::{recycle, PrefixTrie};
 use dbgp_telemetry::{SelectionReason, SinkHandle, TraceKind};
 use dbgp_wire::message::UpdateMsg;
 use dbgp_wire::{Ipv4Addr, Ipv4Prefix, WireError};
-use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -79,14 +78,6 @@ pub struct RoutingCore {
     originated: PrefixTrie<Arc<Route>>,
     sink: SinkHandle,
     node_label: u32,
-    /// Decision-process knobs; also gate the incremental fast path
-    /// (only a total comparison order supports strictly-worse pruning).
-    opts: DecisionOptions,
-    /// Master switch for the incremental fast path (on by default; it
-    /// only ever fires when `opts` supports it).
-    incremental: bool,
-    /// Full decision scans skipped by the incremental fast path.
-    fast_path_hits: u64,
     /// Exports answered from a peer's `last_export` / built afresh.
     exports_shared: u64,
     exports_computed: u64,
@@ -117,9 +108,6 @@ impl RoutingCore {
             originated: PrefixTrie::new(),
             sink: SinkHandle::none(),
             node_label: 0,
-            opts: DecisionOptions::default(),
-            incremental: true,
-            fast_path_hits: 0,
             exports_shared: 0,
             exports_computed: 0,
             exports_oversize: 0,
@@ -129,30 +117,6 @@ impl RoutingCore {
             scratch_arcs: Vec::new(),
             scratch_cands: Vec::new(),
         }
-    }
-
-    /// Set the decision-process options. Must be called before routes
-    /// flow: changing the comparison order with routes installed would
-    /// leave the Loc-RIB inconsistent with future decisions.
-    pub fn set_decision_options(&mut self, opts: DecisionOptions) {
-        self.opts = opts;
-    }
-
-    /// The decision-process options in force.
-    pub fn decision_options(&self) -> DecisionOptions {
-        self.opts
-    }
-
-    /// Enable/disable the incremental decision fast path (enabled by
-    /// default; it only fires when the decision options form a total
-    /// order — see [`decision::supports_incremental`]).
-    pub fn set_incremental(&mut self, on: bool) {
-        self.incremental = on;
-    }
-
-    /// Full decision scans the incremental fast path has avoided.
-    pub fn full_scans_avoided(&self) -> u64 {
-        self.fast_path_hits
     }
 
     /// Exports that reused the route already built for the same
@@ -254,7 +218,7 @@ impl RoutingCore {
         if let Some(peer) = self.peers.get_mut(&id) {
             peer.summary = None;
             peer.last_export = None;
-            self.adj_out.drop_peer(id);
+            self.adj_out.clear_peer(id);
             for prefix in self.adj_in.drop_peer(id) {
                 self.redecide(now, prefix, &mut out);
             }
@@ -276,15 +240,8 @@ impl RoutingCore {
         update: UpdateMsg,
     ) -> (Vec<RibOp>, Option<WireError>) {
         let mut out = Vec::new();
-        let fast = self.incremental && decision::supports_incremental(self.opts);
         for prefix in &update.withdrawn {
             if self.adj_in.remove(id, prefix).is_some() {
-                // Removing a candidate that is not the installed best
-                // cannot change the winner of a total-order scan.
-                if fast && self.loser_withdrawal(id, prefix) {
-                    self.fast_path_hits += 1;
-                    continue;
-                }
                 self.redecide(now, *prefix, &mut out);
             }
         }
@@ -322,11 +279,6 @@ impl RoutingCore {
                 continue;
             }
             if transparent {
-                if fast && self.arrival_cannot_win(id, *prefix, &route) {
-                    self.fast_path_hits += 1;
-                    self.adj_in.insert(id, *prefix, Arc::clone(&route));
-                    continue;
-                }
                 self.adj_in.insert(id, *prefix, Arc::clone(&route));
             } else {
                 let mut candidate = (*route).clone();
@@ -334,14 +286,6 @@ impl RoutingCore {
                 if import.apply(prefix, &mut candidate, peer_as) {
                     let interned =
                         if candidate == *route { Arc::clone(&route) } else { Arc::new(candidate) };
-                    // The comparison must see the post-import route —
-                    // exactly what a full scan would read back out of
-                    // the Adj-RIB-In.
-                    if fast && self.arrival_cannot_win(id, *prefix, &interned) {
-                        self.fast_path_hits += 1;
-                        self.adj_in.insert(id, *prefix, interned);
-                        continue;
-                    }
                     self.adj_in.insert(id, *prefix, interned);
                 } else if self.adj_in.remove(id, prefix).is_none() {
                     continue; // rejected and never stored: nothing changes
@@ -386,7 +330,10 @@ impl RoutingCore {
     // ----- internals ----------------------------------------------------
 
     /// Re-run the decision process for one prefix and propagate any
-    /// change.
+    /// change. Always a scan of every candidate: RFC 4271's
+    /// same-neighbour-AS MED rule makes the comparison intransitive
+    /// (`decision::tests::med_default_is_intransitive`), so "loses to
+    /// the installed best" proves nothing about the next winner.
     fn redecide(&mut self, now: Millis, prefix: Ipv4Prefix, out: &mut Vec<RibOp>) {
         let explain = self.sink.enabled();
         let (new_entry, why, n_candidates) = self.select_best(&prefix, explain);
@@ -431,7 +378,7 @@ impl RoutingCore {
         }
         match new_entry.clone() {
             Some(entry) => {
-                self.loc_rib.install(prefix, entry);
+                self.loc_rib.insert(prefix, entry);
             }
             None => {
                 self.loc_rib.remove(&prefix);
@@ -443,63 +390,6 @@ impl RoutingCore {
             if self.is_established(id) {
                 self.propagate_to(id, prefix);
             }
-        }
-    }
-
-    /// Fast-path test for an arriving route (already import-filtered —
-    /// the comparison must see exactly what the Adj-RIB-In will store):
-    /// true when installing it provably cannot change the Loc-RIB best,
-    /// so the full decision scan can be skipped. Requires the stored
-    /// decision options to form a total order (the caller checks
-    /// [`decision::supports_incremental`]); a locally originated
-    /// incumbent wins at the first rung against any learned challenger,
-    /// and otherwise both the challenger's and the incumbent's sessions
-    /// must be established — candidates from a bounced session are
-    /// flushed at `peer_down`, so live summaries pin the router IDs the
-    /// last full scan compared with.
-    fn arrival_cannot_win(&self, id: PeerId, prefix: Ipv4Prefix, route: &Route) -> bool {
-        let Some(entry) = self.loc_rib.get(&prefix) else {
-            return false;
-        };
-        let incumbent_src = match entry.source {
-            RouteSource::Local => return true,
-            RouteSource::Peer(src) => src,
-        };
-        if incumbent_src == id {
-            return false; // the incumbent itself is being replaced
-        }
-        let ch_peer = &self.peers[&id];
-        let Some(inc_peer) = self.peers.get(&incumbent_src) else {
-            return false;
-        };
-        let (Some(ch_sum), Some(inc_sum)) = (ch_peer.summary, inc_peer.summary) else {
-            return false;
-        };
-        let challenger = Candidate {
-            route,
-            source: RouteSource::Peer(id),
-            peer_as: ch_peer.cfg.peer_as,
-            ebgp: !ch_peer.cfg.is_ibgp(),
-            peer_router_id: ch_sum.peer_id,
-        };
-        let incumbent = Candidate {
-            route: &entry.route,
-            source: RouteSource::Peer(incumbent_src),
-            peer_as: inc_peer.cfg.peer_as,
-            ebgp: !inc_peer.cfg.is_ibgp(),
-            peer_router_id: inc_sum.peer_id,
-        };
-        decision::compare_with(&challenger, &incumbent, self.opts) == Ordering::Less
-    }
-
-    /// Fast-path test for a withdrawal already removed from the
-    /// Adj-RIB-In: under a total order, removing a candidate that is
-    /// not the installed best cannot change the winner.
-    fn loser_withdrawal(&self, id: PeerId, prefix: &Ipv4Prefix) -> bool {
-        match self.loc_rib.get(prefix).map(|e| e.source) {
-            Some(RouteSource::Local) => true,
-            Some(RouteSource::Peer(src)) => src != id,
-            None => false,
         }
     }
 
@@ -532,10 +422,9 @@ impl RoutingCore {
         }
         let n = candidates.len() as u32;
         let picked = if explain {
-            decision::best_explain_with(&candidates, self.opts)
+            decision::best_explain(&candidates)
         } else {
-            decision::best_with(&candidates, self.opts)
-                .map(|i| (i, SelectionReason::ModulePreference))
+            decision::best(&candidates).map(|i| (i, SelectionReason::ModulePreference))
         };
         let result = match picked {
             Some((i, why)) => (
@@ -556,7 +445,7 @@ impl RoutingCore {
     fn propagate_to(&mut self, id: PeerId, prefix: Ipv4Prefix) {
         let export = self.export_route(id, &prefix);
         let changed = match &export {
-            Some(route) => self.adj_out.advertise(id, prefix, Arc::clone(route)),
+            Some(route) => self.adj_out.advertise(id, prefix, route),
             None => self.adj_out.withdraw(id, &prefix),
         };
         if !changed {
@@ -623,7 +512,7 @@ impl RoutingCore {
         let mut groups: Vec<(Arc<Route>, Vec<Ipv4Prefix>)> = Vec::new();
         for prefix in prefixes {
             let Some(route) = self.export_route(id, &prefix) else { continue };
-            if !self.adj_out.advertise(id, prefix, Arc::clone(&route)) {
+            if !self.adj_out.advertise(id, prefix, &route) {
                 continue;
             }
             // Linear probe over existing groups; distinct attribute

@@ -5,13 +5,10 @@
 //! the rung below would pick the other route — proving the chain is
 //! evaluated in order, not just that each comparison exists.
 
-use dbgp_bgp::config::PeerId;
-use dbgp_bgp::decision::{best, best_with, compare, Candidate, DecisionOptions};
-use dbgp_bgp::rib::RouteSource;
-use dbgp_bgp::route::Route;
+use dbgp_session::decision::{best, Candidate};
+use dbgp_session::{PeerId, Route, RouteSource};
 use dbgp_wire::attrs::{AsPath, Origin};
 use dbgp_wire::Ipv4Addr;
-use std::cmp::Ordering;
 
 fn route(path: Vec<u32>) -> Route {
     let mut r = Route::originated(Ipv4Addr::new(10, 0, 0, 1));
@@ -27,10 +24,6 @@ fn cand(route: &Route, peer: u32, peer_as: u32, ebgp: bool, rid: u32) -> Candida
         ebgp,
         peer_router_id: Ipv4Addr(rid),
     }
-}
-
-fn always_med() -> DecisionOptions {
-    DecisionOptions { always_compare_med: true }
 }
 
 // ----- rung 1: LOCAL_PREF ----------------------------------------------
@@ -136,7 +129,7 @@ fn med_lower_wins_within_same_neighbor_as() {
 }
 
 #[test]
-fn med_skipped_across_different_neighbor_ases_by_default() {
+fn med_skipped_across_different_neighbor_ases() {
     let mut cheap = route(vec![6, 9]);
     cheap.med = Some(10);
     let mut costly = route(vec![7, 8]);
@@ -145,27 +138,6 @@ fn med_skipped_across_different_neighbor_ases_by_default() {
     // route's peer wins.
     let cands = [cand(&costly, 1, 7, true, 1), cand(&cheap, 2, 6, true, 2)];
     assert_eq!(best(&cands), Some(0));
-}
-
-#[test]
-fn always_compare_med_applies_across_neighbor_ases() {
-    let mut cheap = route(vec![6, 9]);
-    cheap.med = Some(10);
-    let mut costly = route(vec![7, 8]);
-    costly.med = Some(99);
-    // The identical candidates as the default-skip test above, now
-    // decided by MED because the operator turned the knob.
-    let cands = [cand(&costly, 1, 7, true, 1), cand(&cheap, 2, 6, true, 2)];
-    assert_eq!(best_with(&cands, always_med()), Some(1));
-}
-
-#[test]
-fn absent_med_is_best_under_always_compare() {
-    let mut with_med = route(vec![7, 8]);
-    with_med.med = Some(1);
-    let without = route(vec![6, 9]);
-    let cands = [cand(&with_med, 1, 7, true, 1), cand(&without, 2, 6, true, 2)];
-    assert_eq!(best_with(&cands, always_med()), Some(1), "absent MED compares as 0");
 }
 
 #[test]
@@ -224,24 +196,4 @@ fn lowest_peer_id_is_the_final_rung() {
     let r2 = route(vec![3, 4]);
     let cands = [cand(&r1, 9, 1, true, 5), cand(&r2, 3, 3, true, 5)];
     assert_eq!(best(&cands), Some(1));
-}
-
-// ----- option plumbing --------------------------------------------------
-
-#[test]
-fn default_options_are_rfc_4271() {
-    assert_eq!(DecisionOptions::default(), DecisionOptions { always_compare_med: false });
-    // And the options-taking entry points agree with the plain ones
-    // under the defaults.
-    let mut cheap = route(vec![6, 9]);
-    cheap.med = Some(10);
-    let mut costly = route(vec![7, 8]);
-    costly.med = Some(99);
-    let cands = [cand(&costly, 1, 7, true, 1), cand(&cheap, 2, 6, true, 2)];
-    assert_eq!(best_with(&cands, DecisionOptions::default()), best(&cands));
-    assert_eq!(
-        dbgp_bgp::compare_with(&cands[0], &cands[1], DecisionOptions::default()),
-        compare(&cands[0], &cands[1])
-    );
-    assert_eq!(compare(&cands[0], &cands[1]), Ordering::Greater);
 }

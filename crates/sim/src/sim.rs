@@ -317,17 +317,15 @@ pub struct BestChange {
 
 /// Ring buffer behind [`Sim::capture_best_changes`]: keeps the most
 /// recent `cap` changes (the tail is what periodicity analysis needs;
-/// the transient before it is disposable) plus a total count.
+/// the transient before it is disposable).
 #[derive(Debug, Clone, Default)]
 struct BestChangeCapture {
     cap: usize,
-    total: u64,
     records: VecDeque<BestChange>,
 }
 
 impl BestChangeCapture {
     fn record(&mut self, change: BestChange) {
-        self.total += 1;
         if self.records.len() == self.cap {
             self.records.pop_front();
         }
@@ -375,9 +373,6 @@ pub struct Sim {
     /// completely inert — no state, no branches taken, no output
     /// change, so pinned golden results are unaffected.
     capture: Option<BestChangeCapture>,
-    /// Incremental decision fast path on every speaker (on by default;
-    /// [`Sim::set_incremental`] turns it off for A/B measurement).
-    incremental: bool,
     /// Per-phase wall-time accumulators ([`Sim::enable_phase_timing`]);
     /// `None` (the default) keeps the hot path to one predictable
     /// branch per instrumentation site.
@@ -436,7 +431,6 @@ impl Sim {
             delay_count: 0,
             width_tuned: false,
             capture: None,
-            incremental: true,
             phase_timing: None,
         }
     }
@@ -470,27 +464,10 @@ impl Sim {
         self.recorder.as_ref()
     }
 
-    /// A clone of the telemetry sink handle (no-op unless telemetry is
-    /// enabled).
-    pub fn telemetry_sink(&self) -> SinkHandle {
-        self.sink.clone()
-    }
-
     /// Change the minimum route advertisement interval (0 sends every
     /// change at once, one element per frame).
     pub fn set_mrai(&mut self, mrai: SimTime) {
         self.mrai = mrai;
-    }
-
-    /// Enable/disable the incremental decision fast path on every
-    /// speaker, current and future. On by default; the off position
-    /// exists for A/B measurement and differential testing against the
-    /// always-full-scan decision process.
-    pub fn set_incremental(&mut self, on: bool) {
-        self.incremental = on;
-        for node in &mut self.nodes {
-            node.speaker.set_incremental(on);
-        }
     }
 
     /// Full candidate scans the incremental decision fast path avoided,
@@ -517,12 +494,7 @@ impl Sim {
     /// most recent `cap` best-path changes are kept (with their
     /// simulated times) for post-run periodicity analysis.
     pub fn capture_best_changes(&mut self, cap: usize) {
-        self.capture = Some(BestChangeCapture { cap, total: 0, records: VecDeque::new() });
-    }
-
-    /// Total best-path changes observed since capture was enabled.
-    pub fn captured_change_count(&self) -> u64 {
-        self.capture.as_ref().map_or(0, |c| c.total)
+        self.capture = Some(BestChangeCapture { cap, records: VecDeque::new() });
     }
 
     /// The captured tail of best-path changes, oldest first (at most
@@ -545,9 +517,6 @@ impl Sim {
         if let Some(recorder) = &self.recorder {
             recorder.set_node_asn(id as u32, speaker.asn());
             speaker.set_telemetry(self.sink.clone(), id as u32);
-        }
-        if !self.incremental {
-            speaker.set_incremental(false);
         }
         self.nodes.push(Node {
             speaker,
