@@ -38,12 +38,15 @@ pub struct FactoryContext<'a> {
 /// update its own descriptors via its export filter — e.g., Wiser adds
 /// the local AS's internal cost, BGPSec-lite extends the attestation
 /// chain toward this specific neighbor.
-pub fn build_outgoing(
+pub fn build_outgoing<'m>(
     chosen: &Ia,
     ctx: FactoryContext<'_>,
-    modules: &mut [&mut dyn DecisionModule],
+    modules: impl IntoIterator<Item = &'m mut dyn DecisionModule>,
 ) -> Result<Ia, WireError> {
     // Pass-through: start from the incoming IA with everything intact.
+    // Descriptor values and unknown records are shared with `chosen`
+    // (refcounted views), so this copies the IA's structure, not its
+    // payload bytes.
     let mut ia = chosen.clone();
     ia.prepend_as(ctx.local_as);
     if let Some(island) = ctx.island {
@@ -100,7 +103,7 @@ mod tests {
     #[test]
     fn pass_through_preserves_foreign_descriptors_and_unknowns() {
         let filters = FilterConfig::default();
-        let out = build_outgoing(&incoming(), ctx(&filters, None), &mut []).unwrap();
+        let out = build_outgoing(&incoming(), ctx(&filters, None), []).unwrap();
         assert_eq!(out.path_vector, vec![PathElem::As(100), PathElem::As(200)]);
         assert!(out.path_descriptor(ProtocolId::SCION, dkey::SCION_PATHS).is_some());
         assert_eq!(out.unknown_records.len(), 1);
@@ -130,8 +133,8 @@ mod tests {
         }
         let filters = FilterConfig::default();
         let mut module = AddCost;
-        let mut modules: Vec<&mut dyn DecisionModule> = vec![&mut module];
-        let out = build_outgoing(&incoming(), ctx(&filters, None), &mut modules).unwrap();
+        let modules = [&mut module as &mut dyn DecisionModule];
+        let out = build_outgoing(&incoming(), ctx(&filters, None), modules).unwrap();
         let d = out.path_descriptor(ProtocolId::WISER, dkey::WISER_PATH_COST).unwrap();
         assert_eq!(d.value, 42u64.to_be_bytes().to_vec());
     }
@@ -140,7 +143,7 @@ mod tests {
     fn abstraction_applied_when_leaving_island() {
         let filters = FilterConfig::default();
         let island = IslandConfig { id: IslandId(77), abstraction: true };
-        let out = build_outgoing(&incoming(), ctx(&filters, Some(island)), &mut []).unwrap();
+        let out = build_outgoing(&incoming(), ctx(&filters, Some(island)), []).unwrap();
         assert_eq!(out.path_vector, vec![PathElem::Island(IslandId(77)), PathElem::As(200)]);
     }
 
@@ -150,7 +153,7 @@ mod tests {
         let island = IslandConfig { id: IslandId(77), abstraction: true };
         let mut c = ctx(&filters, Some(island));
         c.neighbor_in_island = true;
-        let out = build_outgoing(&incoming(), c, &mut []).unwrap();
+        let out = build_outgoing(&incoming(), c, []).unwrap();
         assert_eq!(out.path_vector, vec![PathElem::As(100), PathElem::As(200)]);
         assert_eq!(out.island_of(0), Some(IslandId(77)), "membership still declared");
     }
@@ -159,7 +162,7 @@ mod tests {
     fn declared_island_without_abstraction_keeps_ases() {
         let filters = FilterConfig::default();
         let island = IslandConfig { id: IslandId(77), abstraction: false };
-        let out = build_outgoing(&incoming(), ctx(&filters, Some(island)), &mut []).unwrap();
+        let out = build_outgoing(&incoming(), ctx(&filters, Some(island)), []).unwrap();
         assert_eq!(out.path_vector, vec![PathElem::As(100), PathElem::As(200)]);
         assert_eq!(out.island_of(0), Some(IslandId(77)));
     }

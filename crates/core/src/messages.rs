@@ -10,7 +10,7 @@
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use dbgp_wire::error::{WireError, WireResult};
-use dbgp_wire::varint::{get_uvarint, put_uvarint};
+use dbgp_wire::varint::{get_uvarint, put_uvarint, uvarint_len};
 use dbgp_wire::{Ia, Ipv4Prefix};
 
 /// One D-BGP update: withdrawals plus new IAs.
@@ -33,18 +33,16 @@ impl DbgpUpdate {
         DbgpUpdate { withdrawn: vec![prefix], ias: Vec::new() }
     }
 
-    /// Encode to a self-delimiting frame.
+    /// Encode to a self-delimiting frame: one exactly-sized buffer, each
+    /// IA written in place.
     pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::new();
-        put_uvarint(&mut buf, self.withdrawn.len() as u64);
-        for prefix in &self.withdrawn {
-            prefix.encode(&mut buf);
-        }
+        let sizes = self.ias.iter().map(Ia::wire_size);
+        let mut buf = BytesMut::with_capacity(frame_size(&self.withdrawn, sizes));
+        put_withdrawn(&mut buf, &self.withdrawn);
         put_uvarint(&mut buf, self.ias.len() as u64);
         for ia in &self.ias {
-            let body = ia.encode();
-            put_uvarint(&mut buf, body.len() as u64);
-            buf.put_slice(&body);
+            put_uvarint(&mut buf, ia.wire_size() as u64);
+            ia.encode_into(&mut buf);
         }
         buf.freeze()
     }
@@ -55,11 +53,9 @@ impl DbgpUpdate {
     /// cached send path and a fresh one are indistinguishable on the
     /// wire.
     pub fn encode_frame(withdrawn: &[Ipv4Prefix], ia_bodies: &[Bytes]) -> Bytes {
-        let mut buf = BytesMut::new();
-        put_uvarint(&mut buf, withdrawn.len() as u64);
-        for prefix in withdrawn {
-            prefix.encode(&mut buf);
-        }
+        let sizes = ia_bodies.iter().map(Bytes::len);
+        let mut buf = BytesMut::with_capacity(frame_size(withdrawn, sizes));
+        put_withdrawn(&mut buf, withdrawn);
         put_uvarint(&mut buf, ia_bodies.len() as u64);
         for body in ia_bodies {
             put_uvarint(&mut buf, body.len() as u64);
@@ -92,6 +88,22 @@ impl DbgpUpdate {
             ias.push(Ia::decode(body)?);
         }
         Ok(DbgpUpdate { withdrawn, ias })
+    }
+}
+
+/// Exact size of a frame carrying `withdrawn` and IA bodies of the given
+/// sizes, so the frame buffer is allocated once and never grows.
+fn frame_size(withdrawn: &[Ipv4Prefix], ia_sizes: impl ExactSizeIterator<Item = usize>) -> usize {
+    uvarint_len(withdrawn.len() as u64)
+        + withdrawn.iter().map(Ipv4Prefix::wire_len).sum::<usize>()
+        + uvarint_len(ia_sizes.len() as u64)
+        + ia_sizes.map(|n| uvarint_len(n as u64) + n).sum::<usize>()
+}
+
+fn put_withdrawn(buf: &mut BytesMut, withdrawn: &[Ipv4Prefix]) {
+    put_uvarint(buf, withdrawn.len() as u64);
+    for prefix in withdrawn {
+        prefix.encode(buf);
     }
 }
 
@@ -153,6 +165,17 @@ mod tests {
         let bodies: Vec<Bytes> = update.ias.iter().map(Ia::encode).collect();
         let assembled = DbgpUpdate::encode_frame(&update.withdrawn, &bodies);
         assert_eq!(assembled, update.encode(), "cached-body assembly is byte-identical");
+    }
+
+    #[test]
+    fn frames_are_sized_exactly() {
+        let update = DbgpUpdate {
+            withdrawn: vec![p("192.168.0.0/16"), p("0.0.0.0/0")],
+            ias: vec![sample_ia("128.6.0.0/16"), sample_ia("203.0.113.0/24")],
+        };
+        let sizes = update.ias.iter().map(Ia::wire_size);
+        assert_eq!(frame_size(&update.withdrawn, sizes), update.encode().len());
+        assert_eq!(frame_size(&[], [].into_iter()), DbgpUpdate::default().encode().len());
     }
 
     #[test]

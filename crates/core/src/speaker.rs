@@ -253,9 +253,12 @@ impl DbgpSpeaker {
         // Initial table transfer: the new neighbor gets our whole view.
         let prefixes: Vec<Ipv4Prefix> = self.loc.keys().copied().collect();
         let mut out = Vec::new();
-        for prefix in prefixes {
-            self.propagate_to(id, prefix, &mut out);
-        }
+        self.with_neighbors(|this, neighbors| {
+            let neighbor = &neighbors[&id];
+            for prefix in prefixes {
+                this.propagate_one(neighbors, id, neighbor, prefix, &mut out);
+            }
+        });
         out
     }
 
@@ -482,11 +485,25 @@ impl DbgpSpeaker {
         true
     }
 
+    /// Steps 5–7 for every neighbor, in neighbor-id order.
     fn propagate_all(&mut self, prefix: Ipv4Prefix, out: &mut Vec<DbgpOutput>) {
-        let ids: Vec<NeighborId> = self.neighbors.keys().copied().collect();
-        for id in ids {
-            self.propagate_to(id, prefix, out);
-        }
+        self.with_neighbors(|this, neighbors| {
+            for (&id, neighbor) in neighbors {
+                this.propagate_one(neighbors, id, neighbor, prefix, out);
+            }
+        });
+    }
+
+    /// Lend the neighbor map to `f` beside `&mut self`, so a fan-out can
+    /// walk it while the speaker's other tables change — no copy of the
+    /// ids, no second lookup per neighbor. The map is moved out for the
+    /// call (three words; an empty `BTreeMap` allocates nothing) and put
+    /// back after, so `f` must read neighbors through its argument:
+    /// `self.neighbors` is empty while it runs.
+    fn with_neighbors(&mut self, f: impl FnOnce(&mut Self, &BTreeMap<NeighborId, DbgpNeighbor>)) {
+        let neighbors = std::mem::take(&mut self.neighbors);
+        f(self, &neighbors);
+        self.neighbors = neighbors;
     }
 
     /// The active module for a prefix, resolved with the same baseline
@@ -669,12 +686,16 @@ impl DbgpSpeaker {
         result
     }
 
-    /// Steps 5–7 for one neighbor: build (or withdraw) and send.
-    fn propagate_to(&mut self, id: NeighborId, prefix: Ipv4Prefix, out: &mut Vec<DbgpOutput>) {
-        let neighbor = match self.neighbors.get(&id) {
-            Some(n) => n.clone(),
-            None => return,
-        };
+    /// Steps 5–7 for one neighbor: build (or withdraw) and send. Runs
+    /// inside [`Self::with_neighbors`], hence the `neighbors` argument.
+    fn propagate_one(
+        &mut self,
+        neighbors: &BTreeMap<NeighborId, DbgpNeighbor>,
+        id: NeighborId,
+        neighbor: &DbgpNeighbor,
+        prefix: Ipv4Prefix,
+        out: &mut Vec<DbgpOutput>,
+    ) {
         // Gao-Rexford valley-free export: a route learned from a provider
         // or lateral peer never goes back "up" or "sideways". Both ends of
         // the decision must be class-annotated to participate; locally
@@ -688,7 +709,7 @@ impl DbgpSpeaker {
             if self.cfg.filters.valley_free {
                 let learned_up = chosen
                     .neighbor
-                    .and_then(|src| self.neighbors.get(&src))
+                    .and_then(|src| neighbors.get(&src))
                     .and_then(|n| n.class)
                     .is_some_and(|c| c != PeerClass::Customer);
                 let target_up = neighbor.class.is_some_and(|c| c != PeerClass::Customer);
@@ -722,12 +743,9 @@ impl DbgpSpeaker {
                     neighbor_as: neighbor.asn,
                     neighbor_in_island,
                 };
-                let mut modules: Vec<&mut dyn DecisionModule> = self
-                    .modules
-                    .values_mut()
-                    .map(|b| b.as_mut() as &mut dyn DecisionModule)
-                    .collect();
-                let mut ia = match factory::build_outgoing(&chosen_ia, ctx, &mut modules) {
+                let modules =
+                    self.modules.values_mut().map(|b| b.as_mut() as &mut dyn DecisionModule);
+                let mut ia = match factory::build_outgoing(&chosen_ia, ctx, modules) {
                     Ok(ia) => ia,
                     Err(_) => return,
                 };
@@ -898,6 +916,51 @@ mod tests {
         assert!(best.ia.path_descriptor(ProtocolId::WISER, dkey::WISER_PATH_COST).is_some());
         assert_eq!(best.ia.island_descriptors.len(), 1);
         assert!(best.ia.protocols_on_path().contains(&ProtocolId::SCION));
+    }
+
+    #[test]
+    fn gulf_pass_through_shares_the_frame_bytes() {
+        // A foreign path descriptor, island descriptor and unknown
+        // record arrive in one frame; the gulf speaker reads none of
+        // them, so what it sends on must point at the very same bytes.
+        let mut ia = Ia::builder(p("128.6.0.0/16"), nh(0))
+            .as_hop(1)
+            .path_descriptor(ProtocolId(100), 1, vec![0x5a; 4096])
+            .island_descriptor(IslandId(500), ProtocolId::SCION, dkey::SCION_PATHS, vec![7; 64])
+            .build()
+            .unwrap();
+        ia.unknown_records
+            .push(dbgp_wire::ia::UnknownRecord { tag: 4242, data: vec![9; 32].into() });
+        let frame = ia.encode();
+        let span = frame.as_ptr_range();
+        let received = Ia::decode(frame.clone()).unwrap();
+        let pointers = |ia: &Ia| {
+            let mut ptrs: Vec<*const u8> = Vec::new();
+            ptrs.extend(ia.path_descriptors.iter().map(|d| d.value.as_ptr()));
+            ptrs.extend(ia.island_descriptors.iter().map(|d| d.value.as_ptr()));
+            ptrs.extend(ia.unknown_records.iter().map(|r| r.data.as_ptr()));
+            ptrs
+        };
+        let arrived = pointers(&received);
+        assert_eq!(arrived.len(), 3);
+        assert!(arrived.iter().all(|p| span.contains(p)), "decode copied a payload");
+
+        let mut gulf = DbgpSpeaker::new(DbgpConfig::gulf(2));
+        gulf.add_neighbor(NeighborId(0), DbgpNeighbor::dbgp(1));
+        gulf.add_neighbor(NeighborId(1), DbgpNeighbor::dbgp(3));
+        let outs = gulf.receive_ia(NeighborId(0), received);
+        let sent: Vec<&Arc<Ia>> = outs
+            .iter()
+            .filter_map(|o| match o {
+                DbgpOutput::SendIa(NeighborId(1), ia) => Some(ia),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(sent.len(), 1);
+        assert_eq!(sent[0].path_vector[0], PathElem::As(2), "our AS was prepended");
+        assert_eq!(pointers(sent[0]), arrived, "pass-through copied a payload");
+        // The stored copies (IA DB entry, installed best) share them too.
+        assert_eq!(pointers(&gulf.best(&p("128.6.0.0/16")).unwrap().ia), arrived);
     }
 
     #[test]

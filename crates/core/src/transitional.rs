@@ -23,14 +23,15 @@ pub const MAX_EMBEDDED_IA: usize = 3800;
 
 /// Wrap an IA as the optional-transitive `IA_PAYLOAD` attribute.
 pub fn ia_to_attribute(ia: &Ia) -> WireResult<PathAttribute> {
-    let data = ia.encode();
-    if data.len() > MAX_EMBEDDED_IA {
+    // Refuse by arithmetic: an IA that cannot ride in-band is never
+    // serialized just to be thrown away.
+    if ia.wire_size() > MAX_EMBEDDED_IA {
         return Err(WireError::Overflow("IA too large to embed in an UPDATE"));
     }
     Ok(PathAttribute::Unknown {
         flags: FLAG_OPTIONAL | FLAG_TRANSITIVE,
         code: code::IA_PAYLOAD,
-        data,
+        data: ia.encode(),
     })
 }
 
@@ -130,6 +131,29 @@ mod tests {
         let mut ia = sample_ia();
         ia.path_descriptors.push(PathDescriptor::new(ProtocolId(99), 1, vec![0u8; 5000]));
         assert!(matches!(ia_to_attribute(&ia), Err(WireError::Overflow(_))));
+    }
+
+    /// `sample_ia` padded with one descriptor so that `wire_size()` is
+    /// exactly `size`.
+    fn ia_of_size(size: usize) -> Ia {
+        let mut ia = sample_ia();
+        // The pad's value-length and record-length varints are 2 bytes
+        // each for the sizes used here; solve for the value length.
+        ia.path_descriptors.push(PathDescriptor::new(ProtocolId(99), 1, Vec::new()));
+        let pad = size - ia.wire_size() - 2;
+        ia.path_descriptors.last_mut().unwrap().value = vec![0xa5; pad].into();
+        assert_eq!(ia.wire_size(), size);
+        ia
+    }
+
+    #[test]
+    fn the_embedding_limit_is_exact() {
+        let fits = ia_of_size(MAX_EMBEDDED_IA);
+        let mut update = carrier(&sample_ia());
+        embed_ia(&mut update, &fits).unwrap();
+        assert_eq!(extract_ia(&update).unwrap().unwrap(), fits, "3,800 B embeds and round-trips");
+        let over = ia_of_size(MAX_EMBEDDED_IA + 1);
+        assert!(matches!(ia_to_attribute(&over), Err(WireError::Overflow(_))), "3,801 B refused");
     }
 
     #[test]

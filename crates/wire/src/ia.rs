@@ -117,20 +117,22 @@ pub struct PathDescriptor {
     /// Descriptor key, scoped to the owning protocol(s); see [`dkey`].
     pub key: u16,
     /// Opaque value, interpreted by the owning protocols' decision
-    /// modules.
-    pub value: Vec<u8>,
+    /// modules. A decoded value is a view of the frame it arrived in;
+    /// cloning the descriptor shares it. `Bytes::from(Vec<u8>)` (or
+    /// `.into()`) mints a fresh one.
+    pub value: Bytes,
 }
 
 impl PathDescriptor {
     /// A descriptor owned by a single protocol.
-    pub fn new(protocol: ProtocolId, key: u16, value: Vec<u8>) -> Self {
-        PathDescriptor { protocols: vec![protocol], key, value }
+    pub fn new(protocol: ProtocolId, key: u16, value: impl Into<Bytes>) -> Self {
+        PathDescriptor { protocols: vec![protocol], key, value: value.into() }
     }
 
     /// A descriptor shared by several protocols.
-    pub fn shared(protocols: Vec<ProtocolId>, key: u16, value: Vec<u8>) -> Self {
+    pub fn shared(protocols: Vec<ProtocolId>, key: u16, value: impl Into<Bytes>) -> Self {
         debug_assert!(!protocols.is_empty());
-        PathDescriptor { protocols, key, value }
+        PathDescriptor { protocols, key, value: value.into() }
     }
 
     /// Does `protocol` own (or co-own) this descriptor?
@@ -149,14 +151,15 @@ pub struct IslandDescriptor {
     pub protocol: ProtocolId,
     /// Descriptor key; see [`dkey`].
     pub key: u16,
-    /// Opaque value.
-    pub value: Vec<u8>,
+    /// Opaque value; a view of the received frame when decoded (see
+    /// [`PathDescriptor::value`]).
+    pub value: Bytes,
 }
 
 impl IslandDescriptor {
     /// Construct an island descriptor.
-    pub fn new(island: IslandId, protocol: ProtocolId, key: u16, value: Vec<u8>) -> Self {
-        IslandDescriptor { island, protocol, key, value }
+    pub fn new(island: IslandId, protocol: ProtocolId, key: u16, value: impl Into<Bytes>) -> Self {
+        IslandDescriptor { island, protocol, key, value: value.into() }
     }
 }
 
@@ -367,73 +370,112 @@ impl Ia {
 
     // ----- wire codec -------------------------------------------------
 
-    /// Encode to the TLV wire form.
+    /// Encode to the TLV wire form: one allocation of exactly
+    /// [`Ia::wire_size`] bytes, every byte written once.
     pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(self.wire_size_estimate());
-        let mut scratch = BytesMut::with_capacity(32);
-        let s = &mut scratch;
-        put_record(&mut buf, s, tag::PREFIX, |b| self.prefix.encode(b));
-        put_record(&mut buf, s, tag::ORIGIN, |b| b.put_u8(self.origin as u8));
-        put_record(&mut buf, s, tag::NEXT_HOP, |b| b.put_u32(self.next_hop.0));
-        if let Some(med) = self.med {
-            put_record(&mut buf, s, tag::MED, |b| put_uvarint(b, med as u64));
-        }
-        for elem in &self.path_vector {
-            put_record(&mut buf, s, tag::PATH_ELEM, |b| match elem {
-                PathElem::As(asn) => {
-                    b.put_u8(0);
-                    put_uvarint(b, *asn as u64);
-                }
-                PathElem::Island(id) => {
-                    b.put_u8(1);
-                    put_uvarint(b, id.0 as u64);
-                }
-                PathElem::AsSet(ases) => {
-                    b.put_u8(2);
-                    put_uvarint(b, ases.len() as u64);
-                    for asn in ases {
-                        put_uvarint(b, *asn as u64);
-                    }
-                }
-            });
-        }
-        for m in &self.memberships {
-            put_record(&mut buf, s, tag::MEMBERSHIP, |b| {
-                put_uvarint(b, m.island.0 as u64);
-                put_uvarint(b, m.start as u64);
-                put_uvarint(b, m.end as u64);
-            });
-        }
-        for d in &self.path_descriptors {
-            put_record(&mut buf, s, tag::PATH_DESC, |b| {
-                put_uvarint(b, d.protocols.len() as u64);
-                for p in &d.protocols {
-                    put_uvarint(b, p.0 as u64);
-                }
-                put_uvarint(b, d.key as u64);
-                put_uvarint(b, d.value.len() as u64);
-                b.put_slice(&d.value);
-            });
-        }
-        for d in &self.island_descriptors {
-            put_record(&mut buf, s, tag::ISLAND_DESC, |b| {
-                put_uvarint(b, d.island.0 as u64);
-                put_uvarint(b, d.protocol.0 as u64);
-                put_uvarint(b, d.key as u64);
-                put_uvarint(b, d.value.len() as u64);
-                b.put_slice(&d.value);
-            });
-        }
-        for r in &self.unknown_records {
-            put_uvarint(&mut buf, r.tag);
-            put_uvarint(&mut buf, r.data.len() as u64);
-            buf.put_slice(&r.data);
-        }
+        let size = self.wire_size();
+        let mut buf = BytesMut::with_capacity(size);
+        self.encode_into(&mut buf);
+        debug_assert_eq!(buf.len(), size, "wire_size and encode_into agree");
         buf.freeze()
     }
 
-    /// Decode from the TLV wire form.
-    pub fn decode(mut buf: Bytes) -> WireResult<Self> {
+    /// Append the TLV wire form to `buf` — the bytes [`Ia::encode`]
+    /// returns. Each record goes out as `tag | len | body` with its
+    /// length computed up front, so nothing is staged and the
+    /// destination (a frame under assembly, say) is written in place.
+    pub fn encode_into(&self, buf: &mut impl BufMut) {
+        put_header(buf, tag::PREFIX, self.prefix.wire_len());
+        self.prefix.encode(buf);
+        put_header(buf, tag::ORIGIN, 1);
+        buf.put_u8(self.origin as u8);
+        put_header(buf, tag::NEXT_HOP, 4);
+        buf.put_u32(self.next_hop.0);
+        if let Some(med) = self.med {
+            put_header(buf, tag::MED, uvarint_len(med as u64));
+            put_uvarint(buf, med as u64);
+        }
+        for elem in &self.path_vector {
+            put_header(buf, tag::PATH_ELEM, elem.body_len());
+            match elem {
+                PathElem::As(asn) => {
+                    buf.put_u8(0);
+                    put_uvarint(buf, *asn as u64);
+                }
+                PathElem::Island(id) => {
+                    buf.put_u8(1);
+                    put_uvarint(buf, id.0 as u64);
+                }
+                PathElem::AsSet(ases) => {
+                    buf.put_u8(2);
+                    put_uvarint(buf, ases.len() as u64);
+                    for asn in ases {
+                        put_uvarint(buf, *asn as u64);
+                    }
+                }
+            }
+        }
+        for m in &self.memberships {
+            put_header(buf, tag::MEMBERSHIP, m.body_len());
+            put_uvarint(buf, m.island.0 as u64);
+            put_uvarint(buf, m.start as u64);
+            put_uvarint(buf, m.end as u64);
+        }
+        for d in &self.path_descriptors {
+            put_header(buf, tag::PATH_DESC, d.body_len());
+            put_uvarint(buf, d.protocols.len() as u64);
+            for p in &d.protocols {
+                put_uvarint(buf, p.0 as u64);
+            }
+            put_uvarint(buf, d.key as u64);
+            put_value(buf, &d.value);
+        }
+        for d in &self.island_descriptors {
+            put_header(buf, tag::ISLAND_DESC, d.body_len());
+            put_uvarint(buf, d.island.0 as u64);
+            put_uvarint(buf, d.protocol.0 as u64);
+            put_uvarint(buf, d.key as u64);
+            put_value(buf, &d.value);
+        }
+        for r in &self.unknown_records {
+            put_header(buf, r.tag, r.data.len());
+            buf.put_slice(&r.data);
+        }
+    }
+
+    /// Exact encoded size in bytes, by arithmetic over the record
+    /// lengths (nothing is encoded). Sizes [`Ia::encode`]'s buffer and
+    /// feeds the overhead experiments and the stress-test workload.
+    pub fn wire_size(&self) -> usize {
+        let mut n = record_len(tag::PREFIX, self.prefix.wire_len())
+            + record_len(tag::ORIGIN, 1)
+            + record_len(tag::NEXT_HOP, 4);
+        if let Some(med) = self.med {
+            n += record_len(tag::MED, uvarint_len(med as u64));
+        }
+        for elem in &self.path_vector {
+            n += record_len(tag::PATH_ELEM, elem.body_len());
+        }
+        for m in &self.memberships {
+            n += record_len(tag::MEMBERSHIP, m.body_len());
+        }
+        for d in &self.path_descriptors {
+            n += record_len(tag::PATH_DESC, d.body_len());
+        }
+        for d in &self.island_descriptors {
+            n += record_len(tag::ISLAND_DESC, d.body_len());
+        }
+        for r in &self.unknown_records {
+            n += record_len(r.tag, r.data.len());
+        }
+        n
+    }
+
+    /// Decode from the TLV wire form. Descriptor values and unknown
+    /// records come back as views of `buf` — no payload byte is copied —
+    /// so the decoded IA keeps `buf`'s allocation alive for as long as it
+    /// (or any clone of it) holds one of them.
+    pub fn decode(buf: Bytes) -> WireResult<Self> {
         let mut prefix = None;
         let mut origin = Origin::Incomplete;
         let mut next_hop = Ipv4Addr(0);
@@ -444,13 +486,17 @@ impl Ia {
         let mut island_descriptors = Vec::new();
         let mut unknown_records = Vec::new();
 
-        while buf.has_remaining() {
-            let t = get_uvarint(&mut buf)?;
-            let len = get_uvarint(&mut buf)? as usize;
-            if buf.remaining() < len {
+        // A borrowed cursor walks the frame; only the parts that are
+        // kept are turned into refcounted views of it.
+        let mut rest: &[u8] = &buf;
+        while rest.has_remaining() {
+            let t = get_uvarint(&mut rest)?;
+            let len = get_uvarint(&mut rest)? as usize;
+            if rest.remaining() < len {
                 return Err(WireError::Truncated { context: "IA record body" });
             }
-            let mut body = buf.split_to(len);
+            let (mut body, tail) = rest.split_at(len);
+            rest = tail;
             match t {
                 tag::PREFIX => prefix = Some(Ipv4Prefix::decode(&mut body)?),
                 tag::ORIGIN => {
@@ -513,7 +559,7 @@ impl Ia {
                     if body.remaining() < vlen {
                         return Err(WireError::MalformedIa("short descriptor value"));
                     }
-                    let value = body.split_to(vlen).to_vec();
+                    let value = buf.slice_ref(&body[..vlen]);
                     path_descriptors.push(PathDescriptor { protocols, key, value });
                 }
                 tag::ISLAND_DESC => {
@@ -524,10 +570,12 @@ impl Ia {
                     if body.remaining() < vlen {
                         return Err(WireError::MalformedIa("short island descriptor value"));
                     }
-                    let value = body.split_to(vlen).to_vec();
+                    let value = buf.slice_ref(&body[..vlen]);
                     island_descriptors.push(IslandDescriptor { island, protocol, key, value });
                 }
-                other => unknown_records.push(UnknownRecord { tag: other, data: body }),
+                other => {
+                    unknown_records.push(UnknownRecord { tag: other, data: buf.slice_ref(body) })
+                }
             }
         }
 
@@ -545,19 +593,6 @@ impl Ia {
         };
         ia.validate()?;
         Ok(ia)
-    }
-
-    /// Exact encoded size in bytes (computed by encoding; used by the
-    /// overhead experiments and the stress-test workload).
-    pub fn wire_size(&self) -> usize {
-        self.encode().len()
-    }
-
-    fn wire_size_estimate(&self) -> usize {
-        64 + self.path_vector.len() * 6
-            + self.path_descriptors.iter().map(|d| d.value.len() + 8).sum::<usize>()
-            + self.island_descriptors.iter().map(|d| d.value.len() + 12).sum::<usize>()
-            + self.unknown_records.iter().map(|r| r.data.len() + 4).sum::<usize>()
     }
 }
 
@@ -623,7 +658,12 @@ impl IaBuilder {
     }
 
     /// Attach a single-protocol path descriptor.
-    pub fn path_descriptor(mut self, protocol: ProtocolId, key: u16, value: Vec<u8>) -> Self {
+    pub fn path_descriptor(
+        mut self,
+        protocol: ProtocolId,
+        key: u16,
+        value: impl Into<Bytes>,
+    ) -> Self {
         self.ia.path_descriptors.push(PathDescriptor::new(protocol, key, value));
         self
     }
@@ -633,7 +673,7 @@ impl IaBuilder {
         mut self,
         protocols: Vec<ProtocolId>,
         key: u16,
-        value: Vec<u8>,
+        value: impl Into<Bytes>,
     ) -> Self {
         self.ia.path_descriptors.push(PathDescriptor::shared(protocols, key, value));
         self
@@ -645,7 +685,7 @@ impl IaBuilder {
         island: IslandId,
         protocol: ProtocolId,
         key: u16,
-        value: Vec<u8>,
+        value: impl Into<Bytes>,
     ) -> Self {
         self.ia.island_descriptors.push(IslandDescriptor::new(island, protocol, key, value));
         self
@@ -669,30 +709,75 @@ mod tag {
     pub const ISLAND_DESC: u64 = 8;
 }
 
-/// Append one `tag | len | body` record. The body is staged in
-/// `scratch` (cleared, capacity kept) so a full [`Ia::encode`] reuses
-/// one staging allocation across all of its records instead of paying
-/// a fresh buffer per record.
-fn put_record(
-    buf: &mut BytesMut,
-    scratch: &mut BytesMut,
-    tag: u64,
-    body: impl FnOnce(&mut BytesMut),
-) {
-    scratch.clear();
-    body(scratch);
+/// Write a record's `tag | len` header; the caller writes exactly
+/// `body_len` bytes of body next.
+fn put_header(buf: &mut impl BufMut, tag: u64, body_len: usize) {
     put_uvarint(buf, tag);
-    put_uvarint(buf, scratch.len() as u64);
-    buf.put_slice(scratch.as_slice());
-    debug_assert!(uvarint_len(tag) >= 1);
+    put_uvarint(buf, body_len as u64);
 }
 
-fn read_u32(buf: &mut Bytes) -> WireResult<u32> {
+/// Encoded size of a whole `tag | len | body` record.
+fn record_len(tag: u64, body_len: usize) -> usize {
+    uvarint_len(tag) + uvarint_len(body_len as u64) + body_len
+}
+
+/// Write an opaque value as `len | bytes`.
+fn put_value(buf: &mut impl BufMut, value: &[u8]) {
+    put_uvarint(buf, value.len() as u64);
+    buf.put_slice(value);
+}
+
+/// Encoded size of what [`put_value`] writes.
+fn value_len(value: &[u8]) -> usize {
+    uvarint_len(value.len() as u64) + value.len()
+}
+
+impl PathElem {
+    /// Encoded size of this element's record body.
+    fn body_len(&self) -> usize {
+        1 + match self {
+            PathElem::As(asn) => uvarint_len(*asn as u64),
+            PathElem::Island(id) => uvarint_len(id.0 as u64),
+            PathElem::AsSet(ases) => {
+                uvarint_len(ases.len() as u64)
+                    + ases.iter().map(|asn| uvarint_len(*asn as u64)).sum::<usize>()
+            }
+        }
+    }
+}
+
+impl IslandMembership {
+    fn body_len(&self) -> usize {
+        uvarint_len(self.island.0 as u64)
+            + uvarint_len(self.start as u64)
+            + uvarint_len(self.end as u64)
+    }
+}
+
+impl PathDescriptor {
+    fn body_len(&self) -> usize {
+        uvarint_len(self.protocols.len() as u64)
+            + self.protocols.iter().map(|p| uvarint_len(p.0 as u64)).sum::<usize>()
+            + uvarint_len(self.key as u64)
+            + value_len(&self.value)
+    }
+}
+
+impl IslandDescriptor {
+    fn body_len(&self) -> usize {
+        uvarint_len(self.island.0 as u64)
+            + uvarint_len(self.protocol.0 as u64)
+            + uvarint_len(self.key as u64)
+            + value_len(&self.value)
+    }
+}
+
+fn read_u32(buf: &mut &[u8]) -> WireResult<u32> {
     let v = get_uvarint(buf)?;
     u32::try_from(v).map_err(|_| WireError::Overflow("u32 field"))
 }
 
-fn read_u16(buf: &mut Bytes) -> WireResult<u16> {
+fn read_u16(buf: &mut &[u8]) -> WireResult<u16> {
     let v = get_uvarint(buf)?;
     u16::try_from(v).map_err(|_| WireError::Overflow("u16 field"))
 }
@@ -894,8 +979,8 @@ mod tests {
     #[test]
     fn decode_rejects_missing_prefix() {
         let mut buf = BytesMut::new();
-        let mut scratch = BytesMut::new();
-        put_record(&mut buf, &mut scratch, tag::ORIGIN, |b| b.put_u8(0));
+        put_header(&mut buf, tag::ORIGIN, 1);
+        buf.put_u8(0);
         assert!(matches!(Ia::decode(buf.freeze()), Err(WireError::MalformedIa(_))));
     }
 

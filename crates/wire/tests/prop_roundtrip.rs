@@ -231,6 +231,28 @@ proptest! {
     }
 
     #[test]
+    fn ia_wire_size_is_the_encoded_length(
+        ia in arb_ia(),
+        tag in 100u64..100_000,
+        payload in proptest::collection::vec(any::<u8>(), 0..300),
+    ) {
+        let mut ia = ia;
+        ia.unknown_records.push(UnknownRecord { tag, data: Bytes::from(payload) });
+        prop_assert_eq!(ia.wire_size(), ia.encode().len());
+    }
+
+    #[test]
+    fn ia_encode_into_appends_what_encode_returns(
+        ia in arb_ia(),
+        before in proptest::collection::vec(any::<u8>(), 1..16),
+    ) {
+        let mut buf = before.clone();
+        ia.encode_into(&mut buf);
+        prop_assert_eq!(&buf[..before.len()], &before[..]);
+        prop_assert_eq!(&buf[before.len()..], &ia.encode()[..]);
+    }
+
+    #[test]
     fn ia_decode_never_panics_on_noise(data in proptest::collection::vec(any::<u8>(), 0..256)) {
         let _ = Ia::decode(Bytes::from(data));
     }
