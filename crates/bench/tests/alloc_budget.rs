@@ -79,8 +79,9 @@ fn stress_loop(n: usize, payload: usize) -> (u64, u64) {
 }
 
 /// What the loop over 1,000 BGP-only IAs allocated at the parent commit
-/// (`987cadd`), measured with this test.
-const PARENT_BGP_ONLY_BYTES: u64 = 1_422_848;
+/// (`2ad465f`, six prefix-keyed tables in the speaker), measured with
+/// this test.
+const PARENT_BGP_ONLY_BYTES: u64 = 1_318_640;
 
 #[test]
 fn the_stress_loop_stays_inside_its_allocation_budget() {
@@ -97,12 +98,17 @@ fn the_stress_loop_stays_inside_its_allocation_budget() {
         allocated as f64 / emitted as f64
     );
 
-    // BGP-only IAs: no payload to share, so the per-message cost must
-    // not have been traded for the per-byte one.
+    // BGP-only IAs: no payload to share, so what is left is the
+    // per-message bookkeeping. One boxed per-prefix entry with one slot
+    // vector sits at 0.909x of the parent's six tables. The same entry
+    // stored inline in the trie node (0.967x), or boxed with separate
+    // received/sent vectors (0.988x), passes every functional test and
+    // gives most of that back — 0.92x is the line between them.
     let (allocated, emitted) = stress_loop(1_000, 0);
     println!("bgponly: allocated {allocated} B for {emitted} B emitted");
     assert!(
-        allocated <= PARENT_BGP_ONLY_BYTES,
-        "BGP-only IAs: allocated {allocated} B, parent allocated {PARENT_BGP_ONLY_BYTES} B"
+        allocated as f64 <= 0.92 * PARENT_BGP_ONLY_BYTES as f64,
+        "BGP-only IAs: allocated {allocated} B, budget 0.92x of the parent's \
+         {PARENT_BGP_ONLY_BYTES} B"
     );
 }

@@ -43,12 +43,11 @@ pub fn build_outgoing<'m>(
     ctx: FactoryContext<'_>,
     modules: impl IntoIterator<Item = &'m mut dyn DecisionModule>,
 ) -> Result<Ia, WireError> {
-    // Pass-through: start from the incoming IA with everything intact.
-    // Descriptor values and unknown records are shared with `chosen`
-    // (refcounted views), so this copies the IA's structure, not its
-    // payload bytes.
-    let mut ia = chosen.clone();
-    ia.prepend_as(ctx.local_as);
+    // Pass-through: start from the incoming IA with everything intact
+    // and our AS in front. Descriptor values and unknown records are
+    // shared with `chosen` (refcounted views), so this copies the IA's
+    // structure, not its payload bytes.
+    let mut ia = chosen.prepended(ctx.local_as);
     if let Some(island) = ctx.island {
         filters::declare_own_membership(&mut ia, island.id)?;
     }

@@ -10,8 +10,8 @@
 //! * [`filters`] — global import/export filters: cross-protocol loop
 //!   detection, operator protocol blacklists, island declaration and
 //!   abstraction, baseline-only export (the §6.3 comparison mode);
-//! * [`iadb`] — the database of received IAs the factory indexes for
-//!   pass-through;
+//! * [`iadb`] — the speaker's one per-prefix table: the received IAs
+//!   the factory builds from (pass-through), and everything else;
 //! * [`module`] — the [`module::DecisionModule`] trait each deployable
 //!   protocol implements, plus the baseline BGP module;
 //! * [`factory`] — builds outgoing IAs from stored incoming ones,

@@ -24,10 +24,10 @@
 
 use crate::factory::{self, FactoryContext};
 use crate::filters::{self, FilterConfig, IslandConfig, RejectReason};
-use crate::iadb::IaDb;
+use crate::iadb::{IaDb, PrefixEntry};
 use crate::module::{BgpDecision, CandidateIa, DecisionModule, ImportContext};
 use crate::neighbor::{DbgpNeighbor, NeighborId, PeerClass};
-use dbgp_rib::{recycle, AdjRib, PrefixTrie};
+use dbgp_rib::recycle;
 use dbgp_telemetry::{SelectionReason, SinkHandle, TraceKind};
 use dbgp_wire::{Ia, Ipv4Addr, Ipv4Prefix, ProtocolId};
 use std::cmp::Ordering;
@@ -110,19 +110,21 @@ pub enum DbgpOutput {
 
 /// A D-BGP speaker for one AS.
 pub struct DbgpSpeaker {
+    /// All route state: one entry per prefix holding the IAs received
+    /// and sent per neighbor, the originated IA, the installed best, the
+    /// exports built from it and the decision epoch.
+    table: IaDb,
+    /// Everything not keyed by prefix. A struct of its own so that the
+    /// pipeline can hold one table entry and `&mut` the rest at once.
+    pipe: Pipeline,
+}
+
+/// The speaker minus its table: configuration, neighbors, modules and
+/// counters, and the pipeline steps as methods on one [`PrefixEntry`].
+struct Pipeline {
     cfg: DbgpConfig,
     neighbors: BTreeMap<NeighborId, DbgpNeighbor>,
     modules: BTreeMap<ProtocolId, Box<dyn DecisionModule>>,
-    iadb: IaDb,
-    loc: PrefixTrie<Chosen>,
-    originated: PrefixTrie<Arc<Ia>>,
-    adj_out: AdjRib<NeighborId, Ia>,
-    /// Built-outgoing-IA cache, used only when every resident module's
-    /// export is uniform: one entry per (prefix, neighbor-in-island,
-    /// speaks-dbgp) class, valid while `chosen` is still the installed
-    /// best path (pointer identity; holding the `Arc` pins the
-    /// allocation so a match can never be a stale reuse).
-    out_cache: BTreeMap<(Ipv4Prefix, bool, bool), OutCacheEntry>,
     /// Count of IAs processed (for the stress benchmarks).
     processed: u64,
     /// Telemetry sink; the default no-op handle costs one branch per
@@ -135,11 +137,10 @@ pub struct DbgpSpeaker {
     incremental: bool,
     /// Full candidate scans skipped by the incremental fast path.
     fast_path_hits: u64,
-    /// The `selection_epoch()` the active module reported at each
-    /// prefix's last full scan. Only nonzero epochs are stored, so
-    /// stateless modules (epoch constant 0) never touch the map and the
-    /// fast-path check degenerates to an `is_empty()` test.
-    decision_epochs: BTreeMap<Ipv4Prefix, u64>,
+    /// Exports served from an entry's per-class cache / built by the
+    /// factory.
+    exports_shared: u64,
+    exports_built: u64,
     /// Reusable candidate-view buffer for `select` — always empty
     /// between calls; the `'static` parameter is a placeholder
     /// [`dbgp_rib::recycle`] swaps for the borrow while the (empty) vec
@@ -148,7 +149,9 @@ pub struct DbgpSpeaker {
     /// Cached conjunction of every resident module's
     /// `export_is_uniform()`, refreshed on `register_module`. When true,
     /// an unchanged best path implies every rebuilt export is
-    /// byte-identical, so the fast path may skip the fan-out entirely.
+    /// byte-identical, so the fast path may skip the fan-out entirely,
+    /// and the factory product depends only on (chosen IA, neighbor
+    /// class), so entries cache it.
     all_uniform: bool,
 }
 
@@ -159,43 +162,32 @@ pub fn render_path(ia: &Ia) -> String {
     parts.join(" ")
 }
 
-/// One cached factory product.
-struct OutCacheEntry {
-    /// The chosen incoming IA this was built from.
-    chosen: Arc<Ia>,
-    /// The built outgoing IA (class stripping already applied).
-    built: Arc<Ia>,
-}
-
 impl DbgpSpeaker {
     /// Create a speaker with the baseline BGP decision module
     /// pre-registered.
     pub fn new(cfg: DbgpConfig) -> Self {
-        let mut speaker = DbgpSpeaker {
+        let pipe = Pipeline {
             cfg,
             neighbors: BTreeMap::new(),
             modules: BTreeMap::new(),
-            iadb: IaDb::new(),
-            loc: PrefixTrie::new(),
-            originated: PrefixTrie::new(),
-            adj_out: AdjRib::new(),
-            out_cache: BTreeMap::new(),
             processed: 0,
             sink: SinkHandle::none(),
             node_label: 0,
             incremental: true,
             fast_path_hits: 0,
-            decision_epochs: BTreeMap::new(),
+            exports_shared: 0,
+            exports_built: 0,
             scratch: Vec::new(),
             all_uniform: true,
         };
+        let mut speaker = DbgpSpeaker { table: IaDb::new(), pipe };
         speaker.register_module(Box::new(BgpDecision::new()));
         speaker
     }
 
     /// Our AS number.
     pub fn asn(&self) -> u32 {
-        self.cfg.asn
+        self.pipe.cfg.asn
     }
 
     /// Attach a telemetry sink. `node_label` (typically the host's node
@@ -203,72 +195,99 @@ impl DbgpSpeaker {
     /// loop-drop events chain to the sink's ambient parent, which the
     /// host points at the triggering decode/origination event.
     pub fn set_telemetry(&mut self, sink: SinkHandle, node_label: u32) {
-        self.sink = sink;
-        self.node_label = node_label;
+        self.pipe.sink = sink;
+        self.pipe.node_label = node_label;
     }
 
     /// Our configuration.
     pub fn config(&self) -> &DbgpConfig {
-        &self.cfg
+        &self.pipe.cfg
     }
 
     /// Register a protocol's decision module (replacing any previous one
     /// for the same protocol).
     pub fn register_module(&mut self, module: Box<dyn DecisionModule>) {
-        self.modules.insert(module.protocol(), module);
-        // A new module may change what exports look like.
-        self.out_cache.clear();
-        self.all_uniform = self.modules.values().all(|m| m.export_is_uniform());
-        // Epochs recorded under the previous module set no longer prove
-        // anything: poison every installed prefix so the next arrival
-        // takes a full scan and re-records. (`u64::MAX` is reserved —
-        // `selection_epoch` must never return it — so the mismatch is
-        // guaranteed even against a stateless replacement's epoch 0.)
-        for prefix in self.loc.keys() {
-            self.decision_epochs.insert(*prefix, u64::MAX);
-        }
+        let pipe = &mut self.pipe;
+        pipe.modules.insert(module.protocol(), module);
+        pipe.all_uniform = pipe.modules.values().all(|m| m.export_is_uniform());
+        self.table.entries.for_each_mut(|_, entry| {
+            // A new module may change what exports look like.
+            entry.built = Default::default();
+            // Epochs recorded under the previous module set no longer
+            // prove anything: poison every installed prefix so the next
+            // arrival takes a full scan and re-records. (`u64::MAX` is
+            // reserved — `selection_epoch` must never return it — so the
+            // mismatch is guaranteed even against a stateless
+            // replacement's epoch 0.)
+            if entry.chosen.is_some() {
+                entry.epoch = u64::MAX;
+            }
+        });
     }
 
     /// Enable/disable the incremental decision fast path (enabled by
     /// default). With it off every arrival takes the full candidate
     /// scan, which the equivalence tests use as the reference.
     pub fn set_incremental(&mut self, on: bool) {
-        self.incremental = on;
+        self.pipe.incremental = on;
     }
 
     /// Full candidate scans the incremental fast path has avoided.
     pub fn full_scans_avoided(&self) -> u64 {
-        self.fast_path_hits
+        self.pipe.fast_path_hits
+    }
+
+    /// Outgoing IAs handed to more than one neighbor: exports served
+    /// from a prefix's per-neighbor-class cache instead of the factory.
+    pub fn exports_shared(&self) -> u64 {
+        self.pipe.exports_shared
+    }
+
+    /// Outgoing IAs the factory built (the cache declined or was cold).
+    pub fn exports_built(&self) -> u64 {
+        self.pipe.exports_built
     }
 
     /// Mutable access to a registered module (for out-of-band delivery
     /// and inspection).
     pub fn module_mut(&mut self, protocol: ProtocolId) -> Option<&mut (dyn DecisionModule + '_)> {
-        self.modules.get_mut(&protocol).map(|b| b.as_mut() as &mut dyn DecisionModule)
+        self.pipe.modules.get_mut(&protocol).map(|b| b.as_mut() as &mut dyn DecisionModule)
     }
 
     /// Add a neighbor.
     pub fn add_neighbor(&mut self, id: NeighborId, neighbor: DbgpNeighbor) -> Vec<DbgpOutput> {
-        self.neighbors.insert(id, neighbor);
+        let Self { table, pipe } = self;
+        pipe.neighbors.insert(id, neighbor);
         // Initial table transfer: the new neighbor gets our whole view.
-        let prefixes: Vec<Ipv4Prefix> = self.loc.keys().copied().collect();
         let mut out = Vec::new();
-        self.with_neighbors(|this, neighbors| {
+        pipe.with_neighbors(|pipe, neighbors| {
             let neighbor = &neighbors[&id];
-            for prefix in prefixes {
-                this.propagate_one(neighbors, id, neighbor, prefix, &mut out);
-            }
+            table.entries.for_each_mut(|prefix, entry| {
+                if entry.chosen.is_some() {
+                    pipe.propagate_one(neighbors, id, neighbor, entry, *prefix, &mut out);
+                }
+            });
         });
         out
     }
 
     /// Remove a neighbor (session loss): flush its IAs and re-decide.
     pub fn neighbor_down(&mut self, id: NeighborId) -> Vec<DbgpOutput> {
-        self.neighbors.remove(&id);
-        self.adj_out.clear_peer(id);
+        let Self { table, pipe } = self;
+        pipe.neighbors.remove(&id);
         let mut out = Vec::new();
-        for prefix in self.iadb.drop_peer(id) {
-            self.redecide(prefix, &mut out);
+        let mut idle = Vec::new();
+        table.entries.for_each_mut(|prefix, entry| {
+            entry.withdraw(id);
+            if entry.unreceive(id).is_some() {
+                pipe.redecide(entry, *prefix, &mut out);
+            }
+            if entry.is_idle() {
+                idle.push(*prefix);
+            }
+        });
+        for prefix in idle {
+            table.entries.remove(&prefix);
         }
         out
     }
@@ -276,28 +295,21 @@ impl DbgpSpeaker {
     /// The active protocol for a prefix (longest matching override, else
     /// the default).
     pub fn active_protocol(&self, prefix: &Ipv4Prefix) -> ProtocolId {
-        self.cfg
-            .active_overrides
-            .iter()
-            .filter(|(range, _)| range.covers(prefix))
-            .max_by_key(|(range, _)| range.len())
-            .map(|(_, p)| *p)
-            .unwrap_or(self.cfg.active)
+        self.pipe.active_protocol(prefix)
     }
 
     /// Switch the default active protocol and re-run selection everywhere
     /// (an island "deploying" a new protocol).
     pub fn set_active_protocol(&mut self, protocol: ProtocolId) -> Vec<DbgpOutput> {
-        self.cfg.active = protocol;
-        self.out_cache.clear();
+        let Self { table, pipe } = self;
+        pipe.cfg.active = protocol;
         let mut out = Vec::new();
-        let mut prefixes = self.iadb.prefixes();
-        prefixes.extend(self.originated.keys().copied());
-        prefixes.sort();
-        prefixes.dedup();
-        for prefix in prefixes {
-            self.redecide(prefix, &mut out);
-        }
+        // Every entry has a received or originated IA (else it would
+        // have been idle and reclaimed), so this is every known prefix.
+        table.entries.for_each_mut(|prefix, entry| {
+            entry.built = Default::default();
+            pipe.redecide(entry, *prefix, &mut out);
+        });
         out
     }
 
@@ -306,156 +318,160 @@ impl DbgpSpeaker {
     /// attestations, ...).
     pub fn originate(&mut self, prefix: Ipv4Prefix, next_hop: Ipv4Addr) -> Vec<DbgpOutput> {
         let mut ia = Ia::originate(prefix, next_hop);
-        let local_as = self.cfg.asn;
-        for module in self.modules.values_mut() {
+        let local_as = self.pipe.cfg.asn;
+        for module in self.pipe.modules.values_mut() {
             module.decorate_origin(&mut ia, local_as);
         }
-        self.originated.insert(prefix, Arc::new(ia));
-        let mut out = Vec::new();
-        self.redecide(prefix, &mut out);
-        out
+        self.originate_ia(ia)
     }
 
     /// Originate a fully custom IA (tests and replacement protocols use
     /// this to control descriptors precisely).
     pub fn originate_ia(&mut self, ia: Ia) -> Vec<DbgpOutput> {
         let prefix = ia.prefix;
-        self.originated.insert(prefix, Arc::new(ia));
+        let entry = self.table.entry(prefix);
+        entry.originated = Some(Arc::new(ia));
         let mut out = Vec::new();
-        self.redecide(prefix, &mut out);
+        self.pipe.redecide(entry, prefix, &mut out);
         out
     }
 
     /// Stop originating a prefix.
     pub fn withdraw_origin(&mut self, prefix: Ipv4Prefix) -> Vec<DbgpOutput> {
         let mut out = Vec::new();
-        if self.originated.remove(&prefix).is_some() {
-            self.redecide(prefix, &mut out);
-        }
+        self.on_existing(prefix, |pipe, entry| {
+            if entry.originated.take().is_some() {
+                pipe.redecide(entry, prefix, &mut out);
+            }
+        });
         out
     }
 
     /// Process one received IA — pipeline steps 1–7.
     pub fn receive_ia(&mut self, from: NeighborId, mut ia: Ia) -> Vec<DbgpOutput> {
-        self.processed += 1;
+        self.pipe.processed += 1;
         let mut out = Vec::new();
-        if !self.neighbors.contains_key(&from) {
+        let Some(from_as) = self.pipe.neighbors.get(&from).map(|n| n.asn) else {
             return out;
-        }
+        };
+        let prefix = ia.prefix;
         // (1) Global import filters.
-        if let Err(reason) =
-            filters::global_import(&self.cfg.filters, self.cfg.asn, self.cfg.island, &mut ia)
-        {
-            if self.sink.enabled() {
-                let from_as = self.neighbors.get(&from).map_or(0, |n| n.asn);
-                self.sink.record_now(
-                    self.node_label,
-                    self.sink.ambient_parent(),
-                    TraceKind::LoopDrop {
-                        prefix: ia.prefix,
-                        from_as,
-                        reason: format!("{reason:?}"),
-                    },
+        let cfg = &self.pipe.cfg;
+        if let Err(reason) = filters::global_import(&cfg.filters, cfg.asn, cfg.island, &mut ia) {
+            let sink = &self.pipe.sink;
+            if sink.enabled() {
+                sink.record_now(
+                    self.pipe.node_label,
+                    sink.ambient_parent(),
+                    TraceKind::LoopDrop { prefix, from_as, reason: format!("{reason:?}") },
                 );
             }
-            out.push(DbgpOutput::Rejected(from, ia.prefix, reason));
+            out.push(DbgpOutput::Rejected(from, prefix, reason));
             // A looped IA implicitly withdraws whatever this neighbor
             // previously advertised for the prefix.
-            if self.iadb.remove(from, &ia.prefix).is_some() {
-                self.redecide(ia.prefix, &mut out);
-            }
+            self.on_existing(prefix, |pipe, entry| {
+                if entry.unreceive(from).is_some() {
+                    pipe.redecide(entry, prefix, &mut out);
+                }
+            });
             return out;
         }
-        let prefix = ia.prefix;
+        // The one table walk of an announce: everything below runs on
+        // this entry.
+        let Self { table, pipe } = self;
+        let entry = table.entry(prefix);
         // Incremental fast path: a candidate provably strictly worse
         // than the installed best (from a different neighbor) cannot
         // change the selection — store it and skip the full scan.
-        if self.incremental && self.arrival_cannot_win(from, &ia) {
-            self.fast_path_hits += 1;
-            self.iadb.insert(from, ia);
-            // With every export uniform, an unchanged best implies every
-            // rebuilt outgoing IA is byte-identical and the Adj-RIB-Out
-            // diff would suppress the whole fan-out — skip it. Otherwise
-            // a new candidate can still alter what resident modules
-            // export (e.g. Wiser's bookkeeping), so re-evaluate.
-            if !self.all_uniform {
-                self.propagate_all(prefix, &mut out);
-            }
-            return out;
-        }
+        let best_stands = pipe.best_stands(entry, prefix, from, Some((&ia, from_as)));
         // (2) Store in the IA DB.
-        self.iadb.insert(from, ia);
+        entry.receive(from, Arc::new(ia));
         // (3)-(7) Extract, decide, build, filter, send.
-        let changed = self.redecide(prefix, &mut out);
-        // Even when the best path is unchanged, a new candidate can
-        // alter what resident modules export (e.g. R-BGP's failover
-        // path, Wiser's bookkeeping), so re-evaluate exports; the
-        // Adj-RIB-Out diff suppresses no-op sends, keeping the protocol
-        // quiescent.
-        if !changed {
-            self.propagate_all(prefix, &mut out);
-        }
+        pipe.settle(entry, prefix, best_stands, &mut out);
         out
     }
 
     /// Process a withdrawal from a neighbor.
     pub fn receive_withdraw(&mut self, from: NeighborId, prefix: Ipv4Prefix) -> Vec<DbgpOutput> {
         let mut out = Vec::new();
-        if self.iadb.remove(from, &prefix).is_some() {
-            // Removing a candidate that is not the installed best leaves
-            // a first-minimal selection unchanged; skip the re-scan.
-            if self.incremental && self.withdrawal_cannot_matter(from, prefix) {
-                self.fast_path_hits += 1;
-                if !self.all_uniform {
-                    self.propagate_all(prefix, &mut out);
-                }
-                return out;
+        self.on_existing(prefix, |pipe, entry| {
+            if entry.unreceive(from).is_some() {
+                let best_stands = pipe.best_stands(entry, prefix, from, None);
+                pipe.settle(entry, prefix, best_stands, &mut out);
             }
-            let changed = self.redecide(prefix, &mut out);
-            if !changed {
-                self.propagate_all(prefix, &mut out);
-            }
-        }
+        });
         out
     }
 
     /// The installed best path for a prefix.
     pub fn best(&self, prefix: &Ipv4Prefix) -> Option<&Chosen> {
-        self.loc.get(prefix)
+        self.table.entries.get(prefix)?.chosen.as_ref()
     }
 
     /// Iterate the full local routing table.
     pub fn routes(&self) -> impl Iterator<Item = (&Ipv4Prefix, &Chosen)> {
-        self.loc.iter()
+        self.table.entries.iter().filter_map(|(p, e)| Some((p, e.chosen.as_ref()?)))
     }
 
     /// Read access to the IA database.
     pub fn iadb(&self) -> &IaDb {
-        &self.iadb
+        &self.table
     }
 
     /// Number of IAs fed through the pipeline so far.
     pub fn processed(&self) -> u64 {
-        self.processed
+        self.pipe.processed
     }
 
-    // ----- internals ----------------------------------------------------
+    /// Run `f` on `prefix`'s entry, if there is one, and reclaim the
+    /// entry if that left it idle: a withdrawal's two walks.
+    fn on_existing(&mut self, prefix: Ipv4Prefix, f: impl FnOnce(&mut Pipeline, &mut PrefixEntry)) {
+        let Some(entry) = self.table.entries.get_mut(&prefix) else { return };
+        f(&mut self.pipe, entry);
+        if entry.is_idle() {
+            self.table.entries.remove(&prefix);
+        }
+    }
+}
+
+impl Pipeline {
+    /// After a candidate was stored or removed. When the fast path
+    /// proved the best stands, only re-evaluate exports — and not even
+    /// that if every export is uniform: an unchanged best then implies
+    /// every rebuilt outgoing IA is byte-identical and the Adj-RIB-Out
+    /// diff would suppress the whole fan-out. Otherwise re-decide; if the
+    /// best did not change (a change fans out itself) the new candidate
+    /// set can still alter what resident modules export (e.g. R-BGP's
+    /// failover path, Wiser's bookkeeping), so re-evaluate exports: the
+    /// diff suppresses no-op sends, keeping the protocol quiescent.
+    fn settle(
+        &mut self,
+        entry: &mut PrefixEntry,
+        prefix: Ipv4Prefix,
+        best_stands: bool,
+        out: &mut Vec<DbgpOutput>,
+    ) {
+        self.fast_path_hits += u64::from(best_stands);
+        let fan_out =
+            if best_stands { !self.all_uniform } else { !self.redecide(entry, prefix, out) };
+        if fan_out {
+            self.propagate_all(entry, prefix, out);
+        }
+    }
 
     /// Returns whether the installed best path changed.
-    fn redecide(&mut self, prefix: Ipv4Prefix, out: &mut Vec<DbgpOutput>) -> bool {
-        let (new_chosen, reason, candidates) = self.select(prefix);
-        let changed = self.loc.get(&prefix) != new_chosen.as_ref();
-        if !changed {
+    fn redecide(
+        &mut self,
+        entry: &mut PrefixEntry,
+        prefix: Ipv4Prefix,
+        out: &mut Vec<DbgpOutput>,
+    ) -> bool {
+        let (new_chosen, reason, candidates) = self.select(entry, prefix);
+        if entry.chosen == new_chosen {
             return false;
         }
-        match new_chosen.clone() {
-            Some(chosen) => {
-                self.loc.insert(prefix, chosen);
-            }
-            None => {
-                self.loc.remove(&prefix);
-            }
-        }
+        entry.chosen = new_chosen.clone();
+        entry.built = Default::default();
         if self.sink.enabled() {
             let (selected, neighbor_as, path, hops) = match &new_chosen {
                 Some(c) => (
@@ -481,23 +497,28 @@ impl DbgpSpeaker {
             );
         }
         out.push(DbgpOutput::BestChanged(prefix, new_chosen));
-        self.propagate_all(prefix, out);
+        self.propagate_all(entry, prefix, out);
         true
     }
 
     /// Steps 5–7 for every neighbor, in neighbor-id order.
-    fn propagate_all(&mut self, prefix: Ipv4Prefix, out: &mut Vec<DbgpOutput>) {
+    fn propagate_all(
+        &mut self,
+        entry: &mut PrefixEntry,
+        prefix: Ipv4Prefix,
+        out: &mut Vec<DbgpOutput>,
+    ) {
         self.with_neighbors(|this, neighbors| {
             for (&id, neighbor) in neighbors {
-                this.propagate_one(neighbors, id, neighbor, prefix, out);
+                this.propagate_one(neighbors, id, neighbor, entry, prefix, out);
             }
         });
     }
 
     /// Lend the neighbor map to `f` beside `&mut self`, so a fan-out can
-    /// walk it while the speaker's other tables change — no copy of the
-    /// ids, no second lookup per neighbor. The map is moved out for the
-    /// call (three words; an empty `BTreeMap` allocates nothing) and put
+    /// walk it while modules and counters change — no copy of the ids,
+    /// no second lookup per neighbor. The map is moved out for the call
+    /// (three words; an empty `BTreeMap` allocates nothing) and put
     /// back after, so `f` must read neighbors through its argument:
     /// `self.neighbors` is empty while it runs.
     fn with_neighbors(&mut self, f: impl FnOnce(&mut Self, &BTreeMap<NeighborId, DbgpNeighbor>)) {
@@ -506,8 +527,21 @@ impl DbgpSpeaker {
         self.neighbors = neighbors;
     }
 
-    /// The active module for a prefix, resolved with the same baseline
-    /// fallback `select` uses.
+    /// See [`DbgpSpeaker::active_protocol`].
+    fn active_protocol(&self, prefix: &Ipv4Prefix) -> ProtocolId {
+        self.cfg
+            .active_overrides
+            .iter()
+            .filter(|(range, _)| range.covers(prefix))
+            .max_by_key(|(range, _)| range.len())
+            .map(|(_, p)| *p)
+            .unwrap_or(self.cfg.active)
+    }
+
+    /// The active module for a prefix. An active protocol without a
+    /// registered module falls back to the baseline -- matching §3.5's
+    /// "switch between the baseline's algorithm and the new protocol's"
+    /// mitigation, and keeping a misconfigured speaker connected.
     fn module_key(&self, prefix: &Ipv4Prefix) -> ProtocolId {
         let active = self.active_protocol(prefix);
         if self.modules.contains_key(&active) {
@@ -517,56 +551,59 @@ impl DbgpSpeaker {
         }
     }
 
-    /// Fast-path test for an arriving IA: true when storing it provably
-    /// cannot change the installed best path, so the full candidate
-    /// scan (and export rebuild, when all exports are uniform) can be
-    /// skipped. Sound because:
+    /// Fast-path test for `from`'s IA about to be replaced by `arrival`
+    /// (the IA and `from`'s AS), or just withdrawn (`None`): true when
+    /// that provably cannot change the installed best path, so the full
+    /// candidate scan (and export rebuild, when all exports are uniform)
+    /// can be skipped. Sound because:
     ///
     /// - a locally originated prefix short-circuits `select` before any
     ///   module runs, so no stored candidate is ever consulted;
     /// - otherwise the active module must declare `incremental_safe`
     ///   (first-minimal selection under `compare_candidates`), the
     ///   recorded `selection_epoch` must match (no key-affecting state
-    ///   drift since the last full scan), the arrival must come from a
-    ///   neighbor other than the best's source (a re-advertisement
-    ///   replaces the incumbent itself), and the challenger must be
-    ///   rejected by the module's import filter or compare strictly
-    ///   worse than the incumbent — either way the minimal set, and
-    ///   hence the first minimum, is unchanged.
-    fn arrival_cannot_win(&mut self, from: NeighborId, ia: &Ia) -> bool {
-        let prefix = ia.prefix;
-        if self.originated.get(&prefix).is_some() {
+    ///   drift since the last full scan) and `from` must not be the
+    ///   best's source (a re-advertisement replaces the incumbent, a
+    ///   withdrawal removes it). Removing any other candidate leaves the
+    ///   first minimum in place; an arriving challenger must be rejected
+    ///   by the module's import filter or compare strictly worse than
+    ///   the incumbent — either way the minimal set, and hence the first
+    ///   minimum, is unchanged.
+    fn best_stands(
+        &mut self,
+        entry: &PrefixEntry,
+        prefix: Ipv4Prefix,
+        from: NeighborId,
+        arrival: Option<(&Ia, u32)>,
+    ) -> bool {
+        if !self.incremental {
+            return false;
+        }
+        if entry.originated.is_some() {
             return true;
         }
-        let Some(chosen) = self.loc.get(&prefix) else {
-            // Nothing installed: any acceptable arrival wins.
+        // Nothing installed: any acceptable arrival wins; and that a
+        // withdrawal still selects nothing leans on accept idempotence
+        // alone — rare enough to just take the full scan.
+        let Some(Chosen { neighbor: Some(best), ia: incumbent_ia }) = &entry.chosen else {
             return false;
         };
-        let Some(best_neighbor) = chosen.neighbor else {
-            return false;
-        };
-        if best_neighbor == from {
+        if *best == from {
             return false;
         }
-        let Some(from_as) = self.neighbors.get(&from).map(|n| n.asn) else {
-            return false;
-        };
-        let Some(best_as) = self.neighbors.get(&best_neighbor).map(|n| n.asn) else {
-            return false;
-        };
-        let recorded = if self.decision_epochs.is_empty() {
-            0
-        } else {
-            self.decision_epochs.get(&prefix).copied().unwrap_or(0)
-        };
         let key = self.module_key(&prefix);
-        let incumbent_ia = Arc::clone(&chosen.ia);
         let Some(module) = self.modules.get_mut(&key) else {
             return false;
         };
-        if !module.incremental_safe() || module.selection_epoch() != recorded {
+        if !module.incremental_safe() || module.selection_epoch() != entry.epoch {
             return false;
         }
+        let Some((ia, from_as)) = arrival else {
+            return true;
+        };
+        let Some(best_as) = self.neighbors.get(best).map(|n| n.asn) else {
+            return false;
+        };
         // The module's import filter sees the arrival exactly as a full
         // scan would (its side effects must land either way); a rejected
         // candidate can never win.
@@ -574,70 +611,37 @@ impl DbgpSpeaker {
             return true;
         }
         let challenger = CandidateIa { neighbor: from, neighbor_as: from_as, ia };
-        let incumbent =
-            CandidateIa { neighbor: best_neighbor, neighbor_as: best_as, ia: &incumbent_ia };
+        let incumbent = CandidateIa { neighbor: *best, neighbor_as: best_as, ia: incumbent_ia };
         module.compare_candidates(prefix, &challenger, &incumbent) == Ordering::Greater
-    }
-
-    /// Fast-path test for a withdrawal already removed from the IA DB:
-    /// true when the withdrawn candidate provably was not the installed
-    /// best, so removing it cannot change a first-minimal selection.
-    fn withdrawal_cannot_matter(&mut self, from: NeighborId, prefix: Ipv4Prefix) -> bool {
-        if self.originated.get(&prefix).is_some() {
-            return true;
-        }
-        let Some(chosen) = self.loc.get(&prefix) else {
-            // No installed best: with epoch-stable state a re-scan of
-            // the (shrunken) candidate set still selects nothing, but
-            // that reasoning leans on accept idempotence alone; the
-            // case is rare enough to just take the full scan.
-            return false;
-        };
-        if chosen.neighbor == Some(from) {
-            return false;
-        }
-        let recorded = if self.decision_epochs.is_empty() {
-            0
-        } else {
-            self.decision_epochs.get(&prefix).copied().unwrap_or(0)
-        };
-        let key = self.module_key(&prefix);
-        let Some(module) = self.modules.get(&key) else {
-            return false;
-        };
-        module.incremental_safe() && module.selection_epoch() == recorded
     }
 
     /// Steps 3–4: extract the active protocol's information and run its
     /// decision module over the candidates. Also returns why the winner
     /// won (only computed in depth while telemetry records) and how many
     /// candidates were considered.
-    fn select(&mut self, prefix: Ipv4Prefix) -> (Option<Chosen>, SelectionReason, u32) {
+    fn select(
+        &mut self,
+        entry: &mut PrefixEntry,
+        prefix: Ipv4Prefix,
+    ) -> (Option<Chosen>, SelectionReason, u32) {
         let explain = self.sink.enabled();
         // Locally originated prefixes always win (they are "ours").
-        if let Some(ia) = self.originated.get(&prefix) {
+        if let Some(ia) = &entry.originated {
             return (
                 Some(Chosen { neighbor: None, ia: Arc::clone(ia) }),
                 SelectionReason::LocalOrigin,
                 1,
             );
         }
-        let active = self.active_protocol(&prefix);
-        // An active protocol without a registered module falls back to
-        // the baseline -- matching §3.5's "switch between the baseline's
-        // algorithm and the new protocol's" mitigation, and keeping a
-        // misconfigured speaker connected.
-        let key = if self.modules.contains_key(&active) { active } else { ProtocolId::BGP };
-        if !self.modules.contains_key(&key) {
+        let key = self.module_key(&prefix);
+        let Some(module) = self.modules.get_mut(&key) else {
             return (None, SelectionReason::Unreachable, 0);
-        }
+        };
         // Check out the reusable candidate buffer (only the capacity
         // allocation is recycled).
         let mut views: Vec<CandidateIa<'_>> = recycle(std::mem::take(&mut self.scratch));
-        let module = self.modules.get_mut(&key).expect("presence checked above");
-        let neighbors = &self.neighbors;
-        for (n, ia) in self.iadb.candidates(&prefix) {
-            let Some(asn) = neighbors.get(&n).map(|nb| nb.asn) else { continue };
+        for (n, ia) in entry.candidates() {
+            let Some(asn) = self.neighbors.get(&n).map(|nb| nb.asn) else { continue };
             let c = CandidateIa { neighbor: n, neighbor_as: asn, ia: ia.as_ref() };
             if module.accept(ImportContext {
                 neighbor: c.neighbor,
@@ -656,33 +660,20 @@ impl DbgpSpeaker {
                 } else {
                     SelectionReason::ModulePreference
                 };
-                // The winner's view borrows the IA DB entry; re-fetch the
-                // stored `Arc` to intern it into `Chosen`.
-                let winner = views[best];
-                let arc = self
-                    .iadb
-                    .get(winner.neighbor, &prefix)
-                    .expect("winner was enumerated from the IA DB");
-                (
-                    Some(Chosen { neighbor: Some(winner.neighbor), ia: Arc::clone(arc) }),
-                    reason,
-                    count,
-                )
+                // The winner's view borrows the stored IA; re-fetch its
+                // `Arc` to intern it into `Chosen`.
+                let neighbor = views[best].neighbor;
+                let arc = entry.received(neighbor).expect("winner was enumerated from the entry");
+                (Some(Chosen { neighbor: Some(neighbor), ia: Arc::clone(arc) }), reason, count)
             }
             None => (None, SelectionReason::Unreachable, count),
         };
-        // Fence the incremental fast path on the key state this scan
-        // used. Stateless modules report a constant 0 and (with no
-        // stateful module resident) never touch the map.
-        let epoch = module.selection_epoch();
-        debug_assert_ne!(epoch, u64::MAX, "u64::MAX is the reserved poison epoch");
-        if epoch != 0 {
-            self.decision_epochs.insert(prefix, epoch);
-        } else if !self.decision_epochs.is_empty() {
-            self.decision_epochs.remove(&prefix);
-        }
         // Check the scratch buffer back in, empty again.
         self.scratch = recycle(views);
+        // Fence the incremental fast path on the key state this scan
+        // used (stateless modules report a constant 0).
+        entry.epoch = module.selection_epoch();
+        debug_assert_ne!(entry.epoch, u64::MAX, "u64::MAX is the reserved poison epoch");
         result
     }
 
@@ -693,105 +684,67 @@ impl DbgpSpeaker {
         neighbors: &BTreeMap<NeighborId, DbgpNeighbor>,
         id: NeighborId,
         neighbor: &DbgpNeighbor,
+        entry: &mut PrefixEntry,
         prefix: Ipv4Prefix,
         out: &mut Vec<DbgpOutput>,
     ) {
-        // Gao-Rexford valley-free export: a route learned from a provider
-        // or lateral peer never goes back "up" or "sideways". Both ends of
-        // the decision must be class-annotated to participate; locally
-        // originated routes (no learned-from neighbor) export everywhere.
-        let mut policy_vetoed = false;
-        let export = self.loc.get(&prefix).and_then(|chosen| {
+        let export = entry.chosen.as_ref().filter(|chosen| {
             // Split horizon: never send a path back to its source.
             if chosen.neighbor == Some(id) {
-                return None;
+                return false;
             }
-            if self.cfg.filters.valley_free {
-                let learned_up = chosen
-                    .neighbor
-                    .and_then(|src| neighbors.get(&src))
-                    .and_then(|n| n.class)
-                    .is_some_and(|c| c != PeerClass::Customer);
-                let target_up = neighbor.class.is_some_and(|c| c != PeerClass::Customer);
-                if learned_up && target_up {
-                    policy_vetoed = true;
-                    return None;
-                }
-            }
-            Some(Arc::clone(&chosen.ia))
+            // Gao-Rexford valley-free export: a route learned from a
+            // provider or lateral peer never goes back "up" or
+            // "sideways". Both ends of the decision must be
+            // class-annotated to participate; locally originated routes
+            // (no learned-from neighbor) export everywhere.
+            let up = |n: &DbgpNeighbor| n.class.is_some_and(|c| c != PeerClass::Customer);
+            let learned_up = || chosen.neighbor.and_then(|src| neighbors.get(&src)).is_some_and(up);
+            !(self.cfg.filters.valley_free && up(neighbor) && learned_up())
         });
-        match export {
-            Some(chosen_ia) => {
-                let neighbor_in_island = self.cfg.island.is_some() && neighbor.same_island;
-                let class = (prefix, neighbor_in_island, neighbor.speaks_dbgp);
-                // With uniform exports the factory product depends only
-                // on (chosen IA, neighbor class): build once per class
-                // and share the Arc across the whole fan-out.
-                let cacheable = self.all_uniform;
-                if let Some(entry) = self.out_cache.get(&class) {
-                    if cacheable && Arc::ptr_eq(&entry.chosen, &chosen_ia) {
-                        let ia = Arc::clone(&entry.built);
-                        self.stage_send(id, prefix, ia, out);
-                        return;
-                    }
-                }
-                let ctx = FactoryContext {
-                    local_as: self.cfg.asn,
-                    island: self.cfg.island,
-                    filters: &self.cfg.filters,
-                    neighbor: id,
-                    neighbor_as: neighbor.asn,
-                    neighbor_in_island,
-                };
-                let modules =
-                    self.modules.values_mut().map(|b| b.as_mut() as &mut dyn DecisionModule);
-                let mut ia = match factory::build_outgoing(&chosen_ia, ctx, modules) {
-                    Ok(ia) => ia,
-                    Err(_) => return,
-                };
-                // Transitional mode (§3.5): legacy BGP neighbors get the
-                // IA with every extra field dropped.
-                if !neighbor.speaks_dbgp {
-                    ia.retain_protocols(&[ProtocolId::BGP]);
-                    ia.memberships.clear();
-                    ia.island_descriptors.clear();
-                }
-                let ia = Arc::new(ia);
-                if cacheable {
-                    self.out_cache
-                        .insert(class, OutCacheEntry { chosen: chosen_ia, built: Arc::clone(&ia) });
-                }
-                self.stage_send(id, prefix, ia, out);
+        let Some(chosen) = export else {
+            if entry.withdraw(id) {
+                out.push(DbgpOutput::SendWithdraw(id, prefix));
             }
-            None => {
-                // Nothing to export: drop this prefix's cached builds so
-                // they don't pin dead IAs. A policy veto is per-neighbor
-                // — the chosen IA is still exported to customers, whose
-                // cached builds must survive the fan-out.
-                if !policy_vetoed {
-                    for in_island in [false, true] {
-                        for speaks in [false, true] {
-                            self.out_cache.remove(&(prefix, in_island, speaks));
-                        }
-                    }
-                }
-                if self.adj_out.withdraw(id, &prefix) {
-                    out.push(DbgpOutput::SendWithdraw(id, prefix));
-                }
+            return;
+        };
+        let neighbor_in_island = self.cfg.island.is_some() && neighbor.same_island;
+        let class = usize::from(neighbor_in_island) * 2 + usize::from(neighbor.speaks_dbgp);
+        // With uniform exports the factory product depends only on
+        // (chosen IA, neighbor class): build once per class and share
+        // the Arc across the whole fan-out and every later one, until
+        // the best changes.
+        let ia = if let Some(built) = &entry.built[class] {
+            self.exports_shared += 1;
+            Arc::clone(built)
+        } else {
+            self.exports_built += 1;
+            let ctx = FactoryContext {
+                local_as: self.cfg.asn,
+                island: self.cfg.island,
+                filters: &self.cfg.filters,
+                neighbor: id,
+                neighbor_as: neighbor.asn,
+                neighbor_in_island,
+            };
+            let modules = self.modules.values_mut().map(|b| b.as_mut() as &mut dyn DecisionModule);
+            let Ok(mut ia) = factory::build_outgoing(&chosen.ia, ctx, modules) else { return };
+            // Transitional mode (§3.5): legacy BGP neighbors get the
+            // IA with every extra field dropped.
+            if !neighbor.speaks_dbgp {
+                ia.retain_protocols(&[ProtocolId::BGP]);
+                ia.memberships.clear();
+                ia.island_descriptors.clear();
             }
-        }
-    }
-
-    /// Emit `SendIa` only when the Adj-RIB-Out diff says the outgoing IA
-    /// differs from what the neighbor already has.
-    fn stage_send(
-        &mut self,
-        id: NeighborId,
-        prefix: Ipv4Prefix,
-        ia: Arc<Ia>,
-        out: &mut Vec<DbgpOutput>,
-    ) {
-        if self.adj_out.advertise(id, prefix, &ia) {
+            let ia = Arc::new(ia);
+            if self.all_uniform {
+                entry.built[class] = Some(Arc::clone(&ia));
+            }
+            ia
+        };
+        // Emit `SendIa` only when the Adj-RIB-Out diff says the outgoing
+        // IA differs from what the neighbor already has.
+        if entry.advertise(id, &ia) {
             out.push(DbgpOutput::SendIa(id, ia));
         }
     }
@@ -1218,117 +1171,5 @@ mod tests {
         assert_eq!(speaker.active_protocol(&p("10.5.1.0/24")), ProtocolId::SCION);
         assert_eq!(speaker.active_protocol(&p("10.9.0.0/16")), ProtocolId::WISER);
         assert_eq!(speaker.active_protocol(&p("192.168.0.0/16")), ProtocolId::BGP);
-    }
-
-    /// A pair of identically configured speakers, one with the
-    /// incremental fast path disabled, fed the same inputs.
-    fn fast_slow_pair() -> (DbgpSpeaker, DbgpSpeaker) {
-        let mk = || {
-            let mut s = DbgpSpeaker::new(DbgpConfig::gulf(9));
-            s.add_neighbor(NeighborId(0), DbgpNeighbor::dbgp(1));
-            s.add_neighbor(NeighborId(1), DbgpNeighbor::dbgp(2));
-            s.add_neighbor(NeighborId(2), DbgpNeighbor::dbgp(3));
-            s
-        };
-        let fast = mk();
-        let mut slow = mk();
-        slow.set_incremental(false);
-        (fast, slow)
-    }
-
-    fn hops_ia(nexthop: u8, hops: &[u32]) -> Ia {
-        let mut ia = Ia::originate(p("10.0.0.0/8"), nh(nexthop));
-        for &h in hops.iter().rev() {
-            ia.prepend_as(h);
-        }
-        ia
-    }
-
-    #[test]
-    fn strictly_worse_arrival_takes_fast_path_with_identical_outputs() {
-        let (mut fast, mut slow) = fast_slow_pair();
-        let good = hops_ia(1, &[1]);
-        assert_eq!(
-            fast.receive_ia(NeighborId(0), good.clone()),
-            slow.receive_ia(NeighborId(0), good)
-        );
-        // Two hops from a different neighbor: provably strictly worse.
-        let worse = hops_ia(2, &[2, 50]);
-        assert_eq!(
-            fast.receive_ia(NeighborId(1), worse.clone()),
-            slow.receive_ia(NeighborId(1), worse)
-        );
-        assert_eq!(fast.full_scans_avoided(), 1);
-        assert_eq!(slow.full_scans_avoided(), 0);
-        // Withdrawing the non-best candidate is also a provable no-op.
-        assert_eq!(
-            fast.receive_withdraw(NeighborId(1), p("10.0.0.0/8")),
-            slow.receive_withdraw(NeighborId(1), p("10.0.0.0/8"))
-        );
-        assert_eq!(fast.full_scans_avoided(), 2);
-        // Withdrawing the best forces the full scan on both.
-        assert_eq!(
-            fast.receive_withdraw(NeighborId(0), p("10.0.0.0/8")),
-            slow.receive_withdraw(NeighborId(0), p("10.0.0.0/8"))
-        );
-        assert_eq!(fast.full_scans_avoided(), 2);
-        assert_eq!(fast.best(&p("10.0.0.0/8")), slow.best(&p("10.0.0.0/8")));
-    }
-
-    #[test]
-    fn best_source_readvertisement_takes_full_scan() {
-        let (mut fast, mut slow) = fast_slow_pair();
-        fast.receive_ia(NeighborId(0), hops_ia(1, &[1]));
-        slow.receive_ia(NeighborId(0), hops_ia(1, &[1]));
-        // The best's own source re-advertises a longer path: the
-        // incumbent itself is replaced, so the fast path must not fire
-        // and selection must move to the other candidate.
-        fast.receive_ia(NeighborId(1), hops_ia(2, &[2, 60]));
-        slow.receive_ia(NeighborId(1), hops_ia(2, &[2, 60]));
-        let long = hops_ia(1, &[1, 70, 71]);
-        assert_eq!(
-            fast.receive_ia(NeighborId(0), long.clone()),
-            slow.receive_ia(NeighborId(0), long)
-        );
-        assert_eq!(fast.best(&p("10.0.0.0/8")).unwrap().neighbor, Some(NeighborId(1)));
-        assert_eq!(fast.best(&p("10.0.0.0/8")), slow.best(&p("10.0.0.0/8")));
-        assert_eq!(fast.full_scans_avoided(), 1, "only the strictly-worse arrival fast-paths");
-    }
-
-    #[test]
-    fn originated_prefix_arrivals_fast_path_without_module_involvement() {
-        let mut speaker = DbgpSpeaker::new(DbgpConfig::gulf(9));
-        speaker.add_neighbor(NeighborId(0), DbgpNeighbor::dbgp(1));
-        speaker.originate(p("10.0.0.0/8"), nh(9));
-        let outs = speaker.receive_ia(NeighborId(0), hops_ia(1, &[1]));
-        assert!(outs.is_empty(), "a learned route never displaces a local origination");
-        assert_eq!(speaker.full_scans_avoided(), 1);
-        assert_eq!(speaker.best(&p("10.0.0.0/8")).unwrap().neighbor, None);
-        // Withdrawing the origination re-scans and promotes the stored IA.
-        let outs = speaker.withdraw_origin(p("10.0.0.0/8"));
-        assert!(outs.iter().any(|o| matches!(o, DbgpOutput::BestChanged(_, Some(_)))));
-        assert_eq!(speaker.best(&p("10.0.0.0/8")).unwrap().neighbor, Some(NeighborId(0)));
-    }
-
-    #[test]
-    fn module_swap_poisons_fast_path_until_rescan() {
-        let (mut fast, mut slow) = fast_slow_pair();
-        for s in [&mut fast, &mut slow] {
-            s.receive_ia(NeighborId(0), hops_ia(1, &[1]));
-            s.receive_ia(NeighborId(1), hops_ia(2, &[2, 50]));
-            // Replacing the active module invalidates the recorded
-            // decision state; the next arrival must take a full scan
-            // even though the new module is also incremental-safe.
-            s.register_module(Box::new(BgpDecision::new()));
-        }
-        let worse = hops_ia(3, &[3, 51, 52]);
-        assert_eq!(
-            fast.receive_ia(NeighborId(2), worse.clone()),
-            slow.receive_ia(NeighborId(2), worse)
-        );
-        assert_eq!(fast.full_scans_avoided(), 1, "post-swap arrival full-scans");
-        // The full scan re-recorded the epoch; the fast path is live again.
-        fast.receive_ia(NeighborId(2), hops_ia(3, &[3, 51, 53]));
-        assert_eq!(fast.full_scans_avoided(), 2);
     }
 }

@@ -5,9 +5,9 @@
 //! the per-neighbor table built on it.
 //!
 //! [`PrefixTrie`] is the storage engine behind every routing table in
-//! the workspace: the Loc-RIBs, the simulator FIBs and — one trie per
-//! neighbor, as [`AdjRib`] — the Adj-RIB-In/Adj-RIB-Out of both routing
-//! cores and the D-BGP IA database. The flat
+//! the workspace: the Loc-RIBs, the simulator FIBs, the D-BGP speaker's
+//! per-prefix table and — one trie per neighbor, as [`AdjRib`] — the
+//! classic core's Adj-RIB-In/Adj-RIB-Out. The flat
 //! `BTreeMap<Ipv4Prefix, _>` stores it replaces were fine for the
 //! paper's handful of §5 prefixes but made `longest_match` a linear
 //! scan; at full-table cardinality (~1M routes, ROADMAP item 1) both
@@ -145,8 +145,9 @@ impl<T> PrefixTrie<T> {
         self.len = 0;
     }
 
-    fn alloc(&mut self, prefix: Ipv4Prefix, value: Option<T>) -> u32 {
-        let node = Node { prefix, value, children: [NIL, NIL] };
+    /// A fresh valueless, childless node for `prefix`.
+    fn alloc(&mut self, prefix: Ipv4Prefix) -> u32 {
+        let node = Node { prefix, value: None, children: [NIL, NIL] };
         match self.free.pop() {
             Some(idx) => {
                 self.nodes[idx as usize] = node;
@@ -168,27 +169,25 @@ impl<T> PrefixTrie<T> {
         self.free.push(idx);
     }
 
-    /// Insert `value` at `prefix`, returning the previous value if the
-    /// prefix was already present.
-    pub fn insert(&mut self, prefix: Ipv4Prefix, value: T) -> Option<T> {
+    /// Walk to `prefix`'s node, creating it (valueless) if it is not in
+    /// the trie. The one descent under both [`insert`](Self::insert)
+    /// and [`get_or_insert_with`](Self::get_or_insert_with); the caller
+    /// stores a value there before returning, which restores the
+    /// "valueless nodes have two children" invariant.
+    fn find_or_create(&mut self, prefix: Ipv4Prefix) -> usize {
         let mut at = 0u32;
         loop {
             let node_prefix = self.nodes[at as usize].prefix;
             if node_prefix == prefix {
-                let old = self.nodes[at as usize].value.replace(value);
-                if old.is_none() {
-                    self.len += 1;
-                }
-                return old;
+                return at as usize;
             }
             // Invariant: node_prefix strictly covers prefix.
             let b = bit(prefix.network().0, node_prefix.len());
             let child = self.nodes[at as usize].children[b];
             if child == NIL {
-                let leaf = self.alloc(prefix, Some(value));
+                let leaf = self.alloc(prefix);
                 self.nodes[at as usize].children[b] = leaf;
-                self.len += 1;
-                return None;
+                return leaf as usize;
             }
             let child_prefix = self.nodes[child as usize].prefix;
             if child_prefix.covers(&prefix) {
@@ -197,26 +196,52 @@ impl<T> PrefixTrie<T> {
             }
             if prefix.covers(&child_prefix) {
                 // The new prefix sits between `at` and its child.
-                let mid = self.alloc(prefix, Some(value));
+                let mid = self.alloc(prefix);
                 let cb = bit(child_prefix.network().0, prefix.len());
                 self.nodes[mid as usize].children[cb] = child;
                 self.nodes[at as usize].children[b] = mid;
-                self.len += 1;
-                return None;
+                return mid as usize;
             }
             // Diverging prefixes: branch at their longest common prefix.
             let lcp = common_prefix(prefix, child_prefix);
-            let branch = self.alloc(lcp, None);
-            let leaf = self.alloc(prefix, Some(value));
+            let branch = self.alloc(lcp);
+            let leaf = self.alloc(prefix);
             let pb = bit(prefix.network().0, lcp.len());
             let cb = bit(child_prefix.network().0, lcp.len());
             debug_assert_ne!(pb, cb);
             self.nodes[branch as usize].children[pb] = leaf;
             self.nodes[branch as usize].children[cb] = child;
             self.nodes[at as usize].children[b] = branch;
-            self.len += 1;
-            return None;
+            return leaf as usize;
         }
+    }
+
+    /// Insert `value` at `prefix`, returning the previous value if the
+    /// prefix was already present.
+    pub fn insert(&mut self, prefix: Ipv4Prefix, value: T) -> Option<T> {
+        let at = self.find_or_create(prefix);
+        let old = self.nodes[at].value.replace(value);
+        if old.is_none() {
+            self.len += 1;
+        }
+        old
+    }
+
+    /// The value at `prefix`, storing `default()` first if the prefix
+    /// was absent — `BTreeMap::entry(..).or_insert_with(..)` in one
+    /// descent, where `get_mut` then `insert` would take two.
+    pub fn get_or_insert_with(
+        &mut self,
+        prefix: Ipv4Prefix,
+        default: impl FnOnce() -> T,
+    ) -> &mut T {
+        let at = self.find_or_create(prefix);
+        let slot = &mut self.nodes[at].value;
+        if slot.is_none() {
+            *slot = Some(default());
+            self.len += 1;
+        }
+        slot.as_mut().expect("filled above")
     }
 
     /// Remove `prefix`, returning its value if it was stored.
@@ -373,6 +398,26 @@ impl<T> PrefixTrie<T> {
     pub fn values(&self) -> impl Iterator<Item = &T> {
         self.iter().map(|(_, v)| v)
     }
+
+    /// Visit every stored value mutably, in ascending prefix order.
+    /// Internal iteration: a borrowing `iter_mut` over an index-linked
+    /// arena cannot be written in safe Rust.
+    pub fn for_each_mut(&mut self, mut f: impl FnMut(&Ipv4Prefix, &mut T)) {
+        let mut stack = vec![0u32];
+        while let Some(at) = stack.pop() {
+            let node = &mut self.nodes[at as usize];
+            // Right child below left so the zero side pops first.
+            if node.children[1] != NIL {
+                stack.push(node.children[1]);
+            }
+            if node.children[0] != NIL {
+                stack.push(node.children[0]);
+            }
+            if let Some(v) = node.value.as_mut() {
+                f(&node.prefix, v);
+            }
+        }
+    }
 }
 
 /// Sorted iterator over stored prefixes.
@@ -500,9 +545,10 @@ where
     }
 }
 
-/// A per-neighbor route table: the one store behind the classic
-/// Adj-RIB-In and Adj-RIB-Out (`dbgp-session`) and the D-BGP IA
-/// database and Adj-RIB-Out (`dbgp-core`).
+/// A per-neighbor route table: the store behind the classic Adj-RIB-In
+/// and Adj-RIB-Out (`dbgp-session`). (`dbgp-core`'s IA database is
+/// prefix-major instead: an IA carries one prefix, so neighbor-major
+/// tries have no attribute block to share across prefixes.)
 ///
 /// Entries are interned behind `Arc`, so the decision process, the
 /// Loc-RIB and the export bookkeeping share one allocation per distinct

@@ -75,6 +75,48 @@ proptest! {
         );
     }
 
+    /// Find-or-create against `entry().or_default()`, interleaved with
+    /// inserts and removes over nested prefixes and the default route;
+    /// then `for_each_mut` against `iter_mut`, in the same order.
+    #[test]
+    fn get_or_insert_with_matches_entry_or_default(
+        ops in proptest::collection::vec((dense_prefix(), 0u8..4, any::<u32>()), 1..60),
+    ) {
+        let mut trie: PrefixTrie<u32> = PrefixTrie::new();
+        let mut model: BTreeMap<Ipv4Prefix, u32> = BTreeMap::new();
+        for (prefix, kind, v) in &ops {
+            match kind {
+                // Twice as likely as the others: both the "found" and
+                // the "created" side need traffic.
+                0 | 1 => {
+                    let mut called = false;
+                    let slot = trie.get_or_insert_with(*prefix, || {
+                        called = true;
+                        u32::default()
+                    });
+                    *slot = slot.wrapping_add(*v);
+                    prop_assert_eq!(called, !model.contains_key(prefix), "default ran iff absent");
+                    let want = model.entry(*prefix).or_default();
+                    *want = want.wrapping_add(*v);
+                }
+                2 => prop_assert_eq!(trie.insert(*prefix, *v), model.insert(*prefix, *v)),
+                _ => prop_assert_eq!(trie.remove(prefix), model.remove(prefix)),
+            }
+            prop_assert_eq!(trie.len(), model.len());
+            prop_assert_eq!(trie.get(prefix), model.get(prefix));
+        }
+        prop_assert!(trie == model, "trie {:?} != model {:?}", trie, model);
+        prop_assert!(trie.node_count() <= 2 * trie.len().max(1));
+        let mut visited = Vec::new();
+        trie.for_each_mut(|prefix, v| {
+            *v = v.wrapping_mul(3);
+            visited.push(*prefix);
+        });
+        model.values_mut().for_each(|v| *v = v.wrapping_mul(3));
+        prop_assert_eq!(visited, model.keys().copied().collect::<Vec<_>>());
+        prop_assert!(trie == model);
+    }
+
     #[test]
     fn longest_match_agrees_with_linear_scan(
         ops in proptest::collection::vec(op(), 1..60),

@@ -242,10 +242,39 @@ impl Ia {
     /// membership ranges right by one.
     pub fn prepend_as(&mut self, asn: u32) {
         self.path_vector.insert(0, PathElem::As(asn));
+        self.shift_memberships();
+    }
+
+    /// Move every membership range one entry toward the origin: the
+    /// path vector just grew by one at the front.
+    fn shift_memberships(&mut self) {
         for m in &mut self.memberships {
             m.start += 1;
             m.end += 1;
         }
+    }
+
+    /// A copy of this IA with `asn` prepended — `clone` then
+    /// [`prepend_as`](Self::prepend_as), except that the path vector is
+    /// built once at its final length instead of cloned at exact
+    /// capacity and then grown and shifted by the `insert(0)`.
+    pub fn prepended(&self, asn: u32) -> Ia {
+        let mut path_vector = Vec::with_capacity(self.path_vector.len() + 1);
+        path_vector.push(PathElem::As(asn));
+        path_vector.extend_from_slice(&self.path_vector);
+        let mut ia = Ia {
+            prefix: self.prefix,
+            origin: self.origin,
+            next_hop: self.next_hop,
+            med: self.med,
+            path_vector,
+            memberships: self.memberships.clone(),
+            path_descriptors: self.path_descriptors.clone(),
+            island_descriptors: self.island_descriptors.clone(),
+            unknown_records: self.unknown_records.clone(),
+        };
+        ia.shift_memberships();
+        ia
     }
 
     /// Record that the frontmost `count` path-vector entries belong to
@@ -886,6 +915,21 @@ mod tests {
             assert_eq!(a.end, b.end + 1);
         }
         assert!(ia.validate().is_ok());
+    }
+
+    #[test]
+    fn prepended_equals_clone_then_prepend_as() {
+        // Memberships, shared/path/island descriptors, an unknown record.
+        let mut ia = figure4_ia();
+        ia.med = Some(7);
+        ia.unknown_records.push(UnknownRecord { tag: 999, data: Bytes::from_static(b"future") });
+        for ia in [ia, Ia::originate(p("10.0.0.0/8"), Ipv4Addr::new(10, 0, 0, 1))] {
+            let mut expected = ia.clone();
+            expected.prepend_as(42);
+            let got = ia.prepended(42);
+            assert_eq!(got, expected);
+            assert_eq!(got.path_vector.capacity(), got.path_vector.len(), "built in one piece");
+        }
     }
 
     #[test]
