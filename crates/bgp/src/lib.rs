@@ -8,9 +8,10 @@
 //! live in `dbgp-session` (shared with the `dbgpd` daemon) and are
 //! re-exported here under their historical paths; this crate adds:
 //!
-//! * [`speaker`] — the whole speaker: byte-oriented, host-driven, with
-//!   split-horizon, loop detection, policy application and incremental
-//!   advertisement generation, assembled from the sans-IO cores.
+//! * [`speaker`] — the whole speaker behind a byte-oriented,
+//!   one-connection-per-peer interface: `dbgp-session`'s `Host` (the
+//!   assembly `dbgpd` runs) as the stress harnesses and the iBGP tests
+//!   drive it.
 //!
 //! Nothing here knows about Integrated Advertisements; `dbgp-core`
 //! builds the multi-protocol pipeline on top of these pieces.
@@ -27,7 +28,7 @@ pub mod speaker;
 pub use config::{NeighborConfig, PeerConfig, PeerId};
 pub use decision::{best, compare, Candidate};
 pub use policy::{Clause, MatchCond, PrefixMatch, RouteMap, SetAction};
-pub use rib::{AdjRibIn, AdjRibOut, LocRib, LocRibEntry, RouteSource};
+pub use rib::{LocRibEntry, RouteSource};
 pub use route::Route;
 pub use session::{
     Action, DownReason, Millis, Session, SessionEvent, SessionState, SessionSummary,

@@ -1,9 +1,10 @@
-//! A complete classic BGP-4 speaker, sans-IO.
+//! A complete classic BGP-4 speaker, sans-IO, one connection per peer.
 //!
-//! The speaker assembles the two cores from `dbgp-session` — one
-//! [`SessionCore`] per configured neighbor plus one [`RoutingCore`] for
-//! the RIBs and decision process — and exposes a byte-oriented
-//! interface: feed it received bytes and transport events with a
+//! [`Speaker`] is `dbgp_session`'s [`Host`] — one session core per
+//! configured neighbor plus one routing core for the RIBs and decision
+//! process, the assembly `dbgpd` runs over real TCP — behind a
+//! byte-oriented interface for fabrics that never have two connections
+//! to a peer: feed it received bytes and transport events with a
 //! timestamp, and execute the [`Output`]s it returns (bytes to send,
 //! connections to open, ...). All message framing goes through the real
 //! wire codec, so every test that drives two speakers against each
@@ -11,18 +12,15 @@
 //!
 //! In the paper's terms this is "Quagga": the baseline BGP
 //! implementation whose advertisement processing D-BGP (in `dbgp-core`)
-//! interposes on. The `dbgpd` daemon (`dbgp-daemon`) drives the same
-//! two cores over real TCP sockets.
+//! interposes on.
 
-use crate::config::{NeighborConfig, PeerId};
-use crate::rib::{AdjRibIn, LocRib, LocRibEntry};
-use crate::session::{DownReason, Millis, SessionState, SessionSummary};
-use bytes::Bytes;
-use dbgp_session::{ConnDir, CoreOutput, RibOp, RoutingCore, SessionCore};
-use dbgp_telemetry::SinkHandle;
-use dbgp_wire::message::BgpMessage;
-use dbgp_wire::{Ipv4Addr, Ipv4Prefix};
-use std::collections::BTreeMap;
+use crate::config::PeerId;
+use crate::session::{Millis, SessionState};
+use dbgp_session::{AdjRibInView, ConnDir, Host, LocRibView};
+use dbgp_wire::Ipv4Addr;
+use std::ops::{Deref, DerefMut};
+
+pub use dbgp_session::HostOutput as Output;
 
 /// Transport-level inputs the host forwards to the speaker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -35,224 +33,72 @@ pub enum TransportEvent {
     Closed,
 }
 
-/// Instructions the speaker hands back to its host.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Output {
-    /// Transmit these bytes to the peer.
-    SendBytes(PeerId, Bytes),
-    /// Open the transport connection to the peer.
-    TcpConnect(PeerId),
-    /// Close the transport connection to the peer.
-    TcpClose(PeerId),
-    /// The session with this peer reached Established.
-    PeerUp(PeerId, SessionSummary),
-    /// The session with this peer went down.
-    PeerDown(PeerId, DownReason),
-    /// The best route for a prefix changed (`None` = now unreachable).
-    /// The host's data plane should update its FIB.
-    BestRouteChanged(Ipv4Prefix, Option<LocRibEntry>),
+/// A classic BGP-4 speaker: a [`Host`] (to which it dereferences for
+/// `add_peer`, `start`, `poll`, `originate`, ...) whose one connection
+/// per peer is the dialed one.
+pub struct Speaker(Host);
+
+impl Deref for Speaker {
+    type Target = Host;
+
+    fn deref(&self) -> &Host {
+        &self.0
+    }
 }
 
-/// A classic BGP-4 speaker.
-pub struct Speaker {
-    peers: BTreeMap<PeerId, SessionCore>,
-    routing: RoutingCore,
-    sink: SinkHandle,
-    node_label: u32,
+impl DerefMut for Speaker {
+    fn deref_mut(&mut self) -> &mut Host {
+        &mut self.0
+    }
 }
 
 impl Speaker {
     /// Create a speaker for AS `asn` with the given router ID.
     pub fn new(asn: u32, router_id: Ipv4Addr) -> Self {
-        Speaker {
-            peers: BTreeMap::new(),
-            routing: RoutingCore::new(asn, router_id),
-            sink: SinkHandle::none(),
-            node_label: 0,
-        }
-    }
-
-    /// Attach a telemetry sink; `node_label` identifies this speaker in
-    /// recorded events. Propagates to every existing session (new peers
-    /// added later inherit it in [`add_peer`](Self::add_peer)).
-    pub fn set_telemetry(&mut self, sink: SinkHandle, node_label: u32) {
-        self.sink = sink;
-        self.node_label = node_label;
-        self.routing.set_telemetry(self.sink.clone(), node_label);
-        for (id, core) in self.peers.iter_mut() {
-            core.set_telemetry(self.sink.clone(), node_label, id.0);
-        }
-    }
-
-    /// Our AS number.
-    pub fn asn(&self) -> u32 {
-        self.routing.asn()
-    }
-
-    /// Our router ID.
-    pub fn router_id(&self) -> Ipv4Addr {
-        self.routing.router_id()
-    }
-
-    /// Register a neighbor. Panics if the peer ID is already used.
-    pub fn add_peer(&mut self, id: PeerId, cfg: NeighborConfig) {
-        assert!(!self.peers.contains_key(&id), "duplicate peer {id}");
-        let mut core = SessionCore::new(cfg.session.clone());
-        core.set_telemetry(self.sink.clone(), self.node_label, id.0);
-        self.peers.insert(id, core);
-        self.routing.add_peer(id, cfg);
-    }
-
-    /// Enable all sessions (ManualStart).
-    pub fn start(&mut self, now: Millis) -> Vec<Output> {
-        let ids: Vec<PeerId> = self.peers.keys().copied().collect();
-        let mut out = Vec::new();
-        for id in ids {
-            let couts = self.peers.get_mut(&id).unwrap().start(now);
-            self.absorb_core(now, id, couts, &mut out);
-        }
-        out
+        Speaker(Host::new(asn, router_id))
     }
 
     /// Forward a transport event for one peer.
     pub fn transport_event(&mut self, now: Millis, id: PeerId, ev: TransportEvent) -> Vec<Output> {
-        let mut out = Vec::new();
-        let Some(core) = self.peers.get_mut(&id) else { return out };
-        let couts = match ev {
-            TransportEvent::Connected => core.connected(now, ConnDir::Out),
-            TransportEvent::Failed => core.connect_failed(now),
-            TransportEvent::Closed => core.closed(now, ConnDir::Out),
-        };
-        self.absorb_core(now, id, couts, &mut out);
-        out
+        match ev {
+            TransportEvent::Connected => self.0.dial_result(now, id, true),
+            TransportEvent::Failed => self.0.dial_result(now, id, false),
+            TransportEvent::Closed => self.0.conn_closed(now, id, ConnDir::Out),
+        }
     }
 
     /// Feed received bytes from one peer; decodes as many complete
     /// messages as are buffered.
     pub fn receive(&mut self, now: Millis, id: PeerId, data: &[u8]) -> Vec<Output> {
-        let mut out = Vec::new();
-        let Some(core) = self.peers.get_mut(&id) else { return out };
-        let couts = core.bytes_in(now, ConnDir::Out, data);
-        self.absorb_core(now, id, couts, &mut out);
-        out
-    }
-
-    /// Fire any due timers across all sessions.
-    pub fn poll(&mut self, now: Millis) -> Vec<Output> {
-        let ids: Vec<PeerId> = self.peers.keys().copied().collect();
-        let mut out = Vec::new();
-        for id in ids {
-            let couts = self.peers.get_mut(&id).unwrap().poll(now);
-            self.absorb_core(now, id, couts, &mut out);
-        }
-        out
-    }
-
-    /// Earliest instant any session timer fires.
-    pub fn next_deadline(&self) -> Option<Millis> {
-        self.peers.values().filter_map(|c| c.next_deadline()).min()
-    }
-
-    /// Originate a prefix locally and propagate it.
-    pub fn originate(&mut self, now: Millis, prefix: Ipv4Prefix) -> Vec<Output> {
-        let ops = self.routing.originate(now, prefix);
-        let mut out = Vec::new();
-        self.absorb_ops(ops, &mut out);
-        out
-    }
-
-    /// Stop originating a prefix.
-    pub fn withdraw_origin(&mut self, now: Millis, prefix: Ipv4Prefix) -> Vec<Output> {
-        let ops = self.routing.withdraw_origin(now, prefix);
-        let mut out = Vec::new();
-        self.absorb_ops(ops, &mut out);
-        out
+        self.0.bytes_in(now, id, ConnDir::Out, data)
     }
 
     /// Read access to the Loc-RIB.
-    pub fn loc_rib(&self) -> &LocRib {
-        self.routing.loc_rib()
+    pub fn loc_rib(&self) -> LocRibView<'_> {
+        self.0.routing().loc_rib()
     }
 
     /// Read access to the Adj-RIB-In.
-    pub fn adj_rib_in(&self) -> &AdjRibIn {
-        self.routing.adj_rib_in()
-    }
-
-    /// The session state for a peer.
-    pub fn session_state(&self, id: PeerId) -> Option<SessionState> {
-        self.peers.get(&id).map(|c| c.state())
+    pub fn adj_rib_in(&self) -> AdjRibInView<'_> {
+        self.0.routing().adj_rib_in()
     }
 
     /// True once the session with `id` is Established.
     pub fn is_established(&self, id: PeerId) -> bool {
-        self.session_state(id) == Some(SessionState::Established)
-    }
-
-    // ----- internals ----------------------------------------------------
-
-    /// Execute a session core's outputs: transport ops pass through,
-    /// session edges and delivered UPDATEs feed the routing core, whose
-    /// ops are translated right back into this peer-addressed stream so
-    /// the overall output order matches the historical monolith.
-    fn absorb_core(
-        &mut self,
-        now: Millis,
-        id: PeerId,
-        couts: Vec<CoreOutput>,
-        out: &mut Vec<Output>,
-    ) {
-        for cout in couts {
-            match cout {
-                CoreOutput::Connect => out.push(Output::TcpConnect(id)),
-                CoreOutput::Close(_) => out.push(Output::TcpClose(id)),
-                CoreOutput::SendBytes(_, bytes) => out.push(Output::SendBytes(id, bytes)),
-                CoreOutput::Up(summary) => {
-                    out.push(Output::PeerUp(id, summary));
-                    let ops = self.routing.peer_up(id, summary);
-                    self.absorb_ops(ops, out);
-                }
-                CoreOutput::Down(reason) => {
-                    out.push(Output::PeerDown(id, reason));
-                    let ops = self.routing.peer_down(now, id);
-                    self.absorb_ops(ops, out);
-                }
-                CoreOutput::Update(update) => {
-                    let (ops, err) = self.routing.update(now, id, update);
-                    self.absorb_ops(ops, out);
-                    if let Some(err) = err {
-                        let couts = self.peers.get_mut(&id).unwrap().fail_active(now, &err);
-                        self.absorb_core(now, id, couts, out);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Translate routing ops into outputs, encoding UPDATEs with each
-    /// target peer's negotiated 4-octet-AS capability.
-    fn absorb_ops(&mut self, ops: Vec<RibOp>, out: &mut Vec<Output>) {
-        for op in ops {
-            match op {
-                RibOp::BestRouteChanged(prefix, entry) => {
-                    out.push(Output::BestRouteChanged(prefix, entry));
-                }
-                RibOp::Announce(pid, update) => {
-                    let four = self.peers[&pid].four_octet();
-                    out.push(Output::SendBytes(pid, BgpMessage::Update(update).encode(four)));
-                }
-            }
-        }
+        self.0.state(id) == Some(SessionState::Established)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::NeighborConfig;
     use crate::policy::{Clause, MatchCond, PrefixMatch, RouteMap, SetAction};
-    use crate::rib::RouteSource;
-    use dbgp_telemetry::{SelectionReason, TraceKind};
-    use std::collections::VecDeque;
+    use crate::rib::{LocRibEntry, RouteSource};
+    use bytes::Bytes;
+    use dbgp_telemetry::{SelectionReason, SinkHandle, TraceKind};
+    use dbgp_wire::Ipv4Prefix;
+    use std::collections::{BTreeMap, VecDeque};
 
     fn p(s: &str) -> Ipv4Prefix {
         s.parse().unwrap()
@@ -290,12 +136,12 @@ mod tests {
         fn absorb(&mut self, idx: usize, outputs: Vec<Output>) {
             for output in outputs {
                 match output {
-                    Output::SendBytes(peer, bytes) => {
+                    Output::Send(peer, _, bytes) => {
                         if let Some(&(remote, rpeer)) = self.links.get(&(idx, peer)) {
                             self.queue.push_back((remote, rpeer, bytes));
                         }
                     }
-                    Output::TcpConnect(peer) => {
+                    Output::Connect(peer) => {
                         // Instant transport: both ends connect (or the
                         // attempt fails if the link is not wired yet).
                         let Some(&(remote, rpeer)) = self.links.get(&(idx, peer)) else {
@@ -322,11 +168,11 @@ mod tests {
                         );
                         self.absorb(remote, o2);
                     }
-                    Output::TcpClose(_) => {}
-                    Output::BestRouteChanged(prefix, entry) => {
+                    Output::Close(..) => {}
+                    Output::Best(prefix, entry) => {
                         self.route_events.push((idx, prefix, entry));
                     }
-                    Output::PeerUp(..) | Output::PeerDown(..) => {}
+                    Output::Up(..) | Output::Down(..) => {}
                 }
             }
         }
@@ -560,10 +406,10 @@ mod tests {
         // Kill the 2-3 link from 3's perspective.
         let now = fabric.now + 1;
         let outputs = fabric.speakers[2].transport_event(now, PeerId(0), TransportEvent::Closed);
-        assert!(outputs.iter().any(|o| matches!(o, Output::PeerDown(..))));
+        assert!(outputs.iter().any(|o| matches!(o, Output::Down(..))));
         assert!(outputs
             .iter()
-            .any(|o| matches!(o, Output::BestRouteChanged(pr, None) if *pr == p("128.6.0.0/16"))));
+            .any(|o| matches!(o, Output::Best(pr, None) if *pr == p("128.6.0.0/16"))));
         assert!(fabric.speakers[2].loc_rib().get(&p("128.6.0.0/16")).is_none());
     }
 
@@ -702,7 +548,7 @@ mod tests {
         let outputs = fabric.speakers[2].receive(now, PeerId(0), &[0u8; 32]);
         assert!(outputs
             .iter()
-            .any(|o| matches!(o, Output::SendBytes(_, b) if b[18] == 3 /* NOTIFICATION */)));
-        assert_eq!(fabric.speakers[2].session_state(PeerId(0)), Some(SessionState::Idle));
+            .any(|o| matches!(o, Output::Send(_, _, b) if b[18] == 3 /* NOTIFICATION */)));
+        assert_eq!(fabric.speakers[2].state(PeerId(0)), Some(SessionState::Idle));
     }
 }

@@ -33,12 +33,12 @@ impl Fabric {
     fn absorb(&mut self, idx: usize, outputs: Vec<Output>) {
         for output in outputs {
             match output {
-                Output::SendBytes(peer, bytes) => {
+                Output::Send(peer, _, bytes) => {
                     if let Some(&(remote, rpeer)) = self.links.get(&(idx, peer)) {
                         self.queue.push_back((remote, rpeer, bytes));
                     }
                 }
-                Output::TcpConnect(peer) => {
+                Output::Connect(peer) => {
                     if let Some(&(remote, rpeer)) = self.links.get(&(idx, peer)) {
                         let now = self.now;
                         let o = self.speakers[idx].transport_event(

@@ -116,7 +116,7 @@ proptest! {
         for chunk in chunks {
             now += 1;
             for output in speaker.receive(now, PeerId(0), &chunk) {
-                if let dbgp_bgp::Output::SendBytes(_, bytes) = output {
+                if let dbgp_bgp::Output::Send(_, _, bytes) = output {
                     let mut buf = bytes::BytesMut::from(&bytes[..]);
                     // What we send is always decodable by a conformant
                     // peer.

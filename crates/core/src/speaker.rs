@@ -278,8 +278,8 @@ impl DbgpSpeaker {
         let mut out = Vec::new();
         let mut idle = Vec::new();
         table.entries.for_each_mut(|prefix, entry| {
-            entry.withdraw(id);
-            if entry.unreceive(id).is_some() {
+            entry.slots.withdraw(id);
+            if entry.slots.unreceive(id).is_some() {
                 pipe.redecide(entry, *prefix, &mut out);
             }
             if entry.is_idle() {
@@ -370,7 +370,7 @@ impl DbgpSpeaker {
             // A looped IA implicitly withdraws whatever this neighbor
             // previously advertised for the prefix.
             self.on_existing(prefix, |pipe, entry| {
-                if entry.unreceive(from).is_some() {
+                if entry.slots.unreceive(from).is_some() {
                     pipe.redecide(entry, prefix, &mut out);
                 }
             });
@@ -385,7 +385,7 @@ impl DbgpSpeaker {
         // change the selection — store it and skip the full scan.
         let best_stands = pipe.best_stands(entry, prefix, from, Some((&ia, from_as)));
         // (2) Store in the IA DB.
-        entry.receive(from, Arc::new(ia));
+        entry.slots.receive(from, Arc::new(ia));
         // (3)-(7) Extract, decide, build, filter, send.
         pipe.settle(entry, prefix, best_stands, &mut out);
         out
@@ -395,7 +395,7 @@ impl DbgpSpeaker {
     pub fn receive_withdraw(&mut self, from: NeighborId, prefix: Ipv4Prefix) -> Vec<DbgpOutput> {
         let mut out = Vec::new();
         self.on_existing(prefix, |pipe, entry| {
-            if entry.unreceive(from).is_some() {
+            if entry.slots.unreceive(from).is_some() {
                 let best_stands = pipe.best_stands(entry, prefix, from, None);
                 pipe.settle(entry, prefix, best_stands, &mut out);
             }
@@ -640,7 +640,7 @@ impl Pipeline {
         // Check out the reusable candidate buffer (only the capacity
         // allocation is recycled).
         let mut views: Vec<CandidateIa<'_>> = recycle(std::mem::take(&mut self.scratch));
-        for (n, ia) in entry.candidates() {
+        for (n, ia) in entry.slots.candidates() {
             let Some(asn) = self.neighbors.get(&n).map(|nb| nb.asn) else { continue };
             let c = CandidateIa { neighbor: n, neighbor_as: asn, ia: ia.as_ref() };
             if module.accept(ImportContext {
@@ -663,7 +663,8 @@ impl Pipeline {
                 // The winner's view borrows the stored IA; re-fetch its
                 // `Arc` to intern it into `Chosen`.
                 let neighbor = views[best].neighbor;
-                let arc = entry.received(neighbor).expect("winner was enumerated from the entry");
+                let arc =
+                    entry.slots.received(neighbor).expect("winner was enumerated from the entry");
                 (Some(Chosen { neighbor: Some(neighbor), ia: Arc::clone(arc) }), reason, count)
             }
             None => (None, SelectionReason::Unreachable, count),
@@ -703,7 +704,7 @@ impl Pipeline {
             !(self.cfg.filters.valley_free && up(neighbor) && learned_up())
         });
         let Some(chosen) = export else {
-            if entry.withdraw(id) {
+            if entry.slots.withdraw(id) {
                 out.push(DbgpOutput::SendWithdraw(id, prefix));
             }
             return;
@@ -744,7 +745,7 @@ impl Pipeline {
         };
         // Emit `SendIa` only when the Adj-RIB-Out diff says the outgoing
         // IA differs from what the neighbor already has.
-        if entry.advertise(id, &ia) {
+        if entry.slots.advertise(id, &ia) {
             out.push(DbgpOutput::SendIa(id, ia));
         }
     }

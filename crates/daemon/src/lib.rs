@@ -14,7 +14,8 @@
 //! does exactly that.
 //!
 //! * [`config`] — the line-based neighbor/network config format;
-//! * [`node`] — the transport-agnostic glue (session cores + routing);
+//! * [`node`] — `dbgp_session::Host` (session cores + routing core)
+//!   built from a config;
 //! * [`reactor`] — the std-only nonblocking TCP event loop;
 //! * [`oracle`] — the in-memory reference fabric;
 //! * [`dump`] — the canonical Loc-RIB dump both sides emit.

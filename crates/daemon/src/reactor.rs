@@ -202,7 +202,8 @@ impl Reactor {
 
     /// A `dbgp-metrics/v1` snapshot of this daemon as one line of JSON:
     /// the reactor's socket counters, the routing core's export
-    /// counters and the sessions' receive-buffer footprint, as of now.
+    /// counters and table size, and the sessions' receive-buffer
+    /// footprint, as of now.
     pub fn metrics_text(&self) -> String {
         let mut reg = MetricsRegistry::new();
         let routing = self.node.routing();
@@ -225,6 +226,8 @@ impl Reactor {
         for (name, value) in [
             ("reactor.out_buffer_peak_bytes", self.stats.out_buffer_peak),
             ("session.rx_buffer_bytes", self.node.rx_capacity() as u64),
+            ("routing.prefixes", routing.prefixes() as u64),
+            ("routing.rib_bytes", routing.rib_bytes() as u64),
         ] {
             let id = reg.gauge(name);
             reg.set_gauge(id, value as i64);

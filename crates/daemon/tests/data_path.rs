@@ -72,6 +72,10 @@ fn frame_count(mut stream: &[u8]) -> usize {
 /// in-process `Node`, fed in reactor-sized chunks: after every round
 /// the Loc-RIB is empty and the receive buffers are exactly as large as
 /// after the first — 15 MB of UPDATEs later, none of it is still held.
+/// What `dbgpd` reports as `routing.prefixes` and `routing.rib_bytes` is
+/// back at its pre-round value after every round: no entry outlives its
+/// last route, and the table's arena, grown once by the first round, is
+/// reused by all the others.
 /// The sink is sent the same number of UPDATE frames every round —
 /// the export depends on the UPDATEs fed, not on where a chunk ended —
 /// and no more frames than the feeder sent.
@@ -85,6 +89,7 @@ fn soak_rounds_leave_no_routes_and_no_receive_buffer_growth() {
     let mut sent_first_round = None;
     for round in 1..=20 {
         let mut sent = 0;
+        let before = (node.routing().prefixes(), node.routing().rib_bytes());
         for phase in [&table.announce, &table.withdraw] {
             for chunk in phase.chunks(4096) {
                 now += 1;
@@ -98,6 +103,14 @@ fn soak_rounds_leave_no_routes_and_no_receive_buffer_growth() {
             let installed = node.routing().loc_rib().len();
             let want = if std::ptr::eq(phase, &table.announce) { table.prefixes.len() } else { 0 };
             assert_eq!(installed, want, "round {round}");
+        }
+        let after = (node.routing().prefixes(), node.routing().rib_bytes());
+        if round == 1 {
+            // The arena keeps the capacity it grew to; nothing else stays.
+            assert_eq!(after.0, before.0);
+            assert_eq!(after.1, node.routing().loc_rib().memory_bytes(), "slot heap left behind");
+        } else {
+            assert_eq!(after, before, "round {round}: (prefixes, rib bytes)");
         }
         let held = node.rx_capacity();
         assert!(held <= 4 * 4096, "round {round}: {held} bytes of receive buffer");
@@ -348,6 +361,8 @@ fn slow_sink_receives_every_frame_in_order_and_notification_precedes_close() {
         "routing.updates_out_total",
         "routing.nlri_out_total",
         "routing.withdrawn_out_total",
+        "routing.prefixes",
+        "routing.rib_bytes",
     ] {
         assert!(metrics.contains(name), "{name} missing from {metrics}");
     }

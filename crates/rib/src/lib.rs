@@ -2,12 +2,13 @@
 #![forbid(unsafe_code)]
 
 //! A level-compressed binary prefix trie keyed on [`Ipv4Prefix`], and
-//! the per-neighbor table built on it.
+//! the per-prefix neighbor slots both routing cores keep in it.
 //!
 //! [`PrefixTrie`] is the storage engine behind every routing table in
-//! the workspace: the Loc-RIBs, the simulator FIBs, the D-BGP speaker's
-//! per-prefix table and — one trie per neighbor, as [`AdjRib`] — the
-//! classic core's Adj-RIB-In/Adj-RIB-Out. The flat
+//! the workspace: the simulator FIBs and the one per-prefix table of
+//! each routing core (`dbgp-core`'s `IaDb`, `dbgp-session`'s
+//! `RoutingCore`), whose entries hold a [`PeerSlots`] — Adj-RIB-In and
+//! Adj-RIB-Out for that prefix — next to the installed best. The flat
 //! `BTreeMap<Ipv4Prefix, _>` stores it replaces were fine for the
 //! paper's handful of §5 prefixes but made `longest_match` a linear
 //! scan; at full-table cardinality (~1M routes, ROADMAP item 1) both
@@ -39,7 +40,9 @@
 use dbgp_wire::{Ipv4Addr, Ipv4Prefix};
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::Arc;
+
+mod slots;
+pub use slots::PeerSlots;
 
 /// Hand an emptied scratch `Vec` back under a new element type, keeping
 /// its allocation: the decision loops of both routing cores fill a
@@ -545,117 +548,6 @@ where
     }
 }
 
-/// A per-neighbor route table: the store behind the classic Adj-RIB-In
-/// and Adj-RIB-Out (`dbgp-session`). (`dbgp-core`'s IA database is
-/// prefix-major instead: an IA carries one prefix, so neighbor-major
-/// tries have no attribute block to share across prefixes.)
-///
-/// Entries are interned behind `Arc`, so the decision process, the
-/// Loc-RIB and the export bookkeeping share one allocation per distinct
-/// route, and one attribute block decoded from a multi-NLRI UPDATE is
-/// shared across every prefix it announced. The outer map is a
-/// `BTreeMap` so [`candidates`](AdjRib::candidates) yields neighbors in
-/// ascending order without a sort — it runs once per decision — and
-/// each neighbor's table is a [`PrefixTrie`], so exact lookups cost
-/// prefix depth, not log of the table size.
-#[derive(Debug)]
-pub struct AdjRib<K, A> {
-    peers: BTreeMap<K, PrefixTrie<Arc<A>>>,
-}
-
-impl<K, A> Default for AdjRib<K, A> {
-    fn default() -> Self {
-        AdjRib { peers: BTreeMap::new() }
-    }
-}
-
-impl<K: Ord + Copy, A> AdjRib<K, A> {
-    /// An empty table.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Store `peer`'s route for `prefix`, replacing any previous one
-    /// (implicit withdraw). Returns the replaced route.
-    pub fn insert(&mut self, peer: K, prefix: Ipv4Prefix, route: Arc<A>) -> Option<Arc<A>> {
-        self.peers.entry(peer).or_default().insert(prefix, route)
-    }
-
-    /// Remove `peer`'s route for `prefix`. Returns the removed route.
-    pub fn remove(&mut self, peer: K, prefix: &Ipv4Prefix) -> Option<Arc<A>> {
-        self.peers.get_mut(&peer).and_then(|t| t.remove(prefix))
-    }
-
-    /// The stored route of `peer` for `prefix`.
-    pub fn get(&self, peer: K, prefix: &Ipv4Prefix) -> Option<&Arc<A>> {
-        self.peers.get(&peer).and_then(|t| t.get(prefix))
-    }
-
-    /// Every `(peer, route)` stored for `prefix`, in ascending peer
-    /// order. Allocation-free.
-    pub fn candidates(&self, prefix: &Ipv4Prefix) -> impl Iterator<Item = (K, &Arc<A>)> + '_ {
-        let prefix = *prefix;
-        self.peers.iter().filter_map(move |(peer, t)| t.get(&prefix).map(|r| (*peer, r)))
-    }
-
-    /// Every prefix any peer holds a route for, ascending and
-    /// deduplicated.
-    pub fn prefixes(&self) -> Vec<Ipv4Prefix> {
-        let mut out: Vec<Ipv4Prefix> =
-            self.peers.values().flat_map(|t| t.keys().copied()).collect();
-        out.sort();
-        out.dedup();
-        out
-    }
-
-    /// True when no route is stored.
-    pub fn is_empty(&self) -> bool {
-        self.peers.values().all(PrefixTrie::is_empty)
-    }
-
-    /// Arena bytes held by the per-peer tries (the shared route bodies
-    /// are accounted where they are interned, not here).
-    pub fn memory_bytes(&self) -> usize {
-        self.peers.values().map(PrefixTrie::memory_bytes).sum()
-    }
-
-    /// Remove everything stored for `peer` (session reset) and return
-    /// the prefixes it held, ascending — the ones to re-decide.
-    pub fn drop_peer(&mut self, peer: K) -> Vec<Ipv4Prefix> {
-        self.peers.remove(&peer).map(|t| t.keys().copied().collect()).unwrap_or_default()
-    }
-
-    /// [`drop_peer`](Self::drop_peer) for the Adj-RIB-Out side, where
-    /// nobody reads the prefixes: nothing is collected.
-    pub fn clear_peer(&mut self, peer: K) {
-        self.peers.remove(&peer);
-    }
-}
-
-/// The Adj-RIB-Out diff: is this a change worth an UPDATE?
-impl<K: Ord + Copy, A: PartialEq> AdjRib<K, A> {
-    /// Record that `peer` is to be sent `route` for `prefix`. Returns
-    /// `false`, leaving the table (and the refcount) untouched, when
-    /// that is what the peer already has: the same interned route, or
-    /// an equal one.
-    pub fn advertise(&mut self, peer: K, prefix: Ipv4Prefix, route: &Arc<A>) -> bool {
-        let slot = self.peers.entry(peer).or_default();
-        match slot.get(&prefix) {
-            Some(sent) if Arc::ptr_eq(sent, route) || **sent == **route => false,
-            _ => {
-                slot.insert(prefix, Arc::clone(route));
-                true
-            }
-        }
-    }
-
-    /// Record a withdrawal. Returns `true` if the peer had been sent a
-    /// route for `prefix`.
-    pub fn withdraw(&mut self, peer: K, prefix: &Ipv4Prefix) -> bool {
-        self.remove(peer, prefix).is_some()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -789,79 +681,5 @@ mod tests {
         assert_eq!(*trie.longest_match(Ipv4Addr::new(10, 0, 0, 1)).unwrap().1, 1);
         assert_eq!(*trie.longest_match(Ipv4Addr::new(10, 0, 0, 2)).unwrap().1, 2);
         assert_eq!(trie.insert(p("10.0.0.1/32"), 9), Some(1));
-    }
-
-    fn arc(v: u32) -> Arc<String> {
-        Arc::new(format!("route {v}"))
-    }
-
-    #[test]
-    fn adj_rib_insert_replace_remove() {
-        let mut rib: AdjRib<u32, String> = AdjRib::new();
-        assert!(rib.is_empty());
-        assert!(rib.insert(1, p("10.0.0.0/8"), arc(1)).is_none());
-        // Implicit withdraw: replacement returns the old route.
-        assert_eq!(rib.insert(1, p("10.0.0.0/8"), arc(2)), Some(arc(1)));
-        assert_eq!(rib.get(1, &p("10.0.0.0/8")), Some(&arc(2)));
-        assert!(rib.get(2, &p("10.0.0.0/8")).is_none());
-        assert!(rib.memory_bytes() > 0);
-        assert_eq!(rib.remove(1, &p("10.0.0.0/8")), Some(arc(2)));
-        assert!(rib.remove(1, &p("10.0.0.0/8")).is_none());
-        assert!(rib.is_empty(), "an emptied per-peer trie does not count");
-    }
-
-    #[test]
-    fn adj_rib_candidates_are_per_prefix_in_peer_order() {
-        let mut rib: AdjRib<u32, String> = AdjRib::new();
-        rib.insert(3, p("10.0.0.0/8"), arc(3));
-        rib.insert(1, p("10.0.0.0/8"), arc(1));
-        rib.insert(2, p("192.168.0.0/16"), arc(2));
-        let peers: Vec<u32> = rib.candidates(&p("10.0.0.0/8")).map(|(peer, _)| peer).collect();
-        assert_eq!(peers, vec![1, 3]);
-        assert_eq!(rib.prefixes(), vec![p("10.0.0.0/8"), p("192.168.0.0/16")]);
-    }
-
-    #[test]
-    fn adj_rib_drop_peer_reports_prefixes() {
-        let mut rib: AdjRib<u32, String> = AdjRib::new();
-        rib.insert(1, p("192.168.0.0/16"), arc(1));
-        rib.insert(1, p("10.0.0.0/8"), arc(1));
-        rib.insert(2, p("10.0.0.0/8"), arc(2));
-        assert_eq!(rib.drop_peer(1), vec![p("10.0.0.0/8"), p("192.168.0.0/16")]);
-        assert!(rib.drop_peer(1).is_empty());
-        assert_eq!(rib.candidates(&p("10.0.0.0/8")).count(), 1);
-        rib.clear_peer(2);
-        assert!(rib.is_empty());
-    }
-
-    #[test]
-    fn adj_rib_shares_one_route_across_prefixes() {
-        let mut rib: AdjRib<u32, String> = AdjRib::new();
-        let shared = arc(7);
-        rib.insert(1, p("10.0.0.0/8"), Arc::clone(&shared));
-        rib.insert(1, p("192.168.0.0/16"), Arc::clone(&shared));
-        // Two prefixes, one attribute block, plus our local handle.
-        assert_eq!(Arc::strong_count(&shared), 3);
-    }
-
-    #[test]
-    fn adj_rib_advertise_dedupes_identical_routes() {
-        let mut rib: AdjRib<u32, String> = AdjRib::new();
-        let interned = arc(1);
-        assert!(rib.advertise(1, p("10.0.0.0/8"), &interned));
-        assert!(!rib.advertise(1, p("10.0.0.0/8"), &interned), "same interned route");
-        assert!(!rib.advertise(1, p("10.0.0.0/8"), &arc(1)), "equal route, no change, no send");
-        assert_eq!(Arc::strong_count(&interned), 2, "the unchanged path takes no reference");
-        assert!(rib.advertise(1, p("10.0.0.0/8"), &arc(2)), "changed route");
-        assert!(rib.advertise(2, p("10.0.0.0/8"), &arc(2)), "per peer");
-    }
-
-    #[test]
-    fn adj_rib_withdraw_only_if_advertised() {
-        let mut rib: AdjRib<u32, String> = AdjRib::new();
-        assert!(!rib.withdraw(1, &p("10.0.0.0/8")));
-        rib.advertise(1, p("10.0.0.0/8"), &arc(1));
-        assert!(rib.withdraw(1, &p("10.0.0.0/8")));
-        assert!(!rib.withdraw(1, &p("10.0.0.0/8")));
     }
 }

@@ -1,27 +1,37 @@
-//! Routing information bases: Adj-RIB-In, Loc-RIB and Adj-RIB-Out
-//! (RFC 4271 §3.2), all `dbgp-rib` tables.
+//! What the routing core keeps per prefix (RFC 4271 §3.2's three RIBs,
+//! prefix-major): one `Entry` in one `dbgp_rib::PrefixTrie` holds the
+//! Adj-RIB-In and Adj-RIB-Out slots of every peer, the originated route
+//! and the installed Loc-RIB winner.
 //!
-//! The two Adj-RIBs are one [`AdjRib`] keyed by [`PeerId`]: routes are
-//! interned behind `Arc`, so the decision process, the Loc-RIB and the
-//! per-peer Adj-RIB-Out bookkeeping share one allocation per distinct
-//! route instead of deep-cloning AS paths at every hand-off. The
-//! Loc-RIB is a [`PrefixTrie`], so `longest_match` is bounded by prefix
-//! depth rather than table size.
+//! Routes are interned behind `Arc`, so the decision process, the
+//! Loc-RIB and the per-peer Adj-RIB-Out bookkeeping share one
+//! allocation per distinct route instead of deep-cloning AS paths at
+//! every hand-off.
 
 use crate::config::PeerId;
 use crate::route::Route;
-use dbgp_rib::{AdjRib, PrefixTrie};
+use dbgp_rib::PeerSlots;
 use std::sync::Arc;
 
-/// Routes received from each peer, post-import-policy.
-pub type AdjRibIn = AdjRib<PeerId, Route>;
+/// Everything known about one prefix.
+#[derive(Debug, Default)]
+pub(crate) struct Entry {
+    /// Adj-RIB-In and Adj-RIB-Out: what each peer sent (post-import-
+    /// policy) and was last sent, so withdrawals and implicit
+    /// replacements can be generated precisely.
+    pub(crate) slots: PeerSlots<PeerId, Route>,
+    /// The route we originate for the prefix, if any.
+    pub(crate) originated: Option<Arc<Route>>,
+    /// Loc-RIB: the installed best route.
+    pub(crate) best: Option<LocRibEntry>,
+}
 
-/// What we last advertised to each peer, so withdrawals and implicit
-/// replacements can be generated precisely.
-pub type AdjRibOut = AdjRib<PeerId, Route>;
-
-/// The speaker's view of best paths, one per prefix.
-pub type LocRib = PrefixTrie<LocRibEntry>;
+impl Entry {
+    /// Nothing received, originated, installed or sent: the entry can go.
+    pub(crate) fn is_idle(&self) -> bool {
+        self.slots.is_empty() && self.originated.is_none() && self.best.is_none()
+    }
+}
 
 /// Where a Loc-RIB entry came from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -7,13 +7,21 @@
 //! parsed [`UpdateMsg`]s and peer up/down edges, and it answers with
 //! [`RibOp`]s — UPDATEs to send (unencoded; the host picks the wire
 //! encoding per the peer's negotiated capabilities) and best-route
-//! changes for the host's FIB. Both the simulator's speaker and the
-//! `dbgpd` daemon wrap this same core, which is what makes the
-//! oracle-vs-daemon bit-match meaningful.
+//! changes for the host's FIB. [`crate::host::Host`] puts it behind the
+//! session cores; the `dbgpd` daemon, its in-process oracle and
+//! `dbgp-bgp`'s `Speaker` all drive that one assembly, which is what
+//! makes the oracle-vs-daemon bit-match meaningful.
+//!
+//! All route state is one table with one `Entry` per prefix — the
+//! shape `dbgp-core`'s `DbgpSpeaker` has: an announced NLRI walks the
+//! trie once (`get_or_insert_with`), a withdrawn one at most twice
+//! (`get_mut`, then `remove` if that left the entry idle), and the
+//! decision, the Loc-RIB install, the exports and the Adj-RIB-Out diff
+//! all run on the entry that walk found.
 
 use crate::config::{NeighborConfig, PeerId};
 use crate::decision::{self, Candidate};
-use crate::rib::{AdjRibIn, AdjRibOut, LocRib, LocRibEntry, RouteSource};
+use crate::rib::{Entry, LocRibEntry, RouteSource};
 use crate::route::Route;
 use crate::session::{Millis, SessionSummary};
 use dbgp_rib::{recycle, PrefixTrie};
@@ -54,7 +62,7 @@ struct PeerEntry {
 }
 
 /// Adj-RIB-Out changes toward one peer since the last
-/// [`RoutingCore::flush_staged`]. Every flush point sits where a prefix
+/// [`Pipeline::flush_staged`]. Every flush point sits where a prefix
 /// can have changed at most once for a peer — after one section of one
 /// inbound UPDATE, after one `peer_down` — so a prefix is staged at most
 /// once and a flush never both withdraws and announces it.
@@ -67,17 +75,43 @@ struct Staged {
     runs: Vec<(Arc<Route>, Vec<Ipv4Prefix>)>,
 }
 
+/// The one prefix-keyed store. The entry sits inline in the trie node
+/// (measured against a boxed entry in EXPERIMENTS.md, "Prefix-major
+/// classic core").
+type Table = PrefixTrie<Entry>;
+
 /// The sans-IO routing core of a BGP speaker.
 pub struct RoutingCore {
+    /// All route state: one entry per prefix holding the routes
+    /// received and sent per peer, the originated route and the
+    /// installed best.
+    table: Table,
+    /// Everything not keyed by prefix. A struct of its own so that the
+    /// pipeline can hold one table entry and `&mut` the rest at once.
+    pipe: Pipeline,
+}
+
+/// The core minus its table: identity, peers and counters, and the
+/// pipeline steps as methods on one [`Entry`].
+struct Pipeline {
     asn: u32,
     router_id: Ipv4Addr,
     peers: BTreeMap<PeerId, PeerEntry>,
-    adj_in: AdjRibIn,
-    loc_rib: LocRib,
-    adj_out: AdjRibOut,
-    originated: PrefixTrie<Arc<Route>>,
+    /// Entries with an installed best: `loc_rib().len()` in O(1).
+    installed: usize,
     sink: SinkHandle,
     node_label: u32,
+    stats: Counters,
+    /// Reusable decision-scratch buffers — always empty between calls;
+    /// the `'static` parameters are placeholders [`dbgp_rib::recycle`]
+    /// swaps for the borrow while `select_best` has the (empty) vecs
+    /// checked out.
+    scratch_arcs: Vec<&'static Arc<Route>>,
+    scratch_cands: Vec<Candidate<'static>>,
+}
+
+#[derive(Default)]
+struct Counters {
     /// Exports answered from a peer's `last_export` / built afresh.
     exports_shared: u64,
     exports_computed: u64,
@@ -87,35 +121,83 @@ pub struct RoutingCore {
     updates_out: u64,
     nlri_out: u64,
     withdrawn_out: u64,
-    /// Reusable decision-scratch buffers — always empty between calls;
-    /// the `'static` parameters are placeholders [`dbgp_rib::recycle`]
-    /// swaps for the borrow while `select_best` has the (empty) vecs
-    /// checked out.
-    scratch_arcs: Vec<&'static Arc<Route>>,
-    scratch_cands: Vec<Candidate<'static>>,
+}
+
+/// Read view of the Loc-RIB: the installed best of every prefix.
+#[derive(Clone, Copy)]
+pub struct LocRibView<'a>(&'a RoutingCore);
+
+impl<'a> LocRibView<'a> {
+    /// Number of installed routes.
+    pub fn len(&self) -> usize {
+        self.0.pipe.installed
+    }
+
+    /// True when no route is installed.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The installed best for `prefix`.
+    pub fn get(&self, prefix: &Ipv4Prefix) -> Option<&'a LocRibEntry> {
+        self.0.table.get(prefix)?.best.as_ref()
+    }
+
+    /// Every installed route, in ascending prefix order.
+    pub fn iter(&self) -> impl Iterator<Item = (&'a Ipv4Prefix, &'a LocRibEntry)> + 'a {
+        self.0.table.iter().filter_map(|(p, e)| Some((p, e.best.as_ref()?)))
+    }
+
+    /// Arena bytes of the one per-prefix table (which the Adj-RIBs
+    /// share: [`AdjRibInView::memory_bytes`] adds only the slot heap).
+    pub fn memory_bytes(&self) -> usize {
+        self.0.table.memory_bytes()
+    }
+}
+
+/// Read view of the Adj-RIB-In: the routes each peer sent,
+/// post-import-policy.
+#[derive(Clone, Copy)]
+pub struct AdjRibInView<'a>(&'a RoutingCore);
+
+impl<'a> AdjRibInView<'a> {
+    /// Every `(peer, route)` stored for `prefix`, ascending by peer.
+    pub fn candidates(
+        &self,
+        prefix: &Ipv4Prefix,
+    ) -> impl Iterator<Item = (PeerId, &'a Arc<Route>)> + 'a {
+        self.0.table.get(prefix).into_iter().flat_map(|e| e.slots.candidates())
+    }
+
+    /// True when no peer's route is stored.
+    pub fn is_empty(&self) -> bool {
+        self.0.table.values().all(|e| e.slots.candidates().next().is_none())
+    }
+
+    /// Heap bytes of the per-prefix slot vectors (Adj-RIB-In and
+    /// Adj-RIB-Out together). The trie arena the entries sit in is
+    /// [`LocRibView::memory_bytes`]; the sum counts the table once.
+    pub fn memory_bytes(&self) -> usize {
+        self.0.table.values().map(|e| e.slots.heap_bytes()).sum()
+    }
 }
 
 impl RoutingCore {
     /// A routing core for AS `asn` with the given router ID.
     pub fn new(asn: u32, router_id: Ipv4Addr) -> Self {
         RoutingCore {
-            asn,
-            router_id,
-            peers: BTreeMap::new(),
-            adj_in: AdjRibIn::new(),
-            loc_rib: LocRib::new(),
-            adj_out: AdjRibOut::new(),
-            originated: PrefixTrie::new(),
-            sink: SinkHandle::none(),
-            node_label: 0,
-            exports_shared: 0,
-            exports_computed: 0,
-            exports_oversize: 0,
-            updates_out: 0,
-            nlri_out: 0,
-            withdrawn_out: 0,
-            scratch_arcs: Vec::new(),
-            scratch_cands: Vec::new(),
+            table: Table::new(),
+            pipe: Pipeline {
+                asn,
+                router_id,
+                peers: BTreeMap::new(),
+                installed: 0,
+                sink: SinkHandle::none(),
+                node_label: 0,
+                stats: Counters::default(),
+                scratch_arcs: Vec::new(),
+                scratch_cands: Vec::new(),
+            },
         }
     }
 
@@ -123,7 +205,7 @@ impl RoutingCore {
     /// installed route and peer — every NLRI after the first of an
     /// attribute block.
     pub fn exports_shared(&self) -> u64 {
-        self.exports_shared
+        self.pipe.stats.exports_shared
     }
 
     /// Exports that built a new route: the first of an attribute block
@@ -131,99 +213,128 @@ impl RoutingCore {
     /// (A transparent iBGP export forwards the installed route itself
     /// and counts as neither.)
     pub fn exports_computed(&self) -> u64 {
-        self.exports_computed
+        self.pipe.stats.exports_computed
     }
 
     /// Exports not sent because the attribute block left no room for
     /// one NLRI in a 4096-byte frame; the peer was sent a withdrawal.
     pub fn exports_oversize(&self) -> u64 {
-        self.exports_oversize
+        self.pipe.stats.exports_oversize
     }
 
     /// UPDATEs handed to the host so far.
     pub fn updates_out(&self) -> u64 {
-        self.updates_out
+        self.pipe.stats.updates_out
     }
 
     /// NLRI prefixes in those UPDATEs.
     pub fn nlri_out(&self) -> u64 {
-        self.nlri_out
+        self.pipe.stats.nlri_out
     }
 
     /// Withdrawn prefixes in those UPDATEs.
     pub fn withdrawn_out(&self) -> u64 {
-        self.withdrawn_out
+        self.pipe.stats.withdrawn_out
     }
 
     /// Attach a telemetry sink; `node_label` identifies this speaker in
     /// recorded decision events.
     pub fn set_telemetry(&mut self, sink: SinkHandle, node_label: u32) {
-        self.sink = sink;
-        self.node_label = node_label;
+        self.pipe.sink = sink;
+        self.pipe.node_label = node_label;
     }
 
     /// Our AS number.
     pub fn asn(&self) -> u32 {
-        self.asn
+        self.pipe.asn
     }
 
     /// Our router ID.
     pub fn router_id(&self) -> Ipv4Addr {
-        self.router_id
+        self.pipe.router_id
     }
 
     /// Register a neighbor. Panics if the peer ID is already used.
     pub fn add_peer(&mut self, id: PeerId, cfg: NeighborConfig) {
-        assert!(!self.peers.contains_key(&id), "duplicate peer {id}");
-        self.peers.insert(
-            id,
-            PeerEntry { cfg, summary: None, last_export: None, staged: Staged::default() },
-        );
+        let entry = PeerEntry { cfg, summary: None, last_export: None, staged: Staged::default() };
+        assert!(self.pipe.peers.insert(id, entry).is_none(), "duplicate peer {id}");
     }
 
     /// The neighbor configuration for a peer.
     pub fn peer_cfg(&self, id: PeerId) -> Option<&NeighborConfig> {
-        self.peers.get(&id).map(|p| &p.cfg)
+        self.pipe.peers.get(&id).map(|p| &p.cfg)
     }
 
     /// True while the session with `id` is up (between
     /// [`peer_up`](Self::peer_up) and [`peer_down`](Self::peer_down)).
     pub fn is_established(&self, id: PeerId) -> bool {
-        self.peers.get(&id).is_some_and(|p| p.summary.is_some())
+        self.summary(id).is_some()
     }
 
     /// The session summary recorded at [`peer_up`](Self::peer_up).
     pub fn summary(&self, id: PeerId) -> Option<SessionSummary> {
-        self.peers.get(&id).and_then(|p| p.summary)
+        self.pipe.peers.get(&id).and_then(|p| p.summary)
     }
 
     /// The session with `id` reached Established: record the negotiated
-    /// summary and compute the initial table transfer.
+    /// summary and compute the initial table transfer — every installed
+    /// route in ascending prefix order, prefixes whose exported routes
+    /// are identical grouped (first-seen order, so the wire bytes are
+    /// deterministic) into one multi-NLRI UPDATE run per group.
     pub fn peer_up(&mut self, id: PeerId, summary: SessionSummary) -> Vec<RibOp> {
+        let Self { table, pipe } = self;
         let mut out = Vec::new();
-        if let Some(peer) = self.peers.get_mut(&id) {
-            peer.summary = Some(summary);
-            // Initial table transfer: advertise our whole view, batching
-            // prefixes that export the same attribute block into shared
-            // multi-NLRI UPDATEs.
-            self.initial_table_dump(id, &mut out);
-        }
+        // Out of the map for the walk, so that each route's source peer
+        // can be looked up beside it.
+        let Some(mut peer) = pipe.peers.remove(&id) else { return out };
+        peer.summary = Some(summary);
+        let mut groups: Vec<(Arc<Route>, Vec<Ipv4Prefix>)> = Vec::new();
+        table.for_each_mut(|prefix, entry| {
+            let Some(best) = &entry.best else { return };
+            let src_ibgp = pipe.source_is_ibgp(best.source);
+            let Some(route) = peer.export(id, prefix, best, src_ibgp, pipe.asn, &mut pipe.stats)
+            else {
+                return;
+            };
+            if !entry.slots.advertise(id, &route) {
+                return;
+            }
+            // Linear probe over existing groups; distinct attribute
+            // blocks in one table number in the dozens, not thousands,
+            // and ptr_eq short-circuits the interned common case.
+            match groups.iter_mut().find(|(g, _)| Arc::ptr_eq(g, &route) || **g == *route) {
+                Some((_, members)) => members.push(*prefix),
+                None => groups.push((route, vec![*prefix])),
+            }
+        });
+        peer.staged.runs = groups;
+        pipe.peers.insert(id, peer);
+        pipe.flush_staged(table, &mut out);
         out
     }
 
     /// The session with `id` went down: flush its RIB state and
-    /// re-decide every prefix it contributed.
+    /// re-decide every prefix it contributed, in ascending prefix order.
     pub fn peer_down(&mut self, now: Millis, id: PeerId) -> Vec<RibOp> {
+        let Self { table, pipe } = self;
         let mut out = Vec::new();
-        if let Some(peer) = self.peers.get_mut(&id) {
-            peer.summary = None;
-            peer.last_export = None;
-            self.adj_out.clear_peer(id);
-            for prefix in self.adj_in.drop_peer(id) {
-                self.redecide(now, prefix, &mut out);
+        let Some(peer) = pipe.peers.get_mut(&id) else { return out };
+        peer.summary = None;
+        peer.last_export = None;
+        let mut idle = Vec::new();
+        table.for_each_mut(|prefix, entry| {
+            entry.slots.withdraw(id);
+            if entry.slots.unreceive(id).is_some() {
+                pipe.redecide(now, entry, *prefix, &mut out);
             }
-            self.flush_staged(&mut out);
+            if entry.is_idle() {
+                idle.push(*prefix);
+            }
+        });
+        for prefix in idle {
+            table.remove(&prefix);
         }
+        pipe.flush_staged(table, &mut out);
         out
     }
 
@@ -239,16 +350,15 @@ impl RoutingCore {
         id: PeerId,
         update: UpdateMsg,
     ) -> (Vec<RibOp>, Option<WireError>) {
+        let Self { table, pipe } = self;
         let mut out = Vec::new();
         for prefix in &update.withdrawn {
-            if self.adj_in.remove(id, prefix).is_some() {
-                self.redecide(now, *prefix, &mut out);
-            }
+            pipe.unreceive(table, now, id, *prefix, &mut out);
         }
         // Flushed between the two sections: a prefix both withdrawn and
         // announced by this UPDATE must end announced at every peer, and
         // within one flush withdrawals precede announcements.
-        self.flush_staged(&mut out);
+        pipe.flush_staged(table, &mut out);
         if update.nlri.is_empty() {
             return (out, None);
         }
@@ -262,101 +372,218 @@ impl RoutingCore {
         };
         // Receiver-side loop detection (RFC 4271 §9.1.2): a path carrying
         // our own AS is invisible to the decision process.
-        let looped = route.as_path.contains(self.asn);
-        let peer_as = self.peers[&id].cfg.peer_as;
+        let looped = route.as_path.contains(pipe.asn);
         // One attribute block per UPDATE: every NLRI the import policy
         // leaves untouched shares this interned route.
         let route = Arc::new(route);
         let transparent = {
-            let import = &self.peers[&id].cfg.import;
+            let import = &pipe.peers[&id].cfg.import;
             import.clauses.is_empty() && import.default_permit
         };
         for prefix in &update.nlri {
-            if looped {
-                if self.adj_in.remove(id, prefix).is_some() {
-                    self.redecide(now, *prefix, &mut out);
-                }
-                continue;
-            }
-            if transparent {
-                self.adj_in.insert(id, *prefix, Arc::clone(&route));
+            let accepted = if looped {
+                None
+            } else if transparent {
+                Some(Arc::clone(&route))
             } else {
+                let cfg = &pipe.peers[&id].cfg;
                 let mut candidate = (*route).clone();
-                let import = &self.peers[&id].cfg.import;
-                if import.apply(prefix, &mut candidate, peer_as) {
-                    let interned =
-                        if candidate == *route { Arc::clone(&route) } else { Arc::new(candidate) };
-                    self.adj_in.insert(id, *prefix, interned);
-                } else if self.adj_in.remove(id, prefix).is_none() {
-                    continue; // rejected and never stored: nothing changes
+                cfg.import.apply(prefix, &mut candidate, cfg.peer_as).then(|| {
+                    if candidate == *route {
+                        Arc::clone(&route)
+                    } else {
+                        Arc::new(candidate)
+                    }
+                })
+            };
+            match accepted {
+                Some(route) => {
+                    // The one table walk of an announce: everything
+                    // below runs on this entry.
+                    let entry = table.get_or_insert_with(*prefix, Entry::default);
+                    entry.slots.receive(id, route);
+                    pipe.redecide(now, entry, *prefix, &mut out);
                 }
+                // Looped or rejected: an implicit withdraw of whatever
+                // the peer had advertised for the prefix.
+                None => pipe.unreceive(table, now, id, *prefix, &mut out),
             }
-            self.redecide(now, *prefix, &mut out);
         }
-        self.flush_staged(&mut out);
+        pipe.flush_staged(table, &mut out);
         (out, None)
     }
 
     /// Originate a prefix locally and propagate it.
     pub fn originate(&mut self, now: Millis, prefix: Ipv4Prefix) -> Vec<RibOp> {
+        let Self { table, pipe } = self;
         let mut out = Vec::new();
-        let route = Arc::new(Route::originated(self.router_id));
-        self.originated.insert(prefix, route);
-        self.redecide(now, prefix, &mut out);
-        self.flush_staged(&mut out);
+        let entry = table.get_or_insert_with(prefix, Entry::default);
+        entry.originated = Some(Arc::new(Route::originated(pipe.router_id)));
+        pipe.redecide(now, entry, prefix, &mut out);
+        pipe.flush_staged(table, &mut out);
         out
     }
 
     /// Stop originating a prefix.
     pub fn withdraw_origin(&mut self, now: Millis, prefix: Ipv4Prefix) -> Vec<RibOp> {
+        let Self { table, pipe } = self;
         let mut out = Vec::new();
-        if self.originated.remove(&prefix).is_some() {
-            self.redecide(now, prefix, &mut out);
-            self.flush_staged(&mut out);
-        }
+        pipe.on_existing(table, prefix, |pipe, entry| {
+            if entry.originated.take().is_some() {
+                pipe.redecide(now, entry, prefix, &mut out);
+            }
+        });
+        pipe.flush_staged(table, &mut out);
         out
     }
 
     /// Read access to the Loc-RIB.
-    pub fn loc_rib(&self) -> &LocRib {
-        &self.loc_rib
+    pub fn loc_rib(&self) -> LocRibView<'_> {
+        LocRibView(self)
     }
 
     /// Read access to the Adj-RIB-In.
-    pub fn adj_rib_in(&self) -> &AdjRibIn {
-        &self.adj_in
+    pub fn adj_rib_in(&self) -> AdjRibInView<'_> {
+        AdjRibInView(self)
     }
 
-    // ----- internals ----------------------------------------------------
+    /// Prefixes anything is known about (received, originated,
+    /// installed or sent).
+    pub fn prefixes(&self) -> usize {
+        self.table.len()
+    }
 
-    /// Re-run the decision process for one prefix and propagate any
-    /// change. Always a scan of every candidate: RFC 4271's
+    /// Resident bytes of the whole table: trie arena plus slot vectors.
+    pub fn rib_bytes(&self) -> usize {
+        self.loc_rib().memory_bytes() + self.adj_rib_in().memory_bytes()
+    }
+}
+
+impl PeerEntry {
+    /// The route to advertise to this peer (`id`) for `prefix` now that
+    /// `best` is installed, or `None` to withdraw/suppress. `src_ibgp`:
+    /// `best` was learned over iBGP.
+    fn export(
+        &mut self,
+        id: PeerId,
+        prefix: &Ipv4Prefix,
+        best: &LocRibEntry,
+        src_ibgp: bool,
+        asn: u32,
+        stats: &mut Counters,
+    ) -> Option<Arc<Route>> {
+        // Split horizon: never send a route back to its source. No iBGP
+        // reflection: iBGP-learned routes do not go to other iBGP peers
+        // (we are not a route reflector).
+        if best.source == RouteSource::Peer(id) || (src_ibgp && self.cfg.is_ibgp()) {
+            return None;
+        }
+        let export = &self.cfg.export;
+        if export.clauses.is_empty() {
+            if !export.default_permit {
+                return None;
+            }
+            // iBGP forwards the route unmodified: the interned Loc-RIB
+            // route is shared as-is.
+            if self.cfg.is_ibgp() {
+                return Some(Arc::clone(&best.route));
+            }
+            if let Some((installed, exported)) = &self.last_export {
+                if Arc::ptr_eq(installed, &best.route) {
+                    stats.exports_shared += 1;
+                    return Some(Arc::clone(exported));
+                }
+            }
+            stats.exports_computed += 1;
+            let exported = Arc::new(best.route.for_ebgp_export(asn, self.cfg.local_addr));
+            self.last_export = Some((Arc::clone(&best.route), Arc::clone(&exported)));
+            return Some(exported);
+        }
+        // A clause may match on the prefix or rewrite the route: built
+        // per prefix.
+        stats.exports_computed += 1;
+        let mut route = if self.cfg.is_ibgp() {
+            (*best.route).clone()
+        } else {
+            best.route.for_ebgp_export(asn, self.cfg.local_addr)
+        };
+        export.apply(prefix, &mut route, self.cfg.peer_as).then(|| Arc::new(route))
+    }
+}
+
+impl Pipeline {
+    /// Was a route from `source` learned over iBGP? (`peer_up` asks with
+    /// the dumped-to peer out of the map; split horizon answers for it.)
+    fn source_is_ibgp(&self, source: RouteSource) -> bool {
+        match source {
+            RouteSource::Peer(src) => self.peers.get(&src).is_some_and(|p| p.cfg.is_ibgp()),
+            RouteSource::Local => false,
+        }
+    }
+
+    /// Run `f` on `prefix`'s entry, if there is one, and reclaim the
+    /// entry if that left it idle: a withdrawal's two walks.
+    fn on_existing(
+        &mut self,
+        table: &mut Table,
+        prefix: Ipv4Prefix,
+        f: impl FnOnce(&mut Self, &mut Entry),
+    ) {
+        let Some(entry) = table.get_mut(&prefix) else { return };
+        f(self, entry);
+        if entry.is_idle() {
+            table.remove(&prefix);
+        }
+    }
+
+    /// `id` no longer offers a route for `prefix` (withdrawn, looped or
+    /// rejected by import policy).
+    fn unreceive(
+        &mut self,
+        table: &mut Table,
+        now: Millis,
+        id: PeerId,
+        prefix: Ipv4Prefix,
+        out: &mut Vec<RibOp>,
+    ) {
+        self.on_existing(table, prefix, |pipe, entry| {
+            if entry.slots.unreceive(id).is_some() {
+                pipe.redecide(now, entry, prefix, out);
+            }
+        });
+    }
+
+    /// Re-run the decision process for one prefix and, if the best
+    /// changed, install it and stage what every established peer
+    /// should now see (export, diff against Adj-RIB-Out), in ascending
+    /// `PeerId`. Always a scan of every candidate: RFC 4271's
     /// same-neighbour-AS MED rule makes the comparison intransitive
     /// (`decision::tests::med_default_is_intransitive`), so "loses to
     /// the installed best" proves nothing about the next winner.
-    fn redecide(&mut self, now: Millis, prefix: Ipv4Prefix, out: &mut Vec<RibOp>) {
+    fn redecide(
+        &mut self,
+        now: Millis,
+        entry: &mut Entry,
+        prefix: Ipv4Prefix,
+        out: &mut Vec<RibOp>,
+    ) {
         let explain = self.sink.enabled();
-        let (new_entry, why, n_candidates) = self.select_best(&prefix, explain);
-        let changed = match (self.loc_rib.get(&prefix), &new_entry) {
-            (None, None) => false,
-            (Some(old), Some(new)) => old != new,
-            _ => true,
-        };
-        if !changed {
+        let (new_best, why, n_candidates) = self.select_best(entry, explain);
+        if entry.best == new_best {
             return;
         }
         if explain {
-            let (selected, neighbor_as, path, hops) = match &new_entry {
-                Some(entry) => {
-                    let nas = match entry.source {
+            let (selected, neighbor_as, path, hops) = match &new_best {
+                Some(best) => {
+                    let nas = match best.source {
                         RouteSource::Peer(pid) => Some(self.peers[&pid].cfg.peer_as),
                         RouteSource::Local => None,
                     };
                     (
                         true,
                         nas,
-                        entry.route.as_path.to_string(),
-                        entry.route.as_path.hop_count() as u32,
+                        best.route.as_path.to_string(),
+                        best.route.as_path.hop_count() as u32,
                     )
                 }
                 None => (false, None, String::new(), 0),
@@ -376,26 +603,39 @@ impl RoutingCore {
                 },
             );
         }
-        match new_entry.clone() {
-            Some(entry) => {
-                self.loc_rib.insert(prefix, entry);
+        self.installed += usize::from(new_best.is_some());
+        self.installed -= usize::from(entry.best.is_some());
+        entry.best = new_best.clone();
+        out.push(RibOp::BestRouteChanged(prefix, new_best));
+        let src_ibgp = entry.best.as_ref().is_some_and(|b| self.source_is_ibgp(b.source));
+        for (&id, peer) in self.peers.iter_mut().filter(|(_, p)| p.summary.is_some()) {
+            let export = entry
+                .best
+                .as_ref()
+                .and_then(|b| peer.export(id, &prefix, b, src_ibgp, self.asn, &mut self.stats));
+            let changed = match &export {
+                Some(route) => entry.slots.advertise(id, route),
+                None => entry.slots.withdraw(id),
+            };
+            if !changed {
+                continue;
             }
-            None => {
-                self.loc_rib.remove(&prefix);
-            }
-        }
-        out.push(RibOp::BestRouteChanged(prefix, new_entry));
-        let ids: Vec<PeerId> = self.peers.keys().copied().collect();
-        for id in ids {
-            if self.is_established(id) {
-                self.propagate_to(id, prefix);
+            let staged = &mut peer.staged;
+            match (export, staged.runs.last_mut()) {
+                (None, _) => staged.withdrawn.push(prefix),
+                (Some(route), Some((run, members)))
+                    if Arc::ptr_eq(run, &route) || **run == *route =>
+                {
+                    members.push(prefix)
+                }
+                (Some(route), _) => staged.runs.push((route, vec![prefix])),
             }
         }
     }
 
     fn select_best(
         &mut self,
-        prefix: &Ipv4Prefix,
+        entry: &Entry,
         explain: bool,
     ) -> (Option<LocRibEntry>, SelectionReason, u32) {
         // Check out the reusable scratch buffers (only the capacity
@@ -405,11 +645,11 @@ impl RoutingCore {
         // The decision process borrows plain `&Route` views; `arcs` keeps
         // the interned handles in lockstep so the winner is retained by
         // refcount bump, not deep clone.
-        if let Some(route) = self.originated.get(prefix) {
+        if let Some(route) = &entry.originated {
             arcs.push(route);
             candidates.push(Candidate::local(route));
         }
-        for (peer_id, route) in self.adj_in.candidates(prefix) {
+        for (peer_id, route) in entry.slots.candidates() {
             let peer = &self.peers[&peer_id];
             arcs.push(route);
             candidates.push(Candidate {
@@ -440,27 +680,6 @@ impl RoutingCore {
         result
     }
 
-    /// Compute what `peer` should see for `prefix`, diff against
-    /// Adj-RIB-Out, and stage the change if there is one.
-    fn propagate_to(&mut self, id: PeerId, prefix: Ipv4Prefix) {
-        let export = self.export_route(id, &prefix);
-        let changed = match &export {
-            Some(route) => self.adj_out.advertise(id, prefix, route),
-            None => self.adj_out.withdraw(id, &prefix),
-        };
-        if !changed {
-            return;
-        }
-        let staged = &mut self.peers.get_mut(&id).expect("propagating to a known peer").staged;
-        match (export, staged.runs.last_mut()) {
-            (None, _) => staged.withdrawn.push(prefix),
-            (Some(route), Some((run, members))) if Arc::ptr_eq(run, &route) || **run == *route => {
-                members.push(prefix)
-            }
-            (Some(route), _) => staged.runs.push((route, vec![prefix])),
-        }
-    }
-
     /// Emit everything staged: per peer in ascending `PeerId`, the
     /// withdrawals ([`UpdateMsg::pack_withdrawals`]) and then one
     /// [`UpdateMsg::pack_announcements`] per run in staging order, so
@@ -470,7 +689,8 @@ impl RoutingCore {
     /// one NLRI cannot be sent at all. Its prefixes leave the peer's
     /// Adj-RIB-Out and join the withdrawals — right if the peer held an
     /// older route, harmless if it held none.
-    fn flush_staged(&mut self, out: &mut Vec<RibOp>) {
+    fn flush_staged(&mut self, table: &mut Table, out: &mut Vec<RibOp>) {
+        let stats = &mut self.stats;
         for (&id, peer) in self.peers.iter_mut() {
             let staged = &mut peer.staged;
             if staged.withdrawn.is_empty() && staged.runs.is_empty() {
@@ -482,99 +702,27 @@ impl RoutingCore {
             for (route, members) in staged.runs.drain(..) {
                 match UpdateMsg::pack_announcements(&members, route.to_attrs(ibgp), four_octet) {
                     Some(updates) => {
-                        self.nlri_out += members.len() as u64;
+                        stats.nlri_out += members.len() as u64;
                         out.extend(updates.into_iter().map(|u| RibOp::Announce(id, u)));
                     }
                     None => {
-                        self.exports_oversize += members.len() as u64;
+                        stats.exports_oversize += members.len() as u64;
                         for prefix in &members {
-                            self.adj_out.withdraw(id, prefix);
+                            // Installed (it was just exported), so the
+                            // entry exists and stays.
+                            if let Some(entry) = table.get_mut(prefix) {
+                                entry.slots.withdraw(id);
+                            }
                         }
                         staged.withdrawn.extend(members);
                     }
                 }
             }
-            self.withdrawn_out += staged.withdrawn.len() as u64;
+            stats.withdrawn_out += staged.withdrawn.len() as u64;
             let withdrawals = UpdateMsg::pack_withdrawals(&staged.withdrawn);
             staged.withdrawn.clear();
             out.splice(first..first, withdrawals.into_iter().map(|u| RibOp::Announce(id, u)));
-            self.updates_out += (out.len() - first) as u64;
+            stats.updates_out += (out.len() - first) as u64;
         }
-    }
-
-    /// Initial table transfer toward a freshly-established peer: walk
-    /// the Loc-RIB in prefix order, group prefixes whose exported
-    /// routes are identical, and emit one multi-NLRI UPDATE run per
-    /// group. Groups keep first-seen (ascending prefix) order, so the
-    /// wire bytes are deterministic.
-    fn initial_table_dump(&mut self, id: PeerId, out: &mut Vec<RibOp>) {
-        let prefixes: Vec<Ipv4Prefix> = self.loc_rib.iter().map(|(p, _)| *p).collect();
-        let mut groups: Vec<(Arc<Route>, Vec<Ipv4Prefix>)> = Vec::new();
-        for prefix in prefixes {
-            let Some(route) = self.export_route(id, &prefix) else { continue };
-            if !self.adj_out.advertise(id, prefix, &route) {
-                continue;
-            }
-            // Linear probe over existing groups; distinct attribute
-            // blocks in one table number in the dozens, not thousands,
-            // and ptr_eq short-circuits the interned common case.
-            match groups.iter_mut().find(|(g, _)| Arc::ptr_eq(g, &route) || **g == *route) {
-                Some((_, members)) => members.push(prefix),
-                None => groups.push((route, vec![prefix])),
-            }
-        }
-        self.peers.get_mut(&id).expect("dumping to a known peer").staged.runs = groups;
-        self.flush_staged(out);
-    }
-
-    /// The route to advertise to `peer` for `prefix`, or `None` to
-    /// withdraw/suppress.
-    fn export_route(&mut self, id: PeerId, prefix: &Ipv4Prefix) -> Option<Arc<Route>> {
-        let entry = self.loc_rib.get(prefix)?;
-        let peer = &self.peers[&id];
-        match entry.source {
-            // Split horizon: never send a route back to its source.
-            RouteSource::Peer(src) if src == id => return None,
-            // No iBGP reflection: iBGP-learned routes do not go to other
-            // iBGP peers (we are not a route reflector).
-            RouteSource::Peer(src) => {
-                let src_ibgp = self.peers[&src].cfg.is_ibgp();
-                if src_ibgp && peer.cfg.is_ibgp() {
-                    return None;
-                }
-            }
-            RouteSource::Local => {}
-        }
-        let export = &peer.cfg.export;
-        if export.clauses.is_empty() {
-            if !export.default_permit {
-                return None;
-            }
-            // iBGP forwards the route unmodified: the interned Loc-RIB
-            // route is shared as-is.
-            if peer.cfg.is_ibgp() {
-                return Some(Arc::clone(&entry.route));
-            }
-            if let Some((installed, exported)) = &peer.last_export {
-                if Arc::ptr_eq(installed, &entry.route) {
-                    self.exports_shared += 1;
-                    return Some(Arc::clone(exported));
-                }
-            }
-            self.exports_computed += 1;
-            let exported = Arc::new(entry.route.for_ebgp_export(self.asn, peer.cfg.local_addr));
-            let memo = (Arc::clone(&entry.route), Arc::clone(&exported));
-            self.peers.get_mut(&id).expect("looked up above").last_export = Some(memo);
-            return Some(exported);
-        }
-        // A clause may match on the prefix or rewrite the route: built
-        // per prefix.
-        self.exports_computed += 1;
-        let mut route = if peer.cfg.is_ibgp() {
-            (*entry.route).clone()
-        } else {
-            entry.route.for_ebgp_export(self.asn, peer.cfg.local_addr)
-        };
-        export.apply(prefix, &mut route, peer.cfg.peer_as).then(|| Arc::new(route))
     }
 }

@@ -6,8 +6,11 @@
 //! the same prefixes one UPDATE each leaves it holding — and both are
 //! held to a model of the export rules written out here, so that a
 //! fault both twins share (a stale export handed to a new route) does
-//! not pass as agreement. Every emitted UPDATE must be a legal frame,
-//! whatever the inbound attribute block grows to on export.
+//! not pass as agreement. Sessions going down and coming back (a late
+//! joiner is sent the table in ascending prefix order) and local
+//! origination go through the same model, and when everything has been
+//! withdrawn the table is empty again. Every emitted UPDATE must be a
+//! legal frame, whatever the inbound attribute block grows to on export.
 
 use dbgp_session::{
     Clause, LocRibEntry, MatchCond, NeighborConfig, PeerId, PrefixMatch, RibOp, Route, RouteMap,
@@ -142,6 +145,29 @@ impl Inbound {
     }
 }
 
+/// One thing that happens to the core.
+#[derive(Debug, Clone)]
+enum Step {
+    Update(Inbound),
+    /// The session with `peers()[i]` — a feeder or a listener — goes
+    /// down, or comes (back) up.
+    PeerDown(usize),
+    PeerUp(usize),
+    Originate(u8),
+    WithdrawOrigin(u8),
+}
+
+fn arb_step() -> impl Strategy<Value = Step> {
+    // Six UPDATEs in ten steps.
+    (0u8..10, arb_inbound(), 0usize..4, 0u8..16).prop_map(|(kind, inbound, peer, i)| match kind {
+        0 => Step::PeerDown(peer),
+        1 => Step::PeerUp(peer),
+        2 => Step::Originate(i),
+        3 => Step::WithdrawOrigin(i),
+        _ => Step::Update(inbound),
+    })
+}
+
 fn arb_inbound() -> impl Strategy<Value = Inbound> {
     (
         0usize..FEEDERS.len(),
@@ -160,13 +186,14 @@ fn arb_inbound() -> impl Strategy<Value = Inbound> {
 }
 
 /// RFC 4271 export, spelled out: what `peer` should hold for `prefix`
-/// when `best` is installed.
+/// when `best` is installed and its session is `up`.
 fn model_export(
     best: Option<&LocRibEntry>,
     prefix: &Ipv4Prefix,
     (peer, peer_as, export): (PeerId, u32, u8),
+    up: bool,
 ) -> Option<Route> {
-    let best = best?;
+    let best = best.filter(|_| up)?;
     let ibgp = peer_as == LOCAL_AS;
     if let RouteSource::Peer(src) = best.source {
         let src_as = FEEDERS.iter().find(|(id, _)| *id == src).expect("only feeders feed").1;
@@ -222,6 +249,32 @@ impl Receivers {
     fn holds(&self, peer: PeerId) -> Vec<Ipv4Prefix> {
         self.held.keys().filter(|(id, _)| *id == peer).map(|(_, prefix)| *prefix).collect()
     }
+
+    /// The session with `peer` is gone, and with it all it was sent.
+    fn reset(&mut self, peer: PeerId) {
+        self.held.retain(|(id, _), _| *id != peer);
+    }
+}
+
+/// The initial table transfer: nothing but UPDATEs to `peer`, each
+/// attribute block's prefixes ascending across its frames, and the
+/// blocks in the order of their first prefix.
+fn assert_ascending_dump(ops: &[RibOp], peer: PeerId) {
+    // (block, its first prefix, its last so far), as they appear.
+    let mut blocks: Vec<(&Vec<PathAttribute>, Ipv4Prefix, Ipv4Prefix)> = Vec::new();
+    for op in ops {
+        let RibOp::Announce(to, update) = op else { panic!("{op:?} in a table dump") };
+        assert!(*to == peer && update.withdrawn.is_empty(), "{op:?} in a dump to {peer}");
+        assert!(update.nlri.windows(2).all(|w| w[0] < w[1]), "{:?}", update.nlri);
+        let (first, last) = (update.nlri[0], *update.nlri.last().expect("non-empty"));
+        match blocks.iter_mut().find(|(attrs, ..)| **attrs == update.attributes) {
+            Some((_, _, seen)) => assert!(std::mem::replace(seen, last) < first, "{ops:?}"),
+            None => {
+                assert!(blocks.last().is_none_or(|(_, opened, _)| *opened < first), "{ops:?}");
+                blocks.push((&update.attributes, first, last));
+            }
+        }
+    }
 }
 
 fn feed(core: &mut RoutingCore, now: u64, feeder: usize, update: UpdateMsg) -> Vec<RibOp> {
@@ -238,44 +291,100 @@ fn installed(core: &RoutingCore) -> Vec<(Ipv4Prefix, LocRibEntry)> {
     core.loc_rib().iter().map(|(p, e)| (*p, e.clone())).collect()
 }
 
+/// Apply one non-UPDATE step to `core`; `None` if the step does not
+/// apply to sessions in state `up`.
+fn apply(core: &mut RoutingCore, now: u64, step: &Step, up: [bool; 4]) -> Option<Vec<RibOp>> {
+    let all = peers(0, 0);
+    Some(match *step {
+        Step::Update(_) => return None,
+        Step::PeerDown(i) if up[i] => core.peer_down(now, all[i].0),
+        // Down already: nothing left to flush.
+        Step::PeerDown(i) => {
+            assert_eq!(core.peer_down(now, all[i].0), []);
+            return None;
+        }
+        Step::PeerUp(i) if !up[i] => {
+            let ops = core.peer_up(all[i].0, summary((all[i].0, all[i].1)));
+            assert_ascending_dump(&ops, all[i].0);
+            ops
+        }
+        Step::PeerUp(_) => return None,
+        Step::Originate(i) => core.originate(now, prefix(i)),
+        Step::WithdrawOrigin(i) => core.withdraw_origin(now, prefix(i)),
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
     #[test]
     fn packed_exports_leave_every_peer_holding_what_the_per_prefix_model_predicts(
-        inbound in proptest::collection::vec(arb_inbound(), 1..24),
+        steps in proptest::collection::vec(arb_step(), 1..24),
         ebgp_export in 0u8..4,
         ibgp_export in 0u8..4,
     ) {
         let peers = peers(ebgp_export, ibgp_export);
         let (mut packed, mut packed_rx) = (core(ebgp_export, ibgp_export), Receivers::default());
         let (mut twin, mut twin_rx) = (core(ebgp_export, ibgp_export), Receivers::default());
-        for (now, update) in inbound.iter().enumerate() {
-            let got = feed(&mut packed, now as u64, update.feeder, update.packed());
+        let mut up = [true; 4];
+        // Afterwards every feeder leaves and every origin is withdrawn.
+        let close = (0..FEEDERS.len()).map(Step::PeerDown).chain((0..16).map(Step::WithdrawOrigin));
+        for (now, step) in steps.iter().cloned().chain(close).enumerate() {
+            let now = now as u64;
+            let (got, want_best) = match &step {
+                // A session that is down delivers nothing.
+                Step::Update(update) if !up[update.feeder] => continue,
+                Step::Update(update) => {
+                    let got = feed(&mut packed, now, update.feeder, update.packed());
+                    // The host's FIB still hears of every change, one
+                    // prefix at a time, in the order the UPDATE listed them.
+                    let mut want_best = Vec::new();
+                    for single in update.per_prefix() {
+                        let ops = feed(&mut twin, now, update.feeder, single);
+                        twin_rx.replay(&ops);
+                        want_best.extend(best_changes(&ops));
+                    }
+                    (got, want_best)
+                }
+                other => {
+                    let Some(got) = apply(&mut packed, now, other, up) else { continue };
+                    let ops = apply(&mut twin, now, other, up).expect("same sessions");
+                    twin_rx.replay(&ops);
+                    (got, best_changes(&ops))
+                }
+            };
             packed_rx.replay(&got);
-            // The host's FIB still hears of every change, one prefix at
-            // a time, in the order the UPDATE listed them.
-            let mut want_best = Vec::new();
-            for single in update.per_prefix() {
-                let ops = feed(&mut twin, now as u64, update.feeder, single);
-                twin_rx.replay(&ops);
-                want_best.extend(best_changes(&ops));
+            match step {
+                Step::PeerDown(i) => {
+                    up[i] = false;
+                    packed_rx.reset(peers[i].0);
+                    twin_rx.reset(peers[i].0);
+                }
+                Step::PeerUp(i) => up[i] = true,
+                _ => {}
             }
-            prop_assert_eq!(best_changes(&got), want_best, "UPDATE {} of {:?}", now, inbound);
+            prop_assert_eq!(best_changes(&got), want_best, "step {} of {:?}", now, steps);
             prop_assert_eq!(installed(&packed), installed(&twin));
+            prop_assert_eq!(packed.loc_rib().len(), packed.loc_rib().iter().count());
 
             let mut model = BTreeMap::new();
             for prefix in (0..16).map(prefix) {
-                for peer in peers {
+                for (peer, up) in peers.into_iter().zip(up) {
                     let best = packed.loc_rib().get(&prefix);
-                    if let Some(route) = model_export(best, &prefix, peer) {
+                    if let Some(route) = model_export(best, &prefix, peer, up) {
                         model.insert((peer.0, prefix), route.to_attrs(peer.1 == LOCAL_AS));
                     }
                 }
             }
-            prop_assert_eq!(&packed_rx.held, &model, "after UPDATE {} of {:?}", now, inbound);
-            prop_assert_eq!(&twin_rx.held, &model, "twin after UPDATE {} of {:?}", now, inbound);
+            prop_assert_eq!(&packed_rx.held, &model, "after step {} of {:?}", now, steps);
+            prop_assert_eq!(&twin_rx.held, &model, "twin after step {} of {:?}", now, steps);
         }
+        // Nothing received, originated, installed or sent is left: no
+        // entry outlives its last route. (The bytes that remain are the
+        // trie's arena, which keeps its capacity.)
+        prop_assert_eq!((packed.prefixes(), twin.prefixes()), (0, 0));
+        prop_assert!(packed.loc_rib().is_empty() && packed.adj_rib_in().is_empty());
+        prop_assert_eq!(packed.rib_bytes(), packed.loc_rib().memory_bytes());
         // Nothing is sent that the peer already knew, packed or not, and
         // packing never costs a frame.
         prop_assert_eq!((packed_rx.redundant, twin_rx.redundant), (0, 0));

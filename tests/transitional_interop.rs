@@ -86,7 +86,7 @@ fn legacy_speaker_passes_embedded_ia_through() {
     let relayed = outputs
         .iter()
         .find_map(|o| match o {
-            dbgp::bgp::Output::SendBytes(PeerId(1), bytes) => Some(bytes.clone()),
+            dbgp::bgp::Output::Send(PeerId(1), _, bytes) => Some(bytes.clone()),
             _ => None,
         })
         .expect("legacy speaker relays the route");
@@ -124,7 +124,7 @@ fn two_legacy_hops_preserve_the_ia() {
     let relayed = outputs
         .iter()
         .find_map(|o| match o {
-            dbgp::bgp::Output::SendBytes(PeerId(1), bytes) => Some(bytes.clone()),
+            dbgp::bgp::Output::Send(PeerId(1), _, bytes) => Some(bytes.clone()),
             _ => None,
         })
         .unwrap();
@@ -132,7 +132,7 @@ fn two_legacy_hops_preserve_the_ia() {
     let relayed2 = outputs
         .iter()
         .find_map(|o| match o {
-            dbgp::bgp::Output::SendBytes(PeerId(1), bytes) => Some(bytes.clone()),
+            dbgp::bgp::Output::Send(PeerId(1), _, bytes) => Some(bytes.clone()),
             _ => None,
         })
         .expect("second legacy hop relays too");
