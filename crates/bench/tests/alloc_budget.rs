@@ -1,6 +1,7 @@
 //! Allocation budget of the §5 per-advertisement loop: decode →
 //! `receive_ia` on a gulf speaker → `encode` + `encode_frame` of what it
-//! forwards, exactly what `benchmark/src/stress.rs` times.
+//! forwards (a gather list: nothing flattens it), exactly what
+//! `benchmark/src/stress.rs` times.
 //!
 //! Bytes requested from the allocator repeat exactly from run to run, so
 //! this gates in CI where a timing cannot. One `#[test]` in its own
@@ -85,16 +86,19 @@ const PARENT_BGP_ONLY_BYTES: u64 = 1_318_640;
 
 #[test]
 fn the_stress_loop_stays_inside_its_allocation_budget() {
-    // 32 KB IAs: the frame the caller asks for (`encode`, then
-    // `encode_frame`) is two buffers of the emitted size; everything
-    // else — decode, the IA DB, the factory, the Adj-RIB-Out — must fit
-    // in the remaining 0.2×. The parent allocated 4.3×.
+    // 32 KB IAs: a gulf's frame is a freshly written head plus the tail
+    // bytes as they arrived, so no buffer of the emitted size is
+    // allocated at all — decode, the IA DB, the factory, the Adj-RIB-Out,
+    // the head and the gather list together measure 0.066× of the bytes
+    // emitted. Re-cut on purpose from 2.2× (the two 32 KB buffers of
+    // `encode` then `encode_frame`, which this budget used to allow):
+    // one payload copy anywhere in the loop is 1×, and 0.1× refuses it.
     let (allocated, emitted) = stress_loop(64, 32 << 10);
     println!("ia32k: allocated {allocated} B for {emitted} B emitted");
     assert!(emitted > 64 * (32 << 10));
     assert!(
-        allocated as f64 <= 2.2 * emitted as f64,
-        "32 KB IAs: allocated {allocated} B for {emitted} B emitted ({:.2}x, budget 2.2x)",
+        allocated as f64 <= 0.1 * emitted as f64,
+        "32 KB IAs: allocated {allocated} B for {emitted} B emitted ({:.3}x, budget 0.1x)",
         allocated as f64 / emitted as f64
     );
 
@@ -103,12 +107,15 @@ fn the_stress_loop_stays_inside_its_allocation_budget() {
     // vector sits at 0.909x of the parent's six tables. The same entry
     // stored inline in the trie node (0.967x), or boxed with separate
     // received/sent vectors (0.988x), passes every functional test and
-    // gives most of that back — 0.92x is the line between them.
+    // gives most of that back. Re-cut on purpose from 0.92x to 0.93x:
+    // `Ia` grew by the one pointer of its tail window, and each
+    // advertisement allocates three `Ia`s — 3 × 8 B × 1,000 = 24,000 B
+    // on top of 1,198,920 B, 0.9274x. Still below both rejected layouts.
     let (allocated, emitted) = stress_loop(1_000, 0);
     println!("bgponly: allocated {allocated} B for {emitted} B emitted");
     assert!(
-        allocated as f64 <= 0.92 * PARENT_BGP_ONLY_BYTES as f64,
-        "BGP-only IAs: allocated {allocated} B, budget 0.92x of the parent's \
+        allocated as f64 <= 0.93 * PARENT_BGP_ONLY_BYTES as f64,
+        "BGP-only IAs: allocated {allocated} B, budget 0.93x of the parent's \
          {PARENT_BGP_ONLY_BYTES} B"
     );
 }

@@ -37,7 +37,7 @@ pub mod transitional;
 pub use factory::{build_outgoing, FactoryContext};
 pub use filters::{FilterConfig, IslandConfig, RejectReason};
 pub use iadb::IaDb;
-pub use messages::DbgpUpdate;
+pub use messages::{DbgpUpdate, Frame};
 pub use module::{
     baseline_key, BgpDecision, CandidateIa, DecisionModule, ExportContext, ImportContext,
 };

@@ -885,7 +885,7 @@ mod tests {
             .unwrap();
         ia.unknown_records
             .push(dbgp_wire::ia::UnknownRecord { tag: 4242, data: vec![9; 32].into() });
-        let frame = ia.encode();
+        let frame = ia.encode().into_bytes();
         let span = frame.as_ptr_range();
         let received = Ia::decode(frame.clone()).unwrap();
         let pointers = |ia: &Ia| {
@@ -901,18 +901,32 @@ mod tests {
 
         let mut gulf = DbgpSpeaker::new(DbgpConfig::gulf(2));
         gulf.add_neighbor(NeighborId(0), DbgpNeighbor::dbgp(1));
-        gulf.add_neighbor(NeighborId(1), DbgpNeighbor::dbgp(3));
+        for (id, asn) in [(1, 3), (2, 4), (3, 5)] {
+            gulf.add_neighbor(NeighborId(id), DbgpNeighbor::dbgp(asn));
+        }
         let outs = gulf.receive_ia(NeighborId(0), received);
         let sent: Vec<&Arc<Ia>> = outs
             .iter()
             .filter_map(|o| match o {
-                DbgpOutput::SendIa(NeighborId(1), ia) => Some(ia),
+                DbgpOutput::SendIa(to, ia) if *to != NeighborId(0) => Some(ia),
                 _ => None,
             })
             .collect();
-        assert_eq!(sent.len(), 1);
-        assert_eq!(sent[0].path_vector[0], PathElem::As(2), "our AS was prepended");
-        assert_eq!(pointers(sent[0]), arrived, "pass-through copied a payload");
+        assert_eq!(sent.len(), 3, "one advertisement per downstream neighbor");
+        for ia in sent {
+            assert_eq!(ia.path_vector[0], PathElem::As(2), "our AS was prepended");
+            assert_eq!(pointers(ia), arrived, "pass-through copied a payload");
+            // What goes on the wire is a new head and the tail bytes as
+            // they arrived: the one frame serves every neighbor.
+            let out = crate::DbgpUpdate::encode_frame(&[], &[ia.encode()]);
+            let chunks: Vec<&[u8]> = out.chunks().collect();
+            assert_eq!(chunks.len(), 2, "a written head and a shared tail");
+            assert!(!span.contains(&chunks[0].as_ptr()), "the head is fresh");
+            let tail = chunks[1].as_ptr_range();
+            assert!(span.start < tail.start && tail.end == span.end, "the tail was copied");
+            assert!(chunks[1].len() > 4096 + 64 + 32);
+            assert_eq!(out.into_bytes(), crate::DbgpUpdate::announce((**ia).clone()).encode());
+        }
         // The stored copies (IA DB entry, installed best) share them too.
         assert_eq!(pointers(&gulf.best(&p("128.6.0.0/16")).unwrap().ia), arrived);
     }

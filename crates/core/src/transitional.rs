@@ -31,7 +31,7 @@ pub fn ia_to_attribute(ia: &Ia) -> WireResult<PathAttribute> {
     Ok(PathAttribute::Unknown {
         flags: FLAG_OPTIONAL | FLAG_TRANSITIVE,
         code: code::IA_PAYLOAD,
-        data: ia.encode(),
+        data: ia.encode().into_bytes(),
     })
 }
 

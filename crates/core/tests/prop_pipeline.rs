@@ -84,7 +84,7 @@ proptest! {
                 prop_assert!(false, "hop {i} received nothing");
                 return Ok(());
             };
-            let wire = Ia::decode(sent.encode()).unwrap();
+            let wire = Ia::decode(sent.encode().into_bytes()).unwrap();
             outputs = speaker.receive_ia(NeighborId(0), wire);
         }
         let last = speakers.last().unwrap();
@@ -161,7 +161,7 @@ proptest! {
             .collect();
         prop_assert_eq!(got_tail, tail);
         // Wire roundtrip still clean.
-        prop_assert_eq!(Ia::decode(ia.encode()).unwrap(), ia);
+        prop_assert_eq!(Ia::decode(ia.encode().into_bytes()).unwrap(), ia);
     }
 
     /// A speaker never advertises a route back to the neighbor it chose
@@ -218,9 +218,9 @@ proptest! {
         }
         let update = DbgpUpdate { withdrawn, ias };
         // What the cache stores: each generation's body, encoded once.
-        let bodies: Vec<bytes::Bytes> = update.ias.iter().map(Ia::encode).collect();
+        let bodies: Vec<dbgp_wire::EncodedIa> = update.ias.iter().map(Ia::encode).collect();
         prop_assert_eq!(
-            DbgpUpdate::encode_frame(&update.withdrawn, &bodies),
+            DbgpUpdate::encode_frame(&update.withdrawn, &bodies).into_bytes(),
             update.encode(),
             "cached-body frame differs from fresh encode"
         );

@@ -169,7 +169,7 @@ fn an_ia_crosses_two_ia_oblivious_daemons_intact() {
         .island_descriptor(IslandId(500), ProtocolId::SCION, dkey::SCION_PATHS, b"br1 br2".to_vec())
         .build()
         .expect("a valid IA");
-    let payload = ia.encode();
+    let payload = ia.encode().into_bytes();
     let attributes = vec![
         PathAttribute::Origin(Origin::Igp),
         PathAttribute::AsPath(AsPath::from_sequence(vec![FEEDER_AS])),

@@ -184,9 +184,9 @@ mod tests {
         let mut module = AddrMapModule::new(IslandId(70), Ipv4Addr::new(198, 18, 0, 1));
         let mut ia = Ia::originate(p("203.0.113.0/24"), Ipv4Addr::new(9, 9, 9, 9));
         module.decorate_origin(&mut ia, 1);
-        let mut ia = Ia::decode(ia.encode()).unwrap();
+        let mut ia = Ia::decode(ia.encode().into_bytes()).unwrap();
         ia.prepend_as(4000); // gulf hop
-        let ia = Ia::decode(ia.encode()).unwrap();
+        let ia = Ia::decode(ia.encode().into_bytes()).unwrap();
         assert_eq!(lookup_services(&ia), vec![(IslandId(70), Ipv4Addr::new(198, 18, 0, 1))]);
     }
 

@@ -199,7 +199,7 @@ mod tests {
 
     #[test]
     fn wire_roundtrip_preserves_validity() {
-        let ia = Ia::decode(secure_path(99).encode()).unwrap();
+        let ia = Ia::decode(secure_path(99).encode().into_bytes()).unwrap();
         let mut module = BgpsecModule::new(99, anchor(), false);
         assert_eq!(module.status(&ia), ChainStatus::Valid);
     }

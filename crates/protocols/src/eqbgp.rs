@@ -132,7 +132,7 @@ mod tests {
     fn descriptor_survives_wire() {
         let mut ia = Ia::originate(p("10.0.0.0/8"), Ipv4Addr::new(1, 1, 1, 1));
         set_bottleneck_bw(&mut ia, 777);
-        let ia = Ia::decode(ia.encode()).unwrap();
+        let ia = Ia::decode(ia.encode().into_bytes()).unwrap();
         assert_eq!(bottleneck_bw(&ia), Some(777));
     }
 

@@ -440,7 +440,7 @@ mod tests {
             },
         );
         assert_eq!(hlp_cost(&ia), Some(7));
-        let decoded = Ia::decode(ia.encode()).unwrap();
+        let decoded = Ia::decode(ia.encode().into_bytes()).unwrap();
         assert_eq!(hlp_cost(&decoded), Some(7));
     }
 

@@ -268,9 +268,9 @@ mod tests {
         let mut ia = Ia::originate(p("131.4.0.0/24"), Ipv4Addr::new(9, 9, 9, 9));
         module.decorate_origin(&mut ia, 11);
         // Cross a gulf hop: wire round-trip then another AS prepends.
-        let mut ia = Ia::decode(ia.encode()).unwrap();
+        let mut ia = Ia::decode(ia.encode().into_bytes()).unwrap();
         ia.prepend_as(4000);
-        let ia = Ia::decode(ia.encode()).unwrap();
+        let ia = Ia::decode(ia.encode().into_bytes()).unwrap();
         assert_eq!(find_portals(&ia), vec![(IslandId(1007), Ipv4Addr::new(173, 82, 2, 0))]);
     }
 

@@ -488,7 +488,7 @@ mod tests {
         let mut ia = Ia::originate(d(), Ipv4Addr::new(9, 9, 9, 9));
         ia.island_descriptors.push(egress_translate(island, &pathlets));
         // Cross a gulf: encode + decode the IA.
-        let ia = Ia::decode(ia.encode()).unwrap();
+        let ia = Ia::decode(ia.encode().into_bytes()).unwrap();
         let ads = ingress_translate(&ia);
         assert_eq!(ads.len(), 2);
         assert!(ads.iter().all(|ad| ad.island == island));

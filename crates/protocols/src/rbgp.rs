@@ -213,7 +213,7 @@ mod tests {
                 prefix: p("10.0.0.0/8"),
             },
         );
-        let decoded = Ia::decode(out.encode()).unwrap();
+        let decoded = Ia::decode(out.encode().into_bytes()).unwrap();
         assert_eq!(backup_path(&decoded).unwrap().ases, vec![3, 4]);
     }
 

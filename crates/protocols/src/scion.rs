@@ -227,7 +227,7 @@ mod tests {
         let mut module = ScionModule::new(IslandId(800), two_path_set());
         let mut ia = Ia::originate(p("131.3.0.0/24"), Ipv4Addr::new(9, 9, 9, 9));
         module.decorate_origin(&mut ia, 1);
-        let ia = Ia::decode(ia.encode()).unwrap();
+        let ia = Ia::decode(ia.encode().into_bytes()).unwrap();
         let sets = path_sets(&ia);
         assert_eq!(sets.len(), 1);
         assert_eq!(sets[0].1.paths.len(), 2, "both paths visible, unlike plain BGP");

@@ -307,7 +307,7 @@ mod tests {
     fn cost_descriptor_roundtrip() {
         let ia = ia_with_cost(&[1], 12345);
         assert_eq!(path_cost(&ia), Some(12345));
-        let decoded = Ia::decode(ia.encode()).unwrap();
+        let decoded = Ia::decode(ia.encode().into_bytes()).unwrap();
         assert_eq!(path_cost(&decoded), Some(12345));
     }
 

@@ -30,7 +30,7 @@ use dbgp_telemetry::{
     CounterId, EventId, GaugeId, HistogramId, MetricsRegistry, RibEntry, RibSnapshot, Semantics,
     SinkHandle, TraceKind, TraceRecorder,
 };
-use dbgp_wire::{Ia, Ipv4Addr, Ipv4Prefix, ProtocolId};
+use dbgp_wire::{EncodedIa, Ia, Ipv4Addr, Ipv4Prefix, ProtocolId};
 use serde_json::Value;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::rc::Rc;
@@ -221,7 +221,8 @@ type PtrMap<V> = HashMap<usize, V, std::hash::BuildHasherDefault<PtrHasher>>;
 struct EncodeCacheEntry {
     /// Pins the IA so the pointer key stays unique while cached.
     _ia: Arc<Ia>,
-    /// The encoded IA body (the unit batched frames are assembled from).
+    /// The encoded IA body (the unit batched frames are assembled from):
+    /// the tail end of `announce`, not a buffer of its own.
     body: Bytes,
     /// A ready-made single-IA announce frame (the common MRAI flush).
     announce: Bytes,
@@ -279,6 +280,11 @@ pub struct SimStats {
     /// IA bodies whose wire bytes were reused from the Adj-RIB-Out
     /// encode cache instead of being re-serialized.
     pub encode_cache_hits: u64,
+    /// Freshly serialized IA bodies whose tail records were shared with
+    /// the frame they arrived in (pass-through as a splice) instead of
+    /// written again. The encoder declined on the other
+    /// `updates_encoded - tails_spliced`.
+    pub tails_spliced: u64,
 }
 
 /// Per-(node, prefix) route-churn record, maintained on every
@@ -343,6 +349,9 @@ pub struct Sim {
     services: HashMap<Ipv4Addr, (NodeId, Service)>,
     queue: EventQueue<Event>,
     stats: SimStats,
+    /// The bodies of the frame [`Sim::emit`] is assembling. Kept (empty)
+    /// between frames so a batched flush allocates no list of them.
+    frame_bodies: Vec<EncodedIa>,
     /// Route-churn records per (node, prefix).
     churn: BTreeMap<(NodeId, Ipv4Prefix), PrefixChurn>,
     /// Seeded RNG driving link perturbation models. Only consumed for
@@ -420,6 +429,7 @@ impl Sim {
             services: HashMap::new(),
             queue: EventQueue::new(),
             stats: SimStats::default(),
+            frame_bodies: Vec::new(),
             churn: BTreeMap::new(),
             rng: SimRng::new(0),
             oob_delay: 5,
@@ -1262,7 +1272,9 @@ impl Sim {
 
     /// The wire form of one outgoing IA, from the node's encode cache
     /// when the speaker has handed us this exact `Arc` before. Returns
-    /// `(body, announce_frame)` views into the shared cached buffers.
+    /// `(body, announce_frame)` views into the one shared cached buffer.
+    /// It is contiguous — a link carries `Bytes` — so a spliced tail is
+    /// copied here, once per IA version however many neighbors get it.
     fn cached_wire(&mut self, node: NodeId, ia: &Arc<Ia>) -> (Bytes, Bytes) {
         let key = Arc::as_ptr(ia) as usize;
         if let Some(entry) = self.nodes[node].encode_cache.get(&key) {
@@ -1271,7 +1283,10 @@ impl Sim {
         }
         self.stats.updates_encoded += 1;
         let body = ia.encode();
-        let announce = DbgpUpdate::encode_frame(&[], std::slice::from_ref(&body));
+        self.stats.tails_spliced += u64::from(body.is_spliced());
+        let announce = DbgpUpdate::encode_frame(&[], std::slice::from_ref(&body)).into_bytes();
+        // A single-IA announce frame ends with the IA's body.
+        let body = announce.slice(announce.len() - body.len()..);
         let cache = &mut self.nodes[node].encode_cache;
         if cache.len() >= ENCODE_CACHE_CAP {
             cache.clear();
@@ -1364,11 +1379,15 @@ impl Sim {
         let bytes = if let ([], [ia]) = (withdrawn, ias) {
             self.cached_wire(node, ia).1
         } else {
-            let bodies: Vec<Bytes> = ias.iter().map(|ia| self.cached_wire(node, ia).0).collect();
+            let mut bodies = std::mem::take(&mut self.frame_bodies);
+            bodies.extend(ias.iter().map(|ia| EncodedIa::from(self.cached_wire(node, ia).0)));
             if bodies.is_empty() {
                 self.stats.updates_encoded += 1;
             }
-            DbgpUpdate::encode_frame(withdrawn, &bodies)
+            let frame = DbgpUpdate::encode_frame(withdrawn, &bodies).into_bytes();
+            bodies.clear();
+            self.frame_bodies = bodies;
+            frame
         };
         self.phase_add(t, Phase::Encode);
         let trace = if self.sink.enabled() {

@@ -437,3 +437,60 @@ fn rejected_outputs_surface_island_loops() {
     sim.run(1_000_000);
     assert!(sim.speaker(b).best(&p("66.0.0.0/8")).is_none(), "loop rejected");
 }
+
+/// Pass-through as a splice, counted where the simulator encodes: a gulf
+/// AS forwards a foreign 4 KB descriptor by writing a new head in front
+/// of the tail bytes it received; the origin has no arrival bytes to
+/// share, and a Wiser AS that adds its cost to its own descriptor has
+/// changed the tail, so both write the whole IA.
+#[test]
+fn gulfs_splice_the_tail_and_a_module_that_rewrites_it_does_not() {
+    let prefix = p("128.6.0.0/16");
+    let foreign = ProtocolId(100);
+    // O - G - G - G - X - G - G - S, where X is a gulf or a Wiser AS.
+    let run = |wiser_hop: bool| {
+        let mut sim = Sim::new();
+        let island = IslandConfig { id: IslandId(900), abstraction: false };
+        let nodes: Vec<_> = (1..=8u32)
+            .map(|asn| {
+                if wiser_hop && asn == 5 {
+                    let x = sim.add_node(DbgpConfig::island_member(asn, island, ProtocolId::WISER));
+                    let portal = Ipv4Addr::new(163, 42, 5, 0);
+                    sim.speaker_mut(x)
+                        .register_module(Box::new(WiserModule::new(island.id, portal, 7)));
+                    x
+                } else {
+                    sim.add_node(DbgpConfig::gulf(asn))
+                }
+            })
+            .collect();
+        for w in nodes.windows(2) {
+            sim.link(w[0], w[1], 10, false);
+        }
+        let ia = dbgp_wire::Ia::builder(prefix, Ipv4Addr::new(192, 0, 2, 1))
+            .path_descriptor(
+                ProtocolId::WISER,
+                dbgp_wire::ia::dkey::WISER_PATH_COST,
+                100u64.to_be_bytes().to_vec(),
+            )
+            .path_descriptor(foreign, 1, vec![0x5a; 4096])
+            .build()
+            .unwrap();
+        sim.originate_ia(nodes[0], ia);
+        let stats = sim.run(60_000_000);
+        assert_eq!(sim.pending_events(), 0, "quiesces");
+        let best = sim.speaker(nodes[7]).best(&prefix).expect("the far end learned the route");
+        assert_eq!(best.ia.path_descriptor(foreign, 1).expect("passed through").value.len(), 4096);
+        (stats, wiser::path_cost(&best.ia))
+    };
+
+    // Seven ASes each encode the one IA they send on; all but the origin
+    // are handing on what they were sent.
+    let (stats, cost) = run(false);
+    assert_eq!((stats.updates_encoded, stats.tails_spliced), (7, 6), "{stats:?}");
+    assert_eq!(cost, Some(100));
+
+    let (stats, cost) = run(true);
+    assert_eq!((stats.updates_encoded, stats.tails_spliced), (7, 5), "{stats:?}");
+    assert_eq!(cost, Some(107), "the Wiser AS rewrote its descriptor");
+}

@@ -30,6 +30,7 @@ use crate::prefix::{Ipv4Addr, Ipv4Prefix};
 use crate::varint::{get_uvarint, put_uvarint, uvarint_len};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::fmt;
+use std::sync::Arc;
 
 /// Well-known descriptor keys for the protocols this workspace ships.
 ///
@@ -175,7 +176,7 @@ pub struct UnknownRecord {
 }
 
 /// An Integrated Advertisement.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct Ia {
     /// Destination, in the baseline address format (paper: IPv4).
     pub prefix: Ipv4Prefix,
@@ -195,6 +196,122 @@ pub struct Ia {
     pub island_descriptors: Vec<IslandDescriptor>,
     /// Unrecognized records preserved for pass-through.
     pub unknown_records: Vec<UnknownRecord>,
+    /// Where the tail records sat in the frame this IA was decoded from.
+    window: TailWindow,
+}
+
+/// The window of the arrival frame that held a decoded IA's *tail*
+/// records — path descriptors, island descriptors, unknown records:
+/// everything [`Ia::encode_into`] writes after the memberships. Pass-
+/// through leaves those records alone, so [`Ia::encode`] can hand the
+/// window on instead of writing them again. It is a hint and never part
+/// of the IA's value: every field stays `pub`, and `encode` checks the
+/// window against the fields each time before it trusts it. One pointer
+/// wide, so an IA without a window (every BGP-only one) pays 8 bytes,
+/// and behind an `Arc`, so cloning an IA does not allocate for it.
+#[derive(Clone, Default)]
+struct TailWindow(Option<Arc<Bytes>>);
+
+impl PartialEq for TailWindow {
+    /// Two IAs with the same fields are the same IA wherever they came
+    /// from.
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+impl Eq for TailWindow {}
+
+impl fmt::Debug for Ia {
+    /// The fields, as the derive printed them before the window existed.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Ia")
+            .field("prefix", &self.prefix)
+            .field("origin", &self.origin)
+            .field("next_hop", &self.next_hop)
+            .field("med", &self.med)
+            .field("path_vector", &self.path_vector)
+            .field("memberships", &self.memberships)
+            .field("path_descriptors", &self.path_descriptors)
+            .field("island_descriptors", &self.island_descriptors)
+            .field("unknown_records", &self.unknown_records)
+            .finish()
+    }
+}
+
+/// The wire form of one IA, as [`Ia::encode`] returns it: a freshly
+/// written chunk and, when the IA's tail records are still the bytes
+/// they arrived as, the window of the arrival frame that holds them.
+/// The IA's bytes are the head followed by the tail.
+#[derive(Debug, Clone)]
+pub struct EncodedIa {
+    head: Bytes,
+    tail: Option<Arc<Bytes>>,
+}
+
+impl EncodedIa {
+    /// Encoded length in bytes, [`Ia::wire_size`].
+    #[allow(clippy::len_without_is_empty)] // never empty: the prefix record is mandatory
+    pub fn len(&self) -> usize {
+        self.head.len() + self.tail.as_ref().map_or(0, |t| t.len())
+    }
+
+    /// Was the tail shared with the arrival frame instead of written?
+    pub fn is_spliced(&self) -> bool {
+        self.tail.is_some()
+    }
+
+    /// The freshly written chunk: the whole IA unless
+    /// [`is_spliced`](Self::is_spliced).
+    pub fn head(&self) -> &Bytes {
+        &self.head
+    }
+
+    /// The shared window of the arrival frame, if there is one.
+    pub fn tail(&self) -> Option<&Bytes> {
+        self.tail.as_deref()
+    }
+
+    /// One contiguous buffer: free when nothing was spliced, one copy of
+    /// both chunks otherwise.
+    pub fn into_bytes(self) -> Bytes {
+        match self.tail {
+            None => self.head,
+            Some(tail) => {
+                let mut buf = BytesMut::with_capacity(self.head.len() + tail.len());
+                buf.put_slice(&self.head);
+                buf.put_slice(&tail);
+                buf.freeze()
+            }
+        }
+    }
+}
+
+impl From<Bytes> for EncodedIa {
+    /// A body that is already one contiguous buffer.
+    fn from(whole: Bytes) -> Self {
+        EncodedIa { head: whole, tail: None }
+    }
+}
+
+/// A `BufMut` that stores nothing: it checks that what is written to it
+/// is, byte for byte, `rest`. A slice that *is* the next bytes of `rest`
+/// (same address — a descriptor value still viewing the arrival frame)
+/// is accepted without being read, so checking an untouched 32 KB tail
+/// reads only its record headers.
+struct TailCheck<'a> {
+    rest: &'a [u8],
+    same: bool,
+}
+
+impl BufMut for TailCheck<'_> {
+    fn put_slice(&mut self, src: &[u8]) {
+        match self.rest.split_at_checked(src.len()) {
+            Some((next, rest)) if std::ptr::eq(next.as_ptr(), src.as_ptr()) || next == src => {
+                self.rest = rest
+            }
+            _ => self.same = false,
+        }
+    }
 }
 
 impl Ia {
@@ -210,6 +327,7 @@ impl Ia {
             path_descriptors: Vec::new(),
             island_descriptors: Vec::new(),
             unknown_records: Vec::new(),
+            window: TailWindow::default(),
         }
     }
 
@@ -272,6 +390,7 @@ impl Ia {
             path_descriptors: self.path_descriptors.clone(),
             island_descriptors: self.island_descriptors.clone(),
             unknown_records: self.unknown_records.clone(),
+            window: self.window.clone(),
         };
         ia.shift_memberships();
         ia
@@ -358,6 +477,7 @@ impl Ia {
         self.path_descriptors.retain(|d| d.protocols.iter().any(|p| keep.contains(p)));
         self.island_descriptors.retain(|d| keep.contains(&d.protocol));
         self.unknown_records.clear();
+        self.drop_stale_window();
     }
 
     /// Remove descriptors belonging to the given protocols, keeping
@@ -370,6 +490,27 @@ impl Ia {
         }
         self.path_descriptors.retain(|d| !d.protocols.is_empty());
         self.island_descriptors.retain(|d| !remove.contains(&d.protocol));
+        self.drop_stale_window();
+    }
+
+    /// A filter that removed something leaves the window useless, and an
+    /// IA stripped to a few small descriptors must not keep a whole
+    /// frame alive through it (DESIGN.md §6, the retention bound).
+    fn drop_stale_window(&mut self) {
+        if self.spliceable_tail().is_none() {
+            self.window = TailWindow(None);
+        }
+    }
+
+    /// The arrival window, if the tail records as they stand now would
+    /// encode to exactly its bytes. Decided by checking, not by tracking
+    /// writes: the fields are `pub`, and a peer's frame may hold the
+    /// records in another order or with non-minimal varints.
+    fn spliceable_tail(&self) -> Option<Arc<Bytes>> {
+        let window = self.window.0.as_ref()?;
+        let mut check = TailCheck { rest: window, same: true };
+        self.encode_tail(&mut check);
+        (check.same && check.rest.is_empty()).then(|| Arc::clone(window))
     }
 
     /// The island that `path_vector[idx]` belongs to, if declared.
@@ -399,14 +540,23 @@ impl Ia {
 
     // ----- wire codec -------------------------------------------------
 
-    /// Encode to the TLV wire form: one allocation of exactly
-    /// [`Ia::wire_size`] bytes, every byte written once.
-    pub fn encode(&self) -> Bytes {
-        let size = self.wire_size();
+    /// Encode to the TLV wire form. An IA whose tail records are still
+    /// the bytes it was decoded from — pass-through — comes back as a
+    /// freshly written head plus the window of the arrival frame that
+    /// holds them, and no payload byte is copied. Any other IA is one
+    /// allocation of exactly [`Ia::wire_size`] bytes, every byte written
+    /// once. Either way the bytes are the ones [`Ia::encode_into`]
+    /// writes.
+    pub fn encode(&self) -> EncodedIa {
+        let tail = self.spliceable_tail();
+        let size = self.head_size() + if tail.is_some() { 0 } else { self.tail_size() };
         let mut buf = BytesMut::with_capacity(size);
-        self.encode_into(&mut buf);
-        debug_assert_eq!(buf.len(), size, "wire_size and encode_into agree");
-        buf.freeze()
+        self.encode_head(&mut buf);
+        if tail.is_none() {
+            self.encode_tail(&mut buf);
+        }
+        debug_assert_eq!(buf.len(), size, "the size arithmetic and the writers agree");
+        EncodedIa { head: buf.freeze(), tail }
     }
 
     /// Append the TLV wire form to `buf` — the bytes [`Ia::encode`]
@@ -414,6 +564,13 @@ impl Ia {
     /// length computed up front, so nothing is staged and the
     /// destination (a frame under assembly, say) is written in place.
     pub fn encode_into(&self, buf: &mut impl BufMut) {
+        self.encode_head(buf);
+        self.encode_tail(buf);
+    }
+
+    /// The records every hop rewrites: prefix, origin, next hop, MED,
+    /// path vector, memberships.
+    fn encode_head(&self, buf: &mut impl BufMut) {
         put_header(buf, tag::PREFIX, self.prefix.wire_len());
         self.prefix.encode(buf);
         put_header(buf, tag::ORIGIN, 1);
@@ -450,6 +607,11 @@ impl Ia {
             put_uvarint(buf, m.start as u64);
             put_uvarint(buf, m.end as u64);
         }
+    }
+
+    /// The records pass-through carries untouched: path descriptors,
+    /// island descriptors, unknown records.
+    fn encode_tail(&self, buf: &mut impl BufMut) {
         for d in &self.path_descriptors {
             put_header(buf, tag::PATH_DESC, d.body_len());
             put_uvarint(buf, d.protocols.len() as u64);
@@ -476,6 +638,11 @@ impl Ia {
     /// lengths (nothing is encoded). Sizes [`Ia::encode`]'s buffer and
     /// feeds the overhead experiments and the stress-test workload.
     pub fn wire_size(&self) -> usize {
+        self.head_size() + self.tail_size()
+    }
+
+    /// What [`Ia::encode_head`] writes.
+    fn head_size(&self) -> usize {
         let mut n = record_len(tag::PREFIX, self.prefix.wire_len())
             + record_len(tag::ORIGIN, 1)
             + record_len(tag::NEXT_HOP, 4);
@@ -488,6 +655,12 @@ impl Ia {
         for m in &self.memberships {
             n += record_len(tag::MEMBERSHIP, m.body_len());
         }
+        n
+    }
+
+    /// What [`Ia::encode_tail`] writes.
+    fn tail_size(&self) -> usize {
+        let mut n = 0;
         for d in &self.path_descriptors {
             n += record_len(tag::PATH_DESC, d.body_len());
         }
@@ -503,7 +676,9 @@ impl Ia {
     /// Decode from the TLV wire form. Descriptor values and unknown
     /// records come back as views of `buf` — no payload byte is copied —
     /// so the decoded IA keeps `buf`'s allocation alive for as long as it
-    /// (or any clone of it) holds one of them.
+    /// (or any clone of it) holds one of them. From the first descriptor
+    /// or unknown record to the end of `buf` is remembered as the tail
+    /// window [`Ia::encode`] may hand on.
     pub fn decode(buf: Bytes) -> WireResult<Self> {
         let mut prefix = None;
         let mut origin = Origin::Incomplete;
@@ -514,11 +689,14 @@ impl Ia {
         let mut path_descriptors = Vec::new();
         let mut island_descriptors = Vec::new();
         let mut unknown_records = Vec::new();
+        // Where the first tail record (descriptor or unknown) starts.
+        let mut tail_at = None;
 
         // A borrowed cursor walks the frame; only the parts that are
         // kept are turned into refcounted views of it.
         let mut rest: &[u8] = &buf;
         while rest.has_remaining() {
+            let record_at = buf.len() - rest.len();
             let t = get_uvarint(&mut rest)?;
             let len = get_uvarint(&mut rest)? as usize;
             if rest.remaining() < len {
@@ -590,6 +768,7 @@ impl Ia {
                     }
                     let value = buf.slice_ref(&body[..vlen]);
                     path_descriptors.push(PathDescriptor { protocols, key, value });
+                    tail_at.get_or_insert(record_at);
                 }
                 tag::ISLAND_DESC => {
                     let island = IslandId(read_u32(&mut body)?);
@@ -601,9 +780,11 @@ impl Ia {
                     }
                     let value = buf.slice_ref(&body[..vlen]);
                     island_descriptors.push(IslandDescriptor { island, protocol, key, value });
+                    tail_at.get_or_insert(record_at);
                 }
                 other => {
-                    unknown_records.push(UnknownRecord { tag: other, data: buf.slice_ref(body) })
+                    unknown_records.push(UnknownRecord { tag: other, data: buf.slice_ref(body) });
+                    tail_at.get_or_insert(record_at);
                 }
             }
         }
@@ -619,6 +800,7 @@ impl Ia {
             path_descriptors,
             island_descriptors,
             unknown_records,
+            window: TailWindow(tail_at.map(|at| Arc::new(buf.slice(at..)))),
         };
         ia.validate()?;
         Ok(ia)
@@ -867,7 +1049,7 @@ mod tests {
     #[test]
     fn figure4_roundtrip() {
         let ia = figure4_ia();
-        let decoded = Ia::decode(ia.encode()).unwrap();
+        let decoded = Ia::decode(ia.encode().into_bytes()).unwrap();
         assert_eq!(decoded, ia);
     }
 
@@ -1016,7 +1198,7 @@ mod tests {
     fn unknown_records_survive_roundtrip() {
         let mut ia = figure4_ia();
         ia.unknown_records.push(UnknownRecord { tag: 4242, data: Bytes::from_static(b"future") });
-        let decoded = Ia::decode(ia.encode()).unwrap();
+        let decoded = Ia::decode(ia.encode().into_bytes()).unwrap();
         assert_eq!(decoded.unknown_records, ia.unknown_records);
     }
 
@@ -1032,12 +1214,12 @@ mod tests {
     fn decode_rejects_bad_membership_range() {
         let mut ia = figure4_ia();
         ia.memberships.push(IslandMembership { island: IslandId(1), start: 90, end: 91 });
-        assert_eq!(Ia::decode(ia.encode()), Err(WireError::BadMembershipRange));
+        assert_eq!(Ia::decode(ia.encode().into_bytes()), Err(WireError::BadMembershipRange));
     }
 
     #[test]
     fn decode_rejects_truncation_everywhere() {
-        let bytes = figure4_ia().encode();
+        let bytes = figure4_ia().encode().into_bytes();
         // Chopping the stream at any interior point must error, never
         // panic and never loop.
         for cut in 1..bytes.len() {
@@ -1049,7 +1231,7 @@ mod tests {
     fn med_roundtrips() {
         let mut ia = Ia::originate(p("10.0.0.0/8"), Ipv4Addr::new(1, 1, 1, 1));
         ia.med = Some(4096);
-        assert_eq!(Ia::decode(ia.encode()).unwrap().med, Some(4096));
+        assert_eq!(Ia::decode(ia.encode().into_bytes()).unwrap().med, Some(4096));
     }
 
     #[test]

@@ -29,7 +29,9 @@ pub mod varint;
 
 pub use attrs::{AsPath, AsSegment, Origin, PathAttribute};
 pub use error::WireError;
-pub use ia::{Ia, IaBuilder, IslandDescriptor, IslandMembership, PathDescriptor, PathElem};
+pub use ia::{
+    EncodedIa, Ia, IaBuilder, IslandDescriptor, IslandMembership, PathDescriptor, PathElem,
+};
 pub use ids::{IslandId, ProtocolId};
 pub use message::{BgpMessage, Capability, NotificationMsg, OpenMsg, UpdateMsg};
 pub use prefix::{Ipv4Addr, Ipv4Prefix};

@@ -22,13 +22,29 @@ fn decode(bytes: &[u8]) -> Result<Ia, WireError> {
     Ia::decode(Bytes::copy_from_slice(bytes))
 }
 
-/// An accepted frame must be a fixed point of decode ∘ encode.
+/// What `encode_into` writes: the reference every `encode` is held to.
+fn written(ia: &Ia) -> Vec<u8> {
+    let mut buf = Vec::new();
+    ia.encode_into(&mut buf);
+    buf
+}
+
+/// An accepted frame must be a fixed point of decode ∘ encode — and
+/// `encode`, which may hand on the window of the frame `ia` was decoded
+/// from, must produce what `encode_into` writes, both as the IA stands
+/// and after the one thing a gulf does to it.
 fn assert_canonical(ia: &Ia, source: &str) {
-    let encoded = ia.encode();
+    let encoded = ia.encode().into_bytes();
+    assert_eq!(encoded, written(ia), "{source}: encode is not what encode_into writes");
     let again = Ia::decode(encoded.clone())
         .unwrap_or_else(|e| panic!("{source}: accepted IA failed to re-decode: {e}"));
     assert_eq!(&again, ia, "{source}: decode(encode(ia)) != ia");
-    assert_eq!(again.encode(), encoded, "{source}: re-encoding is not canonical");
+    assert_eq!(again.encode().into_bytes(), encoded, "{source}: re-encoding is not canonical");
+
+    let forwarded = ia.prepended(4_200_000_000);
+    let sent = forwarded.encode().into_bytes();
+    assert_eq!(sent, written(&forwarded), "{source}: forwarding changed more than the head");
+    assert_eq!(Ia::decode(sent).as_ref(), Ok(&forwarded), "{source}: the forwarded IA");
 }
 
 #[test]
@@ -201,7 +217,7 @@ fn mutation_fuzz_decode_never_panics() {
         let ia = seed_ia(&mut rng);
         // The undamaged frame must round-trip exactly.
         assert_canonical(&ia, "seed");
-        let mut bytes = ia.encode().to_vec();
+        let mut bytes = ia.encode().into_bytes().to_vec();
         for _ in 0..=rng.below(3) {
             mutate(&mut bytes, &mut rng);
         }

@@ -136,20 +136,23 @@ fn the_wire_format_did_not_move() {
         ("as_set", as_set_and_two_memberships(), AS_SET_HEX),
         ("unknown_long", unknown_record_and_long_descriptor(), UNKNOWN_LONG_HEX),
     ] {
-        let got = ia.encode();
+        let got = ia.encode().into_bytes();
         assert_eq!(hex(&got), want, "{name}: encoded bytes changed");
         assert_eq!(ia.wire_size(), got.len(), "{name}: wire_size is the encoded length");
         assert_eq!(Ia::decode(got).unwrap(), ia, "{name}: round trip");
     }
 }
 
-/// In-memory sizes at the parent commit, where the descriptor values
-/// were `Vec<u8>`. `sim_hier50k` keeps 50k × 8 IAs resident; none of
-/// these may grow by accident.
+/// In-memory sizes. `sim_hier50k` keeps 50k × 8 IAs resident; none of
+/// these may grow by accident. The descriptor types are as they were
+/// when the values were `Vec<u8>`. `Ia` grew once, on purpose, from 144:
+/// the tail window `encode` splices is one pointer (`Option<Arc<Bytes>>`
+/// — 8 bytes for an IA without one, where an inline `Option<Bytes>`
+/// would be 24), and the 141 bytes of fields leave no room for it.
 #[test]
 fn the_layout_did_not_grow() {
     use std::mem::size_of;
-    assert_eq!(size_of::<Ia>(), 144);
+    assert_eq!(size_of::<Ia>(), 152);
     assert_eq!(size_of::<PathDescriptor>(), 56);
     assert_eq!(size_of::<IslandDescriptor>(), 32);
     assert_eq!(size_of::<UnknownRecord>(), 32);
@@ -161,7 +164,7 @@ fn the_layout_did_not_grow() {
 fn decoded_payloads_are_views_of_the_frame() {
     // The IA sits in the middle of a larger buffer, as it does inside a
     // D-BGP update frame.
-    let body = unknown_record_and_long_descriptor().encode();
+    let body = unknown_record_and_long_descriptor().encode().into_bytes();
     let mut framed = vec![0xee; 5];
     framed.extend_from_slice(&body);
     framed.extend_from_slice(&[0xee; 3]);
@@ -192,4 +195,43 @@ fn decoded_payloads_are_views_of_the_frame() {
     for (a, b) in ia.unknown_records.iter().zip(&copy.unknown_records) {
         assert_eq!(a.data.as_ptr(), b.data.as_ptr(), "clone shares the unknown record");
     }
+}
+
+/// The retention bound (DESIGN.md §6): the tail window `encode` splices
+/// pins only the frame the IA's payloads already pin, and a filter that
+/// removes records drops it — so an IA stripped to its baseline lets go
+/// of the 32 KB frame it arrived in, and one that merely passes through
+/// a filter with nothing to remove keeps its window.
+#[test]
+fn a_stripped_ia_stops_pinning_its_arrival_frame() {
+    let arrival = Ia::builder(p("128.6.0.0/16"), Ipv4Addr::new(192, 0, 2, 1))
+        .as_hop(42)
+        .path_descriptor(ProtocolId(100), 1, vec![0x5a; 32 << 10])
+        .island_descriptor(IslandId(9), ProtocolId::SCION, dkey::SCION_PATHS, vec![7; 64])
+        .build()
+        .unwrap();
+    let frame = arrival.encode().into_bytes();
+    assert!(frame.is_unique());
+    let mut ia = Ia::decode(frame.clone()).unwrap();
+    assert!(!frame.is_unique(), "the decoded IA views the frame");
+
+    ia.strip_protocols(&[ProtocolId::WISER]);
+    assert!(ia.encode().is_spliced(), "nothing removed: the window stays");
+
+    // One descriptor goes: the window goes with it, the other payload
+    // still (and alone) holds the frame.
+    let mut one_left = ia.clone();
+    one_left.strip_protocols(&[ProtocolId(100)]);
+    assert!(!one_left.encode().is_spliced());
+    let survivor = one_left.island_descriptors[0].value.clone();
+    drop((ia, one_left));
+    assert!(!frame.is_unique());
+    drop(survivor);
+    assert!(frame.is_unique(), "something besides the payload views held the frame");
+
+    // Down to the baseline: nothing of the frame is held at all.
+    let mut ia = Ia::decode(frame.clone()).unwrap();
+    ia.retain_protocols(&[ProtocolId::BGP]);
+    assert!(frame.is_unique(), "a baseline IA still pins the frame it arrived in");
+    assert_eq!(ia.wire_size(), ia.encode().head().len());
 }

@@ -326,7 +326,7 @@ mod tests {
             let ia = gen.ia(target, 5);
             let size = ia.wire_size();
             assert!(size >= target && size <= target + 2048, "target {target}, actual {size}");
-            assert_eq!(Ia::decode(ia.encode()).unwrap(), ia);
+            assert_eq!(Ia::decode(ia.encode().into_bytes()).unwrap(), ia);
         }
     }
 

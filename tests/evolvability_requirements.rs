@@ -68,7 +68,7 @@ fn cf_r2_dissemination_is_in_band() {
     assert_eq!(sent.path_vector, vec![PathElem::As(10)]);
     assert!(sent.path_descriptor(ProtocolId::WISER, dkey::WISER_PATH_COST).is_some());
     // And it is one wire object.
-    let decoded = Ia::decode(sent.encode()).unwrap();
+    let decoded = Ia::decode(sent.encode().into_bytes()).unwrap();
     assert_eq!(&decoded, sent.as_ref());
 }
 
