@@ -5,26 +5,13 @@
 //! to quiesce, how many messages that cost, and how much per-prefix
 //! route churn it caused.
 //!
-//! Two measurement backends, picked automatically per window:
-//!
-//! * **Event bus** — when the simulator has a [`dbgp_telemetry`]
-//!   recorder attached ([`dbgp_sim::Sim::enable_telemetry`]), the
-//!   tracker remembers the recorder's id watermark at `begin` and
-//!   derives the window by scanning the trace events recorded since:
-//!   `Deliver` → messages/bytes, `Decision` → best-route changes and
-//!   per-`(node, prefix)` churn, `MessageDropped` → drops,
-//!   `DecodeError` → decode failures.
-//! * **Stats diff** — without a recorder (or if the ring evicted events
-//!   past the watermark) it falls back to diffing the simulator's
-//!   cumulative [`SimStats`] and churn map, the pre-telemetry behavior.
-//!
-//! Both backends count the same underlying occurrences (the simulator
-//! emits exactly one trace event per counted statistic), so a scenario
-//! produces identical windows with or without a recorder attached.
+//! A window is the difference between two readings of the simulator's
+//! cumulative [`SimStats`] and churn map. Those are maintained whether
+//! or not a [`dbgp_telemetry`] recorder is attached, so observing a run
+//! does not change how it is measured.
 
 use dbgp_sim::sim::{NodeId, PrefixChurn};
 use dbgp_sim::{Sim, SimStats, SimTime};
-use dbgp_telemetry::TraceKind;
 use dbgp_wire::Ipv4Prefix;
 use std::collections::BTreeMap;
 
@@ -34,9 +21,6 @@ pub struct ConvergenceTracker {
     started_at: SimTime,
     stats: SimStats,
     churn: BTreeMap<(NodeId, Ipv4Prefix), PrefixChurn>,
-    /// Recorder id watermark at the last baseline, when the sim had a
-    /// trace recorder attached.
-    watermark: Option<u64>,
 }
 
 /// What one disturbance cost the control plane.
@@ -71,12 +55,7 @@ pub struct ConvergenceWindow {
 impl ConvergenceTracker {
     /// Open a measurement window at the simulator's current state.
     pub fn begin(sim: &Sim) -> Self {
-        ConvergenceTracker {
-            started_at: sim.now(),
-            stats: sim.stats(),
-            churn: sim.churn().clone(),
-            watermark: sim.trace_recorder().map(|r| r.next_id()),
-        }
+        ConvergenceTracker { started_at: sim.now(), stats: sim.stats(), churn: sim.churn().clone() }
     }
 
     /// Close the window: measure the activity since
@@ -88,90 +67,32 @@ impl ConvergenceTracker {
         // Activity quiesced at the last processed event; a window with
         // no activity has zero width.
         let quiesced_at = stats.last_event_at.max(self.started_at);
-        let bus = self.watermark.and_then(|wm| {
-            let rec = sim.trace_recorder()?;
-            // The ring dropped part of the window: the scan would
-            // undercount, so fall back to the stats diff.
-            if rec.evicted() > wm {
-                return None;
+        let mut affected_routes = 0u64;
+        let mut max_route_churn = 0u64;
+        for (key, record) in sim.churn() {
+            let before = self.churn.get(key).map(|c| c.best_changes).unwrap_or(0);
+            let delta = record.best_changes - before;
+            if delta > 0 {
+                affected_routes += 1;
+                max_route_churn = max_route_churn.max(delta);
             }
-            let mut messages = 0u64;
-            let mut bytes = 0u64;
-            let mut best_changes = 0u64;
-            let mut dropped_messages = 0u64;
-            let mut decode_errors = 0u64;
-            let mut churn: BTreeMap<(u32, Ipv4Prefix), u64> = BTreeMap::new();
-            rec.for_each_since(wm, |ev| match &ev.kind {
-                TraceKind::Deliver { bytes: n, .. } => {
-                    messages += 1;
-                    bytes += u64::from(*n);
-                }
-                TraceKind::Decision { prefix, .. } => {
-                    best_changes += 1;
-                    *churn.entry((ev.node, *prefix)).or_default() += 1;
-                }
-                TraceKind::MessageDropped { .. } => dropped_messages += 1,
-                TraceKind::DecodeError { .. } => decode_errors += 1,
-                _ => {}
-            });
-            let affected_routes = churn.len() as u64;
-            let max_route_churn = churn.values().copied().max().unwrap_or(0);
-            Some((
-                messages,
-                bytes,
-                best_changes,
-                dropped_messages,
-                decode_errors,
-                affected_routes,
-                max_route_churn,
-            ))
-        });
-        let (
-            messages,
-            bytes,
-            best_changes,
-            dropped_messages,
-            decode_errors,
-            affected_routes,
-            max_route_churn,
-        ) = bus.unwrap_or_else(|| {
-            let mut affected_routes = 0u64;
-            let mut max_route_churn = 0u64;
-            for (key, record) in sim.churn() {
-                let before = self.churn.get(key).map(|c| c.best_changes).unwrap_or(0);
-                let delta = record.best_changes - before;
-                if delta > 0 {
-                    affected_routes += 1;
-                    max_route_churn = max_route_churn.max(delta);
-                }
-            }
-            (
-                stats.messages - self.stats.messages,
-                stats.bytes - self.stats.bytes,
-                stats.best_changes - self.stats.best_changes,
-                stats.dropped_messages - self.stats.dropped_messages,
-                stats.decode_errors - self.stats.decode_errors,
-                affected_routes,
-                max_route_churn,
-            )
-        });
+        }
         let window = ConvergenceWindow {
             label: label.into(),
             started_at: self.started_at,
             quiesced_at,
             convergence_time: quiesced_at - self.started_at,
-            messages,
-            bytes,
-            best_changes,
-            dropped_messages,
-            decode_errors,
+            messages: stats.messages - self.stats.messages,
+            bytes: stats.bytes - self.stats.bytes,
+            best_changes: stats.best_changes - self.stats.best_changes,
+            dropped_messages: stats.dropped_messages - self.stats.dropped_messages,
+            decode_errors: stats.decode_errors - self.stats.decode_errors,
             affected_routes,
             max_route_churn,
         };
         self.started_at = sim.now();
         self.stats = stats;
         self.churn = sim.churn().clone();
-        self.watermark = sim.trace_recorder().map(|r| r.next_id());
         window
     }
 }
@@ -218,6 +139,7 @@ mod tests {
         assert_eq!(w3.convergence_time, 0);
     }
 
+    /// Attaching a recorder does not change a window.
     #[test]
     fn bus_backed_windows_match_stats_diff_windows() {
         let build = |recorder: bool| {

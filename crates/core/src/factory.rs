@@ -115,13 +115,6 @@ mod tests {
             fn protocol(&self) -> ProtocolId {
                 ProtocolId::WISER
             }
-            fn select_best(
-                &mut self,
-                _: Ipv4Prefix,
-                c: &[crate::module::CandidateIa<'_>],
-            ) -> Option<usize> {
-                (!c.is_empty()).then_some(0)
-            }
             fn export(&mut self, ia: &mut Ia, _: ExportContext) {
                 ia.path_descriptors.push(PathDescriptor::new(
                     ProtocolId::WISER,

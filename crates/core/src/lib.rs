@@ -38,8 +38,6 @@ pub use factory::{build_outgoing, FactoryContext};
 pub use filters::{FilterConfig, IslandConfig, RejectReason};
 pub use iadb::IaDb;
 pub use messages::{DbgpUpdate, Frame};
-pub use module::{
-    baseline_key, BgpDecision, CandidateIa, DecisionModule, ExportContext, ImportContext,
-};
+pub use module::{BgpDecision, CandidateIa, DecisionModule, ExportContext, ImportContext, Rank};
 pub use neighbor::{DbgpNeighbor, NeighborId, PeerClass};
 pub use speaker::{render_path, Chosen, DbgpConfig, DbgpOutput, DbgpSpeaker};

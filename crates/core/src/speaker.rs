@@ -25,12 +25,11 @@
 use crate::factory::{self, FactoryContext};
 use crate::filters::{self, FilterConfig, IslandConfig, RejectReason};
 use crate::iadb::{IaDb, PrefixEntry};
-use crate::module::{BgpDecision, CandidateIa, DecisionModule, ImportContext};
+use crate::module::{explain_best, BgpDecision, CandidateIa, DecisionModule, ImportContext};
 use crate::neighbor::{DbgpNeighbor, NeighborId, PeerClass};
 use dbgp_rib::recycle;
 use dbgp_telemetry::{SelectionReason, SinkHandle, TraceKind};
 use dbgp_wire::{Ia, Ipv4Addr, Ipv4Prefix, ProtocolId};
-use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -560,15 +559,14 @@ impl Pipeline {
     /// - a locally originated prefix short-circuits `select` before any
     ///   module runs, so no stored candidate is ever consulted;
     /// - otherwise the active module must declare `incremental_safe`
-    ///   (first-minimal selection under `compare_candidates`), the
-    ///   recorded `selection_epoch` must match (no key-affecting state
-    ///   drift since the last full scan) and `from` must not be the
-    ///   best's source (a re-advertisement replaces the incumbent, a
-    ///   withdrawal removes it). Removing any other candidate leaves the
-    ///   first minimum in place; an arriving challenger must be rejected
-    ///   by the module's import filter or compare strictly worse than
-    ///   the incumbent — either way the minimal set, and hence the first
-    ///   minimum, is unchanged.
+    ///   (the winner is the minimum `rank`), the recorded
+    ///   `selection_epoch` must match (no rank-affecting state drift
+    ///   since the last full scan) and `from` must not be the best's
+    ///   source (a re-advertisement replaces the incumbent, a withdrawal
+    ///   removes it). Removing any other candidate leaves the minimum in
+    ///   place; an arriving challenger must be rejected by the module's
+    ///   import filter or rank strictly worse than the incumbent —
+    ///   either way the minimum is unchanged.
     fn best_stands(
         &mut self,
         entry: &PrefixEntry,
@@ -612,7 +610,7 @@ impl Pipeline {
         }
         let challenger = CandidateIa { neighbor: from, neighbor_as: from_as, ia };
         let incumbent = CandidateIa { neighbor: *best, neighbor_as: best_as, ia: incumbent_ia };
-        module.compare_candidates(prefix, &challenger, &incumbent) == Ordering::Greater
+        module.rank(prefix, &challenger) > module.rank(prefix, &incumbent)
     }
 
     /// Steps 3–4: extract the active protocol's information and run its
@@ -656,7 +654,7 @@ impl Pipeline {
         let result = match module.select_best(prefix, &views) {
             Some(best) => {
                 let reason = if explain {
-                    module.explain_best(prefix, &views, best)
+                    explain_best(module.as_mut(), prefix, &views, best)
                 } else {
                     SelectionReason::ModulePreference
                 };

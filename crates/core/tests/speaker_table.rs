@@ -5,10 +5,8 @@
 
 use dbgp_core::module::{DecisionModule, ExportContext};
 use dbgp_core::{
-    BgpDecision, CandidateIa, DbgpConfig, DbgpNeighbor, DbgpOutput, DbgpSpeaker, NeighborId,
-    PeerClass,
+    BgpDecision, DbgpConfig, DbgpNeighbor, DbgpOutput, DbgpSpeaker, NeighborId, PeerClass,
 };
-use dbgp_wire::ia::PathDescriptor;
 use dbgp_wire::{Ia, Ipv4Addr, Ipv4Prefix, ProtocolId};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -172,16 +170,8 @@ impl DecisionModule for Stamp {
     fn protocol(&self) -> ProtocolId {
         ProtocolId(77)
     }
-    fn select_best(&mut self, _: Ipv4Prefix, c: &[CandidateIa<'_>]) -> Option<usize> {
-        (!c.is_empty()).then_some(0)
-    }
     fn export(&mut self, ia: &mut Ia, ctx: ExportContext) {
-        ia.path_descriptors.retain(|d| !d.owned_by(ProtocolId(77)));
-        ia.path_descriptors.push(PathDescriptor::new(
-            ProtocolId(77),
-            1,
-            ctx.neighbor_as.to_be_bytes().to_vec(),
-        ));
+        ia.set_path_descriptor(ProtocolId(77), 1, ctx.neighbor_as.to_be_bytes().to_vec());
     }
 }
 

@@ -10,10 +10,10 @@
 //! the lookup-service payloads carried over the out-of-band bus.
 
 use bytes::{Buf, Bytes, BytesMut};
-use dbgp_core::module::{CandidateIa, DecisionModule, ExportContext};
+use dbgp_core::module::{DecisionModule, ExportContext};
 use dbgp_wire::ia::{dkey, IslandDescriptor};
 use dbgp_wire::varint::{get_uvarint, put_uvarint};
-use dbgp_wire::{Ia, Ipv4Addr, Ipv4Prefix, IslandId, ProtocolId};
+use dbgp_wire::{Ia, Ipv4Addr, IslandId, ProtocolId};
 use std::collections::HashMap;
 
 /// An address in the island's new format: opaque bytes (an IPv6
@@ -130,18 +130,6 @@ impl DecisionModule for AddrMapModule {
         ProtocolId::BGP
     }
 
-    fn select_best(
-        &mut self,
-        _prefix: Ipv4Prefix,
-        candidates: &[CandidateIa<'_>],
-    ) -> Option<usize> {
-        candidates
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, c)| (c.ia.hop_count(), c.neighbor_as))
-            .map(|(i, _)| i)
-    }
-
     fn export(&mut self, ia: &mut Ia, _ctx: ExportContext) {
         self.attach(ia);
     }
@@ -154,6 +142,7 @@ impl DecisionModule for AddrMapModule {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dbgp_wire::Ipv4Prefix;
 
     fn p(s: &str) -> Ipv4Prefix {
         s.parse().unwrap()

@@ -15,9 +15,9 @@
 //! (prefer verified paths but accept others, the realistic partial-
 //! deployment posture).
 
-use dbgp_core::module::{CandidateIa, DecisionModule, ExportContext, ImportContext};
+use dbgp_core::module::{CandidateIa, DecisionModule, ExportContext, ImportContext, Rank};
 use dbgp_crypto::{AttestationChain, KeyRegistry};
-use dbgp_wire::ia::{dkey, PathDescriptor};
+use dbgp_wire::ia::dkey;
 use dbgp_wire::{Ia, Ipv4Prefix, PathElem, ProtocolId};
 
 /// Outcome of verifying an IA's attestation chain.
@@ -40,13 +40,7 @@ pub fn chain_of(ia: &Ia) -> Option<AttestationChain> {
 }
 
 fn set_chain(ia: &mut Ia, chain: &AttestationChain) {
-    ia.path_descriptors
-        .retain(|d| !(d.owned_by(ProtocolId::BGPSEC) && d.key == dkey::BGPSEC_ATTESTATION));
-    ia.path_descriptors.push(PathDescriptor::new(
-        ProtocolId::BGPSEC,
-        dkey::BGPSEC_ATTESTATION,
-        chain.to_bytes(),
-    ));
+    ia.set_path_descriptor(ProtocolId::BGPSEC, dkey::BGPSEC_ATTESTATION, chain.to_bytes());
 }
 
 fn subject_for(prefix: &Ipv4Prefix) -> Vec<u8> {
@@ -127,25 +121,15 @@ impl DecisionModule for BgpsecModule {
         verify(ctx.ia, &mut self.registry, self.local_as) == ChainStatus::Valid
     }
 
-    fn select_best(
-        &mut self,
-        _prefix: Ipv4Prefix,
-        candidates: &[CandidateIa<'_>],
-    ) -> Option<usize> {
-        // Prefer verified chains, then shortest path (monitor-mode
-        // ranking; under enforce, accept() already filtered).
-        candidates
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, c)| {
-                let rank = match verify(c.ia, &mut self.registry, self.local_as) {
-                    ChainStatus::Valid => 0u8,
-                    ChainStatus::Absent => 1,
-                    ChainStatus::Broken => 2,
-                };
-                (rank, c.ia.hop_count(), c.neighbor_as)
-            })
-            .map(|(i, _)| i)
+    // Prefer verified chains (monitor-mode ranking; under enforce,
+    // accept() already filtered).
+    fn rank(&mut self, _prefix: Ipv4Prefix, c: &CandidateIa<'_>) -> Rank {
+        let status = match verify(c.ia, &mut self.registry, self.local_as) {
+            ChainStatus::Valid => 0,
+            ChainStatus::Absent => 1,
+            ChainStatus::Broken => 2,
+        };
+        Rank::lower(status, c)
     }
 
     fn export(&mut self, ia: &mut Ia, ctx: ExportContext) {

@@ -8,24 +8,17 @@
 //! sit inside a gulf AS that exposes nothing — which is why Figure 10
 //! dips below the status quo at low adoption.
 
-use dbgp_core::module::{CandidateIa, DecisionModule, ExportContext};
-use dbgp_wire::ia::{dkey, PathDescriptor};
+use dbgp_core::module::{CandidateIa, DecisionModule, ExportContext, Rank};
+use dbgp_wire::ia::dkey;
 use dbgp_wire::{Ia, Ipv4Prefix, ProtocolId};
 
 /// Read the bottleneck bandwidth recorded so far on an IA.
 pub fn bottleneck_bw(ia: &Ia) -> Option<u64> {
-    let d = ia.path_descriptor(ProtocolId::EQBGP, dkey::EQBGP_BOTTLENECK_BW)?;
-    Some(u64::from_be_bytes(d.value.as_slice().try_into().ok()?))
+    ia.path_descriptor_u64(ProtocolId::EQBGP, dkey::EQBGP_BOTTLENECK_BW)
 }
 
 fn set_bottleneck_bw(ia: &mut Ia, bw: u64) {
-    ia.path_descriptors
-        .retain(|d| !(d.owned_by(ProtocolId::EQBGP) && d.key == dkey::EQBGP_BOTTLENECK_BW));
-    ia.path_descriptors.push(PathDescriptor::new(
-        ProtocolId::EQBGP,
-        dkey::EQBGP_BOTTLENECK_BW,
-        bw.to_be_bytes().to_vec(),
-    ));
+    ia.set_path_descriptor(ProtocolId::EQBGP, dkey::EQBGP_BOTTLENECK_BW, bw.to_be_bytes().to_vec());
 }
 
 /// The bottleneck-bandwidth decision module.
@@ -47,25 +40,10 @@ impl DecisionModule for BottleneckBwModule {
         ProtocolId::EQBGP
     }
 
-    fn select_best(
-        &mut self,
-        _prefix: Ipv4Prefix,
-        candidates: &[CandidateIa<'_>],
-    ) -> Option<usize> {
-        // Highest known bottleneck bandwidth; candidates without the
-        // descriptor expose nothing and rank lowest. Ties fall back to
-        // shortest path.
-        candidates
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, c)| {
-                (
-                    bottleneck_bw(c.ia).unwrap_or(0),
-                    std::cmp::Reverse(c.ia.hop_count()),
-                    std::cmp::Reverse(c.neighbor_as),
-                )
-            })
-            .map(|(i, _)| i)
+    // Highest known bottleneck bandwidth; candidates without the
+    // descriptor expose nothing and rank lowest.
+    fn rank(&mut self, _prefix: Ipv4Prefix, c: &CandidateIa<'_>) -> Rank {
+        Rank::higher(bottleneck_bw(c.ia).unwrap_or(0), c)
     }
 
     fn export(&mut self, ia: &mut Ia, _ctx: ExportContext) {

@@ -19,8 +19,7 @@
 //!   ([`dkey::WISER_PATH_COST`]'s HLP analogue lives under its own key).
 
 use bytes::{Buf, Bytes, BytesMut};
-use dbgp_core::module::{CandidateIa, DecisionModule, ExportContext};
-use dbgp_wire::ia::PathDescriptor;
+use dbgp_core::module::{CandidateIa, DecisionModule, ExportContext, Rank};
 use dbgp_wire::varint::{get_uvarint, put_uvarint};
 use dbgp_wire::{Ia, Ipv4Prefix, IslandId, ProtocolId};
 use std::cell::RefCell;
@@ -173,17 +172,11 @@ impl LinkStateDb {
 
 /// Read the HLP path cost from an IA.
 pub fn hlp_cost(ia: &Ia) -> Option<u64> {
-    let d = ia.path_descriptor(ProtocolId::HLP, HLP_PATH_COST)?;
-    Some(u64::from_be_bytes(d.value.as_slice().try_into().ok()?))
+    ia.path_descriptor_u64(ProtocolId::HLP, HLP_PATH_COST)
 }
 
 fn set_hlp_cost(ia: &mut Ia, cost: u64) {
-    ia.path_descriptors.retain(|d| !(d.owned_by(ProtocolId::HLP) && d.key == HLP_PATH_COST));
-    ia.path_descriptors.push(PathDescriptor::new(
-        ProtocolId::HLP,
-        HLP_PATH_COST,
-        cost.to_be_bytes().to_vec(),
-    ));
+    ia.set_path_descriptor(ProtocolId::HLP, HLP_PATH_COST, cost.to_be_bytes().to_vec());
 }
 
 /// The HLP decision module for one island member AS.
@@ -267,23 +260,12 @@ impl DecisionModule for HlpModule {
         ProtocolId::HLP
     }
 
-    fn select_best(
-        &mut self,
-        _prefix: Ipv4Prefix,
-        candidates: &[CandidateIa<'_>],
-    ) -> Option<usize> {
-        // Rank by accumulated HLP cost (external) plus our link-state
-        // distance to the member that presented the candidate; then hop
-        // count; then neighbor.
-        candidates
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, c)| {
-                let external = hlp_cost(c.ia).unwrap_or(0);
-                let internal = self.internal_distance_to(c.neighbor_as);
-                (external.saturating_add(internal), c.ia.hop_count(), c.neighbor_as)
-            })
-            .map(|(i, _)| i)
+    // Accumulated HLP cost (external) plus our link-state distance to
+    // the member that presented the candidate.
+    fn rank(&mut self, _prefix: Ipv4Prefix, c: &CandidateIa<'_>) -> Rank {
+        let external = hlp_cost(c.ia).unwrap_or(0);
+        let internal = self.internal_distance_to(c.neighbor_as);
+        Rank::lower(external.saturating_add(internal), c)
     }
 
     fn export(&mut self, ia: &mut Ia, _ctx: ExportContext) {
@@ -301,30 +283,11 @@ impl DecisionModule for HlpModule {
         }
     }
 
-    // Incremental-safety proof: (1) `select_best` is `min_by_key` over
-    // `(external + internal distance, hop count, neighbor AS)` and
-    // `compare_candidates` is that key's order (an exact key tie across
-    // distinct neighbors leaves the first-minimal — lowest neighbor id
-    // — in place, and a strictly greater challenger never enters the
-    // minimal set); (2) `accept` is the side-effect-free default;
-    // (3) the key reads `lsdb` and `member_routers`, both fenced by the
-    // epoch bumps above. `internal_cost` is export-only.
+    // `accept` is the side-effect-free default; `rank` reads `lsdb` and
+    // `member_routers`, both fenced by the epoch bumps above.
+    // `internal_cost` is export-only.
     fn incremental_safe(&self) -> bool {
         true
-    }
-
-    fn compare_candidates(
-        &mut self,
-        _prefix: Ipv4Prefix,
-        a: &CandidateIa<'_>,
-        b: &CandidateIa<'_>,
-    ) -> std::cmp::Ordering {
-        let key = |c: &CandidateIa<'_>| {
-            let external = hlp_cost(c.ia).unwrap_or(0);
-            let internal = self.internal_distance_to(c.neighbor_as);
-            (external.saturating_add(internal), c.ia.hop_count(), c.neighbor_as)
-        };
-        key(a).cmp(&key(b))
     }
 
     fn selection_epoch(&self) -> u64 {

@@ -13,7 +13,7 @@
 //! a path for payment, and tunnel traffic to it (§3.4's four-step walk).
 
 use bytes::{Buf, Bytes, BytesMut};
-use dbgp_core::module::{CandidateIa, DecisionModule, ExportContext};
+use dbgp_core::module::{DecisionModule, ExportContext};
 use dbgp_wire::ia::{dkey, IslandDescriptor};
 use dbgp_wire::varint::{get_uvarint, put_uvarint};
 use dbgp_wire::{Ia, Ipv4Addr, Ipv4Prefix, IslandId, ProtocolId};
@@ -181,19 +181,8 @@ impl DecisionModule for MiroModule {
         ProtocolId::MIRO
     }
 
-    fn select_best(
-        &mut self,
-        _prefix: Ipv4Prefix,
-        candidates: &[CandidateIa<'_>],
-    ) -> Option<usize> {
-        // Custom protocols route *selected* traffic out-of-band; baseline
-        // selection stays BGP-like.
-        candidates
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, c)| (c.ia.hop_count(), c.neighbor_as))
-            .map(|(i, _)| i)
-    }
+    // Custom protocols route *selected* traffic out-of-band; selection
+    // stays the baseline's.
 
     fn export(&mut self, ia: &mut Ia, _ctx: ExportContext) {
         self.attach(ia);

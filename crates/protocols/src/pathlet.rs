@@ -22,7 +22,7 @@
 //! for basic Pathlet Routing plus its across-gulf deployment.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use dbgp_core::module::{CandidateIa, DecisionModule, ExportContext};
+use dbgp_core::module::{best_by_rank, CandidateIa, DecisionModule, ExportContext, Rank};
 use dbgp_wire::ia::{dkey, IslandDescriptor};
 use dbgp_wire::varint::{get_uvarint, put_uvarint};
 use dbgp_wire::{Ia, Ipv4Prefix, IslandId, ProtocolId};
@@ -340,36 +340,25 @@ impl DecisionModule for PathletModule {
         ProtocolId::PATHLET
     }
 
-    fn select_best(
-        &mut self,
-        _prefix: Ipv4Prefix,
-        candidates: &[CandidateIa<'_>],
-    ) -> Option<usize> {
-        // Ingress translation: learn every candidate's pathlets, then
-        // prefer the IA that exposes the most pathlets (more route
-        // choice), tie-broken by shortest inter-island path.
+    // Prefer the IA that exposes the most pathlets (more route choice).
+    fn rank(&mut self, _prefix: Ipv4Prefix, c: &CandidateIa<'_>) -> Rank {
+        let pathlet_count: usize =
+            c.ia.island_descriptors_for(ProtocolId::PATHLET)
+                .filter(|d| d.key == dkey::PATHLET_PATHLETS)
+                .filter_map(|d| decode_pathlets(&d.value))
+                .map(|v| v.len())
+                .sum();
+        Rank::higher(pathlet_count as u64, c)
+    }
+
+    fn select_best(&mut self, prefix: Ipv4Prefix, candidates: &[CandidateIa<'_>]) -> Option<usize> {
+        // Ingress translation: learn every candidate's pathlets.
         for c in candidates {
             for ad in ingress_translate(c.ia) {
                 self.db.insert(ad.pathlet);
             }
         }
-        candidates
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, c)| {
-                let pathlet_count: usize =
-                    c.ia.island_descriptors_for(ProtocolId::PATHLET)
-                        .filter(|d| d.key == dkey::PATHLET_PATHLETS)
-                        .filter_map(|d| decode_pathlets(&d.value))
-                        .map(|v| v.len())
-                        .sum();
-                (
-                    pathlet_count,
-                    std::cmp::Reverse(c.ia.hop_count()),
-                    std::cmp::Reverse(c.neighbor_as),
-                )
-            })
-            .map(|(i, _)| i)
+        best_by_rank(self, prefix, candidates)
     }
 
     fn export(&mut self, ia: &mut Ia, _ctx: ExportContext) {

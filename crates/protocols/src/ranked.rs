@@ -18,8 +18,7 @@
 //! baseline key, keeping selection a total order so replays stay
 //! deterministic.
 
-use dbgp_core::module::{baseline_key, CandidateIa, DecisionModule};
-use dbgp_telemetry::SelectionReason;
+use dbgp_core::module::{CandidateIa, DecisionModule, Rank};
 use dbgp_wire::ia::PathElem;
 use dbgp_wire::{Ia, Ipv4Prefix, ProtocolId};
 
@@ -87,70 +86,25 @@ impl DecisionModule for RankedPolicyModule {
         true
     }
 
-    // Incremental-safety proof: (1) `select_best` is `min_by_key` over
-    // `(rank_of, baseline_key)` and `compare_candidates` is exactly that
-    // key's order — a strict total order, since the baseline key's
-    // neighbor-id rung breaks every rank tie; (2) `accept` is the
-    // side-effect-free default; (3) `prefs` is fixed at construction
-    // (the builder consumes `self`), so the key reads no mutable state
-    // and the constant epoch 0 fences everything there is to fence.
+    // `accept` is the side-effect-free default, and `prefs` is fixed at
+    // construction (the builder consumes `self`), so `rank` reads no
+    // mutable state and the constant epoch 0 fences everything there is
+    // to fence.
     fn incremental_safe(&self) -> bool {
         true
     }
 
-    fn compare_candidates(
-        &mut self,
-        _prefix: Ipv4Prefix,
-        a: &CandidateIa<'_>,
-        b: &CandidateIa<'_>,
-    ) -> std::cmp::Ordering {
-        (self.rank_of(a.ia), baseline_key(a)).cmp(&(self.rank_of(b.ia), baseline_key(b)))
-    }
-
-    fn select_best(
-        &mut self,
-        _prefix: Ipv4Prefix,
-        candidates: &[CandidateIa<'_>],
-    ) -> Option<usize> {
-        candidates
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, c)| (self.rank_of(c.ia), baseline_key(c)))
-            .map(|(i, _)| i)
-    }
-
-    fn explain_best(
-        &mut self,
-        _prefix: Ipv4Prefix,
-        candidates: &[CandidateIa<'_>],
-        best: usize,
-    ) -> SelectionReason {
-        if candidates.len() == 1 {
-            return SelectionReason::OnlyCandidate;
-        }
-        let winner_rank = self.rank_of(candidates[best].ia);
-        let runner_up = candidates
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| *i != best)
-            .map(|(_, c)| (self.rank_of(c.ia), baseline_key(c)))
-            .min();
-        match runner_up {
-            Some((r, _)) if winner_rank != r => SelectionReason::ModulePreference,
-            Some((_, k)) if baseline_key(&candidates[best]).0 != k.0 => {
-                SelectionReason::ShortestPath
-            }
-            Some((_, k)) if baseline_key(&candidates[best]).1 != k.1 => SelectionReason::NeighborAs,
-            Some(_) => SelectionReason::NeighborId,
-            None => SelectionReason::OnlyCandidate,
-        }
+    fn rank(&mut self, _prefix: Ipv4Prefix, c: &CandidateIa<'_>) -> Rank {
+        Rank::lower(self.rank_of(c.ia) as u64, c)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dbgp_core::module::explain_best;
     use dbgp_core::neighbor::NeighborId;
+    use dbgp_telemetry::SelectionReason;
     use dbgp_wire::Ipv4Addr;
 
     fn p(s: &str) -> Ipv4Prefix {
@@ -176,7 +130,10 @@ mod tests {
         ];
         let mut m = RankedPolicyModule::new().prefer(vec![2, 0]).prefer(vec![0]);
         assert_eq!(m.select_best(p("128.6.0.0/16"), &cands), Some(1));
-        assert_eq!(m.explain_best(p("128.6.0.0/16"), &cands, 1), SelectionReason::ModulePreference);
+        assert_eq!(
+            explain_best(&mut m, p("128.6.0.0/16"), &cands, 1),
+            SelectionReason::ModulePreference
+        );
     }
 
     #[test]

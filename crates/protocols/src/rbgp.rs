@@ -15,8 +15,8 @@
 //! of backup paths plus the failover decision.
 
 use bytes::{Buf, Bytes, BytesMut};
-use dbgp_core::module::{CandidateIa, DecisionModule, ExportContext};
-use dbgp_wire::ia::{dkey, PathDescriptor};
+use dbgp_core::module::{best_by_rank, CandidateIa, DecisionModule, ExportContext};
+use dbgp_wire::ia::dkey;
 use dbgp_wire::varint::{get_uvarint, put_uvarint};
 use dbgp_wire::{Ia, Ipv4Prefix, ProtocolId};
 use std::collections::HashMap;
@@ -67,12 +67,7 @@ pub fn backup_path(ia: &Ia) -> Option<BackupPath> {
 }
 
 fn set_backup(ia: &mut Ia, backup: &BackupPath) {
-    ia.path_descriptors.retain(|d| !(d.owned_by(ProtocolId::RBGP) && d.key == dkey::RBGP_BACKUP));
-    ia.path_descriptors.push(PathDescriptor::new(
-        ProtocolId::RBGP,
-        dkey::RBGP_BACKUP,
-        backup.to_bytes(),
-    ));
+    ia.set_path_descriptor(ProtocolId::RBGP, dkey::RBGP_BACKUP, backup.to_bytes());
 }
 
 /// The R-BGP decision module: BGP-like selection, but it remembers the
@@ -112,11 +107,7 @@ impl DecisionModule for RbgpModule {
     }
 
     fn select_best(&mut self, prefix: Ipv4Prefix, candidates: &[CandidateIa<'_>]) -> Option<usize> {
-        let best = candidates
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, c)| (c.ia.hop_count(), c.neighbor_as))
-            .map(|(i, _)| i)?;
+        let best = best_by_rank(self, prefix, candidates)?;
         // The failover is the most-disjoint other candidate; failing
         // that, the chosen path's own advertised backup.
         let primary = path_ases(candidates[best].ia);

@@ -12,7 +12,7 @@
 //! interior topology beyond the routers sources must name.
 
 use bytes::{Buf, Bytes, BytesMut};
-use dbgp_core::module::{CandidateIa, DecisionModule, ExportContext};
+use dbgp_core::module::{CandidateIa, DecisionModule, ExportContext, Rank};
 use dbgp_wire::ia::{dkey, IslandDescriptor};
 use dbgp_wire::varint::{get_uvarint, put_uvarint};
 use dbgp_wire::{Ia, Ipv4Prefix, IslandId, ProtocolId};
@@ -156,24 +156,10 @@ impl DecisionModule for ScionModule {
         ProtocolId::SCION
     }
 
-    fn select_best(
-        &mut self,
-        _prefix: Ipv4Prefix,
-        candidates: &[CandidateIa<'_>],
-    ) -> Option<usize> {
-        // Path-based archetype: prefer the inter-island path exposing the
-        // most within-island paths; tie on shortest path vector.
-        candidates
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, c)| {
-                (
-                    total_paths(c.ia, self.cap),
-                    std::cmp::Reverse(c.ia.hop_count()),
-                    std::cmp::Reverse(c.neighbor_as),
-                )
-            })
-            .map(|(i, _)| i)
+    // Path-based archetype: prefer the inter-island path exposing the
+    // most within-island paths.
+    fn rank(&mut self, _prefix: Ipv4Prefix, c: &CandidateIa<'_>) -> Rank {
+        Rank::higher(total_paths(c.ia, self.cap) as u64, c)
     }
 
     fn export(&mut self, ia: &mut Ia, _ctx: ExportContext) {

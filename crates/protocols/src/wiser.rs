@@ -20,8 +20,10 @@
 //!   the shared IA machinery. This whole file is the analogue of the 255
 //!   lines of per-protocol code the paper reports for Wiser.
 
-use dbgp_core::module::{CandidateIa, DecisionModule, ExportContext, ImportContext};
-use dbgp_wire::ia::{dkey, IslandDescriptor, PathDescriptor};
+use dbgp_core::module::{
+    best_by_rank, CandidateIa, DecisionModule, ExportContext, ImportContext, Rank,
+};
+use dbgp_wire::ia::{dkey, IslandDescriptor};
 use dbgp_wire::{Ia, Ipv4Addr, Ipv4Prefix, IslandId, ProtocolId};
 use std::collections::HashMap;
 
@@ -30,19 +32,12 @@ const SCALE_ONE: u64 = 1000;
 
 /// Read a Wiser path cost from an IA, if present.
 pub fn path_cost(ia: &Ia) -> Option<u64> {
-    let d = ia.path_descriptor(ProtocolId::WISER, dkey::WISER_PATH_COST)?;
-    Some(u64::from_be_bytes(d.value.as_slice().try_into().ok()?))
+    ia.path_descriptor_u64(ProtocolId::WISER, dkey::WISER_PATH_COST)
 }
 
 /// Set (replacing) the Wiser path cost on an IA.
 pub fn set_path_cost(ia: &mut Ia, cost: u64) {
-    ia.path_descriptors
-        .retain(|d| !(d.owned_by(ProtocolId::WISER) && d.key == dkey::WISER_PATH_COST));
-    ia.path_descriptors.push(PathDescriptor::new(
-        ProtocolId::WISER,
-        dkey::WISER_PATH_COST,
-        cost.to_be_bytes().to_vec(),
-    ));
+    ia.set_path_descriptor(ProtocolId::WISER, dkey::WISER_PATH_COST, cost.to_be_bytes().to_vec());
 }
 
 /// All Wiser cost-exchange portals advertised along an IA's path.
@@ -182,20 +177,16 @@ impl DecisionModule for WiserModule {
         true
     }
 
+    // Lowest scaled cost; paths without a cost rank as if free is
+    // unknowable — they sort after costed paths so Wiser information is
+    // used whenever it exists.
+    fn rank(&mut self, _prefix: Ipv4Prefix, c: &CandidateIa<'_>) -> Rank {
+        let cost = path_cost(c.ia).map(|raw| self.scaled_cost(c.neighbor_as, raw));
+        Rank::lower(cost.unwrap_or(u64::MAX), c)
+    }
+
     fn select_best(&mut self, prefix: Ipv4Prefix, candidates: &[CandidateIa<'_>]) -> Option<usize> {
-        // Lowest scaled cost; paths without a cost rank as if free is
-        // unknowable — they sort after costed paths so Wiser information
-        // is used whenever it exists. Ties: shortest path, lowest AS.
-        let best = candidates
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, c)| {
-                let cost = path_cost(c.ia)
-                    .map(|raw| self.scaled_cost(c.neighbor_as, raw))
-                    .unwrap_or(u64::MAX);
-                (cost, c.ia.hop_count(), c.neighbor_as)
-            })
-            .map(|(i, _)| i)?;
+        let best = best_by_rank(self, prefix, candidates)?;
         self.chosen_source.insert(prefix, candidates[best].neighbor_as);
         Some(best)
     }
@@ -244,36 +235,14 @@ impl DecisionModule for WiserModule {
         self.epoch += 1;
     }
 
-    // Incremental-safety proof: (1) `select_best` is `min_by_key` over
-    // `(scaled cost, hop count, neighbor AS)` and `compare_candidates`
-    // is that key's order — ties beyond it cannot occur between
-    // *distinct* neighbors of one speaker only when neighbor AS differs,
-    // and when two neighbors share an AS the first-minimal winner is the
-    // lower neighbor id, which is exactly the enumeration order the
-    // fast path's "strictly worse" test preserves (a strictly greater
-    // key never enters the minimal set); (2) `accept` records the
-    // latest received cost — idempotent by construction (see comment
-    // there) and never read by the key; (3) the only key-feeding state
-    // is `scale`, fenced by the epoch bump in `deliver_oob`. The
-    // `chosen_source` side effect in `select_best` is export-only state,
-    // and a skipped scan means the winner (hence its source AS) is
-    // unchanged.
+    // `accept` records the latest received cost — idempotent by
+    // construction (see comment there) and never read by `rank`; the
+    // only state `rank` reads is `scale`, fenced by the epoch bump in
+    // `deliver_oob`. The `chosen_source` bookkeeping in `select_best` is
+    // export-only state, and a skipped scan means the winner (hence its
+    // source AS) is unchanged.
     fn incremental_safe(&self) -> bool {
         true
-    }
-
-    fn compare_candidates(
-        &mut self,
-        _prefix: Ipv4Prefix,
-        a: &CandidateIa<'_>,
-        b: &CandidateIa<'_>,
-    ) -> std::cmp::Ordering {
-        let key = |c: &CandidateIa<'_>| {
-            let cost =
-                path_cost(c.ia).map(|raw| self.scaled_cost(c.neighbor_as, raw)).unwrap_or(u64::MAX);
-            (cost, c.ia.hop_count(), c.neighbor_as)
-        };
-        key(a).cmp(&key(b))
     }
 
     fn selection_epoch(&self) -> u64 {

@@ -21,14 +21,13 @@ use crate::link::LinkModel;
 use crate::link::SimRng;
 use bytes::Bytes;
 use dbgp_core::{
-    render_path, DbgpConfig, DbgpNeighbor, DbgpOutput, DbgpSpeaker, DbgpUpdate, NeighborId,
-    PeerClass,
+    DbgpConfig, DbgpNeighbor, DbgpOutput, DbgpSpeaker, DbgpUpdate, NeighborId, PeerClass,
 };
 use dbgp_protocols::{MiroPortal, MiroRequest};
 use dbgp_rib::PrefixTrie;
 use dbgp_telemetry::{
-    CounterId, EventId, GaugeId, HistogramId, MetricsRegistry, RibEntry, RibSnapshot, Semantics,
-    SinkHandle, TraceKind, TraceRecorder,
+    CounterId, EventId, GaugeId, HistogramId, MetricsRegistry, Semantics, SinkHandle, TraceKind,
+    TraceRecorder,
 };
 use dbgp_wire::{EncodedIa, Ia, Ipv4Addr, Ipv4Prefix, ProtocolId};
 use serde_json::Value;
@@ -148,17 +147,8 @@ pub struct NodeCounters {
 /// inline.
 struct SimMetrics {
     registry: MetricsRegistry,
-    messages: CounterId,
-    bytes: CounterId,
-    best_changes: CounterId,
-    decode_errors: CounterId,
-    orphaned_deliveries: CounterId,
-    dropped_messages: CounterId,
-    duplicated_messages: CounterId,
-    corrupted_messages: CounterId,
-    oob_requests: CounterId,
-    updates_encoded: CounterId,
-    encode_cache_hits: CounterId,
+    /// One counter per [`SimStats::totals`] entry, in that order.
+    totals: [CounterId; SimStats::TOTALS],
     node_restarts: CounterId,
     pending_events: GaugeId,
     last_event_at: GaugeId,
@@ -171,17 +161,7 @@ impl SimMetrics {
         let mut registry = MetricsRegistry::new();
         let acc = Semantics::Accumulate;
         SimMetrics {
-            messages: registry.counter("sim.messages_total", acc),
-            bytes: registry.counter("sim.bytes_total", acc),
-            best_changes: registry.counter("sim.best_changes_total", acc),
-            decode_errors: registry.counter("sim.decode_errors_total", acc),
-            orphaned_deliveries: registry.counter("sim.orphaned_deliveries_total", acc),
-            dropped_messages: registry.counter("sim.dropped_messages_total", acc),
-            duplicated_messages: registry.counter("sim.duplicated_messages_total", acc),
-            corrupted_messages: registry.counter("sim.corrupted_messages_total", acc),
-            oob_requests: registry.counter("sim.oob_requests_total", acc),
-            updates_encoded: registry.counter("sim.updates_encoded_total", acc),
-            encode_cache_hits: registry.counter("sim.encode_cache_hits_total", acc),
+            totals: SimStats::default().totals().map(|(name, _)| registry.counter(name, acc)),
             node_restarts: registry.counter("sim.node_restarts_total", acc),
             pending_events: registry.gauge("sim.pending_events"),
             last_event_at: registry.gauge("sim.last_event_at"),
@@ -285,6 +265,32 @@ pub struct SimStats {
     /// written again. The encoder declined on the other
     /// `updates_encoded - tails_spliced`.
     pub tails_spliced: u64,
+}
+
+impl SimStats {
+    /// How many totals [`totals`](Self::totals) lists.
+    pub const TOTALS: usize = 12;
+
+    /// Every running total — each field but the `last_event_at`
+    /// timestamp — under the counter name it has in a
+    /// `dbgp-metrics/v1` snapshot. The one list
+    /// [`Sim::metrics_snapshot`] registers and mirrors from.
+    pub fn totals(&self) -> [(&'static str, u64); Self::TOTALS] {
+        [
+            ("sim.messages_total", self.messages),
+            ("sim.bytes_total", self.bytes),
+            ("sim.best_changes_total", self.best_changes),
+            ("sim.decode_errors_total", self.decode_errors),
+            ("sim.orphaned_deliveries_total", self.orphaned_deliveries),
+            ("sim.dropped_messages_total", self.dropped_messages),
+            ("sim.duplicated_messages_total", self.duplicated_messages),
+            ("sim.corrupted_messages_total", self.corrupted_messages),
+            ("sim.oob_requests_total", self.oob_requests),
+            ("sim.updates_encoded_total", self.updates_encoded),
+            ("sim.encode_cache_hits_total", self.encode_cache_hits),
+            ("sim.tails_spliced_total", self.tails_spliced),
+        ]
+    }
 }
 
 /// Per-(node, prefix) route-churn record, maintained on every
@@ -611,17 +617,9 @@ impl Sim {
     pub fn metrics_snapshot(&mut self) -> Value {
         let s = self.stats;
         let m = &mut self.metrics;
-        m.registry.set_counter(m.messages, s.messages);
-        m.registry.set_counter(m.bytes, s.bytes);
-        m.registry.set_counter(m.best_changes, s.best_changes);
-        m.registry.set_counter(m.decode_errors, s.decode_errors);
-        m.registry.set_counter(m.orphaned_deliveries, s.orphaned_deliveries);
-        m.registry.set_counter(m.dropped_messages, s.dropped_messages);
-        m.registry.set_counter(m.duplicated_messages, s.duplicated_messages);
-        m.registry.set_counter(m.corrupted_messages, s.corrupted_messages);
-        m.registry.set_counter(m.oob_requests, s.oob_requests);
-        m.registry.set_counter(m.updates_encoded, s.updates_encoded);
-        m.registry.set_counter(m.encode_cache_hits, s.encode_cache_hits);
+        for (id, (_, value)) in m.totals.iter().zip(s.totals()) {
+            m.registry.set_counter(*id, value);
+        }
         m.registry.set_gauge(m.pending_events, self.queue.len() as i64);
         m.registry.set_gauge(m.last_event_at, s.last_event_at as i64);
         let mut snap = m.registry.snapshot(self.queue.now());
@@ -645,29 +643,6 @@ impl Sim {
             .collect();
         if let Value::Object(fields) = &mut snap {
             fields.push(("nodes".into(), Value::Array(nodes)));
-        }
-        snap
-    }
-
-    /// Snapshot every node's chosen best paths, for convergence diffing
-    /// via [`RibSnapshot::diff`].
-    pub fn rib_snapshot(&self) -> RibSnapshot {
-        let mut snap = RibSnapshot { at: self.queue.now(), entries: BTreeMap::new() };
-        for (node, n) in self.nodes.iter().enumerate() {
-            for (prefix, chosen) in n.speaker.routes() {
-                let via_as = chosen
-                    .neighbor
-                    .and_then(|id| n.neighbor_nodes.get(&id))
-                    .map(|&peer| self.nodes[peer].speaker.asn());
-                snap.entries.insert(
-                    (node as u32, *prefix),
-                    RibEntry {
-                        path: render_path(&chosen.ia),
-                        hops: chosen.ia.hop_count() as u32,
-                        via_as,
-                    },
-                );
-            }
         }
         snap
     }

@@ -68,14 +68,16 @@ fn fingerprint(sim: &mut Sim) -> String {
         sim.pending_events()
     ));
     out.push_str(&format!("metrics={}\n", serde_json::to_string(&sim.metrics_snapshot()).unwrap()));
-    out.push_str(&format!("ribs={:?}\n", sim.rib_snapshot()));
     for node in 0..sim.node_count() {
         out.push_str(&format!("counters[{node}]={:?}\n", sim.node_counters(node)));
         out.push_str(&format!("fib[{node}]={:?}\n", sim.fib(node)));
         for (prefix, chosen) in sim.speaker(node).routes() {
+            let via_as =
+                sim.fib(node).get(prefix).copied().flatten().map(|peer| sim.speaker(peer).asn());
             out.push_str(&format!(
-                "rib[{node}][{prefix}]: via={:?} path={}\n",
+                "rib[{node}][{prefix}]: via={:?} via_as={via_as:?} hops={} path={}\n",
                 chosen.neighbor,
+                chosen.ia.hop_count(),
                 render_path(&chosen.ia)
             ));
         }

@@ -9,7 +9,7 @@
 //!   event carrying the new generation.
 
 use dbgp_core::DbgpConfig;
-use dbgp_sim::Sim;
+use dbgp_sim::{Sim, SimStats};
 use dbgp_telemetry::{TraceKind, TraceRecorder};
 use serde_json::Value;
 use std::rc::Rc;
@@ -84,6 +84,62 @@ fn snapshot_labels_semantics_and_generations() {
     assert!(nodes
         .iter()
         .all(|n| n.get("semantics").and_then(Value::as_str) == Some("reset-on-restart")));
+}
+
+#[test]
+fn every_engine_total_reaches_the_snapshot() {
+    let mut sim = chain();
+    let stats = sim.stats();
+    // No `..` on purpose: a new `SimStats` field does not compile here
+    // until it is bound, and an unused binding is a warning CI denies —
+    // so it has to join `fields`, whose length then disagrees with
+    // `totals()` until the field is named there too.
+    let SimStats {
+        messages,
+        bytes,
+        oob_requests,
+        last_event_at,
+        decode_errors,
+        orphaned_deliveries,
+        dropped_messages,
+        duplicated_messages,
+        corrupted_messages,
+        best_changes,
+        updates_encoded,
+        encode_cache_hits,
+        tails_spliced,
+    } = stats;
+    let mut fields = [
+        messages,
+        bytes,
+        oob_requests,
+        decode_errors,
+        orphaned_deliveries,
+        dropped_messages,
+        duplicated_messages,
+        corrupted_messages,
+        best_changes,
+        updates_encoded,
+        encode_cache_hits,
+        tails_spliced,
+    ];
+    let mut totals = stats.totals().map(|(_, value)| value);
+    fields.sort_unstable();
+    totals.sort_unstable();
+    assert_eq!(totals, fields);
+
+    let snap = sim.metrics_snapshot();
+    let value_of = |list: &str, name: &str| {
+        let items = snap.get(list).and_then(Value::as_array).unwrap();
+        let item = items.iter().find(|c| c.get("name").and_then(Value::as_str) == Some(name));
+        let item = item.unwrap_or_else(|| panic!("`{name}` is not in the snapshot's {list}"));
+        item.get("value").and_then(Value::as_u64)
+    };
+    for (name, value) in stats.totals() {
+        assert_eq!(value_of("counters", name), Some(value), "{name}");
+    }
+    assert!(stats.totals().iter().any(|(name, _)| *name == "sim.tails_spliced_total"));
+    assert_eq!(value_of("gauges", "sim.last_event_at"), Some(last_event_at));
 }
 
 #[test]

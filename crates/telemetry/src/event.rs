@@ -45,8 +45,8 @@ pub enum SelectionReason {
     NeighborAs,
     /// Won on lowest neighbor/peer id (final deterministic tiebreak).
     NeighborId,
-    /// A protocol decision module (Wiser, R-BGP, ...) applied its own
-    /// criteria; the generic explainer cannot decompose them further.
+    /// Won on the decision module's own measure (Wiser's cost, EQ-BGP's
+    /// bandwidth, a ranked policy's list position, ...).
     ModulePreference,
     /// No candidate was usable; the prefix became unreachable.
     Unreachable,

@@ -13,9 +13,8 @@
 //! * **Metrics** — a [`MetricsRegistry`] of counters, gauges, and
 //!   log2-bucketed histograms with explicit reset-vs-accumulate restart
 //!   semantics and a stable `dbgp-metrics/v1` snapshot schema.
-//! * **Explainability** — [`RibSnapshot`] diffs and the [`query`] module
-//!   (`why-selected`, `path-of`, `convergence-timeline`) over recorded
-//!   traces.
+//! * **Explainability** — the [`query`] module (`why-selected`,
+//!   `path-of`, `convergence-timeline`) over recorded traces.
 
 #![warn(missing_docs)]
 
@@ -23,7 +22,6 @@ mod event;
 mod metrics;
 pub mod query;
 mod recorder;
-mod rib;
 mod sink;
 
 pub use event::{EventId, SelectionReason, TraceEvent, TraceKind};
@@ -31,5 +29,4 @@ pub use metrics::{
     log2_bucket, CounterId, GaugeId, HistogramId, MetricsRegistry, Semantics, METRICS_SCHEMA,
 };
 pub use recorder::{TraceRecorder, TRACE_SCHEMA};
-pub use rib::{RibChange, RibEntry, RibSnapshot};
 pub use sink::{SinkHandle, TelemetrySink};

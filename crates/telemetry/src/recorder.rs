@@ -72,18 +72,6 @@ impl TraceRecorder {
         self.inner.borrow_mut().node_asn.insert(node, asn);
     }
 
-    /// Total events ever recorded (monotonic; unaffected by eviction).
-    /// Doubles as the id that the *next* event will receive, so it can be
-    /// used as a watermark for [`TraceRecorder::for_each_since`].
-    pub fn next_id(&self) -> u64 {
-        self.inner.borrow().next_id
-    }
-
-    /// How many events the ring has evicted.
-    pub fn evicted(&self) -> u64 {
-        self.inner.borrow().evicted
-    }
-
     /// Number of events currently held.
     pub fn len(&self) -> usize {
         self.inner.borrow().events.len()
@@ -92,18 +80,6 @@ impl TraceRecorder {
     /// True when no events are held.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Visit every retained event with `id >= watermark`, in id order.
-    pub fn for_each_since<F: FnMut(&TraceEvent)>(&self, watermark: u64, mut f: F) {
-        let inner = self.inner.borrow();
-        // Events are stored in id order; skip the prefix below the watermark.
-        let skip = watermark.saturating_sub(inner.evicted) as usize;
-        for ev in inner.events.iter().skip(skip.min(inner.events.len())) {
-            if ev.id.0 >= watermark {
-                f(ev);
-            }
-        }
     }
 
     /// Clone out every retained event, in id order.
@@ -201,19 +177,15 @@ mod tests {
     }
 
     #[test]
-    fn ring_evicts_oldest_and_watermark_scan_respects_eviction() {
+    fn ring_evicts_oldest_and_counts_what_it_dropped() {
         let rec = TraceRecorder::with_capacity(2);
         for i in 0..5u32 {
             rec.record(Some(u64::from(i)), i, None, TraceKind::DecodeError { from: 0 });
         }
         assert_eq!(rec.len(), 2);
-        assert_eq!(rec.evicted(), 3);
-        let mut seen = Vec::new();
-        rec.for_each_since(0, |e| seen.push(e.id.0));
-        assert_eq!(seen, vec![3, 4]);
-        seen.clear();
-        rec.for_each_since(4, |e| seen.push(e.id.0));
-        assert_eq!(seen, vec![4]);
+        let ids: Vec<u64> = rec.events().iter().map(|e| e.id.0).collect();
+        assert_eq!(ids, vec![3, 4]);
+        assert_eq!(rec.to_json("ring").get("evicted").and_then(Value::as_u64), Some(3));
     }
 
     #[test]

@@ -440,6 +440,20 @@ impl Ia {
         self.path_descriptors.iter().find(|d| d.owned_by(protocol) && d.key == key)
     }
 
+    /// A protocol's own 8-byte big-endian value under `key` (a cost, a
+    /// bandwidth); `None` when absent or not 8 bytes long.
+    pub fn path_descriptor_u64(&self, protocol: ProtocolId, key: u16) -> Option<u64> {
+        let d = self.path_descriptor(protocol, key)?;
+        Some(u64::from_be_bytes(d.value[..].try_into().ok()?))
+    }
+
+    /// Replace every descriptor `protocol` owns under `key` with one
+    /// single-protocol descriptor holding `value`, appended last.
+    pub fn set_path_descriptor(&mut self, protocol: ProtocolId, key: u16, value: impl Into<Bytes>) {
+        self.path_descriptors.retain(|d| !(d.owned_by(protocol) && d.key == key));
+        self.path_descriptors.push(PathDescriptor::new(protocol, key, value));
+    }
+
     /// All island descriptors owned by `protocol`.
     pub fn island_descriptors_for(
         &self,
@@ -1044,6 +1058,32 @@ mod tests {
             )
             .build()
             .unwrap()
+    }
+
+    #[test]
+    fn set_path_descriptor_replaces_in_place_of_appending_a_second() {
+        let mut ia = figure4_ia();
+        assert_eq!(ia.path_descriptor_u64(ProtocolId::WISER, dkey::WISER_PATH_COST), Some(100));
+        ia.set_path_descriptor(
+            ProtocolId::WISER,
+            dkey::WISER_PATH_COST,
+            7u64.to_be_bytes().to_vec(),
+        );
+        assert_eq!(ia.path_descriptor_u64(ProtocolId::WISER, dkey::WISER_PATH_COST), Some(7));
+        // Retain-then-push: the other protocol's descriptor moves up, the
+        // new value goes last, and nothing is left of the old one.
+        let keys: Vec<_> = ia.path_descriptors.iter().map(|d| (d.protocols[0], d.key)).collect();
+        assert_eq!(
+            keys,
+            [
+                (ProtocolId::BGPSEC, dkey::BGPSEC_ATTESTATION),
+                (ProtocolId::WISER, dkey::WISER_PATH_COST)
+            ]
+        );
+        // Same key under another protocol, and a value that is not eight
+        // bytes, are not this protocol's number.
+        assert_eq!(ia.path_descriptor_u64(ProtocolId::EQBGP, dkey::WISER_PATH_COST), None);
+        assert_eq!(ia.path_descriptor_u64(ProtocolId::BGPSEC, dkey::BGPSEC_ATTESTATION), None);
     }
 
     #[test]
