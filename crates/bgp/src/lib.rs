@@ -5,8 +5,8 @@
 //! This crate is the workspace's "Quagga": the baseline inter-domain
 //! routing implementation that D-BGP (`dbgp-core`) extends. The state
 //! machines themselves — session FSM, RIBs, decision process, policy —
-//! live in `dbgp-session` (shared with the `dbgpd` daemon) and are
-//! re-exported here under their historical paths; this crate adds:
+//! live in `dbgp-session` (shared with the `dbgpd` daemon), which is
+//! where to import them from; this crate adds:
 //!
 //! * [`speaker`] — the whole speaker behind a byte-oriented,
 //!   one-connection-per-peer interface: `dbgp-session`'s `Host` (the
@@ -16,21 +16,7 @@
 //! Nothing here knows about Integrated Advertisements; `dbgp-core`
 //! builds the multi-protocol pipeline on top of these pieces.
 
-pub use dbgp_session::config;
-pub use dbgp_session::decision;
-pub use dbgp_session::policy;
-pub use dbgp_session::rib;
-pub use dbgp_session::route;
-pub use dbgp_session::session;
-
 pub mod speaker;
 
-pub use config::{NeighborConfig, PeerConfig, PeerId};
-pub use decision::{best, compare, Candidate};
-pub use policy::{Clause, MatchCond, PrefixMatch, RouteMap, SetAction};
-pub use rib::{LocRibEntry, RouteSource};
-pub use route::Route;
-pub use session::{
-    Action, DownReason, Millis, Session, SessionEvent, SessionState, SessionSummary,
-};
+pub use dbgp_session::{NeighborConfig, PeerId, Route};
 pub use speaker::{Output, Speaker, TransportEvent};

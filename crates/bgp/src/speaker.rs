@@ -14,9 +14,7 @@
 //! implementation whose advertisement processing D-BGP (in `dbgp-core`)
 //! interposes on.
 
-use crate::config::PeerId;
-use crate::session::{Millis, SessionState};
-use dbgp_session::{AdjRibInView, ConnDir, Host, LocRibView};
+use dbgp_session::{AdjRibInView, ConnDir, Host, LocRibView, Millis, PeerId, SessionState};
 use dbgp_wire::Ipv4Addr;
 use std::ops::{Deref, DerefMut};
 
@@ -92,11 +90,12 @@ impl Speaker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::NeighborConfig;
-    use crate::policy::{Clause, MatchCond, PrefixMatch, RouteMap, SetAction};
-    use crate::rib::{LocRibEntry, RouteSource};
     use bytes::Bytes;
-    use dbgp_telemetry::{SelectionReason, SinkHandle, TraceKind};
+    use dbgp_session::{
+        Clause, LocRibEntry, MatchCond, NeighborConfig, PrefixMatch, RouteMap, RouteSource,
+        SetAction,
+    };
+    use dbgp_telemetry::{Selection, SelectionReason};
     use dbgp_wire::Ipv4Prefix;
     use std::collections::{BTreeMap, VecDeque};
 
@@ -113,7 +112,10 @@ mod tests {
         links: BTreeMap<(usize, PeerId), (usize, PeerId)>,
         queue: VecDeque<(usize, PeerId, Bytes)>,
         now: Millis,
-        route_events: Vec<(usize, Ipv4Prefix, Option<LocRibEntry>)>,
+        /// Every best-route change reported, as `(speaker index, ...)`.
+        route_events: Vec<(usize, Ipv4Prefix, Option<LocRibEntry>, Selection)>,
+        /// Every session reported up, as `(speaker index, peer)`.
+        ups: Vec<(usize, PeerId)>,
     }
 
     impl Fabric {
@@ -124,6 +126,7 @@ mod tests {
                 queue: VecDeque::new(),
                 now: 0,
                 route_events: Vec::new(),
+                ups: Vec::new(),
             }
         }
 
@@ -169,10 +172,11 @@ mod tests {
                         self.absorb(remote, o2);
                     }
                     Output::Close(..) => {}
-                    Output::Best(prefix, entry) => {
-                        self.route_events.push((idx, prefix, entry));
+                    Output::Best(prefix, entry, selection) => {
+                        self.route_events.push((idx, prefix, entry, selection));
                     }
-                    Output::Up(..) | Output::Down(..) => {}
+                    Output::Up(peer, _) => self.ups.push((idx, peer)),
+                    Output::Down(..) => {}
                 }
             }
         }
@@ -409,7 +413,7 @@ mod tests {
         assert!(outputs.iter().any(|o| matches!(o, Output::Down(..))));
         assert!(outputs
             .iter()
-            .any(|o| matches!(o, Output::Best(pr, None) if *pr == p("128.6.0.0/16"))));
+            .any(|o| matches!(o, Output::Best(pr, None, _) if *pr == p("128.6.0.0/16"))));
         assert!(fabric.speakers[2].loc_rib().get(&p("128.6.0.0/16")).is_none());
     }
 
@@ -445,55 +449,38 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_records_fsm_transitions_and_decisions() {
-        use dbgp_telemetry::TraceRecorder;
-        use std::rc::Rc;
-
-        let rec = Rc::new(TraceRecorder::unbounded());
+    fn session_up_and_the_explained_install_ride_on_outputs() {
         let mut s1 = speaker(101);
         let mut s2 = speaker(102);
         s1.add_peer(PeerId(0), neighbor(101, 102));
         s2.add_peer(PeerId(0), neighbor(102, 101));
-        s2.set_telemetry(SinkHandle::new(rec.clone()), 1);
         let mut fabric = Fabric::new(vec![s1, s2]);
         fabric.connect(0, PeerId(0), 1, PeerId(0));
+        assert_eq!(fabric.speakers[1].state(PeerId(0)), Some(SessionState::Idle));
         fabric.start();
         fabric.originate(0, p("128.6.0.0/16"));
 
-        let events = rec.events();
-        // Every recorded FSM hop on the way to Established, in order.
-        let fsm: Vec<(String, String)> = events
-            .iter()
-            .filter_map(|e| match &e.kind {
-                TraceKind::SessionFsm { from, to, .. } => Some((from.clone(), to.clone())),
-                _ => None,
-            })
-            .collect();
-        assert!(fsm.contains(&("idle".into(), "connect".into())));
-        assert!(fsm.iter().any(|(_, to)| to == "established"));
+        // The session edge is an output, and `state()` agrees with it.
+        assert!(fabric.ups.contains(&(1, PeerId(0))));
+        assert_eq!(fabric.speakers[1].state(PeerId(0)), Some(SessionState::Established));
         // The decision process explained the install.
-        let decided = events.iter().any(|e| {
-            matches!(
-                &e.kind,
-                TraceKind::Decision { prefix, selected: true, neighbor_as: Some(101), hops: 1,
-                    candidates: 1, why: SelectionReason::OnlyCandidate, .. }
-                    if *prefix == p("128.6.0.0/16")
-            )
-        });
-        assert!(decided, "expected an explained Decision event, got {events:?}");
+        let installs: Vec<_> = fabric.route_events.iter().filter(|(idx, ..)| *idx == 1).collect();
+        let [(_, prefix, Some(entry), selection)] = installs[..] else {
+            panic!("expected one install at AS 102, got {installs:?}");
+        };
+        assert_eq!(*prefix, p("128.6.0.0/16"));
+        assert_eq!(entry.source, RouteSource::Peer(PeerId(0)));
+        assert_eq!(entry.route.as_path.hop_count(), 1);
+        assert_eq!(*selection, Selection { why: SelectionReason::OnlyCandidate, candidates: 1 });
     }
 
     #[test]
     fn telemetry_decision_explains_router_id_tiebreak() {
-        use dbgp_telemetry::TraceRecorder;
-        use std::rc::Rc;
-
         // Equal-length diamond 101-{105,102}-104. The origin's peer order
         // makes the via-105 path reach AS 104 first (installed as the only
         // candidate); when the via-102 path arrives, both tie through path
-        // length, so the recorded flip must be explained by the router-id
+        // length, so the reported flip must be explained by the router-id
         // step (102's id 10.0.0.102 < 105's 10.0.0.105).
-        let rec = Rc::new(TraceRecorder::unbounded());
         let mut s1 = speaker(101);
         let mut s2 = speaker(102);
         let mut s3 = speaker(105);
@@ -506,7 +493,6 @@ mod tests {
         s3.add_peer(PeerId(1), neighbor(105, 104));
         s4.add_peer(PeerId(0), neighbor(104, 102));
         s4.add_peer(PeerId(1), neighbor(104, 105));
-        s4.set_telemetry(SinkHandle::new(rec.clone()), 4);
         let mut fabric = Fabric::new(vec![s1, s2, s3, s4]);
         fabric.connect(0, PeerId(0), 2, PeerId(0));
         fabric.connect(0, PeerId(1), 1, PeerId(0));
@@ -519,16 +505,13 @@ mod tests {
         let entry = fabric.speakers[3].loc_rib().get(&p("203.0.113.0/24")).unwrap();
         assert_eq!(entry.source, RouteSource::Peer(PeerId(0)));
 
-        let decisions: Vec<(SelectionReason, u32, Option<u32>)> = rec
-            .events()
+        let decisions: Vec<(SelectionReason, u32, Option<u32>)> = fabric
+            .route_events
             .iter()
-            .filter_map(|e| match &e.kind {
-                TraceKind::Decision { prefix, why, candidates, neighbor_as, .. }
-                    if *prefix == p("203.0.113.0/24") =>
-                {
-                    Some((*why, *candidates, *neighbor_as))
-                }
-                _ => None,
+            .filter(|(idx, prefix, ..)| *idx == 3 && *prefix == p("203.0.113.0/24"))
+            .map(|(_, _, entry, selection)| {
+                let first_as = entry.as_ref().and_then(|e| e.route.as_path.first_as());
+                (selection.why, selection.candidates, first_as)
             })
             .collect();
         assert_eq!(

@@ -4,7 +4,8 @@
 //! multi-router AS.
 
 use bytes::Bytes;
-use dbgp_bgp::{NeighborConfig, Output, PeerId, RouteSource, Speaker, TransportEvent};
+use dbgp_bgp::{NeighborConfig, Output, PeerId, Speaker, TransportEvent};
+use dbgp_session::RouteSource;
 use dbgp_wire::{Ipv4Addr, Ipv4Prefix};
 use std::collections::{BTreeMap, VecDeque};
 
@@ -178,7 +179,7 @@ fn egress_router_prepends_once_toward_ebgp_customer() {
 
 #[test]
 fn local_pref_propagates_inside_the_as_only() {
-    use dbgp_bgp::{Clause, MatchCond, RouteMap, SetAction};
+    use dbgp_session::{Clause, MatchCond, RouteMap, SetAction};
     let mut r1 = Speaker::new(100, Ipv4Addr::new(10, 0, 0, 1));
     let mut r2 = Speaker::new(100, Ipv4Addr::new(10, 0, 0, 2));
     let mut origin = Speaker::new(200, Ipv4Addr::new(10, 0, 0, 4));

@@ -2,10 +2,8 @@
 //! interface: no input sequence may panic, violate timer monotonicity,
 //! or wedge the state machine.
 
-use dbgp_bgp::{
-    Action, NeighborConfig, PeerConfig, PeerId, Session, SessionEvent, SessionState, Speaker,
-    TransportEvent,
-};
+use dbgp_bgp::{NeighborConfig, PeerId, Speaker, TransportEvent};
+use dbgp_session::{Action, DownReason, PeerConfig, Session, SessionEvent, SessionState};
 use dbgp_wire::message::{notif, BgpMessage, NotificationMsg, OpenMsg, UpdateMsg};
 use dbgp_wire::{Ipv4Addr, Ipv4Prefix};
 use proptest::prelude::*;
@@ -266,5 +264,3 @@ fn day_long_session_stays_up_on_keepalives() {
     let actions = a.poll(deadline + 90_000);
     assert!(actions.iter().any(|x| matches!(x, Action::Down(DownReason::HoldTimerExpired))));
 }
-
-use dbgp_bgp::DownReason;

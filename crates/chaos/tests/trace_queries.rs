@@ -4,8 +4,12 @@
 //! telemetry instrumentation changed semantics.
 
 use dbgp_chaos::scenario::{traced_fig8_wiser_flap, traced_rbgp_diamond_failover};
-use dbgp_telemetry::query::{convergence_timeline, path_of, why_selected};
-use dbgp_telemetry::TraceKind;
+use dbgp_core::DbgpConfig;
+use dbgp_crypto::Sha256;
+use dbgp_sim::Sim;
+use dbgp_telemetry::query::{convergence_timeline, path_of, why_selected, TraceLog};
+use dbgp_telemetry::{TraceKind, TraceRecorder};
+use std::rc::Rc;
 
 const PREFIX: &str = "128.6.0.0/16";
 
@@ -89,4 +93,61 @@ fn fig8_flap_timeline_matches_the_chaos_table_totals() {
     assert_eq!(t.decisions, 18);
     assert_eq!(t.converged_at, 560);
     assert!(t.entries.iter().all(|e| e.root.is_some()));
+}
+
+/// A triangle whose 0-2 side is slow, plus a stub, at MRAI 0 (every
+/// change is sent from inside the call that caused it): node 2 first
+/// hears the prefix the long way round and offers it back to node 0,
+/// which drops it as a loop; then a link flap and a node restart.
+fn traced_mrai0_triangle() -> TraceLog {
+    let mut sim = Sim::new();
+    for asn in 1..=4 {
+        sim.add_node(DbgpConfig::gulf(asn));
+    }
+    sim.enable_telemetry(Rc::new(TraceRecorder::unbounded()));
+    sim.set_mrai(0);
+    for (a, b, delay) in [(0, 1, 10), (1, 2, 10), (0, 2, 50), (2, 3, 10)] {
+        sim.link(a, b, delay, false);
+    }
+    sim.originate(0, PREFIX.parse().unwrap());
+    sim.run(1_000);
+    sim.fail_link(0, 1);
+    sim.run(2_000);
+    sim.restore_link(0, 1);
+    sim.run(3_000);
+    sim.restart_node(1);
+    sim.run(4_000);
+    sim.withdraw(0, PREFIX.parse().unwrap());
+    sim.run(5_000);
+    assert_eq!(sim.pending_events(), 0, "quiesces");
+    TraceLog::from_recorder(sim.trace_recorder().expect("recorder attached"), "mrai0-triangle")
+}
+
+fn sha256_hex(log: &TraceLog) -> String {
+    let doc = serde_json::to_string(&log.to_json()).expect("a trace serializes");
+    Sha256::digest(doc.as_bytes()).iter().map(|b| format!("{b:02x}")).collect()
+}
+
+/// The whole trace — every event, id, parent and timestamp — of three
+/// runs, as recorded at the last commit whose speakers wrote `Decision`
+/// and `LoopDrop` events themselves. Who records an event must not show
+/// in what is recorded.
+#[test]
+fn traces_are_byte_identical_to_the_in_core_recording() {
+    let mrai0 = traced_mrai0_triangle();
+    let kinds = |name: &str| mrai0.events.iter().filter(|e| e.kind.name() == name).count();
+    assert!(kinds("loop-drop") > 0, "the scenario must exercise a loop drop");
+    assert!(kinds("decision") > 0 && kinds("session-fsm") > 0);
+    assert_eq!(
+        sha256_hex(&traced_fig8_wiser_flap()),
+        "b6aa35c865efc6fd7f120f95c3adb73c0d2eb976c26d44d66182bda01c598f0d"
+    );
+    assert_eq!(
+        sha256_hex(&traced_rbgp_diamond_failover()),
+        "caa1df2eaeecb9ca8e0461efcc499b81f671a63a35c904f81130b972bc65474e"
+    );
+    assert_eq!(
+        sha256_hex(&mrai0),
+        "3cfebd0c98baad23e74aa14c32c3b4b2359c73f14cbb2d9a6a3a8e19fc1b202d"
+    );
 }

@@ -232,17 +232,16 @@ pub fn best_by_rank<M: DecisionModule + ?Sized>(
 /// Explain why `best` (an index returned by
 /// [`select_best`](DecisionModule::select_best) over the same candidate
 /// slice) won: the first rung of its [`Rank`] that separates it from the
-/// best of the rest. Only called when telemetry is recording.
+/// best of the rest. A lone candidate is not ranked at all.
 pub fn explain_best<M: DecisionModule + ?Sized>(
     module: &mut M,
     prefix: Ipv4Prefix,
     candidates: &[CandidateIa<'_>],
     best: usize,
 ) -> SelectionReason {
-    let winner = module.rank(prefix, &candidates[best]);
     let others = candidates.iter().enumerate().filter(|(i, _)| *i != best);
     match others.map(|(_, c)| module.rank(prefix, c)).min() {
-        Some(runner_up) => winner.decided_by(runner_up),
+        Some(runner_up) => module.rank(prefix, &candidates[best]).decided_by(runner_up),
         None => SelectionReason::OnlyCandidate,
     }
 }

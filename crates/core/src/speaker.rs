@@ -5,7 +5,8 @@
 //! distributed per-router control composes identically because the
 //! pipeline is per-advertisement). The speaker is sans-IO: feed it IAs
 //! and withdrawals from neighbors, and it returns the IAs/withdrawals to
-//! send plus data-plane notifications.
+//! send plus data-plane notifications — each best-path change with why
+//! the winner won, so that a host keeping a trace has nothing to ask.
 //!
 //! Pipeline walk-through (numbers match Figure 5):
 //!
@@ -28,7 +29,7 @@ use crate::iadb::{IaDb, PrefixEntry};
 use crate::module::{explain_best, BgpDecision, CandidateIa, DecisionModule, ImportContext};
 use crate::neighbor::{DbgpNeighbor, NeighborId, PeerClass};
 use dbgp_rib::recycle;
-use dbgp_telemetry::{SelectionReason, SinkHandle, TraceKind};
+use dbgp_telemetry::{Selection, SelectionReason};
 use dbgp_wire::{Ia, Ipv4Addr, Ipv4Prefix, ProtocolId};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -100,9 +101,11 @@ pub enum DbgpOutput {
     SendIa(NeighborId, Arc<Ia>),
     /// Withdraw this prefix from the neighbor.
     SendWithdraw(NeighborId, Ipv4Prefix),
-    /// The locally installed best path changed (`None` = unreachable);
-    /// the data plane should be updated.
-    BestChanged(Ipv4Prefix, Option<Chosen>),
+    /// A new best path was installed for `chosen.ia.prefix`, and why it
+    /// won; the data plane should be updated.
+    BestChanged(Chosen, Selection),
+    /// The prefix lost its best path and has no other.
+    Unreachable(Ipv4Prefix, Selection),
     /// An incoming IA was rejected by the global import filter.
     Rejected(NeighborId, Ipv4Prefix, RejectReason),
 }
@@ -126,11 +129,6 @@ struct Pipeline {
     modules: BTreeMap<ProtocolId, Box<dyn DecisionModule>>,
     /// Count of IAs processed (for the stress benchmarks).
     processed: u64,
-    /// Telemetry sink; the default no-op handle costs one branch per
-    /// instrumentation site.
-    sink: SinkHandle,
-    /// Host-assigned label (node index) stamped on emitted events.
-    node_label: u32,
     /// Master switch for the incremental decision fast path (on by
     /// default; tests flip it off to compare against full scans).
     incremental: bool,
@@ -154,8 +152,8 @@ struct Pipeline {
     all_uniform: bool,
 }
 
-/// Render an IA's path vector for telemetry ("near far" order, space
-/// separated; empty string for an origin IA).
+/// Render an IA's path vector ("near far" order, space separated;
+/// empty string for an origin IA).
 pub fn render_path(ia: &Ia) -> String {
     let parts: Vec<String> = ia.path_vector.iter().map(|e| e.to_string()).collect();
     parts.join(" ")
@@ -170,8 +168,6 @@ impl DbgpSpeaker {
             neighbors: BTreeMap::new(),
             modules: BTreeMap::new(),
             processed: 0,
-            sink: SinkHandle::none(),
-            node_label: 0,
             incremental: true,
             fast_path_hits: 0,
             exports_shared: 0,
@@ -187,15 +183,6 @@ impl DbgpSpeaker {
     /// Our AS number.
     pub fn asn(&self) -> u32 {
         self.pipe.cfg.asn
-    }
-
-    /// Attach a telemetry sink. `node_label` (typically the host's node
-    /// index) is stamped on every event this speaker emits. Decision and
-    /// loop-drop events chain to the sink's ambient parent, which the
-    /// host points at the triggering decode/origination event.
-    pub fn set_telemetry(&mut self, sink: SinkHandle, node_label: u32) {
-        self.pipe.sink = sink;
-        self.pipe.node_label = node_label;
     }
 
     /// Our configuration.
@@ -357,14 +344,6 @@ impl DbgpSpeaker {
         // (1) Global import filters.
         let cfg = &self.pipe.cfg;
         if let Err(reason) = filters::global_import(&cfg.filters, cfg.asn, cfg.island, &mut ia) {
-            let sink = &self.pipe.sink;
-            if sink.enabled() {
-                sink.record_now(
-                    self.pipe.node_label,
-                    sink.ambient_parent(),
-                    TraceKind::LoopDrop { prefix, from_as, reason: format!("{reason:?}") },
-                );
-            }
             out.push(DbgpOutput::Rejected(from, prefix, reason));
             // A looped IA implicitly withdraws whatever this neighbor
             // previously advertised for the prefix.
@@ -465,37 +444,15 @@ impl Pipeline {
         prefix: Ipv4Prefix,
         out: &mut Vec<DbgpOutput>,
     ) -> bool {
-        let (new_chosen, reason, candidates) = self.select(entry, prefix);
-        if entry.chosen == new_chosen {
+        let Some((new_chosen, selection)) = self.select(entry, prefix) else {
             return false;
-        }
+        };
         entry.chosen = new_chosen.clone();
         entry.built = Default::default();
-        if self.sink.enabled() {
-            let (selected, neighbor_as, path, hops) = match &new_chosen {
-                Some(c) => (
-                    true,
-                    c.neighbor.and_then(|n| self.neighbors.get(&n)).map(|n| n.asn),
-                    render_path(&c.ia),
-                    c.ia.hop_count() as u32,
-                ),
-                None => (false, None, String::new(), 0),
-            };
-            self.sink.record_now(
-                self.node_label,
-                self.sink.ambient_parent(),
-                TraceKind::Decision {
-                    prefix,
-                    selected,
-                    neighbor_as,
-                    path,
-                    hops,
-                    candidates,
-                    why: reason,
-                },
-            );
-        }
-        out.push(DbgpOutput::BestChanged(prefix, new_chosen));
+        out.push(match new_chosen {
+            Some(chosen) => DbgpOutput::BestChanged(chosen, selection),
+            None => DbgpOutput::Unreachable(prefix, selection),
+        });
         self.propagate_all(entry, prefix, out);
         true
     }
@@ -614,26 +571,26 @@ impl Pipeline {
     }
 
     /// Steps 3–4: extract the active protocol's information and run its
-    /// decision module over the candidates. Also returns why the winner
-    /// won (only computed in depth while telemetry records) and how many
-    /// candidates were considered.
+    /// decision module over the candidates. `None` when that selects
+    /// what is installed already; otherwise the new best path, why it
+    /// won and against how many.
     fn select(
         &mut self,
         entry: &mut PrefixEntry,
         prefix: Ipv4Prefix,
-    ) -> (Option<Chosen>, SelectionReason, u32) {
-        let explain = self.sink.enabled();
+    ) -> Option<(Option<Chosen>, Selection)> {
+        // The two selections that consult no candidate.
+        let changed = |new: Option<Chosen>, why, candidates| {
+            (entry.chosen != new).then_some((new, Selection { why, candidates }))
+        };
         // Locally originated prefixes always win (they are "ours").
         if let Some(ia) = &entry.originated {
-            return (
-                Some(Chosen { neighbor: None, ia: Arc::clone(ia) }),
-                SelectionReason::LocalOrigin,
-                1,
-            );
+            let ours = Chosen { neighbor: None, ia: Arc::clone(ia) };
+            return changed(Some(ours), SelectionReason::LocalOrigin, 1);
         }
         let key = self.module_key(&prefix);
         let Some(module) = self.modules.get_mut(&key) else {
-            return (None, SelectionReason::Unreachable, 0);
+            return changed(None, SelectionReason::Unreachable, 0);
         };
         // Check out the reusable candidate buffer (only the capacity
         // allocation is recycled).
@@ -650,23 +607,23 @@ impl Pipeline {
                 views.push(c);
             }
         }
-        let count = views.len() as u32;
-        let result = match module.select_best(prefix, &views) {
-            Some(best) => {
-                let reason = if explain {
-                    explain_best(module.as_mut(), prefix, &views, best)
-                } else {
-                    SelectionReason::ModulePreference
-                };
-                // The winner's view borrows the stored IA; re-fetch its
-                // `Arc` to intern it into `Chosen`.
-                let neighbor = views[best].neighbor;
-                let arc =
-                    entry.slots.received(neighbor).expect("winner was enumerated from the entry");
-                (Some(Chosen { neighbor: Some(neighbor), ia: Arc::clone(arc) }), reason, count)
-            }
-            None => (None, SelectionReason::Unreachable, count),
-        };
+        let candidates = views.len() as u32;
+        let best = module.select_best(prefix, &views);
+        // The winner's view borrows the stored IA; re-fetch its `Arc` to
+        // intern it into `Chosen`.
+        let new = best.map(|best| {
+            let neighbor = views[best].neighbor;
+            let arc = entry.slots.received(neighbor).expect("winner was enumerated from the entry");
+            Chosen { neighbor: Some(neighbor), ia: Arc::clone(arc) }
+        });
+        // Only a changed best is announced, so only it is explained.
+        let result = (entry.chosen != new).then(|| {
+            let why = match best {
+                Some(best) => explain_best(module.as_mut(), prefix, &views, best),
+                None => SelectionReason::Unreachable,
+            };
+            (new, Selection { why, candidates })
+        });
         // Check the scratch buffer back in, empty again.
         self.scratch = recycle(views);
         // Fence the incremental fast path on the key state this scan
@@ -955,7 +912,7 @@ mod tests {
         let mut good = Ia::originate(p("10.0.0.0/8"), nh(1));
         good.prepend_as(6);
         let outs = speaker.receive_ia(NeighborId(0), good);
-        assert!(matches!(outs[0], DbgpOutput::BestChanged(_, Some(_))));
+        assert!(matches!(outs[0], DbgpOutput::BestChanged(..)));
         // Same neighbor now sends a looped IA for the prefix.
         let mut looped = Ia::originate(p("10.0.0.0/8"), nh(1));
         looped.prepend_as(5);
@@ -963,7 +920,7 @@ mod tests {
         let outs = speaker.receive_ia(NeighborId(0), looped);
         assert!(matches!(outs[0], DbgpOutput::Rejected(_, _, RejectReason::AsLoop)));
         assert!(
-            matches!(outs[1], DbgpOutput::BestChanged(_, None)),
+            matches!(outs[1], DbgpOutput::Unreachable(..)),
             "previous route implicitly withdrawn"
         );
         assert!(speaker.best(&p("10.0.0.0/8")).is_none());
@@ -1141,11 +1098,24 @@ mod tests {
         let mut long = Ia::originate(p("10.0.0.0/8"), nh(1));
         long.prepend_as(50);
         long.prepend_as(1);
-        speaker.receive_ia(NeighborId(0), long);
+        // Each change says why the new best won, and against how many.
+        let explained = |outs: &[DbgpOutput]| match &outs[0] {
+            DbgpOutput::BestChanged(chosen, selection) => (chosen.neighbor, *selection),
+            other => panic!("expected a best change first, got {other:?}"),
+        };
+        let outs = speaker.receive_ia(NeighborId(0), long);
+        assert_eq!(
+            explained(&outs),
+            (Some(NeighborId(0)), Selection { why: SelectionReason::OnlyCandidate, candidates: 1 })
+        );
         assert_eq!(speaker.best(&p("10.0.0.0/8")).unwrap().neighbor, Some(NeighborId(0)));
         let mut short = Ia::originate(p("10.0.0.0/8"), nh(2));
         short.prepend_as(2);
         let outs = speaker.receive_ia(NeighborId(1), short);
+        assert_eq!(
+            explained(&outs),
+            (Some(NeighborId(1)), Selection { why: SelectionReason::ShortestPath, candidates: 2 })
+        );
         assert_eq!(speaker.best(&p("10.0.0.0/8")).unwrap().neighbor, Some(NeighborId(1)));
         // Neighbor 2 (uninvolved) must get the replacement advertisement.
         assert!(outs.iter().any(|o| matches!(o, DbgpOutput::SendIa(NeighborId(2), _))));
@@ -1160,7 +1130,7 @@ mod tests {
         speaker.receive_ia(NeighborId(0), ia);
         assert!(speaker.best(&p("10.0.0.0/8")).is_some());
         let outs = speaker.neighbor_down(NeighborId(0));
-        assert!(matches!(outs[0], DbgpOutput::BestChanged(_, None)));
+        assert!(matches!(outs[0], DbgpOutput::Unreachable(..)));
         assert!(speaker.best(&p("10.0.0.0/8")).is_none());
     }
 

@@ -11,7 +11,7 @@
 
 use bytes::{Buf, Bytes, BytesMut};
 use dbgp_core::module::{DecisionModule, ExportContext};
-use dbgp_wire::ia::{dkey, IslandDescriptor};
+use dbgp_wire::ia::dkey;
 use dbgp_wire::varint::{get_uvarint, put_uvarint};
 use dbgp_wire::{Ia, Ipv4Addr, IslandId, ProtocolId};
 use std::collections::HashMap;
@@ -20,14 +20,14 @@ use std::collections::HashMap;
 /// address, a content name, ...).
 pub type NewFormatAddr = Vec<u8>;
 
+/// The lookup service is protocol-agnostic infrastructure; its
+/// descriptor is filed under the baseline's ID.
+const LOOKUP_PROTOCOL: ProtocolId = ProtocolId::BGP;
+
 /// Find address-lookup services advertised along an IA's path:
 /// (island, service address) pairs.
 pub fn lookup_services(ia: &Ia) -> Vec<(IslandId, Ipv4Addr)> {
-    ia.island_descriptors
-        .iter()
-        .filter(|d| d.key == dkey::ADDR_LOOKUP_SERVICE && d.value.len() == 4)
-        .map(|d| (d.island, Ipv4Addr(u32::from_be_bytes(d.value.as_slice().try_into().unwrap()))))
-        .collect()
+    ia.island_addrs(LOOKUP_PROTOCOL, dkey::ADDR_LOOKUP_SERVICE).collect()
 }
 
 /// A mapping query: "which gateway do I tunnel to for this new-format
@@ -108,20 +108,12 @@ impl AddrMapModule {
     }
 
     fn attach(&self, ia: &mut Ia) {
-        let exists = ia
-            .island_descriptors
-            .iter()
-            .any(|d| d.island == self.island && d.key == dkey::ADDR_LOOKUP_SERVICE);
-        if !exists {
-            ia.island_descriptors.push(IslandDescriptor::new(
-                self.island,
-                // The lookup service is protocol-agnostic infrastructure;
-                // we file it under the baseline's ID.
-                ProtocolId::BGP,
-                dkey::ADDR_LOOKUP_SERVICE,
-                self.service_addr.octets().to_vec(),
-            ));
-        }
+        ia.ensure_island_descriptor(
+            self.island,
+            LOOKUP_PROTOCOL,
+            dkey::ADDR_LOOKUP_SERVICE,
+            || self.service_addr.octets().to_vec(),
+        );
     }
 }
 
@@ -177,6 +169,26 @@ mod tests {
         ia.prepend_as(4000); // gulf hop
         let ia = Ia::decode(ia.encode().into_bytes()).unwrap();
         assert_eq!(lookup_services(&ia), vec![(IslandId(70), Ipv4Addr::new(198, 18, 0, 1))]);
+    }
+
+    #[test]
+    fn a_foreign_descriptor_under_the_same_key_is_not_a_lookup_service() {
+        // Key numbers are only unique per protocol: MIRO's key 9 is not
+        // the lookup service's key 9, four bytes long or not.
+        let ia = Ia::builder(p("203.0.113.0/24"), Ipv4Addr::new(9, 9, 9, 9))
+            .island_descriptor(
+                IslandId(70),
+                ProtocolId::MIRO,
+                dkey::ADDR_LOOKUP_SERVICE,
+                vec![198, 18, 0, 1],
+            )
+            .build()
+            .unwrap();
+        assert_eq!(lookup_services(&ia), vec![]);
+        // Nor does it stand in for this island's own descriptor.
+        let mut ia = ia;
+        AddrMapModule::new(IslandId(70), Ipv4Addr::new(198, 18, 0, 2)).attach(&mut ia);
+        assert_eq!(lookup_services(&ia), vec![(IslandId(70), Ipv4Addr::new(198, 18, 0, 2))]);
     }
 
     #[test]

@@ -14,16 +14,13 @@
 
 use bytes::{Buf, Bytes, BytesMut};
 use dbgp_core::module::{DecisionModule, ExportContext};
-use dbgp_wire::ia::{dkey, IslandDescriptor};
+use dbgp_wire::ia::dkey;
 use dbgp_wire::varint::{get_uvarint, put_uvarint};
 use dbgp_wire::{Ia, Ipv4Addr, Ipv4Prefix, IslandId, ProtocolId};
 
 /// Discover MIRO service portals advertised along an IA's path.
 pub fn find_portals(ia: &Ia) -> Vec<(IslandId, Ipv4Addr)> {
-    ia.island_descriptors_for(ProtocolId::MIRO)
-        .filter(|d| d.key == dkey::MIRO_PORTAL && d.value.len() == 4)
-        .map(|d| (d.island, Ipv4Addr(u32::from_be_bytes(d.value.as_slice().try_into().unwrap()))))
-        .collect()
+    ia.island_addrs(ProtocolId::MIRO, dkey::MIRO_PORTAL).collect()
 }
 
 /// A customer's request to a MIRO portal: "offer me alternate paths to
@@ -162,17 +159,9 @@ impl MiroModule {
     }
 
     fn attach(&self, ia: &mut Ia) {
-        let exists = ia
-            .island_descriptors_for(ProtocolId::MIRO)
-            .any(|d| d.island == self.island && d.key == dkey::MIRO_PORTAL);
-        if !exists {
-            ia.island_descriptors.push(IslandDescriptor::new(
-                self.island,
-                ProtocolId::MIRO,
-                dkey::MIRO_PORTAL,
-                self.portal_addr.octets().to_vec(),
-            ));
-        }
+        ia.ensure_island_descriptor(self.island, ProtocolId::MIRO, dkey::MIRO_PORTAL, || {
+            self.portal_addr.octets().to_vec()
+        });
     }
 }
 

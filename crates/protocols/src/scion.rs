@@ -13,7 +13,7 @@
 
 use bytes::{Buf, Bytes, BytesMut};
 use dbgp_core::module::{CandidateIa, DecisionModule, ExportContext, Rank};
-use dbgp_wire::ia::{dkey, IslandDescriptor};
+use dbgp_wire::ia::dkey;
 use dbgp_wire::varint::{get_uvarint, put_uvarint};
 use dbgp_wire::{Ia, Ipv4Prefix, IslandId, ProtocolId};
 
@@ -137,16 +137,11 @@ impl ScionModule {
     }
 
     fn attach(&self, ia: &mut Ia) {
-        let exists = ia
-            .island_descriptors_for(ProtocolId::SCION)
-            .any(|d| d.island == self.island && d.key == dkey::SCION_PATHS);
-        if !exists && !self.own_paths.paths.is_empty() {
-            ia.island_descriptors.push(IslandDescriptor::new(
-                self.island,
-                ProtocolId::SCION,
-                dkey::SCION_PATHS,
-                self.own_paths.to_bytes(),
-            ));
+        // No paths of our own, nothing to attach.
+        if !self.own_paths.paths.is_empty() {
+            ia.ensure_island_descriptor(self.island, ProtocolId::SCION, dkey::SCION_PATHS, || {
+                self.own_paths.to_bytes()
+            });
         }
     }
 }
@@ -175,6 +170,7 @@ impl DecisionModule for ScionModule {
 mod tests {
     use super::*;
     use dbgp_core::NeighborId;
+    use dbgp_wire::ia::IslandDescriptor;
     use dbgp_wire::Ipv4Addr;
 
     fn p(s: &str) -> Ipv4Prefix {

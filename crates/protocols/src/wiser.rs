@@ -23,7 +23,7 @@
 use dbgp_core::module::{
     best_by_rank, CandidateIa, DecisionModule, ExportContext, ImportContext, Rank,
 };
-use dbgp_wire::ia::{dkey, IslandDescriptor};
+use dbgp_wire::ia::dkey;
 use dbgp_wire::{Ia, Ipv4Addr, Ipv4Prefix, IslandId, ProtocolId};
 use std::collections::HashMap;
 
@@ -42,10 +42,7 @@ pub fn set_path_cost(ia: &mut Ia, cost: u64) {
 
 /// All Wiser cost-exchange portals advertised along an IA's path.
 pub fn portals(ia: &Ia) -> Vec<(IslandId, Ipv4Addr)> {
-    ia.island_descriptors_for(ProtocolId::WISER)
-        .filter(|d| d.key == dkey::WISER_PORTAL && d.value.len() == 4)
-        .map(|d| (d.island, Ipv4Addr(u32::from_be_bytes(d.value.as_slice().try_into().unwrap()))))
-        .collect()
+    ia.island_addrs(ProtocolId::WISER, dkey::WISER_PORTAL).collect()
 }
 
 /// An out-of-band cost report: "I am AS `reporter`, and the Wiser costs
@@ -148,17 +145,9 @@ impl WiserModule {
     }
 
     fn attach_portal(&self, ia: &mut Ia) {
-        let exists = ia
-            .island_descriptors_for(ProtocolId::WISER)
-            .any(|d| d.island == self.island && d.key == dkey::WISER_PORTAL);
-        if !exists {
-            ia.island_descriptors.push(IslandDescriptor::new(
-                self.island,
-                ProtocolId::WISER,
-                dkey::WISER_PORTAL,
-                self.portal.octets().to_vec(),
-            ));
-        }
+        ia.ensure_island_descriptor(self.island, ProtocolId::WISER, dkey::WISER_PORTAL, || {
+            self.portal.octets().to_vec()
+        });
     }
 }
 

@@ -123,24 +123,18 @@ pub fn best(candidates: &[Candidate<'_>]) -> Option<usize> {
     Some(best)
 }
 
-/// Like [`best`], but also report which tie-break step separated the
-/// winner from the runner-up (the best of the remaining candidates).
-pub fn best_explain(candidates: &[Candidate<'_>]) -> Option<(usize, SelectionReason)> {
-    let winner = best(candidates)?;
-    if candidates.len() == 1 {
-        return Some((winner, SelectionReason::OnlyCandidate));
-    }
-    let mut runner = usize::from(winner == 0);
-    for i in 0..candidates.len() {
-        if i == winner || i == runner {
-            continue;
-        }
+/// Why `winner` — the index [`best`] returned for the same slice — won:
+/// the tie-break step that separates it from the runner-up, the best of
+/// the remaining candidates.
+pub fn explain(candidates: &[Candidate<'_>], winner: usize) -> SelectionReason {
+    let mut rest = (0..candidates.len()).filter(|&i| i != winner);
+    let Some(mut runner) = rest.next() else { return SelectionReason::OnlyCandidate };
+    for i in rest {
         if compare(&candidates[i], &candidates[runner]) == Ordering::Greater {
             runner = i;
         }
     }
-    let (_, step) = compare_explain(&candidates[winner], &candidates[runner]);
-    Some((winner, step))
+    compare_explain(&candidates[winner], &candidates[runner]).1
 }
 
 #[cfg(test)]
@@ -153,6 +147,10 @@ mod tests {
         let mut r = Route::originated(Ipv4Addr::new(10, 0, 0, 1));
         r.as_path = AsPath::from_sequence(path);
         r
+    }
+
+    fn best_explain(candidates: &[Candidate<'_>]) -> Option<(usize, SelectionReason)> {
+        best(candidates).map(|winner| (winner, explain(candidates, winner)))
     }
 
     fn cand(route: &Route, peer: u32, peer_as: u32, ebgp: bool, rid: u32) -> Candidate<'_> {

@@ -14,7 +14,7 @@ use crate::rib::LocRibEntry;
 use crate::routing::{RibOp, RoutingCore};
 use crate::session::{DownReason, Millis, SessionState, SessionSummary};
 use bytes::Bytes;
-use dbgp_telemetry::SinkHandle;
+use dbgp_telemetry::Selection;
 use dbgp_wire::message::BgpMessage;
 use dbgp_wire::{Ipv4Addr, Ipv4Prefix};
 use std::collections::BTreeMap;
@@ -32,46 +32,27 @@ pub enum HostOutput {
     Up(PeerId, SessionSummary),
     /// The session went down.
     Down(PeerId, DownReason),
-    /// The best route for a prefix changed (`None` = unreachable); the
-    /// transport's data plane should update its FIB.
-    Best(Ipv4Prefix, Option<LocRibEntry>),
+    /// The best route for a prefix changed (`None` = unreachable), and
+    /// why the new one won; the transport's data plane should update
+    /// its FIB.
+    Best(Ipv4Prefix, Option<LocRibEntry>, Selection),
 }
 
 /// One speaker's worth of sans-IO state.
 pub struct Host {
     cores: BTreeMap<PeerId, SessionCore>,
     routing: RoutingCore,
-    sink: SinkHandle,
-    node_label: u32,
 }
 
 impl Host {
     /// A speaker for AS `asn` with the given router ID and no neighbors.
     pub fn new(asn: u32, router_id: Ipv4Addr) -> Self {
-        Host {
-            cores: BTreeMap::new(),
-            routing: RoutingCore::new(asn, router_id),
-            sink: SinkHandle::none(),
-            node_label: 0,
-        }
-    }
-
-    /// Attach a telemetry sink; `node_label` identifies this speaker in
-    /// recorded events. Reaches every session, present and future.
-    pub fn set_telemetry(&mut self, sink: SinkHandle, node_label: u32) {
-        self.routing.set_telemetry(sink.clone(), node_label);
-        for (id, core) in self.cores.iter_mut() {
-            core.set_telemetry(sink.clone(), node_label, id.0);
-        }
-        self.sink = sink;
-        self.node_label = node_label;
+        Host { cores: BTreeMap::new(), routing: RoutingCore::new(asn, router_id) }
     }
 
     /// Register a neighbor. Panics if the peer ID is already used.
     pub fn add_peer(&mut self, id: PeerId, cfg: NeighborConfig) {
-        let mut core = SessionCore::new(cfg.session.clone());
-        core.set_telemetry(self.sink.clone(), self.node_label, id.0);
-        self.cores.insert(id, core);
+        self.cores.insert(id, SessionCore::new(cfg.session.clone()));
         self.routing.add_peer(id, cfg);
     }
 
@@ -249,8 +230,8 @@ impl Host {
     fn absorb_ops(&self, ops: Vec<RibOp>, out: &mut Vec<HostOutput>) {
         for op in ops {
             match op {
-                RibOp::BestRouteChanged(prefix, entry) => {
-                    out.push(HostOutput::Best(prefix, entry));
+                RibOp::BestRouteChanged(prefix, entry, selection) => {
+                    out.push(HostOutput::Best(prefix, entry, selection));
                 }
                 RibOp::Announce(pid, update) => {
                     let core = &self.cores[&pid];

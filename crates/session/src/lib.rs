@@ -5,8 +5,12 @@
 //!
 //! Everything in this crate is a pure state machine: bytes and
 //! timestamps go in, bytes, timer deadlines and RIB deltas come out.
-//! No sockets, no clocks, no threads — the host decides what "now"
-//! means and owns every side effect. Two kinds of frontend drive this
+//! No sockets, no clocks, no threads, no trace — the host decides what
+//! "now" means and owns every side effect, recording included: a best
+//! route change comes out with its
+//! [`Selection`](dbgp_telemetry::Selection) (why the winner won, out of
+//! how many candidates), and a host that keeps a trace stamps that with
+//! the time and the cause it knows. Two kinds of frontend drive this
 //! crate today, both through the one [`host::Host`] assembly:
 //!
 //! * in-process fabrics — `dbgpd`'s oracle, and `dbgp-bgp`'s `Speaker`

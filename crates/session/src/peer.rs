@@ -20,7 +20,6 @@ use crate::config::PeerConfig;
 use crate::session::{Action, DownReason, Millis, Session, SessionEvent, SessionState};
 use crate::stream::StreamReassembler;
 use bytes::Bytes;
-use dbgp_telemetry::SinkHandle;
 use dbgp_wire::message::{notif, BgpMessage, NotificationMsg, UpdateMsg};
 use dbgp_wire::WireError;
 
@@ -74,10 +73,8 @@ struct Half {
 }
 
 impl Half {
-    fn new(cfg: PeerConfig, sink: &SinkHandle, node: u32, peer: u32) -> Self {
-        let mut session = Session::new(cfg);
-        session.set_telemetry(sink.clone(), node, peer);
-        Half { session, rx: StreamReassembler::new() }
+    fn new(cfg: PeerConfig) -> Self {
+        Half { session: Session::new(cfg), rx: StreamReassembler::new() }
     }
 
     fn live(&self) -> bool {
@@ -96,29 +93,13 @@ pub struct SessionCore {
     inb: Option<Half>,
     /// Which connection carried the session to Established.
     active: Option<ConnDir>,
-    sink: SinkHandle,
-    node_label: u32,
-    peer_label: u32,
 }
 
 impl SessionCore {
     /// A core for the given peer configuration, in Idle.
     pub fn new(cfg: PeerConfig) -> Self {
-        let sink = SinkHandle::none();
-        let out = Half::new(cfg.clone(), &sink, 0, 0);
-        SessionCore { cfg, out, inb: None, active: None, sink, node_label: 0, peer_label: 0 }
-    }
-
-    /// Attach a telemetry sink; FSM transitions on both connection
-    /// slots are recorded with these labels.
-    pub fn set_telemetry(&mut self, sink: SinkHandle, node_label: u32, peer_label: u32) {
-        self.sink = sink;
-        self.node_label = node_label;
-        self.peer_label = peer_label;
-        self.out.session.set_telemetry(self.sink.clone(), node_label, peer_label);
-        if let Some(inb) = &mut self.inb {
-            inb.session.set_telemetry(self.sink.clone(), node_label, peer_label);
-        }
+        let out = Half::new(cfg.clone());
+        SessionCore { cfg, out, inb: None, active: None }
     }
 
     /// The peer configuration this core runs under.
@@ -208,7 +189,7 @@ impl SessionCore {
                 }
                 let mut cfg = self.cfg.clone();
                 cfg.passive = true;
-                let mut half = Half::new(cfg, &self.sink, self.node_label, self.peer_label);
+                let mut half = Half::new(cfg);
                 // Passive start parks the FSM in Active; the connection
                 // is already up, so it moves straight to OpenSent.
                 let mut actions = half.session.handle(now, SessionEvent::ManualStart);
@@ -357,8 +338,7 @@ impl SessionCore {
             ConnDir::Out => {
                 // The outbound slot is structural: replace it with a
                 // fresh Idle FSM (timers disarmed, buffer empty).
-                self.out =
-                    Half::new(self.cfg.clone(), &self.sink, self.node_label, self.peer_label);
+                self.out = Half::new(self.cfg.clone());
             }
         }
         if self.active == Some(dir) {

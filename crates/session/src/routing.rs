@@ -4,10 +4,12 @@
 //!
 //! [`RoutingCore`] is the routing half of a BGP speaker with the
 //! session machinery cut away: it never sees bytes or timers, only
-//! parsed [`UpdateMsg`]s and peer up/down edges, and it answers with
-//! [`RibOp`]s — UPDATEs to send (unencoded; the host picks the wire
-//! encoding per the peer's negotiated capabilities) and best-route
-//! changes for the host's FIB. [`crate::host::Host`] puts it behind the
+//! parsed [`UpdateMsg`]s and peer up/down edges (the `now` every entry
+//! point takes, as every sans-IO call in this crate does, is not read:
+//! nothing here is timed yet), and it answers with [`RibOp`]s — UPDATEs
+//! to send (unencoded; the host picks the wire encoding per the peer's
+//! negotiated capabilities) and best-route changes, each with why the
+//! new best won, for the host's FIB and trace. [`crate::host::Host`] puts it behind the
 //! session cores; the `dbgpd` daemon, its in-process oracle and
 //! `dbgp-bgp`'s `Speaker` all drive that one assembly, which is what
 //! makes the oracle-vs-daemon bit-match meaningful.
@@ -25,7 +27,7 @@ use crate::rib::{Entry, LocRibEntry, RouteSource};
 use crate::route::Route;
 use crate::session::{Millis, SessionSummary};
 use dbgp_rib::{recycle, PrefixTrie};
-use dbgp_telemetry::{SelectionReason, SinkHandle, TraceKind};
+use dbgp_telemetry::{Selection, SelectionReason};
 use dbgp_wire::message::UpdateMsg;
 use dbgp_wire::{Ipv4Addr, Ipv4Prefix, WireError};
 use std::collections::BTreeMap;
@@ -37,9 +39,10 @@ pub enum RibOp {
     /// Send this UPDATE to this peer. The host encodes it with the
     /// peer's negotiated 4-octet-AS setting.
     Announce(PeerId, UpdateMsg),
-    /// The best route for a prefix changed (`None` = now unreachable).
-    /// The host's data plane should update its FIB.
-    BestRouteChanged(Ipv4Prefix, Option<LocRibEntry>),
+    /// The best route for a prefix changed (`None` = now unreachable),
+    /// and why the new one won. The host's data plane should update its
+    /// FIB.
+    BestRouteChanged(Ipv4Prefix, Option<LocRibEntry>, Selection),
 }
 
 struct PeerEntry {
@@ -99,8 +102,6 @@ struct Pipeline {
     peers: BTreeMap<PeerId, PeerEntry>,
     /// Entries with an installed best: `loc_rib().len()` in O(1).
     installed: usize,
-    sink: SinkHandle,
-    node_label: u32,
     stats: Counters,
     /// Reusable decision-scratch buffers — always empty between calls;
     /// the `'static` parameters are placeholders [`dbgp_rib::recycle`]
@@ -192,8 +193,6 @@ impl RoutingCore {
                 router_id,
                 peers: BTreeMap::new(),
                 installed: 0,
-                sink: SinkHandle::none(),
-                node_label: 0,
                 stats: Counters::default(),
                 scratch_arcs: Vec::new(),
                 scratch_cands: Vec::new(),
@@ -235,13 +234,6 @@ impl RoutingCore {
     /// Withdrawn prefixes in those UPDATEs.
     pub fn withdrawn_out(&self) -> u64 {
         self.pipe.stats.withdrawn_out
-    }
-
-    /// Attach a telemetry sink; `node_label` identifies this speaker in
-    /// recorded decision events.
-    pub fn set_telemetry(&mut self, sink: SinkHandle, node_label: u32) {
-        self.pipe.sink = sink;
-        self.pipe.node_label = node_label;
     }
 
     /// Our AS number.
@@ -315,7 +307,7 @@ impl RoutingCore {
 
     /// The session with `id` went down: flush its RIB state and
     /// re-decide every prefix it contributed, in ascending prefix order.
-    pub fn peer_down(&mut self, now: Millis, id: PeerId) -> Vec<RibOp> {
+    pub fn peer_down(&mut self, _now: Millis, id: PeerId) -> Vec<RibOp> {
         let Self { table, pipe } = self;
         let mut out = Vec::new();
         let Some(peer) = pipe.peers.get_mut(&id) else { return out };
@@ -325,7 +317,7 @@ impl RoutingCore {
         table.for_each_mut(|prefix, entry| {
             entry.slots.withdraw(id);
             if entry.slots.unreceive(id).is_some() {
-                pipe.redecide(now, entry, *prefix, &mut out);
+                pipe.redecide(entry, *prefix, &mut out);
             }
             if entry.is_idle() {
                 idle.push(*prefix);
@@ -346,14 +338,14 @@ impl RoutingCore {
     /// RFC 4271 §6.3 treatment of malformed attribute blocks.
     pub fn update(
         &mut self,
-        now: Millis,
+        _now: Millis,
         id: PeerId,
         update: UpdateMsg,
     ) -> (Vec<RibOp>, Option<WireError>) {
         let Self { table, pipe } = self;
         let mut out = Vec::new();
         for prefix in &update.withdrawn {
-            pipe.unreceive(table, now, id, *prefix, &mut out);
+            pipe.unreceive(table, id, *prefix, &mut out);
         }
         // Flushed between the two sections: a prefix both withdrawn and
         // announced by this UPDATE must end announced at every peer, and
@@ -402,11 +394,11 @@ impl RoutingCore {
                     // below runs on this entry.
                     let entry = table.get_or_insert_with(*prefix, Entry::default);
                     entry.slots.receive(id, route);
-                    pipe.redecide(now, entry, *prefix, &mut out);
+                    pipe.redecide(entry, *prefix, &mut out);
                 }
                 // Looped or rejected: an implicit withdraw of whatever
                 // the peer had advertised for the prefix.
-                None => pipe.unreceive(table, now, id, *prefix, &mut out),
+                None => pipe.unreceive(table, id, *prefix, &mut out),
             }
         }
         pipe.flush_staged(table, &mut out);
@@ -414,23 +406,23 @@ impl RoutingCore {
     }
 
     /// Originate a prefix locally and propagate it.
-    pub fn originate(&mut self, now: Millis, prefix: Ipv4Prefix) -> Vec<RibOp> {
+    pub fn originate(&mut self, _now: Millis, prefix: Ipv4Prefix) -> Vec<RibOp> {
         let Self { table, pipe } = self;
         let mut out = Vec::new();
         let entry = table.get_or_insert_with(prefix, Entry::default);
         entry.originated = Some(Arc::new(Route::originated(pipe.router_id)));
-        pipe.redecide(now, entry, prefix, &mut out);
+        pipe.redecide(entry, prefix, &mut out);
         pipe.flush_staged(table, &mut out);
         out
     }
 
     /// Stop originating a prefix.
-    pub fn withdraw_origin(&mut self, now: Millis, prefix: Ipv4Prefix) -> Vec<RibOp> {
+    pub fn withdraw_origin(&mut self, _now: Millis, prefix: Ipv4Prefix) -> Vec<RibOp> {
         let Self { table, pipe } = self;
         let mut out = Vec::new();
         pipe.on_existing(table, prefix, |pipe, entry| {
             if entry.originated.take().is_some() {
-                pipe.redecide(now, entry, prefix, &mut out);
+                pipe.redecide(entry, prefix, &mut out);
             }
         });
         pipe.flush_staged(table, &mut out);
@@ -541,14 +533,13 @@ impl Pipeline {
     fn unreceive(
         &mut self,
         table: &mut Table,
-        now: Millis,
         id: PeerId,
         prefix: Ipv4Prefix,
         out: &mut Vec<RibOp>,
     ) {
         self.on_existing(table, prefix, |pipe, entry| {
             if entry.slots.unreceive(id).is_some() {
-                pipe.redecide(now, entry, prefix, out);
+                pipe.redecide(entry, prefix, out);
             }
         });
     }
@@ -560,53 +551,12 @@ impl Pipeline {
     /// same-neighbour-AS MED rule makes the comparison intransitive
     /// (`decision::tests::med_default_is_intransitive`), so "loses to
     /// the installed best" proves nothing about the next winner.
-    fn redecide(
-        &mut self,
-        now: Millis,
-        entry: &mut Entry,
-        prefix: Ipv4Prefix,
-        out: &mut Vec<RibOp>,
-    ) {
-        let explain = self.sink.enabled();
-        let (new_best, why, n_candidates) = self.select_best(entry, explain);
-        if entry.best == new_best {
-            return;
-        }
-        if explain {
-            let (selected, neighbor_as, path, hops) = match &new_best {
-                Some(best) => {
-                    let nas = match best.source {
-                        RouteSource::Peer(pid) => Some(self.peers[&pid].cfg.peer_as),
-                        RouteSource::Local => None,
-                    };
-                    (
-                        true,
-                        nas,
-                        best.route.as_path.to_string(),
-                        best.route.as_path.hop_count() as u32,
-                    )
-                }
-                None => (false, None, String::new(), 0),
-            };
-            self.sink.record_at(
-                now,
-                self.node_label,
-                self.sink.ambient_parent(),
-                TraceKind::Decision {
-                    prefix,
-                    selected,
-                    neighbor_as,
-                    path,
-                    hops,
-                    candidates: n_candidates,
-                    why,
-                },
-            );
-        }
+    fn redecide(&mut self, entry: &mut Entry, prefix: Ipv4Prefix, out: &mut Vec<RibOp>) {
+        let Some((new_best, selection)) = self.select_best(entry) else { return };
         self.installed += usize::from(new_best.is_some());
         self.installed -= usize::from(entry.best.is_some());
         entry.best = new_best.clone();
-        out.push(RibOp::BestRouteChanged(prefix, new_best));
+        out.push(RibOp::BestRouteChanged(prefix, new_best, selection));
         let src_ibgp = entry.best.as_ref().is_some_and(|b| self.source_is_ibgp(b.source));
         for (&id, peer) in self.peers.iter_mut().filter(|(_, p)| p.summary.is_some()) {
             let export = entry
@@ -633,11 +583,10 @@ impl Pipeline {
         }
     }
 
-    fn select_best(
-        &mut self,
-        entry: &Entry,
-        explain: bool,
-    ) -> (Option<LocRibEntry>, SelectionReason, u32) {
+    /// The decision process over one entry's candidates. `None` when it
+    /// selects what is installed already; otherwise the new best, why it
+    /// won and against how many.
+    fn select_best(&mut self, entry: &Entry) -> Option<(Option<LocRibEntry>, Selection)> {
         // Check out the reusable scratch buffers (only the capacity
         // allocations are recycled).
         let mut arcs: Vec<&Arc<Route>> = recycle(std::mem::take(&mut self.scratch_arcs));
@@ -660,20 +609,17 @@ impl Pipeline {
                 peer_router_id: peer.summary.map(|s| s.peer_id).unwrap_or(Ipv4Addr(u32::MAX)),
             });
         }
-        let n = candidates.len() as u32;
-        let picked = if explain {
-            decision::best_explain(&candidates)
-        } else {
-            decision::best(&candidates).map(|i| (i, SelectionReason::ModulePreference))
-        };
-        let result = match picked {
-            Some((i, why)) => (
-                Some(LocRibEntry { route: Arc::clone(arcs[i]), source: candidates[i].source }),
-                why,
-                n,
-            ),
-            None => (None, SelectionReason::Unreachable, n),
-        };
+        let winner = decision::best(&candidates);
+        let new_best = winner
+            .map(|i| LocRibEntry { route: Arc::clone(arcs[i]), source: candidates[i].source });
+        // Only a changed best is announced, so only it is explained.
+        let result = (entry.best != new_best).then(|| {
+            let why = match winner {
+                Some(i) => decision::explain(&candidates, i),
+                None => SelectionReason::Unreachable,
+            };
+            (new_best, Selection { why, candidates: candidates.len() as u32 })
+        });
         // Check the scratch buffers back in, empty again.
         self.scratch_arcs = recycle(arcs);
         self.scratch_cands = recycle(candidates);

@@ -13,7 +13,6 @@
 //! and no DelayOpen.
 
 use crate::config::PeerConfig;
-use dbgp_telemetry::{SinkHandle, TraceKind};
 use dbgp_wire::message::{notif, BgpMessage, NotificationMsg, OpenMsg, UpdateMsg};
 use dbgp_wire::Capability;
 
@@ -35,20 +34,6 @@ pub enum SessionState {
     OpenConfirm,
     /// Session fully up; UPDATEs flow.
     Established,
-}
-
-impl SessionState {
-    /// Stable lowercase name used in telemetry events.
-    pub fn name(self) -> &'static str {
-        match self {
-            SessionState::Idle => "idle",
-            SessionState::Connect => "connect",
-            SessionState::Active => "active",
-            SessionState::OpenSent => "opensent",
-            SessionState::OpenConfirm => "openconfirm",
-            SessionState::Established => "established",
-        }
-    }
 }
 
 /// Inputs to the FSM.
@@ -133,12 +118,6 @@ pub struct Session {
     connect_retry_deadline: Option<Millis>,
     hold_deadline: Option<Millis>,
     keepalive_deadline: Option<Millis>,
-    /// Telemetry sink; no-op by default.
-    sink: SinkHandle,
-    /// Host-assigned label (node index) stamped on emitted events.
-    node_label: u32,
-    /// Host-assigned peer label recorded on FSM transition events.
-    peer_label: u32,
 }
 
 impl Session {
@@ -154,37 +133,6 @@ impl Session {
             connect_retry_deadline: None,
             hold_deadline: None,
             keepalive_deadline: None,
-            sink: SinkHandle::none(),
-            node_label: 0,
-            peer_label: 0,
-        }
-    }
-
-    /// Attach a telemetry sink. Every FSM transition is then recorded as
-    /// a `SessionFsm` event stamped with `node_label`/`peer_label`.
-    pub fn set_telemetry(&mut self, sink: SinkHandle, node_label: u32, peer_label: u32) {
-        self.sink = sink;
-        self.node_label = node_label;
-        self.peer_label = peer_label;
-    }
-
-    /// Move to `to`, recording the transition when it changes state and
-    /// telemetry is attached.
-    fn transition(&mut self, now: Millis, to: SessionState, trigger: &'static str) {
-        let from = self.state;
-        self.state = to;
-        if from != to && self.sink.enabled() {
-            self.sink.record_at(
-                now,
-                self.node_label,
-                None,
-                TraceKind::SessionFsm {
-                    peer: self.peer_label,
-                    from: from.name().to_string(),
-                    to: to.name().to_string(),
-                    trigger: trigger.to_string(),
-                },
-            );
         }
     }
 
@@ -225,7 +173,7 @@ impl Session {
             self.connect_retry_deadline = Some(now + self.config.connect_retry_ms);
             match self.state {
                 SessionState::Connect | SessionState::Active => {
-                    self.transition(now, SessionState::Connect, "connect-retry");
+                    self.state = SessionState::Connect;
                     actions.push(Action::TcpConnect);
                 }
                 _ => {}
@@ -236,11 +184,7 @@ impl Session {
             let notification = NotificationMsg::new(notif::HOLD_TIMER_EXPIRED, 0);
             actions.push(Action::Send(BgpMessage::Notification(notification)));
             actions.push(Action::TcpClose);
-            actions.extend(self.enter_idle(
-                now,
-                DownReason::HoldTimerExpired,
-                "hold-timer-expired",
-            ));
+            actions.extend(self.enter_idle(DownReason::HoldTimerExpired));
         }
         if self.keepalive_deadline.is_some_and(|d| d <= now) {
             if self.state == SessionState::Established || self.state == SessionState::OpenConfirm {
@@ -261,10 +205,10 @@ impl Session {
             (Idle, ManualStart) => {
                 self.connect_retry_deadline = Some(now + self.config.connect_retry_ms);
                 if self.config.passive {
-                    self.transition(now, Active, "manual-start");
+                    self.state = Active;
                     vec![]
                 } else {
-                    self.transition(now, Connect, "manual-start");
+                    self.state = Connect;
                     vec![Action::TcpConnect]
                 }
             }
@@ -275,30 +219,30 @@ impl Session {
                     Action::Send(BgpMessage::Notification(NotificationMsg::new(notif::CEASE, 0))),
                     Action::TcpClose,
                 ];
-                actions.extend(self.enter_idle(now, DownReason::AdminStop, "manual-stop"));
+                actions.extend(self.enter_idle(DownReason::AdminStop));
                 actions
             }
             (Connect | Active, TcpConnected) => {
-                self.transition(now, OpenSent, "tcp-connected");
+                self.state = OpenSent;
                 self.connect_retry_deadline = None;
                 self.hold_deadline = Some(now + OPEN_HOLD_MS);
                 vec![Action::Send(BgpMessage::Open(self.make_open()))]
             }
             (Connect, TcpFailed) => {
-                self.transition(now, Active, "tcp-failed");
+                self.state = Active;
                 vec![]
             }
             (Active, TcpFailed) => vec![],
             (Connect | Active, _) => vec![],
             (OpenSent, Message(BgpMessage::Open(open))) => self.on_open(now, open),
             (OpenSent, TcpClosed) => {
-                self.transition(now, Active, "tcp-closed");
+                self.state = Active;
                 self.hold_deadline = None;
                 self.connect_retry_deadline = Some(now + self.config.connect_retry_ms);
                 vec![]
             }
             (OpenConfirm, Message(BgpMessage::Keepalive)) => {
-                self.transition(now, Established, "keepalive-received");
+                self.state = Established;
                 self.arm_established_timers(now);
                 vec![Action::Up(self.summary())]
             }
@@ -312,14 +256,10 @@ impl Session {
             }
             (_, Message(BgpMessage::Notification(n))) => {
                 let mut actions = vec![Action::TcpClose];
-                actions.extend(self.enter_idle(now, DownReason::Notification(n), "notification"));
+                actions.extend(self.enter_idle(DownReason::Notification(n)));
                 actions
             }
-            (OpenConfirm | Established, TcpClosed) => {
-                let mut actions = Vec::new();
-                actions.extend(self.enter_idle(now, DownReason::TransportClosed, "tcp-closed"));
-                actions
-            }
+            (OpenConfirm | Established, TcpClosed) => self.enter_idle(DownReason::TransportClosed),
             // Anything else is an FSM error: NOTIFICATION and reset.
             (_, Message(_)) => {
                 let notification = NotificationMsg::new(notif::FSM_ERROR, 0);
@@ -327,11 +267,7 @@ impl Session {
                     Action::Send(BgpMessage::Notification(notification.clone())),
                     Action::TcpClose,
                 ];
-                actions.extend(self.enter_idle(
-                    now,
-                    DownReason::Notification(notification),
-                    "fsm-error",
-                ));
+                actions.extend(self.enter_idle(DownReason::Notification(notification)));
                 actions
             }
             (_, TcpFailed | TcpConnected) => vec![],
@@ -354,11 +290,7 @@ impl Session {
                 let notification = NotificationMsg::new(notif::OPEN_ERROR, 2); // bad peer AS
                 let mut actions =
                     vec![Action::Send(BgpMessage::Notification(notification)), Action::TcpClose];
-                actions.extend(self.enter_idle(
-                    now,
-                    DownReason::OpenRejected("unexpected peer AS"),
-                    "open-rejected",
-                ));
+                actions.extend(self.enter_idle(DownReason::OpenRejected("unexpected peer AS")));
                 return actions;
             }
         }
@@ -371,7 +303,7 @@ impl Session {
         self.four_octet = open.capabilities.iter().any(|c| matches!(c, Capability::FourOctetAs(_)));
         self.ia_support = open.supports_ia() && self.config.advertise_ia;
         self.peer_open = Some(open);
-        self.transition(now, SessionState::OpenConfirm, "open-received");
+        self.state = SessionState::OpenConfirm;
         self.arm_established_timers(now);
         vec![Action::Send(BgpMessage::Keepalive)]
     }
@@ -407,17 +339,12 @@ impl Session {
         }
     }
 
-    fn enter_idle(
-        &mut self,
-        now: Millis,
-        reason: DownReason,
-        trigger: &'static str,
-    ) -> Vec<Action> {
+    fn enter_idle(&mut self, reason: DownReason) -> Vec<Action> {
         let was_live = matches!(
             self.state,
             SessionState::Established | SessionState::OpenConfirm | SessionState::OpenSent
         );
-        self.transition(now, SessionState::Idle, trigger);
+        self.state = SessionState::Idle;
         self.peer_open = None;
         self.hold_deadline = None;
         self.keepalive_deadline = None;

@@ -544,3 +544,12 @@ fn peer_down_withdraws_a_table_in_a_handful_of_frames() {
     assert!(frames <= 12, "{frames} frames to withdraw {} routes", routes.len());
     assert_eq!(core.withdrawn_out(), 3 * routes.len() as u64, "two listeners, one feeder");
 }
+
+/// `BestRouteChanged` / `Best` carry why the winner won; both enums
+/// are as large as their widest variant (`Announce`, `Down`) was
+/// before.
+#[test]
+fn the_outputs_did_not_grow() {
+    assert_eq!(std::mem::size_of::<RibOp>(), 80);
+    assert_eq!(std::mem::size_of::<dbgp_session::HostOutput>(), 48);
+}

@@ -21,13 +21,13 @@ use crate::link::LinkModel;
 use crate::link::SimRng;
 use bytes::Bytes;
 use dbgp_core::{
-    DbgpConfig, DbgpNeighbor, DbgpOutput, DbgpSpeaker, DbgpUpdate, NeighborId, PeerClass,
+    render_path, DbgpConfig, DbgpNeighbor, DbgpOutput, DbgpSpeaker, DbgpUpdate, NeighborId,
+    PeerClass,
 };
 use dbgp_protocols::{MiroPortal, MiroRequest};
 use dbgp_rib::PrefixTrie;
 use dbgp_telemetry::{
-    CounterId, EventId, GaugeId, HistogramId, MetricsRegistry, Semantics, SinkHandle, TraceKind,
-    TraceRecorder,
+    CounterId, EventId, GaugeId, HistogramId, MetricsRegistry, Semantics, TraceKind, TraceRecorder,
 };
 use dbgp_wire::{EncodedIa, Ia, Ipv4Addr, Ipv4Prefix, ProtocolId};
 use serde_json::Value;
@@ -71,21 +71,16 @@ enum Event {
     OobResponse { to: NodeId, from_addr: Ipv4Addr, payload: Vec<u8> },
 }
 
-/// A service reachable over the out-of-band bus (the paper's portals and
-/// lookup services, §3.4, §5).
+/// A service reachable over the out-of-band bus (the paper's portals,
+/// §3.4).
 pub enum Service {
-    /// A Wiser cost-exchange portal: forwards [`dbgp_protocols::CostReport`]
-    /// payloads into the owning node's Wiser module.
-    WiserCostExchange,
-    /// A generic module inbox: forwards raw payloads into the owning
-    /// node's decision module for the given protocol via
-    /// `DecisionModule::deliver_oob` (used e.g. for HLP's intra-island
-    /// LSA flooding).
+    /// A module inbox: forwards raw payloads into the owning node's
+    /// decision module for the given protocol via
+    /// `DecisionModule::deliver_oob` (Wiser's cost-exchange portal,
+    /// HLP's intra-island LSA flooding).
     ModuleInbox(ProtocolId),
     /// A MIRO service portal: negotiates alternate paths for payment.
     Miro(MiroPortal),
-    /// A generic key-value lookup service (Beagle's out-of-band IA store).
-    Lookup(HashMap<Vec<u8>, Vec<u8>>),
 }
 
 /// A coalesced outbound advertisement: the latest IA for a prefix
@@ -372,10 +367,9 @@ pub struct Sim {
     /// policy oscillations burn bandwidth instead of CPU). Latest state
     /// wins within a window.
     mrai: SimTime,
-    /// Telemetry sink; `SinkHandle::none()` (one predictable branch per
-    /// instrumentation site) unless [`Sim::enable_telemetry`] was called.
-    sink: SinkHandle,
-    /// The recorder behind `sink`, kept for watermark/scan queries.
+    /// Where control-plane events are recorded; `None` (one predictable
+    /// branch per instrumentation site) unless
+    /// [`Sim::enable_telemetry`] was called.
     recorder: Option<Rc<TraceRecorder>>,
     /// Metrics registry mirrored from [`SimStats`] at snapshot time.
     metrics: SimMetrics,
@@ -440,7 +434,6 @@ impl Sim {
             rng: SimRng::new(0),
             oob_delay: 5,
             mrai: 30,
-            sink: SinkHandle::none(),
             recorder: None,
             metrics: SimMetrics::new(),
             delay_sum: 0,
@@ -459,20 +452,16 @@ impl Sim {
     #[doc(hidden)]
     pub fn set_threads(&mut self, _: usize) {}
 
-    /// Attach a recording sink: every control-plane action from here on
-    /// is recorded as a causally linked [`dbgp_telemetry::TraceEvent`],
-    /// and each speaker's decision process starts explaining itself.
+    /// Attach a recorder: every control-plane action from here on —
+    /// the simulator's own and what the speakers report back — is
+    /// recorded as a causally linked [`dbgp_telemetry::TraceEvent`].
     /// Node -> ASN labels are registered with the recorder (nodes added
     /// later register at [`Sim::add_node`] time).
     pub fn enable_telemetry(&mut self, recorder: Rc<TraceRecorder>) {
         for (i, node) in self.nodes.iter().enumerate() {
             recorder.set_node_asn(i as u32, node.speaker.asn());
         }
-        self.sink = SinkHandle::new(recorder.clone());
         self.recorder = Some(recorder);
-        for (i, node) in self.nodes.iter_mut().enumerate() {
-            node.speaker.set_telemetry(self.sink.clone(), i as u32);
-        }
     }
 
     /// The recorder attached by [`Sim::enable_telemetry`], if any.
@@ -529,10 +518,9 @@ impl Sim {
     pub fn add_node(&mut self, cfg: DbgpConfig) -> NodeId {
         let id = self.nodes.len();
         let addr = Ipv4Addr::new(10, (id >> 8) as u8, (id & 0xff) as u8, 1);
-        let mut speaker = DbgpSpeaker::new(cfg);
+        let speaker = DbgpSpeaker::new(cfg);
         if let Some(recorder) = &self.recorder {
             recorder.set_node_asn(id as u32, speaker.asn());
-            speaker.set_telemetry(self.sink.clone(), id as u32);
         }
         self.nodes.push(Node {
             speaker,
@@ -652,13 +640,12 @@ impl Sim {
         self.nodes[node].speaker.config().island.as_ref().map(|i| i.id.0)
     }
 
-    /// Sync the sink's ambient clock to simulation time so events the
-    /// speakers record from inside their pipelines are stamped correctly.
+    /// Record `kind` at `node`, now, as a consequence of `parent`; the
+    /// new event's id, or `None` when nothing is being recorded.
     #[inline]
-    fn sync_trace_clock(&self) {
-        if self.sink.enabled() {
-            self.sink.set_now(self.queue.now());
-        }
+    fn record(&self, node: NodeId, parent: Option<EventId>, kind: TraceKind) -> Option<EventId> {
+        let recorder = self.recorder.as_ref()?;
+        Some(recorder.record(self.queue.now(), node as u32, parent, kind))
     }
 
     /// Connect two nodes with symmetric one-way `delay`. `same_island`
@@ -754,52 +741,25 @@ impl Sim {
 
     /// Originate a prefix at a node.
     pub fn originate(&mut self, node: NodeId, prefix: Ipv4Prefix) {
-        self.sync_trace_clock();
-        let root = self.sink.record_at(
-            self.queue.now(),
-            node as u32,
-            None,
-            TraceKind::Originate { prefix },
-        );
+        let root = self.record(node, None, TraceKind::Originate { prefix });
         let addr = self.nodes[node].addr;
-        self.sink.set_ambient_parent(root);
         let outputs = self.nodes[node].speaker.originate(prefix, addr);
-        self.sink.set_ambient_parent(None);
-        self.apply_local(node, &outputs);
-        self.dispatch(node, outputs, root);
+        self.absorb(node, root, outputs);
     }
 
     /// Originate a hand-built IA at a node (replacement protocols use
     /// this to control descriptors).
     pub fn originate_ia(&mut self, node: NodeId, ia: dbgp_wire::Ia) {
-        self.sync_trace_clock();
-        let root = self.sink.record_at(
-            self.queue.now(),
-            node as u32,
-            None,
-            TraceKind::Originate { prefix: ia.prefix },
-        );
-        self.sink.set_ambient_parent(root);
+        let root = self.record(node, None, TraceKind::Originate { prefix: ia.prefix });
         let outputs = self.nodes[node].speaker.originate_ia(ia);
-        self.sink.set_ambient_parent(None);
-        self.apply_local(node, &outputs);
-        self.dispatch(node, outputs, root);
+        self.absorb(node, root, outputs);
     }
 
     /// Withdraw a locally originated prefix.
     pub fn withdraw(&mut self, node: NodeId, prefix: Ipv4Prefix) {
-        self.sync_trace_clock();
-        let root = self.sink.record_at(
-            self.queue.now(),
-            node as u32,
-            None,
-            TraceKind::OriginWithdraw { prefix },
-        );
-        self.sink.set_ambient_parent(root);
+        let root = self.record(node, None, TraceKind::OriginWithdraw { prefix });
         let outputs = self.nodes[node].speaker.withdraw_origin(prefix);
-        self.sink.set_ambient_parent(None);
-        self.apply_local(node, &outputs);
-        self.dispatch(node, outputs, root);
+        self.absorb(node, root, outputs);
     }
 
     /// Fail the link between two nodes: both speakers see the neighbor
@@ -811,13 +771,7 @@ impl Sim {
             Some(l) if l.up => l.up = false,
             _ => return,
         }
-        self.sync_trace_clock();
-        let root = self.sink.record_at(
-            self.queue.now(),
-            a as u32,
-            None,
-            TraceKind::LinkDown { a: a as u32, b: b as u32 },
-        );
+        let root = self.record(a, None, TraceKind::LinkDown { a: a as u32, b: b as u32 });
         for (me, peer) in [(a, b), (b, a)] {
             self.teardown_neighbor(me, peer, "link-down", root);
         }
@@ -836,13 +790,7 @@ impl Sim {
             }
             _ => return,
         };
-        self.sync_trace_clock();
-        let root = self.sink.record_at(
-            self.queue.now(),
-            a as u32,
-            None,
-            TraceKind::LinkUp { a: a as u32, b: b as u32 },
-        );
+        let root = self.record(a, None, TraceKind::LinkUp { a: a as u32, b: b as u32 });
         for (me, peer) in [(a, b), (b, a)] {
             self.establish(me, peer, same_island, speaks_dbgp, "link-up", root);
         }
@@ -866,13 +814,7 @@ impl Sim {
         let generation = self.nodes[node].counters.generation + 1;
         self.metrics.registry.on_restart();
         self.metrics.registry.inc(self.metrics.node_restarts, 1);
-        self.sync_trace_clock();
-        let root = self.sink.record_at(
-            self.queue.now(),
-            node as u32,
-            None,
-            TraceKind::NodeRestart { generation },
-        );
+        let root = self.record(node, None, TraceKind::NodeRestart { generation });
         for &(peer, ..) in &peers {
             self.teardown_neighbor(node, peer, "node-restart", root);
             self.teardown_neighbor(peer, node, "node-restart", root);
@@ -961,10 +903,8 @@ impl Sim {
                 self.stats.bytes += bytes.len() as u64;
                 self.nodes[to].counters.messages_in += 1;
                 self.metrics.registry.observe(self.metrics.message_bytes, bytes.len() as u64);
-                self.sink.set_now(at);
-                let deliver_id = self.sink.record_at(
-                    at,
-                    to as u32,
+                let deliver_id = self.record(
+                    to,
                     trace.as_ref().map(|t| t.frame),
                     TraceKind::Deliver { from: from as u32, bytes: bytes.len() as u32 },
                 );
@@ -974,12 +914,7 @@ impl Sim {
                 self.phase_add(t, Phase::Decode);
                 let Ok(update) = decoded else {
                     self.stats.decode_errors += 1;
-                    self.sink.record_at(
-                        at,
-                        to as u32,
-                        deliver_id,
-                        TraceKind::DecodeError { from: from as u32 },
-                    );
+                    self.record(to, deliver_id, TraceKind::DecodeError { from: from as u32 });
                     return;
                 };
                 let Some(&from_id) = self.nodes[to].ids_by_node.get(&from) else {
@@ -1029,13 +964,11 @@ impl Sim {
         prefix: Ipv4Prefix,
         ia: Option<Ia>,
     ) {
-        let decode_id = self.sink.record_at(
-            self.queue.now(),
-            to as u32,
+        let decode_id = self.record(
+            to,
             parent,
             TraceKind::Decode { prefix, from: from as u32, withdraw: ia.is_none() },
         );
-        self.sink.set_ambient_parent(decode_id);
         let t = self.phase_now();
         let speaker = &mut self.nodes[to].speaker;
         let outputs = match ia {
@@ -1043,9 +976,7 @@ impl Sim {
             None => speaker.receive_withdraw(from_id, prefix),
         };
         self.phase_add(t, Phase::Decide);
-        self.sink.set_ambient_parent(None);
-        self.apply_local(to, &outputs);
-        self.dispatch(to, outputs, decode_id);
+        self.absorb(to, decode_id, outputs);
     }
 
     // ----- internals ----------------------------------------------------
@@ -1080,25 +1011,9 @@ impl Sim {
         {
             neighbor.class = Some(if me < peer { lo_view } else { hi_view });
         }
-        let root = if self.sink.enabled() {
-            self.sink.record_at(
-                self.queue.now(),
-                me as u32,
-                parent,
-                TraceKind::SessionFsm {
-                    peer: peer as u32,
-                    from: "down".into(),
-                    to: "up".into(),
-                    trigger: trigger.into(),
-                },
-            )
-        } else {
-            None
-        };
-        self.sink.set_ambient_parent(root);
+        let root = self.record_adjacency(me, peer, parent, true, trigger);
         let outputs = self.nodes[me].speaker.add_neighbor(id, neighbor);
-        self.sink.set_ambient_parent(None);
-        self.dispatch(me, outputs, root);
+        self.absorb(me, root, outputs);
     }
 
     /// One end of session teardown: `me` loses its adjacency to `peer`.
@@ -1113,56 +1028,93 @@ impl Sim {
         self.nodes[me].neighbor_nodes.remove(&id);
         self.nodes[me].ids_by_node.remove(&peer);
         self.nodes[me].pending_out.remove(&id);
-        let root = if self.sink.enabled() {
-            self.sink.record_at(
-                self.queue.now(),
-                me as u32,
-                parent,
-                TraceKind::SessionFsm {
-                    peer: peer as u32,
-                    from: "up".into(),
-                    to: "down".into(),
-                    trigger: trigger.into(),
-                },
-            )
-        } else {
-            None
-        };
-        self.sink.set_ambient_parent(root);
+        let root = self.record_adjacency(me, peer, parent, false, trigger);
         let outputs = self.nodes[me].speaker.neighbor_down(id);
-        self.sink.set_ambient_parent(None);
-        self.apply_local(me, &outputs);
-        self.dispatch(me, outputs, root);
+        self.absorb(me, root, outputs);
     }
 
-    /// Track FIB updates and churn from `BestChanged` outputs.
-    fn apply_local(&mut self, node: NodeId, outputs: &[DbgpOutput]) {
-        for output in outputs {
-            if let DbgpOutput::BestChanged(prefix, chosen) = output {
-                self.stats.best_changes += 1;
-                self.nodes[node].counters.best_changes += 1;
-                let record = self.churn.entry((node, *prefix)).or_default();
-                record.best_changes += 1;
-                record.last_change_at = self.queue.now();
-                let (installed, next) = match chosen {
-                    Some(chosen) => {
-                        let next = chosen
-                            .neighbor
-                            .and_then(|n| self.nodes[node].neighbor_nodes.get(&n).copied());
-                        self.nodes[node].fib.insert(*prefix, next);
-                        (true, next)
-                    }
-                    None => {
-                        self.nodes[node].fib.remove(prefix);
-                        (false, None)
-                    }
-                };
-                let at = self.queue.now();
-                if let Some(capture) = &mut self.capture {
-                    capture.record(BestChange { at, node, prefix: *prefix, installed, next });
+    /// Record `me`'s adjacency to `peer` coming up or going down (the
+    /// strings are only built while recording).
+    fn record_adjacency(
+        &self,
+        me: NodeId,
+        peer: NodeId,
+        parent: Option<EventId>,
+        up: bool,
+        trigger: &str,
+    ) -> Option<EventId> {
+        self.recorder.as_ref()?;
+        let (from, to) = if up { ("down", "up") } else { ("up", "down") };
+        let kind = TraceKind::SessionFsm {
+            peer: peer as u32,
+            from: from.into(),
+            to: to.into(),
+            trigger: trigger.into(),
+        };
+        self.record(me, parent, kind)
+    }
+
+    /// Act on what a speaker call at `node` returned — the one path from
+    /// speaker outputs to the trace, the FIB / churn bookkeeping and the
+    /// wires. `cause` is the trace event (Decode, Originate, SessionFsm,
+    /// ...) that prompted the call: it parents the `Decision` and
+    /// `LoopDrop` events recorded here from what the speaker reported,
+    /// and then the sends. All of a call's decisions are recorded before
+    /// any of its sends is dispatched.
+    fn absorb(&mut self, node: NodeId, cause: Option<EventId>, outputs: Vec<DbgpOutput>) {
+        let at = self.queue.now();
+        for output in &outputs {
+            let (prefix, chosen, selection) = match output {
+                DbgpOutput::BestChanged(chosen, selection) => {
+                    (chosen.ia.prefix, Some(chosen), *selection)
                 }
+                DbgpOutput::Unreachable(prefix, selection) => (*prefix, None, *selection),
+                DbgpOutput::Rejected(from, prefix, reason) => {
+                    if self.recorder.is_some() {
+                        let from_as = self.nodes[node]
+                            .neighbor_nodes
+                            .get(from)
+                            .map_or(0, |&peer| self.nodes[peer].speaker.asn());
+                        let reason = format!("{reason:?}");
+                        self.record(
+                            node,
+                            cause,
+                            TraceKind::LoopDrop { prefix: *prefix, from_as, reason },
+                        );
+                    }
+                    continue;
+                }
+                DbgpOutput::SendIa(..) | DbgpOutput::SendWithdraw(..) => continue,
+            };
+            self.stats.best_changes += 1;
+            self.nodes[node].counters.best_changes += 1;
+            let record = self.churn.entry((node, prefix)).or_default();
+            record.best_changes += 1;
+            record.last_change_at = at;
+            let next =
+                chosen.and_then(|c| self.nodes[node].neighbor_nodes.get(&c.neighbor?).copied());
+            match chosen {
+                Some(_) => self.nodes[node].fib.insert(prefix, next),
+                None => self.nodes[node].fib.remove(&prefix),
+            };
+            if let Some(capture) = &mut self.capture {
+                let installed = chosen.is_some();
+                capture.record(BestChange { at, node, prefix, installed, next });
+            }
+            if self.recorder.is_some() {
+                let kind = TraceKind::Decision {
+                    prefix,
+                    selected: chosen.is_some(),
+                    neighbor_as: next.map(|peer| self.nodes[peer].speaker.asn()),
+                    path: chosen.map_or_else(String::new, |c| render_path(&c.ia)),
+                    hops: chosen.map_or(0, |c| c.ia.hop_count() as u32),
+                    candidates: selection.candidates,
+                    why: selection.why,
+                };
+                self.record(node, cause, kind);
             }
         }
+        self.dispatch(node, outputs, cause);
     }
 
     /// Turn speaker outputs into scheduled deliveries, coalescing per
@@ -1175,7 +1127,9 @@ impl Sim {
             let (neighbor, prefix, ia) = match output {
                 DbgpOutput::SendIa(neighbor, ia) => (neighbor, ia.prefix, Some(ia)),
                 DbgpOutput::SendWithdraw(neighbor, prefix) => (neighbor, prefix, None),
-                DbgpOutput::BestChanged(..) | DbgpOutput::Rejected(..) => continue,
+                DbgpOutput::BestChanged(..)
+                | DbgpOutput::Unreachable(..)
+                | DbgpOutput::Rejected(..) => continue,
             };
             if !self.nodes[node].neighbor_nodes.contains_key(&neighbor) {
                 continue;
@@ -1213,8 +1167,8 @@ impl Sim {
 
     /// Record the per-element trace events for one outgoing frame
     /// element (Advertise or Withdraw, plus an IslandCrossing child when
-    /// the adjacency spans an island boundary). Only called when the
-    /// sink is recording.
+    /// the adjacency spans an island boundary). Only called while
+    /// recording.
     fn record_element(
         &mut self,
         node: NodeId,
@@ -1223,20 +1177,18 @@ impl Sim {
         announce: bool,
         cause: Option<EventId>,
     ) -> Option<EventId> {
-        let at = self.queue.now();
         let kind = if announce {
             TraceKind::Advertise { prefix, to: to as u32 }
         } else {
             TraceKind::Withdraw { prefix, to: to as u32 }
         };
-        let id = self.sink.record_at(at, node as u32, cause, kind);
+        let id = self.record(node, cause, kind);
         if announce {
             let from_island = self.island_of(node);
             let to_island = self.island_of(to);
             if from_island != to_island {
-                self.sink.record_at(
-                    at,
-                    node as u32,
+                self.record(
+                    node,
                     id,
                     TraceKind::IslandCrossing { prefix, to: to as u32, from_island, to_island },
                 );
@@ -1303,11 +1255,11 @@ impl Sim {
             return;
         }
         let Some(&to) = self.nodes[node].neighbor_nodes.get(&neighbor) else { return };
-        let traced = self.sink.enabled();
+        let traced = self.recorder.is_some();
         let mut withdrawn = Vec::new();
         let mut ias = Vec::with_capacity(pending.len());
-        // Per-element causes in frame order, collected only while the
-        // sink records.
+        // Per-element causes in frame order, collected only while
+        // recording.
         let mut causes = Vec::new();
         let mut ia_causes = Vec::new();
         for (prefix, (ia, cause)) in pending {
@@ -1337,8 +1289,8 @@ impl Sim {
     /// `node -> to` link as a single frame. `causes` runs parallel to the
     /// elements in frame order — withdraws first, then IAs, matching
     /// `DbgpUpdate` encode/decode order so the receiver can zip its
-    /// copy against the decoded elements — and is read only while the
-    /// sink records.
+    /// copy against the decoded elements — and is read only while
+    /// recording.
     fn emit(
         &mut self,
         node: NodeId,
@@ -1365,7 +1317,7 @@ impl Sim {
             frame
         };
         self.phase_add(t, Phase::Encode);
-        let trace = if self.sink.enabled() {
+        let trace = if self.recorder.is_some() {
             let elements = withdrawn
                 .iter()
                 .map(|&prefix| (prefix, false))
@@ -1374,9 +1326,8 @@ impl Sim {
             for ((prefix, announce), &cause) in elements.zip(causes) {
                 ids.extend(self.record_element(node, to, prefix, announce, cause));
             }
-            let frame = self.sink.record_at(
-                self.queue.now(),
-                node as u32,
+            let frame = self.record(
+                node,
                 ids.first().copied(),
                 TraceKind::Transmit { to: to as u32, bytes: bytes.len() as u32 },
             );
@@ -1417,9 +1368,8 @@ impl Sim {
             // The adjacency map normally prevents this; a message racing
             // an administrative down is simply lost on the floor.
             self.stats.dropped_messages += 1;
-            self.sink.record_at(
-                self.queue.now(),
-                node as u32,
+            self.record(
+                node,
                 trace.as_ref().map(|t| t.frame),
                 TraceKind::MessageDropped { to: to as u32 },
             );
@@ -1432,9 +1382,8 @@ impl Sim {
             let jitter = if model.jitter > 0 { self.rng.below(model.jitter + 1) } else { 0 };
             if lost {
                 self.stats.dropped_messages += 1;
-                self.sink.record_at(
-                    self.queue.now(),
-                    node as u32,
+                self.record(
+                    node,
                     trace.as_ref().map(|t| t.frame),
                     TraceKind::MessageDropped { to: to as u32 },
                 );
@@ -1466,12 +1415,6 @@ impl Sim {
         let Some((owner, service)) = self.services.get_mut(&to_addr) else { return };
         let owner = *owner;
         match service {
-            Service::WiserCostExchange => {
-                let from_as = self.nodes[from].speaker.asn();
-                if let Some(module) = self.nodes[owner].speaker.module_mut(ProtocolId::WISER) {
-                    module.deliver_oob(from_as, &payload);
-                }
-            }
             Service::ModuleInbox(protocol) => {
                 let protocol = *protocol;
                 let from_as = self.nodes[from].speaker.asn();
@@ -1486,35 +1429,6 @@ impl Sim {
                         self.queue.schedule(
                             self.oob_delay,
                             Event::OobResponse { to: from, from_addr: to_addr, payload: response },
-                        );
-                    }
-                }
-            }
-            Service::Lookup(store) => {
-                // Payload: 1-byte op (0 = put, 1 = get), varint key len,
-                // key, value.
-                if payload.is_empty() {
-                    return;
-                }
-                let op = payload[0];
-                let rest = &payload[1..];
-                if op == 0 {
-                    if rest.len() < 2 {
-                        return;
-                    }
-                    let klen = rest[0] as usize;
-                    if rest.len() < 1 + klen {
-                        return;
-                    }
-                    let key = rest[1..1 + klen].to_vec();
-                    let value = rest[1 + klen..].to_vec();
-                    store.insert(key, value);
-                } else if op == 1 {
-                    let key = rest.to_vec();
-                    if let Some(value) = store.get(&key).cloned() {
-                        self.queue.schedule(
-                            self.oob_delay,
-                            Event::OobResponse { to: from, from_addr: to_addr, payload: value },
                         );
                     }
                 }

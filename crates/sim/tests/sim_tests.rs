@@ -248,7 +248,7 @@ fn figure8_wiser_cost_exchange_calibrates_scaling() {
         dbgp_protocols::CostReport { reporter: asn, sum: cost * 2, count: 1 }
     };
     let portal_addr = Ipv4Addr::new(163, 42, 5, 0);
-    f.sim.register_service(f.a3, portal_addr, Service::WiserCostExchange);
+    f.sim.register_service(f.a3, portal_addr, Service::ModuleInbox(ProtocolId::WISER));
     f.sim.oob_send(f.s, portal_addr, report.to_bytes());
     f.sim.run(20_000_000);
     let stats = f.sim.stats();

@@ -1,5 +1,6 @@
-//! Trace event taxonomy: every control-plane action the simulator or a
-//! speaker can take is recorded as a [`TraceEvent`] with a causal parent.
+//! Trace event taxonomy: every control-plane action a host sees — its
+//! own, and what its speakers report back — is recorded as a
+//! [`TraceEvent`] with a causal parent.
 
 use std::fmt;
 
@@ -95,6 +96,18 @@ impl fmt::Display for SelectionReason {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.as_str())
     }
+}
+
+/// What a routing core says about a best path it has just changed: the
+/// explanation rides on the output that announces the change, and a
+/// host that keeps a trace copies it into the `Decision` event it
+/// records.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Selection {
+    /// The decisive comparison step.
+    pub why: SelectionReason,
+    /// How many candidates the decision process considered.
+    pub candidates: u32,
 }
 
 /// What happened. Field meanings follow the simulator's node-id space:
@@ -198,9 +211,9 @@ pub enum TraceKind {
         /// Receiving node's island id, if any.
         to_island: Option<u32>,
     },
-    /// A session/adjacency state machine transition.
+    /// A simulator adjacency came up or went down.
     SessionFsm {
-        /// Peer node (simulator adjacencies) or peer index (BGP FSM).
+        /// Peer node.
         peer: u32,
         /// State before the transition.
         from: String,

@@ -5,11 +5,13 @@
 //!
 //! Three layers:
 //!
-//! * **Event bus** — instrumented code emits [`TraceEvent`]s through a
-//!   [`SinkHandle`]; each event carries a causal parent id, so a single
-//!   advertisement can be traced from its originating AS through every
-//!   pass-through hop to each Loc-RIB install. The no-op handle costs one
-//!   branch per instrumentation site.
+//! * **Trace** — a host records [`TraceEvent`]s into a [`TraceRecorder`],
+//!   stamping each with the time and the causal parent it alone knows,
+//!   so a single advertisement can be traced from its originating AS
+//!   through every pass-through hop to each Loc-RIB install. The routing
+//!   cores record nothing: a best-path change comes back from them with
+//!   its [`Selection`] (why the winner won, out of how many), and the
+//!   host turns that into the `Decision` event.
 //! * **Metrics** — a [`MetricsRegistry`] of counters, gauges, and
 //!   log2-bucketed histograms with explicit reset-vs-accumulate restart
 //!   semantics and a stable `dbgp-metrics/v1` snapshot schema.
@@ -22,11 +24,9 @@ mod event;
 mod metrics;
 pub mod query;
 mod recorder;
-mod sink;
 
-pub use event::{EventId, SelectionReason, TraceEvent, TraceKind};
+pub use event::{EventId, Selection, SelectionReason, TraceEvent, TraceKind};
 pub use metrics::{
     log2_bucket, CounterId, GaugeId, HistogramId, MetricsRegistry, Semantics, METRICS_SCHEMA,
 };
 pub use recorder::{TraceRecorder, TRACE_SCHEMA};
-pub use sink::{SinkHandle, TelemetrySink};

@@ -6,7 +6,6 @@ use std::collections::{BTreeMap, VecDeque};
 use serde_json::Value;
 
 use crate::event::{EventId, TraceEvent, TraceKind};
-use crate::sink::TelemetrySink;
 
 /// Schema identifier written into serialized traces.
 pub const TRACE_SCHEMA: &str = "dbgp-trace/v1";
@@ -18,15 +17,13 @@ struct Inner {
     next_id: u64,
     /// How many events have been evicted from the front of the ring.
     evicted: u64,
-    now: u64,
-    ambient_parent: Option<EventId>,
     /// node index -> AS number, registered by the host for rendering.
     node_asn: BTreeMap<u32, u32>,
 }
 
 /// Records [`TraceEvent`]s into a bounded ring (oldest evicted first) or
-/// an unbounded log. Single-threaded, interior-mutable, so the simulator
-/// and every speaker can share one recorder through `Rc`.
+/// an unbounded log. Single-threaded and interior-mutable, so a host and
+/// whoever reads the trace afterwards can share one recorder through `Rc`.
 pub struct TraceRecorder {
     inner: RefCell<Inner>,
 }
@@ -53,8 +50,6 @@ impl TraceRecorder {
                 capacity,
                 next_id: 0,
                 evicted: 0,
-                now: 0,
-                ambient_parent: None,
                 node_asn: BTreeMap::new(),
             }),
         }
@@ -70,6 +65,21 @@ impl TraceRecorder {
     /// written into the trace meta block).
     pub fn set_node_asn(&self, node: u32, asn: u32) {
         self.inner.borrow_mut().node_asn.insert(node, asn);
+    }
+
+    /// Record that `kind` happened at `node` at time `at` because of
+    /// `parent`. Returns the new event's id, for the caller to name as
+    /// the parent of what follows from it.
+    pub fn record(&self, at: u64, node: u32, parent: Option<EventId>, kind: TraceKind) -> EventId {
+        let mut inner = self.inner.borrow_mut();
+        let id = EventId(inner.next_id);
+        inner.next_id += 1;
+        inner.events.push_back(TraceEvent { id, at, node, parent, kind });
+        if inner.capacity != 0 && inner.events.len() > inner.capacity {
+            inner.events.pop_front();
+            inner.evicted += 1;
+        }
+        id
     }
 
     /// Number of events currently held.
@@ -116,43 +126,6 @@ impl TraceRecorder {
     }
 }
 
-impl TelemetrySink for TraceRecorder {
-    fn enabled(&self) -> bool {
-        true
-    }
-
-    fn record(
-        &self,
-        at: Option<u64>,
-        node: u32,
-        parent: Option<EventId>,
-        kind: TraceKind,
-    ) -> Option<EventId> {
-        let mut inner = self.inner.borrow_mut();
-        let id = EventId(inner.next_id);
-        inner.next_id += 1;
-        let at = at.unwrap_or(inner.now);
-        inner.events.push_back(TraceEvent { id, at, node, parent, kind });
-        if inner.capacity != 0 && inner.events.len() > inner.capacity {
-            inner.events.pop_front();
-            inner.evicted += 1;
-        }
-        Some(id)
-    }
-
-    fn set_now(&self, at: u64) {
-        self.inner.borrow_mut().now = at;
-    }
-
-    fn set_ambient_parent(&self, parent: Option<EventId>) {
-        self.inner.borrow_mut().ambient_parent = parent;
-    }
-
-    fn ambient_parent(&self) -> Option<EventId> {
-        self.inner.borrow().ambient_parent
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -165,10 +138,8 @@ mod tests {
     #[test]
     fn ids_are_monotonic_and_parents_precede_children() {
         let rec = TraceRecorder::unbounded();
-        rec.set_now(5);
-        let a = rec.record(None, 0, None, TraceKind::Originate { prefix: pfx() }).unwrap();
-        let b =
-            rec.record(None, 0, Some(a), TraceKind::Advertise { prefix: pfx(), to: 1 }).unwrap();
+        let a = rec.record(5, 0, None, TraceKind::Originate { prefix: pfx() });
+        let b = rec.record(5, 0, Some(a), TraceKind::Advertise { prefix: pfx(), to: 1 });
         assert!(a < b);
         let evs = rec.events();
         assert_eq!(evs.len(), 2);
@@ -180,7 +151,7 @@ mod tests {
     fn ring_evicts_oldest_and_counts_what_it_dropped() {
         let rec = TraceRecorder::with_capacity(2);
         for i in 0..5u32 {
-            rec.record(Some(u64::from(i)), i, None, TraceKind::DecodeError { from: 0 });
+            rec.record(u64::from(i), i, None, TraceKind::DecodeError { from: 0 });
         }
         assert_eq!(rec.len(), 2);
         let ids: Vec<u64> = rec.events().iter().map(|e| e.id.0).collect();
@@ -193,7 +164,7 @@ mod tests {
         let rec = TraceRecorder::unbounded();
         rec.set_node_asn(0, 10);
         rec.record(
-            Some(7),
+            7,
             0,
             None,
             TraceKind::Decision {
@@ -207,7 +178,7 @@ mod tests {
             },
         );
         rec.record(
-            Some(8),
+            8,
             1,
             Some(EventId(0)),
             TraceKind::SessionFsm {

@@ -462,6 +462,38 @@ impl Ia {
         self.island_descriptors.iter().filter(move |d| d.protocol == protocol)
     }
 
+    /// Every `(island, IPv4 address)` that `protocol` filed under `key`
+    /// — a service portal, a lookup service — in path order. A `key` is
+    /// only unique per protocol, so both are matched; a value that is not
+    /// four bytes long is not an address.
+    pub fn island_addrs(
+        &self,
+        protocol: ProtocolId,
+        key: u16,
+    ) -> impl Iterator<Item = (IslandId, Ipv4Addr)> + '_ {
+        self.island_descriptors_for(protocol).filter(move |d| d.key == key).filter_map(|d| {
+            let octets: [u8; 4] = d.value[..].try_into().ok()?;
+            Some((d.island, Ipv4Addr(u32::from_be_bytes(octets))))
+        })
+    }
+
+    /// This island's descriptor, once: if `island` has no descriptor of
+    /// `protocol` under `key`, append one holding `value()`. One that is
+    /// there already stays as it is, whatever it holds.
+    pub fn ensure_island_descriptor<V: Into<Bytes>>(
+        &mut self,
+        island: IslandId,
+        protocol: ProtocolId,
+        key: u16,
+        value: impl FnOnce() -> V,
+    ) {
+        let exists =
+            self.island_descriptors_for(protocol).any(|d| d.island == island && d.key == key);
+        if !exists {
+            self.island_descriptors.push(IslandDescriptor::new(island, protocol, key, value()));
+        }
+    }
+
     /// The set of protocols mentioned anywhere in this IA — what G-R4
     /// exposes to islands and gulf ASes.
     pub fn protocols_on_path(&self) -> Vec<ProtocolId> {
@@ -1084,6 +1116,37 @@ mod tests {
         // bytes, are not this protocol's number.
         assert_eq!(ia.path_descriptor_u64(ProtocolId::EQBGP, dkey::WISER_PATH_COST), None);
         assert_eq!(ia.path_descriptor_u64(ProtocolId::BGPSEC, dkey::BGPSEC_ATTESTATION), None);
+    }
+
+    #[test]
+    fn ensure_island_descriptor_appends_once_and_island_addrs_reads_both_halves_of_the_key() {
+        // A key number nothing in Figure 4 uses, under two protocols.
+        const KEY: u16 = 77;
+        let (ours, theirs) = (ProtocolId::EQBGP, ProtocolId::HLP);
+        let mut ia = figure4_ia();
+        let portal = Ipv4Addr::new(198, 18, 0, 1);
+        let before = ia.island_descriptors.clone();
+        for _ in 0..2 {
+            ia.ensure_island_descriptor(IslandId(70), ours, KEY, || portal.octets().to_vec());
+        }
+        // Appended last, once; what was there is untouched.
+        assert_eq!(ia.island_descriptors.len(), before.len() + 1);
+        assert_eq!(ia.island_descriptors[..before.len()], before[..]);
+        let addrs = |ia: &Ia, protocol| ia.island_addrs(protocol, KEY).collect::<Vec<_>>();
+        assert_eq!(addrs(&ia, ours), [(IslandId(70), portal)]);
+        // Another island's descriptor, or another protocol's under the
+        // same key number, is a different descriptor.
+        ia.ensure_island_descriptor(IslandId(71), ours, KEY, || vec![1]);
+        ia.ensure_island_descriptor(IslandId(70), theirs, KEY, || vec![9, 9, 9, 9]);
+        assert_eq!(ia.island_descriptors.len(), before.len() + 3);
+        // One byte is not an address; their four bytes are not ours.
+        assert_eq!(addrs(&ia, ours), [(IslandId(70), portal)]);
+        assert_eq!(addrs(&ia, theirs), [(IslandId(70), Ipv4Addr::new(9, 9, 9, 9))]);
+        // An existing descriptor is kept, whatever it holds.
+        ia.ensure_island_descriptor(IslandId(71), ours, KEY, || -> Vec<u8> {
+            unreachable!("there is one already")
+        });
+        assert_eq!(ia.island_descriptors.len(), before.len() + 3);
     }
 
     #[test]

@@ -87,7 +87,7 @@ fn cost_exchange_round_trip_changes_selection() {
     // Island A's portal is served by its border A3 over the out-of-band
     // bus (paper §3.4: "the lookup service is also used as cost-exchange
     // portals for both islands").
-    w.sim.register_service(w.a3, PORTAL_A, Service::WiserCostExchange);
+    w.sim.register_service(w.a3, PORTAL_A, Service::ModuleInbox(ProtocolId::WISER));
 
     // Island B reports that the costs it receives from island A are 10x
     // what island A believes it advertises: island A's module rescales
@@ -147,7 +147,7 @@ fn withdrawing_the_cheap_path_falls_back_to_the_expensive_one() {
     // downstream re-advertisement intent.
     assert!(
         outputs.iter().any(|o| matches!(o, dbgp::core::DbgpOutput::SendWithdraw(..))
-            || outputs.iter().any(|o| matches!(o, dbgp::core::DbgpOutput::BestChanged(_, None)))),
+            || outputs.iter().any(|o| matches!(o, dbgp::core::DbgpOutput::Unreachable(..)))),
         "losing the only upstream yields a withdrawal: {outputs:?}"
     );
 }
