@@ -16,7 +16,7 @@
 //!
 //! `path-of last` resolves to the trace's final best-path decision.
 //! `--write-trace <path>` additionally serializes the full trace
-//! document (for archival or offline queries). Everything is
+//! document, for archival: nothing reads it back. Everything is
 //! deterministic: the same scenario always records the same trace and
 //! prints the same answer. Exit codes: 0 success, 1 query failure,
 //! 2 usage error.

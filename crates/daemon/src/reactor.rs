@@ -18,7 +18,7 @@ use crate::config::DaemonConfig;
 use crate::dump::all_established;
 use crate::node::{Node, NodeOutput};
 use dbgp_session::{ConnDir, Millis, PeerId, StreamReassembler};
-use dbgp_telemetry::{MetricsRegistry, Semantics};
+use dbgp_telemetry::metrics;
 use dbgp_wire::message::{BgpMessage, TYPE_KEEPALIVE, TYPE_OPEN};
 use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
@@ -203,11 +203,11 @@ impl Reactor {
     /// A `dbgp-metrics/v1` snapshot of this daemon as one line of JSON:
     /// the reactor's socket counters, the routing core's export
     /// counters and table size, and the sessions' receive-buffer
-    /// footprint, as of now.
+    /// footprint, as of now. Its `generation` is 0: a daemon process is
+    /// one incarnation.
     pub fn metrics_text(&self) -> String {
-        let mut reg = MetricsRegistry::new();
         let routing = self.node.routing();
-        for (name, value) in [
+        let counters = [
             ("reactor.reads_total", self.stats.reads),
             ("reactor.writes_total", self.stats.writes),
             ("reactor.bytes_in_total", self.stats.bytes_in),
@@ -219,20 +219,14 @@ impl Reactor {
             ("routing.updates_out_total", routing.updates_out()),
             ("routing.nlri_out_total", routing.nlri_out()),
             ("routing.withdrawn_out_total", routing.withdrawn_out()),
-        ] {
-            let id = reg.counter(name, Semantics::Accumulate);
-            reg.set_counter(id, value);
-        }
-        for (name, value) in [
-            ("reactor.out_buffer_peak_bytes", self.stats.out_buffer_peak),
-            ("session.rx_buffer_bytes", self.node.rx_capacity() as u64),
-            ("routing.prefixes", routing.prefixes() as u64),
-            ("routing.rib_bytes", routing.rib_bytes() as u64),
-        ] {
-            let id = reg.gauge(name);
-            reg.set_gauge(id, value as i64);
-        }
-        reg.snapshot_text(self.now())
+        ];
+        let gauges = [
+            ("reactor.out_buffer_peak_bytes", self.stats.out_buffer_peak as i64),
+            ("session.rx_buffer_bytes", self.node.rx_capacity() as i64),
+            ("routing.prefixes", routing.prefixes() as i64),
+            ("routing.rib_bytes", routing.rib_bytes() as i64),
+        ];
+        metrics::render_text(self.now(), 0, &counters, &gauges, &[])
     }
 
     /// Run until converged or timed out.

@@ -271,9 +271,12 @@ fn slow_sink_receives_every_frame_in_order_and_notification_precedes_close() {
         addr_tx.send(hub.local_addr().expect("listening")).expect("report the port");
         let outcome = hub.run();
         let routing = hub.node().routing();
-        let exports = (routing.exports_shared(), routing.exports_computed());
+        let exports =
+            (routing.exports_shared(), routing.exports_computed(), routing.exports_oversize());
         let sent = (routing.updates_out(), routing.nlri_out(), routing.withdrawn_out());
-        (outcome, hub.stats(), exports, sent, hub.metrics_text())
+        let table = (routing.prefixes() as u64, routing.rib_bytes() as u64);
+        let rx = hub.node().rx_capacity() as u64;
+        (outcome, hub.stats(), exports, sent, table, rx, hub.metrics_text())
     });
     let addr = addr_rx.recv().expect("the hub binds");
 
@@ -339,7 +342,8 @@ fn slow_sink_receives_every_frame_in_order_and_notification_precedes_close() {
     // Come back, so that every session is Established and the hub can
     // converge and hand itself back.
     let (_feeder, _) = establish(addr, FEEDER_AS);
-    let (outcome, stats, (shared, computed), sent, metrics) = hub.join().expect("reactor thread");
+    let (outcome, stats, (shared, computed, oversize), sent, (prefixes, rib_bytes), rx, metrics) =
+        hub.join().expect("reactor thread");
     assert_eq!(outcome, RunOutcome::Converged);
     drop(sink);
 
@@ -353,17 +357,52 @@ fn slow_sink_receives_every_frame_in_order_and_notification_precedes_close() {
     assert!(stats.out_buffer_peak < 128 * 1024, "{stats:?}");
     assert!(shared > 20 * computed, "50 NLRI share one export: {shared} shared, {computed} built");
     assert_eq!(sent, (frames, routes, routes), "the hub's own count of what it sent");
-    for name in [
-        "dbgp-metrics/v1",
-        "reactor.writes_total",
-        "routing.exports_shared_total",
-        "routing.exports_oversize_total",
-        "routing.updates_out_total",
-        "routing.nlri_out_total",
-        "routing.withdrawn_out_total",
-        "routing.prefixes",
-        "routing.rib_bytes",
-    ] {
-        assert!(metrics.contains(name), "{name} missing from {metrics}");
-    }
+
+    // The metrics line dbgpd prints: every name, in order, with the
+    // value the hub reported for it at the same moment.
+    assert!(metrics.starts_with(r#"{"schema":"dbgp-metrics/v1","at":"#), "{metrics}");
+    assert!(metrics.contains(r#","generation":0,"counters":["#), "{metrics}");
+    assert!(metrics.ends_with(r#"],"histograms":[]}"#), "{metrics}");
+    let (counters, gauges) = metrics.split_once(r#""gauges":["#).expect("a gauges list");
+    assert_eq!(counters.matches(r#""semantics":"accumulate""#).count(), 11, "{metrics}");
+    let (sent_updates, sent_nlri, sent_withdrawn) = sent;
+    assert_eq!(
+        metric_values(counters),
+        [
+            ("reactor.reads_total", stats.reads),
+            ("reactor.writes_total", stats.writes),
+            ("reactor.bytes_in_total", stats.bytes_in),
+            ("reactor.bytes_out_total", stats.bytes_out),
+            ("reactor.write_would_block_total", stats.write_would_block),
+            ("routing.exports_shared_total", shared),
+            ("routing.exports_computed_total", computed),
+            ("routing.exports_oversize_total", oversize),
+            ("routing.updates_out_total", sent_updates),
+            ("routing.nlri_out_total", sent_nlri),
+            ("routing.withdrawn_out_total", sent_withdrawn),
+        ]
+    );
+    assert_eq!(
+        metric_values(gauges),
+        [
+            ("reactor.out_buffer_peak_bytes", stats.out_buffer_peak),
+            ("session.rx_buffer_bytes", rx),
+            ("routing.prefixes", prefixes),
+            ("routing.rib_bytes", rib_bytes),
+        ]
+    );
+}
+
+/// `(name, value)` of every metric in a stretch of a one-line
+/// `dbgp-metrics/v1` document, in document order.
+fn metric_values(text: &str) -> Vec<(&str, u64)> {
+    text.split(r#"{"name":""#)
+        .skip(1)
+        .map(|item| {
+            let (name, rest) = item.split_once('"').expect("a quoted name");
+            let (_, value) = rest.split_once(r#""value":"#).expect("a value");
+            let end = value.find(|c: char| !c.is_ascii_digit()).expect("a delimiter");
+            (name, value[..end].parse().expect("a count"))
+        })
+        .collect()
 }

@@ -93,13 +93,6 @@ pub struct OverheadRow {
     pub total_bytes: f64,
 }
 
-impl OverheadRow {
-    /// Per-IA size (critical fixes + custom/replacements).
-    pub fn ia_bytes(&self) -> f64 {
-        self.cf_bytes + self.cr_bytes
-    }
-}
-
 /// The "Basic" analysis: all protocols in every IA.
 pub fn basic(p: &OverheadParams) -> OverheadRow {
     let cf = (p.critical_fixes * p.ci_per_cf) as f64;

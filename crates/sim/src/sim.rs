@@ -26,9 +26,7 @@ use dbgp_core::{
 };
 use dbgp_protocols::{MiroPortal, MiroRequest};
 use dbgp_rib::PrefixTrie;
-use dbgp_telemetry::{
-    CounterId, EventId, GaugeId, HistogramId, MetricsRegistry, Semantics, TraceKind, TraceRecorder,
-};
+use dbgp_telemetry::{metrics, EventId, Log2Histogram, TraceKind, TraceRecorder};
 use dbgp_wire::{EncodedIa, Ia, Ipv4Addr, Ipv4Prefix, ProtocolId};
 use serde_json::Value;
 use std::collections::{BTreeMap, HashMap, VecDeque};
@@ -136,37 +134,6 @@ pub struct NodeCounters {
     pub best_changes: u64,
 }
 
-/// Handles into the simulator's [`MetricsRegistry`]. Engine-wide totals
-/// are mirrored from [`SimStats`] at snapshot time (keeping the hot path
-/// byte-identical to the pre-telemetry engine); histograms are observed
-/// inline.
-struct SimMetrics {
-    registry: MetricsRegistry,
-    /// One counter per [`SimStats::totals`] entry, in that order.
-    totals: [CounterId; SimStats::TOTALS],
-    node_restarts: CounterId,
-    pending_events: GaugeId,
-    last_event_at: GaugeId,
-    message_bytes: HistogramId,
-    flush_batch: HistogramId,
-}
-
-impl SimMetrics {
-    fn new() -> Self {
-        let mut registry = MetricsRegistry::new();
-        let acc = Semantics::Accumulate;
-        SimMetrics {
-            totals: SimStats::default().totals().map(|(name, _)| registry.counter(name, acc)),
-            node_restarts: registry.counter("sim.node_restarts_total", acc),
-            pending_events: registry.gauge("sim.pending_events"),
-            last_event_at: registry.gauge("sim.last_event_at"),
-            message_bytes: registry.histogram("sim.message_bytes", acc),
-            flush_batch: registry.histogram("sim.flush_batch_prefixes", acc),
-            registry,
-        }
-    }
-}
-
 /// Hasher for pointer-keyed caches: the key is an `Arc` address, so one
 /// Fibonacci multiply spreads it well enough and the SipHash setup cost
 /// disappears from the per-send hot path. Never iterated, so the hash
@@ -269,7 +236,7 @@ impl SimStats {
     /// Every running total — each field but the `last_event_at`
     /// timestamp — under the counter name it has in a
     /// `dbgp-metrics/v1` snapshot. The one list
-    /// [`Sim::metrics_snapshot`] registers and mirrors from.
+    /// [`Sim::metrics_snapshot`] renders its counters from.
     pub fn totals(&self) -> [(&'static str, u64); Self::TOTALS] {
         [
             ("sim.messages_total", self.messages),
@@ -371,8 +338,13 @@ pub struct Sim {
     /// branch per instrumentation site) unless
     /// [`Sim::enable_telemetry`] was called.
     recorder: Option<Rc<TraceRecorder>>,
-    /// Metrics registry mirrored from [`SimStats`] at snapshot time.
-    metrics: SimMetrics,
+    /// Node restarts so far: `sim.node_restarts_total`, and the
+    /// `generation` of a metrics snapshot.
+    restarts: u64,
+    /// Bytes of each control-plane delivery (`sim.message_bytes`).
+    message_bytes: Log2Histogram,
+    /// Elements in each MRAI flush (`sim.flush_batch_prefixes`).
+    flush_batch: Log2Histogram,
     /// Link-delay accumulators: the calendar queue's day width is tuned
     /// to the mean link delay at first run.
     delay_sum: SimTime,
@@ -435,7 +407,9 @@ impl Sim {
             oob_delay: 5,
             mrai: 30,
             recorder: None,
-            metrics: SimMetrics::new(),
+            restarts: 0,
+            message_bytes: Log2Histogram::default(),
+            flush_batch: Log2Histogram::default(),
             delay_sum: 0,
             delay_count: 0,
             width_tuned: false,
@@ -598,19 +572,27 @@ impl Sim {
         self.nodes[node].counters
     }
 
-    /// A `dbgp-metrics/v1` snapshot: the engine-wide registry (totals
-    /// mirrored from [`SimStats`], `accumulate` semantics) plus a
-    /// `nodes` array of per-node `reset-on-restart` counters, each with
-    /// its own restart generation.
-    pub fn metrics_snapshot(&mut self) -> Value {
-        let s = self.stats;
-        let m = &mut self.metrics;
-        for (id, (_, value)) in m.totals.iter().zip(s.totals()) {
-            m.registry.set_counter(*id, value);
-        }
-        m.registry.set_gauge(m.pending_events, self.queue.len() as i64);
-        m.registry.set_gauge(m.last_event_at, s.last_event_at as i64);
-        let mut snap = m.registry.snapshot(self.queue.now());
+    /// A `dbgp-metrics/v1` snapshot, rendered now: the engine-wide
+    /// [`SimStats`] totals and restart count (`accumulate` — they never
+    /// reset), two gauges, two histograms, and a `nodes` array of the
+    /// per-node `reset-on-restart` counters, each with its own restart
+    /// generation. The document's `generation` is the restart count.
+    pub fn metrics_snapshot(&self) -> Value {
+        let mut counters = self.stats.totals().to_vec();
+        counters.push(("sim.node_restarts_total", self.restarts));
+        let mut snap = metrics::render(
+            self.queue.now(),
+            self.restarts,
+            &counters,
+            &[
+                ("sim.pending_events", self.queue.len() as i64),
+                ("sim.last_event_at", self.stats.last_event_at as i64),
+            ],
+            &[
+                ("sim.message_bytes", &self.message_bytes),
+                ("sim.flush_batch_prefixes", &self.flush_batch),
+            ],
+        );
         let nodes: Vec<Value> = self
             .nodes
             .iter()
@@ -809,11 +791,10 @@ impl Sim {
             .map(|(&(x, y), l)| (if x == node { y } else { x }, l.same_island, l.speaks_dbgp))
             .collect();
         // The restart opens a new incarnation: the node's generation
-        // bumps and the registry-wide generation follows (S2 semantics —
-        // engine totals keep accumulating, per-node counters reset).
+        // bumps and so does the engine-wide restart count (engine totals
+        // keep accumulating, per-node counters reset).
         let generation = self.nodes[node].counters.generation + 1;
-        self.metrics.registry.on_restart();
-        self.metrics.registry.inc(self.metrics.node_restarts, 1);
+        self.restarts += 1;
         let root = self.record(node, None, TraceKind::NodeRestart { generation });
         for &(peer, ..) in &peers {
             self.teardown_neighbor(node, peer, "node-restart", root);
@@ -902,7 +883,7 @@ impl Sim {
                 self.stats.messages += 1;
                 self.stats.bytes += bytes.len() as u64;
                 self.nodes[to].counters.messages_in += 1;
-                self.metrics.registry.observe(self.metrics.message_bytes, bytes.len() as u64);
+                self.message_bytes.observe(bytes.len() as u64);
                 let deliver_id = self.record(
                     to,
                     trace.as_ref().map(|t| t.frame),
@@ -1033,25 +1014,17 @@ impl Sim {
         self.absorb(me, root, outputs);
     }
 
-    /// Record `me`'s adjacency to `peer` coming up or going down (the
-    /// strings are only built while recording).
+    /// Record `me`'s adjacency to `peer` coming up or going down.
     fn record_adjacency(
         &self,
         me: NodeId,
         peer: NodeId,
         parent: Option<EventId>,
         up: bool,
-        trigger: &str,
+        trigger: &'static str,
     ) -> Option<EventId> {
-        self.recorder.as_ref()?;
         let (from, to) = if up { ("down", "up") } else { ("up", "down") };
-        let kind = TraceKind::SessionFsm {
-            peer: peer as u32,
-            from: from.into(),
-            to: to.into(),
-            trigger: trigger.into(),
-        };
-        self.record(me, parent, kind)
+        self.record(me, parent, TraceKind::SessionFsm { peer: peer as u32, from, to, trigger })
     }
 
     /// Act on what a speaker call at `node` returned — the one path from
@@ -1279,9 +1252,7 @@ impl Sim {
             }
         }
         causes.append(&mut ia_causes);
-        self.metrics
-            .registry
-            .observe(self.metrics.flush_batch, (withdrawn.len() + ias.len()) as u64);
+        self.flush_batch.observe((withdrawn.len() + ias.len()) as u64);
         self.emit(node, to, &withdrawn, &ias, &causes);
     }
 
@@ -1358,12 +1329,10 @@ impl Sim {
         mut bytes: Bytes,
         trace: Option<Box<DeliverTrace>>,
     ) {
-        let (mut delay, model, up) = match self.links.get(&link_key(node, to)) {
-            Some(l) => (l.delay, l.model, l.up),
-            // Adjacency without an explicit link record (not constructed
-            // via `link_with`): legacy default of one time unit.
-            None => (1, LinkModel::reliable(), true),
-        };
+        // A neighbor exists only through `establish`, whose callers all
+        // act on a link record, and no link record is ever removed.
+        let LinkState { mut delay, model, up, .. } =
+            *self.links.get(&link_key(node, to)).expect("a neighbor always has a link record");
         if !up {
             // The adjacency map normally prevents this; a message racing
             // an administrative down is simply lost on the floor.

@@ -11,7 +11,7 @@
 //! `UPDATE_GOLDEN=1 cargo test -p dbgp-sim --test metrics_golden`
 
 use dbgp_core::DbgpConfig;
-use dbgp_sim::Sim;
+use dbgp_sim::{LinkModel, Sim};
 use serde_json::Value;
 
 const GOLDEN_PATH: &str = "tests/golden/metrics_schema.json";
@@ -90,4 +90,57 @@ fn snapshot_values_survive_a_json_round_trip() {
         parsed.get("generation").and_then(Value::as_u64),
         snap.get("generation").and_then(Value::as_u64)
     );
+}
+
+/// FNV-1a over a snapshot's one-line JSON text.
+fn digest(snap: &Value) -> u64 {
+    let text = serde_json::to_string(snap).unwrap();
+    text.bytes()
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+}
+
+/// Six nodes on a ring plus one chord, every ring link losing 10% and
+/// duplicating 15% of its frames, MRAI 20, three origins and a restart:
+/// the `dropped` / `duplicated` totals and both histograms are non-empty.
+fn lossy_snapshot() -> Value {
+    let mut sim = Sim::new();
+    sim.set_seed(7);
+    sim.set_mrai(20);
+    for asn in 1..=6 {
+        sim.add_node(DbgpConfig::gulf(asn));
+    }
+    let model = LinkModel::reliable().loss_ppm(100_000).duplicate_ppm(150_000).jitter(4);
+    for i in 0..6 {
+        sim.link(i, (i + 1) % 6, 10, false);
+        sim.set_link_model(i, (i + 1) % 6, model);
+    }
+    sim.link(0, 3, 15, false);
+    for (node, prefix) in [(0, "10.0.0.0/8"), (2, "20.0.0.0/8"), (4, "30.0.0.0/8")] {
+        sim.originate(node, prefix.parse().unwrap());
+    }
+    sim.run(1_000_000);
+    sim.restart_node(4);
+    sim.run(2_000_000);
+    let stats = sim.stats();
+    assert!(stats.dropped_messages > 0 && stats.duplicated_messages > 0, "{stats:?}");
+    sim.metrics_snapshot()
+}
+
+/// Whole snapshots, byte for byte, as the metrics registry wrote them
+/// before the snapshot became one render over values the simulator
+/// holds. `populated_snapshot` is also `telemetry_semantics.rs`'s chain
+/// after a restart; the second digest is that chain before it.
+#[test]
+fn snapshot_bytes_are_pinned() {
+    assert_eq!(digest(&populated_snapshot()), 0x71aa_739c_8104_009e);
+    let mut chain = Sim::new();
+    for asn in 1..=3 {
+        chain.add_node(DbgpConfig::gulf(asn));
+    }
+    chain.link(0, 1, 10, false);
+    chain.link(1, 2, 10, false);
+    chain.originate(0, "10.0.0.0/8".parse().unwrap());
+    chain.run(1_000_000);
+    assert_eq!(digest(&chain.metrics_snapshot()), 0xdc6e_60de_61f1_c0f3);
+    assert_eq!(digest(&lossy_snapshot()), 0xabe7_efc5_660b_a9fa);
 }

@@ -88,7 +88,7 @@ fn snapshot_labels_semantics_and_generations() {
 
 #[test]
 fn every_engine_total_reaches_the_snapshot() {
-    let mut sim = chain();
+    let sim = chain();
     let stats = sim.stats();
     // No `..` on purpose: a new `SimStats` field does not compile here
     // until it is bound, and an unused binding is a warning CI denies —

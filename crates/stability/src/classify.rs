@@ -31,7 +31,6 @@
 //! its initial shape.
 
 use crate::gadget::Gadget;
-use dbgp_oracle::scenario::LINK_DELAY;
 use dbgp_oracle::{
     check_routing_invariants, explore, run_fifo_classified, ExplorerConfig, FifoOutcome, RefNet,
 };
@@ -341,11 +340,6 @@ pub fn classify(g: &Gadget, cfg: &ClassifyConfig) -> Observation {
         sim_agrees,
         sim_tail_period,
     }
-}
-
-/// Simulated-time horizon equivalent of `deliveries` FIFO steps.
-pub fn horizon_for(deliveries: u64) -> u64 {
-    deliveries.saturating_mul(2 * LINK_DELAY)
 }
 
 #[cfg(test)]

@@ -71,25 +71,6 @@ impl SelectionReason {
             SelectionReason::Unreachable => "unreachable",
         }
     }
-
-    /// Inverse of [`SelectionReason::as_str`]; used when loading traces.
-    pub fn parse(s: &str) -> Option<Self> {
-        Some(match s {
-            "local-origin" => SelectionReason::LocalOrigin,
-            "only-candidate" => SelectionReason::OnlyCandidate,
-            "local-pref" => SelectionReason::LocalPref,
-            "shortest-path" => SelectionReason::ShortestPath,
-            "origin" => SelectionReason::Origin,
-            "med" => SelectionReason::Med,
-            "ebgp-over-ibgp" => SelectionReason::EbgpOverIbgp,
-            "router-id" => SelectionReason::RouterId,
-            "neighbor-as" => SelectionReason::NeighborAs,
-            "neighbor-id" => SelectionReason::NeighborId,
-            "module-preference" => SelectionReason::ModulePreference,
-            "unreachable" => SelectionReason::Unreachable,
-            _ => return None,
-        })
-    }
 }
 
 impl fmt::Display for SelectionReason {
@@ -216,11 +197,11 @@ pub enum TraceKind {
         /// Peer node.
         peer: u32,
         /// State before the transition.
-        from: String,
+        from: &'static str,
         /// State after the transition.
-        to: String,
+        to: &'static str,
         /// What caused the transition.
-        trigger: String,
+        trigger: &'static str,
     },
     /// A node restarted; its per-node counters reset and its counter
     /// generation was bumped.
@@ -360,9 +341,9 @@ impl TraceEvent {
             }
             TraceKind::SessionFsm { peer, from, to, trigger } => {
                 put("peer", Value::UInt(u64::from(*peer)));
-                put("from", Value::String(from.clone()));
-                put("to", Value::String(to.clone()));
-                put("trigger", Value::String(trigger.clone()));
+                put("from", Value::String((*from).into()));
+                put("to", Value::String((*to).into()));
+                put("trigger", Value::String((*trigger).into()));
             }
             TraceKind::NodeRestart { generation } => {
                 put("generation", Value::UInt(*generation));
@@ -376,110 +357,5 @@ impl TraceEvent {
             }
         }
         Value::Object(obj)
-    }
-
-    /// Parse the flattened JSON form back into a [`TraceEvent`].
-    pub fn from_json(v: &Value) -> Result<Self, String> {
-        fn need<'a>(v: &'a Value, k: &str) -> Result<&'a Value, String> {
-            v.get(k).ok_or_else(|| format!("missing field `{k}`"))
-        }
-        fn u64_of(v: &Value, k: &str) -> Result<u64, String> {
-            need(v, k)?.as_u64().ok_or_else(|| format!("field `{k}` is not an unsigned integer"))
-        }
-        fn u32_of(v: &Value, k: &str) -> Result<u32, String> {
-            u64_of(v, k).map(|x| x as u32)
-        }
-        fn str_of(v: &Value, k: &str) -> Result<String, String> {
-            Ok(need(v, k)?
-                .as_str()
-                .ok_or_else(|| format!("field `{k}` is not a string"))?
-                .to_string())
-        }
-        fn bool_of(v: &Value, k: &str) -> Result<bool, String> {
-            need(v, k)?.as_bool().ok_or_else(|| format!("field `{k}` is not a bool"))
-        }
-        fn prefix_of(v: &Value, k: &str) -> Result<Ipv4Prefix, String> {
-            str_of(v, k)?
-                .parse::<Ipv4Prefix>()
-                .map_err(|e| format!("field `{k}` is not a prefix: {e:?}"))
-        }
-        fn opt_u32_of(v: &Value, k: &str) -> Result<Option<u32>, String> {
-            match need(v, k)? {
-                Value::Null => Ok(None),
-                other => other
-                    .as_u64()
-                    .map(|x| Some(x as u32))
-                    .ok_or_else(|| format!("field `{k}` is not null or unsigned")),
-            }
-        }
-
-        let kind_name = str_of(v, "kind")?;
-        let kind = match kind_name.as_str() {
-            "originate" => TraceKind::Originate { prefix: prefix_of(v, "prefix")? },
-            "origin-withdraw" => TraceKind::OriginWithdraw { prefix: prefix_of(v, "prefix")? },
-            "advertise" => {
-                TraceKind::Advertise { prefix: prefix_of(v, "prefix")?, to: u32_of(v, "to")? }
-            }
-            "withdraw" => {
-                TraceKind::Withdraw { prefix: prefix_of(v, "prefix")?, to: u32_of(v, "to")? }
-            }
-            "transmit" => TraceKind::Transmit { to: u32_of(v, "to")?, bytes: u32_of(v, "bytes")? },
-            "deliver" => {
-                TraceKind::Deliver { from: u32_of(v, "from")?, bytes: u32_of(v, "bytes")? }
-            }
-            "decode" => TraceKind::Decode {
-                prefix: prefix_of(v, "prefix")?,
-                from: u32_of(v, "from")?,
-                withdraw: bool_of(v, "withdraw")?,
-            },
-            "decode-error" => TraceKind::DecodeError { from: u32_of(v, "from")? },
-            "decision" => TraceKind::Decision {
-                prefix: prefix_of(v, "prefix")?,
-                selected: bool_of(v, "selected")?,
-                neighbor_as: opt_u32_of(v, "neighbor_as")?,
-                path: str_of(v, "path")?,
-                hops: u32_of(v, "hops")?,
-                candidates: u32_of(v, "candidates")?,
-                why: SelectionReason::parse(&str_of(v, "why")?)
-                    .ok_or_else(|| "unknown selection reason".to_string())?,
-            },
-            "loop-drop" => TraceKind::LoopDrop {
-                prefix: prefix_of(v, "prefix")?,
-                from_as: u32_of(v, "from_as")?,
-                reason: str_of(v, "reason")?,
-            },
-            "island-crossing" => TraceKind::IslandCrossing {
-                prefix: prefix_of(v, "prefix")?,
-                to: u32_of(v, "to")?,
-                from_island: opt_u32_of(v, "from_island")?,
-                to_island: opt_u32_of(v, "to_island")?,
-            },
-            "session-fsm" => TraceKind::SessionFsm {
-                peer: u32_of(v, "peer")?,
-                from: str_of(v, "from")?,
-                to: str_of(v, "to")?,
-                trigger: str_of(v, "trigger")?,
-            },
-            "node-restart" => TraceKind::NodeRestart { generation: u64_of(v, "generation")? },
-            "link-down" => TraceKind::LinkDown { a: u32_of(v, "a")?, b: u32_of(v, "b")? },
-            "link-up" => TraceKind::LinkUp { a: u32_of(v, "a")?, b: u32_of(v, "b")? },
-            "message-dropped" => TraceKind::MessageDropped { to: u32_of(v, "to")? },
-            other => return Err(format!("unknown trace kind `{other}`")),
-        };
-        let parent = match need(v, "parent")? {
-            Value::Null => None,
-            other => Some(EventId(
-                other
-                    .as_u64()
-                    .ok_or_else(|| "field `parent` is not null or unsigned".to_string())?,
-            )),
-        };
-        Ok(TraceEvent {
-            id: EventId(u64_of(v, "id")?),
-            at: u64_of(v, "at")?,
-            node: u32_of(v, "node")?,
-            parent,
-            kind,
-        })
     }
 }

@@ -11,22 +11,23 @@
 //!   through every pass-through hop to each Loc-RIB install. The routing
 //!   cores record nothing: a best-path change comes back from them with
 //!   its [`Selection`] (why the winner won, out of how many), and the
-//!   host turns that into the `Decision` event.
-//! * **Metrics** — a [`MetricsRegistry`] of counters, gauges, and
-//!   log2-bucketed histograms with explicit reset-vs-accumulate restart
-//!   semantics and a stable `dbgp-metrics/v1` snapshot schema.
+//!   host turns that into the `Decision` event. A trace is written, as a
+//!   `dbgp-trace/v1` document, by [`query::TraceLog::to_json`]; nothing
+//!   reads one back.
+//! * **Metrics** — [`metrics::render`] turns the counters, gauges and
+//!   [`Log2Histogram`]s a host already holds into a `dbgp-metrics/v1`
+//!   document, at the moment it is asked. There is no registry.
 //! * **Explainability** — the [`query`] module (`why-selected`,
 //!   `path-of`, `convergence-timeline`) over recorded traces.
 
 #![warn(missing_docs)]
 
 mod event;
-mod metrics;
+pub mod metrics;
 pub mod query;
 mod recorder;
 
 pub use event::{EventId, Selection, SelectionReason, TraceEvent, TraceKind};
-pub use metrics::{
-    log2_bucket, CounterId, GaugeId, HistogramId, MetricsRegistry, Semantics, METRICS_SCHEMA,
-};
-pub use recorder::{TraceRecorder, TRACE_SCHEMA};
+pub use metrics::{Log2Histogram, METRICS_SCHEMA};
+pub use query::TRACE_SCHEMA;
+pub use recorder::TraceRecorder;

@@ -6,9 +6,13 @@ use std::collections::BTreeMap;
 use serde_json::Value;
 
 use crate::event::{EventId, TraceEvent, TraceKind};
-use crate::recorder::{TraceRecorder, TRACE_SCHEMA};
+use crate::recorder::TraceRecorder;
 
-/// A loaded trace: events in id order plus the node -> AS map.
+/// Schema identifier [`TraceLog::to_json`] writes.
+pub const TRACE_SCHEMA: &str = "dbgp-trace/v1";
+
+/// A recorded trace: events in id order, the node -> AS map, and how
+/// many events the recorder had to drop.
 #[derive(Debug, Clone)]
 pub struct TraceLog {
     /// Scenario name recorded in the trace meta block.
@@ -17,45 +21,22 @@ pub struct TraceLog {
     pub node_asn: BTreeMap<u32, u32>,
     /// Events in id order.
     pub events: Vec<TraceEvent>,
+    /// Events the recorder's ring dropped before this log was taken.
+    pub evicted: u64,
 }
 
 impl TraceLog {
     /// Snapshot a live recorder into a queryable log.
     pub fn from_recorder(rec: &TraceRecorder, scenario: &str) -> Self {
-        TraceLog { scenario: scenario.to_string(), node_asn: rec.node_asn(), events: rec.events() }
+        TraceLog {
+            scenario: scenario.to_string(),
+            node_asn: rec.node_asn(),
+            events: rec.events(),
+            evicted: rec.evicted(),
+        }
     }
 
-    /// Parse a `dbgp-trace/v1` document.
-    pub fn from_json(doc: &Value) -> Result<Self, String> {
-        let schema = doc.get("schema").and_then(|s| s.as_str()).ok_or("trace missing `schema`")?;
-        if schema != TRACE_SCHEMA {
-            return Err(format!("unsupported trace schema `{schema}`"));
-        }
-        let scenario =
-            doc.get("scenario").and_then(|s| s.as_str()).unwrap_or("unknown").to_string();
-        let mut node_asn = BTreeMap::new();
-        if let Some(nodes) = doc.get("nodes").and_then(|n| n.as_array()) {
-            for n in nodes {
-                let node = n
-                    .get("node")
-                    .and_then(|v| v.as_u64())
-                    .ok_or("trace node entry missing `node`")? as u32;
-                let asn =
-                    n.get("asn").and_then(|v| v.as_u64()).ok_or("trace node entry missing `asn`")?
-                        as u32;
-                node_asn.insert(node, asn);
-            }
-        }
-        let raw =
-            doc.get("events").and_then(|e| e.as_array()).ok_or("trace missing `events` array")?;
-        let mut events = Vec::with_capacity(raw.len());
-        for (i, ev) in raw.iter().enumerate() {
-            events.push(TraceEvent::from_json(ev).map_err(|e| format!("event {i}: {e}"))?);
-        }
-        Ok(TraceLog { scenario, node_asn, events })
-    }
-
-    /// Serialize back to a `dbgp-trace/v1` document.
+    /// The `dbgp-trace/v1` document: the one writer of the schema.
     pub fn to_json(&self) -> Value {
         let nodes: Vec<Value> = self
             .node_asn
@@ -70,7 +51,7 @@ impl TraceLog {
         Value::Object(vec![
             ("schema".into(), Value::String(TRACE_SCHEMA.into())),
             ("scenario".into(), Value::String(self.scenario.clone())),
-            ("evicted".into(), Value::UInt(0)),
+            ("evicted".into(), Value::UInt(self.evicted)),
             ("nodes".into(), Value::Array(nodes)),
             ("events".into(), Value::Array(self.events.iter().map(|e| e.to_json()).collect())),
         ])
@@ -445,4 +426,95 @@ pub fn convergence_timeline(log: &TraceLog) -> Timeline {
         }
     }
     Timeline { decisions: entries.len() as u64, entries, converged_at, messages }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::SelectionReason;
+    use dbgp_wire::Ipv4Prefix;
+
+    #[test]
+    fn ring_evicts_oldest_and_counts_what_it_dropped() {
+        let rec = TraceRecorder::with_capacity(2);
+        for i in 0..5u32 {
+            rec.record(u64::from(i), i, None, TraceKind::DecodeError { from: 0 });
+        }
+        assert_eq!(rec.len(), 2);
+        let log = TraceLog::from_recorder(&rec, "ring");
+        let ids: Vec<u64> = log.events.iter().map(|e| e.id.0).collect();
+        assert_eq!(ids, vec![3, 4]);
+        assert_eq!(log.to_json().get("evicted").and_then(Value::as_u64), Some(3));
+    }
+
+    /// One event of every kind through the one writer, against bytes
+    /// recorded while a decoder still existed: nothing reads a trace
+    /// back, so the bytes are the contract.
+    #[test]
+    fn every_kind_writes_its_recorded_bytes() {
+        let prefix: Ipv4Prefix = "10.0.0.0/8".parse().unwrap();
+        let rec = TraceRecorder::unbounded();
+        rec.set_node_asn(0, 10);
+        rec.set_node_asn(1, 11);
+        let kinds = [
+            TraceKind::Originate { prefix },
+            TraceKind::OriginWithdraw { prefix },
+            TraceKind::Advertise { prefix, to: 1 },
+            TraceKind::Withdraw { prefix, to: 1 },
+            TraceKind::Transmit { to: 1, bytes: 42 },
+            TraceKind::Deliver { from: 0, bytes: 42 },
+            TraceKind::Decode { prefix, from: 0, withdraw: true },
+            TraceKind::DecodeError { from: 0 },
+            TraceKind::Decision {
+                prefix,
+                selected: true,
+                neighbor_as: Some(10),
+                path: "10".into(),
+                hops: 1,
+                candidates: 2,
+                why: SelectionReason::ShortestPath,
+            },
+            TraceKind::LoopDrop { prefix, from_as: 11, reason: "loop".into() },
+            TraceKind::IslandCrossing { prefix, to: 1, from_island: Some(500), to_island: None },
+            TraceKind::SessionFsm { peer: 1, from: "down", to: "up", trigger: "link-up" },
+            TraceKind::NodeRestart { generation: 1 },
+            TraceKind::LinkDown { a: 0, b: 1 },
+            TraceKind::LinkUp { a: 0, b: 1 },
+            TraceKind::MessageDropped { to: 1 },
+        ];
+        let mut parent = None;
+        for (i, kind) in kinds.into_iter().enumerate() {
+            parent = Some(rec.record(i as u64 * 10, (i % 2) as u32, parent, kind));
+        }
+        let doc = serde_json::to_string(&TraceLog::from_recorder(&rec, "kinds").to_json()).unwrap();
+        let want = concat!(
+            r#"{"schema":"dbgp-trace/v1","scenario":"kinds","evicted":0,"#,
+            r#""nodes":[{"node":0,"asn":10},{"node":1,"asn":11}],"events":["#,
+            r#"{"id":0,"at":0,"node":0,"parent":null,"kind":"originate","prefix":"10.0.0.0/8"},"#,
+            r#"{"id":1,"at":10,"node":1,"parent":0,"kind":"origin-withdraw","#,
+            r#""prefix":"10.0.0.0/8"},"#,
+            r#"{"id":2,"at":20,"node":0,"parent":1,"kind":"advertise","prefix":"10.0.0.0/8","to":1},"#,
+            r#"{"id":3,"at":30,"node":1,"parent":2,"kind":"withdraw","prefix":"10.0.0.0/8","to":1},"#,
+            r#"{"id":4,"at":40,"node":0,"parent":3,"kind":"transmit","to":1,"bytes":42},"#,
+            r#"{"id":5,"at":50,"node":1,"parent":4,"kind":"deliver","from":0,"bytes":42},"#,
+            r#"{"id":6,"at":60,"node":0,"parent":5,"kind":"decode","prefix":"10.0.0.0/8","#,
+            r#""from":0,"withdraw":true},"#,
+            r#"{"id":7,"at":70,"node":1,"parent":6,"kind":"decode-error","from":0},"#,
+            r#"{"id":8,"at":80,"node":0,"parent":7,"kind":"decision","prefix":"10.0.0.0/8","#,
+            r#""selected":true,"neighbor_as":10,"path":"10","hops":1,"candidates":2,"#,
+            r#""why":"shortest-path"},"#,
+            r#"{"id":9,"at":90,"node":1,"parent":8,"kind":"loop-drop","prefix":"10.0.0.0/8","#,
+            r#""from_as":11,"reason":"loop"},"#,
+            r#"{"id":10,"at":100,"node":0,"parent":9,"kind":"island-crossing","#,
+            r#""prefix":"10.0.0.0/8","to":1,"from_island":500,"to_island":null},"#,
+            r#"{"id":11,"at":110,"node":1,"parent":10,"kind":"session-fsm","peer":1,"#,
+            r#""from":"down","to":"up","trigger":"link-up"},"#,
+            r#"{"id":12,"at":120,"node":0,"parent":11,"kind":"node-restart","generation":1},"#,
+            r#"{"id":13,"at":130,"node":1,"parent":12,"kind":"link-down","a":0,"b":1},"#,
+            r#"{"id":14,"at":140,"node":0,"parent":13,"kind":"link-up","a":0,"b":1},"#,
+            r#"{"id":15,"at":150,"node":1,"parent":14,"kind":"message-dropped","to":1}"#,
+            "]}",
+        );
+        assert_eq!(doc, want);
+    }
 }

@@ -3,12 +3,7 @@
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
 
-use serde_json::Value;
-
 use crate::event::{EventId, TraceEvent, TraceKind};
-
-/// Schema identifier written into serialized traces.
-pub const TRACE_SCHEMA: &str = "dbgp-trace/v1";
 
 struct Inner {
     events: VecDeque<TraceEvent>,
@@ -102,27 +97,10 @@ impl TraceRecorder {
         self.inner.borrow().node_asn.clone()
     }
 
-    /// Serialize the retained events as a `dbgp-trace/v1` document.
-    pub fn to_json(&self, scenario: &str) -> Value {
-        let inner = self.inner.borrow();
-        let nodes: Vec<Value> = inner
-            .node_asn
-            .iter()
-            .map(|(node, asn)| {
-                Value::Object(vec![
-                    ("node".into(), Value::UInt(u64::from(*node))),
-                    ("asn".into(), Value::UInt(u64::from(*asn))),
-                ])
-            })
-            .collect();
-        let events: Vec<Value> = inner.events.iter().map(|e| e.to_json()).collect();
-        Value::Object(vec![
-            ("schema".into(), Value::String(TRACE_SCHEMA.into())),
-            ("scenario".into(), Value::String(scenario.into())),
-            ("evicted".into(), Value::UInt(inner.evicted)),
-            ("nodes".into(), Value::Array(nodes)),
-            ("events".into(), Value::Array(events)),
-        ])
+    /// How many events the ring has dropped; [`TraceLog`](crate::query::TraceLog)
+    /// writes it into the document.
+    pub(crate) fn evicted(&self) -> u64 {
+        self.inner.borrow().evicted
     }
 }
 
@@ -145,54 +123,5 @@ mod tests {
         assert_eq!(evs.len(), 2);
         assert_eq!(evs[0].at, 5);
         assert_eq!(evs[1].parent, Some(a));
-    }
-
-    #[test]
-    fn ring_evicts_oldest_and_counts_what_it_dropped() {
-        let rec = TraceRecorder::with_capacity(2);
-        for i in 0..5u32 {
-            rec.record(u64::from(i), i, None, TraceKind::DecodeError { from: 0 });
-        }
-        assert_eq!(rec.len(), 2);
-        let ids: Vec<u64> = rec.events().iter().map(|e| e.id.0).collect();
-        assert_eq!(ids, vec![3, 4]);
-        assert_eq!(rec.to_json("ring").get("evicted").and_then(Value::as_u64), Some(3));
-    }
-
-    #[test]
-    fn events_round_trip_through_json() {
-        let rec = TraceRecorder::unbounded();
-        rec.set_node_asn(0, 10);
-        rec.record(
-            7,
-            0,
-            None,
-            TraceKind::Decision {
-                prefix: pfx(),
-                selected: true,
-                neighbor_as: Some(11),
-                path: "11 10".into(),
-                hops: 2,
-                candidates: 3,
-                why: crate::SelectionReason::ShortestPath,
-            },
-        );
-        rec.record(
-            8,
-            1,
-            Some(EventId(0)),
-            TraceKind::SessionFsm {
-                peer: 0,
-                from: "idle".into(),
-                to: "established".into(),
-                trigger: "manual-start".into(),
-            },
-        );
-        let doc = rec.to_json("unit");
-        let events = doc.get("events").unwrap().as_array().unwrap();
-        for (raw, orig) in events.iter().zip(rec.events()) {
-            let parsed = TraceEvent::from_json(raw).unwrap();
-            assert_eq!(parsed, orig);
-        }
     }
 }

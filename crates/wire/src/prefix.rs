@@ -99,11 +99,6 @@ impl Ipv4Prefix {
         self.len
     }
 
-    /// `true` only for the default route (length 0).
-    pub fn is_default(&self) -> bool {
-        self.len == 0
-    }
-
     /// Does this prefix contain the given address?
     pub fn contains(&self, addr: Ipv4Addr) -> bool {
         addr.0 & Self::mask(self.len) == self.network.0
