@@ -7,6 +7,8 @@
 //! comparison.
 
 use dbgp_wire::{Ia, IslandId, ProtocolId, WireError};
+use std::borrow::Borrow;
+use std::sync::Arc;
 
 /// Why the global import filter rejected an IA.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,15 +53,20 @@ pub struct IslandConfig {
 
 /// Global import filter: loop detection plus the protocol blacklist.
 ///
-/// Returns `Err` if the IA must be discarded; otherwise the IA may have
-/// had blacklisted protocols' descriptors removed in place.
+/// Returns `Err` if the IA must be discarded, and otherwise the `Arc` to
+/// store: a shared IA (one decoded frame, many neighbors) as the same
+/// allocation, an owned one moved into a new `Arc` after the loop check,
+/// so a rejected one allocates nothing. The blacklist strips through
+/// [`Arc::make_mut`] and only when it is set, so it copies a shared IA
+/// first and the other receivers' copy stays whole.
 pub fn global_import(
     cfg: &FilterConfig,
     local_as: u32,
     island: Option<IslandConfig>,
-    ia: &mut Ia,
-) -> Result<(), RejectReason> {
-    if ia.contains_as(local_as) {
+    ia: impl Borrow<Ia> + Into<Arc<Ia>>,
+) -> Result<Arc<Ia>, RejectReason> {
+    let view: &Ia = ia.borrow();
+    if view.contains_as(local_as) {
         return Err(RejectReason::AsLoop);
     }
     if let Some(island) = island {
@@ -67,14 +74,15 @@ pub fn global_import(
         // as the IA is arriving from a fellow member (front entry still
         // inside the island); a gulf entry in front means the path left
         // the island and is trying to come back.
-        if ia.contains_island(island.id) && ia.island_of(0) != Some(island.id) {
+        if view.contains_island(island.id) && view.island_of(0) != Some(island.id) {
             return Err(RejectReason::IslandLoop);
         }
     }
+    let mut ia = ia.into();
     if !cfg.strip_protocols.is_empty() {
-        ia.strip_protocols(&cfg.strip_protocols);
+        Arc::make_mut(&mut ia).strip_protocols(&cfg.strip_protocols);
     }
-    Ok(())
+    Ok(ia)
 }
 
 /// Mark the frontmost path-vector entry (our own AS, just prepended) as a
@@ -145,12 +153,12 @@ mod tests {
 
     #[test]
     fn as_loop_rejected() {
-        let mut adv = ia(&[5, 6, 7]);
+        let adv = ia(&[5, 6, 7]);
         assert_eq!(
-            global_import(&FilterConfig::default(), 6, None, &mut adv),
+            global_import(&FilterConfig::default(), 6, None, adv.clone()),
             Err(RejectReason::AsLoop)
         );
-        assert_eq!(global_import(&FilterConfig::default(), 9, None, &mut adv), Ok(()));
+        assert_eq!(global_import(&FilterConfig::default(), 9, None, adv.clone()), Ok(adv.into()));
     }
 
     #[test]
@@ -160,21 +168,21 @@ mod tests {
         // to the island. Must be allowed.
         let mut adv = ia(&[5, 6]);
         adv.declare_membership(IslandId(500), 1).unwrap();
-        assert_eq!(global_import(&FilterConfig::default(), 9, Some(island), &mut adv), Ok(()));
+        assert!(global_import(&FilterConfig::default(), 9, Some(island), adv).is_ok());
         // Case 2: the path left the island (gulf AS in front) and is
         // trying to re-enter. Must be rejected.
         let mut adv = ia(&[5, 6]);
         adv.declare_membership(IslandId(500), 1).unwrap();
         adv.prepend_as(4000); // gulf hop in front
         assert_eq!(
-            global_import(&FilterConfig::default(), 9, Some(island), &mut adv),
+            global_import(&FilterConfig::default(), 9, Some(island), adv),
             Err(RejectReason::IslandLoop)
         );
         // Case 3: abstracted island element re-entering via a gulf.
         let mut adv = ia(&[7]);
         adv.path_vector.push(PathElem::Island(IslandId(500)));
         assert_eq!(
-            global_import(&FilterConfig::default(), 9, Some(island), &mut adv),
+            global_import(&FilterConfig::default(), 9, Some(island), adv),
             Err(RejectReason::IslandLoop)
         );
     }
@@ -197,7 +205,7 @@ mod tests {
             dkey::BGPSEC_ATTESTATION,
             vec![2],
         ));
-        assert_eq!(global_import(&cfg, 9, None, &mut adv), Ok(()));
+        let adv = global_import(&cfg, 9, None, adv).expect("no loop");
         assert!(adv.path_descriptor(dbgp_wire::ProtocolId::WISER, dkey::WISER_PATH_COST).is_none());
         assert!(adv
             .path_descriptor(dbgp_wire::ProtocolId::BGPSEC, dkey::BGPSEC_ATTESTATION)

@@ -31,6 +31,7 @@ use crate::neighbor::{DbgpNeighbor, NeighborId, PeerClass};
 use dbgp_rib::recycle;
 use dbgp_telemetry::{Selection, SelectionReason};
 use dbgp_wire::{Ia, Ipv4Addr, Ipv4Prefix, ProtocolId};
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -334,26 +335,39 @@ impl DbgpSpeaker {
     }
 
     /// Process one received IA — pipeline steps 1–7.
-    pub fn receive_ia(&mut self, from: NeighborId, mut ia: Ia) -> Vec<DbgpOutput> {
+    ///
+    /// The IA DB stores the `Arc` it is handed (an owned `Ia` is put
+    /// behind one once it passes the loop check). A host that decodes a
+    /// frame once and gives every receiver the same `Arc` therefore
+    /// stores it once; only a speaker whose import filter changes the IA
+    /// copies it first (see [`filters::global_import`]).
+    pub fn receive_ia(
+        &mut self,
+        from: NeighborId,
+        ia: impl Borrow<Ia> + Into<Arc<Ia>>,
+    ) -> Vec<DbgpOutput> {
         self.pipe.processed += 1;
         let mut out = Vec::new();
         let Some(from_as) = self.pipe.neighbors.get(&from).map(|n| n.asn) else {
             return out;
         };
-        let prefix = ia.prefix;
+        let prefix = ia.borrow().prefix;
         // (1) Global import filters.
         let cfg = &self.pipe.cfg;
-        if let Err(reason) = filters::global_import(&cfg.filters, cfg.asn, cfg.island, &mut ia) {
-            out.push(DbgpOutput::Rejected(from, prefix, reason));
-            // A looped IA implicitly withdraws whatever this neighbor
-            // previously advertised for the prefix.
-            self.on_existing(prefix, |pipe, entry| {
-                if entry.slots.unreceive(from).is_some() {
-                    pipe.redecide(entry, prefix, &mut out);
-                }
-            });
-            return out;
-        }
+        let ia = match filters::global_import(&cfg.filters, cfg.asn, cfg.island, ia) {
+            Ok(ia) => ia,
+            Err(reason) => {
+                out.push(DbgpOutput::Rejected(from, prefix, reason));
+                // A looped IA implicitly withdraws whatever this
+                // neighbor previously advertised for the prefix.
+                self.on_existing(prefix, |pipe, entry| {
+                    if entry.slots.unreceive(from).is_some() {
+                        pipe.redecide(entry, prefix, &mut out);
+                    }
+                });
+                return out;
+            }
+        };
         // The one table walk of an announce: everything below runs on
         // this entry.
         let Self { table, pipe } = self;
@@ -363,7 +377,7 @@ impl DbgpSpeaker {
         // change the selection — store it and skip the full scan.
         let best_stands = pipe.best_stands(entry, prefix, from, Some((&ia, from_as)));
         // (2) Store in the IA DB.
-        entry.slots.receive(from, Arc::new(ia));
+        entry.slots.receive(from, ia);
         // (3)-(7) Extract, decide, build, filter, send.
         pipe.settle(entry, prefix, best_stands, &mut out);
         out

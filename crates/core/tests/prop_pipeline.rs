@@ -106,7 +106,7 @@ proptest! {
         for &asn in path.iter().rev() {
             ia.prepend_as(asn);
         }
-        let result = filters::global_import(&FilterConfig::default(), local_as, None, &mut ia);
+        let result = filters::global_import(&FilterConfig::default(), local_as, None, ia);
         prop_assert_eq!(result.is_err(), path.contains(&local_as));
     }
 

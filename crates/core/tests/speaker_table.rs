@@ -154,6 +154,37 @@ fn fan_out_shares_one_export_when_best_is_not_the_lowest_neighbor() {
     assert_eq!((speaker.exports_built(), speaker.exports_shared()), (1, 3));
 }
 
+#[test]
+fn a_shared_arrival_is_stored_as_handed_in_and_copied_only_to_strip() {
+    // One decoded IA handed to two speakers, as a host does with a frame
+    // that fans out: the one that filters nothing stores the very
+    // allocation; the one that strips Wiser copies it first, and neither
+    // the caller's IA nor the other speaker's loses the descriptor.
+    let cost = dbgp_wire::ia::dkey::WISER_PATH_COST;
+    let mut ia = hops_ia(1, &[1]);
+    ia.set_path_descriptor(ProtocolId::WISER, cost, 7u64.to_be_bytes().to_vec());
+    let shared = Arc::new(ia);
+    let prefix = p("10.0.0.0/8");
+
+    let mut plain = DbgpSpeaker::new(DbgpConfig::gulf(9));
+    plain.add_neighbor(NeighborId(0), DbgpNeighbor::dbgp(1));
+    let mut cfg = DbgpConfig::gulf(9);
+    cfg.filters.strip_protocols = vec![ProtocolId::WISER];
+    let mut stripping = DbgpSpeaker::new(cfg);
+    stripping.add_neighbor(NeighborId(0), DbgpNeighbor::dbgp(1));
+
+    plain.receive_ia(NeighborId(0), Arc::clone(&shared));
+    stripping.receive_ia(NeighborId(0), Arc::clone(&shared));
+
+    let kept = plain.iadb().get(NeighborId(0), &prefix).expect("stored");
+    assert!(Arc::ptr_eq(kept, &shared), "a speaker that changes nothing shares the allocation");
+    let stripped = stripping.iadb().get(NeighborId(0), &prefix).expect("stored");
+    assert!(!Arc::ptr_eq(stripped, &shared), "a speaker that strips copies first");
+    assert!(stripped.path_descriptor(ProtocolId::WISER, cost).is_none());
+    assert!(shared.path_descriptor(ProtocolId::WISER, cost).is_some(), "the caller's IA is whole");
+    assert!(kept.path_descriptor(ProtocolId::WISER, cost).is_some());
+}
+
 // ----- random operation sequences -------------------------------------------
 
 const PREFIXES: [&str; 5] =

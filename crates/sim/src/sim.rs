@@ -6,7 +6,10 @@
 //! Control-plane messages are real wire bytes: every IA is encoded with
 //! the TLV codec at the sender and decoded at the receiver, so the
 //! simulator exercises exactly the serialization path the §5 stress test
-//! measures.
+//! measures. A buffer is decoded once however many receivers it reaches:
+//! the deliveries of one fan-out frame (or of a duplicate) share the
+//! decoded `Arc<Ia>`s, and the speakers store those (DESIGN.md, "Buffer
+//! ownership in the simulator").
 //!
 //! Links carry an optional [`LinkModel`] (seeded jitter, loss,
 //! duplication, corruption) and can be failed, restored and flapped at
@@ -29,6 +32,7 @@ use dbgp_rib::PrefixTrie;
 use dbgp_telemetry::{metrics, EventId, Log2Histogram, TraceKind, TraceRecorder};
 use dbgp_wire::{EncodedIa, Ia, Ipv4Addr, Ipv4Prefix, ProtocolId};
 use serde_json::Value;
+use std::borrow::Borrow;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::rc::Rc;
 use std::sync::Arc;
@@ -52,6 +56,16 @@ struct DeliverTrace {
     /// Per-element causes in frame order (withdraws first, then IAs):
     /// the sender-side Withdraw/Advertise events.
     causes: Vec<EventId>,
+}
+
+/// A frame being received: the link it crossed, the receiver's id for
+/// the sender, and the receiver's Deliver event.
+#[derive(Clone, Copy)]
+struct Arrival {
+    to: NodeId,
+    from: NodeId,
+    from_id: NeighborId,
+    deliver_id: Option<EventId>,
 }
 
 /// What travels on the simulated wires and bus.
@@ -174,6 +188,36 @@ struct EncodeCacheEntry {
 /// routing table that cycles through this many distinct outgoing IAs
 /// inside one epoch is churning too hard to cache anyway).
 const ENCODE_CACHE_CAP: usize = 8192;
+
+/// A frame decoded once for every delivery of its buffer.
+struct SharedFrame {
+    withdrawn: Vec<Ipv4Prefix>,
+    ias: Vec<Arc<Ia>>,
+}
+
+/// One decode-memo entry, keyed by the buffer's address.
+struct DecodeMemoEntry {
+    /// Pins the buffer (the encode cache's rule), so its address cannot
+    /// be reused while it is a key; its length completes the key.
+    bytes: Bytes,
+    frame: Rc<SharedFrame>,
+}
+
+/// Entries before the decode memo is wiped. The deliveries of one
+/// fan-out land within a few link delays of each other, so a short
+/// memory catches nearly all of them; a long one only pins buffers.
+const DECODE_MEMO_CAP: usize = 256;
+
+/// What [`Sim::decode_frame`] made of a delivered buffer.
+enum Decoded {
+    /// A buffer this delivery alone holds (a batched flush to one
+    /// neighbor, a corrupted copy, injected bytes): decoded for it, and
+    /// nothing kept.
+    Own(DbgpUpdate),
+    /// A buffer with other handles: decoded by its first delivery, and
+    /// shared by every later one.
+    Shared(Rc<SharedFrame>),
+}
 
 /// One adjacency's static parameters plus its administrative state.
 #[derive(Debug, Clone, Copy)]
@@ -320,6 +364,13 @@ pub struct Sim {
     /// The bodies of the frame [`Sim::emit`] is assembling. Kept (empty)
     /// between frames so a batched flush allocates no list of them.
     frame_bodies: Vec<EncodedIa>,
+    /// Shared buffers decoded so far, keyed by address (see
+    /// [`Sim::decode_frame`]).
+    decode_memo: PtrMap<DecodeMemoEntry>,
+    /// Buffers run through the decoder, and deliveries served from the
+    /// decode memo instead.
+    frames_decoded: u64,
+    decode_memo_hits: u64,
     /// Route-churn records per (node, prefix).
     churn: BTreeMap<(NodeId, Ipv4Prefix), PrefixChurn>,
     /// Seeded RNG driving link perturbation models. Only consumed for
@@ -402,6 +453,9 @@ impl Sim {
             queue: EventQueue::new(),
             stats: SimStats::default(),
             frame_bodies: Vec::new(),
+            decode_memo: PtrMap::default(),
+            frames_decoded: 0,
+            decode_memo_hits: 0,
             churn: BTreeMap::new(),
             rng: SimRng::new(0),
             oob_delay: 5,
@@ -453,6 +507,18 @@ impl Sim {
     /// summed over all speakers.
     pub fn full_scans_avoided(&self) -> u64 {
         self.nodes.iter().map(|n| n.speaker.full_scans_avoided()).sum()
+    }
+
+    /// Delivered buffers run through the decoder: every one only its
+    /// delivery held, plus the first delivery of each shared one.
+    pub fn frames_decoded(&self) -> u64 {
+        self.frames_decoded
+    }
+
+    /// Deliveries whose shared buffer was already decoded: the receiver
+    /// got the `Arc<Ia>`s an earlier delivery of it made.
+    pub fn decode_memo_hits(&self) -> u64 {
+        self.decode_memo_hits
     }
 
     /// Collect per-phase wall time (decode/decide/encode/queue) on the
@@ -889,11 +955,10 @@ impl Sim {
                     trace.as_ref().map(|t| t.frame),
                     TraceKind::Deliver { from: from as u32, bytes: bytes.len() as u32 },
                 );
-                let mut buf = bytes;
                 let t = self.phase_now();
-                let decoded = DbgpUpdate::decode(&mut buf);
+                let decoded = self.decode_frame(bytes);
                 self.phase_add(t, Phase::Decode);
-                let Ok(update) = decoded else {
+                let Some(decoded) = decoded else {
                     self.stats.decode_errors += 1;
                     self.record(to, deliver_id, TraceKind::DecodeError { from: from as u32 });
                     return;
@@ -902,22 +967,19 @@ impl Sim {
                     self.stats.orphaned_deliveries += 1;
                     return;
                 };
-                self.nodes[to].counters.withdraws_in += update.withdrawn.len() as u64;
-                self.nodes[to].counters.updates_in += update.ias.len() as u64;
-                // One element at a time, in frame order (withdraws, then
-                // IAs): each Decode event parents exactly the outputs it
-                // causes, chained to the sender-side event that put the
-                // element on the wire (or to the Deliver, for a frame
-                // that carried no causes).
-                let causes: &[EventId] = trace.as_deref().map_or(&[], |t| &t.causes);
-                let mut causes = causes.iter().copied();
-                for prefix in update.withdrawn {
-                    let parent = causes.next().or(deliver_id);
-                    self.receive_element(to, from, from_id, parent, prefix, None);
-                }
-                for ia in update.ias {
-                    let parent = causes.next().or(deliver_id);
-                    self.receive_element(to, from, from_id, parent, ia.prefix, Some(ia));
+                let arrival = Arrival { to, from, from_id, deliver_id };
+                let trace = trace.as_deref();
+                match decoded {
+                    Decoded::Own(update) => self.receive_update(
+                        arrival,
+                        trace,
+                        &update.withdrawn,
+                        update.ias.into_iter(),
+                    ),
+                    Decoded::Shared(frame) => {
+                        let ias = frame.ias.iter().cloned();
+                        self.receive_update(arrival, trace, &frame.withdrawn, ias)
+                    }
                 }
             }
             Event::Flush { node, neighbor } => {
@@ -933,18 +995,77 @@ impl Sim {
         }
     }
 
-    /// Feed one decoded frame element (`ia`, or a withdrawal of `prefix`
-    /// when `None`) from neighbor `from_id` to node `to`'s speaker and
-    /// act on what it returns.
-    fn receive_element(
+    /// The one decoder of delivered buffers. A buffer only this delivery
+    /// holds is decoded for it and nothing is kept. A buffer with other
+    /// handles — the encode cache's single-IA announce frame fanned out
+    /// to every neighbor, or a duplicate — is decoded once and memoised
+    /// under its address: later deliveries of it get the same
+    /// `Arc<Ia>`s. `None` when the bytes do not decode.
+    ///
+    /// Sound because decoding is a pure function of immutable bytes, a
+    /// pinned buffer's address names exactly those bytes, and a
+    /// corrupting link delivers a fresh copy, never a shared one.
+    fn decode_frame(&mut self, bytes: Bytes) -> Option<Decoded> {
+        let shared = !bytes.is_unique();
+        let key = bytes.as_ptr() as usize;
+        if shared {
+            let memoised = self.decode_memo.get(&key).filter(|e| e.bytes.len() == bytes.len());
+            if let Some(entry) = memoised {
+                self.decode_memo_hits += 1;
+                return Some(Decoded::Shared(Rc::clone(&entry.frame)));
+            }
+        }
+        self.frames_decoded += 1;
+        let update = DbgpUpdate::decode(&mut bytes.clone()).ok()?;
+        if !shared {
+            return Some(Decoded::Own(update));
+        }
+        let DbgpUpdate { withdrawn, ias } = update;
+        let frame =
+            Rc::new(SharedFrame { withdrawn, ias: ias.into_iter().map(Arc::new).collect() });
+        if self.decode_memo.len() >= DECODE_MEMO_CAP {
+            self.decode_memo.clear();
+        }
+        self.decode_memo.insert(key, DecodeMemoEntry { bytes, frame: Rc::clone(&frame) });
+        Some(Decoded::Shared(frame))
+    }
+
+    /// Feed a decoded frame to `arrival.to`'s speaker one element at a
+    /// time, in frame order (withdraws, then IAs). Each Decode event
+    /// parents exactly the outputs it causes, chained to the sender-side
+    /// event that put the element on the wire (or to the Deliver, for a
+    /// frame that carried no causes).
+    fn receive_update<I: Borrow<Ia> + Into<Arc<Ia>>>(
         &mut self,
-        to: NodeId,
-        from: NodeId,
-        from_id: NeighborId,
+        arrival: Arrival,
+        trace: Option<&DeliverTrace>,
+        withdrawn: &[Ipv4Prefix],
+        ias: impl ExactSizeIterator<Item = I>,
+    ) {
+        let counters = &mut self.nodes[arrival.to].counters;
+        counters.withdraws_in += withdrawn.len() as u64;
+        counters.updates_in += ias.len() as u64;
+        let mut causes = trace.map_or(&[][..], |t| &t.causes).iter().copied();
+        for &prefix in withdrawn {
+            let parent = causes.next().or(arrival.deliver_id);
+            self.receive_element(arrival, parent, prefix, None::<I>);
+        }
+        for ia in ias {
+            let parent = causes.next().or(arrival.deliver_id);
+            self.receive_element(arrival, parent, ia.borrow().prefix, Some(ia));
+        }
+    }
+
+    /// Feed one decoded frame element (`ia`, or a withdrawal of `prefix`
+    /// when `None`) to the receiving speaker and act on what it returns.
+    fn receive_element<I: Borrow<Ia> + Into<Arc<Ia>>>(
+        &mut self,
+        arrival: Arrival,
         parent: Option<EventId>,
         prefix: Ipv4Prefix,
-        ia: Option<Ia>,
+        ia: Option<I>,
     ) {
+        let Arrival { to, from, from_id, .. } = arrival;
         let decode_id = self.record(
             to,
             parent,

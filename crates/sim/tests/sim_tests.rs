@@ -2,11 +2,12 @@
 //! experiments (Figure 8): Wiser and Pathlet Routing deployed across a
 //! BGP gulf over D-BGP.
 
-use dbgp_core::{DbgpConfig, DbgpSpeaker, IslandConfig};
+use dbgp_core::{DbgpConfig, DbgpSpeaker, IslandConfig, NeighborId};
 use dbgp_protocols::wiser::{self, WiserModule};
 use dbgp_protocols::{miro, MiroOffer, MiroPortal, MiroRequest, Pathlet, PathletModule};
-use dbgp_sim::{Delivery, Packet, Service, Sim};
+use dbgp_sim::{Delivery, LinkModel, Packet, Service, Sim, SimStats};
 use dbgp_wire::{Ipv4Addr, Ipv4Prefix, IslandId, ProtocolId};
+use std::sync::Arc;
 
 fn p(s: &str) -> Ipv4Prefix {
     s.parse().unwrap()
@@ -493,4 +494,112 @@ fn gulfs_splice_the_tail_and_a_module_that_rewrites_it_does_not() {
     let (stats, cost) = run(true);
     assert_eq!((stats.updates_encoded, stats.tails_spliced), (7, 5), "{stats:?}");
     assert_eq!(cost, Some(107), "the Wiser AS rewrote its descriptor");
+}
+
+/// The hub of a star fans one announce frame out to every other leaf;
+/// the frame is decoded once, and the leaves store the same `Arc<Ia>`.
+#[test]
+fn decode_once_leaves_of_one_hub_share_the_ia() {
+    let mut sim = Sim::new();
+    let hub = sim.add_node(DbgpConfig::gulf(1));
+    let leaves: Vec<_> = (2..=5).map(|asn| sim.add_node(DbgpConfig::gulf(asn))).collect();
+    for &leaf in &leaves {
+        sim.link(hub, leaf, 10, false);
+    }
+    let prefix = p("128.6.0.0/16");
+    sim.originate(leaves[0], prefix);
+    sim.run(60_000_000);
+    assert_eq!(sim.pending_events(), 0, "quiesces");
+    // Each leaf's one neighbor, the hub, is its neighbor 0.
+    let from_hub = |leaf| sim.speaker(leaf).iadb().get(NeighborId(0), &prefix).expect("learned");
+    let (first, second) = (from_hub(leaves[1]), from_hub(leaves[2]));
+    assert!(Arc::ptr_eq(first, second), "two leaves hold one decoded IA");
+    assert!(Arc::ptr_eq(first, from_hub(leaves[3])));
+    // Leaf 0 -> hub, then hub -> three leaves: two frames, two memo hits.
+    let stats = sim.stats();
+    assert_eq!(stats.messages, 4, "{stats:?}");
+    assert_eq!((sim.frames_decoded(), sim.decode_memo_hits()), (2, 2));
+}
+
+/// A corrupting link delivers its own copy of the frame, so a corrupted
+/// delivery is decoded on its own and never served the memo's clean IA.
+/// Every counter equals what this scenario produced before frames were
+/// memoised.
+#[test]
+fn decode_once_a_corrupted_delivery_is_decoded_on_its_own() {
+    let mut sim = Sim::new();
+    sim.set_seed(48);
+    let hub = sim.add_node(DbgpConfig::gulf(1));
+    let leaves: Vec<_> = (2..=5).map(|asn| sim.add_node(DbgpConfig::gulf(asn))).collect();
+    for &leaf in &leaves {
+        sim.link(hub, leaf, 10, false);
+    }
+    sim.set_link_model(hub, leaves[1], LinkModel::default().corrupt_ppm(600_000));
+    let prefixes: Vec<Ipv4Prefix> = (0..12).map(|i| p(&format!("10.{i}.0.0/16"))).collect();
+    for (i, &prefix) in prefixes.iter().enumerate() {
+        sim.originate([leaves[0], leaves[2], leaves[3]][i % 3], prefix);
+        sim.run(100 * (i as u64 + 1));
+    }
+    sim.run(60_000_000);
+    assert_eq!(sim.pending_events(), 0, "quiesces");
+    assert_eq!(
+        sim.stats(),
+        SimStats {
+            messages: 48,
+            bytes: 1152,
+            oob_requests: 0,
+            last_event_at: 960,
+            decode_errors: 3,
+            orphaned_deliveries: 0,
+            dropped_messages: 0,
+            duplicated_messages: 0,
+            corrupted_messages: 8,
+            best_changes: 57,
+            updates_encoded: 24,
+            encode_cache_hits: 24,
+            tails_spliced: 0,
+        }
+    );
+    assert_eq!(sim.frames_decoded() + sim.decode_memo_hits(), 48, "one or the other per delivery");
+    // Where the corrupting leaf stored what the clean leaf stored, it is
+    // the same decoded IA; where a flipped byte survived decoding, it is
+    // a separate IA with the flip in it.
+    let (mut shared, mut apart) = (0, 0);
+    for prefix in &prefixes {
+        let from_hub = |leaf| sim.speaker(leaf).iadb().get(NeighborId(0), prefix);
+        let (Some(dirty), Some(clean)) = (from_hub(leaves[1]), from_hub(leaves[2])) else {
+            continue;
+        };
+        assert_eq!(Arc::ptr_eq(dirty, clean), dirty == clean, "{prefix}");
+        if dirty == clean {
+            shared += 1;
+        } else {
+            apart += 1;
+        }
+    }
+    assert_eq!((shared, apart), (3, 2), "three clean copies shared, two corrupted ones not");
+}
+
+/// A batched flush goes to one neighbor, so its buffer has one handle and
+/// is not memoised; a duplicating link makes it shared, and the
+/// duplicate is served from the memo.
+#[test]
+fn decode_once_the_duplicate_of_a_batched_frame_hits_the_memo() {
+    let mut sim = Sim::new();
+    let a = sim.add_node(DbgpConfig::gulf(1));
+    let b = sim.add_node(DbgpConfig::gulf(2));
+    sim.link(a, b, 10, false);
+    sim.set_link_model(a, b, LinkModel::default().duplicate_ppm(1_000_000));
+    let prefixes = [p("10.0.0.0/16"), p("10.1.0.0/16"), p("10.2.0.0/16")];
+    for prefix in prefixes {
+        sim.originate(a, prefix);
+    }
+    sim.run(60_000_000);
+    assert_eq!(sim.pending_events(), 0, "quiesces");
+    let stats = sim.stats();
+    assert_eq!((stats.messages, stats.duplicated_messages), (2, 1), "{stats:?}");
+    assert_eq!((sim.frames_decoded(), sim.decode_memo_hits()), (1, 1));
+    for prefix in &prefixes {
+        assert!(sim.speaker(b).best(prefix).is_some(), "{prefix} installed once");
+    }
 }

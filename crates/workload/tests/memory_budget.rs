@@ -1,0 +1,107 @@
+//! Live-memory budget of a quiescent AS hierarchy: the scaled-down
+//! `sim_hier50k` of `benchmark/src/sims.rs` (a valley-free Gao-Rexford
+//! hierarchy, eight stub origins announced one flood apart), held to a
+//! number of live heap bytes per node once it has converged.
+//!
+//! Live bytes at a point of a run repeat exactly from run to run, so this
+//! gates in CI where a resident-set size cannot. One `#[test]` in its own
+//! binary: the counter is process-wide and must see one thread's work.
+
+use dbgp_sim::{Sim, SimTime};
+use dbgp_topology::{generate_hier, HierParams, Tier};
+use dbgp_workload::policy::{node_prefix, valley_free_sim};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::collections::HashSet;
+use std::sync::atomic::{AtomicIsize, Ordering};
+use std::sync::Arc;
+
+struct Counting;
+
+static LIVE: AtomicIsize = AtomicIsize::new(0);
+
+// SAFETY: every call is forwarded to `System` unchanged; the counter is
+// an atomic and never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        LIVE.fetch_add(layout.size() as isize, Ordering::Relaxed);
+        System.alloc(layout)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.fetch_sub(layout.size() as isize, Ordering::Relaxed);
+        System.dealloc(ptr, layout)
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        LIVE.fetch_add(layout.size() as isize, Ordering::Relaxed);
+        System.alloc_zeroed(layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        LIVE.fetch_add(new_size as isize - layout.size() as isize, Ordering::Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static ALLOC: Counting = Counting;
+
+/// The driver of `benchmark/src/sims.rs`'s `sim_hier50k`.
+const ORIGINS: usize = 8;
+const STAGGER: SimTime = 200;
+const HORIZON: SimTime = 1_000_000;
+
+/// Cut from 5,467 B measured with this test (seed 42, 1,002 nodes, both
+/// profiles within a byte) once every receiver of a frame stored the IAs
+/// of its one decode. Before that each receiver decoded its own copy,
+/// and the same scenario held 8,946 B per node: 12,527 received IAs,
+/// all distinct, where there are now 757.
+const BUDGET_BYTES_PER_NODE: usize = 5_800;
+
+#[test]
+fn a_quiescent_hierarchy_stays_inside_its_memory_budget() {
+    let topo = generate_hier(HierParams::default().scaled_down(50), 42);
+    let stubs: Vec<usize> = topo.nodes_in(Tier::Stub).collect();
+    let stride = stubs.len() / ORIGINS;
+    let origins: Vec<usize> = (0..ORIGINS).map(|i| stubs[i * stride]).collect();
+
+    let before = LIVE.load(Ordering::Relaxed);
+    let mut sim: Sim = valley_free_sim(&topo, 42);
+    for (i, &node) in origins.iter().enumerate() {
+        sim.originate(node, node_prefix(node));
+        sim.run((i as SimTime + 1) * STAGGER);
+    }
+    sim.run(HORIZON);
+    let live = (LIVE.load(Ordering::Relaxed) - before) as usize;
+    assert_eq!(sim.pending_events(), 0, "quiesces");
+
+    let prefixes: Vec<_> = origins.iter().map(|&node| node_prefix(node)).collect();
+    let (mut received, mut distinct) = (0usize, HashSet::new());
+    for node in 0..sim.node_count() {
+        let speaker = sim.speaker(node);
+        for prefix in &prefixes {
+            assert!(speaker.best(prefix).is_some(), "node {node} reaches {prefix}");
+            for (_, ia) in speaker.iadb().candidates(prefix) {
+                received += 1;
+                distinct.insert(Arc::as_ptr(ia));
+            }
+        }
+    }
+    let per_node = live / sim.node_count();
+    println!(
+        "{} nodes: {per_node} live B/node; {received} received IAs, {} distinct; \
+         {} frames decoded, {} deliveries served from the decode memo",
+        sim.node_count(),
+        distinct.len(),
+        sim.frames_decoded(),
+        sim.decode_memo_hits(),
+    );
+    assert!(
+        per_node <= BUDGET_BYTES_PER_NODE,
+        "{per_node} live B/node, budget {BUDGET_BYTES_PER_NODE}"
+    );
+    // Every receiver of a frame stores the IAs its one decode made.
+    assert!(
+        distinct.len() as u64 <= sim.frames_decoded(),
+        "{} distinct received IAs from {} decoded frames",
+        distinct.len(),
+        sim.frames_decoded()
+    );
+}
