@@ -25,8 +25,6 @@ pub use dbgp_session::HostOutput as Output;
 pub enum TransportEvent {
     /// The connection to the peer came up.
     Connected,
-    /// A connection attempt failed.
-    Failed,
     /// An established connection closed.
     Closed,
 }
@@ -60,7 +58,6 @@ impl Speaker {
     pub fn transport_event(&mut self, now: Millis, id: PeerId, ev: TransportEvent) -> Vec<Output> {
         match ev {
             TransportEvent::Connected => self.0.dial_result(now, id, true),
-            TransportEvent::Failed => self.0.dial_result(now, id, false),
             TransportEvent::Closed => self.0.conn_closed(now, id, ConnDir::Out),
         }
     }
@@ -90,122 +87,26 @@ impl Speaker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::Bytes;
     use dbgp_session::{
         Clause, LocRibEntry, MatchCond, NeighborConfig, PrefixMatch, RouteMap, RouteSource,
         SetAction,
     };
     use dbgp_telemetry::{Selection, SelectionReason};
     use dbgp_wire::Ipv4Prefix;
-    use std::collections::{BTreeMap, VecDeque};
 
     fn p(s: &str) -> Ipv4Prefix {
         s.parse().unwrap()
     }
 
-    /// A toy fabric that connects speakers with lossless in-order pipes
-    /// and pumps until quiescence — the unit-test stand-in for the full
-    /// simulator in `dbgp-sim`.
-    struct Fabric {
-        speakers: Vec<Speaker>,
-        /// (speaker index, peer id) -> (remote speaker index, remote peer id)
-        links: BTreeMap<(usize, PeerId), (usize, PeerId)>,
-        queue: VecDeque<(usize, PeerId, Bytes)>,
-        now: Millis,
-        /// Every best-route change reported, as `(speaker index, ...)`.
-        route_events: Vec<(usize, Ipv4Prefix, Option<LocRibEntry>, Selection)>,
-        /// Every session reported up, as `(speaker index, peer)`.
-        ups: Vec<(usize, PeerId)>,
-    }
+    type Fabric = dbgp_session::Fabric<Speaker>;
 
-    impl Fabric {
-        fn new(speakers: Vec<Speaker>) -> Self {
-            Fabric {
-                speakers,
-                links: BTreeMap::new(),
-                queue: VecDeque::new(),
-                now: 0,
-                route_events: Vec::new(),
-                ups: Vec::new(),
-            }
-        }
-
-        /// Wire a<->b with fresh peer IDs on each side.
-        fn connect(&mut self, a: usize, pa: PeerId, b: usize, pb: PeerId) {
-            self.links.insert((a, pa), (b, pb));
-            self.links.insert((b, pb), (a, pa));
-        }
-
-        fn absorb(&mut self, idx: usize, outputs: Vec<Output>) {
-            for output in outputs {
-                match output {
-                    Output::Send(peer, _, bytes) => {
-                        if let Some(&(remote, rpeer)) = self.links.get(&(idx, peer)) {
-                            self.queue.push_back((remote, rpeer, bytes));
-                        }
-                    }
-                    Output::Connect(peer) => {
-                        // Instant transport: both ends connect (or the
-                        // attempt fails if the link is not wired yet).
-                        let Some(&(remote, rpeer)) = self.links.get(&(idx, peer)) else {
-                            let now = self.now;
-                            let o = self.speakers[idx].transport_event(
-                                now,
-                                peer,
-                                TransportEvent::Failed,
-                            );
-                            self.absorb(idx, o);
-                            continue;
-                        };
-                        let now = self.now;
-                        let o1 = self.speakers[idx].transport_event(
-                            now,
-                            peer,
-                            TransportEvent::Connected,
-                        );
-                        self.absorb(idx, o1);
-                        let o2 = self.speakers[remote].transport_event(
-                            now,
-                            rpeer,
-                            TransportEvent::Connected,
-                        );
-                        self.absorb(remote, o2);
-                    }
-                    Output::Close(..) => {}
-                    Output::Best(prefix, entry, selection) => {
-                        self.route_events.push((idx, prefix, entry, selection));
-                    }
-                    Output::Up(peer, _) => self.ups.push((idx, peer)),
-                    Output::Down(..) => {}
-                }
-            }
-        }
-
-        fn start(&mut self) {
-            for idx in 0..self.speakers.len() {
-                let outputs = self.speakers[idx].start(self.now);
-                self.absorb(idx, outputs);
-            }
-            self.run();
-        }
-
-        /// Deliver queued bytes until nothing moves.
-        fn run(&mut self) {
-            while let Some((idx, peer, bytes)) = self.queue.pop_front() {
-                self.now += 1;
-                let now = self.now;
-                let outputs = self.speakers[idx].receive(now, peer, &bytes);
-                self.absorb(idx, outputs);
-            }
-        }
-
-        fn originate(&mut self, idx: usize, prefix: Ipv4Prefix) {
-            self.now += 1;
-            let now = self.now;
-            let outputs = self.speakers[idx].originate(now, prefix);
-            self.absorb(idx, outputs);
-            self.run();
-        }
+    /// Every best-route change reported, as `(speaker index, ...)`.
+    fn route_events(fabric: &Fabric) -> Vec<(usize, Ipv4Prefix, Option<LocRibEntry>, Selection)> {
+        let best = |(idx, output): (usize, Output)| match output {
+            Output::Best(prefix, entry, selection) => Some((idx, prefix, entry, selection)),
+            _ => None,
+        };
+        fabric.log().iter().cloned().filter_map(best).collect()
     }
 
     fn speaker(asn: u32) -> Speaker {
@@ -221,29 +122,33 @@ mod tests {
         )
     }
 
-    /// Line topology 1 - 2 - 3, AS numbers 101, 102, 103.
-    fn line3() -> Fabric {
-        let mut s1 = speaker(101);
-        let mut s2 = speaker(102);
-        let mut s3 = speaker(103);
-        s1.add_peer(PeerId(0), neighbor(101, 102));
-        s2.add_peer(PeerId(0), neighbor(102, 101));
-        s2.add_peer(PeerId(1), neighbor(102, 103));
-        s3.add_peer(PeerId(0), neighbor(103, 102));
-        let mut fabric = Fabric::new(vec![s1, s2, s3]);
-        fabric.connect(0, PeerId(0), 1, PeerId(0));
-        fabric.connect(1, PeerId(1), 2, PeerId(0));
+    /// Speakers in ASes `asns`, joined by `links` and started. Each link
+    /// gives both of its ends their next peer ID.
+    fn topology(asns: &[u32], links: &[(usize, usize)]) -> Fabric {
+        let mut fabric = Fabric::new(asns.iter().map(|&asn| speaker(asn)).collect());
+        for &(a, b) in links {
+            let next = |s: &Speaker| PeerId(s.peer_ids().len() as u32);
+            let (pa, pb) = (next(&fabric[a]), next(&fabric[b]));
+            fabric[a].add_peer(pa, neighbor(asns[a], asns[b]));
+            fabric[b].add_peer(pb, neighbor(asns[b], asns[a]));
+            fabric.link(a, pa, b, pb);
+        }
         fabric.start();
         fabric
+    }
+
+    /// Line topology 1 - 2 - 3, AS numbers 101, 102, 103.
+    fn line3() -> Fabric {
+        topology(&[101, 102, 103], &[(0, 1), (1, 2)])
     }
 
     #[test]
     fn sessions_establish_across_fabric() {
         let fabric = line3();
-        assert!(fabric.speakers[0].is_established(PeerId(0)));
-        assert!(fabric.speakers[1].is_established(PeerId(0)));
-        assert!(fabric.speakers[1].is_established(PeerId(1)));
-        assert!(fabric.speakers[2].is_established(PeerId(0)));
+        assert!(fabric[0].is_established(PeerId(0)));
+        assert!(fabric[1].is_established(PeerId(0)));
+        assert!(fabric[1].is_established(PeerId(1)));
+        assert!(fabric[2].is_established(PeerId(0)));
     }
 
     #[test]
@@ -251,12 +156,12 @@ mod tests {
         let mut fabric = line3();
         fabric.originate(0, p("128.6.0.0/16"));
         // AS 103's view: path 102 101.
-        let entry = fabric.speakers[2].loc_rib().get(&p("128.6.0.0/16")).unwrap();
+        let entry = fabric[2].loc_rib().get(&p("128.6.0.0/16")).unwrap();
         assert_eq!(entry.route.as_path.hop_count(), 2);
         assert_eq!(entry.route.as_path.first_as(), Some(102));
         assert_eq!(entry.route.as_path.origin_as(), Some(101));
         // AS 102's view: path 101.
-        let entry = fabric.speakers[1].loc_rib().get(&p("128.6.0.0/16")).unwrap();
+        let entry = fabric[1].loc_rib().get(&p("128.6.0.0/16")).unwrap();
         assert_eq!(entry.route.as_path.hop_count(), 1);
     }
 
@@ -264,14 +169,10 @@ mod tests {
     fn withdrawal_propagates() {
         let mut fabric = line3();
         fabric.originate(0, p("128.6.0.0/16"));
-        assert!(fabric.speakers[2].loc_rib().get(&p("128.6.0.0/16")).is_some());
-        fabric.now += 1;
-        let now = fabric.now;
-        let outputs = fabric.speakers[0].withdraw_origin(now, p("128.6.0.0/16"));
-        fabric.absorb(0, outputs);
-        fabric.run();
-        assert!(fabric.speakers[2].loc_rib().get(&p("128.6.0.0/16")).is_none());
-        assert!(fabric.speakers[1].loc_rib().get(&p("128.6.0.0/16")).is_none());
+        assert!(fabric[2].loc_rib().get(&p("128.6.0.0/16")).is_some());
+        fabric.drive(0, |host, now| host.withdraw_origin(now, p("128.6.0.0/16")));
+        assert!(fabric[2].loc_rib().get(&p("128.6.0.0/16")).is_none());
+        assert!(fabric[1].loc_rib().get(&p("128.6.0.0/16")).is_none());
     }
 
     #[test]
@@ -279,63 +180,30 @@ mod tests {
         let mut fabric = line3();
         fabric.originate(0, p("10.0.0.0/8"));
         // Speaker 1 must not have learned its own origination back.
-        assert!(fabric.speakers[0].adj_rib_in().is_empty());
+        assert!(fabric[0].adj_rib_in().is_empty());
     }
 
     #[test]
     fn loop_detection_in_ring() {
         // Ring: 1-2, 2-3, 3-1. A route from 1 must not loop forever.
-        let mut s1 = speaker(101);
-        let mut s2 = speaker(102);
-        let mut s3 = speaker(103);
-        s1.add_peer(PeerId(0), neighbor(101, 102));
-        s1.add_peer(PeerId(1), neighbor(101, 103));
-        s2.add_peer(PeerId(0), neighbor(102, 101));
-        s2.add_peer(PeerId(1), neighbor(102, 103));
-        s3.add_peer(PeerId(0), neighbor(103, 102));
-        s3.add_peer(PeerId(1), neighbor(103, 101));
-        let mut fabric = Fabric::new(vec![s1, s2, s3]);
-        fabric.connect(0, PeerId(0), 1, PeerId(0));
-        fabric.connect(1, PeerId(1), 2, PeerId(0));
-        fabric.connect(2, PeerId(1), 0, PeerId(1));
-        fabric.start();
+        let mut fabric = topology(&[101, 102, 103], &[(0, 1), (1, 2), (2, 0)]);
         fabric.originate(0, p("192.0.2.0/24"));
         // Quiescence itself proves no loop; everyone has a route and
         // nobody's Adj-RIB-In holds a looped path.
         for idx in [1, 2] {
-            let entry = fabric.speakers[idx].loc_rib().get(&p("192.0.2.0/24")).unwrap();
+            let entry = fabric[idx].loc_rib().get(&p("192.0.2.0/24")).unwrap();
             assert_eq!(entry.route.as_path.hop_count(), 1, "direct path wins at {idx}");
         }
-        assert!(fabric.speakers[0].adj_rib_in().is_empty(), "own AS filtered");
+        assert!(fabric[0].adj_rib_in().is_empty(), "own AS filtered");
     }
 
     #[test]
     fn best_path_prefers_shorter_route() {
         // Diamond: 1-2-4, 1-3a-3b-4 (longer). AS 104 should pick via 102.
-        let mut s1 = speaker(101);
-        let mut s2 = speaker(102);
-        let mut s3a = speaker(105);
-        let mut s3b = speaker(106);
-        let mut s4 = speaker(104);
-        s1.add_peer(PeerId(0), neighbor(101, 102));
-        s1.add_peer(PeerId(1), neighbor(101, 105));
-        s2.add_peer(PeerId(0), neighbor(102, 101));
-        s2.add_peer(PeerId(1), neighbor(102, 104));
-        s3a.add_peer(PeerId(0), neighbor(105, 101));
-        s3a.add_peer(PeerId(1), neighbor(105, 106));
-        s3b.add_peer(PeerId(0), neighbor(106, 105));
-        s3b.add_peer(PeerId(1), neighbor(106, 104));
-        s4.add_peer(PeerId(0), neighbor(104, 102));
-        s4.add_peer(PeerId(1), neighbor(104, 106));
-        let mut fabric = Fabric::new(vec![s1, s2, s3a, s3b, s4]);
-        fabric.connect(0, PeerId(0), 1, PeerId(0));
-        fabric.connect(0, PeerId(1), 2, PeerId(0));
-        fabric.connect(2, PeerId(1), 3, PeerId(0));
-        fabric.connect(1, PeerId(1), 4, PeerId(0));
-        fabric.connect(3, PeerId(1), 4, PeerId(1));
-        fabric.start();
+        let links = [(0, 1), (0, 2), (2, 3), (1, 4), (3, 4)];
+        let mut fabric = topology(&[101, 102, 105, 106, 104], &links);
         fabric.originate(0, p("203.0.113.0/24"));
-        let entry = fabric.speakers[4].loc_rib().get(&p("203.0.113.0/24")).unwrap();
+        let entry = fabric[4].loc_rib().get(&p("203.0.113.0/24")).unwrap();
         assert_eq!(entry.route.as_path.hop_count(), 2, "2-hop path via AS 102");
         assert_eq!(entry.source, RouteSource::Peer(PeerId(0)));
     }
@@ -353,12 +221,12 @@ mod tests {
         n.import.default_permit = true;
         s2.add_peer(PeerId(0), n);
         let mut fabric = Fabric::new(vec![s1, s2]);
-        fabric.connect(0, PeerId(0), 1, PeerId(0));
+        fabric.link(0, PeerId(0), 1, PeerId(0));
         fabric.start();
         fabric.originate(0, p("10.1.0.0/16"));
         fabric.originate(0, p("192.168.0.0/16"));
-        assert!(fabric.speakers[1].loc_rib().get(&p("10.1.0.0/16")).is_none(), "denied");
-        assert!(fabric.speakers[1].loc_rib().get(&p("192.168.0.0/16")).is_some(), "permitted");
+        assert!(fabric[1].loc_rib().get(&p("10.1.0.0/16")).is_none(), "denied");
+        assert!(fabric[1].loc_rib().get(&p("192.168.0.0/16")).is_some(), "permitted");
     }
 
     #[test]
@@ -383,12 +251,12 @@ mod tests {
         s3.add_peer(PeerId(0), direct);
         s3.add_peer(PeerId(1), via2);
         let mut fabric = Fabric::new(vec![s1, s2, s3]);
-        fabric.connect(0, PeerId(0), 1, PeerId(0));
-        fabric.connect(0, PeerId(1), 2, PeerId(0));
-        fabric.connect(1, PeerId(1), 2, PeerId(1));
+        fabric.link(0, PeerId(0), 1, PeerId(0));
+        fabric.link(0, PeerId(1), 2, PeerId(0));
+        fabric.link(1, PeerId(1), 2, PeerId(1));
         fabric.start();
         fabric.originate(0, p("10.0.0.0/8"));
-        let entry = fabric.speakers[2].loc_rib().get(&p("10.0.0.0/8")).unwrap();
+        let entry = fabric[2].loc_rib().get(&p("10.0.0.0/8")).unwrap();
         assert_eq!(entry.source, RouteSource::Peer(PeerId(1)), "boosted path wins");
         assert_eq!(entry.route.as_path.hop_count(), 2);
     }
@@ -397,8 +265,8 @@ mod tests {
     fn next_hop_rewritten_at_each_ebgp_hop() {
         let mut fabric = line3();
         fabric.originate(0, p("128.6.0.0/16"));
-        let entry2 = fabric.speakers[1].loc_rib().get(&p("128.6.0.0/16")).unwrap();
-        let entry3 = fabric.speakers[2].loc_rib().get(&p("128.6.0.0/16")).unwrap();
+        let entry2 = fabric[1].loc_rib().get(&p("128.6.0.0/16")).unwrap();
+        let entry3 = fabric[2].loc_rib().get(&p("128.6.0.0/16")).unwrap();
         assert_ne!(entry2.route.next_hop, entry3.route.next_hop);
     }
 
@@ -406,15 +274,15 @@ mod tests {
     fn peer_down_flushes_learned_routes() {
         let mut fabric = line3();
         fabric.originate(0, p("128.6.0.0/16"));
-        assert!(fabric.speakers[2].loc_rib().get(&p("128.6.0.0/16")).is_some());
+        assert!(fabric[2].loc_rib().get(&p("128.6.0.0/16")).is_some());
         // Kill the 2-3 link from 3's perspective.
-        let now = fabric.now + 1;
-        let outputs = fabric.speakers[2].transport_event(now, PeerId(0), TransportEvent::Closed);
+        let now = fabric.now() + 1;
+        let outputs = fabric[2].transport_event(now, PeerId(0), TransportEvent::Closed);
         assert!(outputs.iter().any(|o| matches!(o, Output::Down(..))));
         assert!(outputs
             .iter()
             .any(|o| matches!(o, Output::Best(pr, None, _) if *pr == p("128.6.0.0/16"))));
-        assert!(fabric.speakers[2].loc_rib().get(&p("128.6.0.0/16")).is_none());
+        assert!(fabric[2].loc_rib().get(&p("128.6.0.0/16")).is_none());
     }
 
     #[test]
@@ -429,22 +297,17 @@ mod tests {
         s2.add_peer(PeerId(1), neighbor(102, 103));
         s3.add_peer(PeerId(0), neighbor(103, 102));
         let mut fabric = Fabric::new(vec![s1, s2, s3]);
-        fabric.connect(0, PeerId(0), 1, PeerId(0));
+        fabric.link(0, PeerId(0), 1, PeerId(0));
         // Note: link 1-2 only; speaker 3 not wired yet. Start speakers 0/1.
-        let o = fabric.speakers[0].start(0);
-        fabric.absorb(0, o);
-        let o = fabric.speakers[1].start(0);
-        fabric.absorb(1, o);
-        fabric.run();
+        fabric.drive(0, |host, now| host.start(now));
+        fabric.drive(1, |host, now| host.start(now));
         fabric.originate(0, p("128.6.0.0/16"));
-        assert!(fabric.speakers[1].loc_rib().get(&p("128.6.0.0/16")).is_some());
+        assert!(fabric[1].loc_rib().get(&p("128.6.0.0/16")).is_some());
         // Now bring up 2-3.
-        fabric.connect(1, PeerId(1), 2, PeerId(0));
-        let o = fabric.speakers[2].start(fabric.now);
-        fabric.absorb(2, o);
-        fabric.run();
-        assert!(fabric.speakers[2].is_established(PeerId(0)));
-        let entry = fabric.speakers[2].loc_rib().get(&p("128.6.0.0/16")).unwrap();
+        fabric.link(1, PeerId(1), 2, PeerId(0));
+        fabric.drive(2, |host, now| host.start(now));
+        assert!(fabric[2].is_established(PeerId(0)));
+        let entry = fabric[2].loc_rib().get(&p("128.6.0.0/16")).unwrap();
         assert_eq!(entry.route.as_path.hop_count(), 2);
     }
 
@@ -455,16 +318,17 @@ mod tests {
         s1.add_peer(PeerId(0), neighbor(101, 102));
         s2.add_peer(PeerId(0), neighbor(102, 101));
         let mut fabric = Fabric::new(vec![s1, s2]);
-        fabric.connect(0, PeerId(0), 1, PeerId(0));
-        assert_eq!(fabric.speakers[1].state(PeerId(0)), Some(SessionState::Idle));
+        fabric.link(0, PeerId(0), 1, PeerId(0));
+        assert_eq!(fabric[1].state(PeerId(0)), Some(SessionState::Idle));
         fabric.start();
         fabric.originate(0, p("128.6.0.0/16"));
 
         // The session edge is an output, and `state()` agrees with it.
-        assert!(fabric.ups.contains(&(1, PeerId(0))));
-        assert_eq!(fabric.speakers[1].state(PeerId(0)), Some(SessionState::Established));
+        assert!(fabric.log().iter().any(|o| matches!(o, (1, Output::Up(PeerId(0), _)))));
+        assert_eq!(fabric[1].state(PeerId(0)), Some(SessionState::Established));
         // The decision process explained the install.
-        let installs: Vec<_> = fabric.route_events.iter().filter(|(idx, ..)| *idx == 1).collect();
+        let route_events = route_events(&fabric);
+        let installs: Vec<_> = route_events.iter().filter(|(idx, ..)| *idx == 1).collect();
         let [(_, prefix, Some(entry), selection)] = installs[..] else {
             panic!("expected one install at AS 102, got {installs:?}");
         };
@@ -481,32 +345,15 @@ mod tests {
         // candidate); when the via-102 path arrives, both tie through path
         // length, so the reported flip must be explained by the router-id
         // step (102's id 10.0.0.102 < 105's 10.0.0.105).
-        let mut s1 = speaker(101);
-        let mut s2 = speaker(102);
-        let mut s3 = speaker(105);
-        let mut s4 = speaker(104);
-        s1.add_peer(PeerId(0), neighbor(101, 105));
-        s1.add_peer(PeerId(1), neighbor(101, 102));
-        s2.add_peer(PeerId(0), neighbor(102, 101));
-        s2.add_peer(PeerId(1), neighbor(102, 104));
-        s3.add_peer(PeerId(0), neighbor(105, 101));
-        s3.add_peer(PeerId(1), neighbor(105, 104));
-        s4.add_peer(PeerId(0), neighbor(104, 102));
-        s4.add_peer(PeerId(1), neighbor(104, 105));
-        let mut fabric = Fabric::new(vec![s1, s2, s3, s4]);
-        fabric.connect(0, PeerId(0), 2, PeerId(0));
-        fabric.connect(0, PeerId(1), 1, PeerId(0));
-        fabric.connect(1, PeerId(1), 3, PeerId(0));
-        fabric.connect(2, PeerId(1), 3, PeerId(1));
-        fabric.start();
+        let links = [(0, 2), (0, 1), (1, 3), (2, 3)];
+        let mut fabric = topology(&[101, 102, 105, 104], &links);
         fabric.originate(0, p("203.0.113.0/24"));
 
         // AS 104 ends up routing via 102 (lower router id).
-        let entry = fabric.speakers[3].loc_rib().get(&p("203.0.113.0/24")).unwrap();
+        let entry = fabric[3].loc_rib().get(&p("203.0.113.0/24")).unwrap();
         assert_eq!(entry.source, RouteSource::Peer(PeerId(0)));
 
-        let decisions: Vec<(SelectionReason, u32, Option<u32>)> = fabric
-            .route_events
+        let decisions: Vec<(SelectionReason, u32, Option<u32>)> = route_events(&fabric)
             .iter()
             .filter(|(idx, prefix, ..)| *idx == 3 && *prefix == p("203.0.113.0/24"))
             .map(|(_, _, entry, selection)| {
@@ -527,11 +374,11 @@ mod tests {
     #[test]
     fn garbage_bytes_reset_session() {
         let mut fabric = line3();
-        let now = fabric.now + 1;
-        let outputs = fabric.speakers[2].receive(now, PeerId(0), &[0u8; 32]);
+        let now = fabric.now() + 1;
+        let outputs = fabric[2].receive(now, PeerId(0), &[0u8; 32]);
         assert!(outputs
             .iter()
             .any(|o| matches!(o, Output::Send(_, _, b) if b[18] == 3 /* NOTIFICATION */)));
-        assert_eq!(fabric.speakers[2].state(PeerId(0)), Some(SessionState::Idle));
+        assert_eq!(fabric[2].state(PeerId(0)), Some(SessionState::Idle));
     }
 }

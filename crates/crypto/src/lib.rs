@@ -46,12 +46,6 @@ impl KeyRegistry {
         let master = self.master;
         *self.keys.entry(asn).or_insert_with(|| hmac_sha256(&master, &asn.to_be_bytes()))
     }
-
-    /// Read-only key lookup for verification paths that must not mint
-    /// keys for unknown ASes.
-    pub fn existing_key(&self, asn: u32) -> Option<&[u8; DIGEST_LEN]> {
-        self.keys.get(&asn)
-    }
 }
 
 /// One hop's attestation: "AS `signer` advertised this prefix toward

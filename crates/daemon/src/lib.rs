@@ -6,18 +6,21 @@
 //! The daemon speaks RFC 4271 BGP over loopback/LAN TCP: OPEN with
 //! capability negotiation (including the D-BGP Integrated-Advertisement
 //! capability), hold/keepalive timers, connection collision resolution,
-//! and graceful NOTIFICATION teardown. Because the session FSM, stream
-//! reassembly, and the whole routing pipeline are the *same code* the
-//! deterministic simulator executes, a live `dbgpd` run can be pinned
-//! against an in-process oracle: converge both, dump both Loc-RIBs in
-//! the canonical format, and diff bytes. The CI `interop-smoke` job
-//! does exactly that.
+//! and graceful NOTIFICATION teardown. The session FSM, stream
+//! reassembly and routing pipeline are `dbgp_session::Host`, the same
+//! code `dbgp_session::Fabric` runs in process (the deterministic
+//! simulator hosts `dbgp_core::DbgpSpeaker` instead). So a live `dbgpd`
+//! run can be pinned against an in-process oracle: converge both, dump
+//! both Loc-RIBs in the canonical format, and diff bytes. The CI
+//! `interop-smoke` job does exactly that. What holds the routing itself
+//! to the reference model is `dbgp-oracle`'s differential harness, which
+//! runs the same configs on the fabric against `RefNet`.
 //!
 //! * [`config`] — the line-based neighbor/network config format;
 //! * [`node`] — `dbgp_session::Host` (session cores + routing core)
 //!   built from a config;
 //! * [`reactor`] — the std-only nonblocking TCP event loop;
-//! * [`oracle`] — the in-memory reference fabric;
+//! * [`oracle`] — configs wired onto the in-memory fabric;
 //! * [`dump`] — the canonical Loc-RIB dump both sides emit.
 
 pub mod config;

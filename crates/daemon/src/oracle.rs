@@ -1,49 +1,29 @@
 //! The in-process oracle: every config of a topology run as a [`Node`]
-//! over an instant, lossless in-memory transport, pumped to quiescence.
+//! on `dbgp_session`'s in-memory [`Fabric`], pumped to quiescence.
 //!
-//! This is the reference the live `dbgpd` processes are diffed against.
-//! The transport model is honest about direction: a `Connect` from node
-//! A materializes at node B as an *inbound* connection, so simultaneous
-//! dials produce two pipes and exercise the same RFC 4271 §6.8
-//! collision resolution the TCP reactor hits — just deterministically.
-//! Because the converged RIB contents are schedule-independent, the
-//! oracle's dumps match a real run bit for bit regardless of which
-//! connection happened to win where.
+//! This is the check that the transport changes nothing: the interop
+//! tests diff live `dbgpd` dumps against it, and because the converged
+//! RIB contents are schedule-independent, the oracle's dumps match a
+//! real run bit for bit regardless of which connection happened to win
+//! where. It is not the reference model — it runs the same `Node` code
+//! the live daemons do. `dbgp-oracle`'s `RefNet` is the reference, and
+//! its differential harness drives this fabric as a third participant.
+//! All this module adds is the wiring: each neighbor's `addr=` is
+//! matched to another config's `listen` line.
 
 use crate::config::DaemonConfig;
-use crate::node::{Node, NodeOutput};
-use bytes::Bytes;
-use dbgp_session::{ConnDir, Millis, PeerId};
-use std::collections::{BTreeMap, VecDeque};
+use crate::node::Node;
+use dbgp_session::{Fabric, PeerId};
 
-/// One end of an in-memory pipe.
-type End = (usize, PeerId, ConnDir);
-
-struct Pipe {
-    ends: [End; 2],
-    open: bool,
-}
-
-/// The in-memory multi-node fabric.
-pub struct Oracle {
-    nodes: Vec<Node>,
-    /// (dialing node, neighbor) -> (accepting node, its neighbor).
-    topo: BTreeMap<(usize, PeerId), (usize, PeerId)>,
-    pipes: Vec<Pipe>,
-    /// Live end -> pipe index.
-    ends: BTreeMap<End, usize>,
-    /// In-flight bytes: (pipe, receiving end slot, payload).
-    queue: VecDeque<(usize, usize, Bytes)>,
-    now: Millis,
-}
+/// A topology of daemon configs, wired onto one fabric.
+pub struct Oracle(Fabric<Node>);
 
 impl Oracle {
     /// Wire up a topology from parsed configs. Dial targets (`addr=`)
     /// are matched against `listen` lines; the reverse neighbor on the
     /// accepting node is found by AS number.
     pub fn new(configs: &[DaemonConfig]) -> Result<Self, String> {
-        let nodes: Vec<Node> = configs.iter().map(Node::from_config).collect();
-        let mut topo = BTreeMap::new();
+        let mut fabric = Fabric::new(configs.iter().map(Node::from_config).collect());
         for (i, cfg) in configs.iter().enumerate() {
             for (j, spec) in cfg.neighbors.iter().enumerate() {
                 let Some(addr) = &spec.addr else { continue };
@@ -60,104 +40,24 @@ impl Oracle {
                         cfg.local_as, cfg.local_as, configs[k].local_as
                     ));
                 };
-                topo.insert((i, PeerId(j as u32)), (k, PeerId(q as u32)));
+                fabric.link(i, PeerId(j as u32), k, PeerId(q as u32));
             }
         }
-        Ok(Oracle {
-            nodes,
-            topo,
-            pipes: Vec::new(),
-            ends: BTreeMap::new(),
-            queue: VecDeque::new(),
-            now: 0,
-        })
+        Ok(Oracle(fabric))
     }
 
     /// Start every node and pump to quiescence; returns the converged
     /// nodes for dumping.
-    pub fn converge(mut self) -> Vec<Node> {
-        for idx in 0..self.nodes.len() {
-            self.now += 1;
-            let now = self.now;
-            let outputs = self.nodes[idx].start(now);
-            self.absorb(idx, outputs);
-        }
-        self.pump();
-        self.nodes
+    pub fn converge(self) -> Vec<Node> {
+        let mut fabric = self.0;
+        fabric.start();
+        fabric.into_nodes()
     }
 
-    fn pump(&mut self) {
-        while let Some((pipe_idx, slot, bytes)) = self.queue.pop_front() {
-            if !self.pipes[pipe_idx].open {
-                continue; // connection torn down while bytes in flight
-            }
-            let (node, pid, dir) = self.pipes[pipe_idx].ends[slot];
-            self.now += 1;
-            let now = self.now;
-            let outputs = self.nodes[node].bytes_in(now, pid, dir, &bytes);
-            self.absorb(node, outputs);
-        }
-    }
-
-    fn absorb(&mut self, idx: usize, outputs: Vec<NodeOutput>) {
-        for output in outputs {
-            match output {
-                NodeOutput::Connect(pid) => self.dial(idx, pid),
-                NodeOutput::Send(pid, dir, bytes) => {
-                    if let Some(&pipe_idx) = self.ends.get(&(idx, pid, dir)) {
-                        let other = usize::from(self.pipes[pipe_idx].ends[0] == (idx, pid, dir));
-                        self.queue.push_back((pipe_idx, other, bytes));
-                    }
-                }
-                NodeOutput::Close(pid, dir) => self.close_end(idx, pid, dir, true),
-                NodeOutput::Up(..) | NodeOutput::Down(..) | NodeOutput::Best(..) => {}
-            }
-        }
-    }
-
-    fn dial(&mut self, idx: usize, pid: PeerId) {
-        let Some(&(k, qid)) = self.topo.get(&(idx, pid)) else {
-            let now = self.now;
-            let outputs = self.nodes[idx].dial_result(now, pid, false);
-            self.absorb(idx, outputs);
-            return;
-        };
-        // A fresh dial supersedes any stale pipe on the same local end.
-        self.close_end(idx, pid, ConnDir::Out, false);
-        let a: End = (idx, pid, ConnDir::Out);
-        let b: End = (k, qid, ConnDir::In);
-        let pipe_idx = self.pipes.len();
-        self.pipes.push(Pipe { ends: [a, b], open: true });
-        self.ends.insert(a, pipe_idx);
-        self.ends.insert(b, pipe_idx);
-        let now = self.now;
-        let outputs = self.nodes[idx].dial_result(now, pid, true);
-        self.absorb(idx, outputs);
-        let now = self.now;
-        let outputs = self.nodes[k].accepted(now, qid);
-        self.absorb(k, outputs);
-    }
-
-    /// Close the pipe attached to one end; optionally notify the remote
-    /// end (a local supersede does not — the old pipe just vanishes, as
-    /// a reused source port would).
-    fn close_end(&mut self, idx: usize, pid: PeerId, dir: ConnDir, notify_remote: bool) {
-        let Some(pipe_idx) = self.ends.remove(&(idx, pid, dir)) else { return };
-        let pipe = &mut self.pipes[pipe_idx];
-        if !pipe.open {
-            return;
-        }
-        pipe.open = false;
-        let this: End = (idx, pid, dir);
-        let other = if pipe.ends[0] == this { pipe.ends[1] } else { pipe.ends[0] };
-        self.ends.remove(&other);
-        if notify_remote {
-            let (onode, opid, odir) = other;
-            self.now += 1;
-            let now = self.now;
-            let outputs = self.nodes[onode].conn_closed(now, opid, odir);
-            self.absorb(onode, outputs);
-        }
+    /// The wired fabric, not yet started, for a caller that drives
+    /// phases and faults itself.
+    pub fn into_fabric(self) -> Fabric<Node> {
+        self.0
     }
 }
 
@@ -165,26 +65,13 @@ impl Oracle {
 mod tests {
     use super::*;
     use crate::dump::{all_established, dump_node};
-
-    fn two_node_configs() -> Vec<DaemonConfig> {
-        let a = DaemonConfig::parse(
-            "local-as 65001\nrouter-id 10.0.0.1\nlisten 127.0.0.1:29101\n\
-             network 10.1.0.0/16\nneighbor as=65002 addr=127.0.0.1:29102 ia\n",
-        )
-        .unwrap();
-        let b = DaemonConfig::parse(
-            "local-as 65002\nrouter-id 10.0.0.2\nlisten 127.0.0.1:29102\n\
-             network 10.2.0.0/16\nneighbor as=65001 addr=127.0.0.1:29101 ia\n",
-        )
-        .unwrap();
-        vec![a, b]
-    }
+    use crate::testutil::line_configs;
 
     #[test]
     fn two_nodes_converge_with_collision() {
         // Both sides dial (neither is passive): the fabric creates two
         // pipes and §6.8 must collapse them to one established session.
-        let nodes = Oracle::new(&two_node_configs()).unwrap().converge();
+        let nodes = Oracle::new(&line_configs(29100, 2, None)).unwrap().converge();
         assert!(all_established(&nodes[0]), "A not established");
         assert!(all_established(&nodes[1]), "B not established");
         let dump_a = dump_node(&nodes[0]);
@@ -215,8 +102,7 @@ mod tests {
     #[test]
     fn five_node_gulf_converges_and_ia_gap_visible() {
         // Line A-B-C-D-E; C is a legacy island (no ia flag).
-        let configs = crate::testutil::gulf5_configs(29300);
-        let nodes = Oracle::new(&configs).unwrap().converge();
+        let nodes = Oracle::new(&line_configs(29300, 5, Some(2))).unwrap().converge();
         for (i, n) in nodes.iter().enumerate() {
             assert!(all_established(n), "node {i} not fully established");
         }

@@ -5,70 +5,36 @@ use dbgp_wire::attrs::{AsPath, Origin, PathAttribute};
 use dbgp_wire::message::{BgpMessage, OpenMsg, UpdateMsg};
 use dbgp_wire::{Ipv4Addr, Ipv4Prefix};
 
-/// Raw config texts for the five-node "gulf" line A–B–C–D–E
-/// (AS 65001..65005): every AS originates one /16, every adjacency
-/// dials from both sides (so collision resolution is always
-/// exercised), and C — the middle AS — is a legacy island that does
-/// not advertise the IA capability, the paper's gulf scenario in
-/// miniature.
-pub fn gulf5_config_texts(base_port: u16) -> Vec<String> {
-    let mut texts = Vec::new();
-    for i in 0u16..5 {
-        let asn = 65001 + i as u32;
-        let ia = if i == 2 { "" } else { " ia" };
+/// Raw config texts for a line of `n` ASes 65001, 65002, ...: every AS
+/// originates one /16, and every adjacency dials from both sides, so
+/// collision resolution is always exercised. The AS at index `legacy`,
+/// if any, does not advertise the IA capability. Two ASes are the
+/// minimal topology; five with the middle one legacy are the paper's
+/// gulf scenario in miniature.
+pub fn line_config_texts(base_port: u16, n: u16, legacy: Option<u16>) -> Vec<String> {
+    let line = |i: u16| {
+        let ia = if legacy == Some(i) { "" } else { " ia" };
         let mut text = format!(
-            "local-as {asn}\nrouter-id 10.0.0.{}\nlisten 127.0.0.1:{}\n\
+            "local-as {}\nrouter-id 10.0.0.{}\nlisten 127.0.0.1:{}\n\
              hold-time 9\nconnect-retry-ms 200\nnetwork 10.{}.0.0/16\n",
+            65001 + u32::from(i),
             i + 1,
             base_port + i,
             i + 1,
         );
-        if i > 0 {
-            text.push_str(&format!(
-                "neighbor as={} addr=127.0.0.1:{}{ia}\n",
-                65000 + i as u32,
-                base_port + i - 1,
-            ));
+        for j in [i.wrapping_sub(1), i + 1].into_iter().filter(|&j| j < n) {
+            let (asn, port) = (65001 + u32::from(j), base_port + j);
+            text.push_str(&format!("neighbor as={asn} addr=127.0.0.1:{port}{ia}\n"));
         }
-        if i < 4 {
-            text.push_str(&format!(
-                "neighbor as={} addr=127.0.0.1:{}{ia}\n",
-                65002 + i as u32,
-                base_port + i + 1,
-            ));
-        }
-        texts.push(text);
-    }
-    texts
+        text
+    };
+    (0..n).map(line).collect()
 }
 
-/// [`gulf5_config_texts`], parsed.
-pub fn gulf5_configs(base_port: u16) -> Vec<DaemonConfig> {
-    gulf5_config_texts(base_port)
-        .iter()
-        .map(|t| DaemonConfig::parse(t).expect("valid gulf config"))
-        .collect()
-}
-
-/// A symmetric two-node pair (AS 65001 ↔ 65002), both sides dialing —
-/// the minimal topology that still exercises collision resolution.
-pub fn pair_config_texts(base_port: u16) -> Vec<String> {
-    vec![
-        format!(
-            "local-as 65001\nrouter-id 10.0.0.1\nlisten 127.0.0.1:{p0}\n\
-             hold-time 9\nconnect-retry-ms 200\nnetwork 10.1.0.0/16\n\
-             neighbor as=65002 addr=127.0.0.1:{p1} ia\n",
-            p0 = base_port,
-            p1 = base_port + 1,
-        ),
-        format!(
-            "local-as 65002\nrouter-id 10.0.0.2\nlisten 127.0.0.1:{p1}\n\
-             hold-time 9\nconnect-retry-ms 200\nnetwork 10.2.0.0/16\n\
-             neighbor as=65001 addr=127.0.0.1:{p0} ia\n",
-            p0 = base_port,
-            p1 = base_port + 1,
-        ),
-    ]
+/// [`line_config_texts`], parsed.
+pub fn line_configs(base_port: u16, n: u16, legacy: Option<u16>) -> Vec<DaemonConfig> {
+    let texts = line_config_texts(base_port, n, legacy);
+    texts.iter().map(|t| DaemonConfig::parse(t).expect("valid line config")).collect()
 }
 
 /// AS of the hub daemon in the data-path tests.

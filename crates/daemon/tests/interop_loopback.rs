@@ -1,12 +1,14 @@
 //! Loopback interop smoke tests: real `dbgpd` processes speaking BGP
-//! over TCP, pinned bit-for-bit against the in-process oracle.
+//! over TCP, pinned bit-for-bit against the in-process oracle. The same
+//! two topologies run as `Scenario`s against the reference model and the
+//! simulator in `crates/oracle/tests/differential.rs`.
 //!
 //! Each test uses its own port range so the tests can run in parallel.
 
 use dbgp_daemon::config::DaemonConfig;
 use dbgp_daemon::dump::dump_node;
 use dbgp_daemon::oracle::Oracle;
-use dbgp_daemon::testutil::{gulf5_config_texts, pair_config_texts};
+use dbgp_daemon::testutil::line_config_texts;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command};
 
@@ -73,12 +75,12 @@ fn run_and_compare(name: &str, texts: &[String]) {
 
 #[test]
 fn two_nodes_converge_and_bitmatch_oracle() {
-    run_and_compare("pair", &pair_config_texts(34110));
+    run_and_compare("pair", &line_config_texts(34110, 2, None));
 }
 
 #[test]
 fn five_node_gulf_converges_and_bitmatches_oracle() {
-    run_and_compare("gulf", &gulf5_config_texts(34120));
+    run_and_compare("gulf", &line_config_texts(34120, 5, Some(2)));
 }
 
 /// The binary's own `--oracle` mode writes the same bytes the library
@@ -86,7 +88,7 @@ fn five_node_gulf_converges_and_bitmatches_oracle() {
 #[test]
 fn oracle_mode_binary_matches_library() {
     let dir = scratch("oracle-mode");
-    let texts = pair_config_texts(34140); // ports unused: oracle mode never binds
+    let texts = line_config_texts(34140, 2, None); // ports unused: oracle mode never binds
     let confs = write_configs(&dir, &texts);
     let dump_dir = dir.join("dumps");
     let status = Command::new(DBGPD)
@@ -112,7 +114,7 @@ fn oracle_mode_binary_matches_library() {
 #[test]
 fn corrupt_open_fails_handshake() {
     let dir = scratch("corrupt");
-    let texts = pair_config_texts(34150);
+    let texts = line_config_texts(34150, 2, None);
     let confs = write_configs(&dir, &texts);
     let dumps: Vec<PathBuf> = (0..2).map(|i| dir.join(format!("node{i}.rib"))).collect();
     let mut bad = spawn_daemon(&confs[0], &dumps[0], &["--test-corrupt-open", "--max-ms", "6000"]);

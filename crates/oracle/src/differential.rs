@@ -1,12 +1,17 @@
-//! The differential harness: production `dbgp-sim` vs the reference
-//! model over generated scenarios.
+//! The differential harness: production `dbgp-sim` and, for scenarios
+//! without islands, `dbgpd`'s routing vs the reference model over
+//! generated scenarios.
 //!
-//! Both systems process the same originations and fault plan, each
-//! phase runs to quiescence, and the harness asserts the two ended in
-//! identical states: same chosen best path (neighbor and full IA) per
-//! node per prefix, and same forwarding tables. Because scenarios use a
-//! uniform link delay with MRAI disabled, the simulator's delivery
-//! order equals global send order, which is exactly the order
+//! Every system processes the same originations and fault plan, each
+//! phase runs to quiescence, and the harness asserts they ended in
+//! identical states: the simulator has the same chosen best path
+//! (neighbor and full IA) per node per prefix and the same forwarding
+//! tables; each daemon's Loc-RIB maps the same prefixes to the same
+//! (from-AS, AS path). The daemons are [`build_daemon`]'s configs on
+//! `dbgp_session`'s in-memory fabric, faults lowered to pipe
+//! operations. Because scenarios use a uniform link delay with MRAI
+//! disabled, the simulator's delivery order equals global send order,
+//! which is exactly the order
 //! [`RefNet::run_fifo`](crate::reference::RefNet::run_fifo) replays —
 //! so state equality is checked against a deterministic, naive
 //! re-execution rather than a fixpoint argument.
@@ -16,13 +21,16 @@
 
 use crate::reference::{Mutation, RefNet};
 use crate::scenario::{
-    apply_fault_production, apply_fault_reference, build_production, build_reference,
-    scenario_to_json, Fault, IslandSpec, NodeSpec, Scenario, PROTOCOL_POOL,
+    apply_fault_daemon, apply_fault_production, apply_fault_reference, build_daemon,
+    build_production, build_reference, scenario_to_json, Fault, IslandSpec, NodeSpec, Scenario,
+    PROTOCOL_POOL,
 };
+use dbgp_daemon::{DaemonConfig, Node, Oracle};
+use dbgp_session::{Fabric, RouteSource};
 use dbgp_sim::Sim;
 use dbgp_wire::Ipv4Prefix;
 use proptest::test_runner::TestRng;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Ceiling on simulated time per phase — ~30k delivery generations at
 /// the uniform link delay, far beyond any quiescence point for ≤8-node
@@ -44,8 +52,8 @@ pub struct Divergence {
     pub detail: String,
 }
 
-/// Run a scenario through both systems with faithful reference
-/// semantics. `Err` carries the first mismatch.
+/// Run a scenario through every system that can run it, with faithful
+/// reference semantics. `Err` carries the first mismatch.
 pub fn run_differential(scenario: &Scenario) -> Result<(), Divergence> {
     run_differential_mutated(scenario, Mutation::None)
 }
@@ -53,8 +61,28 @@ pub fn run_differential(scenario: &Scenario) -> Result<(), Divergence> {
 /// Run with a deliberately broken reference decision rung — used by the
 /// negative tests proving the harness catches decision-process drift.
 pub fn run_differential_mutated(scenario: &Scenario, mutation: Mutation) -> Result<(), Divergence> {
+    run(scenario, mutation, build_daemon(scenario).ok())
+}
+
+/// Run with the daemons on `configs` instead of [`build_daemon`]'s —
+/// used by the negative tests proving a wrong lowering is caught.
+pub fn run_differential_with_daemons(
+    scenario: &Scenario,
+    configs: Vec<DaemonConfig>,
+) -> Result<(), Divergence> {
+    run(scenario, Mutation::None, Some(configs))
+}
+
+fn run(
+    scenario: &Scenario,
+    mutation: Mutation,
+    daemons: Option<Vec<DaemonConfig>>,
+) -> Result<(), Divergence> {
     let mut sim = build_production(scenario);
     let mut net = build_reference(scenario);
+    let mut fabric = daemons.map(|configs| {
+        Oracle::new(&configs).expect("every neighbor's addr= is a config's listen").into_fabric()
+    });
     for node in 0..net.node_count() {
         net.speaker_mut(node).set_mutation(mutation);
     }
@@ -62,13 +90,21 @@ pub fn run_differential_mutated(scenario: &Scenario, mutation: Mutation) -> Resu
         sim.originate(node, prefix);
         net.originate(node, prefix);
     }
-    if run_phase(&mut sim, &mut net, scenario, 0)? == PhaseOutcome::BothLivelocked {
+    if let Some(fabric) = &mut fabric {
+        fabric.start();
+    }
+    let phase0 = run_phase(&mut sim, &mut net, fabric.as_ref(), scenario, 0)?;
+    if phase0 == PhaseOutcome::BothLivelocked {
         return Ok(());
     }
     for (i, fault) in scenario.faults.iter().enumerate() {
         apply_fault_production(&mut sim, fault);
         apply_fault_reference(&mut net, fault);
-        if run_phase(&mut sim, &mut net, scenario, i + 1)? == PhaseOutcome::BothLivelocked {
+        if let Some(fabric) = &mut fabric {
+            apply_fault_daemon(fabric, fault);
+        }
+        let phase = run_phase(&mut sim, &mut net, fabric.as_ref(), scenario, i + 1)?;
+        if phase == PhaseOutcome::BothLivelocked {
             return Ok(());
         }
     }
@@ -92,6 +128,7 @@ enum PhaseOutcome {
 fn run_phase(
     sim: &mut Sim,
     net: &mut RefNet,
+    fabric: Option<&Fabric<Node>>,
     scenario: &Scenario,
     phase: usize,
 ) -> Result<PhaseOutcome, Divergence> {
@@ -101,6 +138,9 @@ fn run_phase(
     match (prod_quiesced, ref_quiesced) {
         (true, true) => {
             compare_states(sim, net, scenario, phase)?;
+            if let Some(fabric) = fabric {
+                compare_daemons(fabric, net, phase)?;
+            }
             Ok(PhaseOutcome::Quiescent)
         }
         (false, false) => Ok(PhaseOutcome::BothLivelocked),
@@ -178,6 +218,44 @@ fn compare_states(
                     "node {node}: FIB differs\nproduction: {:?}\nreference:  {:?}",
                     sim.fib(node),
                     net.fib(node)
+                ),
+            });
+        }
+    }
+    Ok(())
+}
+
+/// Each daemon's Loc-RIB against the reference's, as prefix →
+/// (from-AS, AS path). On the reference side the from-AS is the AS of
+/// the FIB's next-hop node and the path is the chosen IA's path vector.
+fn compare_daemons(fabric: &Fabric<Node>, net: &RefNet, phase: usize) -> Result<(), Divergence> {
+    for (node, daemon) in fabric.nodes().iter().enumerate() {
+        let routing = daemon.routing();
+        let from_as = |source| match source {
+            RouteSource::Local => None,
+            RouteSource::Peer(pid) => routing.peer_cfg(pid).map(|c| c.peer_as),
+        };
+        let daemon_rib: BTreeMap<Ipv4Prefix, (Option<u32>, String)> = routing
+            .loc_rib()
+            .iter()
+            .map(|(&prefix, e)| (prefix, (from_as(e.source), e.route.as_path.to_string())))
+            .collect();
+        let reference_rib: BTreeMap<Ipv4Prefix, (Option<u32>, String)> = net
+            .fib(node)
+            .iter()
+            .map(|(&prefix, &next)| {
+                let chosen = net.speaker(node).best(&prefix).expect("a FIB entry has a best path");
+                let path: Vec<String> =
+                    chosen.ia.path_vector.iter().map(|e| e.to_string()).collect();
+                (prefix, (next.map(|n| net.speaker(n).asn()), path.join(" ")))
+            })
+            .collect();
+        if daemon_rib != reference_rib {
+            return Err(Divergence {
+                phase,
+                detail: format!(
+                    "node {node}: dbgpd Loc-RIB differs\ndbgpd:     {daemon_rib:?}\n\
+                     reference: {reference_rib:?}"
                 ),
             });
         }

@@ -9,12 +9,13 @@
 //!   selection rule, straight from the design document: no `Arc`
 //!   sharing, no encode cache, no interning, full clones everywhere.
 //!   Slow on purpose; obvious on purpose.
-//! * [`differential`] — runs the production simulator and the reference
-//!   model over the same generated scenarios (topology + islands +
-//!   fault plan) and asserts identical best paths, IAs, and FIBs at
-//!   every quiescent phase. Divergences delta-debug down to a minimal
-//!   scenario and are dumped as replayable JSON fixtures
-//!   (see [`scenario`]).
+//! * [`differential`] — runs the production simulator, the reference
+//!   model and, for scenarios without islands, `dbgpd`'s configs on the
+//!   in-memory fabric over the same generated scenarios (topology +
+//!   islands + fault plan) and asserts identical best paths, IAs, FIBs
+//!   and daemon Loc-RIBs at every quiescent phase. Divergences
+//!   delta-debug down to a minimal scenario and are dumped as
+//!   replayable JSON fixtures (see [`scenario`]).
 //! * [`explorer`] — model-checks event-delivery orderings on small
 //!   topologies ([`topologies`]): exhaustive DFS over the first
 //!   `branch_depth` deliveries, seeded-random schedules beyond, with
@@ -38,6 +39,6 @@ pub use explorer::{
 };
 pub use reference::{Mutation, RefConfig, RefIsland, RefModule, RefNet, RefSpeaker};
 pub use scenario::{
-    build_production, build_reference, scenario_from_json, scenario_to_json, Fault, IslandSpec,
-    NodeSpec, Scenario,
+    build_daemon, build_production, build_reference, scenario_from_json, scenario_to_json, Fault,
+    IslandSpec, NodeSpec, Scenario,
 };

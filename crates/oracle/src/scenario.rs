@@ -1,22 +1,25 @@
-//! Scenario specifications shared by the production simulator and the
-//! reference model.
+//! Scenario specifications shared by the production simulator, the
+//! reference model and `dbgpd`.
 //!
 //! A [`Scenario`] is a plain-data description of a topology, its island
 //! deployments, the prefixes originated, and a fault plan. The same spec
-//! builds both a production [`dbgp_sim::Sim`] (via [`build_production`])
-//! and a [`RefNet`] (via [`build_reference`]) so the differential
-//! harness compares two systems driven by identical inputs. The spec
-//! also round-trips through JSON ([`scenario_to_json`] /
+//! builds a production [`dbgp_sim::Sim`] (via [`build_production`]), a
+//! [`RefNet`] (via [`build_reference`]) and, while it has no island,
+//! one `dbgpd` config per node (via [`build_daemon`]), so the
+//! differential harness compares systems driven by identical inputs.
+//! The spec also round-trips through JSON ([`scenario_to_json`] /
 //! [`scenario_from_json`]) so shrunken divergences can be committed as
 //! replayable fixtures.
 
 use crate::reference::{RefConfig, RefIsland, RefModule, RefNet};
 use dbgp_core::{DbgpConfig, IslandConfig};
 use dbgp_crypto::KeyRegistry;
+use dbgp_daemon::{DaemonConfig, Node};
 use dbgp_protocols::{
     AddrMapModule, BgpsecModule, BottleneckBwModule, HlpModule, MiroModule, PathSet, Pathlet,
     PathletModule, RbgpModule, ScionModule, WiserModule,
 };
+use dbgp_session::Fabric;
 use dbgp_sim::Sim;
 use dbgp_wire::{Ipv4Addr, Ipv4Prefix, IslandId, ProtocolId};
 use serde_json::Value;
@@ -258,6 +261,47 @@ pub fn build_reference(scenario: &Scenario) -> RefNet {
     net
 }
 
+/// Lower the same scenario to one `dbgpd` config per node, by writing
+/// each config's text and parsing it. Every link gets a `neighbor` line
+/// on both ends, both dialing, with `ia` iff the link speaks D-BGP;
+/// every origination gets a `network` line. The router id
+/// `10.(asn>>16).(asn>>8).asn` increases with the AS number, so the
+/// classic decision process's router-id tie-break picks the peer that
+/// `Rank`'s neighbor-AS rung picks.
+///
+/// A scenario with any island is refused: `dbgpd` runs no decision
+/// module until ROADMAP item 1(a).
+pub fn build_daemon(scenario: &Scenario) -> Result<Vec<DaemonConfig>, String> {
+    if scenario.nodes.iter().any(|n| n.island.is_some()) {
+        return Err("scenario has an island; dbgpd runs no decision module \
+                    until ROADMAP item 1(a)"
+            .into());
+    }
+    let listen = |i: usize| format!("127.0.0.1:{}", 24_000 + i);
+    let config = |i: usize| {
+        let asn = scenario.nodes[i].asn;
+        let id = Ipv4Addr::new(10, (asn >> 16) as u8, (asn >> 8) as u8, asn as u8);
+        let mut text = format!("local-as {asn}\nrouter-id {id}\nlisten {}\n", listen(i));
+        for &(_, prefix) in scenario.originations.iter().filter(|&&(n, _)| n == i) {
+            text += &format!("network {prefix}\n");
+        }
+        for &(a, b, speaks_dbgp) in &scenario.links {
+            let peer = if a == i {
+                b
+            } else if b == i {
+                a
+            } else {
+                continue;
+            };
+            let ia = if speaks_dbgp { " ia" } else { "" };
+            text +=
+                &format!("neighbor as={} addr={}{ia}\n", scenario.nodes[peer].asn, listen(peer));
+        }
+        DaemonConfig::parse(&text)
+    };
+    (0..scenario.nodes.len()).map(config).collect()
+}
+
 /// Apply one fault to the production simulator.
 pub fn apply_fault_production(sim: &mut Sim, fault: &Fault) {
     match *fault {
@@ -273,6 +317,15 @@ pub fn apply_fault_reference(net: &mut RefNet, fault: &Fault) {
         Fault::LinkDown(a, b) => net.fail_link(a, b),
         Fault::LinkRestore(a, b) => net.restore_link(a, b),
         Fault::Restart(n) => net.restart_node(n),
+    }
+}
+
+/// Apply one fault to the lowered daemons' fabric, as pipe operations.
+pub fn apply_fault_daemon(fabric: &mut Fabric<Node>, fault: &Fault) {
+    match *fault {
+        Fault::LinkDown(a, b) => fabric.fail_link(a, b),
+        Fault::LinkRestore(a, b) => fabric.restore_link(a, b),
+        Fault::Restart(n) => fabric.restart(n),
     }
 }
 

@@ -1,15 +1,17 @@
 //! Harness self-tests: the differential oracle must catch deliberately
-//! broken decision semantics, agree with itself on faithful runs, treat
-//! mutual livelock as agreement, shrink failures, and round-trip
-//! scenarios through JSON fixtures.
+//! broken decision semantics and a wrong daemon lowering, agree with
+//! itself on faithful runs, treat mutual livelock as agreement, shrink
+//! failures, and round-trip scenarios through JSON fixtures.
 
 use dbgp_oracle::differential::{
-    generate_scenario, run_differential, run_differential_mutated, shrink,
+    generate_scenario, run_differential, run_differential_mutated, run_differential_with_daemons,
+    shrink,
 };
 use dbgp_oracle::reference::Mutation;
 use dbgp_oracle::scenario::{
-    scenario_from_json, scenario_to_json, Fault, IslandSpec, NodeSpec, Scenario,
+    build_daemon, scenario_from_json, scenario_to_json, Fault, IslandSpec, NodeSpec, Scenario,
 };
+use dbgp_wire::{Ipv4Addr, ProtocolId};
 use proptest::test_runner::TestRng;
 
 fn gulf(asn: u32) -> NodeSpec {
@@ -131,4 +133,62 @@ fn scenarios_round_trip_through_json() {
         let back = scenario_from_json(&value).expect("fixture JSON decodes");
         assert_eq!(back, scenario, "case {case} did not round-trip");
     }
+}
+
+/// The line of `n` ASes 65001.. that `dbgpd`'s interop test runs as live
+/// processes: AS `65001 + i` originates `10.<i + 1>.0.0/16`, and the
+/// links of the `legacy` nodes do not speak D-BGP.
+fn interop_line(n: usize, legacy: &[usize]) -> Scenario {
+    Scenario {
+        nodes: (0..n).map(|i| gulf(65_001 + i as u32)).collect(),
+        links: (1..n)
+            .map(|i| (i - 1, i, !legacy.contains(&(i - 1)) && !legacy.contains(&i)))
+            .collect(),
+        originations: (0..n)
+            .map(|i| (i, format!("10.{}.0.0/16", i + 1).parse().unwrap()))
+            .collect(),
+        faults: vec![],
+    }
+}
+
+#[test]
+fn the_live_interop_topologies_agree_three_way() {
+    for scenario in [interop_line(2, &[]), interop_line(5, &[2])] {
+        assert!(build_daemon(&scenario).is_ok(), "no island, so the daemons take part");
+        run_differential(&scenario).expect("dbgpd, the simulator and the reference agree");
+    }
+}
+
+/// The baseline-only cases of the 256-case sweep: every one lowers, so
+/// `tests/oracle_differential.rs` runs each of them three-way; and
+/// router ids that descend in AS, against `Rank`'s neighbor-AS rung,
+/// make some of them diverge at once.
+#[test]
+fn router_ids_descending_in_as_are_caught_on_the_baseline_sweep() {
+    let sweep =
+        (0..256).map(|case| generate_scenario(&mut TestRng::for_case("oracle-differential", case)));
+    let baseline: Vec<Scenario> =
+        sweep.filter(|s| s.nodes.iter().all(|n| n.island.is_none())).collect();
+    assert_eq!(baseline.len(), 79);
+    let diverged = baseline
+        .iter()
+        .filter(|scenario| {
+            let mut configs = build_daemon(scenario).expect("an island-free scenario lowers");
+            for cfg in &mut configs {
+                cfg.router_id = Ipv4Addr(!cfg.router_id.0);
+            }
+            run_differential_with_daemons(scenario, configs).is_err_and(|d| d.phase == 0)
+        })
+        .count();
+    assert_eq!(diverged, 12);
+}
+
+#[test]
+fn an_islanded_scenario_is_not_lowered_and_still_runs_two_way() {
+    let wiser = IslandSpec { id: 900, abstraction: false, protocol: ProtocolId::WISER.0 };
+    let mut scenario = diamond();
+    scenario.nodes[0].island = Some(wiser);
+    let err = build_daemon(&scenario).expect_err("dbgpd runs no decision module");
+    assert!(err.contains("ROADMAP item 1(a)"), "{err}");
+    run_differential(&scenario).expect("the simulator and the reference agree");
 }

@@ -13,16 +13,18 @@
 //! the time and the cause it knows. Two kinds of frontend drive this
 //! crate today, both through the one [`host::Host`] assembly:
 //!
-//! * in-process fabrics — `dbgpd`'s oracle, and `dbgp-bgp`'s `Speaker`
-//!   under the stress harnesses and the iBGP tests — where "now" is
-//!   whatever the fabric says; and
+//! * in process: the one [`fabric::Fabric`], under `dbgpd`'s oracle,
+//!   the differential harness's daemon participant and the classic
+//!   speaker's tests, and `dbgp-bgp`'s `Speaker` alone under the stress
+//!   harnesses — where "now" is whatever the caller says; and
 //! * `dbgpd` (`dbgp-daemon`), the real BGP daemon, where "now" is
 //!   milliseconds since process start and the bytes ride TCP.
 //!
-//! Because both frontends execute *this* code, a behaviour verified
-//! against the oracle in process is the behaviour a live daemon
-//! executes — the property the D-BGP deployment story rests on. (The
-//! event simulator hosts `dbgp-core`'s `DbgpSpeaker`, not this crate.)
+//! Because both frontends execute *this* code, a behaviour verified on
+//! the fabric is the behaviour a live daemon executes. The event
+//! simulator hosts `dbgp-core`'s `DbgpSpeaker`, not this crate, so what
+//! holds this code to the reference model is the fabric, driven by
+//! `dbgp-oracle`'s differential harness.
 //!
 //! Layout:
 //!
@@ -39,10 +41,13 @@
 //!   table;
 //! * [`host`] — [`host::Host`]: the session cores glued to the routing
 //!   core, the one assembly every frontend drives;
+//! * [`fabric`] — [`fabric::Fabric`]: hosts joined by in-memory pipes,
+//!   with link failure, restore and restart as pipe operations;
 //! * [`config`] — peer and neighbor configuration.
 
 pub mod config;
 pub mod decision;
+pub mod fabric;
 pub mod host;
 pub mod peer;
 pub mod policy;
@@ -54,6 +59,7 @@ pub mod stream;
 
 pub use config::{NeighborConfig, PeerConfig, PeerId};
 pub use decision::{best, compare, Candidate};
+pub use fabric::Fabric;
 pub use host::{Host, HostOutput};
 pub use peer::{ConnDir, CoreOutput, SessionCore};
 pub use policy::{Clause, MatchCond, PrefixMatch, RouteMap, SetAction};

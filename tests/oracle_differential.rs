@@ -1,5 +1,6 @@
-//! Tier-1 differential gate: the production engine vs the naive
-//! reference model over generated scenarios (DESIGN.md §8).
+//! Tier-1 differential gate: the production engine and, for scenarios
+//! without islands, `dbgpd`'s routing on the in-memory fabric vs the
+//! naive reference model over generated scenarios (DESIGN.md §8).
 //!
 //! Case count defaults to 256 and can be tuned with
 //! `DBGP_ORACLE_CASES` (CI's smoke job runs fewer; soak runs more).
