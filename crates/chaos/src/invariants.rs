@@ -108,22 +108,24 @@ impl Invariants {
     /// Walk installed FIBs for every (node, prefix) and flag loops and
     /// black holes. Each distinct loop/hole is reported once.
     fn check_forwarding(&self, sim: &Sim, report: &mut InvariantReport) {
+        // Each node's table is built once, then walked many times.
+        let fibs: Vec<_> = (0..sim.node_count()).map(|node| sim.fib(node)).collect();
         let mut prefixes: BTreeSet<Ipv4Prefix> = BTreeSet::new();
-        for node in 0..sim.node_count() {
-            prefixes.extend(sim.fib(node).keys().copied());
+        for fib in &fibs {
+            prefixes.extend(fib.keys().copied());
         }
         for prefix in prefixes {
             let mut looped: BTreeSet<NodeId> = BTreeSet::new();
             let mut holed: BTreeSet<NodeId> = BTreeSet::new();
             for start in 0..sim.node_count() {
-                if !sim.fib(start).contains_key(&prefix) {
+                if !fibs[start].contains_key(&prefix) {
                     continue;
                 }
                 let mut walk = vec![start];
                 let mut seen: BTreeSet<NodeId> = BTreeSet::from([start]);
                 let mut cur = start;
                 loop {
-                    match sim.fib(cur).get(&prefix) {
+                    match fibs[cur].get(&prefix) {
                         // Delivered locally: a clean walk.
                         Some(None) => break,
                         Some(Some(next)) => {

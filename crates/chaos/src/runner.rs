@@ -126,7 +126,7 @@ mod tests {
         sim.link(nodes[1], nodes[2], 10, false);
         sim.originate(nodes[0], p("10.0.0.0/8"));
         sim.run(1_000_000);
-        let fib_before = sim.fib(nodes[2]).clone();
+        let fib_before = sim.fib(nodes[2]);
 
         let plan = FaultPlan::new().link_flap(nodes[0], nodes[1], 2_000_000, 2_500_000);
         let report = ScenarioRunner::default().run(&mut sim, &plan);
@@ -136,7 +136,7 @@ mod tests {
         assert_eq!(report.records[0].window.label, "link-down 0-1");
         assert!(report.records[0].window.best_changes >= 2, "down wave reached both nodes");
         assert!(report.records[1].window.best_changes >= 2, "up wave restored both nodes");
-        assert_eq!(sim.fib(nodes[2]), &fib_before, "route restored after the flap");
+        assert_eq!(sim.fib(nodes[2]), fib_before, "route restored after the flap");
         assert!(report.max_convergence_time() > 0);
     }
 

@@ -405,6 +405,16 @@ impl DbgpSpeaker {
         self.table.entries.iter().filter_map(|(p, e)| Some((p, e.chosen.as_ref()?)))
     }
 
+    /// The installed routes whose prefix covers `target` (`target`
+    /// itself included), shortest first: one root-to-leaf walk of the
+    /// table, so the last is the data plane's longest match.
+    pub fn routes_covering(
+        &self,
+        target: Ipv4Prefix,
+    ) -> impl Iterator<Item = (&Ipv4Prefix, &Chosen)> {
+        self.table.entries.covering(target).filter_map(|(p, e)| Some((p, e.chosen.as_ref()?)))
+    }
+
     /// Read access to the IA database.
     pub fn iadb(&self) -> &IaDb {
         &self.table

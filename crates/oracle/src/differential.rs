@@ -211,12 +211,12 @@ fn compare_states(
                 }
             }
         }
-        if sim.fib(node) != net.fib(node) {
+        let fib = sim.fib(node);
+        if fib != *net.fib(node) {
             return Err(Divergence {
                 phase,
                 detail: format!(
-                    "node {node}: FIB differs\nproduction: {:?}\nreference:  {:?}",
-                    sim.fib(node),
+                    "node {node}: FIB differs\nproduction: {fib:?}\nreference:  {:?}",
                     net.fib(node)
                 ),
             });

@@ -110,31 +110,37 @@ pub fn compare(a: &Candidate<'_>, b: &Candidate<'_>) -> Ordering {
 }
 
 /// Pick the index of the best candidate, or `None` if the slice is empty.
+///
+/// [`compare`] is not transitive (the MED rung applies only within one
+/// neighbouring AS), so a left-to-right scan would let candidate order
+/// pick the winner. RFC 4271 §9.1.2.2(c) removes a route only against
+/// one from the same neighbouring AS, so the choice is made in two
+/// steps, each over a transitive comparison: the best within each
+/// neighbour-AS group (every rung), then the best of the group winners
+/// (MED never applies between them).
 pub fn best(candidates: &[Candidate<'_>]) -> Option<usize> {
-    if candidates.is_empty() {
-        return None;
-    }
-    let mut best = 0;
-    for i in 1..candidates.len() {
-        if compare(&candidates[i], &candidates[best]) == Ordering::Greater {
-            best = i;
-        }
-    }
-    Some(best)
+    best_except(candidates, None)
 }
 
 /// Why `winner` — the index [`best`] returned for the same slice — won:
-/// the tie-break step that separates it from the runner-up, the best of
-/// the remaining candidates.
+/// the tie-break step that separates it from the runner-up, the route
+/// the same procedure picks once the winner is gone.
 pub fn explain(candidates: &[Candidate<'_>], winner: usize) -> SelectionReason {
-    let mut rest = (0..candidates.len()).filter(|&i| i != winner);
-    let Some(mut runner) = rest.next() else { return SelectionReason::OnlyCandidate };
-    for i in rest {
-        if compare(&candidates[i], &candidates[runner]) == Ordering::Greater {
-            runner = i;
-        }
+    match best_except(candidates, Some(winner)) {
+        Some(runner) => compare_explain(&candidates[winner], &candidates[runner]).1,
+        None => SelectionReason::OnlyCandidate,
     }
-    compare_explain(&candidates[winner], &candidates[runner]).1
+}
+
+/// [`best`] over every candidate but `skip`.
+fn best_except(candidates: &[Candidate<'_>], skip: Option<usize>) -> Option<usize> {
+    let live = || (0..candidates.len()).filter(move |&i| Some(i) != skip);
+    let beats = |i: usize, j: usize| compare(&candidates[i], &candidates[j]) == Ordering::Greater;
+    let leads_group = |i: usize| {
+        let peer_as = candidates[i].peer_as;
+        live().all(|j| candidates[j].peer_as != peer_as || !beats(j, i))
+    };
+    live().filter(|&i| leads_group(i)).reduce(|best, i| if beats(i, best) { i } else { best })
 }
 
 #[cfg(test)]

@@ -354,7 +354,7 @@ impl RoutingCore {
         if update.nlri.is_empty() {
             return (out, None);
         }
-        let Ok(route) = Route::from_attrs(&update.attributes) else {
+        let Ok(mut route) = Route::from_attrs(&update.attributes) else {
             // Wire validation already guarantees mandatory attributes;
             // treat any residual failure as a session-level error.
             return (
@@ -362,6 +362,11 @@ impl RoutingCore {
                 Some(WireError::MissingWellKnownAttribute(dbgp_wire::attrs::code::ORIGIN)),
             );
         };
+        // LOCAL_PREF is an iBGP attribute: one an external peer sends is
+        // ignored (RFC 4271 §5.1.5). The import map may still set one.
+        if !pipe.peers[&id].cfg.is_ibgp() {
+            route.local_pref = None;
+        }
         // Receiver-side loop detection (RFC 4271 §9.1.2): a path carrying
         // our own AS is invisible to the decision process.
         let looped = route.as_path.contains(pipe.asn);

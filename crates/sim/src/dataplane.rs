@@ -95,8 +95,10 @@ impl Sim {
                     return (Delivery::Delivered { at, remaining: packet.stack }, trace);
                 }
             };
-            if self.owner_of(dst) == Some(at) {
-                // Decapsulate.
+            let next = self.next_hop(at, dst);
+            // Ours by ownership, or by a prefix originated here (the
+            // FIB says local): decapsulate.
+            if self.owner_of(dst) == Some(at) || next == Some(None) {
                 packet.stack.pop();
                 match packet.stack.last() {
                     None => return (Delivery::Delivered { at, remaining: vec![] }, trace),
@@ -104,25 +106,9 @@ impl Sim {
                     Some(_) => return (Delivery::Delivered { at, remaining: packet.stack }, trace),
                 }
             }
-            match self.next_hop(at, dst) {
-                Some(Some(next)) => {
-                    at = next;
-                    trace.push(next);
-                }
-                Some(None) => {
-                    // FIB says local but ownership said otherwise: the
-                    // prefix is originated here — deliver.
-                    packet.stack.pop();
-                    match packet.stack.last() {
-                        None => return (Delivery::Delivered { at, remaining: vec![] }, trace),
-                        Some(Header::Ipv4 { .. }) => continue,
-                        Some(_) => {
-                            return (Delivery::Delivered { at, remaining: packet.stack }, trace)
-                        }
-                    }
-                }
-                None => return (Delivery::NoRoute { at, dst }, trace),
-            }
+            let Some(Some(next)) = next else { return (Delivery::NoRoute { at, dst }, trace) };
+            at = next;
+            trace.push(next);
         }
     }
 }

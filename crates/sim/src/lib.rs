@@ -9,7 +9,7 @@
 //! * [`sim`] — nodes (one AS = one [`dbgp_core::DbgpSpeaker`]), links
 //!   with one-way delays, real wire-format control messages, the
 //!   out-of-band service bus (Wiser cost-exchange portals, MIRO service
-//!   portals, generic lookup services), and FIB maintenance;
+//!   portals, generic lookup services), and FIBs read off the Loc-RIBs;
 //! * [`link`] — per-link perturbation models (seeded jitter, loss,
 //!   duplication, corruption) and the deterministic [`link::SimRng`]
 //!   that drives them, the substrate for `dbgp-chaos` fault injection;

@@ -24,7 +24,7 @@ use crate::link::LinkModel;
 use crate::link::SimRng;
 use bytes::Bytes;
 use dbgp_core::{
-    render_path, DbgpConfig, DbgpNeighbor, DbgpOutput, DbgpSpeaker, DbgpUpdate, NeighborId,
+    render_path, Chosen, DbgpConfig, DbgpNeighbor, DbgpOutput, DbgpSpeaker, DbgpUpdate, NeighborId,
     PeerClass,
 };
 use dbgp_protocols::{MiroPortal, MiroRequest};
@@ -33,6 +33,7 @@ use dbgp_telemetry::{metrics, EventId, Log2Histogram, TraceKind, TraceRecorder};
 use dbgp_wire::{EncodedIa, Ia, Ipv4Addr, Ipv4Prefix, ProtocolId};
 use serde_json::Value;
 use std::borrow::Borrow;
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::rc::Rc;
 use std::sync::Arc;
@@ -44,6 +45,9 @@ pub type NodeId = usize;
 fn link_key(a: NodeId, b: NodeId) -> (NodeId, NodeId) {
     (a.min(b), a.max(b))
 }
+
+/// One-way delay of the out-of-band bus.
+const OOB_DELAY: SimTime = 5;
 
 /// Causal annotations riding with a [`Event::Deliver`] when tracing is
 /// on: the ids the receiver needs to chain its Deliver/Decode events to
@@ -105,19 +109,14 @@ struct Node {
     neighbor_nodes: BTreeMap<NeighborId, NodeId>,
     /// Peer node -> our neighbor ID for it.
     ids_by_node: HashMap<NodeId, NeighborId>,
-    /// Forwarding table maintained from `BestChanged` outputs.
-    fib: PrefixTrie<Option<NodeId>>,
-    /// This node's own address (used as IA next-hop and for tunnels).
-    addr: Ipv4Addr,
     /// Out-of-band responses received, for inspection by drivers.
     oob_inbox: Vec<(Ipv4Addr, Vec<u8>)>,
     next_neighbor_id: u32,
     /// Coalesced outbound state per neighbor: prefix -> latest IA
     /// (`None` = withdraw), flushed when the MRAI window closes. The
-    /// `Arc` is shared with the speaker's Adj-RIB-Out.
+    /// `Arc` is shared with the speaker's Adj-RIB-Out. A key exists only
+    /// while its Flush is due.
     pending_out: HashMap<NeighborId, BTreeMap<Ipv4Prefix, PendingAdvert>>,
-    /// Neighbors with a Flush already scheduled.
-    flush_armed: std::collections::HashSet<NeighborId>,
     /// Adj-RIB-Out encode cache: wire bytes for an outgoing IA, keyed by
     /// the `Arc`'s pointer identity (the speaker hands the *same* `Arc`
     /// to every neighbor of a class and across re-advertisements of an
@@ -377,8 +376,6 @@ pub struct Sim {
     /// links with a non-default model, so fault-free runs are identical
     /// to runs before link models existed.
     rng: SimRng,
-    /// Default one-way delay for the out-of-band bus.
-    oob_delay: SimTime,
     /// Minimum route advertisement interval: outbound updates to a
     /// neighbor are coalesced per prefix over this window, BGP's
     /// classic damper for transient churn (and the reason real-world
@@ -389,17 +386,12 @@ pub struct Sim {
     /// branch per instrumentation site) unless
     /// [`Sim::enable_telemetry`] was called.
     recorder: Option<Rc<TraceRecorder>>,
-    /// Node restarts so far: `sim.node_restarts_total`, and the
-    /// `generation` of a metrics snapshot.
-    restarts: u64,
     /// Bytes of each control-plane delivery (`sim.message_bytes`).
     message_bytes: Log2Histogram,
     /// Elements in each MRAI flush (`sim.flush_batch_prefixes`).
     flush_batch: Log2Histogram,
-    /// Link-delay accumulators: the calendar queue's day width is tuned
-    /// to the mean link delay at first run.
-    delay_sum: SimTime,
-    delay_count: u64,
+    /// Whether the calendar queue's day width has been tuned to the
+    /// mean link delay (once, at first run).
     width_tuned: bool,
     /// Bounded-horizon oscillation capture; `None` (the default) is
     /// completely inert — no state, no branches taken, no output
@@ -458,14 +450,10 @@ impl Sim {
             decode_memo_hits: 0,
             churn: BTreeMap::new(),
             rng: SimRng::new(0),
-            oob_delay: 5,
             mrai: 30,
             recorder: None,
-            restarts: 0,
             message_bytes: Log2Histogram::default(),
             flush_batch: Log2Histogram::default(),
-            delay_sum: 0,
-            delay_count: 0,
             width_tuned: false,
             capture: None,
             phase_timing: None,
@@ -557,7 +545,6 @@ impl Sim {
     /// Add an AS. Its node address is derived from the node index.
     pub fn add_node(&mut self, cfg: DbgpConfig) -> NodeId {
         let id = self.nodes.len();
-        let addr = Ipv4Addr::new(10, (id >> 8) as u8, (id & 0xff) as u8, 1);
         let speaker = DbgpSpeaker::new(cfg);
         if let Some(recorder) = &self.recorder {
             recorder.set_node_asn(id as u32, speaker.asn());
@@ -566,12 +553,9 @@ impl Sim {
             speaker,
             neighbor_nodes: BTreeMap::new(),
             ids_by_node: HashMap::new(),
-            fib: PrefixTrie::new(),
-            addr,
             oob_inbox: Vec::new(),
             next_neighbor_id: 0,
             pending_out: HashMap::new(),
-            flush_armed: std::collections::HashSet::new(),
             encode_cache: PtrMap::default(),
             counters: NodeCounters::default(),
         });
@@ -590,9 +574,10 @@ impl Sim {
         self.nodes.len()
     }
 
-    /// The node's own address.
+    /// The node's own address (its IA next hop and tunnel endpoint):
+    /// `10.hi.lo.1` from the low 16 bits of its index.
     pub fn node_addr(&self, node: NodeId) -> Ipv4Addr {
-        self.nodes[node].addr
+        Ipv4Addr::new(10, (node >> 8) as u8, (node & 0xff) as u8, 1)
     }
 
     /// Access a node's speaker.
@@ -605,9 +590,9 @@ impl Sim {
         &mut self.nodes[node].speaker
     }
 
-    /// Statistics so far.
+    /// Statistics so far (`last_event_at` is the queue clock).
     pub fn stats(&self) -> SimStats {
-        self.stats
+        SimStats { last_event_at: self.queue.now(), ..self.stats }
     }
 
     /// Current simulated time.
@@ -644,15 +629,17 @@ impl Sim {
     /// per-node `reset-on-restart` counters, each with its own restart
     /// generation. The document's `generation` is the restart count.
     pub fn metrics_snapshot(&self) -> Value {
+        // Each restart bumps its node's generation by one.
+        let restarts = self.nodes.iter().map(|n| n.counters.generation).sum();
         let mut counters = self.stats.totals().to_vec();
-        counters.push(("sim.node_restarts_total", self.restarts));
+        counters.push(("sim.node_restarts_total", restarts));
         let mut snap = metrics::render(
             self.queue.now(),
-            self.restarts,
+            restarts,
             &counters,
             &[
                 ("sim.pending_events", self.queue.len() as i64),
-                ("sim.last_event_at", self.stats.last_event_at as i64),
+                ("sim.last_event_at", self.queue.now() as i64),
             ],
             &[
                 ("sim.message_bytes", &self.message_bytes),
@@ -753,8 +740,6 @@ impl Sim {
                 classes,
             },
         );
-        self.delay_sum = self.delay_sum.saturating_add(delay);
-        self.delay_count += 1;
         for (me, peer) in [(a, b), (b, a)] {
             self.establish(me, peer, same_island, speaks_dbgp, "link-up", None);
         }
@@ -790,7 +775,7 @@ impl Sim {
     /// Originate a prefix at a node.
     pub fn originate(&mut self, node: NodeId, prefix: Ipv4Prefix) {
         let root = self.record(node, None, TraceKind::Originate { prefix });
-        let addr = self.nodes[node].addr;
+        let addr = self.node_addr(node);
         let outputs = self.nodes[node].speaker.originate(prefix, addr);
         self.absorb(node, root, outputs);
     }
@@ -857,10 +842,9 @@ impl Sim {
             .map(|(&(x, y), l)| (if x == node { y } else { x }, l.same_island, l.speaks_dbgp))
             .collect();
         // The restart opens a new incarnation: the node's generation
-        // bumps and so does the engine-wide restart count (engine totals
-        // keep accumulating, per-node counters reset).
+        // bumps (engine totals keep accumulating, per-node counters
+        // reset).
         let generation = self.nodes[node].counters.generation + 1;
-        self.restarts += 1;
         let root = self.record(node, None, TraceKind::NodeRestart { generation });
         for &(peer, ..) in &peers {
             self.teardown_neighbor(node, peer, "node-restart", root);
@@ -873,7 +857,6 @@ impl Sim {
         // The rebooting router loses its MRAI buffers, encode cache and
         // any undelivered out-of-band responses.
         self.nodes[node].pending_out.clear();
-        self.nodes[node].flush_armed.clear();
         self.nodes[node].oob_inbox.clear();
         self.nodes[node].encode_cache.clear();
         for &(peer, same_island, speaks_dbgp) in &peers {
@@ -884,7 +867,7 @@ impl Sim {
 
     /// Send an out-of-band payload from a node to a service address.
     pub fn oob_send(&mut self, from: NodeId, to_addr: Ipv4Addr, payload: Vec<u8>) {
-        self.queue.schedule(self.oob_delay, Event::OobRequest { to_addr, from, payload });
+        self.queue.schedule(OOB_DELAY, Event::OobRequest { to_addr, from, payload });
     }
 
     /// Out-of-band responses a node has received so far.
@@ -893,9 +876,10 @@ impl Sim {
     }
 
     /// The node's forwarding table (prefix -> next-hop node; `None` =
-    /// delivered locally).
-    pub fn fib(&self, node: NodeId) -> &PrefixTrie<Option<NodeId>> {
-        &self.nodes[node].fib
+    /// delivered locally), built from its speaker's installed routes.
+    pub fn fib(&self, node: NodeId) -> PrefixTrie<Option<NodeId>> {
+        let node = &self.nodes[node];
+        node.speaker.routes().map(|(&prefix, chosen)| (prefix, node.next_node(chosen))).collect()
     }
 
     /// Schedule raw bytes for delivery as if they arrived on the wire
@@ -917,10 +901,10 @@ impl Sim {
             if next_at > max_time {
                 break;
             }
-            let (at, event) = self.queue.pop().expect("peeked event must pop");
-            self.handle_event(at, event);
+            let (_, event) = self.queue.pop().expect("peeked event must pop");
+            self.handle_event(event);
         }
-        self.stats
+        self.stats()
     }
 
     /// Derive the calendar-queue day width from the mean link delay
@@ -932,18 +916,18 @@ impl Sim {
             return;
         }
         self.width_tuned = true;
-        if self.delay_count == 0 {
+        if self.links.is_empty() {
             return;
         }
-        let mean = (self.delay_sum / self.delay_count).max(1);
+        let sum: SimTime = self.links.values().map(|l| l.delay).sum();
+        let mean = (sum / self.links.len() as SimTime).max(1);
         let shift = (SimTime::BITS - mean.leading_zeros()).min(12);
         self.queue.set_width_shift(shift);
     }
 
     /// Process one popped event (the pop already advanced the queue
-    /// clock to `at`).
-    fn handle_event(&mut self, at: SimTime, event: Event) {
-        self.stats.last_event_at = at;
+    /// clock to its time).
+    fn handle_event(&mut self, event: Event) {
         match event {
             Event::Deliver { to, from, bytes, trace } => {
                 self.stats.messages += 1;
@@ -1149,9 +1133,10 @@ impl Sim {
     }
 
     /// Act on what a speaker call at `node` returned — the one path from
-    /// speaker outputs to the trace, the FIB / churn bookkeeping and the
-    /// wires. `cause` is the trace event (Decode, Originate, SessionFsm,
-    /// ...) that prompted the call: it parents the `Decision` and
+    /// speaker outputs to the trace, the churn bookkeeping and the wires
+    /// (the FIB is the speaker's table, read where it is needed).
+    /// `cause` is the trace event (Decode, Originate, SessionFsm, ...)
+    /// that prompted the call: it parents the `Decision` and
     /// `LoopDrop` events recorded here from what the speaker reported,
     /// and then the sends. All of a call's decisions are recorded before
     /// any of its sends is dispatched.
@@ -1185,12 +1170,7 @@ impl Sim {
             let record = self.churn.entry((node, prefix)).or_default();
             record.best_changes += 1;
             record.last_change_at = at;
-            let next =
-                chosen.and_then(|c| self.nodes[node].neighbor_nodes.get(&c.neighbor?).copied());
-            match chosen {
-                Some(_) => self.nodes[node].fib.insert(prefix, next),
-                None => self.nodes[node].fib.remove(&prefix),
-            };
+            let next = chosen.and_then(|c| self.nodes[node].next_node(c));
             if let Some(capture) = &mut self.capture {
                 let installed = chosen.is_some();
                 capture.record(BestChange { at, node, prefix, installed, next });
@@ -1232,8 +1212,10 @@ impl Sim {
                 self.send_now(node, neighbor, prefix, ia, cause);
                 continue;
             }
-            self.nodes[node].pending_out.entry(neighbor).or_default().insert(prefix, (ia, cause));
-            if self.nodes[node].flush_armed.insert(neighbor) {
+            let pending = self.nodes[node].pending_out.entry(neighbor);
+            let arm = matches!(pending, Entry::Vacant(_));
+            pending.or_default().insert(prefix, (ia, cause));
+            if arm {
                 self.queue.schedule(self.mrai, Event::Flush { node, neighbor });
             }
         }
@@ -1343,7 +1325,6 @@ impl Sim {
     /// The MRAI window to `neighbor` closed: everything pending goes out
     /// as one frame.
     fn flush(&mut self, node: NodeId, neighbor: NeighborId) {
-        self.nodes[node].flush_armed.remove(&neighbor);
         let Some(pending) = self.nodes[node].pending_out.remove(&neighbor) else { return };
         if pending.is_empty() {
             return;
@@ -1517,7 +1498,7 @@ impl Sim {
                     if let Some(offer) = portal.negotiate(request) {
                         let response = offer.to_bytes();
                         self.queue.schedule(
-                            self.oob_delay,
+                            OOB_DELAY,
                             Event::OobResponse { to: from, from_addr: to_addr, payload: response },
                         );
                     }
@@ -1532,25 +1513,41 @@ impl Sim {
         if let Some((node, _)) = self.services.get(&addr) {
             return Some(*node);
         }
-        if let Some(node) = self.nodes.iter().position(|n| n.addr == addr) {
-            return Some(node);
+        // The inverse of `node_addr`: the lowest index with this address.
+        if let [10, hi, lo, 1] = addr.octets() {
+            let node = (usize::from(hi) << 8) | usize::from(lo);
+            if node < self.nodes.len() {
+                return Some(node);
+            }
         }
         // Longest-prefix owner across all originated prefixes.
+        let host = Ipv4Prefix::new(addr, 32).expect("/32 is valid");
         self.nodes
             .iter()
             .enumerate()
             .flat_map(|(id, n)| {
-                n.fib
-                    .covering(Ipv4Prefix::new(addr, 32).expect("/32 is valid"))
-                    .filter(|(_, next)| next.is_none())
+                n.speaker
+                    .routes_covering(host)
+                    .filter(|(_, chosen)| n.next_node(chosen).is_none())
                     .map(move |(p, _)| (p.len(), id))
             })
             .max_by_key(|(len, _)| *len)
             .map(|(_, id)| id)
     }
 
-    /// Data-plane next hop at `node` for `addr` (longest match).
+    /// Data-plane next hop at `node` for `addr`: the longest installed
+    /// match, read off the speaker's table.
     pub(crate) fn next_hop(&self, node: NodeId, addr: Ipv4Addr) -> Option<Option<NodeId>> {
-        self.nodes[node].fib.longest_match(addr).map(|(_, next)| *next)
+        let node = &self.nodes[node];
+        let host = Ipv4Prefix::new(addr, 32).expect("/32 is valid");
+        node.speaker.routes_covering(host).last().map(|(_, chosen)| node.next_node(chosen))
+    }
+}
+
+impl Node {
+    /// The FIB next hop of an installed route: the node it was learned
+    /// from, `None` for one originated here.
+    fn next_node(&self, chosen: &Chosen) -> Option<NodeId> {
+        self.neighbor_nodes.get(&chosen.neighbor?).copied()
     }
 }

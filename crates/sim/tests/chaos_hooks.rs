@@ -81,14 +81,14 @@ fn fail_and_restore_are_idempotent() {
 fn restart_node_resets_sessions_and_reconverges() {
     let (mut sim, o, a, b, s) = square();
     sim.run(1_000_000);
-    let fib_before = sim.fib(s).clone();
+    let fib_before = sim.fib(s);
     let messages_before = sim.stats().messages;
 
     // Restart a transit node: all four FIBs must be intact afterwards
     // and the full-table re-transfer must have generated traffic.
     sim.restart_node(a);
     sim.run(2_000_000);
-    assert_eq!(sim.fib(s), &fib_before, "sink's route survives the restart");
+    assert_eq!(sim.fib(s), fib_before, "sink's route survives the restart");
     assert!(sim.stats().messages > messages_before, "restart triggers a full-table re-transfer");
     for node in [o, a, b, s] {
         if node != o {
@@ -255,7 +255,7 @@ fn same_seed_same_trace() {
         sim.run(1_000_000);
         sim.restore_link(nodes[0], nodes[1]);
         sim.run(2_000_000);
-        let fibs: Vec<_> = nodes.iter().map(|&n| sim.fib(n).clone()).collect();
+        let fibs: Vec<_> = nodes.iter().map(|&n| sim.fib(n)).collect();
         (sim.stats(), fibs)
     };
     assert_eq!(run_once(11), run_once(11), "identical seed => identical run");

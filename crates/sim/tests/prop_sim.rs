@@ -135,7 +135,7 @@ proptest! {
             sim.run(360_000_000);
             sim.restore_link(a, b);
             let stats = sim.run(900_000_000);
-            let fibs: Vec<_> = (0..n).map(|node| sim.fib(node).clone()).collect();
+            let fibs: Vec<_> = (0..n).map(|node| sim.fib(node)).collect();
             (stats, fibs)
         };
         let (stats, fibs) = run_once();

@@ -2,7 +2,7 @@
 //! experiments (Figure 8): Wiser and Pathlet Routing deployed across a
 //! BGP gulf over D-BGP.
 
-use dbgp_core::{DbgpConfig, DbgpSpeaker, IslandConfig, NeighborId};
+use dbgp_core::{DbgpConfig, DbgpOutput, DbgpSpeaker, IslandConfig, NeighborId};
 use dbgp_protocols::wiser::{self, WiserModule};
 use dbgp_protocols::{miro, MiroOffer, MiroPortal, MiroRequest, Pathlet, PathletModule};
 use dbgp_sim::{Delivery, LinkModel, Packet, Service, Sim, SimStats};
@@ -26,9 +26,60 @@ fn chain_converges_and_installs_fibs() {
     for (i, &node) in nodes.iter().enumerate().skip(1) {
         let best = sim.speaker(node).best(&p("128.6.0.0/16")).expect("route installed");
         assert_eq!(best.ia.hop_count(), i, "hop count grows along the chain");
-        let next = sim.fib(node).get(&p("128.6.0.0/16")).unwrap();
-        assert_eq!(*next, Some(nodes[i - 1]), "FIB points toward the origin");
+        let next = sim.fib(node).get(&p("128.6.0.0/16")).copied().unwrap();
+        assert_eq!(next, Some(nodes[i - 1]), "FIB points toward the origin");
     }
+}
+
+/// The FIB is read off the speaker's installed routes, so forwarding
+/// follows a best path changed outside the engine — an AS switching its
+/// active protocol in place, its outputs dropped — with no second table
+/// left behind to disagree.
+#[test]
+fn fib_and_forwarding_follow_a_best_path_changed_outside_the_engine() {
+    // Diamond toward D: a short, expensive exit and a long, cheap one.
+    let island = IslandConfig { id: IslandId(900), abstraction: false };
+    let mut sim = Sim::new();
+    let d = sim.add_node(DbgpConfig::island_member(10, island, ProtocolId::WISER));
+    let cheap_a = sim.add_node(DbgpConfig::island_member(11, island, ProtocolId::WISER));
+    let cheap_b = sim.add_node(DbgpConfig::island_member(12, island, ProtocolId::WISER));
+    let costly = sim.add_node(DbgpConfig::island_member(13, island, ProtocolId::WISER));
+    let s = sim.add_node(DbgpConfig::gulf(20));
+    let portal = Ipv4Addr::new(163, 42, 5, 0);
+    for (node, cost) in [(d, 5), (cheap_a, 10), (cheap_b, 10), (costly, 800)] {
+        sim.speaker_mut(node).register_module(Box::new(WiserModule::new(island.id, portal, cost)));
+    }
+    sim.link(d, cheap_a, 10, true);
+    sim.link(cheap_a, cheap_b, 10, true);
+    sim.link(d, costly, 10, true);
+    sim.link(cheap_b, s, 10, false);
+    sim.link(costly, s, 10, false);
+    let prefix = p("128.6.0.0/16");
+    sim.originate(d, prefix);
+    sim.run(10_000_000);
+    assert_eq!(sim.pending_events(), 0, "quiesces");
+
+    let dst = Ipv4Addr::new(128, 6, 0, 1);
+    assert_eq!(sim.fib(s).get(&prefix), Some(&Some(costly)), "BGP takes the short exit");
+    let (delivery, trajectory) = sim.forward(s, Packet::ipv4(dst, 1));
+    assert_eq!(delivery, Delivery::Delivered { at: d, remaining: vec![] });
+    assert_eq!(trajectory, vec![s, costly, d]);
+
+    let speaker = sim.speaker_mut(s);
+    speaker.register_module(Box::new(WiserModule::new(
+        IslandId::from_as(20),
+        Ipv4Addr::new(163, 42, 6, 0),
+        3,
+    )));
+    let outputs = speaker.set_active_protocol(ProtocolId::WISER);
+    assert!(outputs.iter().any(|o| matches!(o, DbgpOutput::BestChanged(..))));
+    drop(outputs);
+    assert_eq!(sim.pending_events(), 0, "nothing reached the engine");
+
+    assert_eq!(sim.fib(s).get(&prefix), Some(&Some(cheap_b)), "Wiser takes the cheap exit");
+    let (delivery, trajectory) = sim.forward(s, Packet::ipv4(dst, 2));
+    assert_eq!(delivery, Delivery::Delivered { at: d, remaining: vec![] });
+    assert_eq!(trajectory, vec![s, cheap_b, cheap_a, d]);
 }
 
 #[test]

@@ -48,12 +48,14 @@ const ORIGINS: usize = 8;
 const STAGGER: SimTime = 200;
 const HORIZON: SimTime = 1_000_000;
 
-/// Cut from 5,467 B measured with this test (seed 42, 1,002 nodes, both
-/// profiles within a byte) once every receiver of a frame stored the IAs
-/// of its one decode. Before that each receiver decoded its own copy,
+/// 4,832 B measured with this test (seed 42, 1,002 nodes, both profiles
+/// within a byte) once the simulator stopped keeping a FIB trie beside
+/// each speaker's Loc-RIB, plus the 6 % margin the budget had before:
+/// 5,467 B under a 5,800 B budget. Before every receiver of a frame
+/// stored the IAs of its one decode, each receiver decoded its own copy,
 /// and the same scenario held 8,946 B per node: 12,527 received IAs,
 /// all distinct, where there are now 757.
-const BUDGET_BYTES_PER_NODE: usize = 5_800;
+const BUDGET_BYTES_PER_NODE: usize = 5_130;
 
 #[test]
 fn a_quiescent_hierarchy_stays_inside_its_memory_budget() {
