@@ -4,8 +4,8 @@
 //!
 //! This crate is the workspace's "Quagga": the baseline inter-domain
 //! routing implementation that D-BGP (`dbgp-core`) extends. The state
-//! machines themselves — session FSM, RIBs, decision process, policy —
-//! live in `dbgp-session` (shared with the `dbgpd` daemon), which is
+//! machines themselves — session FSM, RIBs, decision process — live in
+//! `dbgp-session` (shared with the `dbgpd` daemon), which is
 //! where to import them from; this crate adds:
 //!
 //! * [`speaker`] — the whole speaker behind a byte-oriented,

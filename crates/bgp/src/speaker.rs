@@ -87,10 +87,7 @@ impl Speaker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dbgp_session::{
-        Clause, LocRibEntry, MatchCond, NeighborConfig, PrefixMatch, RouteMap, RouteSource,
-        SetAction,
-    };
+    use dbgp_session::{LocRibEntry, NeighborConfig, RouteSource};
     use dbgp_telemetry::{Selection, SelectionReason};
     use dbgp_wire::Ipv4Prefix;
 
@@ -206,59 +203,6 @@ mod tests {
         let entry = fabric[4].loc_rib().get(&p("203.0.113.0/24")).unwrap();
         assert_eq!(entry.route.as_path.hop_count(), 2, "2-hop path via AS 102");
         assert_eq!(entry.source, RouteSource::Peer(PeerId(0)));
-    }
-
-    #[test]
-    fn import_policy_denies_route() {
-        let mut s1 = speaker(101);
-        let mut s2 = speaker(102);
-        s1.add_peer(PeerId(0), neighbor(101, 102));
-        let mut n = neighbor(102, 101);
-        n.import = RouteMap::new(vec![Clause::deny(vec![MatchCond::Prefix(
-            p("10.0.0.0/8"),
-            PrefixMatch::OrLonger,
-        )])]);
-        n.import.default_permit = true;
-        s2.add_peer(PeerId(0), n);
-        let mut fabric = Fabric::new(vec![s1, s2]);
-        fabric.link(0, PeerId(0), 1, PeerId(0));
-        fabric.start();
-        fabric.originate(0, p("10.1.0.0/16"));
-        fabric.originate(0, p("192.168.0.0/16"));
-        assert!(fabric[1].loc_rib().get(&p("10.1.0.0/16")).is_none(), "denied");
-        assert!(fabric[1].loc_rib().get(&p("192.168.0.0/16")).is_some(), "permitted");
-    }
-
-    #[test]
-    fn export_policy_local_pref_steers_choice() {
-        // AS 103 hears 10/8 from both 101 (direct) and 102 (longer). Its
-        // import policy boosts LOCAL_PREF on the longer path; it must
-        // choose it despite the extra hop.
-        let mut s1 = speaker(101);
-        let mut s2 = speaker(102);
-        let mut s3 = speaker(103);
-        s1.add_peer(PeerId(0), neighbor(101, 102));
-        s1.add_peer(PeerId(1), neighbor(101, 103));
-        s2.add_peer(PeerId(0), neighbor(102, 101));
-        s2.add_peer(PeerId(1), neighbor(102, 103));
-        let mut direct = neighbor(103, 101);
-        direct.import = RouteMap::permit_all();
-        let mut via2 = neighbor(103, 102);
-        via2.import = RouteMap {
-            clauses: vec![Clause::permit(vec![MatchCond::Any], vec![SetAction::LocalPref(200)])],
-            default_permit: true,
-        };
-        s3.add_peer(PeerId(0), direct);
-        s3.add_peer(PeerId(1), via2);
-        let mut fabric = Fabric::new(vec![s1, s2, s3]);
-        fabric.link(0, PeerId(0), 1, PeerId(0));
-        fabric.link(0, PeerId(1), 2, PeerId(0));
-        fabric.link(1, PeerId(1), 2, PeerId(1));
-        fabric.start();
-        fabric.originate(0, p("10.0.0.0/8"));
-        let entry = fabric[2].loc_rib().get(&p("10.0.0.0/8")).unwrap();
-        assert_eq!(entry.source, RouteSource::Peer(PeerId(1)), "boosted path wins");
-        assert_eq!(entry.route.as_path.hop_count(), 2);
     }
 
     #[test]

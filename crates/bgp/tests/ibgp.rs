@@ -4,8 +4,9 @@
 //! multi-router AS.
 
 use dbgp_bgp::{NeighborConfig, PeerId, Speaker};
-use dbgp_session::RouteSource;
-use dbgp_wire::{Ipv4Addr, Ipv4Prefix};
+use dbgp_session::{ConnDir, RouteSource};
+use dbgp_wire::message::{BgpMessage, OpenMsg, UpdateMsg};
+use dbgp_wire::{AsPath, Ipv4Addr, Ipv4Prefix, Origin, PathAttribute};
 
 fn p(s: &str) -> Ipv4Prefix {
     s.parse().unwrap()
@@ -104,34 +105,47 @@ fn egress_router_prepends_once_toward_ebgp_customer() {
 
 #[test]
 fn local_pref_propagates_inside_the_as_only() {
-    use dbgp_session::{Clause, MatchCond, RouteMap, SetAction};
-    let mut r1 = Speaker::new(100, Ipv4Addr::new(10, 0, 0, 1));
+    // R2 (AS 100) peers iBGP with R1, whose side of the session is
+    // written out as bytes below, and eBGP with a customer in AS 300.
     let mut r2 = Speaker::new(100, Ipv4Addr::new(10, 0, 0, 2));
-    let mut origin = Speaker::new(200, Ipv4Addr::new(10, 0, 0, 4));
     let mut customer = Speaker::new(300, Ipv4Addr::new(10, 0, 0, 5));
-    r1.add_peer(PeerId(0), neighbor(100, 1, 100));
     r2.add_peer(PeerId(0), neighbor(100, 2, 100));
-    let mut ebgp_in = neighbor(100, 1, 200);
-    ebgp_in.import = RouteMap {
-        clauses: vec![Clause::permit(vec![MatchCond::Any], vec![SetAction::LocalPref(250)])],
-        default_permit: true,
-    };
-    r1.add_peer(PeerId(1), ebgp_in);
-    origin.add_peer(PeerId(0), neighbor(200, 4, 100));
     r2.add_peer(PeerId(1), neighbor(100, 2, 300));
     customer.add_peer(PeerId(0), neighbor(300, 5, 100));
-
-    let mut fabric = Fabric::new(vec![r1, r2, origin, customer]);
-    fabric.link(0, PeerId(0), 1, PeerId(0));
-    fabric.link(0, PeerId(1), 2, PeerId(0));
-    fabric.link(1, PeerId(1), 3, PeerId(0));
+    let mut fabric = Fabric::new(vec![r2, customer]);
+    fabric.link(0, PeerId(1), 1, PeerId(0));
     fabric.start();
-    fabric.originate(2, p("198.51.100.0/24"));
 
-    // Inside AS 100: LOCAL_PREF visible at R2.
-    let at_r2 = fabric[1].loc_rib().get(&p("198.51.100.0/24")).unwrap();
+    // A LOCAL_PREF enters the AS only over iBGP, from the wire: R1
+    // connects, opens the session and announces a route carrying one.
+    let update = UpdateMsg::announce(
+        vec![p("198.51.100.0/24")],
+        vec![
+            PathAttribute::Origin(Origin::Igp),
+            PathAttribute::AsPath(AsPath::from_sequence(vec![200])),
+            PathAttribute::NextHop(Ipv4Addr::new(10, 1, 200, 1)),
+            PathAttribute::LocalPref(250),
+        ],
+    );
+    let from_r1 = [
+        BgpMessage::Open(OpenMsg::new(100, 90, Ipv4Addr::new(10, 0, 0, 1))),
+        BgpMessage::Keepalive,
+        BgpMessage::Update(update),
+    ];
+    fabric.drive(0, |host, now| {
+        let mut out = host.accepted(now, PeerId(0));
+        for msg in &from_r1 {
+            out.extend(host.bytes_in(now, PeerId(0), ConnDir::In, &msg.encode(true)));
+        }
+        out
+    });
+
+    // Inside AS 100: LOCAL_PREF kept at R2.
+    let at_r2 = fabric[0].loc_rib().get(&p("198.51.100.0/24")).unwrap();
+    assert_eq!(at_r2.source, RouteSource::Peer(PeerId(0)));
     assert_eq!(at_r2.route.local_pref, Some(250), "LOCAL_PREF crossed iBGP");
     // Outside: stripped before the customer.
-    let at_customer = fabric[3].loc_rib().get(&p("198.51.100.0/24")).unwrap();
+    let at_customer = fabric[1].loc_rib().get(&p("198.51.100.0/24")).unwrap();
+    assert_eq!(at_customer.route.as_path.hop_count(), 2, "AS path is [100, 200]");
     assert_eq!(at_customer.route.local_pref, None, "LOCAL_PREF never leaves the AS");
 }

@@ -193,13 +193,7 @@ impl DaemonConfig {
         session.connect_retry_ms = self.connect_retry_ms;
         session.passive = spec.passive;
         session.advertise_ia = spec.advertise_ia;
-        NeighborConfig {
-            peer_as: spec.peer_as,
-            local_addr: spec.next_hop,
-            import: dbgp_session::RouteMap::permit_all(),
-            export: dbgp_session::RouteMap::permit_all(),
-            session,
-        }
+        NeighborConfig { peer_as: spec.peer_as, local_addr: spec.next_hop, session }
     }
 }
 

@@ -1,6 +1,5 @@
 //! Speaker and per-peer configuration.
 
-use crate::policy::RouteMap;
 use dbgp_wire::Ipv4Addr;
 
 /// Transport-and-FSM level settings for one peering session.
@@ -50,27 +49,21 @@ impl std::fmt::Display for PeerId {
 /// Routing-layer settings for one neighbor.
 #[derive(Debug, Clone)]
 pub struct NeighborConfig {
-    /// The neighbor's AS (required at the routing layer: policy and MED
-    /// comparison key off it).
+    /// The neighbor's AS (required at the routing layer: iBGP vs eBGP
+    /// and MED comparison key off it).
     pub peer_as: u32,
     /// The address we use as NEXT_HOP when advertising to this neighbor.
     pub local_addr: Ipv4Addr,
-    /// Import policy applied to routes received from this neighbor.
-    pub import: RouteMap,
-    /// Export policy applied to routes advertised to this neighbor.
-    pub export: RouteMap,
     /// Session-level settings.
     pub session: PeerConfig,
 }
 
 impl NeighborConfig {
-    /// A neighbor with permit-all policies.
+    /// A neighbor with default session settings.
     pub fn new(local_as: u32, local_id: Ipv4Addr, peer_as: u32, local_addr: Ipv4Addr) -> Self {
         NeighborConfig {
             peer_as,
             local_addr,
-            import: RouteMap::permit_all(),
-            export: RouteMap::permit_all(),
             session: PeerConfig::new(local_as, local_id, peer_as),
         }
     }

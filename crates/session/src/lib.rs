@@ -33,11 +33,11 @@
 //!   [`BgpMessage`](dbgp_wire::message::BgpMessage)s;
 //! * [`peer`] — [`peer::SessionCore`]: one neighbor, up to two
 //!   transport connections, RFC 4271 §6.8 collision resolution;
-//! * [`route`] / [`rib`] / [`decision`] / [`policy`] — the parsed route
-//!   model, the per-prefix RIB entry, the §9.1.2.2 decision process and
-//!   route-map policy engine;
+//! * [`route`] / [`rib`] / [`decision`] — the parsed route model (what
+//!   it does not interpret rides along opaque), the per-prefix RIB
+//!   entry and the §9.1.2.2 decision process;
 //! * [`routing`] — [`routing::RoutingCore`]: the multi-neighbor RIB
-//!   plumbing (import, decide, export, propagate) on one per-prefix
+//!   plumbing (receive, decide, export, propagate) on one per-prefix
 //!   table;
 //! * [`host`] — [`host::Host`]: the session cores glued to the routing
 //!   core, the one assembly every frontend drives;
@@ -50,7 +50,6 @@ pub mod decision;
 pub mod fabric;
 pub mod host;
 pub mod peer;
-pub mod policy;
 pub mod rib;
 pub mod route;
 pub mod routing;
@@ -62,7 +61,6 @@ pub use decision::{best, compare, Candidate};
 pub use fabric::Fabric;
 pub use host::{Host, HostOutput};
 pub use peer::{ConnDir, CoreOutput, SessionCore};
-pub use policy::{Clause, MatchCond, PrefixMatch, RouteMap, SetAction};
 pub use rib::{LocRibEntry, RouteSource};
 pub use route::Route;
 pub use routing::{AdjRibInView, LocRibView, RibOp, RoutingCore};

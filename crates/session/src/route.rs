@@ -6,7 +6,7 @@ use dbgp_wire::error::{WireError, WireResult};
 use dbgp_wire::Ipv4Addr;
 
 /// A route: everything BGP knows about one path to one prefix.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Route {
     /// ORIGIN attribute.
     pub origin: Origin,
@@ -16,12 +16,11 @@ pub struct Route {
     pub next_hop: Ipv4Addr,
     /// MULTI_EXIT_DISC, if present.
     pub med: Option<u32>,
-    /// LOCAL_PREF, if present (iBGP / local policy only).
+    /// LOCAL_PREF, if present (learned over iBGP only).
     pub local_pref: Option<u32>,
-    /// Community tags.
-    pub communities: Vec<u32>,
-    /// Attributes we carry but do not interpret, including optional
-    /// transitive unknowns that must be passed through.
+    /// Attributes we carry but do not interpret, in the order received:
+    /// COMMUNITIES, AGGREGATOR, ATOMIC_AGGREGATE and optional unknowns.
+    /// The transitive ones are passed through on export.
     pub extras: Vec<PathAttribute>,
 }
 
@@ -37,7 +36,6 @@ impl Route {
             next_hop,
             med: None,
             local_pref: None,
-            communities: Vec::new(),
             extras: Vec::new(),
         }
     }
@@ -50,7 +48,6 @@ impl Route {
         let mut next_hop = None;
         let mut med = None;
         let mut local_pref = None;
-        let mut communities = Vec::new();
         let mut extras = Vec::new();
         for attr in attrs {
             match attr {
@@ -59,7 +56,6 @@ impl Route {
                 PathAttribute::NextHop(a) => next_hop = Some(*a),
                 PathAttribute::Med(v) => med = Some(*v),
                 PathAttribute::LocalPref(v) => local_pref = Some(*v),
-                PathAttribute::Communities(cs) => communities = cs.clone(),
                 other => extras.push(other.clone()),
             }
         }
@@ -69,7 +65,6 @@ impl Route {
             next_hop: next_hop.ok_or(WireError::MissingWellKnownAttribute(code::NEXT_HOP))?,
             med,
             local_pref,
-            communities,
             extras,
         })
     }
@@ -89,9 +84,6 @@ impl Route {
             if let Some(lp) = self.local_pref {
                 attrs.push(PathAttribute::LocalPref(lp));
             }
-        }
-        if !self.communities.is_empty() {
-            attrs.push(PathAttribute::Communities(self.communities.clone()));
         }
         for extra in &self.extras {
             if extra.is_transitive() {
@@ -133,12 +125,14 @@ mod tests {
             next_hop: Ipv4Addr::new(192, 0, 2, 1),
             med: Some(5),
             local_pref: Some(150),
-            communities: vec![0xdead_beef],
-            extras: vec![PathAttribute::Unknown {
-                flags: FLAG_OPTIONAL | FLAG_TRANSITIVE,
-                code: 77,
-                data: Bytes::from_static(b"x"),
-            }],
+            extras: vec![
+                PathAttribute::Communities(vec![0xdead_beef]),
+                PathAttribute::Unknown {
+                    flags: FLAG_OPTIONAL | FLAG_TRANSITIVE,
+                    code: 77,
+                    data: Bytes::from_static(b"x"),
+                },
+            ],
         }
     }
 

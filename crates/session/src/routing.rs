@@ -1,4 +1,4 @@
-//! The multi-neighbor RIB plumbing: import policy, the decision
+//! The multi-neighbor RIB plumbing: loop detection, the decision
 //! process, Loc-RIB maintenance, and export diffing against
 //! Adj-RIB-Out.
 //!
@@ -30,7 +30,7 @@ use dbgp_rib::{recycle, PrefixTrie};
 use dbgp_telemetry::{Selection, SelectionReason};
 use dbgp_wire::message::UpdateMsg;
 use dbgp_wire::{Ipv4Addr, Ipv4Prefix, WireError};
-use std::collections::BTreeMap;
+use std::collections::{hash_map, BTreeMap, HashMap};
 use std::sync::Arc;
 
 /// A RIB-level side effect the host must act on, in order.
@@ -57,8 +57,7 @@ struct PeerEntry {
     /// never changes, so the same installed route always exports the
     /// same way; every NLRI of a multi-NLRI UPDATE installs one
     /// interned route, which makes this one slot a refcount bump per
-    /// prefix where there was a deep clone. Only consulted when the
-    /// export policy has no clauses: a clause may match on the prefix.
+    /// prefix where there was a deep clone.
     last_export: Option<(Arc<Route>, Arc<Route>)>,
     /// Adj-RIB-Out changes not yet emitted; empty between calls.
     staged: Staged,
@@ -156,8 +155,7 @@ impl<'a> LocRibView<'a> {
     }
 }
 
-/// Read view of the Adj-RIB-In: the routes each peer sent,
-/// post-import-policy.
+/// Read view of the Adj-RIB-In: the loop-free routes each peer sent.
 #[derive(Clone, Copy)]
 pub struct AdjRibInView<'a>(&'a RoutingCore);
 
@@ -208,9 +206,8 @@ impl RoutingCore {
     }
 
     /// Exports that built a new route: the first of an attribute block
-    /// toward an eBGP peer, and every one a policy clause may rewrite.
-    /// (A transparent iBGP export forwards the installed route itself
-    /// and counts as neither.)
+    /// toward an eBGP peer. (An iBGP export forwards the installed route
+    /// itself and counts as neither.)
     pub fn exports_computed(&self) -> u64 {
         self.pipe.stats.exports_computed
     }
@@ -281,22 +278,24 @@ impl RoutingCore {
         let Some(mut peer) = pipe.peers.remove(&id) else { return out };
         peer.summary = Some(summary);
         let mut groups: Vec<(Arc<Route>, Vec<Ipv4Prefix>)> = Vec::new();
+        // Each group's position in `groups`, by route value: a table can
+        // hold as many distinct attribute blocks as prefixes.
+        let mut group_of: HashMap<Arc<Route>, usize> = HashMap::new();
         table.for_each_mut(|prefix, entry| {
             let Some(best) = &entry.best else { return };
             let src_ibgp = pipe.source_is_ibgp(best.source);
-            let Some(route) = peer.export(id, prefix, best, src_ibgp, pipe.asn, &mut pipe.stats)
-            else {
+            let Some(route) = peer.export(id, best, src_ibgp, pipe.asn, &mut pipe.stats) else {
                 return;
             };
             if !entry.slots.advertise(id, &route) {
                 return;
             }
-            // Linear probe over existing groups; distinct attribute
-            // blocks in one table number in the dozens, not thousands,
-            // and ptr_eq short-circuits the interned common case.
-            match groups.iter_mut().find(|(g, _)| Arc::ptr_eq(g, &route) || **g == *route) {
-                Some((_, members)) => members.push(*prefix),
-                None => groups.push((route, vec![*prefix])),
+            match group_of.entry(route) {
+                hash_map::Entry::Occupied(group) => groups[*group.get()].1.push(*prefix),
+                hash_map::Entry::Vacant(slot) => {
+                    groups.push((Arc::clone(slot.key()), vec![*prefix]));
+                    slot.insert(groups.len() - 1);
+                }
             }
         });
         peer.staged.runs = groups;
@@ -354,56 +353,35 @@ impl RoutingCore {
         if update.nlri.is_empty() {
             return (out, None);
         }
-        let Ok(mut route) = Route::from_attrs(&update.attributes) else {
-            // Wire validation already guarantees mandatory attributes;
-            // treat any residual failure as a session-level error.
-            return (
-                out,
-                Some(WireError::MissingWellKnownAttribute(dbgp_wire::attrs::code::ORIGIN)),
-            );
+        // Wire validation already guarantees the mandatory attributes;
+        // a block built in process may still lack one, which is a
+        // session-level error naming the attribute.
+        let mut route = match Route::from_attrs(&update.attributes) {
+            Ok(route) => route,
+            Err(err) => return (out, Some(err)),
         };
         // LOCAL_PREF is an iBGP attribute: one an external peer sends is
-        // ignored (RFC 4271 §5.1.5). The import map may still set one.
+        // ignored (RFC 4271 §5.1.5).
         if !pipe.peers[&id].cfg.is_ibgp() {
             route.local_pref = None;
         }
         // Receiver-side loop detection (RFC 4271 §9.1.2): a path carrying
-        // our own AS is invisible to the decision process.
-        let looped = route.as_path.contains(pipe.asn);
-        // One attribute block per UPDATE: every NLRI the import policy
-        // leaves untouched shares this interned route.
-        let route = Arc::new(route);
-        let transparent = {
-            let import = &pipe.peers[&id].cfg.import;
-            import.clauses.is_empty() && import.default_permit
-        };
-        for prefix in &update.nlri {
-            let accepted = if looped {
-                None
-            } else if transparent {
-                Some(Arc::clone(&route))
-            } else {
-                let cfg = &pipe.peers[&id].cfg;
-                let mut candidate = (*route).clone();
-                cfg.import.apply(prefix, &mut candidate, cfg.peer_as).then(|| {
-                    if candidate == *route {
-                        Arc::clone(&route)
-                    } else {
-                        Arc::new(candidate)
-                    }
-                })
-            };
-            match accepted {
-                Some(route) => {
-                    // The one table walk of an announce: everything
-                    // below runs on this entry.
-                    let entry = table.get_or_insert_with(*prefix, Entry::default);
-                    entry.slots.receive(id, route);
-                    pipe.redecide(entry, *prefix, &mut out);
-                }
-                // Looped or rejected: an implicit withdraw of whatever
-                // the peer had advertised for the prefix.
-                None => pipe.unreceive(table, id, *prefix, &mut out),
+        // our own AS is invisible to the decision process, and implicitly
+        // withdraws whatever the peer had advertised for each prefix.
+        if route.as_path.contains(pipe.asn) {
+            for prefix in &update.nlri {
+                pipe.unreceive(table, id, *prefix, &mut out);
+            }
+        } else {
+            // One attribute block per UPDATE: every NLRI shares this
+            // interned route.
+            let route = Arc::new(route);
+            for prefix in &update.nlri {
+                // The one table walk of an announce: everything below
+                // runs on this entry.
+                let entry = table.get_or_insert_with(*prefix, Entry::default);
+                entry.slots.receive(id, Arc::clone(&route));
+                pipe.redecide(entry, *prefix, &mut out);
             }
         }
         pipe.flush_staged(table, &mut out);
@@ -457,13 +435,12 @@ impl RoutingCore {
 }
 
 impl PeerEntry {
-    /// The route to advertise to this peer (`id`) for `prefix` now that
-    /// `best` is installed, or `None` to withdraw/suppress. `src_ibgp`:
-    /// `best` was learned over iBGP.
+    /// The route to advertise to this peer (`id`) now that `best` is
+    /// installed, or `None` to withdraw/suppress. `src_ibgp`: `best` was
+    /// learned over iBGP.
     fn export(
         &mut self,
         id: PeerId,
-        prefix: &Ipv4Prefix,
         best: &LocRibEntry,
         src_ibgp: bool,
         asn: u32,
@@ -475,36 +452,21 @@ impl PeerEntry {
         if best.source == RouteSource::Peer(id) || (src_ibgp && self.cfg.is_ibgp()) {
             return None;
         }
-        let export = &self.cfg.export;
-        if export.clauses.is_empty() {
-            if !export.default_permit {
-                return None;
-            }
-            // iBGP forwards the route unmodified: the interned Loc-RIB
-            // route is shared as-is.
-            if self.cfg.is_ibgp() {
-                return Some(Arc::clone(&best.route));
-            }
-            if let Some((installed, exported)) = &self.last_export {
-                if Arc::ptr_eq(installed, &best.route) {
-                    stats.exports_shared += 1;
-                    return Some(Arc::clone(exported));
-                }
-            }
-            stats.exports_computed += 1;
-            let exported = Arc::new(best.route.for_ebgp_export(asn, self.cfg.local_addr));
-            self.last_export = Some((Arc::clone(&best.route), Arc::clone(&exported)));
-            return Some(exported);
+        // iBGP forwards the route unmodified: the interned Loc-RIB route
+        // is shared as-is.
+        if self.cfg.is_ibgp() {
+            return Some(Arc::clone(&best.route));
         }
-        // A clause may match on the prefix or rewrite the route: built
-        // per prefix.
+        if let Some((installed, exported)) = &self.last_export {
+            if Arc::ptr_eq(installed, &best.route) {
+                stats.exports_shared += 1;
+                return Some(Arc::clone(exported));
+            }
+        }
         stats.exports_computed += 1;
-        let mut route = if self.cfg.is_ibgp() {
-            (*best.route).clone()
-        } else {
-            best.route.for_ebgp_export(asn, self.cfg.local_addr)
-        };
-        export.apply(prefix, &mut route, self.cfg.peer_as).then(|| Arc::new(route))
+        let exported = Arc::new(best.route.for_ebgp_export(asn, self.cfg.local_addr));
+        self.last_export = Some((Arc::clone(&best.route), Arc::clone(&exported)));
+        Some(exported)
     }
 }
 
@@ -533,8 +495,7 @@ impl Pipeline {
         }
     }
 
-    /// `id` no longer offers a route for `prefix` (withdrawn, looped or
-    /// rejected by import policy).
+    /// `id` no longer offers a route for `prefix` (withdrawn or looped).
     fn unreceive(
         &mut self,
         table: &mut Table,
@@ -567,7 +528,7 @@ impl Pipeline {
             let export = entry
                 .best
                 .as_ref()
-                .and_then(|b| peer.export(id, &prefix, b, src_ibgp, self.asn, &mut self.stats));
+                .and_then(|b| peer.export(id, b, src_ibgp, self.asn, &mut self.stats));
             let changed = match &export {
                 Some(route) => entry.slots.advertise(id, route),
                 None => entry.slots.withdraw(id),

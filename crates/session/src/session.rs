@@ -1,16 +1,17 @@
 //! The BGP session finite-state machine (RFC 4271 §8), sans-IO.
 //!
-//! A [`Session`] owns no socket and reads no clock. The host (test,
-//! simulator, or a real transport shim) feeds it [`SessionEvent`]s plus
-//! the current time, and executes the [`Action`]s it returns. Timer state
-//! is exposed through [`Session::next_deadline`] so an event loop can
-//! sleep exactly until the next interesting moment — the smoltcp-style
+//! A [`Session`] owns no socket and reads no clock. Its owner (a test,
+//! or a [`SessionCore`](crate::peer::SessionCore) under the in-memory
+//! fabric or a real transport) feeds it [`SessionEvent`]s plus the
+//! current time, and executes the [`Action`]s it returns. Timer state is
+//! exposed through [`Session::next_deadline`] so an event loop can sleep
+//! exactly until the next interesting moment — the smoltcp-style
 //! `poll`/`poll_at` discipline.
 //!
-//! Simplifications relative to a kernel-adjacent implementation, all
-//! irrelevant to D-BGP's experiments: no TCP connection-collision
-//! resolution (the simulator gives each peer pair one logical channel),
-//! and no DelayOpen.
+//! One `Session` drives one transport connection, so it knows nothing
+//! of connection collisions: `SessionCore` holds up to two sessions per
+//! neighbor (dialed and accepted) and resolves their collision per
+//! RFC 4271 §6.8. There is no DelayOpen.
 
 use crate::config::PeerConfig;
 use dbgp_wire::message::{notif, BgpMessage, NotificationMsg, OpenMsg, UpdateMsg};

@@ -13,8 +13,7 @@
 //! legal frame, whatever the inbound attribute block grows to on export.
 
 use dbgp_session::{
-    Clause, LocRibEntry, MatchCond, NeighborConfig, PeerId, PrefixMatch, RibOp, Route, RouteMap,
-    RouteSource, RoutingCore, SessionSummary, SetAction,
+    LocRibEntry, NeighborConfig, PeerId, RibOp, Route, RouteSource, RoutingCore, SessionSummary,
 };
 use dbgp_wire::attrs::{AsPath, Origin, PathAttribute};
 use dbgp_wire::message::{BgpMessage, UpdateMsg, MAX_MESSAGE_LEN};
@@ -41,42 +40,11 @@ fn table(routes: u32) -> Vec<Ipv4Prefix> {
         .collect()
 }
 
-/// Export policies with clauses that look at the prefix, rewrite the
-/// route, or deny it — everything sharing must step aside for.
-fn export_policy(kind: u8) -> RouteMap {
-    let in_low_half = MatchCond::Prefix(
-        Ipv4Prefix::new(Ipv4Addr::new(10, 0, 0, 0), 21).expect("a /21"),
-        PrefixMatch::OrLonger,
-    );
-    match kind % 4 {
-        0 => RouteMap::permit_all(),
-        1 => RouteMap::deny_all(),
-        2 => RouteMap {
-            clauses: vec![Clause::permit(
-                vec![in_low_half],
-                vec![SetAction::Med(7), SetAction::Prepend { asn: LOCAL_AS, count: 2 }],
-            )],
-            default_permit: true,
-        },
-        _ => RouteMap {
-            clauses: vec![
-                Clause::deny(vec![in_low_half]),
-                Clause::permit(vec![MatchCond::Any], vec![SetAction::AddCommunity(0xbeef)]),
-            ],
-            default_permit: false,
-        },
-    }
-}
-
 const LOCAL_ADDR: Ipv4Addr = Ipv4Addr::new(10, 9, 9, 9);
 
-/// Every peer with its AS and export-policy kind, ascending by ID —
-/// the order a best-route change is propagated in.
-fn peers(ebgp_export: u8, ibgp_export: u8) -> [(PeerId, u32, u8); 4] {
-    let [(f0, as0), (f1, as1)] = FEEDERS;
-    let ((e, eas), (i, ias)) = (EBGP_LISTENER, IBGP_LISTENER);
-    [(f0, as0, 0), (f1, as1, 0), (e, eas, ebgp_export), (i, ias, ibgp_export)]
-}
+/// Every peer with its AS, ascending by ID — the order a best-route
+/// change is propagated in.
+const PEERS: [(PeerId, u32); 4] = [FEEDERS[0], FEEDERS[1], EBGP_LISTENER, IBGP_LISTENER];
 
 fn summary((id, asn): (PeerId, u32)) -> SessionSummary {
     SessionSummary {
@@ -88,12 +56,10 @@ fn summary((id, asn): (PeerId, u32)) -> SessionSummary {
     }
 }
 
-fn core(ebgp_export: u8, ibgp_export: u8) -> RoutingCore {
+fn core() -> RoutingCore {
     let mut core = RoutingCore::new(LOCAL_AS, LOCAL_ADDR);
-    for (id, asn, export) in peers(ebgp_export, ibgp_export) {
-        let mut cfg = NeighborConfig::new(LOCAL_AS, LOCAL_ADDR, asn, LOCAL_ADDR);
-        cfg.export = export_policy(export);
-        core.add_peer(id, cfg);
+    for (id, asn) in PEERS {
+        core.add_peer(id, NeighborConfig::new(LOCAL_AS, LOCAL_ADDR, asn, LOCAL_ADDR));
         assert!(core.peer_up(id, summary((id, asn))).is_empty(), "nothing to dump yet");
     }
     core
@@ -149,7 +115,7 @@ impl Inbound {
 #[derive(Debug, Clone)]
 enum Step {
     Update(Inbound),
-    /// The session with `peers()[i]` — a feeder or a listener — goes
+    /// The session with `PEERS[i]` — a feeder or a listener — goes
     /// down, or comes (back) up.
     PeerDown(usize),
     PeerUp(usize),
@@ -185,12 +151,11 @@ fn arb_inbound() -> impl Strategy<Value = Inbound> {
         })
 }
 
-/// RFC 4271 export, spelled out: what `peer` should hold for `prefix`
-/// when `best` is installed and its session is `up`.
+/// RFC 4271 export, spelled out: what `peer` should hold when `best` is
+/// installed and its session is `up`.
 fn model_export(
     best: Option<&LocRibEntry>,
-    prefix: &Ipv4Prefix,
-    (peer, peer_as, export): (PeerId, u32, u8),
+    (peer, peer_as): (PeerId, u32),
     up: bool,
 ) -> Option<Route> {
     let best = best.filter(|_| up)?;
@@ -201,9 +166,11 @@ fn model_export(
             return None; // split horizon; no iBGP reflection
         }
     }
-    let mut route =
-        if ibgp { (*best.route).clone() } else { best.route.for_ebgp_export(LOCAL_AS, LOCAL_ADDR) };
-    export_policy(export).apply(prefix, &mut route, peer_as).then_some(route)
+    Some(if ibgp {
+        (*best.route).clone()
+    } else {
+        best.route.for_ebgp_export(LOCAL_AS, LOCAL_ADDR)
+    })
 }
 
 /// What every peer holds, learned from nothing but the UPDATEs it was
@@ -294,18 +261,17 @@ fn installed(core: &RoutingCore) -> Vec<(Ipv4Prefix, LocRibEntry)> {
 /// Apply one non-UPDATE step to `core`; `None` if the step does not
 /// apply to sessions in state `up`.
 fn apply(core: &mut RoutingCore, now: u64, step: &Step, up: [bool; 4]) -> Option<Vec<RibOp>> {
-    let all = peers(0, 0);
     Some(match *step {
         Step::Update(_) => return None,
-        Step::PeerDown(i) if up[i] => core.peer_down(now, all[i].0),
+        Step::PeerDown(i) if up[i] => core.peer_down(now, PEERS[i].0),
         // Down already: nothing left to flush.
         Step::PeerDown(i) => {
-            assert_eq!(core.peer_down(now, all[i].0), []);
+            assert_eq!(core.peer_down(now, PEERS[i].0), []);
             return None;
         }
         Step::PeerUp(i) if !up[i] => {
-            let ops = core.peer_up(all[i].0, summary((all[i].0, all[i].1)));
-            assert_ascending_dump(&ops, all[i].0);
+            let ops = core.peer_up(PEERS[i].0, summary(PEERS[i]));
+            assert_ascending_dump(&ops, PEERS[i].0);
             ops
         }
         Step::PeerUp(_) => return None,
@@ -320,12 +286,9 @@ proptest! {
     #[test]
     fn packed_exports_leave_every_peer_holding_what_the_per_prefix_model_predicts(
         steps in proptest::collection::vec(arb_step(), 1..24),
-        ebgp_export in 0u8..4,
-        ibgp_export in 0u8..4,
     ) {
-        let peers = peers(ebgp_export, ibgp_export);
-        let (mut packed, mut packed_rx) = (core(ebgp_export, ibgp_export), Receivers::default());
-        let (mut twin, mut twin_rx) = (core(ebgp_export, ibgp_export), Receivers::default());
+        let (mut packed, mut packed_rx) = (core(), Receivers::default());
+        let (mut twin, mut twin_rx) = (core(), Receivers::default());
         let mut up = [true; 4];
         // Afterwards every feeder leaves and every origin is withdrawn.
         let close = (0..FEEDERS.len()).map(Step::PeerDown).chain((0..16).map(Step::WithdrawOrigin));
@@ -357,8 +320,8 @@ proptest! {
             match step {
                 Step::PeerDown(i) => {
                     up[i] = false;
-                    packed_rx.reset(peers[i].0);
-                    twin_rx.reset(peers[i].0);
+                    packed_rx.reset(PEERS[i].0);
+                    twin_rx.reset(PEERS[i].0);
                 }
                 Step::PeerUp(i) => up[i] = true,
                 _ => {}
@@ -369,9 +332,9 @@ proptest! {
 
             let mut model = BTreeMap::new();
             for prefix in (0..16).map(prefix) {
-                for (peer, up) in peers.into_iter().zip(up) {
+                for (peer, up) in PEERS.into_iter().zip(up) {
                     let best = packed.loc_rib().get(&prefix);
-                    if let Some(route) = model_export(best, &prefix, peer, up) {
+                    if let Some(route) = model_export(best, peer, up) {
                         model.insert((peer.0, prefix), route.to_attrs(peer.1 == LOCAL_AS));
                     }
                 }
@@ -388,7 +351,7 @@ proptest! {
         // Nothing is sent that the peer already knew, packed or not, and
         // packing never costs a frame.
         prop_assert_eq!((packed_rx.redundant, twin_rx.redundant), (0, 0));
-        for (peer, _, _) in peers {
+        for (peer, _) in PEERS {
             prop_assert!(packed_rx.frames_to(peer) <= twin_rx.frames_to(peer));
         }
         // Whatever one twin built per prefix the other built or shared.
@@ -402,10 +365,8 @@ proptest! {
 }
 
 /// The arrangement the daemon benchmark runs: one attribute block, many
-/// NLRI, a clause-free eBGP listener. One export is built, the rest
-/// share it, and all sixteen leave in one frame. A listener whose
-/// policy has clauses shares nothing, and is sent one frame for each
-/// way its clauses rewrote the block.
+/// NLRI, an eBGP listener. One export is built, the rest share it, and
+/// all sixteen leave in one frame.
 #[test]
 fn one_update_is_sent_per_attribute_block() {
     let update = Inbound {
@@ -415,22 +376,86 @@ fn one_update_is_sent_per_attribute_block() {
         path_tail: vec![100],
         med: None,
     };
-    let mut transparent = core(0, 0);
+    let mut core = core();
     let mut rx = Receivers::default();
-    rx.replay(&feed(&mut transparent, 1, 0, update.packed()));
+    rx.replay(&feed(&mut core, 1, 0, update.packed()));
     assert_eq!((rx.frames_to(EBGP_LISTENER.0), rx.frames_to(IBGP_LISTENER.0)), (1, 1));
     assert_eq!(rx.holds(EBGP_LISTENER.0), (0..16).map(prefix).collect::<Vec<_>>());
-    assert_eq!((transparent.exports_computed(), transparent.exports_shared()), (1, 15));
+    assert_eq!((core.exports_computed(), core.exports_shared()), (1, 15));
     // The other feeder is a peer too: three frames of sixteen NLRI.
-    assert_eq!((transparent.updates_out(), transparent.nlri_out()), (3, 48));
+    assert_eq!((core.updates_out(), core.nlri_out()), (3, 48));
+}
 
-    // Policy 2 rewrites 10.0.0.0/21 — the first eight — and lets the
-    // other eight through untouched: two blocks, two frames.
-    let mut with_clauses = core(2, 0);
-    let mut rx = Receivers::default();
-    rx.replay(&feed(&mut with_clauses, 1, 0, update.packed()));
-    assert_eq!(rx.frames_to(EBGP_LISTENER.0), 2);
-    assert_eq!((with_clauses.exports_computed(), with_clauses.exports_shared()), (16, 0));
+/// A late joiner is sent one UPDATE per attribute block, the blocks in
+/// the order their first prefix comes in the table and each block's
+/// prefixes ascending — however the blocks interleave.
+#[test]
+fn a_table_dump_groups_interleaved_blocks_in_first_seen_order() {
+    let mut core = core();
+    let ebgp = EBGP_LISTENER.0;
+    core.peer_down(0, ebgp);
+    // Prefixes 0..6 alternate between two blocks: A B A B A B.
+    let inbound = |i: u8| Inbound {
+        feeder: 0,
+        withdrawn: Vec::new(),
+        nlri: vec![i],
+        path_tail: vec![100 + u32::from(i % 2)],
+        med: None,
+    };
+    for i in 0..6 {
+        feed(&mut core, 1 + u64::from(i), 0, inbound(i).packed());
+    }
+    let exported = |i: u8| {
+        let route = Route::from_attrs(&inbound(i).attributes()).expect("a full block");
+        route.for_ebgp_export(LOCAL_AS, LOCAL_ADDR).to_attrs(false)
+    };
+    let announce = |members: [u8; 3]| {
+        let update = UpdateMsg::announce(members.map(prefix).to_vec(), exported(members[0]));
+        RibOp::Announce(ebgp, update)
+    };
+    let ops = core.peer_up(ebgp, summary(EBGP_LISTENER));
+    assert_eq!(ops, [announce([0, 2, 4]), announce([1, 3, 5])]);
+}
+
+/// [`frames_fnv`] of the forty-thousand-block dump below, as recorded
+/// from the linear-probe grouping it replaced.
+const DUMP_FNV: u64 = 3_662_833_354_405_702_693;
+
+/// FNV-1a over every frame in `ops`, as each peer's session encodes it.
+fn frames_fnv(ops: &[RibOp]) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325_u64;
+    for op in ops {
+        let RibOp::Announce(_, update) = op else { continue };
+        for byte in BgpMessage::Update(update.clone()).encode(true).iter() {
+            hash = (hash ^ u64::from(*byte)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    hash
+}
+
+/// A table with as many distinct attribute blocks as prefixes: the dump
+/// to a late joiner is linear in the table, not in the table times the
+/// blocks seen so far (about 9 s for this table on a 2-vCPU host when
+/// it was). The frames are the ones that quadratic dump sent.
+#[test]
+fn a_table_dump_of_forty_thousand_blocks_is_linear() {
+    let routes = table(40_000);
+    let mut core = core();
+    let ebgp = EBGP_LISTENER.0;
+    core.peer_down(0, ebgp);
+    for (i, prefix) in routes.iter().enumerate() {
+        let mut attrs = block(0);
+        attrs[1] = PathAttribute::AsPath(AsPath::from_sequence(vec![FEEDERS[0].1, i as u32]));
+        feed(&mut core, 1, 0, UpdateMsg::announce(vec![*prefix], attrs));
+    }
+    let start = std::time::Instant::now();
+    let ops = core.peer_up(ebgp, summary(EBGP_LISTENER));
+    let took = start.elapsed();
+    assert_eq!(ops.len(), routes.len(), "one UPDATE per block");
+    assert_eq!(frames_fnv(&ops), DUMP_FNV);
+    if !cfg!(debug_assertions) {
+        assert!(took < std::time::Duration::from_secs(1), "dump took {took:?}");
+    }
 }
 
 /// ORIGIN, a one-AS AS_PATH and NEXT_HOP: 20 bytes of attributes, plus
@@ -458,7 +483,7 @@ fn a_full_inbound_frame_is_split_when_the_export_grows() {
     let update = UpdateMsg::announce(nlri.clone(), block(0));
     assert_eq!(BgpMessage::Update(update.clone()).encode(true).len(), MAX_MESSAGE_LEN);
 
-    let mut core = core(0, 0);
+    let mut core = core();
     let mut rx = Receivers::default();
     let ops = feed(&mut core, 1, 0, update);
     rx.replay(&ops);
@@ -490,7 +515,7 @@ fn an_export_that_cannot_fit_a_frame_is_withdrawn_not_sent() {
     assert_eq!(BgpMessage::Update(oversize.clone()).encode(true).len(), 4095);
     let (ebgp, ibgp) = (EBGP_LISTENER.0, IBGP_LISTENER.0);
 
-    let mut core = core(0, 0);
+    let mut core = core();
     let mut rx = Receivers::default();
     rx.replay(&feed(&mut core, 1, 0, oversize.clone()));
     assert!(core.loc_rib().get(&prefix).is_some(), "the route is still ours to use");
@@ -526,7 +551,7 @@ fn an_export_that_cannot_fit_a_frame_is_withdrawn_not_sent() {
 #[test]
 fn peer_down_withdraws_a_table_in_a_handful_of_frames() {
     let routes = table(10_000);
-    let mut core = core(0, 0);
+    let mut core = core();
     let mut rx = Receivers::default();
     for (now, nlri) in routes.chunks(1000).enumerate() {
         rx.replay(&feed(&mut core, now as u64, 0, UpdateMsg::announce(nlri.to_vec(), block(0))));

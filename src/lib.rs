@@ -10,8 +10,7 @@
 //! name. See the individual crates for the details:
 //!
 //! * [`wire`] — BGP-4 and IA wire formats.
-//! * [`bgp`] — a classic BGP-4 speaker (FSM, RIBs, decision process,
-//!   policy).
+//! * [`bgp`] — a classic BGP-4 speaker (FSM, RIBs, decision process).
 //! * [`core`] — the D-BGP IA-processing pipeline of the paper's Figure 5.
 //! * [`protocols`] — Wiser, Pathlet Routing, SCION-like, MIRO and
 //!   BGPSec-lite deployed over D-BGP.
