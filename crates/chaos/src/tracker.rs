@@ -6,21 +6,27 @@
 //! route churn it caused.
 //!
 //! A window is the difference between two readings of the simulator's
-//! cumulative [`SimStats`] and churn map. Those are maintained whether
-//! or not a [`dbgp_telemetry`] recorder is attached, so observing a run
-//! does not change how it is measured.
+//! cumulative [`SimStats`] and per-(node, prefix) churn records
+//! ([`Sim::churn`]). Those are maintained whether or not a
+//! [`dbgp_telemetry`] recorder is attached, so observing a run does not
+//! change how it is measured.
+//!
+//! The churn reading is a flat vector of change counts in the order
+//! [`Sim::churn`] yields them, ascending by `(node, prefix)`. Records
+//! are only ever added, so the next reading is a superset of this one in
+//! the same order, and a window diffs the two in one merge-join walk.
 
-use dbgp_sim::sim::{NodeId, PrefixChurn};
+use dbgp_sim::sim::NodeId;
 use dbgp_sim::{Sim, SimStats, SimTime};
 use dbgp_wire::Ipv4Prefix;
-use std::collections::BTreeMap;
 
 /// Snapshot-and-diff measurement of one disturbance.
 #[derive(Debug, Clone)]
 pub struct ConvergenceTracker {
     started_at: SimTime,
     stats: SimStats,
-    churn: BTreeMap<(NodeId, Ipv4Prefix), PrefixChurn>,
+    /// `best_changes` per `(node, prefix)` at the last reading.
+    churn: Vec<((NodeId, Ipv4Prefix), u64)>,
 }
 
 /// What one disturbance cost the control plane.
@@ -55,7 +61,7 @@ pub struct ConvergenceWindow {
 impl ConvergenceTracker {
     /// Open a measurement window at the simulator's current state.
     pub fn begin(sim: &Sim) -> Self {
-        ConvergenceTracker { started_at: sim.now(), stats: sim.stats(), churn: sim.churn().clone() }
+        ConvergenceTracker { started_at: sim.now(), stats: sim.stats(), churn: read_churn(sim) }
     }
 
     /// Close the window: measure the activity since
@@ -69,14 +75,19 @@ impl ConvergenceTracker {
         let quiesced_at = stats.last_event_at.max(self.started_at);
         let mut affected_routes = 0u64;
         let mut max_route_churn = 0u64;
-        for (key, record) in sim.churn() {
-            let before = self.churn.get(key).map(|c| c.best_changes).unwrap_or(0);
-            let delta = record.best_changes - before;
+        let churn = read_churn(sim);
+        let mut before = self.churn.iter().peekable();
+        for &(key, changes) in &churn {
+            // Both readings ascend by key, and every key of the old one
+            // is still in the new one.
+            let was = before.next_if(|(k, _)| *k == key).map_or(0, |&(_, c)| c);
+            let delta = changes - was;
             if delta > 0 {
                 affected_routes += 1;
                 max_route_churn = max_route_churn.max(delta);
             }
         }
+        debug_assert!(before.next().is_none(), "a churn record disappeared");
         let window = ConvergenceWindow {
             label: label.into(),
             started_at: self.started_at,
@@ -92,9 +103,15 @@ impl ConvergenceTracker {
         };
         self.started_at = sim.now();
         self.stats = stats;
-        self.churn = sim.churn().clone();
+        self.churn = churn;
         window
     }
+}
+
+/// The simulator's churn records as `((node, prefix), best_changes)`,
+/// ascending by key.
+fn read_churn(sim: &Sim) -> Vec<((NodeId, Ipv4Prefix), u64)> {
+    sim.churn().map(|(key, record)| (key, record.best_changes)).collect()
 }
 
 #[cfg(test)]

@@ -28,11 +28,10 @@ use crate::filters::{self, FilterConfig, IslandConfig, RejectReason};
 use crate::iadb::{IaDb, PrefixEntry};
 use crate::module::{explain_best, BgpDecision, CandidateIa, DecisionModule, ImportContext};
 use crate::neighbor::{DbgpNeighbor, NeighborId, PeerClass};
-use dbgp_rib::recycle;
+use dbgp_rib::{recycle, VecMap};
 use dbgp_telemetry::{Selection, SelectionReason};
 use dbgp_wire::{Ia, Ipv4Addr, Ipv4Prefix, ProtocolId};
 use std::borrow::Borrow;
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Speaker-level configuration.
@@ -126,8 +125,8 @@ pub struct DbgpSpeaker {
 /// counters, and the pipeline steps as methods on one [`PrefixEntry`].
 struct Pipeline {
     cfg: DbgpConfig,
-    neighbors: BTreeMap<NeighborId, DbgpNeighbor>,
-    modules: BTreeMap<ProtocolId, Box<dyn DecisionModule>>,
+    neighbors: VecMap<NeighborId, DbgpNeighbor>,
+    modules: VecMap<ProtocolId, Box<dyn DecisionModule>>,
     /// Count of IAs processed (for the stress benchmarks).
     processed: u64,
     /// Master switch for the incremental decision fast path (on by
@@ -166,8 +165,8 @@ impl DbgpSpeaker {
     pub fn new(cfg: DbgpConfig) -> Self {
         let pipe = Pipeline {
             cfg,
-            neighbors: BTreeMap::new(),
-            modules: BTreeMap::new(),
+            neighbors: VecMap::new(),
+            modules: VecMap::new(),
             processed: 0,
             incremental: true,
             fast_path_hits: 0,
@@ -489,7 +488,7 @@ impl Pipeline {
         out: &mut Vec<DbgpOutput>,
     ) {
         self.with_neighbors(|this, neighbors| {
-            for (&id, neighbor) in neighbors {
+            for (&id, neighbor) in neighbors.iter() {
                 this.propagate_one(neighbors, id, neighbor, entry, prefix, out);
             }
         });
@@ -498,10 +497,10 @@ impl Pipeline {
     /// Lend the neighbor map to `f` beside `&mut self`, so a fan-out can
     /// walk it while modules and counters change — no copy of the ids,
     /// no second lookup per neighbor. The map is moved out for the call
-    /// (three words; an empty `BTreeMap` allocates nothing) and put
+    /// (three words; an empty `VecMap` allocates nothing) and put
     /// back after, so `f` must read neighbors through its argument:
     /// `self.neighbors` is empty while it runs.
-    fn with_neighbors(&mut self, f: impl FnOnce(&mut Self, &BTreeMap<NeighborId, DbgpNeighbor>)) {
+    fn with_neighbors(&mut self, f: impl FnOnce(&mut Self, &VecMap<NeighborId, DbgpNeighbor>)) {
         let neighbors = std::mem::take(&mut self.neighbors);
         f(self, &neighbors);
         self.neighbors = neighbors;
@@ -661,7 +660,7 @@ impl Pipeline {
     /// inside [`Self::with_neighbors`], hence the `neighbors` argument.
     fn propagate_one(
         &mut self,
-        neighbors: &BTreeMap<NeighborId, DbgpNeighbor>,
+        neighbors: &VecMap<NeighborId, DbgpNeighbor>,
         id: NeighborId,
         neighbor: &DbgpNeighbor,
         entry: &mut PrefixEntry,

@@ -1,14 +1,19 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-//! A level-compressed binary prefix trie keyed on [`Ipv4Prefix`], and
-//! the per-prefix neighbor slots both routing cores keep in it.
+//! A level-compressed binary prefix trie keyed on [`Ipv4Prefix`], the
+//! per-prefix neighbor slots both routing cores keep in it, and the
+//! sorted-vector map the small per-node tables use.
 //!
 //! [`PrefixTrie`] is the storage engine behind every routing table in
-//! the workspace: the simulator FIBs and the one per-prefix table of
-//! each routing core (`dbgp-core`'s `IaDb`, `dbgp-session`'s
-//! `RoutingCore`), whose entries hold a [`PeerSlots`] — Adj-RIB-In and
-//! Adj-RIB-Out for that prefix — next to the installed best. The flat
+//! the workspace: the one per-prefix table of each routing core
+//! (`dbgp-core`'s `IaDb`, `dbgp-session`'s `RoutingCore`), whose entries
+//! hold a [`PeerSlots`] — Adj-RIB-In and Adj-RIB-Out for that prefix —
+//! next to the installed best. (The simulator keeps no forwarding table
+//! of its own: `Sim::fib` builds one from a speaker's routes on demand.)
+//! [`VecMap`] holds the tables a node keeps beside it — neighbor ids,
+//! decision modules, per-prefix churn — at the size of what they hold.
+//! The flat
 //! `BTreeMap<Ipv4Prefix, _>` stores it replaces were fine for the
 //! paper's handful of §5 prefixes but made `longest_match` a linear
 //! scan; at full-table cardinality (~1M routes, ROADMAP item 1) both
@@ -42,7 +47,9 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 mod slots;
+mod vecmap;
 pub use slots::PeerSlots;
+pub use vecmap::VecMap;
 
 /// Hand an emptied scratch `Vec` back under a new element type, keeping
 /// its allocation: the decision loops of both routing cores fill a

@@ -5,19 +5,17 @@
 //! about a prefix — who sent what, what did we send whom — is answered
 //! by the entry one trie walk found.
 
+use crate::VecMap;
 use std::sync::Arc;
 
-/// What one peer sent us, and was sent, for a prefix.
-#[derive(Debug)]
-struct Slot<K, A> {
-    peer: K,
-    /// Adj-RIB-In: the route the peer advertised.
-    received: Option<Arc<A>>,
-    /// Adj-RIB-Out: the route we last advertised to it.
-    sent: Option<Arc<A>>,
-}
-
-/// One slot per peer with either side set, ascending by peer key.
+/// One route per (peer, direction) that holds one, keyed by `(peer,
+/// sent)`: what the peer sent us (`sent == false`, Adj-RIB-In) sorts
+/// before what we last sent it (`sent == true`, Adj-RIB-Out). Sixteen
+/// bytes a route for a `u32` key.
+///
+/// A slot rarely holds both sides — a route is heard from one peer and
+/// sent to the others — so a side that holds nothing takes no room, and
+/// a route is dropped as soon as its side is cleared.
 ///
 /// Routes are interned behind `Arc`: the decision process, the installed
 /// best and the export bookkeeping share one allocation per distinct
@@ -25,83 +23,63 @@ struct Slot<K, A> {
 /// shared by every prefix it announced.
 #[derive(Debug)]
 pub struct PeerSlots<K, A> {
-    slots: Vec<Slot<K, A>>,
+    routes: VecMap<(K, bool), Arc<A>>,
 }
 
 impl<K, A> Default for PeerSlots<K, A> {
     fn default() -> Self {
-        PeerSlots { slots: Vec::new() }
+        PeerSlots { routes: VecMap::default() }
     }
 }
 
 impl<K: Ord + Copy, A> PeerSlots<K, A> {
-    fn find(&self, peer: K) -> Result<usize, usize> {
-        self.slots.binary_search_by_key(&peer, |s| s.peer)
-    }
-
-    /// The slot for `peer`, created in key order if absent.
-    fn slot_mut(&mut self, peer: K) -> &mut Slot<K, A> {
-        let at = self.find(peer).unwrap_or_else(|at| {
-            // Most prefixes are heard from one peer and sent to one or
-            // two: size the first allocation for that.
-            if self.slots.capacity() == 0 {
-                self.slots.reserve_exact(2);
-            }
-            self.slots.insert(at, Slot { peer, received: None, sent: None });
-            at
-        });
-        &mut self.slots[at]
-    }
-
-    /// Drop the slot at `at` once neither side holds a route.
-    fn prune(&mut self, at: usize) {
-        if self.slots[at].received.is_none() && self.slots[at].sent.is_none() {
-            self.slots.remove(at);
+    /// Store `route` as `peer`'s `sent` side, returning the one it
+    /// replaces.
+    fn store(&mut self, peer: K, sent: bool, route: Arc<A>) -> Option<Arc<A>> {
+        // Most prefixes are heard from one peer and sent to one or two:
+        // size the first allocation for that, not the map's one.
+        if self.routes.is_empty() {
+            self.routes.reserve_exact(2);
         }
+        self.routes.insert((peer, sent), route)
     }
 
     /// Store the route `peer` sent, returning the one it replaces
     /// (implicit withdraw).
     pub fn receive(&mut self, peer: K, route: Arc<A>) -> Option<Arc<A>> {
-        self.slot_mut(peer).received.replace(route)
+        self.store(peer, false, route)
     }
 
     /// Forget the route `peer` sent, returning it.
     pub fn unreceive(&mut self, peer: K) -> Option<Arc<A>> {
-        let at = self.find(peer).ok()?;
-        let old = self.slots[at].received.take();
-        self.prune(at);
-        old
+        self.routes.remove(&(peer, false))
     }
 
     /// Record a withdrawal; `true` if `peer` had been sent a route.
     pub fn withdraw(&mut self, peer: K) -> bool {
-        let Ok(at) = self.find(peer) else { return false };
-        let had = self.slots[at].sent.take().is_some();
-        self.prune(at);
-        had
+        self.routes.remove(&(peer, true)).is_some()
     }
 
     /// The stored route of `peer`.
     pub fn received(&self, peer: K) -> Option<&Arc<A>> {
-        self.slots[self.find(peer).ok()?].received.as_ref()
+        self.routes.get(&(peer, false))
     }
 
     /// Every `(peer, route)` received, ascending by peer key.
     /// Allocation-free.
     pub fn candidates(&self) -> impl Iterator<Item = (K, &Arc<A>)> + '_ {
-        self.slots.iter().filter_map(|s| Some((s.peer, s.received.as_ref()?)))
+        self.routes.iter().filter(|((_, sent), _)| !sent).map(|(&(peer, _), route)| (peer, route))
     }
 
     /// No peer sent or was sent anything.
     pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
+        self.routes.is_empty()
     }
 
-    /// Heap bytes held by the slot vector (the shared route bodies are
+    /// Heap bytes held by the route vector (the shared route bodies are
     /// accounted where they are interned, not here).
     pub fn heap_bytes(&self) -> usize {
-        self.slots.capacity() * std::mem::size_of::<Slot<K, A>>()
+        self.routes.heap_bytes()
     }
 }
 
@@ -111,11 +89,17 @@ impl<K: Ord + Copy, A: PartialEq> PeerSlots<K, A> {
     /// that is what it already has — the same allocation or an equal
     /// route.
     pub fn advertise(&mut self, peer: K, route: &Arc<A>) -> bool {
-        let sent = &mut self.slot_mut(peer).sent;
-        let changed = !sent.as_ref().is_some_and(|s| Arc::ptr_eq(s, route) || **s == **route);
-        if changed {
-            *sent = Some(Arc::clone(route));
+        match self.routes.get_mut(&(peer, true)) {
+            Some(sent) => {
+                if Arc::ptr_eq(sent, route) || **sent == **route {
+                    return false;
+                }
+                *sent = Arc::clone(route);
+            }
+            None => {
+                self.store(peer, true, Arc::clone(route));
+            }
         }
-        changed
+        true
     }
 }

@@ -138,6 +138,20 @@ proptest! {
     }
 }
 
+/// A slot side that holds no route takes no room: one route heard from
+/// one peer and one sent to another are two 16-byte records in the
+/// first allocation of two, where a two-sided slot per peer took 24
+/// bytes each.
+#[test]
+fn a_route_in_and_a_route_out_take_one_record_each() {
+    let mut slots = PeerSlots::<u32, u8>::default();
+    assert_eq!(slots.heap_bytes(), 0);
+    slots.receive(1, Arc::new(7));
+    assert!(slots.advertise(2, &Arc::new(8)));
+    assert_eq!(slots.heap_bytes(), 32);
+    assert_eq!(slots.candidates().map(|(k, a)| (k, **a)).collect::<Vec<_>>(), [(1, 7)]);
+}
+
 /// One attribute block decoded from a multi-NLRI UPDATE is one
 /// allocation however many prefixes it announced.
 #[test]

@@ -28,7 +28,7 @@ use dbgp_core::{
     PeerClass,
 };
 use dbgp_protocols::{MiroPortal, MiroRequest};
-use dbgp_rib::PrefixTrie;
+use dbgp_rib::{PrefixTrie, VecMap};
 use dbgp_telemetry::{metrics, EventId, Log2Histogram, TraceKind, TraceRecorder};
 use dbgp_wire::{EncodedIa, Ia, Ipv4Addr, Ipv4Prefix, ProtocolId};
 use serde_json::Value;
@@ -106,9 +106,12 @@ type PendingAdvert = (Option<Arc<Ia>>, Option<EventId>);
 struct Node {
     speaker: DbgpSpeaker,
     /// Neighbor ID -> peer node.
-    neighbor_nodes: BTreeMap<NeighborId, NodeId>,
+    neighbor_nodes: VecMap<NeighborId, NodeId>,
     /// Peer node -> our neighbor ID for it.
-    ids_by_node: HashMap<NodeId, NeighborId>,
+    ids_by_node: VecMap<NodeId, NeighborId>,
+    /// Route-churn records per prefix, cumulative since the start of
+    /// the run (a restart keeps them).
+    churn: VecMap<Ipv4Prefix, PrefixChurn>,
     /// Out-of-band responses received, for inspection by drivers.
     oob_inbox: Vec<(Ipv4Addr, Vec<u8>)>,
     next_neighbor_id: u32,
@@ -370,8 +373,6 @@ pub struct Sim {
     /// decode memo instead.
     frames_decoded: u64,
     decode_memo_hits: u64,
-    /// Route-churn records per (node, prefix).
-    churn: BTreeMap<(NodeId, Ipv4Prefix), PrefixChurn>,
     /// Seeded RNG driving link perturbation models. Only consumed for
     /// links with a non-default model, so fault-free runs are identical
     /// to runs before link models existed.
@@ -448,7 +449,6 @@ impl Sim {
             decode_memo: PtrMap::default(),
             frames_decoded: 0,
             decode_memo_hits: 0,
-            churn: BTreeMap::new(),
             rng: SimRng::new(0),
             mrai: 30,
             recorder: None,
@@ -551,8 +551,9 @@ impl Sim {
         }
         self.nodes.push(Node {
             speaker,
-            neighbor_nodes: BTreeMap::new(),
-            ids_by_node: HashMap::new(),
+            neighbor_nodes: VecMap::new(),
+            ids_by_node: VecMap::new(),
+            churn: VecMap::new(),
             oob_inbox: Vec::new(),
             next_neighbor_id: 0,
             pending_out: HashMap::new(),
@@ -612,9 +613,17 @@ impl Sim {
     }
 
     /// Route-churn records per (node, prefix), cumulative since the
-    /// start of the run.
-    pub fn churn(&self) -> &BTreeMap<(NodeId, Ipv4Prefix), PrefixChurn> {
-        &self.churn
+    /// start of the run, in ascending `(node, prefix)` order.
+    pub fn churn(&self) -> impl Iterator<Item = ((NodeId, Ipv4Prefix), PrefixChurn)> + '_ {
+        self.nodes.iter().enumerate().flat_map(|(node, n)| {
+            n.churn.iter().map(move |(&prefix, &record)| ((node, prefix), record))
+        })
+    }
+
+    /// The route-churn record of one (node, prefix), if its best path
+    /// ever changed.
+    pub fn churn_of(&self, node: NodeId, prefix: Ipv4Prefix) -> Option<PrefixChurn> {
+        self.nodes[node].churn.get(&prefix).copied()
     }
 
     /// This node's per-incarnation counters (reset on restart, with the
@@ -1167,7 +1176,7 @@ impl Sim {
             };
             self.stats.best_changes += 1;
             self.nodes[node].counters.best_changes += 1;
-            let record = self.churn.entry((node, prefix)).or_default();
+            let record = self.nodes[node].churn.get_or_insert_with(prefix, PrefixChurn::default);
             record.best_changes += 1;
             record.last_change_at = at;
             let next = chosen.and_then(|c| self.nodes[node].next_node(c));

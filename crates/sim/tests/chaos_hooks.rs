@@ -273,15 +273,15 @@ fn churn_records_best_changes_per_prefix() {
     let (mut sim, o, _a, _b, s) = square();
     sim.run(1_000_000);
     let key = (s, p("128.6.0.0/16"));
-    let before = sim.churn().get(&key).copied().unwrap();
+    let before = sim.churn_of(key.0, key.1).unwrap();
     assert!(before.best_changes >= 1);
-    assert_eq!(sim.stats().best_changes, sim.churn().values().map(|c| c.best_changes).sum());
+    assert_eq!(sim.stats().best_changes, sim.churn().map(|(_, c)| c.best_changes).sum());
     // A withdraw + re-originate cycle adds churn at the sink.
     sim.withdraw(o, p("128.6.0.0/16"));
     sim.run(2_000_000);
     sim.originate(o, p("128.6.0.0/16"));
     sim.run(3_000_000);
-    let after = sim.churn().get(&key).copied().unwrap();
+    let after = sim.churn_of(key.0, key.1).unwrap();
     assert!(after.best_changes >= before.best_changes + 2);
     assert!(after.last_change_at > before.last_change_at);
 }

@@ -82,7 +82,7 @@ fn fingerprint(sim: &mut Sim) -> String {
             ));
         }
     }
-    out.push_str(&format!("churn={:?}\n", sim.churn()));
+    out.push_str(&format!("churn={:?}\n", sim.churn().collect::<Vec<_>>()));
     out
 }
 
