@@ -33,7 +33,6 @@ use dbgp_telemetry::{metrics, EventId, Log2Histogram, TraceKind, TraceRecorder};
 use dbgp_wire::{EncodedIa, Ia, Ipv4Addr, Ipv4Prefix, ProtocolId};
 use serde_json::Value;
 use std::borrow::Borrow;
-use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::rc::Rc;
 use std::sync::Arc;
@@ -99,9 +98,9 @@ pub enum Service {
     Miro(MiroPortal),
 }
 
-/// A coalesced outbound advertisement: the latest IA for a prefix
-/// (`None` = withdraw) plus the trace event that caused it.
-type PendingAdvert = (Option<Arc<Ia>>, Option<EventId>);
+/// A coalesced outbound advertisement to one neighbor: the latest IA
+/// for a prefix (`None` = withdraw) plus the trace event that caused it.
+type PendingAdvert = (NeighborId, Ipv4Prefix, Option<Arc<Ia>>, Option<EventId>);
 
 struct Node {
     speaker: DbgpSpeaker,
@@ -115,11 +114,13 @@ struct Node {
     /// Out-of-band responses received, for inspection by drivers.
     oob_inbox: Vec<(Ipv4Addr, Vec<u8>)>,
     next_neighbor_id: u32,
-    /// Coalesced outbound state per neighbor: prefix -> latest IA
-    /// (`None` = withdraw), flushed when the MRAI window closes. The
-    /// `Arc` is shared with the speaker's Adj-RIB-Out. A key exists only
-    /// while its Flush is due.
-    pending_out: HashMap<NeighborId, BTreeMap<Ipv4Prefix, PendingAdvert>>,
+    /// Coalesced outbound state, one element per (neighbor, prefix)
+    /// with the latest IA (`None` = withdraw), sorted by that pair so a
+    /// neighbor's elements are one contiguous run, drained in place when
+    /// its MRAI window closes. The `Arc` is shared with the speaker's
+    /// Adj-RIB-Out. A neighbor has elements only while its Flush is due;
+    /// the vector is released when it empties.
+    pending_out: Vec<PendingAdvert>,
     /// Adj-RIB-Out encode cache: wire bytes for an outgoing IA, keyed by
     /// the `Arc`'s pointer identity (the speaker hands the *same* `Arc`
     /// to every neighbor of a class and across re-advertisements of an
@@ -366,6 +367,10 @@ pub struct Sim {
     /// The bodies of the frame [`Sim::emit`] is assembling. Kept (empty)
     /// between frames so a batched flush allocates no list of them.
     frame_bodies: Vec<EncodedIa>,
+    /// The withdraws and IAs of the window [`Sim::flush`] is draining,
+    /// kept (empty) between flushes like `frame_bodies`.
+    flush_withdrawn: Vec<Ipv4Prefix>,
+    flush_ias: Vec<Arc<Ia>>,
     /// Shared buffers decoded so far, keyed by address (see
     /// [`Sim::decode_frame`]).
     decode_memo: PtrMap<DecodeMemoEntry>,
@@ -446,6 +451,8 @@ impl Sim {
             queue: EventQueue::new(),
             stats: SimStats::default(),
             frame_bodies: Vec::new(),
+            flush_withdrawn: Vec::new(),
+            flush_ias: Vec::new(),
             decode_memo: PtrMap::default(),
             frames_decoded: 0,
             decode_memo_hits: 0,
@@ -556,7 +563,7 @@ impl Sim {
             churn: VecMap::new(),
             oob_inbox: Vec::new(),
             next_neighbor_id: 0,
-            pending_out: HashMap::new(),
+            pending_out: Vec::new(),
             encode_cache: PtrMap::default(),
             counters: NodeCounters::default(),
         });
@@ -865,7 +872,7 @@ impl Sim {
         self.nodes[node].counters = NodeCounters { generation, ..NodeCounters::default() };
         // The rebooting router loses its MRAI buffers, encode cache and
         // any undelivered out-of-band responses.
-        self.nodes[node].pending_out.clear();
+        self.nodes[node].pending_out = Vec::new();
         self.nodes[node].oob_inbox.clear();
         self.nodes[node].encode_cache.clear();
         for &(peer, same_island, speaks_dbgp) in &peers {
@@ -1122,7 +1129,11 @@ impl Sim {
         let Some(&id) = self.nodes[me].ids_by_node.get(&peer) else { return };
         self.nodes[me].neighbor_nodes.remove(&id);
         self.nodes[me].ids_by_node.remove(&peer);
-        self.nodes[me].pending_out.remove(&id);
+        let pending = &mut self.nodes[me].pending_out;
+        pending.retain(|e| e.0 != id);
+        if pending.is_empty() {
+            *pending = Vec::new();
+        }
         let root = self.record_adjacency(me, peer, parent, false, trigger);
         let outputs = self.nodes[me].speaker.neighbor_down(id);
         self.absorb(me, root, outputs);
@@ -1221,11 +1232,20 @@ impl Sim {
                 self.send_now(node, neighbor, prefix, ia, cause);
                 continue;
             }
-            let pending = self.nodes[node].pending_out.entry(neighbor);
-            let arm = matches!(pending, Entry::Vacant(_));
-            pending.or_default().insert(prefix, (ia, cause));
-            if arm {
-                self.queue.schedule(self.mrai, Event::Flush { node, neighbor });
+            // Latest state wins; a neighbor's first element opens its
+            // window.
+            let pending = &mut self.nodes[node].pending_out;
+            match pending.binary_search_by(|e| (e.0, e.1).cmp(&(neighbor, prefix))) {
+                Ok(i) => pending[i] = (neighbor, prefix, ia, cause),
+                Err(i) => {
+                    let same = |e: &PendingAdvert| e.0 == neighbor;
+                    let arm =
+                        !pending[..i].last().is_some_and(same) && !pending.get(i).is_some_and(same);
+                    pending.insert(i, (neighbor, prefix, ia, cause));
+                    if arm {
+                        self.queue.schedule(self.mrai, Event::Flush { node, neighbor });
+                    }
+                }
             }
         }
     }
@@ -1332,21 +1352,19 @@ impl Sim {
     }
 
     /// The MRAI window to `neighbor` closed: everything pending goes out
-    /// as one frame.
+    /// as one frame, withdraws and then IAs, each in prefix order.
     fn flush(&mut self, node: NodeId, neighbor: NeighborId) {
-        let Some(pending) = self.nodes[node].pending_out.remove(&neighbor) else { return };
-        if pending.is_empty() {
-            return;
-        }
-        let Some(&to) = self.nodes[node].neighbor_nodes.get(&neighbor) else { return };
         let traced = self.recorder.is_some();
-        let mut withdrawn = Vec::new();
-        let mut ias = Vec::with_capacity(pending.len());
+        let mut withdrawn = std::mem::take(&mut self.flush_withdrawn);
+        let mut ias = std::mem::take(&mut self.flush_ias);
         // Per-element causes in frame order, collected only while
         // recording.
         let mut causes = Vec::new();
         let mut ia_causes = Vec::new();
-        for (prefix, (ia, cause)) in pending {
+        let pending = &mut self.nodes[node].pending_out;
+        let start = pending.partition_point(|e| e.0 < neighbor);
+        let end = start + pending[start..].partition_point(|e| e.0 == neighbor);
+        for (_, prefix, ia, cause) in pending.drain(start..end) {
             match ia {
                 Some(ia) => {
                     if traced {
@@ -1362,9 +1380,20 @@ impl Sim {
                 }
             }
         }
-        causes.append(&mut ia_causes);
-        self.flush_batch.observe((withdrawn.len() + ias.len()) as u64);
-        self.emit(node, to, &withdrawn, &ias, &causes);
+        if pending.is_empty() {
+            *pending = Vec::new();
+        }
+        let elements = withdrawn.len() + ias.len();
+        let to = self.nodes[node].neighbor_nodes.get(&neighbor).copied();
+        if let Some(to) = to.filter(|_| elements > 0) {
+            causes.append(&mut ia_causes);
+            self.flush_batch.observe(elements as u64);
+            self.emit(node, to, &withdrawn, &ias, &causes);
+        }
+        withdrawn.clear();
+        ias.clear();
+        self.flush_withdrawn = withdrawn;
+        self.flush_ias = ias;
     }
 
     /// The one frame emitter: put `withdrawn` and `ias` on the

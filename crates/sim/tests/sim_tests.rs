@@ -6,7 +6,9 @@ use dbgp_core::{DbgpConfig, DbgpOutput, DbgpSpeaker, IslandConfig, NeighborId};
 use dbgp_protocols::wiser::{self, WiserModule};
 use dbgp_protocols::{miro, MiroOffer, MiroPortal, MiroRequest, Pathlet, PathletModule};
 use dbgp_sim::{Delivery, LinkModel, Packet, Service, Sim, SimStats};
+use dbgp_telemetry::{TraceKind, TraceRecorder};
 use dbgp_wire::{Ipv4Addr, Ipv4Prefix, IslandId, ProtocolId};
+use std::rc::Rc;
 use std::sync::Arc;
 
 fn p(s: &str) -> Ipv4Prefix {
@@ -652,5 +654,125 @@ fn decode_once_the_duplicate_of_a_batched_frame_hits_the_memo() {
     assert_eq!((sim.frames_decoded(), sim.decode_memo_hits()), (1, 1));
     for prefix in &prefixes {
         assert!(sim.speaker(b).best(prefix).is_some(), "{prefix} installed once");
+    }
+}
+
+/// The frames `from` put on the wire toward `to` after event `since`,
+/// each as its elements in frame order: `(announce, prefix)`.
+fn frames_sent(
+    rec: &TraceRecorder,
+    from: usize,
+    to: usize,
+    since: u64,
+) -> Vec<Vec<(bool, Ipv4Prefix)>> {
+    let (mut frames, mut elements) = (Vec::new(), Vec::new());
+    for event in rec.events().into_iter().filter(|e| e.id.0 >= since && e.node == from as u32) {
+        match event.kind {
+            TraceKind::Advertise { prefix, to: t } if t == to as u32 => {
+                elements.push((true, prefix))
+            }
+            TraceKind::Withdraw { prefix, to: t } if t == to as u32 => {
+                elements.push((false, prefix))
+            }
+            TraceKind::Transmit { to: t, .. } if t == to as u32 => {
+                frames.push(std::mem::take(&mut elements))
+            }
+            _ => {}
+        }
+    }
+    assert!(elements.is_empty(), "every element belongs to a frame");
+    frames
+}
+
+/// An IA for `prefix` that names `version` in a foreign descriptor, so
+/// the receiver can tell which origination it holds.
+fn versioned_ia(prefix: Ipv4Prefix, version: u8) -> dbgp_wire::Ia {
+    dbgp_wire::Ia::builder(prefix, Ipv4Addr::new(192, 0, 2, 1))
+        .path_descriptor(ProtocolId(100), 1, vec![version])
+        .build()
+        .unwrap()
+}
+
+fn version_at(sim: &Sim, node: usize, prefix: &Ipv4Prefix) -> Option<u8> {
+    let best = sim.speaker(node).best(prefix)?;
+    Some(best.ia.path_descriptor(ProtocolId(100), 1).expect("descriptor passed through").value[0])
+}
+
+/// MRAI coalescing keeps one element per (neighbor, prefix) for a
+/// window, the latest state winning, and the window leaves as one frame:
+/// withdraws first, then IAs, each group in ascending prefix order.
+#[test]
+fn an_mrai_window_leaves_as_one_frame_of_latest_states_in_prefix_order() {
+    let mut sim = Sim::new();
+    sim.set_mrai(30);
+    let rec = Rc::new(TraceRecorder::unbounded());
+    sim.enable_telemetry(rec.clone());
+    let a = sim.add_node(DbgpConfig::gulf(1));
+    let b = sim.add_node(DbgpConfig::gulf(2));
+    sim.link(a, b, 10, false);
+    let [p0, p1, p2] = [p("10.0.0.0/16"), p("10.1.0.0/16"), p("10.2.0.0/16")];
+    for prefix in [p2, p0, p1] {
+        sim.originate_ia(a, versioned_ia(prefix, 1));
+    }
+    sim.run(10);
+    sim.withdraw(a, p1);
+    sim.originate_ia(a, versioned_ia(p2, 2));
+    sim.run(60_000_000);
+    assert_eq!(sim.pending_events(), 0, "quiesces");
+
+    assert_eq!(frames_sent(&rec, a, b, 0), vec![vec![(false, p1), (true, p0), (true, p2)]]);
+    assert_eq!(sim.stats().messages, 1, "B receives one frame and sends none");
+    assert_eq!(version_at(&sim, b, &p0), Some(1));
+    assert_eq!(version_at(&sim, b, &p1), None, "withdrawn inside the window");
+    assert_eq!(version_at(&sim, b, &p2), Some(2), "the re-origination won");
+}
+
+/// A session torn down inside a window drops what was pending to it: a
+/// failed link, and a restart with the window's Flush still queued.
+/// When the neighbor comes back it gets the full table once, and none
+/// of the dropped elements.
+#[test]
+fn an_mrai_window_torn_down_delivers_nothing_it_held() {
+    let [p0, p1, p2] = [p("10.0.0.0/16"), p("10.1.0.0/16"), p("10.2.0.0/16")];
+    for restart in [false, true] {
+        let mut sim = Sim::new();
+        sim.set_mrai(30);
+        let rec = Rc::new(TraceRecorder::unbounded());
+        sim.enable_telemetry(rec.clone());
+        let a = sim.add_node(DbgpConfig::gulf(1));
+        let b = sim.add_node(DbgpConfig::gulf(2));
+        sim.link(a, b, 10, false);
+        for prefix in [p0, p1] {
+            sim.originate_ia(a, versioned_ia(prefix, 1));
+        }
+        sim.run(1_000);
+        assert_eq!(sim.pending_events(), 0, "converged");
+        let t0 = sim.now();
+
+        // Pending to B from t0 to t0 + 30: a withdraw of p1, and p2 at
+        // version 1 then 2.
+        let since = rec.events().last().unwrap().id.0 + 1;
+        sim.withdraw(a, p1);
+        sim.originate_ia(a, versioned_ia(p2, 1));
+        sim.run(t0 + 10);
+        sim.originate_ia(a, versioned_ia(p2, 2));
+        if restart {
+            sim.restart_node(a);
+        } else {
+            sim.fail_link(a, b);
+            sim.run(t0 + 20);
+            sim.restore_link(a, b);
+        }
+        sim.run(60_000_000);
+        assert_eq!(sim.pending_events(), 0, "quiesces");
+
+        assert_eq!(
+            frames_sent(&rec, a, b, since),
+            vec![vec![(true, p0), (true, p2)]],
+            "restart {restart}: one full-table frame, no withdraw"
+        );
+        assert_eq!(version_at(&sim, b, &p0), Some(1));
+        assert_eq!(version_at(&sim, b, &p1), None);
+        assert_eq!(version_at(&sim, b, &p2), Some(2));
     }
 }
