@@ -28,9 +28,6 @@ pub fn scenario_prefix() -> Ipv4Prefix {
 /// Edges are added in deterministic `(min, max)` order.
 pub fn sim_from_graph(graph: &AsGraph, delay: SimTime) -> Sim {
     let mut sim = Sim::new();
-    // Flooding puts roughly one in-flight delivery per directed edge in
-    // the queue at peak; pre-size so warmup never regrows the heap.
-    sim.reserve_events(2 * graph.edge_count());
     for node in 0..graph.len() {
         sim.add_node(DbgpConfig::gulf(node as u32 + 1));
     }

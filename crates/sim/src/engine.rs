@@ -6,42 +6,16 @@
 //! experiment harness assert exact results. Ties in time are broken by
 //! insertion sequence number.
 //!
-//! # Storage model: a calendar queue over an arena
+//! # Storage model: a binary heap over an arena
 //!
-//! The queue is a calendar queue (Brown 1988) rather than a binary
-//! heap: simulated time is divided into fixed-width "days"
-//! (`day = at >> width_shift`), events for future days sit unsorted in
-//! `buckets[day & mask]`, and only the events of the day under the
-//! cursor are kept in a small ordered heap (`current`). Enqueueing a
-//! future event is an O(1) bucket push; dequeueing pays O(log d) for a
-//! day of d events instead of O(log n) over the whole queue. Payloads
-//! never move: each event is arena-allocated into a `u32`-indexed slot
-//! (free-list reuse, mirroring `crates/rib`'s node arena) and the
-//! buckets/heap shuffle 4-byte indices plus their `(at, seq)` keys.
-//!
-//! Ordering invariants (the determinism contract):
-//!
-//! - every live event is either in `current` or in exactly one bucket;
-//! - bucketed events always belong to a day strictly after
-//!   `cursor_day`, so `at >= (cursor_day + 1) << width_shift`, which is
-//!   strictly greater than any event admissible to `current` — popping
-//!   the `current` minimum is therefore always the global `(at, seq)`
-//!   minimum;
-//! - events scheduled for the cursor day go straight into `current`,
-//!   keeping the previous invariant true without ever rescanning
-//!   buckets;
-//! - the day width is a pure performance knob: it decides which bucket
-//!   an event waits in, never the `(at, seq)` order it pops in. The
-//!   property suite replays identical schedules at several widths and
-//!   asserts bit-identical pop sequences.
-//!
-//! When the cursor day empties, the cursor scans forward bucket by
-//! bucket (cheap while the queue is dense: the next event is nearby).
-//! If a whole calendar round finds nothing — a sparse queue whose next
-//! event is a fault-plan entry millions of ticks out — it falls back to
-//! one O(live) pass over the buckets to find the true next day and
-//! jumps there directly, so huge idle gaps cost one scan, not one scan
-//! per day.
+//! One `BinaryHeap` orders a `(at, seq, slot)` key per pending event;
+//! the event itself sits in a `u32`-indexed arena slot and never moves,
+//! so the heap's sift shuffles 24-byte keys, not payloads. A popped
+//! slot goes on a free list and the next schedule reuses it (mirroring
+//! `crates/rib`'s node arena), so the arena holds as many slots as the
+//! most events ever in flight at once. `seq` is unique, so the heap's
+//! minimum is the exact `(at, seq)` minimum: pop order does not depend
+//! on the heap's internal layout or on which slot an event landed in.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -49,108 +23,47 @@ use std::collections::BinaryHeap;
 /// Simulated milliseconds.
 pub type SimTime = u64;
 
-/// Default day width: 16 ticks. [`EventQueue::set_width_shift`] retunes
-/// it from the link-delay distribution before a run.
-const DEFAULT_WIDTH_SHIFT: u32 = 4;
-
-/// Smallest bucket count; always a power of two so `day & mask` works.
-const MIN_BUCKETS: usize = 64;
-
-/// Grow the calendar when the live count exceeds this many events per
-/// bucket on average (classic calendar-queue resize policy).
-const GROW_FACTOR: usize = 4;
-
-/// An arena slot. `event: None` marks a free slot awaiting reuse.
-#[derive(Debug)]
-struct Slot<E> {
-    at: SimTime,
-    seq: u64,
-    event: Option<E>,
-}
-
 /// A deterministic event queue.
 #[derive(Debug)]
-pub struct EventQueue<E: Eq> {
-    /// Event arena; `free` lists the reusable holes.
-    slots: Vec<Slot<E>>,
+pub struct EventQueue<E> {
+    /// One `(at, seq, slot)` key per pending event, least first.
+    heap: BinaryHeap<Reverse<(SimTime, u64, u32)>>,
+    /// Event arena; a `None` slot is free and listed in `free`.
+    slots: Vec<Option<E>>,
     free: Vec<u32>,
-    /// Unordered per-day bins for days after the cursor.
-    buckets: Vec<Vec<u32>>,
-    /// Power-of-two `buckets.len() - 1`.
-    mask: u64,
-    /// Ordered events admissible now: the cursor day and anything
-    /// scheduled at or before it.
-    current: BinaryHeap<Reverse<(SimTime, u64, u32)>>,
-    cursor_day: u64,
-    width_shift: u32,
-    len: usize,
     now: SimTime,
     seq: u64,
     popped: u64,
 }
 
-impl<E: Eq> Default for EventQueue<E> {
+impl<E> Default for EventQueue<E> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<E: Eq> EventQueue<E> {
+impl<E> EventQueue<E> {
     /// An empty queue at time zero.
     pub fn new() -> Self {
         Self::with_capacity(0)
     }
 
-    /// An empty queue with room for `cap` events before the arena has
-    /// to regrow — large topologies pre-size from their edge count so
-    /// warmup doesn't pay repeated reallocation.
+    /// An empty queue with room for `cap` events in flight before the
+    /// heap or the arena has to regrow.
     pub fn with_capacity(cap: usize) -> Self {
-        let nbuckets = (cap / GROW_FACTOR).next_power_of_two().max(MIN_BUCKETS);
         EventQueue {
+            heap: BinaryHeap::with_capacity(cap),
             slots: Vec::with_capacity(cap),
             free: Vec::new(),
-            buckets: (0..nbuckets).map(|_| Vec::new()).collect(),
-            mask: (nbuckets - 1) as u64,
-            current: BinaryHeap::new(),
-            cursor_day: 0,
-            width_shift: DEFAULT_WIDTH_SHIFT,
-            len: 0,
             now: 0,
             seq: 0,
             popped: 0,
         }
     }
 
-    /// Reserve room for at least `additional` more events.
-    pub fn reserve(&mut self, additional: usize) {
-        self.slots.reserve(additional.saturating_sub(self.free.len()));
-    }
-
     /// Current simulated time (the timestamp of the last popped event).
     pub fn now(&self) -> SimTime {
         self.now
-    }
-
-    /// Retune the calendar day width to `1 << shift` ticks and rebucket
-    /// every queued event. The width is a throughput knob (ideally one
-    /// day spans about one typical link delay's worth of events); it
-    /// cannot affect pop order, which is always exact `(at, seq)`.
-    pub fn set_width_shift(&mut self, shift: u32) {
-        let shift = shift.min(SimTime::BITS - 1);
-        if shift == self.width_shift {
-            return;
-        }
-        self.width_shift = shift;
-        self.cursor_day = self.now >> shift;
-        for b in &mut self.buckets {
-            b.clear();
-        }
-        self.current.clear();
-        for idx in 0..self.slots.len() as u32 {
-            if self.slots[idx as usize].event.is_some() {
-                self.place(idx);
-            }
-        }
     }
 
     /// Schedule `event` to fire `delay` after the current time.
@@ -161,24 +74,22 @@ impl<E: Eq> EventQueue<E> {
 
     /// Schedule at an absolute time (clamped to never run backwards).
     pub fn schedule_at(&mut self, at: SimTime, event: E) {
-        let at = at.max(self.now);
-        let seq = self.seq;
+        let idx = if let Some(idx) = self.free.pop() {
+            self.slots[idx as usize] = Some(event);
+            idx
+        } else {
+            self.slots.push(Some(event));
+            u32::try_from(self.slots.len() - 1).expect("event arena exhausted u32 indices")
+        };
+        self.heap.push(Reverse((at.max(self.now), self.seq, idx)));
         self.seq += 1;
-        let idx = self.alloc(at, seq, event);
-        self.place(idx);
-        self.len += 1;
-        if self.len > self.buckets.len() * GROW_FACTOR {
-            self.grow();
-        }
     }
 
     /// Pop the next event, advancing the clock.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.settle();
-        let Reverse((at, _seq, idx)) = self.current.pop()?;
-        let event = self.slots[idx as usize].event.take().expect("popped a freed slot");
+        let Reverse((at, _seq, idx)) = self.heap.pop()?;
+        let event = self.slots[idx as usize].take().expect("popped a freed slot");
         self.free.push(idx);
-        self.len -= 1;
         self.now = at;
         self.popped += 1;
         Some((at, event))
@@ -186,114 +97,24 @@ impl<E: Eq> EventQueue<E> {
 
     /// Timestamp of the next event without popping it (and without
     /// advancing the clock). Lets callers honor a time horizon while
-    /// leaving later events queued for a subsequent run. May advance
-    /// the internal bucket cursor, hence `&mut`.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        self.settle();
-        self.current.peek().map(|Reverse((at, _, _))| *at)
+    /// leaving later events queued for a subsequent run.
+    pub fn peek_time(&self) -> Option<SimTime> {
+        self.heap.peek().map(|Reverse((at, _, _))| *at)
     }
 
     /// Events waiting.
     pub fn len(&self) -> usize {
-        self.len
+        self.heap.len()
     }
 
     /// True if nothing is scheduled.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.heap.is_empty()
     }
 
     /// Total events processed so far.
     pub fn processed(&self) -> u64 {
         self.popped
-    }
-
-    fn alloc(&mut self, at: SimTime, seq: u64, event: E) -> u32 {
-        if let Some(idx) = self.free.pop() {
-            self.slots[idx as usize] = Slot { at, seq, event: Some(event) };
-            idx
-        } else {
-            assert!(self.slots.len() < u32::MAX as usize, "event arena exhausted u32 indices");
-            self.slots.push(Slot { at, seq, event: Some(event) });
-            (self.slots.len() - 1) as u32
-        }
-    }
-
-    /// File a live slot into `current` or its future-day bucket.
-    fn place(&mut self, idx: u32) {
-        let slot = &self.slots[idx as usize];
-        let day = slot.at >> self.width_shift;
-        if day <= self.cursor_day {
-            self.current.push(Reverse((slot.at, slot.seq, idx)));
-        } else {
-            self.buckets[(day & self.mask) as usize].push(idx);
-        }
-    }
-
-    /// Ensure `current` holds the global minimum whenever `len > 0`.
-    fn settle(&mut self) {
-        while self.current.is_empty() && self.len > 0 {
-            self.advance_day();
-        }
-    }
-
-    /// Move the cursor to the next day that has events and pull that
-    /// day's events into `current`.
-    fn advance_day(&mut self) {
-        let nbuckets = self.buckets.len() as u64;
-        // Dense phase: the next event is within one calendar round.
-        for day in self.cursor_day + 1..=self.cursor_day + nbuckets {
-            if !self.buckets[(day & self.mask) as usize].is_empty() {
-                self.collect_day(day);
-                if !self.current.is_empty() {
-                    self.cursor_day = day;
-                    return;
-                }
-            }
-        }
-        // Sparse phase: one pass over all live events to find the true
-        // next day, then jump the cursor straight to it.
-        let mut next_day = u64::MAX;
-        for bucket in &self.buckets {
-            for &idx in bucket {
-                next_day = next_day.min(self.slots[idx as usize].at >> self.width_shift);
-            }
-        }
-        debug_assert_ne!(next_day, u64::MAX, "len > 0 but no bucketed events");
-        self.collect_day(next_day);
-        self.cursor_day = next_day;
-    }
-
-    /// Move every event of `day` from its bucket into `current`.
-    fn collect_day(&mut self, day: u64) {
-        let b = (day & self.mask) as usize;
-        let mut i = 0;
-        while i < self.buckets[b].len() {
-            let idx = self.buckets[b][i];
-            let slot = &self.slots[idx as usize];
-            if slot.at >> self.width_shift == day {
-                self.current.push(Reverse((slot.at, slot.seq, idx)));
-                self.buckets[b].swap_remove(i);
-            } else {
-                i += 1;
-            }
-        }
-    }
-
-    /// Double the calendar and redistribute bucketed events (`current`
-    /// is day-width-independent and stays put).
-    fn grow(&mut self) {
-        let nbuckets = self.buckets.len() * 2;
-        let mask = (nbuckets - 1) as u64;
-        let mut buckets: Vec<Vec<u32>> = (0..nbuckets).map(|_| Vec::new()).collect();
-        for bucket in &mut self.buckets {
-            for idx in bucket.drain(..) {
-                let day = self.slots[idx as usize].at >> self.width_shift;
-                buckets[(day & mask) as usize].push(idx);
-            }
-        }
-        self.buckets = buckets;
-        self.mask = mask;
     }
 }
 
@@ -387,7 +208,6 @@ mod tests {
     fn with_capacity_pre_sizes_without_changing_behavior() {
         let mut q = EventQueue::with_capacity(64);
         q.schedule(5, "only");
-        q.reserve(128);
         assert_eq!(q.pop(), Some((5, "only")));
         assert!(q.is_empty());
     }
@@ -404,8 +224,7 @@ mod tests {
     }
 
     /// A sparse far-future gap (fault plans schedule events tens of
-    /// millions of ticks out) must resolve through the jump fallback,
-    /// not a day-by-day crawl, and still pop in exact order.
+    /// millions of ticks out) pops in exact order, ties included.
     #[test]
     fn sparse_far_future_events_pop_in_order() {
         let mut q = EventQueue::new();
@@ -421,58 +240,28 @@ mod tests {
         assert_eq!(q.pop(), None);
     }
 
-    /// Retuning the day width rebuckets pending events without
-    /// reordering them.
+    /// A popped event's slot is reused by the next schedule: draining
+    /// and refilling the queue, or keeping a steady number in flight,
+    /// never grows the arena past the most events ever pending at once.
     #[test]
-    fn width_retune_preserves_order_of_pending_events() {
-        for shift in [0u32, 1, 4, 10, 20] {
-            let mut q = EventQueue::new();
-            for i in 0..200u32 {
-                q.schedule_at(((i as u64) * 37) % 500, i);
-            }
-            q.set_width_shift(shift);
-            let mut last: Option<(u64, u32)> = None;
-            let mut n = 0;
-            while let Some((at, e)) = q.pop() {
-                if let Some((lat, le)) = last {
-                    assert!(at >= lat, "time went backwards at width {shift}");
-                    if at == lat {
-                        // Same timestamp: insertion (seq) order.
-                        assert!(e > le, "tie order broken at width {shift}");
-                    }
-                }
-                last = Some((at, e));
-                n += 1;
-            }
-            assert_eq!(n, 200);
+    fn drained_and_refilled_queue_reuses_its_arena_slots() {
+        let mut q = EventQueue::new();
+        for i in 0..100u32 {
+            q.schedule(i as u64 % 7, i);
         }
-    }
-
-    /// The calendar grows (rebuckets) under load without disturbing
-    /// order or counts.
-    #[test]
-    fn grows_past_initial_bucket_count() {
-        let mut q = EventQueue::with_capacity(0);
-        let n = 10_000u32;
-        for i in 0..n {
-            q.schedule_at((i as u64 * 7919) % 100_000, i);
+        while q.pop().is_some() {}
+        assert_eq!(q.slots.len(), 100);
+        for i in 0..100u32 {
+            q.schedule(i as u64 % 5, i);
         }
-        let mut popped = 0;
-        // Track (at, seq) monotonicity via pop order: same at must keep
-        // ascending insertion order, which for this schedule means the
-        // payloads at one timestamp ascend.
-        let mut at_last: Option<u64> = None;
-        let mut payload_last = 0u32;
-        while let Some((at, e)) = q.pop() {
-            if at_last == Some(at) {
-                assert!(e > payload_last, "FIFO tie broken after growth");
-            } else {
-                assert!(at_last.is_none_or(|p| at > p));
-            }
-            at_last = Some(at);
-            payload_last = e;
-            popped += 1;
+        for i in 100..1_000u32 {
+            q.pop().unwrap();
+            q.schedule(3, i);
         }
-        assert_eq!(popped, n);
+        assert_eq!(q.len(), 100);
+        assert_eq!(q.slots.len(), 100, "arena grew past the peak in flight");
+        while q.pop().is_some() {}
+        assert_eq!(q.free.len(), 100);
+        assert_eq!(q.processed(), 1_100);
     }
 }

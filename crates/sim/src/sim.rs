@@ -52,7 +52,7 @@ const OOB_DELAY: SimTime = 5;
 /// on: the ids the receiver needs to chain its Deliver/Decode events to
 /// the sender's Transmit/Advertise events. `None` in the untraced (and
 /// therefore hot) configuration, so the only cost there is the pointer.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 struct DeliverTrace {
     /// The sender's Transmit event for this frame.
     frame: EventId,
@@ -72,7 +72,7 @@ struct Arrival {
 }
 
 /// What travels on the simulated wires and bus.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug)]
 enum Event {
     /// Control-plane bytes arriving on a link. The buffer is refcounted:
     /// a fan-out or a duplicating link shares one allocation, and only a
@@ -396,9 +396,6 @@ pub struct Sim {
     message_bytes: Log2Histogram,
     /// Elements in each MRAI flush (`sim.flush_batch_prefixes`).
     flush_batch: Log2Histogram,
-    /// Whether the calendar queue's day width has been tuned to the
-    /// mean link delay (once, at first run).
-    width_tuned: bool,
     /// Bounded-horizon oscillation capture; `None` (the default) is
     /// completely inert — no state, no branches taken, no output
     /// change, so pinned golden results are unaffected.
@@ -461,7 +458,6 @@ impl Sim {
             recorder: None,
             message_bytes: Log2Histogram::default(),
             flush_batch: Log2Histogram::default(),
-            width_tuned: false,
             capture: None,
             phase_timing: None,
         }
@@ -568,13 +564,6 @@ impl Sim {
             counters: NodeCounters::default(),
         });
         id
-    }
-
-    /// Pre-size the event queue (drivers call this with a multiple of
-    /// the topology's edge count so large-run warmup doesn't regrow the
-    /// heap).
-    pub fn reserve_events(&mut self, additional: usize) {
-        self.queue.reserve(additional);
     }
 
     /// Number of nodes in the simulation.
@@ -912,7 +901,6 @@ impl Sim {
     /// call picks up exactly where this one stopped. Returns the
     /// statistics snapshot.
     pub fn run(&mut self, max_time: SimTime) -> SimStats {
-        self.tune_width();
         while let Some(next_at) = self.queue.peek_time() {
             if next_at > max_time {
                 break;
@@ -921,24 +909,6 @@ impl Sim {
             self.handle_event(event);
         }
         self.stats()
-    }
-
-    /// Derive the calendar-queue day width from the mean link delay
-    /// (once, at first run): one day spanning roughly one typical delay
-    /// keeps the events in flight within O(1) buckets. A pure
-    /// throughput knob — pop order is exact `(time, seq)` at any width.
-    fn tune_width(&mut self) {
-        if self.width_tuned {
-            return;
-        }
-        self.width_tuned = true;
-        if self.links.is_empty() {
-            return;
-        }
-        let sum: SimTime = self.links.values().map(|l| l.delay).sum();
-        let mean = (sum / self.links.len() as SimTime).max(1);
-        let shift = (SimTime::BITS - mean.leading_zeros()).min(12);
-        self.queue.set_width_shift(shift);
     }
 
     /// Process one popped event (the pop already advanced the queue

@@ -30,7 +30,6 @@ fn build(seed: u64) -> (Sim, Vec<(usize, usize)>) {
     let graph = waxman_50(seed);
     let mut sim = Sim::new();
     sim.set_seed(seed ^ 0xD1CE);
-    sim.reserve_events(2 * graph.edge_count());
     for node in 0..graph.len() {
         sim.add_node(DbgpConfig::gulf(node as u32 + 1));
     }

@@ -1,9 +1,10 @@
-//! The calendar queue's determinism contract, property-tested against
-//! a reference model: a plain `BinaryHeap` over `(time, seq)` keys with
-//! the same clock/clamping semantics the engine documents. Whatever
-//! interleaving of schedules, pops and mid-stream day width retunes the
-//! generator produces — including same-timestamp ties — the calendar
-//! queue must emit the bit-identical pop sequence.
+//! The event queue's determinism contract, property-tested against a
+//! reference model: a plain binary heap over `(time, seq)` keys holding
+//! the payloads inline, with the same clock/clamping semantics the
+//! engine documents. Whatever interleaving of schedules and pops the
+//! generator produces — including same-timestamp ties and far-future
+//! gaps — the engine's heap over its slot arena must emit the
+//! bit-identical pop sequence.
 
 use dbgp_sim::{EventQueue, SimTime};
 use proptest::prelude::*;
@@ -46,8 +47,7 @@ enum Op {
     At(u16),
     /// Relative schedule with a small delay (the common case).
     Delay(u8),
-    /// Absolute schedule far in the future (fault-plan idiom; stresses
-    /// the sparse-jump path).
+    /// Absolute schedule far in the future (the fault-plan idiom).
     Far(u16),
     Pop,
 }
@@ -61,20 +61,12 @@ fn arb_op() -> impl Strategy<Value = Op> {
     ]
 }
 
-/// Run one op sequence at a given day-width shift, retuning to
-/// `mid_shift` halfway through, and assert every observable output
-/// matches the reference model exactly.
-fn check(ops: &[Op], shift: u32, mid_shift: u32) -> proptest::test_runner::TestCaseResult {
+/// Run one op sequence and assert every observable output matches the
+/// reference model exactly.
+fn check(ops: &[Op]) -> proptest::test_runner::TestCaseResult {
     let mut q: EventQueue<u32> = EventQueue::new();
-    q.set_width_shift(shift);
     let mut model = RefModel::default();
     for (i, &op) in ops.iter().enumerate() {
-        if i == ops.len() / 2 {
-            // A mid-stream retune rebuckets every pending event; the
-            // model (which has no buckets) is untouched, so any
-            // width-dependent ordering shows up immediately.
-            q.set_width_shift(mid_shift);
-        }
         let payload = i as u32;
         match op {
             Op::At(v) => {
@@ -113,17 +105,10 @@ fn check(ops: &[Op], shift: u32, mid_shift: u32) -> proptest::test_runner::TestC
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The calendar queue bit-matches the heap model at several day
-    /// widths (including degenerate 1-tick days and days so wide the
-    /// whole run fits in one), with a retune mid-sequence.
+    /// The engine bit-matches the reference model, ties and the
+    /// recycling of popped slots included.
     #[test]
-    fn calendar_queue_matches_binary_heap(
-        ops in proptest::collection::vec(arb_op(), 1..250),
-        pair in (0usize..7, 0usize..7),
-    ) {
-        const SHIFTS: [u32; 7] = [0, 1, 3, 4, 8, 14, 20];
-        let (a, b) = (SHIFTS[pair.0], SHIFTS[pair.1]);
-        check(&ops, a, b)?;
-        check(&ops, b, a)?;
+    fn event_queue_matches_binary_heap(ops in proptest::collection::vec(arb_op(), 1..250)) {
+        check(&ops)?;
     }
 }

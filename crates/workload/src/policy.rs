@@ -33,7 +33,6 @@ pub fn tier_delay(topo: &HierTopology, a: usize, b: usize) -> SimTime {
 pub fn valley_free_sim(topo: &HierTopology, seed: u64) -> Sim {
     let mut sim = Sim::new();
     sim.set_seed(seed);
-    sim.reserve_events(2 * topo.edge_count());
     for node in 0..topo.len() {
         let mut cfg = DbgpConfig::gulf(node as u32 + 1);
         cfg.filters.valley_free = true;

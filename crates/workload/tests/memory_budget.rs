@@ -57,26 +57,29 @@ const ORIGINS: usize = 8;
 const STAGGER: SimTime = 200;
 const HORIZON: SimTime = 1_000_000;
 
-/// 3,750 B measured with this test (seed 42, 1,002 nodes) once MRAI
-/// coalescing kept one sorted vector of pending elements per node,
-/// released when it empties, in place of a hash table of per-neighbor
-/// B-trees; the budget leaves a 4 % margin. Before that change the
-/// scenario held 3,866 B under a 4,030 B budget, measured once each
-/// per-node record was sized to what it holds — one-sided Adj-RIB slot
-/// records, sorted-vector neighbor, module and churn tables. Before
-/// that, the scenario held 4,832 B under a 5,130 B budget; before the
-/// simulator stopped keeping a FIB trie beside each speaker's Loc-RIB,
-/// 5,467 B under 5,800 B. Before every receiver of a frame stored the
+/// 3,464 B measured with this test (seed 42, 1,002 nodes) once the
+/// event queue was one binary heap over its slot arena, grown to the
+/// most events in flight, in place of a calendar queue whose arena was
+/// pre-sized to twice the edge count; the budget leaves a 4 % margin.
+/// Before that change the scenario held 3,750 B under a 3,900 B budget,
+/// measured once MRAI coalescing kept one sorted vector of pending
+/// elements per node, released when it empties, in place of a hash
+/// table of per-neighbor B-trees. Before that, 3,866 B under 4,030 B,
+/// measured once each per-node record was sized to what it holds —
+/// one-sided Adj-RIB slot records, sorted-vector neighbor, module and
+/// churn tables. Before that, the scenario held 4,832 B under a 5,130 B
+/// budget; before the simulator stopped keeping a FIB trie beside each
+/// speaker's Loc-RIB, 5,467 B under 5,800 B. Before every receiver of a frame stored the
 /// IAs of its one decode, each receiver decoded its own copy, and the
 /// same scenario held 8,946 B per node: 12,527 received IAs, all
 /// distinct, where there are now 757.
-const BUDGET_BYTES_PER_NODE: usize = 3_900;
+const BUDGET_BYTES_PER_NODE: usize = 3_600;
 
-/// The most live bytes per node at any point of the run: 3,750 B
-/// measured, equal to the figure at quiescence. While every (node,
-/// neighbor) MRAI window allocated a `BTreeMap`, the windows open at
-/// once pushed the peak to 3,974 B.
-const PEAK_BUDGET_BYTES_PER_NODE: usize = 3_900;
+/// The most live bytes per node at any point of the run: 3,464 B
+/// measured, equal to the figure at quiescence (3,750 B under the
+/// calendar queue). While every (node, neighbor) MRAI window allocated
+/// a `BTreeMap`, the windows open at once pushed the peak to 3,974 B.
+const PEAK_BUDGET_BYTES_PER_NODE: usize = 3_600;
 
 #[test]
 fn a_quiescent_hierarchy_stays_inside_its_memory_budget() {
