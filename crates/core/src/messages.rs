@@ -73,6 +73,19 @@ impl DbgpUpdate {
 
     /// Decode one frame (consumes exactly one update from `buf`).
     pub fn decode(buf: &mut Bytes) -> WireResult<Self> {
+        let (withdrawn, ias) = Self::decode_with(buf, Ia::decode)?;
+        Ok(DbgpUpdate { withdrawn, ias })
+    }
+
+    /// The one frame parser: consume exactly one update from `buf`,
+    /// handing each IA body, a view of `buf`, to `per_body` in frame
+    /// order. Returns the withdrawn prefixes and what `per_body` made of
+    /// the bodies, in a vector of exactly their number; the first error,
+    /// from the framing or from `per_body`, rejects the whole frame.
+    pub fn decode_with<T>(
+        buf: &mut Bytes,
+        mut per_body: impl FnMut(Bytes) -> WireResult<T>,
+    ) -> WireResult<(Vec<Ipv4Prefix>, Vec<T>)> {
         let nwith = get_uvarint(buf)? as usize;
         if nwith > buf.remaining() {
             return Err(WireError::MalformedIa("withdrawn count too large"));
@@ -85,16 +98,15 @@ impl DbgpUpdate {
         if nias > buf.remaining() + 1 {
             return Err(WireError::MalformedIa("IA count too large"));
         }
-        let mut ias = Vec::with_capacity(nias);
+        let mut bodies = Vec::with_capacity(nias);
         for _ in 0..nias {
             let len = get_uvarint(buf)? as usize;
             if buf.remaining() < len {
                 return Err(WireError::Truncated { context: "IA frame" });
             }
-            let body = buf.split_to(len);
-            ias.push(Ia::decode(body)?);
+            bodies.push(per_body(buf.split_to(len))?);
         }
-        Ok(DbgpUpdate { withdrawn, ias })
+        Ok((withdrawn, bodies))
     }
 }
 
@@ -201,6 +213,29 @@ mod tests {
         assert_eq!(DbgpUpdate::decode(&mut bytes).unwrap(), u1);
         assert_eq!(DbgpUpdate::decode(&mut bytes).unwrap(), u2);
         assert!(!bytes.has_remaining());
+    }
+
+    #[test]
+    fn decode_with_hands_over_each_body_and_rejects_the_frame_on_its_error() {
+        let update = DbgpUpdate {
+            withdrawn: vec![p("10.0.0.0/8")],
+            ias: vec![sample_ia("128.6.0.0/16"), sample_ia("203.0.113.0/24")],
+        };
+        let frame = update.encode();
+        let (withdrawn, lens) =
+            DbgpUpdate::decode_with(&mut frame.clone(), |body| Ok(body.len())).unwrap();
+        assert_eq!(withdrawn, update.withdrawn);
+        assert_eq!(lens, update.ias.iter().map(Ia::wire_size).collect::<Vec<_>>());
+        assert_eq!(lens.capacity(), lens.len(), "one slot per body");
+        let mut seen = 0;
+        let second_fails = DbgpUpdate::decode_with(&mut frame.clone(), |body| {
+            seen += 1;
+            match seen {
+                1 => Ia::decode(body),
+                _ => Err(WireError::MalformedIa("refused")),
+            }
+        });
+        assert!(second_fails.is_err(), "one bad body rejects the frame");
     }
 
     #[test]

@@ -32,7 +32,6 @@ use dbgp_rib::{PrefixTrie, VecMap};
 use dbgp_telemetry::{metrics, EventId, Log2Histogram, TraceKind, TraceRecorder};
 use dbgp_wire::{EncodedIa, Ia, Ipv4Addr, Ipv4Prefix, ProtocolId};
 use serde_json::Value;
-use std::borrow::Borrow;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::rc::Rc;
 use std::sync::Arc;
@@ -151,9 +150,11 @@ pub struct NodeCounters {
     pub best_changes: u64,
 }
 
-/// Hasher for pointer-keyed caches: the key is an `Arc` address, so one
-/// Fibonacci multiply spreads it well enough and the SipHash setup cost
-/// disappears from the per-send hot path. Never iterated, so the hash
+/// Hasher for the simulator's caches: a pointer key is an `Arc` or buffer
+/// address, so one Fibonacci multiply spreads it well enough and the
+/// SipHash setup cost disappears from the per-send hot path; bytes are
+/// folded in a word at a time the same way, rotated so each word's high
+/// bits reach the next one's low ones. Never iterated, so the hash
 /// choice cannot leak into event ordering.
 #[derive(Default)]
 struct PtrHasher(u64);
@@ -164,8 +165,11 @@ impl std::hash::Hasher for PtrHasher {
     }
 
     fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        for chunk in bytes.chunks(8) {
+            let mut word = [0; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.0 = (self.0.rotate_left(26) ^ u64::from_le_bytes(word))
+                .wrapping_mul(0x9E37_79B9_7F4A_7C15);
         }
     }
 
@@ -192,21 +196,60 @@ struct EncodeCacheEntry {
 /// inside one epoch is churning too hard to cache anyway).
 const ENCODE_CACHE_CAP: usize = 8192;
 
-/// A frame decoded once for every delivery of its buffer.
-struct SharedFrame {
+/// A delivered frame, its IAs decoded straight into the `Arc`s the
+/// receiving speakers store.
+struct DecodedFrame {
     withdrawn: Vec<Ipv4Prefix>,
     ias: Vec<Arc<Ia>>,
 }
 
-/// One decode-memo entry, keyed by the buffer's address.
+/// One frame-memo entry, keyed by the buffer's address.
 struct DecodeMemoEntry {
     /// Pins the buffer (the encode cache's rule), so its address cannot
     /// be reused while it is a key; its length completes the key.
     bytes: Bytes,
-    frame: Rc<SharedFrame>,
+    frame: Rc<DecodedFrame>,
 }
 
-/// Entries before the decode memo is wiped. The deliveries of one
+/// An IA body as a body-memo key, with its hash: the body's length and
+/// at most its first 64 bytes, computed once, so a 32 KB body costs no
+/// full-body hash. Two keys are equal only byte for byte (at once if
+/// they are the same bytes).
+struct BodyKey {
+    hash: u64,
+    body: Bytes,
+}
+
+impl BodyKey {
+    fn new(body: Bytes) -> Self {
+        use std::hash::Hasher;
+        let mut hasher = PtrHasher::default();
+        hasher.write_usize(body.len());
+        hasher.write(&body[..body.len().min(64)]);
+        BodyKey { hash: hasher.finish(), body }
+    }
+}
+
+impl std::hash::Hash for BodyKey {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        state.write_usize(self.hash as usize);
+    }
+}
+
+impl PartialEq for BodyKey {
+    fn eq(&self, other: &Self) -> bool {
+        let (a, b) = (&self.body, &other.body);
+        self.hash == other.hash
+            && a.len() == b.len()
+            && (std::ptr::eq(a.as_ptr(), b.as_ptr()) || a == b)
+    }
+}
+
+impl Eq for BodyKey {}
+
+type BodyMemo = HashMap<BodyKey, Arc<Ia>, std::hash::BuildHasherDefault<PtrHasher>>;
+
+/// Entries before either decode memo is wiped. The deliveries of one
 /// fan-out land within a few link delays of each other, so a short
 /// memory catches nearly all of them; a long one only pins buffers.
 const DECODE_MEMO_CAP: usize = 256;
@@ -214,12 +257,12 @@ const DECODE_MEMO_CAP: usize = 256;
 /// What [`Sim::decode_frame`] made of a delivered buffer.
 enum Decoded {
     /// A buffer this delivery alone holds (a batched flush to one
-    /// neighbor, a corrupted copy, injected bytes): decoded for it, and
-    /// nothing kept.
-    Own(DbgpUpdate),
-    /// A buffer with other handles: decoded by its first delivery, and
+    /// neighbor, a corrupted copy, injected bytes): parsed for it, and
+    /// the frame not kept.
+    Own(DecodedFrame),
+    /// A buffer with other handles: parsed by its first delivery, and
     /// shared by every later one.
-    Shared(Rc<SharedFrame>),
+    Shared(Rc<DecodedFrame>),
 }
 
 /// One adjacency's static parameters plus its administrative state.
@@ -374,10 +417,19 @@ pub struct Sim {
     /// Shared buffers decoded so far, keyed by address (see
     /// [`Sim::decode_frame`]).
     decode_memo: PtrMap<DecodeMemoEntry>,
-    /// Buffers run through the decoder, and deliveries served from the
-    /// decode memo instead.
+    /// IA bodies decoded so far, keyed by content.
+    ia_memo: BodyMemo,
+    /// The bodies the frame being parsed decoded afresh, held until the
+    /// whole frame has parsed; kept (empty) between frames.
+    ia_memo_fresh: Vec<(BodyKey, Arc<Ia>)>,
+    /// Buffers run through the frame parser, and deliveries served from
+    /// the frame memo instead.
     frames_decoded: u64,
     decode_memo_hits: u64,
+    /// IA bodies run through the IA decoder, and bodies served from the
+    /// body memo instead.
+    ias_decoded: u64,
+    ia_memo_hits: u64,
     /// Seeded RNG driving link perturbation models. Only consumed for
     /// links with a non-default model, so fault-free runs are identical
     /// to runs before link models existed.
@@ -451,8 +503,12 @@ impl Sim {
             flush_withdrawn: Vec::new(),
             flush_ias: Vec::new(),
             decode_memo: PtrMap::default(),
+            ia_memo: BodyMemo::default(),
+            ia_memo_fresh: Vec::new(),
             frames_decoded: 0,
             decode_memo_hits: 0,
+            ias_decoded: 0,
+            ia_memo_hits: 0,
             rng: SimRng::new(0),
             mrai: 30,
             recorder: None,
@@ -500,8 +556,8 @@ impl Sim {
         self.nodes.iter().map(|n| n.speaker.full_scans_avoided()).sum()
     }
 
-    /// Delivered buffers run through the decoder: every one only its
-    /// delivery held, plus the first delivery of each shared one.
+    /// Delivered buffers run through the frame parser: every one only
+    /// its delivery held, plus the first delivery of each shared one.
     pub fn frames_decoded(&self) -> u64 {
         self.frames_decoded
     }
@@ -510,6 +566,19 @@ impl Sim {
     /// got the `Arc<Ia>`s an earlier delivery of it made.
     pub fn decode_memo_hits(&self) -> u64 {
         self.decode_memo_hits
+    }
+
+    /// IA bodies of parsed frames run through the IA decoder: each one
+    /// the body memo did not hold.
+    pub fn ias_decoded(&self) -> u64 {
+        self.ias_decoded
+    }
+
+    /// IA bodies of parsed frames whose bytes were already decoded: the
+    /// receiver got the `Arc<Ia>` an earlier body with those bytes made,
+    /// whichever frame carried it.
+    pub fn ia_memo_hits(&self) -> u64 {
+        self.ia_memo_hits
     }
 
     /// Collect per-phase wall time (decode/decide/encode/queue) on the
@@ -940,12 +1009,9 @@ impl Sim {
                 let arrival = Arrival { to, from, from_id, deliver_id };
                 let trace = trace.as_deref();
                 match decoded {
-                    Decoded::Own(update) => self.receive_update(
-                        arrival,
-                        trace,
-                        &update.withdrawn,
-                        update.ias.into_iter(),
-                    ),
+                    Decoded::Own(frame) => {
+                        self.receive_update(arrival, trace, &frame.withdrawn, frame.ias.into_iter())
+                    }
                     Decoded::Shared(frame) => {
                         let ias = frame.ias.iter().cloned();
                         self.receive_update(arrival, trace, &frame.withdrawn, ias)
@@ -965,16 +1031,20 @@ impl Sim {
         }
     }
 
-    /// The one decoder of delivered buffers. A buffer only this delivery
-    /// holds is decoded for it and nothing is kept. A buffer with other
-    /// handles — the encode cache's single-IA announce frame fanned out
-    /// to every neighbor, or a duplicate — is decoded once and memoised
-    /// under its address: later deliveries of it get the same
-    /// `Arc<Ia>`s. `None` when the bytes do not decode.
+    /// The one decoder of delivered buffers, with two memos. A buffer
+    /// with other handles — the encode cache's single-IA announce frame
+    /// fanned out to every neighbor, or a duplicate — is parsed once and
+    /// memoised under its address: later deliveries of it get the same
+    /// frame. A buffer only this delivery holds (a batched flush) is
+    /// parsed for it alone. Either way each IA body is looked up by its
+    /// bytes first: the bodies a sender puts into its flush to every
+    /// neighbor are decoded once, into one `Arc<Ia>`. `None` when the
+    /// bytes do not decode; then nothing of the frame is memoised.
     ///
     /// Sound because decoding is a pure function of immutable bytes, a
-    /// pinned buffer's address names exactly those bytes, and a
-    /// corrupting link delivers a fresh copy, never a shared one.
+    /// pinned buffer's address names exactly those bytes, a body key
+    /// matches only identical bytes, and a corrupting link delivers a
+    /// fresh copy, never a shared one.
     fn decode_frame(&mut self, bytes: Bytes) -> Option<Decoded> {
         let shared = !bytes.is_unique();
         let key = bytes.as_ptr() as usize;
@@ -986,13 +1056,34 @@ impl Sim {
             }
         }
         self.frames_decoded += 1;
-        let update = DbgpUpdate::decode(&mut bytes.clone()).ok()?;
-        if !shared {
-            return Some(Decoded::Own(update));
+        let (memo, fresh) = (&self.ia_memo, &mut self.ia_memo_fresh);
+        let (decoded, hits) = (&mut self.ias_decoded, &mut self.ia_memo_hits);
+        let parsed = DbgpUpdate::decode_with(&mut bytes.clone(), |body| {
+            let key = BodyKey::new(body);
+            if let Some(ia) = memo.get(&key) {
+                *hits += 1;
+                return Ok(Arc::clone(ia));
+            }
+            *decoded += 1;
+            let ia = Arc::new(Ia::decode(key.body.clone())?);
+            fresh.push((key, Arc::clone(&ia)));
+            Ok(ia)
+        });
+        let Ok((withdrawn, ias)) = parsed else {
+            self.ia_memo_fresh.clear();
+            return None;
+        };
+        for (key, ia) in self.ia_memo_fresh.drain(..) {
+            if self.ia_memo.len() >= DECODE_MEMO_CAP {
+                self.ia_memo.clear();
+            }
+            self.ia_memo.insert(key, ia);
         }
-        let DbgpUpdate { withdrawn, ias } = update;
-        let frame =
-            Rc::new(SharedFrame { withdrawn, ias: ias.into_iter().map(Arc::new).collect() });
+        let frame = DecodedFrame { withdrawn, ias };
+        if !shared {
+            return Some(Decoded::Own(frame));
+        }
+        let frame = Rc::new(frame);
         if self.decode_memo.len() >= DECODE_MEMO_CAP {
             self.decode_memo.clear();
         }
@@ -1005,12 +1096,12 @@ impl Sim {
     /// parents exactly the outputs it causes, chained to the sender-side
     /// event that put the element on the wire (or to the Deliver, for a
     /// frame that carried no causes).
-    fn receive_update<I: Borrow<Ia> + Into<Arc<Ia>>>(
+    fn receive_update(
         &mut self,
         arrival: Arrival,
         trace: Option<&DeliverTrace>,
         withdrawn: &[Ipv4Prefix],
-        ias: impl ExactSizeIterator<Item = I>,
+        ias: impl ExactSizeIterator<Item = Arc<Ia>>,
     ) {
         let counters = &mut self.nodes[arrival.to].counters;
         counters.withdraws_in += withdrawn.len() as u64;
@@ -1018,22 +1109,22 @@ impl Sim {
         let mut causes = trace.map_or(&[][..], |t| &t.causes).iter().copied();
         for &prefix in withdrawn {
             let parent = causes.next().or(arrival.deliver_id);
-            self.receive_element(arrival, parent, prefix, None::<I>);
+            self.receive_element(arrival, parent, prefix, None);
         }
         for ia in ias {
             let parent = causes.next().or(arrival.deliver_id);
-            self.receive_element(arrival, parent, ia.borrow().prefix, Some(ia));
+            self.receive_element(arrival, parent, ia.prefix, Some(ia));
         }
     }
 
     /// Feed one decoded frame element (`ia`, or a withdrawal of `prefix`
     /// when `None`) to the receiving speaker and act on what it returns.
-    fn receive_element<I: Borrow<Ia> + Into<Arc<Ia>>>(
+    fn receive_element(
         &mut self,
         arrival: Arrival,
         parent: Option<EventId>,
         prefix: Ipv4Prefix,
-        ia: Option<I>,
+        ia: Option<Arc<Ia>>,
     ) {
         let Arrival { to, from, from_id, .. } = arrival;
         let decode_id = self.record(
@@ -1557,5 +1648,29 @@ impl Node {
     /// from, `None` for one originated here.
     fn next_node(&self, chosen: &Chosen) -> Option<NodeId> {
         self.neighbor_nodes.get(&chosen.neighbor?).copied()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A memoised frame holds one pointer per IA: its IAs are decoded
+    /// straight into an exactly sized vector of `Arc`s, not collected in
+    /// place from a vector of `Ia`s, whose allocation a collect keeps.
+    #[test]
+    fn a_memoised_frame_holds_an_exactly_sized_vector() {
+        let mut sim = Sim::new();
+        let hub = sim.add_node(DbgpConfig::gulf(1));
+        let leaves: Vec<_> = (2..=4).map(|asn| sim.add_node(DbgpConfig::gulf(asn))).collect();
+        for &leaf in &leaves {
+            sim.link(hub, leaf, 10, false);
+        }
+        sim.originate(leaves[0], "128.6.0.0/16".parse().unwrap());
+        sim.run(60_000_000);
+        assert!(sim.decode_memo_hits() > 0 && !sim.decode_memo.is_empty(), "frames memoised");
+        for entry in sim.decode_memo.values() {
+            assert_eq!(entry.frame.ias.capacity(), entry.frame.ias.len());
+        }
     }
 }

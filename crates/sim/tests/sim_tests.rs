@@ -657,6 +657,117 @@ fn decode_once_the_duplicate_of_a_batched_frame_hits_the_memo() {
     }
 }
 
+/// A batched flush goes to one neighbor, so the frame memo cannot share
+/// it; but the sender puts the same cached bodies into its flush to every
+/// neighbor, and the body memo decodes each of them once.
+#[test]
+fn decode_once_neighbours_of_one_sender_share_the_ias_of_their_batched_flushes() {
+    let mut sim = Sim::new();
+    let hub = sim.add_node(DbgpConfig::gulf(1));
+    let (left, right) = (sim.add_node(DbgpConfig::gulf(2)), sim.add_node(DbgpConfig::gulf(3)));
+    sim.link(hub, left, 10, false);
+    sim.link(hub, right, 10, false);
+    let prefixes = [p("10.0.0.0/16"), p("10.1.0.0/16"), p("10.2.0.0/16")];
+    for prefix in prefixes {
+        sim.originate(hub, prefix);
+    }
+    sim.run(60_000_000);
+    assert_eq!(sim.pending_events(), 0, "quiesces");
+    assert_eq!(sim.stats().messages, 2, "one batched flush to each neighbor");
+    assert_eq!((sim.frames_decoded(), sim.decode_memo_hits()), (2, 0), "two unshared buffers");
+    for prefix in &prefixes {
+        let from_hub = |leaf| sim.speaker(leaf).iadb().get(NeighborId(0), prefix).expect("learned");
+        assert!(Arc::ptr_eq(from_hub(left), from_hub(right)), "{prefix}: one decoded IA");
+    }
+    assert_eq!((sim.ias_decoded(), sim.ia_memo_hits()), (3, 3));
+}
+
+/// An announce frame of a few short IA bodies (every count and length
+/// one varint byte), written by hand so a body can be anything.
+fn frame_of(bodies: &[&[u8]]) -> Vec<u8> {
+    let mut frame = vec![0, bodies.len() as u8];
+    for body in bodies {
+        assert!(body.len() < 128, "a one-byte length");
+        frame.push(body.len() as u8);
+        frame.extend_from_slice(body);
+    }
+    frame
+}
+
+/// An undecodable body rejects its whole frame: the good body beside it
+/// is neither fed to the speaker nor remembered by the body memo.
+#[test]
+fn decode_once_a_frame_with_one_corrupt_body_is_rejected_whole() {
+    let mut sim = Sim::new();
+    let a = sim.add_node(DbgpConfig::gulf(1));
+    let b = sim.add_node(DbgpConfig::gulf(2));
+    sim.link(a, b, 10, false);
+    sim.run(1_000);
+    let prefix = p("128.6.0.0/16");
+    let mut ia = dbgp_wire::Ia::originate(prefix, Ipv4Addr::new(192, 0, 2, 2));
+    ia.prepend_as(2);
+    let good = ia.encode().into_bytes();
+    assert!(dbgp_wire::Ia::decode(vec![0xff; 4].into()).is_err(), "the corrupt body");
+
+    sim.inject_raw(b, a, 10, frame_of(&[&good, &[0xff; 4]]));
+    sim.run(2_000);
+    assert_eq!(sim.stats().decode_errors, 1);
+    assert_eq!(sim.node_counters(a).updates_in, 0, "no element fed");
+    assert!(sim.speaker(a).best(&prefix).is_none());
+    let decoded = sim.ias_decoded();
+
+    sim.inject_raw(b, a, 10, frame_of(&[&good]));
+    sim.run(3_000);
+    assert!(sim.speaker(a).best(&prefix).is_some(), "the good body alone is accepted");
+    assert_eq!(sim.ias_decoded(), decoded + 1, "decoded afresh");
+    assert_eq!(sim.ia_memo_hits(), 0, "nothing of the rejected frame was memoised");
+}
+
+/// The body memo hashes only a body's length and head; two bodies that
+/// agree there and differ further on are still two IAs.
+#[test]
+fn decode_once_bodies_that_agree_in_their_hashed_head_are_not_shared() {
+    let mut sim = Sim::new();
+    let a = sim.add_node(DbgpConfig::gulf(1));
+    let (b, c) = (sim.add_node(DbgpConfig::gulf(2)), sim.add_node(DbgpConfig::gulf(3)));
+    sim.link(a, b, 10, false);
+    sim.link(a, c, 10, false);
+    // Nothing `a` sends on arrives inside these runs: every body decoded
+    // is one injected here.
+    sim.set_mrai(1_000_000);
+    sim.run(1_000);
+    let prefix = p("128.6.0.0/16");
+    let body = |last: u8| {
+        let mut value = vec![0xaa; 80];
+        value[79] = last;
+        dbgp_wire::Ia::builder(prefix, Ipv4Addr::new(192, 0, 2, 1))
+            .path_descriptor(ProtocolId(100), 1, value)
+            .build()
+            .unwrap()
+            .encode()
+            .into_bytes()
+    };
+    let (one, two) = (body(1), body(2));
+    assert_eq!((one.len(), one[..64] == two[..64]), (two.len(), true), "same length and head");
+    assert_ne!(one, two);
+
+    sim.inject_raw(b, a, 10, frame_of(&[&one]));
+    sim.inject_raw(c, a, 10, frame_of(&[&two]));
+    sim.run(2_000);
+    let from = |sim: &Sim, id| {
+        Arc::clone(sim.speaker(a).iadb().get(NeighborId(id), &prefix).expect("learned"))
+    };
+    let (via_b, via_c) = (from(&sim, 0), from(&sim, 1));
+    assert!(!Arc::ptr_eq(&via_b, &via_c) && via_b != via_c, "two IAs");
+    assert_eq!((sim.ias_decoded(), sim.ia_memo_hits()), (2, 0));
+
+    // The same bytes again are served from the memo.
+    sim.inject_raw(c, a, 10, frame_of(&[&one]));
+    sim.run(3_000);
+    assert!(Arc::ptr_eq(&from(&sim, 0), &from(&sim, 1)), "one IA for identical bytes");
+    assert_eq!((sim.ias_decoded(), sim.ia_memo_hits()), (2, 1));
+}
+
 /// The frames `from` put on the wire toward `to` after event `since`,
 /// each as its elements in frame order: `(announce, prefix)`.
 fn frames_sent(

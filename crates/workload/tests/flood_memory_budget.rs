@@ -1,0 +1,110 @@
+//! Live-memory budget of a quiescent many-prefix world: the scaled-down
+//! `sim_flood_waxman1000` of `benchmark/src/sims.rs` (a Waxman topology
+//! wired as `dbgp_chaos::scenario::sim_from_graph` wires it, evenly
+//! spaced origins announced at once), held to a number of live heap
+//! bytes per (node, prefix) once it has converged.
+//!
+//! Live bytes repeat exactly from run to run, so this gates in CI where
+//! a resident-set size cannot. One `#[test]` in its own binary: the
+//! counters are process-wide and must see one thread's work.
+
+use dbgp_chaos::scenario::sim_from_graph;
+use dbgp_topology::{waxman, WaxmanParams};
+use dbgp_workload::policy::node_prefix;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::collections::HashSet;
+use std::sync::atomic::{AtomicIsize, Ordering};
+use std::sync::Arc;
+
+struct Counting;
+
+static LIVE: AtomicIsize = AtomicIsize::new(0);
+
+// SAFETY: every call is forwarded to `System` unchanged; the counter is
+// an atomic and never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        LIVE.fetch_add(layout.size() as isize, Ordering::Relaxed);
+        System.alloc(layout)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.fetch_sub(layout.size() as isize, Ordering::Relaxed);
+        System.dealloc(ptr, layout)
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        LIVE.fetch_add(layout.size() as isize, Ordering::Relaxed);
+        System.alloc_zeroed(layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        LIVE.fetch_add(new_size as isize - layout.size() as isize, Ordering::Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static ALLOC: Counting = Counting;
+
+const NODES: usize = 300;
+const ORIGINS: usize = 30;
+/// `sim_flood_waxman1000`'s link delay and run horizon.
+const DELAY: u64 = 10;
+const HORIZON: u64 = 4_000_000_000;
+
+/// 1,317 B measured with this test (seed 42, 300 nodes x 30 prefixes,
+/// the same in debug and release) once each IA body a sender put into
+/// its batched flushes was decoded once for all its receivers: 11,801
+/// distinct received IAs of 26,850. Before that, every receiver of a
+/// batched flush decoded its own copy, and the scenario held 1,835 B per
+/// (node, prefix) with 26,201 distinct. The budget leaves a 4.8 % margin.
+const BUDGET_BYTES_PER_ROW: usize = 1_380;
+
+#[test]
+fn a_quiescent_flood_stays_inside_its_memory_budget() {
+    let graph = waxman::generate(WaxmanParams { n: NODES, ..WaxmanParams::default() }, 42);
+    let stride = NODES / ORIGINS;
+    let origins: Vec<usize> = (0..ORIGINS).map(|i| i * stride).collect();
+
+    let before = LIVE.load(Ordering::Relaxed);
+    let mut sim = sim_from_graph(&graph, DELAY);
+    sim.set_seed(42);
+    for &node in &origins {
+        sim.originate(node, node_prefix(node));
+    }
+    sim.run(HORIZON);
+    let live = (LIVE.load(Ordering::Relaxed) - before) as usize;
+    assert_eq!(sim.pending_events(), 0, "quiesces");
+
+    let prefixes: Vec<_> = origins.iter().map(|&node| node_prefix(node)).collect();
+    let (mut received, mut distinct) = (0usize, HashSet::new());
+    for node in 0..sim.node_count() {
+        let speaker = sim.speaker(node);
+        for prefix in &prefixes {
+            assert!(speaker.best(prefix).is_some(), "node {node} reaches {prefix}");
+            for (_, ia) in speaker.iadb().candidates(prefix) {
+                received += 1;
+                distinct.insert(Arc::as_ptr(ia));
+            }
+        }
+    }
+    let per_row = live / (sim.node_count() * prefixes.len());
+    println!(
+        "{} nodes x {} prefixes: {per_row} live B per (node, prefix); {received} received IAs, \
+         {} distinct; {} frames decoded, {} served from the frame memo; {} IA bodies decoded, \
+         {} served from the body memo",
+        sim.node_count(),
+        prefixes.len(),
+        distinct.len(),
+        sim.frames_decoded(),
+        sim.decode_memo_hits(),
+        sim.ias_decoded(),
+        sim.ia_memo_hits(),
+    );
+    assert!(per_row <= BUDGET_BYTES_PER_ROW, "{per_row} live B/row, budget {BUDGET_BYTES_PER_ROW}");
+    // Every receiver of a body stores the IA its one decode made.
+    assert!(
+        distinct.len() as u64 <= sim.ias_decoded(),
+        "{} distinct received IAs from {} decoded bodies",
+        distinct.len(),
+        sim.ias_decoded()
+    );
+}

@@ -57,10 +57,14 @@ const ORIGINS: usize = 8;
 const STAGGER: SimTime = 200;
 const HORIZON: SimTime = 1_000_000;
 
-/// 3,464 B measured with this test (seed 42, 1,002 nodes) once the
-/// event queue was one binary heap over its slot arena, grown to the
-/// most events in flight, in place of a calendar queue whose arena was
-/// pre-sized to twice the edge count; the budget leaves a 4 % margin.
+/// 3,449 B measured with this test (seed 42, 1,002 nodes, the same in
+/// debug and release, rustc 1.95) once each IA body was decoded once
+/// per sender, into its `Arc`, through a content-keyed body memo, and a
+/// memoised frame held an exactly sized vector of pointers; the budget
+/// leaves a 4.4 % margin. Before that, 3,464 B in
+/// both profiles, measured once the event queue was one binary heap
+/// over its slot arena, grown to the most events in flight, in place of
+/// a calendar queue whose arena was pre-sized to twice the edge count.
 /// Before that change the scenario held 3,750 B under a 3,900 B budget,
 /// measured once MRAI coalescing kept one sorted vector of pending
 /// elements per node, released when it empties, in place of a hash
@@ -75,9 +79,9 @@ const HORIZON: SimTime = 1_000_000;
 /// distinct, where there are now 757.
 const BUDGET_BYTES_PER_NODE: usize = 3_600;
 
-/// The most live bytes per node at any point of the run: 3,464 B
-/// measured, equal to the figure at quiescence (3,750 B under the
-/// calendar queue). While every (node, neighbor) MRAI window allocated
+/// The most live bytes per node at any point of the run: 3,450 B
+/// measured, one above the figure at quiescence (3,464 B, equal to it,
+/// before the body memo; 3,750 B under the calendar queue). While every (node, neighbor) MRAI window allocated
 /// a `BTreeMap`, the windows open at once pushed the peak to 3,974 B.
 const PEAK_BUDGET_BYTES_PER_NODE: usize = 3_600;
 
@@ -115,11 +119,14 @@ fn a_quiescent_hierarchy_stays_inside_its_memory_budget() {
     let (per_node, peak_per_node) = (live / sim.node_count(), peak / sim.node_count());
     println!(
         "{} nodes: {per_node} live B/node, peak {peak_per_node}; {received} received IAs, {} distinct; \
-         {} frames decoded, {} deliveries served from the decode memo",
+         {} frames decoded, {} deliveries served from the frame memo; {} IA bodies decoded, \
+         {} served from the body memo",
         sim.node_count(),
         distinct.len(),
         sim.frames_decoded(),
         sim.decode_memo_hits(),
+        sim.ias_decoded(),
+        sim.ia_memo_hits(),
     );
     assert!(
         per_node <= BUDGET_BYTES_PER_NODE,
