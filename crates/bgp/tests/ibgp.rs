@@ -143,9 +143,9 @@ fn local_pref_propagates_inside_the_as_only() {
     // Inside AS 100: LOCAL_PREF kept at R2.
     let at_r2 = fabric[0].loc_rib().get(&p("198.51.100.0/24")).unwrap();
     assert_eq!(at_r2.source, RouteSource::Peer(PeerId(0)));
-    assert_eq!(at_r2.route.local_pref, Some(250), "LOCAL_PREF crossed iBGP");
+    assert_eq!(at_r2.route.bgp.local_pref, Some(250), "LOCAL_PREF crossed iBGP");
     // Outside: stripped before the customer.
     let at_customer = fabric[1].loc_rib().get(&p("198.51.100.0/24")).unwrap();
     assert_eq!(at_customer.route.as_path.hop_count(), 2, "AS path is [100, 200]");
-    assert_eq!(at_customer.route.local_pref, None, "LOCAL_PREF never leaves the AS");
+    assert_eq!(at_customer.route.bgp.local_pref, None, "LOCAL_PREF never leaves the AS");
 }

@@ -11,7 +11,7 @@
 use crate::filters::{self, FilterConfig, IslandConfig};
 use crate::module::{DecisionModule, ExportContext};
 use crate::neighbor::NeighborId;
-use dbgp_wire::{Ia, WireError};
+use dbgp_wire::{BgpAttrs, Ia, WireError};
 
 /// Everything the factory needs to know about the exporting speaker.
 #[derive(Debug, Clone, Copy)]
@@ -46,8 +46,12 @@ pub fn build_outgoing<'m>(
     // Pass-through: start from the incoming IA with everything intact
     // and our AS in front. Descriptor values and unknown records are
     // shared with `chosen` (refcounted views), so this copies the IA's
-    // structure, not its payload bytes.
+    // structure, not its payload bytes. Of the BGP attributes, only what
+    // may leave the AS goes on.
     let mut ia = chosen.prepended(ctx.local_as);
+    if ia.bgp.is_some() {
+        ia.edit_bgp(BgpAttrs::export_ebgp);
+    }
     if let Some(island) = ctx.island {
         filters::declare_own_membership(&mut ia, island.id)?;
     }

@@ -51,14 +51,17 @@ pub struct IslandConfig {
     pub abstraction: bool,
 }
 
-/// Global import filter: loop detection plus the protocol blacklist.
+/// Global import filter: loop detection, the protocol blacklist, and
+/// the BGP attributes' import rule (every D-BGP neighbor is another AS,
+/// so a LOCAL_PREF it sends is ignored).
 ///
 /// Returns `Err` if the IA must be discarded, and otherwise the `Arc` to
 /// store: a shared IA (one decoded frame, many neighbors) as the same
 /// allocation, an owned one moved into a new `Arc` after the loop check,
-/// so a rejected one allocates nothing. The blacklist strips through
-/// [`Arc::make_mut`] and only when it is set, so it copies a shared IA
-/// first and the other receivers' copy stays whole.
+/// so a rejected one allocates nothing. The blacklist and the
+/// LOCAL_PREF rule change the IA through [`Arc::make_mut`], and only
+/// when there is something to change, so they copy a shared IA first
+/// and the other receivers' copy stays whole.
 pub fn global_import(
     cfg: &FilterConfig,
     local_as: u32,
@@ -78,9 +81,13 @@ pub fn global_import(
             return Err(RejectReason::IslandLoop);
         }
     }
+    let has_local_pref = view.bgp.as_ref().is_some_and(|b| b.local_pref.is_some());
     let mut ia = ia.into();
     if !cfg.strip_protocols.is_empty() {
         Arc::make_mut(&mut ia).strip_protocols(&cfg.strip_protocols);
+    }
+    if has_local_pref {
+        Arc::make_mut(&mut ia).edit_bgp(|b| b.import(true));
     }
     Ok(ia)
 }

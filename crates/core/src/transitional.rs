@@ -56,7 +56,6 @@ pub fn extract_ia(update: &UpdateMsg) -> Option<WireResult<Ia>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dbgp_wire::attrs::{AsPath, Origin};
     use dbgp_wire::ia::{dkey, PathDescriptor};
     use dbgp_wire::message::BgpMessage;
     use dbgp_wire::{Ipv4Addr, Ipv4Prefix, ProtocolId};
@@ -77,14 +76,8 @@ mod tests {
     }
 
     fn carrier(ia: &Ia) -> UpdateMsg {
-        let mut update = UpdateMsg::announce(
-            vec![ia.prefix],
-            vec![
-                PathAttribute::Origin(Origin::Igp),
-                PathAttribute::AsPath(AsPath::from_sequence(vec![42])),
-                PathAttribute::NextHop(Ipv4Addr::new(9, 9, 9, 9)),
-            ],
-        );
+        let route = dbgp_bgp::Route::from_ia(ia).unwrap();
+        let mut update = UpdateMsg::announce(vec![ia.prefix], route.to_attrs(false));
         embed_ia(&mut update, ia).unwrap();
         update
     }

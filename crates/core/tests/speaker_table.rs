@@ -7,7 +7,7 @@ use dbgp_core::module::{DecisionModule, ExportContext};
 use dbgp_core::{
     BgpDecision, DbgpConfig, DbgpNeighbor, DbgpOutput, DbgpSpeaker, NeighborId, PeerClass,
 };
-use dbgp_wire::{Ia, Ipv4Addr, Ipv4Prefix, ProtocolId};
+use dbgp_wire::{BgpAttrs, Ia, Ipv4Addr, Ipv4Prefix, ProtocolId};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -183,6 +183,34 @@ fn a_shared_arrival_is_stored_as_handed_in_and_copied_only_to_strip() {
     assert!(stripped.path_descriptor(ProtocolId::WISER, cost).is_none());
     assert!(shared.path_descriptor(ProtocolId::WISER, cost).is_some(), "the caller's IA is whole");
     assert!(kept.path_descriptor(ProtocolId::WISER, cost).is_some());
+}
+
+/// A LOCAL_PREF from a neighbor — always another AS — is not stored,
+/// and the arrival is copied to drop it; one that carries only a MED is
+/// stored as handed in.
+#[test]
+fn a_neighbors_local_pref_is_ignored_and_only_then_is_the_arrival_copied() {
+    let prefix = p("10.0.0.0/8");
+    let mut speaker = DbgpSpeaker::new(DbgpConfig::gulf(9));
+    speaker.add_neighbor(NeighborId(0), DbgpNeighbor::dbgp(1));
+    speaker.add_neighbor(NeighborId(1), DbgpNeighbor::dbgp(2));
+    let with_med = |local_pref| {
+        let mut ia = hops_ia(1, &[1]);
+        ia.bgp = Some(Box::new(BgpAttrs { med: Some(5), local_pref, extras: Vec::new() }));
+        Arc::new(ia)
+    };
+
+    let shared = with_med(Some(300));
+    speaker.receive_ia(NeighborId(0), Arc::clone(&shared));
+    let stored = speaker.iadb().get(NeighborId(0), &prefix).expect("stored");
+    assert!(!Arc::ptr_eq(stored, &shared), "copied to drop the LOCAL_PREF");
+    assert_eq!(stored.bgp.as_deref(), Some(&BgpAttrs { med: Some(5), ..BgpAttrs::default() }));
+    assert_eq!(shared.bgp.as_ref().unwrap().local_pref, Some(300), "the caller's IA is whole");
+
+    let shared = with_med(None);
+    speaker.receive_ia(NeighborId(1), Arc::clone(&shared));
+    let stored = speaker.iadb().get(NeighborId(1), &prefix).expect("stored");
+    assert!(Arc::ptr_eq(stored, &shared), "nothing to drop, nothing copied");
 }
 
 // ----- random operation sequences -------------------------------------------

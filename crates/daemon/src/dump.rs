@@ -53,7 +53,7 @@ pub fn dump_node(node: &Node) -> String {
             entry.route.origin,
             entry.route.next_hop,
             entry.route.effective_local_pref(),
-            entry.route.med.map(|m| m.to_string()).unwrap_or_else(|| "-".to_string()),
+            entry.route.bgp.med.map(|m| m.to_string()).unwrap_or_else(|| "-".to_string()),
             source,
         );
     }

@@ -28,7 +28,7 @@ use crate::scenario::{
 use dbgp_daemon::{DaemonConfig, Node, Oracle};
 use dbgp_session::{Fabric, RouteSource};
 use dbgp_sim::Sim;
-use dbgp_wire::Ipv4Prefix;
+use dbgp_wire::{BgpAttrs, Ia, Ipv4Prefix};
 use proptest::test_runner::TestRng;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -61,7 +61,7 @@ pub fn run_differential(scenario: &Scenario) -> Result<(), Divergence> {
 /// Run with a deliberately broken reference decision rung — used by the
 /// negative tests proving the harness catches decision-process drift.
 pub fn run_differential_mutated(scenario: &Scenario, mutation: Mutation) -> Result<(), Divergence> {
-    run(scenario, mutation, build_daemon(scenario).ok())
+    run(scenario, mutation, build_daemon(scenario).ok(), None)
 }
 
 /// Run with the daemons on `configs` instead of [`build_daemon`]'s —
@@ -70,13 +70,24 @@ pub fn run_differential_with_daemons(
     scenario: &Scenario,
     configs: Vec<DaemonConfig>,
 ) -> Result<(), Divergence> {
-    run(scenario, Mutation::None, Some(configs))
+    run(scenario, Mutation::None, Some(configs), None)
+}
+
+/// Run with every origination an IA that also carries `bgp` — what may
+/// leave the AS is held to the reference. The origin IA is built
+/// undecorated, so the scenario's originating nodes run no module.
+pub fn run_differential_with_origin_bgp(
+    scenario: &Scenario,
+    bgp: &BgpAttrs,
+) -> Result<(), Divergence> {
+    run(scenario, Mutation::None, build_daemon(scenario).ok(), Some(bgp))
 }
 
 fn run(
     scenario: &Scenario,
     mutation: Mutation,
     daemons: Option<Vec<DaemonConfig>>,
+    origin_bgp: Option<&BgpAttrs>,
 ) -> Result<(), Divergence> {
     let mut sim = build_production(scenario);
     let mut net = build_reference(scenario);
@@ -87,8 +98,18 @@ fn run(
         net.speaker_mut(node).set_mutation(mutation);
     }
     for &(node, prefix) in &scenario.originations {
-        sim.originate(node, prefix);
-        net.originate(node, prefix);
+        match origin_bgp {
+            None => {
+                sim.originate(node, prefix);
+                net.originate(node, prefix);
+            }
+            Some(bgp) => {
+                let mut ia = Ia::originate(prefix, sim.node_addr(node));
+                ia.bgp = Some(Box::new(bgp.clone()));
+                sim.originate_ia(node, ia.clone());
+                net.originate_ia(node, ia);
+            }
+        }
     }
     if let Some(fabric) = &mut fabric {
         fabric.start();

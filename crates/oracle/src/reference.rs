@@ -1043,6 +1043,12 @@ impl RefSpeaker {
         for module in self.modules.values_mut() {
             module.decorate_origin(&mut ia, local_as);
         }
+        self.originate_ia(ia)
+    }
+
+    /// Originate a hand-built IA as it stands.
+    pub fn originate_ia(&mut self, ia: Ia) -> Vec<RefOutput> {
+        let prefix = ia.prefix;
         self.originated.insert(prefix, ia);
         let mut out = Vec::new();
         self.redecide(prefix, &mut out);
@@ -1223,8 +1229,9 @@ impl RefSpeaker {
         );
     }
 
-    /// The IA factory: clone, prepend, declare membership, per-module
-    /// exports (protocol-ID order), global export filters, validate.
+    /// The IA factory: clone, prepend, drop what may not leave the AS,
+    /// declare membership, per-module exports (protocol-ID order),
+    /// global export filters, validate.
     fn build_outgoing(
         &mut self,
         chosen: &Ia,
@@ -1234,6 +1241,16 @@ impl RefSpeaker {
     ) -> Result<Ia, ()> {
         let mut ia = chosen.clone();
         ref_prepend_as(&mut ia, self.cfg.asn);
+        // Every neighbor is another AS: MED and LOCAL_PREF stop here
+        // (RFC 4271 §5.1.4, §5.1.5), and only transitive extras go on.
+        if let Some(mut bgp) = ia.bgp.take() {
+            bgp.med = None;
+            bgp.local_pref = None;
+            bgp.extras.retain(|a| a.is_transitive());
+            if !bgp.extras.is_empty() {
+                ia.bgp = Some(bgp);
+            }
+        }
         if let Some(island) = self.cfg.island {
             ref_declare_own_membership(&mut ia, island.id)?;
         }
@@ -1442,6 +1459,12 @@ impl RefNet {
     pub fn originate(&mut self, node: usize, prefix: Ipv4Prefix) {
         let addr = self.nodes[node].addr;
         let outputs = self.nodes[node].speaker.originate(prefix, addr);
+        self.handle_outputs(node, outputs);
+    }
+
+    /// Originate a hand-built IA at a node.
+    pub fn originate_ia(&mut self, node: usize, ia: Ia) {
+        let outputs = self.nodes[node].speaker.originate_ia(ia);
         self.handle_outputs(node, outputs);
     }
 

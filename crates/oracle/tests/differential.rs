@@ -5,13 +5,13 @@
 
 use dbgp_oracle::differential::{
     generate_scenario, run_differential, run_differential_mutated, run_differential_with_daemons,
-    shrink,
+    run_differential_with_origin_bgp, shrink,
 };
 use dbgp_oracle::reference::Mutation;
 use dbgp_oracle::scenario::{
     build_daemon, scenario_from_json, scenario_to_json, Fault, IslandSpec, NodeSpec, Scenario,
 };
-use dbgp_wire::{Ipv4Addr, ProtocolId};
+use dbgp_wire::{BgpAttrs, Ipv4Addr, PathAttribute, ProtocolId};
 use proptest::test_runner::TestRng;
 
 fn gulf(asn: u32) -> NodeSpec {
@@ -46,6 +46,19 @@ fn tiebreak_square() -> Scenario {
 fn faithful_reference_matches_on_crafted_scenarios() {
     run_differential(&diamond()).expect("diamond");
     run_differential(&tiebreak_square()).expect("tiebreak square");
+}
+
+/// An origin IA that carries MED, LOCAL_PREF and a COMMUNITIES: the
+/// first two stop at the origin AS, the third rides on, in production
+/// and reference alike.
+#[test]
+fn bgp_attributes_cross_the_as_boundary_alike() {
+    let bgp = BgpAttrs {
+        med: Some(50),
+        local_pref: Some(300),
+        extras: vec![PathAttribute::Communities(vec![0xffff_ff01])],
+    };
+    run_differential_with_origin_bgp(&diamond(), &bgp).expect("diamond with BGP attributes");
 }
 
 /// Covering chains through the trie-backed stores: a default route, a

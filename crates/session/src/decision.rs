@@ -81,7 +81,7 @@ pub fn compare_explain(a: &Candidate<'_>, b: &Candidate<'_>) -> (Ordering, Selec
     }
     // 4. Lowest MED — same neighbouring AS only.
     if a.peer_as == b.peer_as {
-        let med = b.route.med.unwrap_or(0).cmp(&a.route.med.unwrap_or(0));
+        let med = b.route.bgp.med.unwrap_or(0).cmp(&a.route.bgp.med.unwrap_or(0));
         if med != Ordering::Equal {
             return (med, SelectionReason::Med);
         }
@@ -172,7 +172,7 @@ mod tests {
     #[test]
     fn local_pref_dominates_path_length() {
         let mut long = route(vec![1, 2, 3, 4]);
-        long.local_pref = Some(200);
+        long.bgp.local_pref = Some(200);
         let short = route(vec![1]);
         let cands = [cand(&short, 1, 1, true, 1), cand(&long, 2, 2, true, 2)];
         assert_eq!(best(&cands), Some(1));
@@ -199,9 +199,9 @@ mod tests {
     #[test]
     fn med_compared_only_within_same_neighbor_as() {
         let mut cheap = route(vec![7, 9]);
-        cheap.med = Some(10);
+        cheap.bgp.med = Some(10);
         let mut costly = route(vec![7, 8]);
-        costly.med = Some(99);
+        costly.bgp.med = Some(99);
         // Same neighbouring AS 7: lower MED wins.
         let cands = [cand(&costly, 1, 7, true, 1), cand(&cheap, 2, 7, true, 2)];
         assert_eq!(best(&cands), Some(1));
@@ -213,7 +213,7 @@ mod tests {
     #[test]
     fn missing_med_treated_as_zero() {
         let mut with_med = route(vec![7, 8]);
-        with_med.med = Some(1);
+        with_med.bgp.med = Some(1);
         let without = route(vec![7, 9]);
         let cands = [cand(&with_med, 1, 7, true, 1), cand(&without, 2, 7, true, 2)];
         assert_eq!(best(&cands), Some(1));
@@ -264,7 +264,7 @@ mod tests {
         assert_eq!(best_explain(&cands), Some((1, SelectionReason::ShortestPath)));
 
         let mut pref = route(vec![1, 2, 3]);
-        pref.local_pref = Some(200);
+        pref.bgp.local_pref = Some(200);
         let plain = route(vec![4]);
         let cands = [cand(&plain, 1, 4, true, 1), cand(&pref, 2, 1, true, 2)];
         assert_eq!(best_explain(&cands), Some((1, SelectionReason::LocalPref)));
@@ -307,11 +307,11 @@ mod tests {
         // scan" in a cyclic preference, and pruning on it is only sound
         // over a total order (Daggitt & Griffin, arXiv 2106.01184).
         let mut ra = route(vec![1, 2]);
-        ra.med = Some(50);
+        ra.bgp.med = Some(50);
         let mut rb = route(vec![3, 4]);
-        rb.med = Some(10);
+        rb.bgp.med = Some(10);
         let mut rc = route(vec![5, 6]);
-        rc.med = Some(10);
+        rc.bgp.med = Some(10);
         let a = cand(&ra, 1, 7, true, 1);
         let b = cand(&rb, 2, 8, true, 2);
         let c = cand(&rc, 3, 7, true, 3);

@@ -1,9 +1,9 @@
 //! The parsed form of a BGP route: one prefix's attributes, decoded out
 //! of an UPDATE's attribute list and re-encodable back into one.
 
-use dbgp_wire::attrs::{code, AsPath, Origin, PathAttribute};
+use dbgp_wire::attrs::{code, AsPath, BgpAttrs, Origin, PathAttribute};
 use dbgp_wire::error::{WireError, WireResult};
-use dbgp_wire::Ipv4Addr;
+use dbgp_wire::{Ia, Ipv4Addr, Ipv4Prefix};
 
 /// A route: everything BGP knows about one path to one prefix.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -14,14 +14,9 @@ pub struct Route {
     pub as_path: AsPath,
     /// NEXT_HOP attribute.
     pub next_hop: Ipv4Addr,
-    /// MULTI_EXIT_DISC, if present.
-    pub med: Option<u32>,
-    /// LOCAL_PREF, if present (learned over iBGP only).
-    pub local_pref: Option<u32>,
-    /// Attributes we carry but do not interpret, in the order received:
-    /// COMMUNITIES, AGGREGATOR, ATOMIC_AGGREGATE and optional unknowns.
-    /// The transitive ones are passed through on export.
-    pub extras: Vec<PathAttribute>,
+    /// MED, LOCAL_PREF and the attributes carried but not interpreted;
+    /// what of them crosses the AS boundary is [`BgpAttrs`]'s rule.
+    pub bgp: BgpAttrs,
 }
 
 /// Default LOCAL_PREF assumed when the attribute is absent.
@@ -30,14 +25,7 @@ pub const DEFAULT_LOCAL_PREF: u32 = 100;
 impl Route {
     /// A locally originated route (empty AS path).
     pub fn originated(next_hop: Ipv4Addr) -> Self {
-        Route {
-            origin: Origin::Igp,
-            as_path: AsPath::empty(),
-            next_hop,
-            med: None,
-            local_pref: None,
-            extras: Vec::new(),
-        }
+        Route { origin: Origin::Igp, as_path: AsPath::empty(), next_hop, bgp: BgpAttrs::default() }
     }
 
     /// Parse from an UPDATE's attribute list. Errors if a mandatory
@@ -46,26 +34,20 @@ impl Route {
         let mut origin = None;
         let mut as_path = None;
         let mut next_hop = None;
-        let mut med = None;
-        let mut local_pref = None;
-        let mut extras = Vec::new();
+        let mut bgp = BgpAttrs::default();
         for attr in attrs {
             match attr {
                 PathAttribute::Origin(o) => origin = Some(*o),
                 PathAttribute::AsPath(p) => as_path = Some(p.clone()),
                 PathAttribute::NextHop(a) => next_hop = Some(*a),
-                PathAttribute::Med(v) => med = Some(*v),
-                PathAttribute::LocalPref(v) => local_pref = Some(*v),
-                other => extras.push(other.clone()),
+                other => bgp.insert(other.clone()),
             }
         }
         Ok(Route {
             origin: origin.ok_or(WireError::MissingWellKnownAttribute(code::ORIGIN))?,
             as_path: as_path.ok_or(WireError::MissingWellKnownAttribute(code::AS_PATH))?,
             next_hop: next_hop.ok_or(WireError::MissingWellKnownAttribute(code::NEXT_HOP))?,
-            med,
-            local_pref,
-            extras,
+            bgp,
         })
     }
 
@@ -77,36 +59,44 @@ impl Route {
             PathAttribute::AsPath(self.as_path.clone()),
             PathAttribute::NextHop(self.next_hop),
         ];
-        if let Some(med) = self.med {
-            attrs.push(PathAttribute::Med(med));
-        }
-        if include_local_pref {
-            if let Some(lp) = self.local_pref {
-                attrs.push(PathAttribute::LocalPref(lp));
-            }
-        }
-        for extra in &self.extras {
-            if extra.is_transitive() {
-                attrs.push(extra.clone());
-            }
-        }
+        self.bgp.to_attrs(include_local_pref, &mut attrs);
         attrs
+    }
+
+    /// This route as the IA for `prefix`: the shared fields and the BGP
+    /// attributes move across, the AS_PATH becomes the path vector.
+    pub fn to_ia(&self, prefix: Ipv4Prefix) -> Ia {
+        let mut ia = Ia::originate(prefix, self.next_hop);
+        ia.origin = self.origin;
+        ia.path_vector = self.as_path.to_path_vector();
+        ia.bgp = (!self.bgp.is_empty()).then(|| Box::new(self.bgp.clone()));
+        ia
+    }
+
+    /// The route an IA carries. An island in its path vector has no
+    /// AS_PATH form and is refused.
+    pub fn from_ia(ia: &Ia) -> WireResult<Self> {
+        Ok(Route {
+            origin: ia.origin,
+            as_path: AsPath::from_path_vector(&ia.path_vector)?,
+            next_hop: ia.next_hop,
+            bgp: ia.bgp.as_deref().cloned().unwrap_or_default(),
+        })
     }
 
     /// Effective LOCAL_PREF for the decision process.
     pub fn effective_local_pref(&self) -> u32 {
-        self.local_pref.unwrap_or(DEFAULT_LOCAL_PREF)
+        self.bgp.local_pref.unwrap_or(DEFAULT_LOCAL_PREF)
     }
 
     /// The route as it should be advertised to an eBGP neighbor: our AS
-    /// prepended, NEXT_HOP rewritten, LOCAL_PREF and non-transitive MED
-    /// stripped.
+    /// prepended, NEXT_HOP rewritten, the BGP attributes as
+    /// [`BgpAttrs::export_ebgp`] lets them leave.
     pub fn for_ebgp_export(&self, local_as: u32, local_addr: Ipv4Addr) -> Self {
         let mut out = self.clone();
         out.as_path.prepend(local_as);
         out.next_hop = local_addr;
-        out.local_pref = None;
-        out.med = None;
+        out.bgp.export_ebgp();
         out
     }
 }
@@ -123,16 +113,18 @@ mod tests {
             origin: Origin::Igp,
             as_path: AsPath::from_sequence(vec![10, 20]),
             next_hop: Ipv4Addr::new(192, 0, 2, 1),
-            med: Some(5),
-            local_pref: Some(150),
-            extras: vec![
-                PathAttribute::Communities(vec![0xdead_beef]),
-                PathAttribute::Unknown {
-                    flags: FLAG_OPTIONAL | FLAG_TRANSITIVE,
-                    code: 77,
-                    data: Bytes::from_static(b"x"),
-                },
-            ],
+            bgp: BgpAttrs {
+                med: Some(5),
+                local_pref: Some(150),
+                extras: vec![
+                    PathAttribute::Communities(vec![0xdead_beef]),
+                    PathAttribute::Unknown {
+                        flags: FLAG_OPTIONAL | FLAG_TRANSITIVE,
+                        code: 77,
+                        data: Bytes::from_static(b"x"),
+                    },
+                ],
+            },
         }
     }
 
@@ -159,7 +151,7 @@ mod tests {
     #[test]
     fn non_transitive_extras_dropped_on_export() {
         let mut route = sample();
-        route.extras.push(PathAttribute::Unknown {
+        route.bgp.extras.push(PathAttribute::Unknown {
             flags: FLAG_OPTIONAL, // non-transitive
             code: 88,
             data: Bytes::from_static(b"y"),
@@ -175,14 +167,13 @@ mod tests {
         assert_eq!(out.as_path.first_as(), Some(65000));
         assert_eq!(out.as_path.hop_count(), 3);
         assert_eq!(out.next_hop, Ipv4Addr::new(10, 9, 9, 9));
-        assert_eq!(out.local_pref, None);
-        assert_eq!(out.med, None);
+        assert_eq!(out.bgp.local_pref, None);
+        assert_eq!(out.bgp.med, None);
     }
 
     #[test]
     fn default_local_pref_is_100() {
-        let mut route = sample();
-        route.local_pref = None;
+        let route = Route::originated(Ipv4Addr::new(192, 0, 2, 1));
         assert_eq!(route.effective_local_pref(), DEFAULT_LOCAL_PREF);
     }
 }

@@ -360,11 +360,7 @@ impl RoutingCore {
             Ok(route) => route,
             Err(err) => return (out, Some(err)),
         };
-        // LOCAL_PREF is an iBGP attribute: one an external peer sends is
-        // ignored (RFC 4271 §5.1.5).
-        if !pipe.peers[&id].cfg.is_ibgp() {
-            route.local_pref = None;
-        }
+        route.bgp.import(!pipe.peers[&id].cfg.is_ibgp());
         // Receiver-side loop detection (RFC 4271 §9.1.2): a path carrying
         // our own AS is invisible to the decision process, and implicitly
         // withdraws whatever the peer had advertised for each prefix.

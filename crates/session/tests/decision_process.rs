@@ -17,7 +17,7 @@ const LOCAL_ADDR: Ipv4Addr = Ipv4Addr::new(10, 9, 9, 9);
 fn route(path: Vec<u32>, med: u32) -> Route {
     let mut r = Route::originated(Ipv4Addr::new(10, 0, 0, 1));
     r.as_path = AsPath::from_sequence(path);
-    r.med = Some(med);
+    r.bgp.med = Some(med);
     r
 }
 

@@ -31,9 +31,9 @@ fn cand(route: &Route, peer: u32, peer_as: u32, ebgp: bool, rid: u32) -> Candida
 #[test]
 fn local_pref_highest_wins() {
     let mut hi = route(vec![1, 2]);
-    hi.local_pref = Some(300);
+    hi.bgp.local_pref = Some(300);
     let mut lo = route(vec![3, 4]);
-    lo.local_pref = Some(100);
+    lo.bgp.local_pref = Some(100);
     let cands = [cand(&lo, 1, 3, true, 1), cand(&hi, 2, 1, true, 2)];
     assert_eq!(best(&cands), Some(1));
 }
@@ -43,13 +43,13 @@ fn local_pref_defaults_to_100_when_absent() {
     // An explicit 100 ties with an absent LOCAL_PREF; the next rung
     // (path length) decides.
     let mut explicit = route(vec![1, 2, 3]);
-    explicit.local_pref = Some(100);
+    explicit.bgp.local_pref = Some(100);
     let absent = route(vec![4, 5]);
     let cands = [cand(&explicit, 1, 1, true, 1), cand(&absent, 2, 4, true, 2)];
     assert_eq!(best(&cands), Some(1), "tie at 100 must fall through to path length");
     // And an explicit 99 genuinely loses to the absent default.
     let mut low = route(vec![1]);
-    low.local_pref = Some(99);
+    low.bgp.local_pref = Some(99);
     let cands = [cand(&low, 1, 1, true, 1), cand(&absent, 2, 4, true, 2)];
     assert_eq!(best(&cands), Some(1));
 }
@@ -58,7 +58,7 @@ fn local_pref_defaults_to_100_when_absent() {
 fn boundary_local_pref_beats_shorter_path() {
     // One-unit LOCAL_PREF edge on a path twice as long.
     let mut long = route(vec![1, 2, 3, 4]);
-    long.local_pref = Some(101);
+    long.bgp.local_pref = Some(101);
     let short = route(vec![5, 6]);
     let cands = [cand(&short, 1, 5, true, 1), cand(&long, 2, 1, true, 2)];
     assert_eq!(best(&cands), Some(1));
@@ -108,10 +108,10 @@ fn boundary_origin_beats_lower_med() {
     // higher rung and the worse-MED route has the better origin.
     let mut igp = route(vec![7, 1]);
     igp.origin = Origin::Igp;
-    igp.med = Some(500);
+    igp.bgp.med = Some(500);
     let mut egp = route(vec![7, 2]);
     egp.origin = Origin::Egp;
-    egp.med = Some(1);
+    egp.bgp.med = Some(1);
     let cands = [cand(&egp, 1, 7, true, 1), cand(&igp, 2, 7, true, 2)];
     assert_eq!(best(&cands), Some(1));
 }
@@ -121,9 +121,9 @@ fn boundary_origin_beats_lower_med() {
 #[test]
 fn med_lower_wins_within_same_neighbor_as() {
     let mut cheap = route(vec![7, 9]);
-    cheap.med = Some(10);
+    cheap.bgp.med = Some(10);
     let mut costly = route(vec![7, 8]);
-    costly.med = Some(99);
+    costly.bgp.med = Some(99);
     let cands = [cand(&costly, 1, 7, true, 1), cand(&cheap, 2, 7, true, 2)];
     assert_eq!(best(&cands), Some(1));
 }
@@ -131,9 +131,9 @@ fn med_lower_wins_within_same_neighbor_as() {
 #[test]
 fn med_skipped_across_different_neighbor_ases() {
     let mut cheap = route(vec![6, 9]);
-    cheap.med = Some(10);
+    cheap.bgp.med = Some(10);
     let mut costly = route(vec![7, 8]);
-    costly.med = Some(99);
+    costly.bgp.med = Some(99);
     // MED skipped → falls through to router ID, where the costly
     // route's peer wins.
     let cands = [cand(&costly, 1, 7, true, 1), cand(&cheap, 2, 6, true, 2)];
@@ -144,9 +144,9 @@ fn med_skipped_across_different_neighbor_ases() {
 fn boundary_med_beats_ebgp_preference() {
     // The iBGP route has the lower MED; MED is the higher rung.
     let mut ibgp = route(vec![7, 1]);
-    ibgp.med = Some(5);
+    ibgp.bgp.med = Some(5);
     let mut ebgp = route(vec![7, 2]);
-    ebgp.med = Some(50);
+    ebgp.bgp.med = Some(50);
     let cands = [cand(&ebgp, 1, 7, true, 1), cand(&ibgp, 2, 7, false, 2)];
     assert_eq!(best(&cands), Some(1));
 }

@@ -572,9 +572,11 @@ fn peer_down_withdraws_a_table_in_a_handful_of_frames() {
 
 /// `BestRouteChanged` / `Best` carry why the winner won; both enums
 /// are as large as their widest variant (`Announce`, `Down`) was
-/// before.
+/// before. A route is as wide as when MED, LOCAL_PREF and the extras
+/// were three fields of its own instead of one `BgpAttrs`.
 #[test]
 fn the_outputs_did_not_grow() {
     assert_eq!(std::mem::size_of::<RibOp>(), 80);
     assert_eq!(std::mem::size_of::<dbgp_session::HostOutput>(), 48);
+    assert_eq!(std::mem::size_of::<Route>(), 72);
 }

@@ -4,18 +4,25 @@
 //! in its first form: optional transitive attributes). An
 //! optional transitive attribute a `Host` hears over eBGP reaches the
 //! next eBGP peer byte for byte, an unknown one marked PARTIAL; MED and
-//! LOCAL_PREF stop at the AS boundary. A block that lacks a mandatory
-//! attribute is refused naming the one it lacks.
+//! LOCAL_PREF stop at the AS boundary. Every route forwarded here is
+//! also carried as an IA in between — `Route::to_ia`, the IA codec,
+//! `Route::from_ia` — and must leave as the same UPDATE. A block that
+//! lacks a mandatory attribute is refused naming the one it lacks.
 
-use bytes::Bytes;
-use dbgp_session::{ConnDir, Host, HostOutput, NeighborConfig, PeerId, RoutingCore};
+use bytes::{Bytes, BytesMut};
+use dbgp_session::{ConnDir, Host, HostOutput, NeighborConfig, PeerId, Route, RoutingCore};
 use dbgp_wire::attrs::{code, FLAG_EXT_LEN, FLAG_OPTIONAL, FLAG_PARTIAL, FLAG_TRANSITIVE};
 use dbgp_wire::message::{BgpMessage, OpenMsg, UpdateMsg};
-use dbgp_wire::{AsPath, Ipv4Addr, Ipv4Prefix, Origin, PathAttribute, WireError};
+use dbgp_wire::{
+    AsPath, AsSegment, Ia, Ipv4Addr, Ipv4Prefix, IslandId, Origin, PathAttribute, PathElem,
+    WireError,
+};
 use std::collections::BTreeMap;
 
 const LOCAL_AS: u32 = 65000;
 const LOCAL_ID: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
+/// The NEXT_HOP this host writes toward its peers.
+const LOCAL_ADDR: Ipv4Addr = Ipv4Addr::new(10, 9, 9, 9);
 /// Peer 0 sends the route; peer 1 is the next eBGP hop.
 const PEERS: [(PeerId, u32); 2] = [(PeerId(0), 65001), (PeerId(1), 65002)];
 /// An attribute type code no one has assigned.
@@ -26,7 +33,7 @@ fn prefix() -> Ipv4Prefix {
 }
 
 fn neighbor(peer_as: u32) -> NeighborConfig {
-    NeighborConfig::new(LOCAL_AS, LOCAL_ID, peer_as, Ipv4Addr::new(10, 9, 9, 9))
+    NeighborConfig::new(LOCAL_AS, LOCAL_ID, peer_as, LOCAL_ADDR)
 }
 
 /// A host with both eBGP sessions Established over accepted
@@ -55,8 +62,25 @@ fn attributes(more: Vec<PathAttribute>) -> Vec<PathAttribute> {
     attrs
 }
 
+/// The eBGP export of the route `update` announces, with the route
+/// carried as an IA in between: parsed, turned into the IA for the
+/// prefix, encoded, decoded, turned back into a route, exported.
+fn via_ia(update: &[u8]) -> Bytes {
+    let Ok(Some(BgpMessage::Update(update))) =
+        BgpMessage::decode(&mut BytesMut::from(update), true)
+    else {
+        panic!("an UPDATE")
+    };
+    let route = Route::from_attrs(&update.attributes).expect("a full block");
+    let ia = Ia::decode(route.to_ia(prefix()).encode().into_bytes()).expect("the IA decodes");
+    let route = Route::from_ia(&ia).expect("a path of ASes");
+    let attrs = route.for_ebgp_export(LOCAL_AS, LOCAL_ADDR).to_attrs(false);
+    BgpMessage::Update(UpdateMsg::announce(vec![prefix()], attrs)).encode(true)
+}
+
 /// Announce one prefix from peer 0 with `attrs`: the frame it sent and
-/// the one frame peer 1 is sent.
+/// the one frame peer 1 is sent, which the route carried as an IA
+/// between the two hosts' cores comes out as too.
 fn forward(attrs: Vec<PathAttribute>) -> (Bytes, Bytes) {
     let mut host = host();
     let update = BgpMessage::Update(UpdateMsg::announce(vec![prefix()], attrs)).encode(true);
@@ -69,6 +93,7 @@ fn forward(attrs: Vec<PathAttribute>) -> (Bytes, Bytes) {
         })
         .collect();
     let [frame] = sent[..] else { panic!("one frame to the next hop, got {out:?}") };
+    assert_eq!(via_ia(&update), *frame, "the route carried as an IA leaves as the same UPDATE");
     (update, frame.clone())
 }
 
@@ -99,7 +124,8 @@ fn optional_transitive_attributes_reach_the_next_ebgp_peer_byte_for_byte() {
     let (update, frame) = forward(attributes(vec![
         PathAttribute::Med(9),
         PathAttribute::LocalPref(300),
-        PathAttribute::Aggregator { asn: PEERS[0].1, addr: Ipv4Addr::new(10, 1, 1, 1) },
+        // A four-octet AS.
+        PathAttribute::Aggregator { asn: 4_200_000_001, addr: Ipv4Addr::new(10, 1, 1, 1) },
         PathAttribute::Communities(vec![0xffff_ff01, (PEERS[0].1 << 16) | 7]),
         PathAttribute::Unknown {
             flags: FLAG_OPTIONAL | FLAG_TRANSITIVE,
@@ -141,4 +167,28 @@ fn an_update_without_next_hop_is_refused_naming_next_hop() {
     assert_eq!(err, Some(WireError::MissingWellKnownAttribute(code::NEXT_HOP)));
     assert_eq!(ops, []);
     assert!(core.loc_rib().is_empty());
+}
+
+/// `Route::from_ia` is `Route::to_ia` undone, AS_SETs included; an
+/// island in the path vector has no AS_PATH form and is refused.
+#[test]
+fn a_route_and_its_ia_convert_both_ways_and_an_island_is_refused() {
+    let mut route = Route::from_attrs(&attributes(vec![
+        PathAttribute::Med(9),
+        PathAttribute::Communities(Vec::new()),
+    ]))
+    .unwrap();
+    route.as_path.segments.push(AsSegment::Set(vec![30, 40]));
+    route.as_path.segments.push(AsSegment::Sequence(vec![50]));
+    let mut ia = route.to_ia(prefix());
+    assert_eq!(ia.prefix, prefix());
+    assert_eq!(Route::from_ia(&ia), Ok(route));
+    assert_eq!(Route::originated(LOCAL_ADDR).to_ia(prefix()).bgp, None, "no attribute, no block");
+
+    ia.path_vector.insert(1, PathElem::Island(IslandId(7)));
+    let refused = WireError::MalformedAttribute {
+        code: code::AS_PATH,
+        detail: "an island has no AS_PATH form",
+    };
+    assert_eq!(Route::from_ia(&ia), Err(refused));
 }

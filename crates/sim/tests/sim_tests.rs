@@ -7,7 +7,7 @@ use dbgp_protocols::wiser::{self, WiserModule};
 use dbgp_protocols::{miro, MiroOffer, MiroPortal, MiroRequest, Pathlet, PathletModule};
 use dbgp_sim::{Delivery, LinkModel, Packet, Service, Sim, SimStats};
 use dbgp_telemetry::{TraceKind, TraceRecorder};
-use dbgp_wire::{Ipv4Addr, Ipv4Prefix, IslandId, ProtocolId};
+use dbgp_wire::{BgpAttrs, Ia, Ipv4Addr, Ipv4Prefix, IslandId, PathAttribute, ProtocolId};
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -472,6 +472,34 @@ fn legacy_adjacency_drops_extra_fields() {
     sim.run(1_000_000);
     let best = sim.speaker(b).best(&p("10.0.0.0/8")).unwrap();
     assert!(wiser::path_cost(&best.ia).is_none(), "legacy peer got baseline-only IA");
+}
+
+/// MED and LOCAL_PREF stay in the AS that set them (RFC 4271 §5.1.4,
+/// §5.1.5): neither reaches the IA the next AS or the one after it
+/// stores. A transitive attribute rides on.
+#[test]
+fn med_and_local_pref_stop_at_the_as_boundary() {
+    let mut sim = Sim::new();
+    let nodes: Vec<_> = (1..=3).map(|asn| sim.add_node(DbgpConfig::gulf(asn))).collect();
+    for w in nodes.windows(2) {
+        sim.link(w[0], w[1], 10, false);
+    }
+    let prefix = p("128.6.0.0/16");
+    let communities = PathAttribute::Communities(vec![0xffff_ff01]);
+    let mut ia = Ia::originate(prefix, sim.node_addr(nodes[0]));
+    ia.bgp = Some(Box::new(BgpAttrs {
+        med: Some(50),
+        local_pref: Some(300),
+        extras: vec![communities.clone()],
+    }));
+    sim.originate_ia(nodes[0], ia);
+    sim.run(1_000_000);
+    for &node in &nodes[1..] {
+        let best = sim.speaker(node).best(&prefix).expect("route installed");
+        let bgp = best.ia.bgp.as_deref().expect("the transitive attribute rides on");
+        assert_eq!((bgp.med, bgp.local_pref), (None, None), "node {node}");
+        assert_eq!(bgp.extras, std::slice::from_ref(&communities), "node {node}");
+    }
 }
 
 #[test]

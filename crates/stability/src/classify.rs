@@ -31,6 +31,7 @@
 //! its initial shape.
 
 use crate::gadget::Gadget;
+use dbgp_oracle::scenario::{apply_fault_production, apply_fault_reference};
 use dbgp_oracle::{
     check_routing_invariants, explore, run_fifo_classified, ExplorerConfig, FifoOutcome, RefNet,
 };
@@ -206,7 +207,7 @@ fn classify_faulted(g: &Gadget, cfg: &ClassifyConfig) -> Observation {
     let mut before = String::new();
     for phase in 0..=g.scenario.faults.len() {
         if phase > 0 {
-            g.apply_fault_ref(&mut net, &g.scenario.faults[phase - 1]);
+            apply_fault_reference(&mut net, &g.scenario.faults[phase - 1]);
         }
         match run_fifo_classified(&mut net, cfg.fifo_budget) {
             FifoOutcome::Quiesced { deliveries } => fifo_total += deliveries,
@@ -242,7 +243,7 @@ fn classify_faulted(g: &Gadget, cfg: &ClassifyConfig) -> Observation {
     sim.run(horizon);
     let mut sim_quiesced = sim.pending_events() == 0;
     for fault in &g.scenario.faults {
-        g.apply_fault_sim(&mut sim, fault);
+        apply_fault_production(&mut sim, fault);
         horizon += cfg.sim_horizon;
         sim.run(horizon);
         sim_quiesced &= sim.pending_events() == 0;

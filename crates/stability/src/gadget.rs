@@ -16,7 +16,6 @@
 //! `eqbgp-legacy-livelock` fixture promotes into the catalog with the
 //! same ASNs it was shrunk with.
 
-use dbgp_oracle::scenario::{apply_fault_production, apply_fault_reference};
 use dbgp_oracle::{
     build_production, build_reference, scenario_from_json, Fault, IslandSpec, NodeSpec, RefModule,
     RefNet, Scenario,
@@ -138,16 +137,6 @@ impl Gadget {
             sim.originate(node, prefix);
         }
         sim
-    }
-
-    /// Apply fault `f` to a reference network built from this gadget.
-    pub fn apply_fault_ref(&self, net: &mut RefNet, f: &Fault) {
-        apply_fault_reference(net, f);
-    }
-
-    /// Apply fault `f` to a simulator built from this gadget.
-    pub fn apply_fault_sim(&self, sim: &mut Sim, f: &Fault) {
-        apply_fault_production(sim, f);
     }
 }
 

@@ -5,10 +5,11 @@
 //! not understand them. D-BGP generalizes that idea into structured
 //! Integrated Advertisements (see [`crate::ia`]); we still implement the
 //! classic mechanism faithfully because the paper's transitional story
-//! (§3.5) rides on it, and because the classic speaker in `dbgp-bgp`
+//! (§3.5) rides on it, and because the classic core in `dbgp-session`
 //! needs it.
 
 use crate::error::{WireError, WireResult};
+use crate::ia::PathElem;
 use crate::prefix::Ipv4Addr;
 use bytes::{Buf, BufMut, Bytes};
 use std::fmt;
@@ -202,6 +203,39 @@ impl AsPath {
                 }
             }
         }
+    }
+
+    /// The path as an IA path vector: each sequenced AS one element, each
+    /// set one `AsSet`.
+    pub fn to_path_vector(&self) -> Vec<PathElem> {
+        let mut out = Vec::with_capacity(self.segments.iter().map(|s| s.ases().len()).sum());
+        for seg in &self.segments {
+            match seg {
+                AsSegment::Sequence(ases) => out.extend(ases.iter().map(|&a| PathElem::As(a))),
+                AsSegment::Set(ases) => out.push(PathElem::AsSet(ases.clone())),
+            }
+        }
+        out
+    }
+
+    /// The AS_PATH form of an IA path vector, consecutive ASes in one
+    /// sequence. An island element has none and is refused.
+    pub fn from_path_vector(path_vector: &[PathElem]) -> WireResult<Self> {
+        let mut segments = Vec::new();
+        for elem in path_vector {
+            match (elem, segments.last_mut()) {
+                (PathElem::As(asn), Some(AsSegment::Sequence(ases))) => ases.push(*asn),
+                (PathElem::As(asn), _) => segments.push(AsSegment::Sequence(vec![*asn])),
+                (PathElem::AsSet(ases), _) => segments.push(AsSegment::Set(ases.clone())),
+                (PathElem::Island(_), _) => {
+                    return Err(WireError::MalformedAttribute {
+                        code: code::AS_PATH,
+                        detail: "an island has no AS_PATH form",
+                    })
+                }
+            }
+        }
+        Ok(AsPath { segments })
     }
 
     /// Decode an AS_PATH body of exactly `buf.remaining()` bytes.
@@ -489,6 +523,72 @@ impl PathAttribute {
                 Ok(PathAttribute::Unknown { flags, code, data: body })
             }
         }
+    }
+}
+
+/// The BGP attributes an advertisement carries beyond Figure 4's shared
+/// fields (ORIGIN, NEXT_HOP, and AS_PATH as the path vector): MED,
+/// LOCAL_PREF, and every attribute carried without being read —
+/// COMMUNITIES, AGGREGATOR, ATOMIC_AGGREGATE and optional unknowns. A
+/// classic route holds one inline; an IA holds one boxed, and only when
+/// it has any of them.
+///
+/// What may cross an AS boundary is stated here, once: LOCAL_PREF from
+/// an eBGP peer is ignored ([`import`](Self::import)); neither
+/// LOCAL_PREF nor MED is sent to one ([`export_ebgp`](Self::export_ebgp));
+/// a non-transitive extra is passed on to no one.
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
+pub struct BgpAttrs {
+    /// MULTI_EXIT_DISC, if present.
+    pub med: Option<u32>,
+    /// LOCAL_PREF, if present (learned over iBGP only).
+    pub local_pref: Option<u32>,
+    /// Attributes carried but not interpreted, in the order received
+    /// (code order, when read from an IA's record).
+    pub extras: Vec<PathAttribute>,
+}
+
+impl BgpAttrs {
+    /// Holds no attribute at all.
+    pub fn is_empty(&self) -> bool {
+        self.med.is_none() && self.local_pref.is_none() && self.extras.is_empty()
+    }
+
+    /// File one attribute that is none of ORIGIN, AS_PATH and NEXT_HOP:
+    /// MED and LOCAL_PREF in their fields, any other among the extras.
+    pub fn insert(&mut self, attr: PathAttribute) {
+        match attr {
+            PathAttribute::Med(v) => self.med = Some(v),
+            PathAttribute::LocalPref(v) => self.local_pref = Some(v),
+            other => self.extras.push(other),
+        }
+    }
+
+    /// As learned from a peer: LOCAL_PREF from an eBGP peer is ignored
+    /// (RFC 4271 §5.1.5).
+    pub fn import(&mut self, ebgp: bool) {
+        if ebgp {
+            self.local_pref = None;
+        }
+    }
+
+    /// As sent on to an eBGP peer: LOCAL_PREF (RFC 4271 §5.1.5) and MED
+    /// (§5.1.4) stay in this AS, and so does a non-transitive extra.
+    pub fn export_ebgp(&mut self) {
+        self.local_pref = None;
+        self.med = None;
+        self.extras.retain(PathAttribute::is_transitive);
+    }
+
+    /// Append the attributes an UPDATE carries after the mandatory three:
+    /// MED, LOCAL_PREF when `include_local_pref` (toward iBGP peers
+    /// only), and the transitive extras.
+    pub fn to_attrs(&self, include_local_pref: bool, attrs: &mut Vec<PathAttribute>) {
+        attrs.extend(self.med.map(PathAttribute::Med));
+        if include_local_pref {
+            attrs.extend(self.local_pref.map(PathAttribute::LocalPref));
+        }
+        attrs.extend(self.extras.iter().filter(|a| a.is_transitive()).cloned());
     }
 }
 

@@ -8,7 +8,8 @@ use std::fmt;
 /// Variants deliberately mirror the NOTIFICATION error subcodes of
 /// RFC 4271 §6 where one applies, so a session layer can translate a
 /// `WireError` into the correct NOTIFICATION to send before tearing the
-/// session down (see `dbgp-bgp`).
+/// session down (see `NotificationMsg::from_wire_error`, which the
+/// session cores in `dbgp-session` call).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WireError {
     /// Fewer bytes were available than the format requires.

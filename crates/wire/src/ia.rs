@@ -18,12 +18,19 @@
 //!   a SCION island's within-island paths, a MIRO island's service
 //!   portal, a Wiser island's cost-exchange portal).
 //!
+//! Beside Figure 4's shared baseline fields (origin, next hop) an IA
+//! carries the rest of what a classic route does — MED, LOCAL_PREF and
+//! the attributes BGP passes on unread — as one [`BgpAttrs`] block,
+//! absent when empty.
+//!
 //! The wire form is a tag-length-value stream with varint tags and
 //! lengths. Records with unknown tags are preserved byte-for-byte and
 //! re-emitted on encode, so even the *container* is forward-compatible —
 //! a D-BGP speaker can pass through IA extensions it has never heard of.
 
-use crate::attrs::Origin;
+use crate::attrs::{
+    decode_attribute_list, encode_attribute_list, BgpAttrs, Origin, PathAttribute, FLAG_EXT_LEN,
+};
 use crate::error::{WireError, WireResult};
 use crate::ids::{IslandId, ProtocolId};
 use crate::prefix::{Ipv4Addr, Ipv4Prefix};
@@ -184,8 +191,10 @@ pub struct Ia {
     pub origin: Origin,
     /// Baseline next hop (shared field in Figure 4).
     pub next_hop: Ipv4Addr,
-    /// Optional multi-exit discriminator, kept for baseline parity.
-    pub med: Option<u32>,
+    /// The BGP attributes a classic route carries beyond the shared
+    /// fields — MED, LOCAL_PREF, pass-through extras — or `None` when it
+    /// has none of them (every IA a D-BGP-only path carries).
+    pub bgp: Option<Box<BgpAttrs>>,
     /// The shared path vector, most recently prepended element first.
     pub path_vector: Vec<PathElem>,
     /// Which path-vector entries belong to which island.
@@ -228,7 +237,7 @@ impl fmt::Debug for Ia {
             .field("prefix", &self.prefix)
             .field("origin", &self.origin)
             .field("next_hop", &self.next_hop)
-            .field("med", &self.med)
+            .field("bgp", &self.bgp)
             .field("path_vector", &self.path_vector)
             .field("memberships", &self.memberships)
             .field("path_descriptors", &self.path_descriptors)
@@ -321,7 +330,7 @@ impl Ia {
             prefix,
             origin: Origin::Igp,
             next_hop,
-            med: None,
+            bgp: None,
             path_vector: Vec::new(),
             memberships: Vec::new(),
             path_descriptors: Vec::new(),
@@ -384,7 +393,7 @@ impl Ia {
             prefix: self.prefix,
             origin: self.origin,
             next_hop: self.next_hop,
-            med: self.med,
+            bgp: self.bgp.clone(),
             path_vector,
             memberships: self.memberships.clone(),
             path_descriptors: self.path_descriptors.clone(),
@@ -394,6 +403,14 @@ impl Ia {
         };
         ia.shift_memberships();
         ia
+    }
+
+    /// Change the BGP attributes in place: `edit` gets the block (an
+    /// empty one if there is none), and a block it leaves empty goes.
+    pub fn edit_bgp(&mut self, edit: impl FnOnce(&mut BgpAttrs)) {
+        let mut block = self.bgp.take().unwrap_or_default();
+        edit(&mut block);
+        self.bgp = (!block.is_empty()).then_some(block);
     }
 
     /// Record that the frontmost `count` path-vector entries belong to
@@ -615,7 +632,7 @@ impl Ia {
     }
 
     /// The records every hop rewrites: prefix, origin, next hop, MED,
-    /// path vector, memberships.
+    /// the other BGP attributes, path vector, memberships.
     fn encode_head(&self, buf: &mut impl BufMut) {
         put_header(buf, tag::PREFIX, self.prefix.wire_len());
         self.prefix.encode(buf);
@@ -623,9 +640,16 @@ impl Ia {
         buf.put_u8(self.origin as u8);
         put_header(buf, tag::NEXT_HOP, 4);
         buf.put_u32(self.next_hop.0);
-        if let Some(med) = self.med {
-            put_header(buf, tag::MED, uvarint_len(med as u64));
-            put_uvarint(buf, med as u64);
+        if let Some(bgp) = &self.bgp {
+            if let Some(med) = bgp.med {
+                put_header(buf, tag::MED, uvarint_len(med as u64));
+                put_uvarint(buf, med as u64);
+            }
+            let body = bgp_record_body(bgp);
+            if !body.is_empty() {
+                put_header(buf, tag::BGP_ATTRS, body.len());
+                buf.put_slice(&body);
+            }
         }
         for elem in &self.path_vector {
             put_header(buf, tag::PATH_ELEM, elem.body_len());
@@ -692,8 +716,14 @@ impl Ia {
         let mut n = record_len(tag::PREFIX, self.prefix.wire_len())
             + record_len(tag::ORIGIN, 1)
             + record_len(tag::NEXT_HOP, 4);
-        if let Some(med) = self.med {
-            n += record_len(tag::MED, uvarint_len(med as u64));
+        if let Some(bgp) = &self.bgp {
+            if let Some(med) = bgp.med {
+                n += record_len(tag::MED, uvarint_len(med as u64));
+            }
+            let body_len = bgp_record_body(bgp).len();
+            if body_len > 0 {
+                n += record_len(tag::BGP_ATTRS, body_len);
+            }
         }
         for elem in &self.path_vector {
             n += record_len(tag::PATH_ELEM, elem.body_len());
@@ -729,7 +759,7 @@ impl Ia {
         let mut prefix = None;
         let mut origin = Origin::Incomplete;
         let mut next_hop = Ipv4Addr(0);
-        let mut med = None;
+        let mut bgp = BgpAttrs::default();
         let mut path_vector = Vec::new();
         let mut memberships = Vec::new();
         let mut path_descriptors = Vec::new();
@@ -766,8 +796,9 @@ impl Ia {
                 }
                 tag::MED => {
                     let v = get_uvarint(&mut body)?;
-                    med = Some(u32::try_from(v).map_err(|_| WireError::Overflow("med"))?);
+                    bgp.med = Some(u32::try_from(v).map_err(|_| WireError::Overflow("med"))?);
                 }
+                tag::BGP_ATTRS => read_bgp_record(buf.slice_ref(body), &mut bgp)?,
                 tag::PATH_ELEM => {
                     if body.remaining() < 1 {
                         return Err(WireError::MalformedIa("empty path element"));
@@ -840,7 +871,7 @@ impl Ia {
             prefix,
             origin,
             next_hop,
-            med,
+            bgp: (!bgp.is_empty()).then(|| Box::new(bgp)),
             path_vector,
             memberships,
             path_descriptors,
@@ -898,7 +929,7 @@ impl IaBuilder {
 
     /// Set the MED.
     pub fn med(mut self, med: u32) -> Self {
-        self.ia.med = Some(med);
+        self.ia.edit_bgp(|b| b.med = Some(med));
         self
     }
 
@@ -964,6 +995,53 @@ mod tag {
     pub const MEMBERSHIP: u64 = 6;
     pub const PATH_DESC: u64 = 7;
     pub const ISLAND_DESC: u64 = 8;
+    pub const BGP_ATTRS: u64 = 10;
+}
+
+/// The body of an IA's BGP-attribute record: LOCAL_PREF and the extras
+/// as one four-octet attribute list (MED has a record of its own).
+/// Empty when there are neither, and then no record is written.
+fn bgp_record_body(bgp: &BgpAttrs) -> Vec<u8> {
+    let mut list: Vec<PathAttribute> =
+        bgp.local_pref.map(PathAttribute::LocalPref).into_iter().collect();
+    list.extend(bgp.extras.iter().cloned());
+    let mut body = Vec::new();
+    encode_attribute_list(&list, &mut body, true);
+    body
+}
+
+/// Read a BGP-attribute record into `bgp`, replacing the LOCAL_PREF and
+/// extras an earlier one set (a repeated record wins, as every head
+/// record does). What it reads is normalised to what
+/// [`bgp_record_body`] writes back: extras in code order, an unknown
+/// attribute's flags without the extended-length bit, which only the
+/// length of its body decides. An attribute Figure 4 shares, or MED, has
+/// a record of its own and is refused here.
+fn read_bgp_record(body: Bytes, bgp: &mut BgpAttrs) -> WireResult<()> {
+    let mut local_pref = None;
+    let mut extras = Vec::new();
+    for attr in decode_attribute_list(body, true)? {
+        match attr {
+            PathAttribute::LocalPref(v) => local_pref = Some(v),
+            PathAttribute::Origin(_)
+            | PathAttribute::AsPath(_)
+            | PathAttribute::NextHop(_)
+            | PathAttribute::Med(_) => {
+                return Err(WireError::MalformedAttribute {
+                    code: attr.code(),
+                    detail: "has its own IA record",
+                })
+            }
+            PathAttribute::Unknown { flags, code, data } => {
+                extras.push(PathAttribute::Unknown { flags: flags & !FLAG_EXT_LEN, code, data })
+            }
+            other => extras.push(other),
+        }
+    }
+    extras.sort_by_key(PathAttribute::code);
+    bgp.local_pref = local_pref;
+    bgp.extras = extras;
+    Ok(())
 }
 
 /// Write a record's `tag | len` header; the caller writes exactly
@@ -1206,7 +1284,7 @@ mod tests {
     fn prepended_equals_clone_then_prepend_as() {
         // Memberships, shared/path/island descriptors, an unknown record.
         let mut ia = figure4_ia();
-        ia.med = Some(7);
+        ia.edit_bgp(|b| b.med = Some(7));
         ia.unknown_records.push(UnknownRecord { tag: 999, data: Bytes::from_static(b"future") });
         for ia in [ia, Ia::originate(p("10.0.0.0/8"), Ipv4Addr::new(10, 0, 0, 1))] {
             let mut expected = ia.clone();
@@ -1333,8 +1411,54 @@ mod tests {
     #[test]
     fn med_roundtrips() {
         let mut ia = Ia::originate(p("10.0.0.0/8"), Ipv4Addr::new(1, 1, 1, 1));
-        ia.med = Some(4096);
-        assert_eq!(Ia::decode(ia.encode().into_bytes()).unwrap().med, Some(4096));
+        ia.edit_bgp(|b| b.med = Some(4096));
+        assert_eq!(Ia::decode(ia.encode().into_bytes()).unwrap().bgp.unwrap().med, Some(4096));
+    }
+
+    #[test]
+    fn bgp_attributes_roundtrip() {
+        use crate::attrs::{FLAG_OPTIONAL, FLAG_PARTIAL, FLAG_TRANSITIVE};
+        let mut ia = Ia::originate(p("10.0.0.0/8"), Ipv4Addr::new(1, 1, 1, 1));
+        ia.edit_bgp(|b| {
+            b.med = Some(4096);
+            b.local_pref = Some(300);
+            // In code order, a transitive unknown marked PARTIAL: as
+            // the decoder reads a block back.
+            b.extras = vec![
+                PathAttribute::Aggregator { asn: 4_200_000_001, addr: Ipv4Addr::new(10, 1, 1, 1) },
+                PathAttribute::Communities(Vec::new()),
+                PathAttribute::Unknown {
+                    flags: FLAG_OPTIONAL | FLAG_TRANSITIVE | FLAG_PARTIAL,
+                    code: 99,
+                    data: Bytes::from(vec![7; 300]),
+                },
+            ];
+        });
+        let decoded = Ia::decode(ia.encode().into_bytes()).unwrap();
+        assert_eq!(decoded, ia);
+        assert_eq!(decoded.wire_size(), ia.wire_size());
+        // An empty block is no block.
+        ia.edit_bgp(|b| *b = BgpAttrs::default());
+        assert_eq!(ia.bgp, None);
+    }
+
+    #[test]
+    fn the_bgp_attribute_record_is_read_back_canonically() {
+        use crate::attrs::{code, FLAG_OPTIONAL, FLAG_TRANSITIVE};
+        // Out of code order, an extended length on a short body.
+        let list = [
+            vec![FLAG_OPTIONAL | FLAG_TRANSITIVE | FLAG_EXT_LEN, 99, 0, 1, 0xab],
+            vec![FLAG_OPTIONAL | FLAG_TRANSITIVE, code::COMMUNITIES, 0],
+        ]
+        .concat();
+        let mut buf = BytesMut::new();
+        Ia::originate(p("10.0.0.0/8"), Ipv4Addr::new(1, 1, 1, 1)).encode_into(&mut buf);
+        put_header(&mut buf, tag::BGP_ATTRS, list.len());
+        buf.put_slice(&list);
+        let ia = Ia::decode(buf.freeze()).unwrap();
+        let codes: Vec<u8> = ia.bgp.as_ref().unwrap().extras.iter().map(|a| a.code()).collect();
+        assert_eq!(codes, [code::COMMUNITIES, 99]);
+        assert_eq!(Ia::decode(ia.encode().into_bytes()).unwrap(), ia);
     }
 
     #[test]

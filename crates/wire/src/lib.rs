@@ -27,7 +27,7 @@ pub mod message;
 pub mod prefix;
 pub mod varint;
 
-pub use attrs::{AsPath, AsSegment, Origin, PathAttribute};
+pub use attrs::{AsPath, AsSegment, BgpAttrs, Origin, PathAttribute};
 pub use error::WireError;
 pub use ia::{
     EncodedIa, Ia, IaBuilder, IslandDescriptor, IslandMembership, PathDescriptor, PathElem,

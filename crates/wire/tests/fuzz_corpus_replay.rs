@@ -14,8 +14,11 @@
 //!   point.
 
 use bytes::Bytes;
+use dbgp_wire::attrs::{code, FLAG_OPTIONAL, FLAG_PARTIAL, FLAG_TRANSITIVE};
 use dbgp_wire::ia::{IslandDescriptor, IslandMembership, PathDescriptor, UnknownRecord};
-use dbgp_wire::{Ia, Ipv4Addr, Ipv4Prefix, IslandId, Origin, PathElem, ProtocolId, WireError};
+use dbgp_wire::{
+    Ia, Ipv4Addr, Ipv4Prefix, IslandId, Origin, PathAttribute, PathElem, ProtocolId, WireError,
+};
 use proptest::test_runner::TestRng;
 
 fn decode(bytes: &[u8]) -> Result<Ia, WireError> {
@@ -67,7 +70,7 @@ fn corpus_replay_never_panics_and_accepts_canonically() {
         }
         replayed += 1;
     }
-    assert!(replayed >= 7, "fuzz corpus lost files: only {replayed} replayed");
+    assert!(replayed >= 10, "fuzz corpus lost files: only {replayed} replayed");
 }
 
 /// The regressions the corpus pins, with their typed errors.
@@ -96,6 +99,22 @@ fn corpus_inputs_fail_with_typed_errors() {
     );
     assert_eq!(decode(&read("membership-bad-range.bin")), Err(WireError::BadMembershipRange));
 
+    // The BGP-attribute record holds LOCAL_PREF and the extras once
+    // each: ORIGIN has a record of its own, a second LOCAL_PREF is a
+    // duplicate, and a list cut short inside an attribute is truncated.
+    assert_eq!(
+        decode(&read("bgp-record-origin.bin")),
+        Err(WireError::MalformedAttribute { code: code::ORIGIN, detail: "has its own IA record" })
+    );
+    assert_eq!(
+        decode(&read("bgp-record-dup-local-pref.bin")),
+        Err(WireError::DuplicateAttribute(code::LOCAL_PREF))
+    );
+    assert_eq!(
+        decode(&read("bgp-record-trunc-list.bin")),
+        Err(WireError::Truncated { context: "attribute body" })
+    );
+
     // Unknown records and unknown-protocol descriptors must pass
     // through (CF-R1 at the codec layer), not error.
     let unknown = decode(&read("unknown-record-passthrough.bin")).expect("pass-through");
@@ -118,7 +137,38 @@ fn seed_ia(rng: &mut TestRng) -> Ia {
         _ => Origin::Incomplete,
     };
     if rng.below(2) == 1 {
-        ia.med = Some(rng.next_u64() as u32);
+        ia.edit_bgp(|b| b.med = Some(rng.next_u64() as u32));
+    }
+    if rng.below(4) == 0 {
+        // The block's record as its decoder reads it back: extras in
+        // code order, a transitive unknown marked PARTIAL.
+        ia.edit_bgp(|b| {
+            if rng.below(2) == 1 {
+                b.local_pref = Some(rng.next_u64() as u32);
+            }
+            if rng.below(2) == 1 {
+                b.extras.push(PathAttribute::Aggregator {
+                    asn: rng.next_u64() as u32,
+                    addr: Ipv4Addr(rng.next_u64() as u32),
+                });
+            }
+            if rng.below(2) == 1 {
+                let n = rng.below(4);
+                b.extras.push(PathAttribute::Communities(
+                    (0..n).map(|_| rng.next_u64() as u32).collect(),
+                ));
+            }
+            if rng.below(2) == 1 {
+                b.extras.push(PathAttribute::Unknown {
+                    flags: FLAG_OPTIONAL | FLAG_TRANSITIVE | FLAG_PARTIAL,
+                    code: 100 + rng.below(100) as u8,
+                    data: (0..rng.below(16))
+                        .map(|_| rng.next_u64() as u8)
+                        .collect::<Vec<u8>>()
+                        .into(),
+                });
+            }
+        });
     }
     for _ in 0..rng.below(6) {
         ia.path_vector.push(match rng.below(3) {

@@ -1,12 +1,14 @@
 //! Property-based round-trip and robustness tests for the wire codecs.
 
 use bytes::{Bytes, BytesMut};
-use dbgp_wire::attrs::{decode_attribute_list, encode_attribute_list};
+use dbgp_wire::attrs::{
+    decode_attribute_list, encode_attribute_list, FLAG_OPTIONAL, FLAG_PARTIAL, FLAG_TRANSITIVE,
+};
 use dbgp_wire::ia::{dkey, IslandDescriptor, IslandMembership, PathDescriptor, UnknownRecord};
 use dbgp_wire::varint::{get_uvarint, put_uvarint, uvarint_len};
 use dbgp_wire::{
-    AsPath, AsSegment, BgpMessage, Ia, Ipv4Addr, Ipv4Prefix, IslandId, NotificationMsg, OpenMsg,
-    Origin, PathAttribute, PathElem, ProtocolId, UpdateMsg,
+    AsPath, AsSegment, BgpAttrs, BgpMessage, Ia, Ipv4Addr, Ipv4Prefix, IslandId, NotificationMsg,
+    OpenMsg, Origin, PathAttribute, PathElem, ProtocolId, UpdateMsg,
 };
 use proptest::prelude::*;
 
@@ -51,12 +53,48 @@ fn arb_path_elem() -> impl Strategy<Value = PathElem> {
     ]
 }
 
+/// An IA's BGP-attribute block as a decoder reads it back: extras in
+/// code order, a transitive unknown marked PARTIAL, `None` when empty.
+fn arb_bgp() -> impl Strategy<Value = Option<Box<BgpAttrs>>> {
+    (
+        proptest::option::of(any::<u32>()),
+        proptest::option::of(any::<u32>()),
+        any::<bool>(),
+        proptest::option::of((any::<u32>(), any::<u32>())),
+        proptest::option::of(proptest::collection::vec(any::<u32>(), 0..4)),
+        proptest::option::of((
+            100u8..110,
+            any::<bool>(),
+            proptest::collection::vec(any::<u8>(), 0..300),
+        )),
+    )
+        .prop_map(|(med, local_pref, atomic, aggregator, communities, unknown)| {
+            let mut bgp = BgpAttrs { med, local_pref, extras: Vec::new() };
+            if atomic {
+                bgp.extras.push(PathAttribute::AtomicAggregate);
+            }
+            if let Some((asn, addr)) = aggregator {
+                bgp.extras.push(PathAttribute::Aggregator { asn, addr: Ipv4Addr(addr) });
+            }
+            bgp.extras.extend(communities.map(PathAttribute::Communities));
+            if let Some((code, transitive, data)) = unknown {
+                let flags = if transitive {
+                    FLAG_OPTIONAL | FLAG_TRANSITIVE | FLAG_PARTIAL
+                } else {
+                    FLAG_OPTIONAL
+                };
+                bgp.extras.push(PathAttribute::Unknown { flags, code, data: data.into() });
+            }
+            (!bgp.is_empty()).then(|| Box::new(bgp))
+        })
+}
+
 fn arb_ia() -> impl Strategy<Value = Ia> {
     (
         arb_prefix(),
         any::<u32>(),
         arb_origin(),
-        proptest::option::of(any::<u32>()),
+        arb_bgp(),
         proptest::collection::vec(arb_path_elem(), 0..8),
         proptest::collection::vec(
             (100u16..108, proptest::collection::vec(any::<u8>(), 0..64)),
@@ -67,11 +105,11 @@ fn arb_ia() -> impl Strategy<Value = Ia> {
             0..4,
         ),
     )
-        .prop_map(|(prefix, nh, origin, med, pv, pds, ids)| {
+        .prop_map(|(prefix, nh, origin, bgp, pv, pds, ids)| {
             let pvlen = pv.len() as u16;
             let mut ia = Ia::originate(prefix, Ipv4Addr(nh));
             ia.origin = origin;
-            ia.med = med;
+            ia.bgp = bgp;
             ia.path_vector = pv;
             // Memberships must be valid ranges; derive them from the
             // path-vector length.
@@ -337,7 +375,7 @@ fn apply_edit(ia: &mut Ia, kind: u8, a: u32, bytes: Vec<u8>) -> bool {
             return true;
         }
         // Head fields written directly: the tail is not touched.
-        6 => ia.med = Some(a),
+        6 => ia.edit_bgp(|b| b.med = Some(a)),
         7 => ia.next_hop = Ipv4Addr(a),
         // Tail fields written directly.
         8 => ia.path_descriptors.push(PathDescriptor::new(ProtocolId(77), 1, bytes)),

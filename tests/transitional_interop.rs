@@ -4,9 +4,9 @@
 //! `dbgp-bgp` implementation) forwards the attribute untouched, so two
 //! D-BGP islands interoperate across a legacy BGP core.
 
-use dbgp::bgp::{NeighborConfig, PeerId, Speaker, TransportEvent};
+use dbgp::bgp::{NeighborConfig, PeerId, Route, Speaker, TransportEvent};
 use dbgp::core::transitional::{embed_ia, extract_ia};
-use dbgp::wire::attrs::{AsPath, Origin, PathAttribute};
+use dbgp::wire::attrs::PathAttribute;
 use dbgp::wire::ia::dkey;
 use dbgp::wire::message::{BgpMessage, OpenMsg, UpdateMsg};
 use dbgp::wire::{Ia, Ipv4Addr, Ipv4Prefix, ProtocolId};
@@ -58,14 +58,8 @@ fn dbgp_island_update(prefix: Ipv4Prefix, origin_as: u32) -> (UpdateMsg, Ia) {
         dkey::WISER_PATH_COST,
         321u64.to_be_bytes().to_vec(),
     ));
-    let mut update = UpdateMsg::announce(
-        vec![prefix],
-        vec![
-            PathAttribute::Origin(Origin::Igp),
-            PathAttribute::AsPath(AsPath::from_sequence(vec![origin_as])),
-            PathAttribute::NextHop(Ipv4Addr::new(9, 9, 9, 9)),
-        ],
-    );
+    let route = Route::from_ia(&ia).unwrap();
+    let mut update = UpdateMsg::announce(vec![prefix], route.to_attrs(false));
     embed_ia(&mut update, &ia).unwrap();
     (update, ia)
 }
