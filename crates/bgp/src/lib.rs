@@ -13,10 +13,18 @@
 //!   assembly `dbgpd` runs) as the stress harnesses and the iBGP tests
 //!   drive it.
 //!
+//! It also re-exports `dbgp-session`'s RFC 4271 comparator as
+//! [`decision`], for `dbgp-core`'s `ClassicBgp` decision module:
+//! `dbgp-core` depends on this crate, not on `dbgp-session`, and a new
+//! dependency edge would change the lockfile `benchmark/` builds
+//! against. The re-export goes when this crate does (ROADMAP item
+//! 1(c)) and `dbgp-core` names `dbgp-session` itself.
+//!
 //! Nothing here knows about Integrated Advertisements; `dbgp-core`
 //! builds the multi-protocol pipeline on top of these pieces.
 
 pub mod speaker;
 
+pub use dbgp_session::decision;
 pub use dbgp_session::{NeighborConfig, PeerId, Route};
 pub use speaker::{Output, Speaker, TransportEvent};

@@ -13,7 +13,8 @@
 //! * [`iadb`] — the speaker's one per-prefix table: the received IAs
 //!   the factory builds from (pass-through), and everything else;
 //! * [`module`] — the [`module::DecisionModule`] trait each deployable
-//!   protocol implements, plus the baseline BGP module;
+//!   protocol implements, plus the baseline BGP module and RFC 4271's
+//!   classic order as a module;
 //! * [`factory`] — builds outgoing IAs from stored incoming ones,
 //!   copying through every protocol's control information untouched;
 //! * [`speaker`] — [`speaker::DbgpSpeaker`], one per AS, orchestrating
@@ -38,6 +39,8 @@ pub use factory::{build_outgoing, FactoryContext};
 pub use filters::{FilterConfig, IslandConfig, RejectReason};
 pub use iadb::IaDb;
 pub use messages::{DbgpUpdate, Frame};
-pub use module::{BgpDecision, CandidateIa, DecisionModule, ExportContext, ImportContext, Rank};
+pub use module::{
+    BgpDecision, CandidateIa, ClassicBgp, DecisionModule, ExportContext, ImportContext, Rank,
+};
 pub use neighbor::{DbgpNeighbor, NeighborId, PeerClass};
 pub use speaker::{render_path, Chosen, DbgpConfig, DbgpOutput, DbgpSpeaker};

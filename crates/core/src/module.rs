@@ -9,8 +9,9 @@
 //! extracted control information to it and asks it to pick best paths.
 
 use crate::neighbor::NeighborId;
+use dbgp_bgp::decision::{self, Candidate};
 use dbgp_telemetry::SelectionReason;
-use dbgp_wire::{Ia, Ipv4Prefix, ProtocolId};
+use dbgp_wire::{Ia, Ipv4Addr, Ipv4Prefix, ProtocolId};
 
 /// One candidate path for a prefix, as presented to a decision module.
 #[derive(Debug, Clone, Copy)]
@@ -109,15 +110,17 @@ impl Rank {
 /// A protocol's decision module.
 ///
 /// Implementations live in `dbgp-protocols`; `dbgp-core` ships only the
-/// baseline [`BgpDecision`]. The paper's observation that deploying a new
-/// protocol takes a few hundred lines (§6.1) corresponds to implementing
-/// this trait. A protocol author writes [`protocol`](Self::protocol);
+/// baseline [`BgpDecision`] and RFC 4271's order, [`ClassicBgp`]. The
+/// paper's observation that deploying a new protocol takes a few
+/// hundred lines (§6.1) corresponds to implementing this trait. A
+/// protocol author writes [`protocol`](Self::protocol);
 /// [`rank`](Self::rank) when the protocol prefers paths by a measure of
 /// its own; the [`accept`](Self::accept) import filter and the
 /// [`export`](Self::export) / [`decorate_origin`](Self::decorate_origin)
 /// export filters for the descriptors it carries. Selection, its
 /// explanation and the speaker's incremental comparison are all derived
-/// from `rank`.
+/// from `rank`, unless it overrides `select_best` and `explain`
+/// ([`ClassicBgp`]).
 pub trait DecisionModule {
     /// The protocol this module decides for.
     fn protocol(&self) -> ProtocolId;
@@ -140,10 +143,25 @@ pub trait DecisionModule {
     /// Select the best path among candidates for one prefix. `None`
     /// declares the prefix unreachable. Candidates are presented in
     /// deterministic (neighbor-id) order. The provided body is
-    /// [`best_by_rank`]; override it only to add bookkeeping around that
-    /// call (Wiser's chosen source, R-BGP's failover path).
+    /// [`best_by_rank`]. Override it to add bookkeeping around that call
+    /// (Wiser's chosen source, R-BGP's failover path), or for an order
+    /// that is not a [`Rank`] — [`ClassicBgp`]'s MED rung is not
+    /// transitive — with [`explain`](Self::explain) overridden beside
+    /// it.
     fn select_best(&mut self, prefix: Ipv4Prefix, candidates: &[CandidateIa<'_>]) -> Option<usize> {
         best_by_rank(self, prefix, candidates)
+    }
+
+    /// Why `best` — the index [`select_best`](Self::select_best)
+    /// returned for the same candidates — won. The provided body is
+    /// [`explain_best`], which reads [`rank`](Self::rank).
+    fn explain(
+        &mut self,
+        prefix: Ipv4Prefix,
+        candidates: &[CandidateIa<'_>],
+        best: usize,
+    ) -> SelectionReason {
+        explain_best(self, prefix, candidates, best)
     }
 
     /// Protocol-specific export filter: update this protocol's own
@@ -273,6 +291,75 @@ impl DecisionModule for BgpDecision {
     // `accept` is the side-effect-free default and the baseline rank
     // reads no module state, so there is nothing for an epoch to fence.
     fn incremental_safe(&self) -> bool {
+        true
+    }
+}
+
+/// RFC 4271's decision process as a decision module, over candidate
+/// IAs: LOCAL_PREF and MED from the IA's BGP block (100 and 0 when
+/// absent), the MED rung grouped by the neighbor's AS. D-BGP neighbors
+/// are eBGP and carry no router id, so the neighbor id breaks what ties.
+/// The MED rung is intransitive, so the order is no [`Rank`], and the
+/// module keeps [`incremental_safe`](DecisionModule::incremental_safe)
+/// `false`: every decision is a full scan. Its protocol is
+/// [`ProtocolId::BGP`]; registering it replaces [`BgpDecision`].
+#[derive(Debug, Default, Clone)]
+pub struct ClassicBgp {
+    /// The comparator's input, reused from call to call.
+    scratch: Vec<Candidate>,
+}
+
+impl ClassicBgp {
+    /// Create the module.
+    pub fn new() -> Self {
+        ClassicBgp::default()
+    }
+
+    /// The comparator's view of `candidates`, in the same order.
+    fn load(&mut self, candidates: &[CandidateIa<'_>]) -> &[Candidate] {
+        self.scratch.clear();
+        self.scratch.extend(candidates.iter().map(|c| {
+            let bgp = c.ia.bgp.as_deref();
+            Candidate {
+                local: false,
+                local_pref: bgp.and_then(|b| b.local_pref).unwrap_or(decision::DEFAULT_LOCAL_PREF),
+                hops: c.ia.hop_count(),
+                origin: c.ia.origin,
+                med: bgp.and_then(|b| b.med).unwrap_or(0),
+                neighbor_as: c.neighbor_as,
+                ebgp: true,
+                router_id: Ipv4Addr(0),
+                peer: c.neighbor.0,
+            }
+        }));
+        &self.scratch
+    }
+}
+
+impl DecisionModule for ClassicBgp {
+    fn protocol(&self) -> ProtocolId {
+        ProtocolId::BGP
+    }
+
+    fn select_best(
+        &mut self,
+        _prefix: Ipv4Prefix,
+        candidates: &[CandidateIa<'_>],
+    ) -> Option<usize> {
+        decision::best(self.load(candidates))
+    }
+
+    fn explain(
+        &mut self,
+        _prefix: Ipv4Prefix,
+        candidates: &[CandidateIa<'_>],
+        best: usize,
+    ) -> SelectionReason {
+        decision::explain(self.load(candidates), best)
+    }
+
+    // Like the baseline, it never touches outgoing IAs.
+    fn export_is_uniform(&self) -> bool {
         true
     }
 }

@@ -26,7 +26,7 @@
 use crate::factory::{self, FactoryContext};
 use crate::filters::{self, FilterConfig, IslandConfig, RejectReason};
 use crate::iadb::{IaDb, PrefixEntry};
-use crate::module::{explain_best, BgpDecision, CandidateIa, DecisionModule, ImportContext};
+use crate::module::{BgpDecision, CandidateIa, DecisionModule, ImportContext};
 use crate::neighbor::{DbgpNeighbor, NeighborId, PeerClass};
 use dbgp_rib::{recycle, VecMap};
 use dbgp_telemetry::{Selection, SelectionReason};
@@ -642,7 +642,7 @@ impl Pipeline {
         // Only a changed best is announced, so only it is explained.
         let result = (entry.chosen != new).then(|| {
             let why = match best {
-                Some(best) => explain_best(module.as_mut(), prefix, &views, best),
+                Some(best) => module.explain(prefix, &views, best),
                 None => SelectionReason::Unreachable,
             };
             (new, Selection { why, candidates })

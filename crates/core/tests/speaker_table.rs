@@ -1,11 +1,13 @@
 //! The speaker's one per-prefix table, driven through the public API:
 //! the incremental fast path against its full-scan twin (hand-written
 //! edges, then random operation sequences), the per-class export cache
-//! across a fan-out, and reclamation of idle entries.
+//! across a fan-out, reclamation of idle entries, and the two claims
+//! `ClassicBgp` makes of the speaker.
 
 use dbgp_core::module::{DecisionModule, ExportContext};
 use dbgp_core::{
-    BgpDecision, DbgpConfig, DbgpNeighbor, DbgpOutput, DbgpSpeaker, NeighborId, PeerClass,
+    BgpDecision, ClassicBgp, DbgpConfig, DbgpNeighbor, DbgpOutput, DbgpSpeaker, NeighborId,
+    PeerClass,
 };
 use dbgp_wire::{BgpAttrs, Ia, Ipv4Addr, Ipv4Prefix, ProtocolId};
 use proptest::prelude::*;
@@ -363,6 +365,97 @@ proptest! {
         prop_assert_eq!(slow.full_scans_avoided(), 0);
         prop_assert!(fast.iadb().is_empty() && slow.iadb().is_empty());
     }
+}
+
+// ----- ClassicBgp: RFC 4271's order as a module ---------------------------
+
+/// A speaker running `ClassicBgp` among neighbors that share ASes in
+/// pairs, so that the MED rung has groups to compare within.
+fn classic(incremental: bool) -> DbgpSpeaker {
+    let mut s = DbgpSpeaker::new(DbgpConfig::gulf(LOCAL_AS));
+    s.register_module(Box::new(ClassicBgp::new()));
+    s.set_incremental(incremental);
+    for n in 0..NEIGHBORS {
+        s.add_neighbor(NeighborId(n), DbgpNeighbor::dbgp(classic_as(n)));
+    }
+    s
+}
+
+fn classic_as(n: u32) -> u32 {
+    30 + n / 2
+}
+
+/// Neighbor `n`'s IA for prefix `at`: its AS, then `tail`, with `med`.
+fn med_ia(n: u32, at: usize, tail: &[u32], med: Option<u32>) -> Ia {
+    let mut ia = Ia::originate(p(PREFIXES[at]), nh(n as u8 + 1));
+    for &hop in tail.iter().rev() {
+        ia.prepend_as(hop);
+    }
+    ia.prepend_as(classic_as(n));
+    ia.edit_bgp(|b| b.med = med);
+    ia
+}
+
+/// Neighbor `n` announces prefix `at` over `tail` with `med`, or (`None`)
+/// withdraws it.
+type MedOp = (u32, usize, Option<(Vec<u32>, Option<u32>)>);
+
+fn apply_med(speaker: &mut DbgpSpeaker, (n, at, announce): &MedOp) -> Vec<DbgpOutput> {
+    match announce {
+        Some((tail, med)) => speaker.receive_ia(NeighborId(*n), med_ia(*n, *at, tail, *med)),
+        None => speaker.receive_withdraw(NeighborId(*n), p(PREFIXES[*at])),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `ClassicBgp` declares no fast path — its MED rung is not a total
+    /// order, so "worse than the incumbent" proves nothing — and the
+    /// speaker honours that: over random arrivals and withdrawals that
+    /// carry MEDs it never skips a scan, and its outputs and table equal
+    /// those of its `set_incremental(false)` twin at every step.
+    #[test]
+    fn classic_bgp_always_full_scans_and_matches_its_twin(
+        ops in proptest::collection::vec(
+            (
+                0..NEIGHBORS,
+                0..PREFIXES.len(),
+                proptest::option::of((
+                    proptest::collection::vec(20u32..24, 0..3),
+                    proptest::option::of(0u32..3),
+                )),
+            ),
+            1..60,
+        ),
+    ) {
+        let mut twins = [classic(true), classic(false)];
+        for op in &ops {
+            let [fast, slow] = &mut twins;
+            prop_assert_eq!(apply_med(fast, op), apply_med(slow, op), "outputs diverge: {:?}", op);
+            prop_assert!(fast.routes().eq(slow.routes()), "tables diverge: {:?}", op);
+        }
+        prop_assert_eq!(twins[0].full_scans_avoided(), 0);
+    }
+}
+
+/// `ClassicBgp`'s export is uniform, so a fan-out builds the outgoing IA
+/// once and hands the other neighbors of its class the same `Arc`.
+#[test]
+fn classic_bgp_shares_one_export_across_a_fan_out() {
+    let mut speaker = classic(true);
+    let outs = speaker.receive_ia(NeighborId(2), med_ia(2, 1, &[], Some(5)));
+    let sent: Vec<&Arc<Ia>> = outs
+        .iter()
+        .filter_map(|o| match o {
+            DbgpOutput::SendIa(_, ia) => Some(ia),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(sent.len(), NEIGHBORS as usize - 1, "every neighbor but the source");
+    assert!(sent.iter().all(|ia| Arc::ptr_eq(ia, sent[0])), "one build, shared by all");
+    assert_eq!(speaker.exports_built(), 1);
+    assert!(speaker.exports_shared() > 0);
 }
 
 /// `BestChanged` carries why the winner won, and every speaker call

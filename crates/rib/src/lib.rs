@@ -52,8 +52,8 @@ pub use slots::PeerSlots;
 pub use vecmap::VecMap;
 
 /// Hand an emptied scratch `Vec` back under a new element type, keeping
-/// its allocation: the decision loops of both routing cores fill a
-/// `Vec` of borrowing views per call, and a view type that differs
+/// its allocation: `DbgpSpeaker`'s decision loop fills a `Vec` of
+/// borrowing views per call, and a view type that differs
 /// from call to call only in its lifetime cannot be named in a struct
 /// field. `v` is cleared first, so the closure never runs; when `T` and
 /// `U` have the same layout std's in-place `collect` reuses the buffer
@@ -563,9 +563,9 @@ mod tests {
         s.parse().unwrap()
     }
 
-    /// The scratch buffers of `DbgpSpeaker::select` and
-    /// `RoutingCore::select_best` ride on this: a round trip through a
-    /// borrowing element type gives back the same allocation.
+    /// The scratch buffer of `DbgpSpeaker::select` rides on this: a
+    /// round trip through a borrowing element type gives back the same
+    /// allocation.
     #[test]
     fn recycle_keeps_the_allocation_across_lifetimes() {
         let mut parked: Vec<(&'static u32, u64)> = Vec::with_capacity(64);

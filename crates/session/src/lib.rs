@@ -57,7 +57,6 @@ pub mod session;
 pub mod stream;
 
 pub use config::{NeighborConfig, PeerConfig, PeerId};
-pub use decision::{best, compare, Candidate};
 pub use fabric::Fabric;
 pub use host::{Host, HostOutput};
 pub use peer::{ConnDir, CoreOutput, SessionCore};

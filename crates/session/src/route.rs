@@ -1,6 +1,7 @@
 //! The parsed form of a BGP route: one prefix's attributes, decoded out
 //! of an UPDATE's attribute list and re-encodable back into one.
 
+use crate::decision::DEFAULT_LOCAL_PREF;
 use dbgp_wire::attrs::{code, AsPath, BgpAttrs, Origin, PathAttribute};
 use dbgp_wire::error::{WireError, WireResult};
 use dbgp_wire::{Ia, Ipv4Addr, Ipv4Prefix};
@@ -18,9 +19,6 @@ pub struct Route {
     /// what of them crosses the AS boundary is [`BgpAttrs`]'s rule.
     pub bgp: BgpAttrs,
 }
-
-/// Default LOCAL_PREF assumed when the attribute is absent.
-pub const DEFAULT_LOCAL_PREF: u32 = 100;
 
 impl Route {
     /// A locally originated route (empty AS path).

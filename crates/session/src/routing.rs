@@ -26,7 +26,7 @@ use crate::decision::{self, Candidate};
 use crate::rib::{Entry, LocRibEntry, RouteSource};
 use crate::route::Route;
 use crate::session::{Millis, SessionSummary};
-use dbgp_rib::{recycle, PrefixTrie};
+use dbgp_rib::PrefixTrie;
 use dbgp_telemetry::{Selection, SelectionReason};
 use dbgp_wire::message::UpdateMsg;
 use dbgp_wire::{Ipv4Addr, Ipv4Prefix, WireError};
@@ -102,12 +102,8 @@ struct Pipeline {
     /// Entries with an installed best: `loc_rib().len()` in O(1).
     installed: usize,
     stats: Counters,
-    /// Reusable decision-scratch buffers — always empty between calls;
-    /// the `'static` parameters are placeholders [`dbgp_rib::recycle`]
-    /// swaps for the borrow while `select_best` has the (empty) vecs
-    /// checked out.
-    scratch_arcs: Vec<&'static Arc<Route>>,
-    scratch_cands: Vec<Candidate<'static>>,
+    /// The decision process's input, reused from call to call.
+    scratch: Vec<Candidate>,
 }
 
 #[derive(Default)]
@@ -192,8 +188,7 @@ impl RoutingCore {
                 peers: BTreeMap::new(),
                 installed: 0,
                 stats: Counters::default(),
-                scratch_arcs: Vec::new(),
-                scratch_cands: Vec::new(),
+                scratch: Vec::new(),
             },
         }
     }
@@ -511,8 +506,9 @@ impl Pipeline {
     /// should now see (export, diff against Adj-RIB-Out), in ascending
     /// `PeerId`. Always a scan of every candidate: RFC 4271's
     /// same-neighbour-AS MED rule makes the comparison intransitive
-    /// (`decision::tests::med_default_is_intransitive`), so "loses to
-    /// the installed best" proves nothing about the next winner.
+    /// (`tests/classic_decision.rs` closes the three-route cycle), so
+    /// "loses to the installed best" proves nothing about the next
+    /// winner.
     fn redecide(&mut self, entry: &mut Entry, prefix: Ipv4Prefix, out: &mut Vec<RibOp>) {
         let Some((new_best, selection)) = self.select_best(entry) else { return };
         self.installed += usize::from(new_best.is_some());
@@ -549,43 +545,48 @@ impl Pipeline {
     /// selects what is installed already; otherwise the new best, why it
     /// won and against how many.
     fn select_best(&mut self, entry: &Entry) -> Option<(Option<LocRibEntry>, Selection)> {
-        // Check out the reusable scratch buffers (only the capacity
-        // allocations are recycled).
-        let mut arcs: Vec<&Arc<Route>> = recycle(std::mem::take(&mut self.scratch_arcs));
-        let mut candidates: Vec<Candidate<'_>> = recycle(std::mem::take(&mut self.scratch_cands));
-        // The decision process borrows plain `&Route` views; `arcs` keeps
-        // the interned handles in lockstep so the winner is retained by
-        // refcount bump, not deep clone.
-        if let Some(route) = &entry.originated {
-            arcs.push(route);
-            candidates.push(Candidate::local(route));
+        let candidates = &mut self.scratch;
+        candidates.clear();
+        if entry.originated.is_some() {
+            candidates.push(Candidate::LOCAL);
         }
         for (peer_id, route) in entry.slots.candidates() {
             let peer = &self.peers[&peer_id];
-            arcs.push(route);
             candidates.push(Candidate {
-                route,
-                source: RouteSource::Peer(peer_id),
-                peer_as: peer.cfg.peer_as,
+                local: false,
+                local_pref: route.effective_local_pref(),
+                hops: route.as_path.hop_count(),
+                origin: route.origin,
+                med: route.bgp.med.unwrap_or(0),
+                // RFC 4271 §9.1.2.2(c): the neighbouring AS is the
+                // path's, not the relaying peer's (over iBGP, our own).
+                neighbor_as: route.as_path.first_as().unwrap_or(peer.cfg.peer_as),
                 ebgp: !peer.cfg.is_ibgp(),
-                peer_router_id: peer.summary.map(|s| s.peer_id).unwrap_or(Ipv4Addr(u32::MAX)),
+                router_id: peer.summary.map_or(Ipv4Addr(u32::MAX), |s| s.peer_id),
+                peer: peer_id.0,
             });
         }
-        let winner = decision::best(&candidates);
-        let new_best = winner
-            .map(|i| LocRibEntry { route: Arc::clone(arcs[i]), source: candidates[i].source });
+        let winner = decision::best(candidates);
+        // The candidates are values; fetch the winner's interned route
+        // again by its source, so it is kept by refcount bump.
+        let new_best = winner.map(|i| {
+            let (route, source) = match candidates[i] {
+                Candidate { local: true, .. } => (entry.originated.as_ref(), RouteSource::Local),
+                Candidate { peer, .. } => {
+                    (entry.slots.received(PeerId(peer)), RouteSource::Peer(PeerId(peer)))
+                }
+            };
+            let route = Arc::clone(route.expect("winner was enumerated from the entry"));
+            LocRibEntry { route, source }
+        });
         // Only a changed best is announced, so only it is explained.
-        let result = (entry.best != new_best).then(|| {
+        (entry.best != new_best).then(|| {
             let why = match winner {
-                Some(i) => decision::explain(&candidates, i),
+                Some(i) => decision::explain(candidates, i),
                 None => SelectionReason::Unreachable,
             };
             (new_best, Selection { why, candidates: candidates.len() as u32 })
-        });
-        // Check the scratch buffers back in, empty again.
-        self.scratch_arcs = recycle(arcs);
-        self.scratch_cands = recycle(candidates);
-        result
+        })
     }
 
     /// Emit everything staged: per peer in ascending `PeerId`, the

@@ -1,4 +1,4 @@
-//! LEB128 variable-length integers and zigzag encoding.
+//! LEB128 variable-length unsigned integers.
 //!
 //! The Integrated Advertisement codec uses varints everywhere a
 //! protocol-buffer encoding would, so IA sizes stay close to what the
@@ -46,26 +46,6 @@ pub fn get_uvarint(buf: &mut impl Buf) -> WireResult<u64> {
         shift += 7;
     }
     Err(WireError::MalformedVarint)
-}
-
-/// Zigzag-map a signed integer so small magnitudes get small varints.
-pub fn zigzag(value: i64) -> u64 {
-    ((value << 1) ^ (value >> 63)) as u64
-}
-
-/// Inverse of [`zigzag`].
-pub fn unzigzag(value: u64) -> i64 {
-    ((value >> 1) as i64) ^ -((value & 1) as i64)
-}
-
-/// Append a signed integer as a zigzag varint.
-pub fn put_ivarint(buf: &mut impl BufMut, value: i64) {
-    put_uvarint(buf, zigzag(value));
-}
-
-/// Decode a signed zigzag varint.
-pub fn get_ivarint(buf: &mut impl Buf) -> WireResult<i64> {
-    Ok(unzigzag(get_uvarint(buf)?))
 }
 
 /// Number of bytes [`put_uvarint`] will emit for `value`.
@@ -137,25 +117,5 @@ mod tests {
         let raw = [0x80u8, 0x80];
         let mut buf = &raw[..];
         assert_eq!(get_uvarint(&mut buf), Err(WireError::MalformedVarint));
-    }
-
-    #[test]
-    fn zigzag_roundtrip() {
-        for v in [-1000i64, -1, 0, 1, 1000, i64::MIN, i64::MAX] {
-            assert_eq!(unzigzag(zigzag(v)), v);
-        }
-        // Small magnitudes map to small codes.
-        assert_eq!(zigzag(0), 0);
-        assert_eq!(zigzag(-1), 1);
-        assert_eq!(zigzag(1), 2);
-        assert_eq!(zigzag(-2), 3);
-    }
-
-    #[test]
-    fn ivarint_roundtrip() {
-        let mut b = BytesMut::new();
-        put_ivarint(&mut b, -123456789);
-        let mut bytes = b.freeze();
-        assert_eq!(get_ivarint(&mut bytes).unwrap(), -123456789);
     }
 }
