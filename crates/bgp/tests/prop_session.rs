@@ -8,11 +8,18 @@ use dbgp_wire::message::{notif, BgpMessage, NotificationMsg, OpenMsg, UpdateMsg}
 use dbgp_wire::{Ipv4Addr, Ipv4Prefix};
 use proptest::prelude::*;
 
+/// The AS the sessions under test expect their peer to open with.
+const PEER_AS: u32 = 200;
+
 fn config() -> PeerConfig {
+    expecting(PEER_AS)
+}
+
+fn expecting(peer_as: u32) -> PeerConfig {
     PeerConfig {
         local_as: 100,
         local_id: Ipv4Addr::new(10, 0, 0, 1),
-        peer_as: None,
+        peer_as,
         hold_time_secs: 90,
         connect_retry_ms: 5_000,
         passive: false,
@@ -28,7 +35,9 @@ fn arb_event() -> impl Strategy<Value = SessionEvent> {
         Just(SessionEvent::TcpFailed),
         Just(SessionEvent::TcpClosed),
         Just(SessionEvent::Message(BgpMessage::Keepalive)),
-        (1u32..100_000, 0u16..200).prop_map(|(asn, hold)| {
+        // The configured AS (the handshake goes on) or any other (the
+        // OPEN is refused).
+        (prop_oneof![Just(PEER_AS), 1u32..100_000], 0u16..200).prop_map(|(asn, hold)| {
             let hold = if hold == 1 || hold == 2 { 3 } else { hold };
             SessionEvent::Message(BgpMessage::Open(OpenMsg::new(
                 asn,
@@ -137,7 +146,7 @@ proptest! {
         now += gaps[1];
         session.handle(
             now,
-            SessionEvent::Message(BgpMessage::Open(OpenMsg::new(200, 90, Ipv4Addr(7)))),
+            SessionEvent::Message(BgpMessage::Open(OpenMsg::new(PEER_AS, 90, Ipv4Addr(7)))),
         );
         now += gaps[2];
         let actions = session.handle(now, SessionEvent::Message(BgpMessage::Keepalive));
@@ -154,7 +163,7 @@ proptest! {
         session.handle(0, SessionEvent::TcpConnected);
         session.handle(
             0,
-            SessionEvent::Message(BgpMessage::Open(OpenMsg::new(200, 90, Ipv4Addr(7)))),
+            SessionEvent::Message(BgpMessage::Open(OpenMsg::new(PEER_AS, 90, Ipv4Addr(7)))),
         );
         session.handle(0, SessionEvent::Message(BgpMessage::Keepalive));
         prop_assert_eq!(session.state(), SessionState::Established);
@@ -208,13 +217,13 @@ proptest! {
 #[test]
 fn day_long_session_stays_up_on_keepalives() {
     let mut a = Session::new(config());
-    let mut b = Session::new(config());
+    let mut b = Session::new(expecting(100));
     a.handle(0, SessionEvent::ManualStart);
     b.handle(0, SessionEvent::ManualStart);
     a.handle(0, SessionEvent::TcpConnected);
     b.handle(0, SessionEvent::TcpConnected);
     // Exchange OPENs + first keepalives.
-    a.handle(1, SessionEvent::Message(BgpMessage::Open(OpenMsg::new(200, 90, Ipv4Addr(2)))));
+    a.handle(1, SessionEvent::Message(BgpMessage::Open(OpenMsg::new(PEER_AS, 90, Ipv4Addr(2)))));
     b.handle(1, SessionEvent::Message(BgpMessage::Open(OpenMsg::new(100, 90, Ipv4Addr(1)))));
     a.handle(2, SessionEvent::Message(BgpMessage::Keepalive));
     b.handle(2, SessionEvent::Message(BgpMessage::Keepalive));

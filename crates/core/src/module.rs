@@ -297,8 +297,9 @@ impl DecisionModule for BgpDecision {
 
 /// RFC 4271's decision process as a decision module, over candidate
 /// IAs: LOCAL_PREF and MED from the IA's BGP block (100 and 0 when
-/// absent), the MED rung grouped by the neighbor's AS. D-BGP neighbors
-/// are eBGP and carry no router id, so the neighbor id breaks what ties.
+/// absent), the MED rung grouped by the path's first AS
+/// ([`decision::neighbor_as`]). D-BGP neighbors are eBGP and carry no
+/// router id, so the neighbor id breaks what ties.
 /// The MED rung is intransitive, so the order is no [`Rank`], and the
 /// module keeps [`incremental_safe`](DecisionModule::incremental_safe)
 /// `false`: every decision is a full scan. Its protocol is
@@ -321,12 +322,11 @@ impl ClassicBgp {
         self.scratch.extend(candidates.iter().map(|c| {
             let bgp = c.ia.bgp.as_deref();
             Candidate {
-                local: false,
                 local_pref: bgp.and_then(|b| b.local_pref).unwrap_or(decision::DEFAULT_LOCAL_PREF),
                 hops: c.ia.hop_count(),
                 origin: c.ia.origin,
                 med: bgp.and_then(|b| b.med).unwrap_or(0),
-                neighbor_as: c.neighbor_as,
+                neighbor_as: decision::neighbor_as(c.ia.first_as(), c.neighbor_as),
                 ebgp: true,
                 router_id: Ipv4Addr(0),
                 peer: c.neighbor.0,

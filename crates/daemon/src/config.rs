@@ -193,7 +193,7 @@ impl DaemonConfig {
         session.connect_retry_ms = self.connect_retry_ms;
         session.passive = spec.passive;
         session.advertise_ia = spec.advertise_ia;
-        NeighborConfig { peer_as: spec.peer_as, local_addr: spec.next_hop, session }
+        NeighborConfig { local_addr: spec.next_hop, session }
     }
 }
 

@@ -17,7 +17,7 @@ pub fn dump_node(node: &Node) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "# dbgpd-rib/v1 as={} router-id={}", routing.asn(), routing.router_id());
     for id in node.peer_ids() {
-        let cfg = routing.peer_cfg(id).expect("configured peer");
+        let peer_as = routing.peer_as(id).expect("configured peer");
         let state = match node.state(id) {
             Some(SessionState::Established) => "established",
             Some(SessionState::Idle) | None => "idle",
@@ -28,11 +28,11 @@ pub fn dump_node(node: &Node) -> String {
                 let _ = writeln!(
                     out,
                     "peer as={} state={} ia={} four-octet={} peer-id={}",
-                    cfg.peer_as, state, s.ia_support, s.four_octet, s.peer_id
+                    peer_as, state, s.ia_support, s.four_octet, s.peer_id
                 );
             }
             None => {
-                let _ = writeln!(out, "peer as={} state={}", cfg.peer_as, state);
+                let _ = writeln!(out, "peer as={} state={}", peer_as, state);
             }
         }
     }
@@ -40,7 +40,7 @@ pub fn dump_node(node: &Node) -> String {
         let source = match entry.source {
             RouteSource::Local => "local".to_string(),
             RouteSource::Peer(pid) => {
-                format!("as{}", routing.peer_cfg(pid).map(|c| c.peer_as).unwrap_or(0))
+                format!("as{}", routing.peer_as(pid).unwrap_or(0))
             }
         };
         let path = entry.route.as_path.to_string();
@@ -70,6 +70,6 @@ pub fn down_peers(node: &Node) -> Vec<u32> {
     node.peer_ids()
         .iter()
         .filter(|id| node.state(**id) != Some(SessionState::Established))
-        .map(|id: &PeerId| node.routing().peer_cfg(*id).map(|c| c.peer_as).unwrap_or(0))
+        .map(|id: &PeerId| node.routing().peer_as(*id).unwrap_or(0))
         .collect()
 }

@@ -254,7 +254,7 @@ fn compare_daemons(fabric: &Fabric<Node>, net: &RefNet, phase: usize) -> Result<
         let routing = daemon.routing();
         let from_as = |source| match source {
             RouteSource::Local => None,
-            RouteSource::Peer(pid) => routing.peer_cfg(pid).map(|c| c.peer_as),
+            RouteSource::Peer(pid) => routing.peer_as(pid),
         };
         let daemon_rib: BTreeMap<Ipv4Prefix, (Option<u32>, String)> = routing
             .loc_rib()

@@ -9,8 +9,8 @@ pub struct PeerConfig {
     pub local_as: u32,
     /// Our BGP identifier.
     pub local_id: Ipv4Addr,
-    /// Expected peer AS; `None` accepts any (discovered from the OPEN).
-    pub peer_as: Option<u32>,
+    /// The peer's AS: an OPEN from any other is refused.
+    pub peer_as: u32,
     /// Hold time we offer, in seconds (0 disables keepalives).
     pub hold_time_secs: u16,
     /// Delay between transport connection attempts, in milliseconds.
@@ -27,7 +27,7 @@ impl PeerConfig {
         PeerConfig {
             local_as,
             local_id,
-            peer_as: Some(peer_as),
+            peer_as,
             hold_time_secs: 90,
             connect_retry_ms: 30_000,
             passive: false,
@@ -49,27 +49,20 @@ impl std::fmt::Display for PeerId {
 /// Routing-layer settings for one neighbor.
 #[derive(Debug, Clone)]
 pub struct NeighborConfig {
-    /// The neighbor's AS (required at the routing layer: iBGP vs eBGP
-    /// and MED comparison key off it).
-    pub peer_as: u32,
     /// The address we use as NEXT_HOP when advertising to this neighbor.
     pub local_addr: Ipv4Addr,
-    /// Session-level settings.
+    /// Session-level settings, the neighbor's AS among them.
     pub session: PeerConfig,
 }
 
 impl NeighborConfig {
     /// A neighbor with default session settings.
     pub fn new(local_as: u32, local_id: Ipv4Addr, peer_as: u32, local_addr: Ipv4Addr) -> Self {
-        NeighborConfig {
-            peer_as,
-            local_addr,
-            session: PeerConfig::new(local_as, local_id, peer_as),
-        }
+        NeighborConfig { local_addr, session: PeerConfig::new(local_as, local_id, peer_as) }
     }
 
     /// Is this an iBGP neighbor?
     pub fn is_ibgp(&self) -> bool {
-        self.peer_as == self.session.local_as
+        self.session.peer_as == self.session.local_as
     }
 }

@@ -1,7 +1,8 @@
 //! The BGP decision process (RFC 4271 §9.1.2.2): rank candidate routes
 //! for one prefix and pick the best.
 //!
-//! Order of comparison:
+//! A locally originated route is not a candidate: both cores install it
+//! before any comparison. Order of comparison between learned routes:
 //!
 //! 1. highest LOCAL_PREF (default 100 when absent);
 //! 2. shortest AS_PATH (AS_SET counts one);
@@ -33,8 +34,6 @@ pub const DEFAULT_LOCAL_PREF: u32 = 100;
 /// One contender in the decision process: what each rung reads.
 #[derive(Debug, Clone, Copy)]
 pub struct Candidate {
-    /// Locally originated: beats every learned route.
-    pub local: bool,
     /// LOCAL_PREF, [`DEFAULT_LOCAL_PREF`] when absent (rung 1).
     pub local_pref: u32,
     /// AS_PATH length, an AS_SET counting one (rung 2).
@@ -43,8 +42,8 @@ pub struct Candidate {
     pub origin: Origin,
     /// MULTI_EXIT_DISC, 0 when absent (rung 4).
     pub med: u32,
-    /// The neighbouring AS the route came through: rung 4 compares MED
-    /// only between candidates that share it.
+    /// The neighbouring AS the route came through ([`neighbor_as`]):
+    /// rung 4 compares MED only between candidates that share it.
     pub neighbor_as: u32,
     /// Learned over eBGP (rung 5).
     pub ebgp: bool,
@@ -54,19 +53,13 @@ pub struct Candidate {
     pub peer: u32,
 }
 
-impl Candidate {
-    /// The locally originated route.
-    pub const LOCAL: Candidate = Candidate {
-        local: true,
-        local_pref: DEFAULT_LOCAL_PREF,
-        hops: 0,
-        origin: Origin::Igp,
-        med: 0,
-        neighbor_as: 0,
-        ebgp: false,
-        router_id: Ipv4Addr(0),
-        peer: 0,
-    };
+/// The neighbouring AS a route's MED is compared within (RFC 4271
+/// §9.1.2.2(c)): the path's first AS, not the relaying peer's. Only a
+/// path that does not begin with an AS — empty (originated inside the
+/// sender's AS, or ours over iBGP), or led by a set or an island — falls
+/// back to the sending peer's AS, `peer_as`.
+pub fn neighbor_as(first_as: Option<u32>, peer_as: u32) -> u32 {
+    first_as.unwrap_or(peer_as)
 }
 
 /// Compare two candidates and report the decisive tie-break step.
@@ -75,7 +68,6 @@ pub fn compare_explain(a: &Candidate, b: &Candidate) -> (Ordering, SelectionReas
     // Same neighbouring AS only.
     let med = if a.neighbor_as == b.neighbor_as { b.med.cmp(&a.med) } else { Ordering::Equal };
     [
-        (a.local.cmp(&b.local), SelectionReason::LocalOrigin),
         (a.local_pref.cmp(&b.local_pref), SelectionReason::LocalPref),
         (b.hops.cmp(&a.hops), SelectionReason::ShortestPath),
         (b.origin.cmp(&a.origin), SelectionReason::Origin),

@@ -85,9 +85,9 @@ impl Half {
 /// The sans-IO core for one neighbor.
 #[derive(Debug, Clone)]
 pub struct SessionCore {
-    cfg: PeerConfig,
     /// The outbound slot always exists; it owns ManualStart and the
-    /// connect-retry machinery.
+    /// connect-retry machinery, and its session holds the neighbor's
+    /// configuration.
     out: Half,
     /// The inbound slot exists only while the peer has a connection in.
     inb: Option<Half>,
@@ -98,13 +98,7 @@ pub struct SessionCore {
 impl SessionCore {
     /// A core for the given peer configuration, in Idle.
     pub fn new(cfg: PeerConfig) -> Self {
-        let out = Half::new(cfg.clone());
-        SessionCore { cfg, out, inb: None, active: None }
-    }
-
-    /// The peer configuration this core runs under.
-    pub fn config(&self) -> &PeerConfig {
-        &self.cfg
+        SessionCore { out: Half::new(cfg), inb: None, active: None }
     }
 
     /// The FSM state of the session (the active connection's, else the
@@ -153,17 +147,6 @@ impl SessionCore {
         out
     }
 
-    /// Disable the session: CEASE on the live connection, close both.
-    pub fn stop(&mut self, now: Millis) -> Vec<CoreOutput> {
-        let mut out = Vec::new();
-        if self.inb.is_some() {
-            self.kill_secondary(ConnDir::In, &mut out);
-        }
-        let actions = self.out.session.handle(now, SessionEvent::ManualStop);
-        self.map_actions(now, ConnDir::Out, actions, &mut out);
-        out
-    }
-
     /// A transport connection came up.
     ///
     /// `Out` reports the host's dial succeeding; `In` hands the core an
@@ -187,7 +170,7 @@ impl SessionCore {
                     out.push(CoreOutput::Close(ConnDir::In));
                     return out;
                 }
-                let mut cfg = self.cfg.clone();
+                let mut cfg = self.out.session.config().clone();
                 cfg.passive = true;
                 let mut half = Half::new(cfg);
                 // Passive start parks the FSM in Active; the connection
@@ -250,7 +233,8 @@ impl SessionCore {
                         if other_colliding {
                             // §6.8: the connection initiated by the higher
                             // BGP identifier survives.
-                            let peer_wins = open.bgp_id.0 > self.cfg.local_id.0;
+                            let local_id = self.out.session.config().local_id;
+                            let peer_wins = open.bgp_id.0 > local_id.0;
                             let winner = if peer_wins { ConnDir::In } else { ConnDir::Out };
                             if winner == dir {
                                 self.kill_secondary(other, &mut out);
@@ -338,7 +322,7 @@ impl SessionCore {
             ConnDir::Out => {
                 // The outbound slot is structural: replace it with a
                 // fresh Idle FSM (timers disarmed, buffer empty).
-                self.out = Half::new(self.cfg.clone());
+                self.out = Half::new(self.out.session.config().clone());
             }
         }
         if self.active == Some(dir) {

@@ -45,8 +45,16 @@ pub enum RibOp {
     BestRouteChanged(Ipv4Prefix, Option<LocRibEntry>, Selection),
 }
 
+/// What the routing core keeps of a neighbor: the facts
+/// [`RoutingCore::add_peer`] derives from its configuration (the session
+/// settings stay with its session), and its routing state.
 struct PeerEntry {
-    cfg: NeighborConfig,
+    /// The neighbor's AS.
+    asn: u32,
+    /// The NEXT_HOP an eBGP export to this neighbor carries.
+    next_hop: Ipv4Addr,
+    /// The neighbor is in our AS.
+    ibgp: bool,
     /// Set while the session is Established; carries the negotiated
     /// capabilities and the peer's router ID for the decision process.
     summary: Option<SessionSummary>,
@@ -240,13 +248,20 @@ impl RoutingCore {
 
     /// Register a neighbor. Panics if the peer ID is already used.
     pub fn add_peer(&mut self, id: PeerId, cfg: NeighborConfig) {
-        let entry = PeerEntry { cfg, summary: None, last_export: None, staged: Staged::default() };
+        let entry = PeerEntry {
+            asn: cfg.session.peer_as,
+            next_hop: cfg.local_addr,
+            ibgp: cfg.is_ibgp(),
+            summary: None,
+            last_export: None,
+            staged: Staged::default(),
+        };
         assert!(self.pipe.peers.insert(id, entry).is_none(), "duplicate peer {id}");
     }
 
-    /// The neighbor configuration for a peer.
-    pub fn peer_cfg(&self, id: PeerId) -> Option<&NeighborConfig> {
-        self.pipe.peers.get(&id).map(|p| &p.cfg)
+    /// The configured AS of a peer.
+    pub fn peer_as(&self, id: PeerId) -> Option<u32> {
+        self.pipe.peers.get(&id).map(|p| p.asn)
     }
 
     /// True while the session with `id` is up (between
@@ -355,7 +370,7 @@ impl RoutingCore {
             Ok(route) => route,
             Err(err) => return (out, Some(err)),
         };
-        route.bgp.import(!pipe.peers[&id].cfg.is_ibgp());
+        route.bgp.import(!pipe.peers[&id].ibgp);
         // Receiver-side loop detection (RFC 4271 §9.1.2): a path carrying
         // our own AS is invisible to the decision process, and implicitly
         // withdraws whatever the peer had advertised for each prefix.
@@ -440,12 +455,12 @@ impl PeerEntry {
         // Split horizon: never send a route back to its source. No iBGP
         // reflection: iBGP-learned routes do not go to other iBGP peers
         // (we are not a route reflector).
-        if best.source == RouteSource::Peer(id) || (src_ibgp && self.cfg.is_ibgp()) {
+        if best.source == RouteSource::Peer(id) || (src_ibgp && self.ibgp) {
             return None;
         }
         // iBGP forwards the route unmodified: the interned Loc-RIB route
         // is shared as-is.
-        if self.cfg.is_ibgp() {
+        if self.ibgp {
             return Some(Arc::clone(&best.route));
         }
         if let Some((installed, exported)) = &self.last_export {
@@ -455,7 +470,7 @@ impl PeerEntry {
             }
         }
         stats.exports_computed += 1;
-        let exported = Arc::new(best.route.for_ebgp_export(asn, self.cfg.local_addr));
+        let exported = Arc::new(best.route.for_ebgp_export(asn, self.next_hop));
         self.last_export = Some((Arc::clone(&best.route), Arc::clone(&exported)));
         Some(exported)
     }
@@ -466,7 +481,7 @@ impl Pipeline {
     /// the dumped-to peer out of the map; split horizon answers for it.)
     fn source_is_ibgp(&self, source: RouteSource) -> bool {
         match source {
-            RouteSource::Peer(src) => self.peers.get(&src).is_some_and(|p| p.cfg.is_ibgp()),
+            RouteSource::Peer(src) => self.peers.get(&src).is_some_and(|p| p.ibgp),
             RouteSource::Local => false,
         }
     }
@@ -545,23 +560,23 @@ impl Pipeline {
     /// selects what is installed already; otherwise the new best, why it
     /// won and against how many.
     fn select_best(&mut self, entry: &Entry) -> Option<(Option<LocRibEntry>, Selection)> {
+        // An originated prefix is ours: decided before any comparison.
+        if let Some(route) = &entry.originated {
+            let ours = Some(LocRibEntry { route: Arc::clone(route), source: RouteSource::Local });
+            let selection = Selection { why: SelectionReason::LocalOrigin, candidates: 1 };
+            return (entry.best != ours).then_some((ours, selection));
+        }
         let candidates = &mut self.scratch;
         candidates.clear();
-        if entry.originated.is_some() {
-            candidates.push(Candidate::LOCAL);
-        }
         for (peer_id, route) in entry.slots.candidates() {
             let peer = &self.peers[&peer_id];
             candidates.push(Candidate {
-                local: false,
                 local_pref: route.effective_local_pref(),
                 hops: route.as_path.hop_count(),
                 origin: route.origin,
                 med: route.bgp.med.unwrap_or(0),
-                // RFC 4271 §9.1.2.2(c): the neighbouring AS is the
-                // path's, not the relaying peer's (over iBGP, our own).
-                neighbor_as: route.as_path.first_as().unwrap_or(peer.cfg.peer_as),
-                ebgp: !peer.cfg.is_ibgp(),
+                neighbor_as: decision::neighbor_as(route.as_path.first_as(), peer.asn),
+                ebgp: !peer.ibgp,
                 router_id: peer.summary.map_or(Ipv4Addr(u32::MAX), |s| s.peer_id),
                 peer: peer_id.0,
             });
@@ -570,14 +585,9 @@ impl Pipeline {
         // The candidates are values; fetch the winner's interned route
         // again by its source, so it is kept by refcount bump.
         let new_best = winner.map(|i| {
-            let (route, source) = match candidates[i] {
-                Candidate { local: true, .. } => (entry.originated.as_ref(), RouteSource::Local),
-                Candidate { peer, .. } => {
-                    (entry.slots.received(PeerId(peer)), RouteSource::Peer(PeerId(peer)))
-                }
-            };
-            let route = Arc::clone(route.expect("winner was enumerated from the entry"));
-            LocRibEntry { route, source }
+            let source = PeerId(candidates[i].peer);
+            let route = entry.slots.received(source).expect("winner was enumerated from the entry");
+            LocRibEntry { route: Arc::clone(route), source: RouteSource::Peer(source) }
         });
         // Only a changed best is announced, so only it is explained.
         (entry.best != new_best).then(|| {
@@ -606,10 +616,10 @@ impl Pipeline {
                 continue;
             }
             let four_octet = peer.summary.is_some_and(|s| s.four_octet);
-            let ibgp = peer.cfg.is_ibgp();
             let first = out.len();
             for (route, members) in staged.runs.drain(..) {
-                match UpdateMsg::pack_announcements(&members, route.to_attrs(ibgp), four_octet) {
+                match UpdateMsg::pack_announcements(&members, route.to_attrs(peer.ibgp), four_octet)
+                {
                     Some(updates) => {
                         stats.nlri_out += members.len() as u64;
                         out.extend(updates.into_iter().map(|u| RibOp::Announce(id, u)));

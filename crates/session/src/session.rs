@@ -111,11 +111,9 @@ const OPEN_HOLD_MS: Millis = 240_000;
 pub struct Session {
     config: PeerConfig,
     state: SessionState,
-    /// Negotiated hold time (ms), valid from OpenConfirm on.
-    hold_ms: Millis,
-    four_octet: bool,
-    ia_support: bool,
-    peer_open: Option<OpenMsg>,
+    /// What the OPEN exchange settled, from OpenConfirm until the
+    /// session next goes Idle.
+    negotiated: Option<SessionSummary>,
     connect_retry_deadline: Option<Millis>,
     hold_deadline: Option<Millis>,
     keepalive_deadline: Option<Millis>,
@@ -127,10 +125,7 @@ impl Session {
         Session {
             config,
             state: SessionState::Idle,
-            hold_ms: 0,
-            four_octet: false,
-            ia_support: false,
-            peer_open: None,
+            negotiated: None,
             connect_retry_deadline: None,
             hold_deadline: None,
             keepalive_deadline: None,
@@ -150,12 +145,12 @@ impl Session {
     /// Whether UPDATEs should be encoded with 4-octet AS numbers on this
     /// session. Only meaningful once Established.
     pub fn four_octet(&self) -> bool {
-        self.four_octet
+        self.negotiated.is_some_and(|n| n.four_octet)
     }
 
     /// Whether the session negotiated D-BGP IA support.
     pub fn ia_support(&self) -> bool {
-        self.ia_support
+        self.negotiated.is_some_and(|n| n.ia_support)
     }
 
     /// The earliest future instant at which [`Session::poll`] needs to
@@ -245,7 +240,7 @@ impl Session {
             (OpenConfirm, Message(BgpMessage::Keepalive)) => {
                 self.state = Established;
                 self.arm_established_timers(now);
-                vec![Action::Up(self.summary())]
+                vec![Action::Up(self.negotiated.expect("OpenConfirm follows an accepted OPEN"))]
             }
             (Established, Message(BgpMessage::Update(update))) => {
                 self.touch_hold(now);
@@ -285,58 +280,52 @@ impl Session {
     }
 
     fn on_open(&mut self, now: Millis, open: OpenMsg) -> Vec<Action> {
-        // Validate the peer AS if configured.
-        if let Some(expected) = self.config.peer_as {
-            if open.effective_as() != expected {
-                let notification = NotificationMsg::new(notif::OPEN_ERROR, 2); // bad peer AS
-                let mut actions =
-                    vec![Action::Send(BgpMessage::Notification(notification)), Action::TcpClose];
-                actions.extend(self.enter_idle(DownReason::OpenRejected("unexpected peer AS")));
-                return actions;
-            }
+        if open.effective_as() != self.config.peer_as {
+            let notification = NotificationMsg::new(notif::OPEN_ERROR, 2); // bad peer AS
+            let mut actions =
+                vec![Action::Send(BgpMessage::Notification(notification)), Action::TcpClose];
+            actions.extend(self.enter_idle(DownReason::OpenRejected("unexpected peer AS")));
+            return actions;
         }
         let negotiated_secs = if open.hold_time == 0 || self.config.hold_time_secs == 0 {
             0
         } else {
             open.hold_time.min(self.config.hold_time_secs)
         };
-        self.hold_ms = negotiated_secs as Millis * 1000;
-        self.four_octet = open.capabilities.iter().any(|c| matches!(c, Capability::FourOctetAs(_)));
-        self.ia_support = open.supports_ia() && self.config.advertise_ia;
-        self.peer_open = Some(open);
+        self.negotiated = Some(SessionSummary {
+            peer_as: open.effective_as(),
+            peer_id: open.bgp_id,
+            hold_time_ms: negotiated_secs as Millis * 1000,
+            four_octet: open.capabilities.iter().any(|c| matches!(c, Capability::FourOctetAs(_))),
+            ia_support: open.supports_ia() && self.config.advertise_ia,
+        });
         self.state = SessionState::OpenConfirm;
         self.arm_established_timers(now);
         vec![Action::Send(BgpMessage::Keepalive)]
     }
 
     fn arm_established_timers(&mut self, now: Millis) {
-        if self.hold_ms == 0 {
+        if self.hold_ms() == 0 {
             self.hold_deadline = None;
             self.keepalive_deadline = None;
         } else {
-            self.hold_deadline = Some(now + self.hold_ms);
+            self.hold_deadline = Some(now + self.hold_ms());
             self.keepalive_deadline = Some(now + self.keepalive_interval());
         }
     }
 
+    /// The negotiated hold time; 0 (timers off) before the OPEN.
+    fn hold_ms(&self) -> Millis {
+        self.negotiated.map_or(0, |n| n.hold_time_ms)
+    }
+
     fn keepalive_interval(&self) -> Millis {
-        (self.hold_ms / 3).max(1)
+        (self.hold_ms() / 3).max(1)
     }
 
     fn touch_hold(&mut self, now: Millis) {
-        if self.hold_ms > 0 {
-            self.hold_deadline = Some(now + self.hold_ms);
-        }
-    }
-
-    fn summary(&self) -> SessionSummary {
-        let open = self.peer_open.as_ref().expect("summary only after OPEN");
-        SessionSummary {
-            peer_as: open.effective_as(),
-            peer_id: open.bgp_id,
-            hold_time_ms: self.hold_ms,
-            four_octet: self.four_octet,
-            ia_support: self.ia_support,
+        if self.hold_ms() > 0 {
+            self.hold_deadline = Some(now + self.hold_ms());
         }
     }
 
@@ -346,11 +335,10 @@ impl Session {
             SessionState::Established | SessionState::OpenConfirm | SessionState::OpenSent
         );
         self.state = SessionState::Idle;
-        self.peer_open = None;
+        self.negotiated = None;
         self.hold_deadline = None;
         self.keepalive_deadline = None;
         self.connect_retry_deadline = None;
-        self.hold_ms = 0;
         if was_live {
             vec![Action::Down(reason)]
         } else {
@@ -364,11 +352,14 @@ mod tests {
     use super::*;
     use dbgp_wire::Ipv4Addr;
 
+    /// The AS every test peer opens with.
+    const PEER_AS: u32 = 200;
+
     fn config(asn: u32) -> PeerConfig {
         PeerConfig {
             local_as: asn,
             local_id: Ipv4Addr::new(10, 0, 0, asn as u8),
-            peer_as: None,
+            peer_as: PEER_AS,
             hold_time_secs: 90,
             connect_retry_ms: 5_000,
             passive: false,
@@ -392,7 +383,7 @@ mod tests {
         let actions = s.handle(10, SessionEvent::TcpConnected);
         assert!(matches!(actions[0], Action::Send(BgpMessage::Open(_))));
         let actions =
-            s.handle(20, SessionEvent::Message(BgpMessage::Open(open_from(200, peer_ia))));
+            s.handle(20, SessionEvent::Message(BgpMessage::Open(open_from(PEER_AS, peer_ia))));
         assert_eq!(actions, vec![Action::Send(BgpMessage::Keepalive)]);
         assert_eq!(s.state(), SessionState::OpenConfirm);
         let actions = s.handle(30, SessionEvent::Message(BgpMessage::Keepalive));
@@ -407,7 +398,7 @@ mod tests {
     #[test]
     fn happy_path_reaches_established() {
         let (_s, summary) = establish(config(100), false);
-        assert_eq!(summary.peer_as, 200);
+        assert_eq!(summary.peer_as, PEER_AS);
         assert_eq!(summary.hold_time_ms, 90_000);
         assert!(summary.four_octet);
         assert!(!summary.ia_support, "IA requires both sides");
@@ -448,11 +439,12 @@ mod tests {
     #[test]
     fn unexpected_peer_as_rejected() {
         let mut cfg = config(100);
-        cfg.peer_as = Some(999);
+        cfg.peer_as = 999;
         let mut s = Session::new(cfg);
         s.handle(0, SessionEvent::ManualStart);
         s.handle(10, SessionEvent::TcpConnected);
-        let actions = s.handle(20, SessionEvent::Message(BgpMessage::Open(open_from(200, false))));
+        let actions =
+            s.handle(20, SessionEvent::Message(BgpMessage::Open(open_from(PEER_AS, false))));
         assert!(matches!(actions[0], Action::Send(BgpMessage::Notification(_))));
         assert!(actions.contains(&Action::Down(DownReason::OpenRejected("unexpected peer AS"))));
         assert_eq!(s.state(), SessionState::Idle);
@@ -460,12 +452,11 @@ mod tests {
 
     #[test]
     fn expected_peer_as_accepted() {
-        let mut cfg = config(100);
-        cfg.peer_as = Some(200);
-        let mut s = Session::new(cfg);
+        let mut s = Session::new(config(100));
         s.handle(0, SessionEvent::ManualStart);
         s.handle(10, SessionEvent::TcpConnected);
-        let actions = s.handle(20, SessionEvent::Message(BgpMessage::Open(open_from(200, false))));
+        let actions =
+            s.handle(20, SessionEvent::Message(BgpMessage::Open(open_from(PEER_AS, false))));
         assert_eq!(actions, vec![Action::Send(BgpMessage::Keepalive)]);
     }
 
@@ -476,7 +467,7 @@ mod tests {
         let mut s = Session::new(cfg);
         s.handle(0, SessionEvent::ManualStart);
         s.handle(10, SessionEvent::TcpConnected);
-        s.handle(20, SessionEvent::Message(BgpMessage::Open(open_from(200, false))));
+        s.handle(20, SessionEvent::Message(BgpMessage::Open(open_from(PEER_AS, false))));
         s.handle(30, SessionEvent::Message(BgpMessage::Keepalive));
         // Peer offered 90s, we hold 30s: negotiated 30s.
         assert!(s.next_deadline().unwrap() <= 30 + 30_000);
@@ -489,7 +480,7 @@ mod tests {
         let mut s = Session::new(cfg);
         s.handle(0, SessionEvent::ManualStart);
         s.handle(10, SessionEvent::TcpConnected);
-        s.handle(20, SessionEvent::Message(BgpMessage::Open(open_from(200, false))));
+        s.handle(20, SessionEvent::Message(BgpMessage::Open(open_from(PEER_AS, false))));
         s.handle(30, SessionEvent::Message(BgpMessage::Keepalive));
         assert_eq!(s.state(), SessionState::Established);
         assert_eq!(s.next_deadline(), None);
@@ -555,6 +546,7 @@ mod tests {
         let actions = s.handle(50, SessionEvent::TcpClosed);
         assert!(actions.contains(&Action::Down(DownReason::TransportClosed)));
         assert_eq!(s.state(), SessionState::Idle);
+        assert!(!s.four_octet(), "an Idle session keeps nothing it negotiated");
     }
 
     #[test]

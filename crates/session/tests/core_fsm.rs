@@ -15,7 +15,7 @@ fn cfg(local_id_octet: u8) -> PeerConfig {
     PeerConfig {
         local_as: 65001,
         local_id: Ipv4Addr::new(10, 0, 0, local_id_octet),
-        peer_as: Some(65002),
+        peer_as: 65002,
         hold_time_secs: 90,
         connect_retry_ms: 5_000,
         passive: false,

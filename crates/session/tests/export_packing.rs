@@ -580,3 +580,15 @@ fn the_outputs_did_not_grow() {
     assert_eq!(std::mem::size_of::<dbgp_session::HostOutput>(), 48);
     assert_eq!(std::mem::size_of::<Route>(), 72);
 }
+
+/// A session keeps what its OPEN exchange settled, not the peer's OPEN,
+/// and a neighbor's settings live once, in its outbound session: a
+/// `SessionCore` was 376 B with its own copy of them beside a 136 B
+/// `Session` holding the OPEN, and a 32 B `PeerConfig` with an optional
+/// peer AS.
+#[test]
+fn a_session_keeps_what_it_negotiated() {
+    assert_eq!(std::mem::size_of::<dbgp_session::SessionCore>(), 280);
+    assert_eq!(std::mem::size_of::<dbgp_session::Session>(), 104);
+    assert_eq!(std::mem::size_of::<dbgp_session::PeerConfig>(), 24);
+}

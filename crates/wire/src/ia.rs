@@ -350,6 +350,16 @@ impl Ia {
         self.path_vector.iter().map(PathElem::hop_count).sum()
     }
 
+    /// The neighbouring AS this path was received from: the leading
+    /// element, if it is an AS (as
+    /// [`AsPath::first_as`](crate::attrs::AsPath::first_as) reads a path).
+    pub fn first_as(&self) -> Option<u32> {
+        match self.path_vector.first() {
+            Some(PathElem::As(asn)) => Some(*asn),
+            _ => None,
+        }
+    }
+
     /// Loop check: does the path already mention this AS number?
     pub fn contains_as(&self, asn: u32) -> bool {
         self.path_vector.iter().any(|e| match e {

@@ -3,11 +3,16 @@
 //! `RoutingCore` (UPDATEs from peers brought up with a
 //! `SessionSummary`), and against a `DbgpSpeaker` running `ClassicBgp`
 //! (the same routes as IAs, `Route::to_ia`). Every leg must install the
-//! same winner and report the same `Selection.why`. Each core is fed the
-//! offers in every arrival order; the reported `why` is the one of the
-//! last best change, so it is held to the case's `why` in the orders
-//! where the winner arrives last (an originated route is always
-//! originated last), and to the other core's in every order.
+//! same winner and report the same `Selection`. Each core is fed the
+//! offers in every arrival order; the reported `Selection` is the one of
+//! the last best change, so it is held to the case's `why` (out of every
+//! offer) in the orders where the winner arrives last, and to the other
+//! core's in every order.
+//!
+//! A local origination is one more arrival, in every position. Both
+//! cores install an originated prefix before any comparison, so the
+//! comparator never sees it, and each core reports it `local-origin` out
+//! of one candidate in every order, whatever was learned before or after.
 //!
 //! For most rungs there are two kinds of case: the rung decides when
 //! everything above it ties, and a *boundary* case where the rung below
@@ -33,7 +38,7 @@ use dbgp_session::decision::{self, Candidate};
 use dbgp_session::{
     NeighborConfig, PeerId, RibOp, Route, RouteSource, RoutingCore, SessionSummary,
 };
-use dbgp_telemetry::SelectionReason as Why;
+use dbgp_telemetry::{Selection, SelectionReason as Why};
 use dbgp_wire::attrs::{AsPath, Origin};
 use dbgp_wire::message::UpdateMsg;
 use dbgp_wire::{Ipv4Addr, Ipv4Prefix};
@@ -91,6 +96,14 @@ fn ebgp(peer: u32, asn: u32, tail: &[u32]) -> Offer {
     Offer { peer, peer_as: asn, router_id: RID, route }
 }
 
+/// A route from eBGP peer `peer` in AS `asn` that did not prepend its AS
+/// (a route server, RFC 7947): the path is `path`.
+fn unprepended(peer: u32, asn: u32, path: &[u32]) -> Offer {
+    let mut route = Route::originated(Ipv4Addr::new(192, 0, 2, peer as u8));
+    route.as_path = AsPath::from_sequence(path);
+    Offer { peer, peer_as: asn, router_id: RID, route }
+}
+
 /// A route from iBGP peer `peer`, whose path is `path` unchanged.
 fn ibgp(peer: u32, path: &[u32]) -> Offer {
     let mut route = Route::originated(Ipv4Addr::new(192, 0, 2, peer as u8));
@@ -104,25 +117,28 @@ fn candidate(offer: &Offer) -> Candidate {
     let mut route = offer.route.clone();
     route.bgp.import(!offer.ibgp());
     Candidate {
-        local: false,
         local_pref: route.effective_local_pref(),
         hops: route.as_path.hop_count(),
         origin: route.origin,
         med: route.bgp.med.unwrap_or(0),
-        neighbor_as: route.as_path.first_as().unwrap_or(offer.peer_as),
+        neighbor_as: decision::neighbor_as(route.as_path.first_as(), offer.peer_as),
         ebgp: !offer.ibgp(),
         router_id: Ipv4Addr(offer.router_id),
         peer: offer.peer,
     }
 }
 
-/// What a leg installed (`Some(None)`: the originated route) and the
-/// `why` of its last best change.
-type Outcome = (Option<Option<u32>>, Option<Why>);
+/// One arrival at a core: a learned offer, or (`None`) the local
+/// origination.
+type Arrival<'a> = Option<&'a Offer>;
 
-fn run_core(local: bool, arrivals: &[&Offer]) -> Outcome {
+/// What a leg installed (`Some(None)`: the originated route) and the
+/// `Selection` of its last best change.
+type Outcome = (Option<Option<u32>>, Option<Selection>);
+
+fn run_core(arrivals: &[Arrival]) -> Outcome {
     let mut core = RoutingCore::new(LOCAL_AS, LOCAL_ADDR);
-    for o in arrivals {
+    for o in arrivals.iter().flatten() {
         let id = PeerId(o.peer);
         core.add_peer(id, NeighborConfig::new(LOCAL_AS, LOCAL_ADDR, o.peer_as, LOCAL_ADDR));
         let summary = SessionSummary {
@@ -134,54 +150,52 @@ fn run_core(local: bool, arrivals: &[&Offer]) -> Outcome {
         };
         core.peer_up(id, summary);
     }
-    let mut why = None;
-    let mut record = |ops: Vec<RibOp>| {
+    let mut last = None;
+    for arrival in arrivals {
+        let ops = match arrival {
+            Some(o) => {
+                let update = UpdateMsg::announce(vec![prefix()], o.route.to_attrs(true));
+                let (ops, err) = core.update(0, PeerId(o.peer), update);
+                assert!(err.is_none(), "{err:?}");
+                ops
+            }
+            None => core.originate(0, prefix()),
+        };
         for op in ops {
             if let RibOp::BestRouteChanged(_, _, selection) = op {
-                why = Some(selection.why);
+                last = Some(selection);
             }
         }
-    };
-    for o in arrivals {
-        let update = UpdateMsg::announce(vec![prefix()], o.route.to_attrs(true));
-        let (ops, err) = core.update(0, PeerId(o.peer), update);
-        assert!(err.is_none(), "{err:?}");
-        record(ops);
-    }
-    if local {
-        record(core.originate(0, prefix()));
     }
     let installed = core.loc_rib().get(&prefix()).map(|best| match best.source {
         RouteSource::Local => None,
         RouteSource::Peer(id) => Some(id.0),
     });
-    (installed, why)
+    (installed, last)
 }
 
-fn run_speaker(local: bool, arrivals: &[&Offer]) -> Outcome {
+fn run_speaker(arrivals: &[Arrival]) -> Outcome {
     let mut speaker = DbgpSpeaker::new(DbgpConfig::gulf(LOCAL_AS));
     speaker.register_module(Box::new(ClassicBgp::new()));
-    for o in arrivals {
+    for o in arrivals.iter().flatten() {
         speaker.add_neighbor(NeighborId(o.peer), DbgpNeighbor::dbgp(o.peer_as));
     }
-    let mut why = None;
-    let mut record = |outs: Vec<DbgpOutput>| {
+    let mut last = None;
+    for arrival in arrivals {
+        let outs = match arrival {
+            Some(o) => speaker.receive_ia(NeighborId(o.peer), o.route.to_ia(prefix())),
+            None => speaker.originate(prefix(), LOCAL_ADDR),
+        };
         for out in outs {
             if let DbgpOutput::BestChanged(_, selection) | DbgpOutput::Unreachable(_, selection) =
                 out
             {
-                why = Some(selection.why);
+                last = Some(selection);
             }
         }
-    };
-    for o in arrivals {
-        record(speaker.receive_ia(NeighborId(o.peer), o.route.to_ia(prefix())));
-    }
-    if local {
-        record(speaker.originate(prefix(), LOCAL_ADDR));
     }
     let installed = speaker.best(&prefix()).map(|best| best.neighbor.map(|n| n.0));
-    (installed, why)
+    (installed, last)
 }
 
 /// Every order of `0..n`.
@@ -205,25 +219,25 @@ fn orders(n: usize) -> Vec<Vec<usize>> {
 fn check_with_origin(local: bool, offers: &[Offer], winner: Option<u32>, why: Why) {
     let speaker_too = offers.iter().all(|o| !o.ibgp())
         && offers.windows(2).all(|w| w[0].router_id == w[1].router_id);
-    for order in orders(offers.len()) {
-        let arrivals: Vec<&Offer> = order.iter().map(|&i| &offers[i]).collect();
+    let items: Vec<Arrival> = offers.iter().map(Some).chain(local.then_some(None)).collect();
+    for order in orders(items.len()) {
+        let arrivals: Vec<Arrival> = order.iter().map(|&i| items[i]).collect();
 
-        let mut cands: Vec<Candidate> = arrivals.iter().map(|o| candidate(o)).collect();
-        if local {
-            cands.push(Candidate::LOCAL);
+        if !local {
+            let cands: Vec<Candidate> = arrivals.iter().flatten().map(|o| candidate(o)).collect();
+            let best = decision::best(&cands).expect("a candidate");
+            assert_eq!(Some(cands[best].peer), winner, "comparator, order {order:?}");
+            assert_eq!(decision::explain(&cands, best), why, "comparator, order {order:?}");
         }
-        let best = decision::best(&cands).expect("a candidate");
-        let got = (!cands[best].local).then_some(cands[best].peer);
-        assert_eq!(got, winner, "comparator, order {order:?}");
-        assert_eq!(decision::explain(&cands, best), why, "comparator, order {order:?}");
 
-        let core = run_core(local, &arrivals);
+        let core = run_core(&arrivals);
         assert_eq!(core.0, Some(winner), "RoutingCore, order {order:?}");
-        if local || arrivals.last().map(|o| o.peer) == winner {
-            assert_eq!(core.1, Some(why), "RoutingCore, order {order:?}");
+        let candidates = if local { 1 } else { offers.len() as u32 };
+        if local || arrivals.last().and_then(|a| a.map(|o| o.peer)) == winner {
+            assert_eq!(core.1, Some(Selection { why, candidates }), "RoutingCore, order {order:?}");
         }
         if speaker_too {
-            assert_eq!(run_speaker(local, &arrivals), core, "ClassicBgp, order {order:?}");
+            assert_eq!(run_speaker(&arrivals), core, "ClassicBgp, order {order:?}");
         }
     }
 }
@@ -236,6 +250,8 @@ fn check(offers: &[Offer], winner: u32, why: Why) {
 
 #[test]
 fn a_local_route_beats_every_learned_one() {
+    // Alone or beside learned routes, it is explained the same way.
+    check_with_origin(true, &[], None, Why::LocalOrigin);
     check_with_origin(true, &[ebgp(1, 1, &[])], None, Why::LocalOrigin);
     check_with_origin(true, &[ibgp(1, &[]).local_pref(500)], None, Why::LocalOrigin);
 }
@@ -347,6 +363,9 @@ fn med_groups_by_the_paths_neighbouring_as_not_the_relaying_peers() {
     // Routes originated inside our AS have no neighbouring AS on the
     // path; they group by the peer's, ours.
     check(&[ibgp(1, &[]).med(20), ibgp(2, &[]).med(5)], 2, Why::Med);
+    // Peers in ASes 10 and 20 both relay paths that enter through AS 7:
+    // MED compares them on both cores, though the peers' ASes differ.
+    check(&[unprepended(1, 10, &[7, 9]).med(50), unprepended(2, 20, &[7, 8]).med(10)], 2, Why::Med);
 }
 
 #[test]
