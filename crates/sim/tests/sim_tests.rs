@@ -578,7 +578,8 @@ fn gulfs_splice_the_tail_and_a_module_that_rewrites_it_does_not() {
 }
 
 /// The hub of a star fans one announce frame out to every other leaf;
-/// the frame is decoded once, and the leaves store the same `Arc<Ia>`.
+/// its IA is decoded once, where the hub encoded it, and the leaves
+/// store the same `Arc<Ia>`.
 #[test]
 fn decode_once_leaves_of_one_hub_share_the_ia() {
     let mut sim = Sim::new();
@@ -596,16 +597,17 @@ fn decode_once_leaves_of_one_hub_share_the_ia() {
     let (first, second) = (from_hub(leaves[1]), from_hub(leaves[2]));
     assert!(Arc::ptr_eq(first, second), "two leaves hold one decoded IA");
     assert!(Arc::ptr_eq(first, from_hub(leaves[3])));
-    // Leaf 0 -> hub, then hub -> three leaves: two frames, two memo hits.
+    // Leaf 0 -> hub, then hub -> three leaves: two IA bodies encoded,
+    // each decoded by its sender, and no delivery parsed.
     let stats = sim.stats();
-    assert_eq!(stats.messages, 4, "{stats:?}");
-    assert_eq!((sim.frames_decoded(), sim.decode_memo_hits()), (2, 2));
+    assert_eq!((stats.messages, stats.updates_encoded), (4, 2), "{stats:?}");
+    assert_eq!((sim.frames_decoded(), sim.ias_decoded()), (0, 2));
 }
 
-/// A corrupting link delivers its own copy of the frame, so a corrupted
-/// delivery is decoded on its own and never served the memo's clean IA.
-/// Every counter equals what this scenario produced before frames were
-/// memoised.
+/// A corrupting link delivers its own copy of the frame, without the
+/// sender's decoding, so a corrupted delivery is parsed on its own and
+/// never handed the clean IA. Every counter equals what this scenario
+/// produced before frames were decoded once.
 #[test]
 fn decode_once_a_corrupted_delivery_is_decoded_on_its_own() {
     let mut sim = Sim::new();
@@ -641,7 +643,7 @@ fn decode_once_a_corrupted_delivery_is_decoded_on_its_own() {
             tails_spliced: 0,
         }
     );
-    assert_eq!(sim.frames_decoded() + sim.decode_memo_hits(), 48, "one or the other per delivery");
+    assert_eq!(sim.frames_decoded(), 8, "one parse per corrupted delivery");
     // Where the corrupting leaf stored what the clean leaf stored, it is
     // the same decoded IA; where a flipped byte survived decoding, it is
     // a separate IA with the flip in it.
@@ -661,11 +663,10 @@ fn decode_once_a_corrupted_delivery_is_decoded_on_its_own() {
     assert_eq!((shared, apart), (3, 2), "three clean copies shared, two corrupted ones not");
 }
 
-/// A batched flush goes to one neighbor, so its buffer has one handle and
-/// is not memoised; a duplicating link makes it shared, and the
-/// duplicate is served from the memo.
+/// A duplicating link delivers a batched frame twice, and the duplicate
+/// carries the decoding its original carried: nothing is parsed.
 #[test]
-fn decode_once_the_duplicate_of_a_batched_frame_hits_the_memo() {
+fn decode_once_the_duplicate_of_a_batched_frame_shares_its_decoding() {
     let mut sim = Sim::new();
     let a = sim.add_node(DbgpConfig::gulf(1));
     let b = sim.add_node(DbgpConfig::gulf(2));
@@ -679,15 +680,15 @@ fn decode_once_the_duplicate_of_a_batched_frame_hits_the_memo() {
     assert_eq!(sim.pending_events(), 0, "quiesces");
     let stats = sim.stats();
     assert_eq!((stats.messages, stats.duplicated_messages), (2, 1), "{stats:?}");
-    assert_eq!((sim.frames_decoded(), sim.decode_memo_hits()), (1, 1));
+    assert_eq!((sim.frames_decoded(), sim.ias_decoded()), (0, 3), "the sender's three decodes");
     for prefix in &prefixes {
         assert!(sim.speaker(b).best(prefix).is_some(), "{prefix} installed once");
     }
 }
 
-/// A batched flush goes to one neighbor, so the frame memo cannot share
-/// it; but the sender puts the same cached bodies into its flush to every
-/// neighbor, and the body memo decodes each of them once.
+/// A batched flush goes to one neighbor, but the sender puts the same
+/// cached bodies into its flush to every neighbor, each decoded once
+/// where it was encoded.
 #[test]
 fn decode_once_neighbours_of_one_sender_share_the_ias_of_their_batched_flushes() {
     let mut sim = Sim::new();
@@ -701,13 +702,14 @@ fn decode_once_neighbours_of_one_sender_share_the_ias_of_their_batched_flushes()
     }
     sim.run(60_000_000);
     assert_eq!(sim.pending_events(), 0, "quiesces");
-    assert_eq!(sim.stats().messages, 2, "one batched flush to each neighbor");
-    assert_eq!((sim.frames_decoded(), sim.decode_memo_hits()), (2, 0), "two unshared buffers");
+    let stats = sim.stats();
+    assert_eq!(stats.messages, 2, "one batched flush to each neighbor");
+    assert_eq!(stats.updates_encoded, 3, "{stats:?}");
     for prefix in &prefixes {
         let from_hub = |leaf| sim.speaker(leaf).iadb().get(NeighborId(0), prefix).expect("learned");
         assert!(Arc::ptr_eq(from_hub(left), from_hub(right)), "{prefix}: one decoded IA");
     }
-    assert_eq!((sim.ias_decoded(), sim.ia_memo_hits()), (3, 3));
+    assert_eq!((sim.frames_decoded(), sim.ias_decoded()), (0, 3));
 }
 
 /// An announce frame of a few short IA bodies (every count and length
@@ -723,7 +725,7 @@ fn frame_of(bodies: &[&[u8]]) -> Vec<u8> {
 }
 
 /// An undecodable body rejects its whole frame: the good body beside it
-/// is neither fed to the speaker nor remembered by the body memo.
+/// is not fed to the speaker.
 #[test]
 fn decode_once_a_frame_with_one_corrupt_body_is_rejected_whole() {
     let mut sim = Sim::new();
@@ -748,52 +750,6 @@ fn decode_once_a_frame_with_one_corrupt_body_is_rejected_whole() {
     sim.run(3_000);
     assert!(sim.speaker(a).best(&prefix).is_some(), "the good body alone is accepted");
     assert_eq!(sim.ias_decoded(), decoded + 1, "decoded afresh");
-    assert_eq!(sim.ia_memo_hits(), 0, "nothing of the rejected frame was memoised");
-}
-
-/// The body memo hashes only a body's length and head; two bodies that
-/// agree there and differ further on are still two IAs.
-#[test]
-fn decode_once_bodies_that_agree_in_their_hashed_head_are_not_shared() {
-    let mut sim = Sim::new();
-    let a = sim.add_node(DbgpConfig::gulf(1));
-    let (b, c) = (sim.add_node(DbgpConfig::gulf(2)), sim.add_node(DbgpConfig::gulf(3)));
-    sim.link(a, b, 10, false);
-    sim.link(a, c, 10, false);
-    // Nothing `a` sends on arrives inside these runs: every body decoded
-    // is one injected here.
-    sim.set_mrai(1_000_000);
-    sim.run(1_000);
-    let prefix = p("128.6.0.0/16");
-    let body = |last: u8| {
-        let mut value = vec![0xaa; 80];
-        value[79] = last;
-        dbgp_wire::Ia::builder(prefix, Ipv4Addr::new(192, 0, 2, 1))
-            .path_descriptor(ProtocolId(100), 1, value)
-            .build()
-            .unwrap()
-            .encode()
-            .into_bytes()
-    };
-    let (one, two) = (body(1), body(2));
-    assert_eq!((one.len(), one[..64] == two[..64]), (two.len(), true), "same length and head");
-    assert_ne!(one, two);
-
-    sim.inject_raw(b, a, 10, frame_of(&[&one]));
-    sim.inject_raw(c, a, 10, frame_of(&[&two]));
-    sim.run(2_000);
-    let from = |sim: &Sim, id| {
-        Arc::clone(sim.speaker(a).iadb().get(NeighborId(id), &prefix).expect("learned"))
-    };
-    let (via_b, via_c) = (from(&sim, 0), from(&sim, 1));
-    assert!(!Arc::ptr_eq(&via_b, &via_c) && via_b != via_c, "two IAs");
-    assert_eq!((sim.ias_decoded(), sim.ia_memo_hits()), (2, 0));
-
-    // The same bytes again are served from the memo.
-    sim.inject_raw(c, a, 10, frame_of(&[&one]));
-    sim.run(3_000);
-    assert!(Arc::ptr_eq(&from(&sim, 0), &from(&sim, 1)), "one IA for identical bytes");
-    assert_eq!((sim.ias_decoded(), sim.ia_memo_hits()), (2, 1));
 }
 
 /// The frames `from` put on the wire toward `to` after event `since`,

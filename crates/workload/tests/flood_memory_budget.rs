@@ -50,13 +50,15 @@ const ORIGINS: usize = 30;
 const DELAY: u64 = 10;
 const HORIZON: u64 = 4_000_000_000;
 
-/// 1,317 B measured with this test (seed 42, 300 nodes x 30 prefixes,
-/// the same in debug and release) once each IA body a sender put into
-/// its batched flushes was decoded once for all its receivers: 11,801
-/// distinct received IAs of 26,850. Before that, every receiver of a
+/// 1,226 B measured with this test (seed 42, 300 nodes x 30 prefixes,
+/// the same in debug and release) once each IA body was decoded once,
+/// where its sender encoded it: 9,000 distinct received IAs of 26,850,
+/// one per body encoded. Before that, a content-keyed body memo wiped
+/// at 256 entries decoded a body once per sender while it remembered
+/// it: 1,317 B, with 11,801 distinct. Before that, every receiver of a
 /// batched flush decoded its own copy, and the scenario held 1,835 B per
-/// (node, prefix) with 26,201 distinct. The budget leaves a 4.8 % margin.
-const BUDGET_BYTES_PER_ROW: usize = 1_380;
+/// (node, prefix) with 26,201 distinct. The budget leaves a 4.4 % margin.
+const BUDGET_BYTES_PER_ROW: usize = 1_280;
 
 #[test]
 fn a_quiescent_flood_stays_inside_its_memory_budget() {
@@ -89,18 +91,15 @@ fn a_quiescent_flood_stays_inside_its_memory_budget() {
     let per_row = live / (sim.node_count() * prefixes.len());
     println!(
         "{} nodes x {} prefixes: {per_row} live B per (node, prefix); {received} received IAs, \
-         {} distinct; {} frames decoded, {} served from the frame memo; {} IA bodies decoded, \
-         {} served from the body memo",
+         {} distinct; {} deliveries parsed, {} IA bodies decoded",
         sim.node_count(),
         prefixes.len(),
         distinct.len(),
         sim.frames_decoded(),
-        sim.decode_memo_hits(),
         sim.ias_decoded(),
-        sim.ia_memo_hits(),
     );
     assert!(per_row <= BUDGET_BYTES_PER_ROW, "{per_row} live B/row, budget {BUDGET_BYTES_PER_ROW}");
-    // Every receiver of a body stores the IA its one decode made.
+    // Every receiver of an IA body stores the IA its one decode made.
     assert!(
         distinct.len() as u64 <= sim.ias_decoded(),
         "{} distinct received IAs from {} decoded bodies",
