@@ -25,7 +25,7 @@
 
 use crate::factory::{self, FactoryContext};
 use crate::filters::{self, FilterConfig, IslandConfig, RejectReason};
-use crate::iadb::{IaDb, PrefixEntry};
+use crate::iadb::{IaDb, PrefixEntry, LOCAL};
 use crate::module::{BgpDecision, CandidateIa, DecisionModule, ImportContext};
 use crate::neighbor::{DbgpNeighbor, NeighborId, PeerClass};
 use dbgp_rib::{recycle, VecMap};
@@ -198,7 +198,7 @@ impl DbgpSpeaker {
         pipe.all_uniform = pipe.modules.values().all(|m| m.export_is_uniform());
         self.table.entries.for_each_mut(|_, entry| {
             // A new module may change what exports look like.
-            entry.built = Default::default();
+            entry.clear_exports();
             // Epochs recorded under the previous module set no longer
             // prove anything: poison every installed prefix so the next
             // arrival takes a full scan and re-records. (`u64::MAX` is
@@ -242,6 +242,7 @@ impl DbgpSpeaker {
 
     /// Add a neighbor.
     pub fn add_neighbor(&mut self, id: NeighborId, neighbor: DbgpNeighbor) -> Vec<DbgpOutput> {
+        assert!(id < LOCAL, "neighbor ids from {LOCAL} up are reserved");
         let Self { table, pipe } = self;
         pipe.neighbors.insert(id, neighbor);
         // Initial table transfer: the new neighbor gets our whole view.
@@ -260,8 +261,11 @@ impl DbgpSpeaker {
     /// Remove a neighbor (session loss): flush its IAs and re-decide.
     pub fn neighbor_down(&mut self, id: NeighborId) -> Vec<DbgpOutput> {
         let Self { table, pipe } = self;
-        pipe.neighbors.remove(&id);
         let mut out = Vec::new();
+        // Only a neighbor holds slot records under its id.
+        if pipe.neighbors.remove(&id).is_none() {
+            return out;
+        }
         let mut idle = Vec::new();
         table.entries.for_each_mut(|prefix, entry| {
             entry.slots.withdraw(id);
@@ -293,7 +297,7 @@ impl DbgpSpeaker {
         // Every entry has a received or originated IA (else it would
         // have been idle and reclaimed), so this is every known prefix.
         table.entries.for_each_mut(|prefix, entry| {
-            entry.built = Default::default();
+            entry.clear_exports();
             pipe.redecide(entry, *prefix, &mut out);
         });
         out
@@ -316,7 +320,7 @@ impl DbgpSpeaker {
     pub fn originate_ia(&mut self, ia: Ia) -> Vec<DbgpOutput> {
         let prefix = ia.prefix;
         let entry = self.table.entry(prefix);
-        entry.originated = Some(Arc::new(ia));
+        entry.set_originated(Some(Arc::new(ia)));
         let mut out = Vec::new();
         self.pipe.redecide(entry, prefix, &mut out);
         out
@@ -326,7 +330,7 @@ impl DbgpSpeaker {
     pub fn withdraw_origin(&mut self, prefix: Ipv4Prefix) -> Vec<DbgpOutput> {
         let mut out = Vec::new();
         self.on_existing(prefix, |pipe, entry| {
-            if entry.originated.take().is_some() {
+            if entry.set_originated(None).is_some() {
                 pipe.redecide(entry, prefix, &mut out);
             }
         });
@@ -385,6 +389,10 @@ impl DbgpSpeaker {
     /// Process a withdrawal from a neighbor.
     pub fn receive_withdraw(&mut self, from: NeighborId, prefix: Ipv4Prefix) -> Vec<DbgpOutput> {
         let mut out = Vec::new();
+        // A reserved id is no neighbor: its records are the table's own.
+        if from >= LOCAL {
+            return out;
+        }
         self.on_existing(prefix, |pipe, entry| {
             if entry.slots.unreceive(from).is_some() {
                 let best_stands = pipe.best_stands(entry, prefix, from, None);
@@ -471,7 +479,7 @@ impl Pipeline {
             return false;
         };
         entry.chosen = new_chosen.clone();
-        entry.built = Default::default();
+        entry.clear_exports();
         out.push(match new_chosen {
             Some(chosen) => DbgpOutput::BestChanged(chosen, selection),
             None => DbgpOutput::Unreachable(prefix, selection),
@@ -557,7 +565,7 @@ impl Pipeline {
         if !self.incremental {
             return false;
         }
-        if entry.originated.is_some() {
+        if entry.originated().is_some() {
             return true;
         }
         // Nothing installed: any acceptable arrival wins; and that a
@@ -607,7 +615,7 @@ impl Pipeline {
             (entry.chosen != new).then_some((new, Selection { why, candidates }))
         };
         // Locally originated prefixes always win (they are "ours").
-        if let Some(ia) = &entry.originated {
+        if let Some(ia) = entry.originated() {
             let ours = Chosen { neighbor: None, ia: Arc::clone(ia) };
             return changed(Some(ours), SelectionReason::LocalOrigin, 1);
         }
@@ -693,7 +701,7 @@ impl Pipeline {
         // (chosen IA, neighbor class): build once per class and share
         // the Arc across the whole fan-out and every later one, until
         // the best changes.
-        let ia = if let Some(built) = &entry.built[class] {
+        let ia = if let Some(built) = entry.export(class) {
             self.exports_shared += 1;
             Arc::clone(built)
         } else {
@@ -717,7 +725,7 @@ impl Pipeline {
             }
             let ia = Arc::new(ia);
             if self.all_uniform {
-                entry.built[class] = Some(Arc::clone(&ia));
+                entry.keep_export(class, &ia);
             }
             ia
         };
@@ -947,6 +955,26 @@ mod tests {
             "previous route implicitly withdrawn"
         );
         assert!(speaker.best(&p("10.0.0.0/8")).is_none());
+    }
+
+    /// The originated IA is a slot record under a reserved key: a
+    /// withdrawal or a session loss naming that key reaches nothing, and
+    /// no neighbor can take it.
+    #[test]
+    fn a_reserved_id_names_no_neighbor() {
+        let mut speaker = DbgpSpeaker::new(DbgpConfig::gulf(5));
+        speaker.add_neighbor(NeighborId(0), DbgpNeighbor::dbgp(6));
+        speaker.originate(p("10.0.0.0/8"), nh(1));
+        assert!(speaker.receive_withdraw(LOCAL, p("10.0.0.0/8")).is_empty());
+        assert!(speaker.neighbor_down(LOCAL).is_empty());
+        assert_eq!(speaker.best(&p("10.0.0.0/8")).map(|c| c.neighbor), Some(None));
+        assert_eq!(speaker.iadb().candidates(&p("10.0.0.0/8")).count(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "reserved")]
+    fn a_neighbor_cannot_take_a_reserved_id() {
+        DbgpSpeaker::new(DbgpConfig::gulf(5)).add_neighbor(LOCAL, DbgpNeighbor::dbgp(7));
     }
 
     #[test]

@@ -23,8 +23,11 @@
 //! # Layout
 //!
 //! Nodes live in a single arena `Vec` and refer to each other by `u32`
-//! index, so the whole table is three heap allocations regardless of
-//! route count and a node is pointer-free (copyable, cache-dense).
+//! index, so the whole table is one heap allocation regardless of route
+//! count and a node is pointer-free (copyable, cache-dense). A released
+//! node's slot is reused before the arena grows: the vacant slots form a
+//! free list threaded through their own `children[0]`, so the trie is
+//! the arena plus two `u32`s (32 bytes).
 //! Path compression keeps one node per *stored or branching* prefix:
 //! an internal node either carries a value or has exactly two
 //! children, so the node count is at most `2·len - 1`.
@@ -99,8 +102,10 @@ struct Node<T> {
 #[derive(Clone)]
 pub struct PrefixTrie<T> {
     nodes: Vec<Node<T>>,
-    free: Vec<u32>,
-    len: usize,
+    /// The first vacant arena slot (`NIL`: none); each vacant slot's
+    /// `children[0]` names the next.
+    free: u32,
+    len: u32,
 }
 
 impl<T> Default for PrefixTrie<T> {
@@ -114,14 +119,14 @@ impl<T> PrefixTrie<T> {
     pub fn new() -> Self {
         PrefixTrie {
             nodes: vec![Node { prefix: Ipv4Prefix::DEFAULT, value: None, children: [NIL, NIL] }],
-            free: Vec::new(),
+            free: NIL,
             len: 0,
         }
     }
 
     /// Number of stored prefixes.
     pub fn len(&self) -> usize {
-        self.len
+        self.len as usize
     }
 
     /// True if no prefix is stored.
@@ -133,50 +138,52 @@ impl<T> PrefixTrie<T> {
     /// valueless branch nodes (at most `2·len - 1` for `len >= 1`,
     /// plus the root).
     pub fn node_count(&self) -> usize {
-        self.nodes.len() - self.free.len()
+        let mut vacant = 0;
+        let mut at = self.free;
+        while at != NIL {
+            vacant += 1;
+            at = self.nodes[at as usize].children[0];
+        }
+        self.nodes.len() - vacant
     }
 
     /// Bytes of arena memory held by this trie: the struct itself plus
-    /// the node and free-list capacity. Heap owned by the values
-    /// themselves (e.g. `Arc` targets) is *not* counted — shared
-    /// attribute blocks are accounted once at their interning site,
-    /// not once per prefix.
+    /// the node capacity. Heap owned by the values themselves (e.g.
+    /// `Arc` targets) is *not* counted — shared attribute blocks are
+    /// accounted once at their interning site, not once per prefix.
     pub fn memory_bytes(&self) -> usize {
-        std::mem::size_of::<Self>()
-            + self.nodes.capacity() * std::mem::size_of::<Node<T>>()
-            + self.free.capacity() * std::mem::size_of::<u32>()
+        std::mem::size_of::<Self>() + self.nodes.capacity() * std::mem::size_of::<Node<T>>()
     }
 
     /// Remove every stored prefix, keeping the arena allocation.
     pub fn clear(&mut self) {
         self.nodes.clear();
         self.nodes.push(Node { prefix: Ipv4Prefix::DEFAULT, value: None, children: [NIL, NIL] });
-        self.free.clear();
+        self.free = NIL;
         self.len = 0;
     }
 
     /// A fresh valueless, childless node for `prefix`.
     fn alloc(&mut self, prefix: Ipv4Prefix) -> u32 {
         let node = Node { prefix, value: None, children: [NIL, NIL] };
-        match self.free.pop() {
-            Some(idx) => {
-                self.nodes[idx as usize] = node;
-                idx
-            }
-            None => {
-                let idx = self.nodes.len() as u32;
-                assert!(idx < NIL, "prefix trie arena overflow");
-                self.nodes.push(node);
-                idx
-            }
+        if self.free != NIL {
+            let idx = self.free;
+            self.free = self.nodes[idx as usize].children[0];
+            self.nodes[idx as usize] = node;
+            return idx;
         }
+        let idx = self.nodes.len() as u32;
+        assert!(idx < NIL, "prefix trie arena overflow");
+        self.nodes.push(node);
+        idx
     }
 
+    /// Make `idx`'s slot the head of the free list.
     fn release(&mut self, idx: u32) {
         debug_assert_ne!(idx, 0, "root is never released");
         self.nodes[idx as usize].value = None;
-        self.nodes[idx as usize].children = [NIL, NIL];
-        self.free.push(idx);
+        self.nodes[idx as usize].children = [self.free, NIL];
+        self.free = idx;
     }
 
     /// Walk to `prefix`'s node, creating it (valueless) if it is not in
@@ -231,9 +238,7 @@ impl<T> PrefixTrie<T> {
     pub fn insert(&mut self, prefix: Ipv4Prefix, value: T) -> Option<T> {
         let at = self.find_or_create(prefix);
         let old = self.nodes[at].value.replace(value);
-        if old.is_none() {
-            self.len += 1;
-        }
+        self.len += u32::from(old.is_none());
         old
     }
 
@@ -550,7 +555,7 @@ where
     T: PartialEq<U>,
 {
     fn eq(&self, other: &BTreeMap<Ipv4Prefix, U>) -> bool {
-        self.len == other.len()
+        self.len() == other.len()
             && self.iter().zip(other.iter()).all(|((p, v), (q, w))| p == q && v == w)
     }
 }
@@ -678,6 +683,29 @@ mod tests {
         trie.insert(p("172.16.0.0/12"), 3);
         assert!(trie.memory_bytes() > 0);
         assert_eq!(trie.len(), 1);
+    }
+
+    /// A released slot is reused before the arena grows, and the trie
+    /// itself is the arena plus two `u32`s: it was 56 bytes with a
+    /// free-list `Vec` of its own and a `usize` length.
+    #[test]
+    fn vacant_slots_are_the_free_list() {
+        assert_eq!(std::mem::size_of::<PrefixTrie<Box<u64>>>(), 32);
+        let mut trie = PrefixTrie::new();
+        for s in ["10.4.0.0/16", "10.5.0.0/16", "10.6.0.0/16", "10.7.0.0/16"] {
+            trie.insert(p(s), 1u32);
+        }
+        let arena = trie.nodes.len();
+        trie.remove(&p("10.4.0.0/16"));
+        trie.remove(&p("10.6.0.0/16"));
+        assert_eq!(trie.node_count(), arena - 4, "two leaves and their branches released");
+        for s in ["172.16.0.0/12", "192.168.0.0/16"] {
+            trie.insert(p(s), 2);
+        }
+        assert_eq!(trie.nodes.len(), arena, "the vacant slots were taken first");
+        assert_eq!(trie.node_count(), arena - 1);
+        let got: Vec<Ipv4Prefix> = trie.keys().copied().collect();
+        assert_eq!(got, ["10.5.0.0/16", "10.7.0.0/16", "172.16.0.0/12", "192.168.0.0/16"].map(p));
     }
 
     #[test]

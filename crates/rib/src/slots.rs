@@ -65,6 +65,17 @@ impl<K: Ord + Copy, A> PeerSlots<K, A> {
         self.routes.get(&(peer, false))
     }
 
+    /// The route `peer` was last sent.
+    pub fn sent(&self, peer: K) -> Option<&Arc<A>> {
+        self.routes.get(&(peer, true))
+    }
+
+    /// Forget both sides of every peer from `peer` up: one comparison
+    /// when no such peer holds a route.
+    pub fn forget_from(&mut self, peer: K) {
+        self.routes.truncate_from(&(peer, false));
+    }
+
     /// Every `(peer, route)` received, ascending by peer key.
     /// Allocation-free.
     pub fn candidates(&self) -> impl Iterator<Item = (K, &Arc<A>)> + '_ {

@@ -105,6 +105,15 @@ impl<K: Ord, V> VecMap<K, V> {
         let at = self.find(key).ok()?;
         Some(self.entries.remove(at).1)
     }
+
+    /// Remove every key at or above `key`: one comparison when the
+    /// largest key is below it.
+    pub fn truncate_from(&mut self, key: &K) {
+        if self.entries.last().is_some_and(|(last, _)| last >= key) {
+            let at = self.entries.partition_point(|(k, _)| k < key);
+            self.entries.truncate(at);
+        }
+    }
 }
 
 impl<K, V> VecMap<K, V> {

@@ -1,5 +1,5 @@
 //! Differential property test: `VecMap` against a `BTreeMap` model over
-//! random insert, replace, remove and get sequences on a key universe
+//! random insert, replace, remove, truncate and get sequences on a key universe
 //! small enough that keys collide, checking values and iteration order
 //! after every operation.
 
@@ -13,6 +13,8 @@ enum Op {
     Insert(u8, u32),
     GetOrInsert(u8, u32),
     Remove(u8),
+    /// Remove every key from this one up.
+    TruncateFrom(u8),
     Get(u8),
 }
 
@@ -24,6 +26,8 @@ fn op() -> impl Strategy<Value = Op> {
         (key.clone(), any::<u32>()).prop_map(|(k, v)| Op::Insert(k, v)),
         (key.clone(), any::<u32>()).prop_map(|(k, v)| Op::GetOrInsert(k, v)),
         key.clone().prop_map(Op::Remove),
+        // The upper keys only, so the map still grows; from 48 up, a no-op.
+        (32u8..56).prop_map(Op::TruncateFrom),
         key.prop_map(Op::Get),
     ]
 }
@@ -43,6 +47,10 @@ proptest! {
                     prop_assert_eq!(got, *model.entry(k).or_insert(v));
                 }
                 Op::Remove(k) => prop_assert_eq!(map.remove(&k), model.remove(&k)),
+                Op::TruncateFrom(k) => {
+                    map.truncate_from(&k);
+                    model.split_off(&k);
+                }
                 Op::Get(k) => {
                     prop_assert_eq!(map.get(&k), model.get(&k));
                     prop_assert_eq!(map.contains_key(&k), model.contains_key(&k));

@@ -39,8 +39,10 @@ use std::sync::Arc;
 /// Index of a node (one AS) in the simulation.
 pub type NodeId = usize;
 
-/// Canonical undirected key for a link between two nodes.
-fn link_key(a: NodeId, b: NodeId) -> (NodeId, NodeId) {
+/// Canonical undirected key for a link between two nodes (a node index
+/// fits a `u32`, see [`Sim::add_node`]).
+fn link_key(a: NodeId, b: NodeId) -> (u32, u32) {
+    let (a, b) = (a as u32, b as u32);
     (a.min(b), a.max(b))
 }
 
@@ -117,8 +119,6 @@ struct Node {
     /// Route-churn records per prefix, cumulative since the start of
     /// the run (a restart keeps them).
     churn: VecMap<Ipv4Prefix, PrefixChurn>,
-    /// Out-of-band responses received, for inspection by drivers.
-    oob_inbox: Vec<(Ipv4Addr, Vec<u8>)>,
     next_neighbor_id: u32,
     /// The encode cache's length at which its next miss sweeps it.
     sweep_at: u32,
@@ -188,14 +188,21 @@ struct EncodeCacheEntry {
     /// The IA encoded: pins the pointer key, and once only the cache
     /// holds it, the speaker can never send it again.
     ia: Arc<Ia>,
-    /// The encoded IA body (the unit batched frames are assembled from):
-    /// the tail end of `announce`, not a buffer of its own.
-    body: Bytes,
     /// A ready-made single-IA announce frame (the common MRAI flush).
     announce: Bytes,
-    /// `body` decoded, for every receiver of it; `None` if it does not
-    /// decode.
+    /// The body, `decoded`, for every receiver of it; `None` if it does
+    /// not decode.
     decoded: Option<Arc<Ia>>,
+    /// Where the encoded IA body (the unit batched frames are assembled
+    /// from) starts in `announce`: a single-IA frame ends with it.
+    body_at: u32,
+}
+
+impl EncodeCacheEntry {
+    /// The encoded IA body, a view of `announce`.
+    fn body(&self) -> Bytes {
+        self.announce.slice(self.body_at as usize..)
+    }
 }
 
 /// A frame's withdraws and IAs, the IAs in the `Arc`s the receiving
@@ -220,12 +227,14 @@ enum Decoded {
 }
 
 /// One adjacency's static parameters plus its administrative state.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 struct LinkState {
     delay: SimTime,
+    /// The perturbation model, held only when it perturbs: `None` is a
+    /// reliable link, which consumes no RNG output.
+    model: Option<Box<LinkModel>>,
     same_island: bool,
     speaks_dbgp: bool,
-    model: LinkModel,
     up: bool,
     /// Gao-Rexford annotation, if any: how each end sees the other,
     /// ordered `(lower-id end's view, higher-id end's view)` to match
@@ -357,7 +366,10 @@ impl BestChangeCapture {
 pub struct Sim {
     nodes: Vec<Node>,
     /// Undirected link state, keyed by `(min, max)` node pair.
-    links: BTreeMap<(NodeId, NodeId), LinkState>,
+    links: BTreeMap<(u32, u32), LinkState>,
+    /// Out-of-band responses each node received, for inspection by
+    /// drivers; only nodes that received one have a record.
+    oob_inboxes: VecMap<NodeId, Vec<(Ipv4Addr, Vec<u8>)>>,
     services: HashMap<Ipv4Addr, (NodeId, Service)>,
     queue: EventQueue<Event>,
     stats: SimStats,
@@ -443,6 +455,7 @@ impl Sim {
         Sim {
             nodes: Vec::new(),
             links: BTreeMap::new(),
+            oob_inboxes: VecMap::new(),
             services: HashMap::new(),
             queue: EventQueue::new(),
             stats: SimStats::default(),
@@ -547,6 +560,7 @@ impl Sim {
     /// Add an AS. Its node address is derived from the node index.
     pub fn add_node(&mut self, cfg: DbgpConfig) -> NodeId {
         let id = self.nodes.len();
+        assert!(id < u32::MAX as usize, "a node index must fit a u32");
         let speaker = DbgpSpeaker::new(cfg);
         if let Some(recorder) = &self.recorder {
             recorder.set_node_asn(id as u32, speaker.asn());
@@ -556,7 +570,6 @@ impl Sim {
             neighbor_nodes: VecMap::new(),
             ids_by_node: VecMap::new(),
             churn: VecMap::new(),
-            oob_inbox: Vec::new(),
             next_neighbor_id: 0,
             sweep_at: 0,
             pending_out: Vec::new(),
@@ -736,14 +749,7 @@ impl Sim {
     ) {
         self.links.insert(
             link_key(a, b),
-            LinkState {
-                delay,
-                same_island,
-                speaks_dbgp,
-                model: LinkModel::reliable(),
-                up: true,
-                classes,
-            },
+            LinkState { delay, model: None, same_island, speaks_dbgp, up: true, classes },
         );
         for (me, peer) in [(a, b), (b, a)] {
             self.establish(me, peer, same_island, speaks_dbgp, "link-up", None);
@@ -758,7 +764,7 @@ impl Sim {
         self.links
             .get_mut(&link_key(a, b))
             .unwrap_or_else(|| panic!("set_link_model: no link {a}-{b}"))
-            .model = model;
+            .model = (!model.is_reliable()).then(|| Box::new(model));
     }
 
     /// Whether the link between two nodes exists and is up.
@@ -769,7 +775,7 @@ impl Sim {
     /// All links ever created, as `(a, b, up)` with `a < b`, in
     /// deterministic order.
     pub fn links(&self) -> impl Iterator<Item = (NodeId, NodeId, bool)> + '_ {
-        self.links.iter().map(|(&(a, b), l)| (a, b, l.up))
+        self.links.iter().map(|(&(a, b), l)| (a as NodeId, b as NodeId, l.up))
     }
 
     /// Register an out-of-band service at `addr`, owned by `node`.
@@ -840,11 +846,14 @@ impl Sim {
     /// ASes rebooting routers. Neighbors see the peer flap; the
     /// restarting node drops all queued outbound state.
     pub fn restart_node(&mut self, node: NodeId) {
+        let me = node as u32;
         let peers: Vec<(NodeId, bool, bool)> = self
             .links
             .iter()
-            .filter(|(&(x, y), l)| l.up && (x == node || y == node))
-            .map(|(&(x, y), l)| (if x == node { y } else { x }, l.same_island, l.speaks_dbgp))
+            .filter(|(&(x, y), l)| l.up && (x == me || y == me))
+            .map(|(&(x, y), l)| {
+                ((if x == me { y } else { x }) as NodeId, l.same_island, l.speaks_dbgp)
+            })
             .collect();
         // The restart opens a new incarnation: the node's generation
         // bumps (engine totals keep accumulating, per-node counters
@@ -862,7 +871,7 @@ impl Sim {
         // The rebooting router loses its MRAI buffers, encode cache and
         // any undelivered out-of-band responses.
         self.nodes[node].pending_out = Vec::new();
-        self.nodes[node].oob_inbox.clear();
+        self.oob_inboxes.remove(&node);
         self.nodes[node].encode_cache.clear();
         self.nodes[node].sweep_at = 0;
         for &(peer, same_island, speaks_dbgp) in &peers {
@@ -878,7 +887,7 @@ impl Sim {
 
     /// Out-of-band responses a node has received so far.
     pub fn oob_inbox(&self, node: NodeId) -> &[(Ipv4Addr, Vec<u8>)] {
-        &self.nodes[node].oob_inbox
+        self.oob_inboxes.get(&node).map_or(&[], Vec::as_slice)
     }
 
     /// The node's forwarding table (prefix -> next-hop node; `None` =
@@ -971,7 +980,7 @@ impl Sim {
                 self.serve_oob(to_addr, from, payload);
             }
             Event::OobResponse { to, from_addr, payload } => {
-                self.nodes[to].oob_inbox.push((from_addr, payload));
+                self.oob_inboxes.get_or_insert_with(to, Vec::new).push((from_addr, payload));
             }
         }
     }
@@ -1268,23 +1277,29 @@ impl Sim {
         id
     }
 
-    /// The wire form of one outgoing IA and its decoding, from the
-    /// node's encode cache when the speaker has handed us this exact
-    /// `Arc` before. The body and announce frame are views into one
-    /// shared buffer. It is contiguous — a link carries `Bytes` — so a
-    /// spliced tail is copied here, once per IA version however many
-    /// neighbors get it; the body is decoded here too, once.
+    /// `read` applied to the wire form of one outgoing IA and its
+    /// decoding, from the node's encode cache when the speaker has handed
+    /// us this exact `Arc` before: a hit is one probe. The body and
+    /// announce frame are views into one shared buffer. It is contiguous
+    /// — a link carries `Bytes` — so a spliced tail is copied here, once
+    /// per IA version however many neighbors get it; the body is decoded
+    /// here too, once.
     ///
     /// A miss once the cache has grown to `sweep_at` first drops every
     /// entry whose IA only the cache holds: the speaker can never send
     /// that pointer again, so no hit is lost. What is left, doubled, is
     /// the next sweep's length, so sweeping costs O(1) per miss.
-    fn cached_wire(&mut self, node: NodeId, ia: &Arc<Ia>) -> &EncodeCacheEntry {
+    fn cached_wire<R>(
+        &mut self,
+        node: NodeId,
+        ia: &Arc<Ia>,
+        read: impl FnOnce(&EncodeCacheEntry) -> R,
+    ) -> R {
         let key = Arc::as_ptr(ia) as usize;
         let n = &mut self.nodes[node];
-        if n.encode_cache.contains_key(&key) {
+        if let Some(entry) = n.encode_cache.get(&key) {
             self.stats.encode_cache_hits += 1;
-            return &self.nodes[node].encode_cache[&key];
+            return read(entry);
         }
         if n.encode_cache.len() >= n.sweep_at as usize {
             // Drained and refilled, not erased from: a table without
@@ -1299,16 +1314,18 @@ impl Sim {
         self.stats.tails_spliced += u64::from(body.is_spliced());
         let announce = DbgpUpdate::encode_frame(&[], std::slice::from_ref(&body)).into_bytes();
         // A single-IA announce frame ends with the IA's body.
-        let body = announce.slice(announce.len() - body.len()..);
+        let body_at = (announce.len() - body.len()) as u32;
         let t = self.phase_now();
         self.ias_decoded += 1;
-        let decoded = Ia::decode(body.clone()).ok().map(Arc::new);
+        let decoded = Ia::decode(announce.slice(body_at as usize..)).ok().map(Arc::new);
         self.phase_add(t, Phase::Decode);
         if cfg!(debug_assertions) {
             Self::check_decoding(&announce, &[], decoded.as_ref().map(std::slice::from_ref));
         }
-        let entry = EncodeCacheEntry { ia: Arc::clone(ia), body, announce, decoded };
-        self.nodes[node].encode_cache.entry(key).or_insert(entry)
+        let entry = EncodeCacheEntry { ia: Arc::clone(ia), announce, decoded, body_at };
+        let wire = read(&entry);
+        self.nodes[node].encode_cache.insert(key, entry);
+        wire
     }
 
     /// MRAI 0: one change, one frame, now.
@@ -1394,17 +1411,18 @@ impl Sim {
         let t = self.phase_now();
         let decode_ns = self.phase_timing.as_ref().map_or(0, |pt| pt.decode_ns);
         let (bytes, decoded) = if let ([], [ia]) = (withdrawn, ias) {
-            let entry = self.cached_wire(node, ia);
-            let decoded = entry.decoded.clone().map_or(Decoded::No, Decoded::One);
-            (entry.announce.clone(), decoded)
+            self.cached_wire(node, ia, |entry| {
+                let decoded = entry.decoded.clone().map_or(Decoded::No, Decoded::One);
+                (entry.announce.clone(), decoded)
+            })
         } else {
             let mut bodies = std::mem::take(&mut self.frame_bodies);
             let mut decoded = Some(Vec::with_capacity(ias.len()));
             for ia in ias {
-                let entry = self.cached_wire(node, ia);
-                bodies.push(EncodedIa::from(entry.body.clone()));
-                match (&mut decoded, &entry.decoded) {
-                    (Some(list), Some(ia)) => list.push(Arc::clone(ia)),
+                let (body, one) = self.cached_wire(node, ia, |e| (e.body(), e.decoded.clone()));
+                bodies.push(EncodedIa::from(body));
+                match (&mut decoded, one) {
+                    (Some(list), Some(ia)) => list.push(ia),
                     _ => decoded = None,
                 }
             }
@@ -1472,8 +1490,9 @@ impl Sim {
     ) {
         // A neighbor exists only through `establish`, whose callers all
         // act on a link record, and no link record is ever removed.
-        let LinkState { mut delay, model, up, .. } =
-            *self.links.get(&link_key(node, to)).expect("a neighbor always has a link record");
+        let link =
+            self.links.get(&link_key(node, to)).expect("a neighbor always has a link record");
+        let (mut delay, up, model) = (link.delay, link.up, link.model.as_deref().copied());
         if !up {
             // The adjacency map normally prevents this; a message racing
             // an administrative down is simply lost on the floor.
@@ -1485,7 +1504,7 @@ impl Sim {
             );
             return;
         }
-        if !model.is_reliable() {
+        if let Some(model) = model {
             let lost = self.rng.chance(model.loss_ppm);
             let corrupt = self.rng.chance(model.corrupt_ppm);
             let duplicate = self.rng.chance(model.duplicate_ppm);
@@ -1594,6 +1613,22 @@ impl Node {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// What a 50,000-AS world holds once per node, once per link and
+    /// once per encoded IA: 440, 40 and 64 bytes before the trie lost
+    /// its free-list `Vec`, the out-of-band inbox moved to one table
+    /// on `Sim`, a link's model went out of line and an encode-cache
+    /// entry kept its body as an offset into its announce frame. (The
+    /// link map's keys are two `u32`s: a B-tree leaf is 368 bytes, not
+    /// 632.)
+    #[test]
+    fn the_per_node_records_did_not_grow() {
+        use std::mem::size_of;
+        assert_eq!(size_of::<Node>(), 392);
+        assert_eq!(size_of::<LinkState>(), 24);
+        assert_eq!(size_of::<EncodeCacheEntry>(), 48);
+        assert_eq!(size_of::<((u32, u32), LinkState)>(), 32);
+    }
 
     /// A 50-node Waxman world, converged, then a storm of 30 windows of
     /// two flaps each and one node restart. An encode-cache entry lives
