@@ -39,20 +39,20 @@ fn sharing_ablation() {
         // Shared layout: one descriptor co-owned by every fix + one
         // unique descriptor per fix.
         let mut shared = Ia::originate(p("10.0.0.0/8"), Ipv4Addr(1));
-        shared.path_descriptors.push(PathDescriptor::shared(
-            protos.clone(),
-            1,
-            shared_blob.clone(),
-        ));
-        for proto in &protos {
-            shared.path_descriptors.push(PathDescriptor::new(*proto, 2, unique_blob.clone()));
-        }
+        shared.with_records(|r| {
+            r.path_descriptors.push(PathDescriptor::shared(protos.clone(), 1, shared_blob.clone()));
+            for proto in &protos {
+                r.path_descriptors.push(PathDescriptor::new(*proto, 2, unique_blob.clone()));
+            }
+        });
         // Duplicated layout: every fix carries its own full copy.
         let mut duplicated = Ia::originate(p("10.0.0.0/8"), Ipv4Addr(1));
-        for proto in &protos {
-            duplicated.path_descriptors.push(PathDescriptor::new(*proto, 1, shared_blob.clone()));
-            duplicated.path_descriptors.push(PathDescriptor::new(*proto, 2, unique_blob.clone()));
-        }
+        duplicated.with_records(|r| {
+            for proto in &protos {
+                r.path_descriptors.push(PathDescriptor::new(*proto, 1, shared_blob.clone()));
+                r.path_descriptors.push(PathDescriptor::new(*proto, 2, unique_blob.clone()));
+            }
+        });
         let s = shared.wire_size();
         let d = duplicated.wire_size();
         println!("{:>14} {:>18} {:>18} {:>8.2}x", n_fixes, s, d, d as f64 / s as f64);
@@ -118,7 +118,7 @@ fn convergence_ablation() {
         }
         let mut ia = Ia::originate(p("128.6.0.0/16"), Ipv4Addr(9));
         if payload > 0 {
-            ia.path_descriptors.push(PathDescriptor::new(ProtocolId(100), 1, vec![0xCC; payload]));
+            ia.set_path_descriptor(ProtocolId(100), 1, vec![0xCC; payload]);
         }
         sim.originate_ia(nodes[0], ia);
         let stats = sim.run(60_000_000);
@@ -159,11 +159,7 @@ fn session_reset_ablation() {
                 .unwrap();
                 let mut ia = Ia::originate(prefix, Ipv4Addr(9));
                 if payload > 0 {
-                    ia.path_descriptors.push(PathDescriptor::new(
-                        ProtocolId(100),
-                        1,
-                        vec![0xDD; payload],
-                    ));
+                    ia.set_path_descriptor(ProtocolId(100), 1, vec![0xDD; payload]);
                 }
                 sim.originate_ia(a, ia);
             }

@@ -72,7 +72,7 @@ pub fn build_outgoing<'m>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dbgp_wire::ia::{dkey, PathDescriptor, UnknownRecord};
+    use dbgp_wire::ia::{dkey, UnknownRecord};
     use dbgp_wire::{Ipv4Addr, Ipv4Prefix, IslandId, PathElem, ProtocolId};
 
     fn p(s: &str) -> Ipv4Prefix {
@@ -82,13 +82,10 @@ mod tests {
     fn incoming() -> Ia {
         let mut ia = Ia::originate(p("128.6.0.0/16"), Ipv4Addr::new(9, 9, 9, 9));
         ia.prepend_as(200);
-        ia.path_descriptors.push(PathDescriptor::new(
-            ProtocolId::SCION,
-            dkey::SCION_PATHS,
-            b"br1 br2".to_vec(),
-        ));
-        ia.unknown_records
-            .push(UnknownRecord { tag: 999, data: bytes::Bytes::from_static(b"future-extension") });
+        ia.set_path_descriptor(ProtocolId::SCION, dkey::SCION_PATHS, b"br1 br2".to_vec());
+        let future =
+            UnknownRecord { tag: 999, data: bytes::Bytes::from_static(b"future-extension") };
+        ia.with_records(|r| r.unknown_records.push(future));
         ia
     }
 
@@ -109,7 +106,7 @@ mod tests {
         let out = build_outgoing(&incoming(), ctx(&filters, None), []).unwrap();
         assert_eq!(out.path_vector, vec![PathElem::As(100), PathElem::As(200)]);
         assert!(out.path_descriptor(ProtocolId::SCION, dkey::SCION_PATHS).is_some());
-        assert_eq!(out.unknown_records.len(), 1);
+        assert_eq!(out.unknown_records().len(), 1);
     }
 
     #[test]
@@ -120,11 +117,11 @@ mod tests {
                 ProtocolId::WISER
             }
             fn export(&mut self, ia: &mut Ia, _: ExportContext) {
-                ia.path_descriptors.push(PathDescriptor::new(
+                ia.set_path_descriptor(
                     ProtocolId::WISER,
                     dkey::WISER_PATH_COST,
                     42u64.to_be_bytes().to_vec(),
-                ));
+                );
             }
         }
         let filters = FilterConfig::default();

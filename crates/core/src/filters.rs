@@ -97,8 +97,9 @@ pub fn global_import(
 /// the previous intra-island hop.
 pub fn declare_own_membership(ia: &mut Ia, island: IslandId) -> Result<(), WireError> {
     // After prepend_as, an upstream member's run starts at index 1.
-    if let Some(m) = ia.memberships.iter_mut().find(|m| m.island == island && m.start == 1) {
-        m.start = 0;
+    let upstream = ia.memberships().iter().position(|m| m.island == island && m.start == 1);
+    if let Some(i) = upstream {
+        ia.with_records(|r| r.memberships[i].start = 0);
         return Ok(());
     }
     ia.declare_membership(island, 1)
@@ -120,14 +121,16 @@ pub fn global_export(
             // Replace the front run of our island's member entries with
             // the single island ID.
             let run = ia
-                .memberships
+                .memberships()
                 .iter()
                 .filter(|m| m.island == island.id && m.start == 0)
                 .map(|m| m.end)
                 .max()
                 .unwrap_or(0);
             if run > 0 {
-                ia.memberships.retain(|m| !(m.island == island.id && m.start == 0));
+                ia.with_records(|r| {
+                    r.memberships.retain(|m| !(m.island == island.id && m.start == 0))
+                });
                 ia.abstract_island(island.id, run)?;
             }
         }
@@ -143,7 +146,7 @@ pub fn global_export(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dbgp_wire::ia::{dkey, PathDescriptor};
+    use dbgp_wire::ia::dkey;
     use dbgp_wire::{Ipv4Addr, Ipv4Prefix, PathElem};
 
     fn p(s: &str) -> Ipv4Prefix {
@@ -202,16 +205,8 @@ mod tests {
             valley_free: false,
         };
         let mut adv = ia(&[5]);
-        adv.path_descriptors.push(PathDescriptor::new(
-            dbgp_wire::ProtocolId::WISER,
-            dkey::WISER_PATH_COST,
-            vec![0, 1],
-        ));
-        adv.path_descriptors.push(PathDescriptor::new(
-            dbgp_wire::ProtocolId::BGPSEC,
-            dkey::BGPSEC_ATTESTATION,
-            vec![2],
-        ));
+        adv.set_path_descriptor(dbgp_wire::ProtocolId::WISER, dkey::WISER_PATH_COST, vec![0, 1]);
+        adv.set_path_descriptor(dbgp_wire::ProtocolId::BGPSEC, dkey::BGPSEC_ATTESTATION, vec![2]);
         let adv = global_import(&cfg, 9, None, adv).expect("no loop");
         assert!(adv.path_descriptor(dbgp_wire::ProtocolId::WISER, dkey::WISER_PATH_COST).is_none());
         assert!(adv
@@ -229,8 +224,8 @@ mod tests {
         declare_own_membership(&mut adv, island).unwrap();
         adv.prepend_as(5);
         declare_own_membership(&mut adv, island).unwrap();
-        assert_eq!(adv.memberships.len(), 1);
-        let m = adv.memberships[0];
+        assert_eq!(adv.memberships().len(), 1);
+        let m = adv.memberships()[0];
         assert_eq!((m.start, m.end), (0, 2));
         assert_eq!(adv.island_of(0), Some(island));
         assert_eq!(adv.island_of(1), Some(island));
@@ -268,12 +263,9 @@ mod tests {
             valley_free: false,
         };
         let mut adv = ia(&[5]);
-        adv.path_descriptors.push(PathDescriptor::new(
-            dbgp_wire::ProtocolId::WISER,
-            dkey::WISER_PATH_COST,
-            vec![0],
-        ));
+        adv.set_path_descriptor(dbgp_wire::ProtocolId::WISER, dkey::WISER_PATH_COST, vec![0]);
         global_export(&cfg, None, true, &mut adv).unwrap();
-        assert!(adv.path_descriptors.is_empty());
+        assert!(adv.path_descriptors().is_empty());
+        assert!(!adv.has_records());
     }
 }

@@ -270,11 +270,7 @@ mod tests {
         // between them; each is prepended and sent on in one frame.
         let with_tail = |prefix: &str, fill: u8| {
             let mut ia = sample_ia(prefix);
-            ia.path_descriptors.push(dbgp_wire::PathDescriptor::new(
-                dbgp_wire::ProtocolId(100),
-                1,
-                vec![fill; 600],
-            ));
+            ia.set_path_descriptor(dbgp_wire::ProtocolId(100), 1, vec![fill; 600]);
             ia
         };
         let arriving = DbgpUpdate {

@@ -719,9 +719,7 @@ impl Pipeline {
             // Transitional mode (§3.5): legacy BGP neighbors get the
             // IA with every extra field dropped.
             if !neighbor.speaks_dbgp {
-                ia.retain_protocols(&[ProtocolId::BGP]);
-                ia.memberships.clear();
-                ia.island_descriptors.clear();
+                ia.strip_to_bgp();
             }
             let ia = Arc::new(ia);
             if self.all_uniform {
@@ -854,7 +852,7 @@ mod tests {
         chain.pump(0, outs);
         let best = chain.speakers[3].best(&p("128.6.0.0/16")).unwrap();
         assert!(best.ia.path_descriptor(ProtocolId::WISER, dkey::WISER_PATH_COST).is_some());
-        assert_eq!(best.ia.island_descriptors.len(), 1);
+        assert_eq!(best.ia.island_descriptors().len(), 1);
         assert!(best.ia.protocols_on_path().contains(&ProtocolId::SCION));
     }
 
@@ -869,16 +867,18 @@ mod tests {
             .island_descriptor(IslandId(500), ProtocolId::SCION, dkey::SCION_PATHS, vec![7; 64])
             .build()
             .unwrap();
-        ia.unknown_records
-            .push(dbgp_wire::ia::UnknownRecord { tag: 4242, data: vec![9; 32].into() });
+        ia.with_records(|r| {
+            r.unknown_records
+                .push(dbgp_wire::ia::UnknownRecord { tag: 4242, data: vec![9; 32].into() })
+        });
         let frame = ia.encode().into_bytes();
         let span = frame.as_ptr_range();
         let received = Ia::decode(frame.clone()).unwrap();
         let pointers = |ia: &Ia| {
             let mut ptrs: Vec<*const u8> = Vec::new();
-            ptrs.extend(ia.path_descriptors.iter().map(|d| d.value.as_ptr()));
-            ptrs.extend(ia.island_descriptors.iter().map(|d| d.value.as_ptr()));
-            ptrs.extend(ia.unknown_records.iter().map(|r| r.data.as_ptr()));
+            ptrs.extend(ia.path_descriptors().iter().map(|d| d.value.as_ptr()));
+            ptrs.extend(ia.island_descriptors().iter().map(|d| d.value.as_ptr()));
+            ptrs.extend(ia.unknown_records().iter().map(|r| r.data.as_ptr()));
             ptrs
         };
         let arrived = pointers(&received);
@@ -933,7 +933,7 @@ mod tests {
         chain.pump(0, outs);
         let best = chain.speakers[3].best(&p("128.6.0.0/16")).unwrap();
         assert!(best.ia.path_descriptor(ProtocolId::WISER, dkey::WISER_PATH_COST).is_none());
-        assert_eq!(best.ia.island_descriptors.len(), 1);
+        assert_eq!(best.ia.island_descriptors().len(), 1);
     }
 
     #[test]
@@ -1051,8 +1051,8 @@ mod tests {
                 _ => None,
             })
             .expect("legacy neighbor still gets baseline reachability");
-        assert!(sent.path_descriptors.is_empty());
-        assert!(sent.island_descriptors.is_empty());
+        assert!(sent.path_descriptors().is_empty());
+        assert!(sent.island_descriptors().is_empty());
         assert_eq!(sent.path_vector, vec![PathElem::As(2), PathElem::As(1)]);
     }
 
@@ -1079,7 +1079,7 @@ mod tests {
                 _ => None,
             })
             .unwrap();
-        assert!(sent.path_descriptors.is_empty());
+        assert!(sent.path_descriptors().is_empty());
     }
 
     #[test]

@@ -56,7 +56,7 @@ pub fn extract_ia(update: &UpdateMsg) -> Option<WireResult<Ia>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dbgp_wire::ia::{dkey, PathDescriptor};
+    use dbgp_wire::ia::dkey;
     use dbgp_wire::message::BgpMessage;
     use dbgp_wire::{Ipv4Addr, Ipv4Prefix, ProtocolId};
 
@@ -67,11 +67,11 @@ mod tests {
     fn sample_ia() -> Ia {
         let mut ia = Ia::originate(p("128.6.0.0/16"), Ipv4Addr::new(9, 9, 9, 9));
         ia.prepend_as(42);
-        ia.path_descriptors.push(PathDescriptor::new(
+        ia.set_path_descriptor(
             ProtocolId::WISER,
             dkey::WISER_PATH_COST,
             77u64.to_be_bytes().to_vec(),
-        ));
+        );
         ia
     }
 
@@ -122,7 +122,7 @@ mod tests {
     #[test]
     fn oversized_ia_rejected() {
         let mut ia = sample_ia();
-        ia.path_descriptors.push(PathDescriptor::new(ProtocolId(99), 1, vec![0u8; 5000]));
+        ia.set_path_descriptor(ProtocolId(99), 1, vec![0u8; 5000]);
         assert!(matches!(ia_to_attribute(&ia), Err(WireError::Overflow(_))));
     }
 
@@ -132,9 +132,9 @@ mod tests {
         let mut ia = sample_ia();
         // The pad's value-length and record-length varints are 2 bytes
         // each for the sizes used here; solve for the value length.
-        ia.path_descriptors.push(PathDescriptor::new(ProtocolId(99), 1, Vec::new()));
+        ia.set_path_descriptor(ProtocolId(99), 1, Vec::new());
         let pad = size - ia.wire_size() - 2;
-        ia.path_descriptors.last_mut().unwrap().value = vec![0xa5; pad].into();
+        ia.set_path_descriptor(ProtocolId(99), 1, vec![0xa5; pad]);
         assert_eq!(ia.wire_size(), size);
         ia
     }

@@ -3,8 +3,8 @@
 //! structural invariants, over randomized IAs and speaker chains.
 
 use dbgp_core::{
-    filters, DbgpConfig, DbgpNeighbor, DbgpOutput, DbgpSpeaker, DbgpUpdate, FilterConfig,
-    IslandConfig, NeighborId,
+    filters, transitional, DbgpConfig, DbgpNeighbor, DbgpOutput, DbgpSpeaker, DbgpUpdate,
+    FilterConfig, IslandConfig, NeighborId,
 };
 use dbgp_wire::ia::{IslandDescriptor, PathDescriptor};
 use dbgp_wire::{Ia, Ipv4Addr, Ipv4Prefix, IslandId, ProtocolId};
@@ -66,8 +66,10 @@ proptest! {
             }
         }
         let mut ia = Ia::originate(prefix, Ipv4Addr::new(9, 9, 9, 9));
-        ia.path_descriptors = pds.clone();
-        ia.island_descriptors = ids.clone();
+        ia.with_records(|r| {
+            r.path_descriptors = pds.clone();
+            r.island_descriptors = ids.clone();
+        });
         // Walk the advertisement down the chain, re-encoding at each hop
         // as the simulator would.
         let mut outputs = speakers[0].originate_ia(ia);
@@ -89,8 +91,8 @@ proptest! {
         }
         let last = speakers.last().unwrap();
         let best = last.best(&prefix).expect("chain delivered the route");
-        prop_assert_eq!(&best.ia.path_descriptors, &pds);
-        prop_assert_eq!(&best.ia.island_descriptors, &ids);
+        prop_assert_eq!(best.ia.path_descriptors(), &pds[..]);
+        prop_assert_eq!(best.ia.island_descriptors(), &ids[..]);
     }
 
     /// The global import filter never accepts an IA whose path contains
@@ -119,15 +121,17 @@ proptest! {
         strip_proto in 50u16..60,
     ) {
         let mut ia = Ia::originate(prefix, Ipv4Addr(1));
-        ia.path_descriptors = pds;
-        ia.island_descriptors = ids;
+        ia.with_records(|r| {
+            r.path_descriptors = pds;
+            r.island_descriptors = ids;
+        });
         let strip = ProtocolId(strip_proto);
         ia.strip_protocols(&[strip]);
         let once = ia.clone();
         ia.strip_protocols(&[strip]);
         prop_assert_eq!(&ia, &once, "idempotent");
-        prop_assert!(ia.path_descriptors.iter().all(|d| !d.owned_by(strip)));
-        prop_assert!(ia.island_descriptors.iter().all(|d| d.protocol != strip));
+        prop_assert!(ia.path_descriptors().iter().all(|d| !d.owned_by(strip)));
+        prop_assert!(ia.island_descriptors().iter().all(|d| d.protocol != strip));
     }
 
     /// Export through island abstraction preserves wire validity and
@@ -209,8 +213,10 @@ proptest! {
         withdrawn in proptest::collection::vec(arb_prefix(), 0..3),
     ) {
         let mut ia = Ia::originate(prefix, Ipv4Addr::new(9, 9, 9, 9));
-        ia.path_descriptors = pds;
-        ia.island_descriptors = ids;
+        ia.with_records(|r| {
+            r.path_descriptors = pds;
+            r.island_descriptors = ids;
+        });
         let mut ias = vec![ia.clone()];
         for asn in hops {
             ia.prepend_as(asn); // mutate: a new IA generation
@@ -224,5 +230,35 @@ proptest! {
             update.encode(),
             "cached-body frame differs from fresh encode"
         );
+    }
+
+    /// The transitional attribute of an IA emptied of its records is the
+    /// attribute of one that never had any, byte for byte, and the
+    /// emptied IA holds no records box.
+    #[test]
+    fn an_emptied_ia_embeds_like_one_that_never_had_records(
+        prefix in arb_prefix(),
+        (pds, ids) in arb_descriptors(),
+        hops in proptest::collection::vec(1u32..65000, 0..6),
+    ) {
+        let mut never = Ia::originate(prefix, Ipv4Addr::new(9, 9, 9, 9));
+        for asn in hops {
+            never.prepend_as(asn);
+        }
+        let mut ia = never.clone();
+        ia.with_records(|r| {
+            r.path_descriptors = pds;
+            r.island_descriptors = ids;
+        });
+        let arrived = Ia::decode(ia.encode().into_bytes()).unwrap();
+        for mut emptied in [ia, arrived] {
+            emptied.retain_protocols(&[]);
+            prop_assert!(!emptied.has_records());
+            prop_assert_eq!(&emptied, &never);
+            prop_assert_eq!(
+                transitional::ia_to_attribute(&emptied).unwrap(),
+                transitional::ia_to_attribute(&never).unwrap()
+            );
+        }
     }
 }

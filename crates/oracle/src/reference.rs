@@ -52,33 +52,36 @@ fn ref_contains_as(ia: &Ia, asn: u32) -> bool {
 
 fn ref_contains_island(ia: &Ia, island: IslandId) -> bool {
     ia.path_vector.iter().any(|e| matches!(e, PathElem::Island(i) if *i == island))
-        || ia.memberships.iter().any(|m| m.island == island)
+        || ia.memberships().iter().any(|m| m.island == island)
 }
 
 fn ref_island_of(ia: &Ia, idx: u16) -> Option<IslandId> {
     if let Some(PathElem::Island(id)) = ia.path_vector.get(idx as usize) {
         return Some(*id);
     }
-    ia.memberships.iter().find(|m| m.start <= idx && idx < m.end).map(|m| m.island)
+    ia.memberships().iter().find(|m| m.start <= idx && idx < m.end).map(|m| m.island)
 }
 
 fn ref_prepend_as(ia: &mut Ia, asn: u32) {
     ia.path_vector.insert(0, PathElem::As(asn));
-    for m in &mut ia.memberships {
-        m.start += 1;
-        m.end += 1;
-    }
+    ia.with_records(|r| {
+        for m in &mut r.memberships {
+            m.start += 1;
+            m.end += 1;
+        }
+    });
 }
 
 fn ref_declare_own_membership(ia: &mut Ia, island: IslandId) -> Result<(), ()> {
-    if let Some(m) = ia.memberships.iter_mut().find(|m| m.island == island && m.start == 1) {
-        m.start = 0;
+    let upstream = ia.memberships().iter().position(|m| m.island == island && m.start == 1);
+    if let Some(i) = upstream {
+        ia.with_records(|r| r.memberships[i].start = 0);
         return Ok(());
     }
     if ia.path_vector.is_empty() {
         return Err(());
     }
-    ia.memberships.push(IslandMembership { island, start: 0, end: 1 });
+    ia.with_records(|r| r.memberships.push(IslandMembership { island, start: 0, end: 1 }));
     Ok(())
 }
 
@@ -89,37 +92,43 @@ fn ref_abstract_island(ia: &mut Ia, island: IslandId, count: u16) -> Result<(), 
     }
     ia.path_vector.splice(0..count, [PathElem::Island(island)]);
     let removed = count as i32 - 1;
-    ia.memberships.retain(|m| m.start as usize >= count);
-    for m in &mut ia.memberships {
-        m.start = (m.start as i32 - removed) as u16;
-        m.end = (m.end as i32 - removed) as u16;
-    }
-    ia.memberships.push(IslandMembership { island, start: 0, end: 1 });
+    ia.with_records(|r| {
+        r.memberships.retain(|m| m.start as usize >= count);
+        for m in &mut r.memberships {
+            m.start = (m.start as i32 - removed) as u16;
+            m.end = (m.end as i32 - removed) as u16;
+        }
+        r.memberships.push(IslandMembership { island, start: 0, end: 1 });
+    });
     Ok(())
 }
 
 fn ref_retain_protocols(ia: &mut Ia, keep: &[ProtocolId]) {
-    ia.path_descriptors.retain(|d| d.protocols.iter().any(|p| keep.contains(p)));
-    ia.island_descriptors.retain(|d| keep.contains(&d.protocol));
-    ia.unknown_records.clear();
+    ia.with_records(|r| {
+        r.path_descriptors.retain(|d| d.protocols.iter().any(|p| keep.contains(p)));
+        r.island_descriptors.retain(|d| keep.contains(&d.protocol));
+        r.unknown_records.clear();
+    });
 }
 
 fn ref_strip_protocols(ia: &mut Ia, remove: &[ProtocolId]) {
-    for d in &mut ia.path_descriptors {
-        d.protocols.retain(|p| !remove.contains(p));
-    }
-    ia.path_descriptors.retain(|d| !d.protocols.is_empty());
-    ia.island_descriptors.retain(|d| !remove.contains(&d.protocol));
+    ia.with_records(|r| {
+        for d in &mut r.path_descriptors {
+            d.protocols.retain(|p| !remove.contains(p));
+        }
+        r.path_descriptors.retain(|d| !d.protocols.is_empty());
+        r.island_descriptors.retain(|d| !remove.contains(&d.protocol));
+    });
 }
 
 fn ref_validate(ia: &Ia) -> Result<(), ()> {
     let len = ia.path_vector.len() as u16;
-    for m in &ia.memberships {
+    for m in ia.memberships() {
         if m.start >= m.end || m.end > len {
             return Err(());
         }
     }
-    for d in &ia.path_descriptors {
+    for d in ia.path_descriptors() {
         if d.protocols.is_empty() {
             return Err(());
         }
@@ -140,13 +149,15 @@ fn read_u64_be(value: &[u8]) -> Option<u64> {
 }
 
 fn descriptor_u64(ia: &Ia, protocol: ProtocolId, key: u16) -> Option<u64> {
-    let d = ia.path_descriptors.iter().find(|d| d.owned_by(protocol) && d.key == key)?;
+    let d = ia.path_descriptors().iter().find(|d| d.owned_by(protocol) && d.key == key)?;
     read_u64_be(&d.value)
 }
 
 fn set_descriptor(ia: &mut Ia, protocol: ProtocolId, key: u16, value: Vec<u8>) {
-    ia.path_descriptors.retain(|d| !(d.owned_by(protocol) && d.key == key));
-    ia.path_descriptors.push(PathDescriptor::new(protocol, key, value));
+    ia.with_records(|r| {
+        r.path_descriptors.retain(|d| !(d.owned_by(protocol) && d.key == key));
+        r.path_descriptors.push(PathDescriptor::new(protocol, key, value));
+    });
 }
 
 fn path_ases(ia: &Ia) -> Vec<u32> {
@@ -270,7 +281,7 @@ pub enum RefModule {
 /// Chain verification rank, mirroring `dbgp_protocols::bgpsec::verify`.
 fn bgpsec_rank(ia: &Ia, registry: &mut KeyRegistry, local_as: u32) -> u8 {
     let Some(d) = ia
-        .path_descriptors
+        .path_descriptors()
         .iter()
         .find(|d| d.owned_by(ProtocolId::BGPSEC) && d.key == dkey::BGPSEC_ATTESTATION)
     else {
@@ -411,7 +422,7 @@ impl RefModule {
                 let staged = runner_up.or_else(|| {
                     let d = cands[best]
                         .ia
-                        .path_descriptors
+                        .path_descriptors()
                         .iter()
                         .find(|d| d.owned_by(ProtocolId::RBGP) && d.key == dkey::RBGP_BACKUP)?;
                     decode_varint_list(&d.value)
@@ -567,23 +578,25 @@ impl RefModule {
                 );
             }
             RefModule::Pathlet { island, own_pathlets } => {
-                let already = ia.island_descriptors.iter().any(|d| {
+                let already = ia.island_descriptors().iter().any(|d| {
                     d.protocol == ProtocolId::PATHLET
                         && d.island == *island
                         && d.key == dkey::PATHLET_PATHLETS
                 });
                 if !already && !own_pathlets.is_empty() {
-                    ia.island_descriptors.push(IslandDescriptor::new(
-                        *island,
-                        ProtocolId::PATHLET,
-                        dkey::PATHLET_PATHLETS,
-                        encode_pathlet_triples(own_pathlets),
-                    ));
+                    ia.with_records(|r| {
+                        r.island_descriptors.push(IslandDescriptor::new(
+                            *island,
+                            ProtocolId::PATHLET,
+                            dkey::PATHLET_PATHLETS,
+                            encode_pathlet_triples(own_pathlets),
+                        ))
+                    });
                 }
             }
             RefModule::Bgpsec { registry, .. } => {
                 let chain = ia
-                    .path_descriptors
+                    .path_descriptors()
                     .iter()
                     .find(|d| d.owned_by(ProtocolId::BGPSEC) && d.key == dkey::BGPSEC_ATTESTATION)
                     .and_then(|d| AttestationChain::from_bytes(&d.value));
@@ -662,12 +675,14 @@ impl RefModule {
             }
             RefModule::Pathlet { island, own_pathlets } => {
                 if !own_pathlets.is_empty() {
-                    ia.island_descriptors.push(IslandDescriptor::new(
-                        *island,
-                        ProtocolId::PATHLET,
-                        dkey::PATHLET_PATHLETS,
-                        encode_pathlet_triples(own_pathlets),
-                    ));
+                    ia.with_records(|r| {
+                        r.island_descriptors.push(IslandDescriptor::new(
+                            *island,
+                            ProtocolId::PATHLET,
+                            dkey::PATHLET_PATHLETS,
+                            encode_pathlet_triples(own_pathlets),
+                        ))
+                    });
                 }
             }
         }
@@ -687,11 +702,13 @@ fn attach_island_descriptor_once(
     match_protocol: bool,
 ) {
     let exists = ia
-        .island_descriptors
+        .island_descriptors()
         .iter()
         .any(|d| d.island == island && d.key == key && (!match_protocol || d.protocol == protocol));
     if !exists {
-        ia.island_descriptors.push(IslandDescriptor::new(island, protocol, key, value));
+        ia.with_records(|r| {
+            r.island_descriptors.push(IslandDescriptor::new(island, protocol, key, value))
+        });
     }
 }
 
@@ -753,7 +770,7 @@ fn encode_pathlet_triples(pathlets: &[(u32, u32, u32)]) -> Vec<u8> {
 }
 
 fn scion_total_paths(ia: &Ia) -> usize {
-    ia.island_descriptors
+    ia.island_descriptors()
         .iter()
         .filter(|d| d.protocol == ProtocolId::SCION && d.key == dkey::SCION_PATHS)
         .filter_map(|d| {
@@ -805,7 +822,7 @@ fn decode_nested_varint_lists(value: &[u8]) -> Option<Vec<Vec<u32>>> {
 }
 
 fn pathlet_count(ia: &Ia) -> usize {
-    ia.island_descriptors
+    ia.island_descriptors()
         .iter()
         .filter(|d| d.protocol == ProtocolId::PATHLET && d.key == dkey::PATHLET_PATHLETS)
         .filter_map(|d| {
@@ -1189,8 +1206,10 @@ impl RefSpeaker {
                 };
                 if !neighbor.speaks_dbgp {
                     ref_retain_protocols(&mut ia, &[ProtocolId::BGP]);
-                    ia.memberships.clear();
-                    ia.island_descriptors.clear();
+                    ia.with_records(|r| {
+                        r.memberships.clear();
+                        r.island_descriptors.clear();
+                    });
                 }
                 let key = (id, prefix);
                 let unchanged = self.adj_out.get(&key).is_some_and(|prev| *prev == ia);
@@ -1263,14 +1282,16 @@ impl RefSpeaker {
         if let Some(island) = self.cfg.island {
             if island.abstraction && !neighbor_in_island {
                 let run = ia
-                    .memberships
+                    .memberships()
                     .iter()
                     .filter(|m| m.island == island.id && m.start == 0)
                     .map(|m| m.end)
                     .max()
                     .unwrap_or(0);
                 if run > 0 {
-                    ia.memberships.retain(|m| !(m.island == island.id && m.start == 0));
+                    ia.with_records(|r| {
+                        r.memberships.retain(|m| !(m.island == island.id && m.start == 0))
+                    });
                     ref_abstract_island(&mut ia, island.id, run)?;
                 }
             }

@@ -42,7 +42,7 @@ fn figure8_wiser_converges_identically_on_all_schedules() {
         // cost descriptor must arrive at s unmodified.
         let cost = chosen
             .ia
-            .path_descriptors
+            .path_descriptors()
             .iter()
             .find(|d| d.protocols.contains(&ProtocolId::WISER) && d.key == dkey::WISER_PATH_COST)
             .ok_or("Wiser cost descriptor was dropped in the gulf (CF-R1 violation)")?;
@@ -56,7 +56,7 @@ fn figure8_wiser_converges_identically_on_all_schedules() {
         // survives the gulf.
         if !chosen
             .ia
-            .island_descriptors
+            .island_descriptors()
             .iter()
             .any(|d| d.protocol == ProtocolId::WISER && d.key == dkey::WISER_PORTAL)
         {

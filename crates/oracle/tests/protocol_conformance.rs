@@ -190,7 +190,7 @@ fn miro_portal_descriptor_survives_gulf() {
     assert!(
         chosen
             .ia
-            .island_descriptors
+            .island_descriptors()
             .iter()
             .any(|d| d.protocol == ProtocolId::MIRO && d.key == dkey::MIRO_PORTAL),
         "MIRO portal descriptor was dropped in the gulf (CF-R1 violation)"
@@ -218,7 +218,7 @@ fn addrmap_service_descriptor_survives_gulf() {
     assert_eq!(next_hop(&sim, 4), Some(1), "addrmap keeps shortest-path selection");
     let chosen = sim.speaker(4).best(&prefix()).expect("destination has a route");
     assert!(
-        chosen.ia.island_descriptors.iter().any(|d| d.key == dkey::ADDR_LOOKUP_SERVICE),
+        chosen.ia.island_descriptors().iter().any(|d| d.key == dkey::ADDR_LOOKUP_SERVICE),
         "address-lookup service descriptor was dropped in the gulf"
     );
 }

@@ -368,13 +368,17 @@ impl DecisionModule for PathletModule {
             .island_descriptors_for(ProtocolId::PATHLET)
             .any(|d| d.island == self.island && d.key == dkey::PATHLET_PATHLETS);
         if !already && !self.own_pathlets.is_empty() {
-            ia.island_descriptors.push(egress_translate(self.island, &self.own_pathlets));
+            ia.with_records(|r| {
+                r.island_descriptors.push(egress_translate(self.island, &self.own_pathlets))
+            });
         }
     }
 
     fn decorate_origin(&mut self, ia: &mut Ia, _local_as: u32) {
         if !self.own_pathlets.is_empty() {
-            ia.island_descriptors.push(egress_translate(self.island, &self.own_pathlets));
+            ia.with_records(|r| {
+                r.island_descriptors.push(egress_translate(self.island, &self.own_pathlets))
+            });
         }
     }
 }
@@ -475,7 +479,7 @@ mod tests {
         let island = IslandId(700);
         let pathlets = vec![Pathlet::between(1, 1, 2), Pathlet::to_dest(9, 2, d())];
         let mut ia = Ia::originate(d(), Ipv4Addr::new(9, 9, 9, 9));
-        ia.island_descriptors.push(egress_translate(island, &pathlets));
+        ia.with_records(|r| r.island_descriptors.push(egress_translate(island, &pathlets)));
         // Cross a gulf: encode + decode the IA.
         let ia = Ia::decode(ia.encode().into_bytes()).unwrap();
         let ads = ingress_translate(&ia);
@@ -518,10 +522,12 @@ mod tests {
         let mut module = PathletModule::new(IslandId(1), 1, vec![]);
         let mut rich = Ia::originate(d(), Ipv4Addr::new(9, 9, 9, 9));
         rich.prepend_as(10);
-        rich.island_descriptors.push(egress_translate(
-            IslandId(2),
-            &[Pathlet::between(1, 1, 2), Pathlet::to_dest(2, 2, d())],
-        ));
+        rich.with_records(|r| {
+            r.island_descriptors.push(egress_translate(
+                IslandId(2),
+                &[Pathlet::between(1, 1, 2), Pathlet::to_dest(2, 2, d())],
+            ))
+        });
         let mut poor = Ia::originate(d(), Ipv4Addr::new(8, 8, 8, 8));
         poor.prepend_as(11);
         let cands = [

@@ -220,12 +220,14 @@ mod tests {
         let mut set = two_path_set();
         set.paths.push(vec![70, 1]); // a shorter one
         let mut ia = Ia::originate(p("131.3.0.0/24"), Ipv4Addr::new(9, 9, 9, 9));
-        ia.island_descriptors.push(IslandDescriptor::new(
-            IslandId(800),
-            ProtocolId::SCION,
-            dkey::SCION_PATHS,
-            set.to_bytes(),
-        ));
+        ia.with_records(|r| {
+            r.island_descriptors.push(IslandDescriptor::new(
+                IslandId(800),
+                ProtocolId::SCION,
+                dkey::SCION_PATHS,
+                set.to_bytes(),
+            ))
+        });
         let header = ScionModule::choose_path(&ia, IslandId(800)).unwrap();
         assert_eq!(header.hops, vec![70, 1]);
         assert_eq!(ScionModule::choose_path(&ia, IslandId(999)), None);
@@ -235,18 +237,16 @@ mod tests {
     fn total_paths_caps_per_island() {
         let big = PathSet { paths: (0..25).map(|i| vec![i, i + 1]).collect() };
         let mut ia = Ia::originate(p("10.0.0.0/8"), Ipv4Addr::new(1, 1, 1, 1));
-        ia.island_descriptors.push(IslandDescriptor::new(
-            IslandId(1),
-            ProtocolId::SCION,
-            dkey::SCION_PATHS,
-            big.to_bytes(),
-        ));
-        ia.island_descriptors.push(IslandDescriptor::new(
-            IslandId(2),
-            ProtocolId::SCION,
-            dkey::SCION_PATHS,
-            two_path_set().to_bytes(),
-        ));
+        ia.with_records(|r| {
+            for (island, set) in [(1, big), (2, two_path_set())] {
+                r.island_descriptors.push(IslandDescriptor::new(
+                    IslandId(island),
+                    ProtocolId::SCION,
+                    dkey::SCION_PATHS,
+                    set.to_bytes(),
+                ));
+            }
+        });
         assert_eq!(total_paths(&ia, 10), 12);
     }
 
@@ -256,12 +256,14 @@ mod tests {
         let mut rich = Ia::originate(p("10.0.0.0/8"), Ipv4Addr::new(1, 1, 1, 1));
         rich.prepend_as(5);
         rich.prepend_as(6);
-        rich.island_descriptors.push(IslandDescriptor::new(
-            IslandId(2),
-            ProtocolId::SCION,
-            dkey::SCION_PATHS,
-            two_path_set().to_bytes(),
-        ));
+        rich.with_records(|r| {
+            r.island_descriptors.push(IslandDescriptor::new(
+                IslandId(2),
+                ProtocolId::SCION,
+                dkey::SCION_PATHS,
+                two_path_set().to_bytes(),
+            ))
+        });
         let mut poor = Ia::originate(p("10.0.0.0/8"), Ipv4Addr::new(2, 2, 2, 2));
         poor.prepend_as(7);
         let cands = [

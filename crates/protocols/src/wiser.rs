@@ -274,7 +274,7 @@ mod tests {
         let mut ia = ia_with_cost(&[1], 5);
         set_path_cost(&mut ia, 9);
         assert_eq!(path_cost(&ia), Some(9));
-        let n = ia.path_descriptors.iter().filter(|d| d.key == dkey::WISER_PATH_COST).count();
+        let n = ia.path_descriptors().iter().filter(|d| d.key == dkey::WISER_PATH_COST).count();
         assert_eq!(n, 1);
     }
 

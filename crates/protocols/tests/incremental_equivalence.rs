@@ -13,7 +13,7 @@ use dbgp_core::module::{CandidateIa, DecisionModule};
 use dbgp_core::{DbgpConfig, DbgpNeighbor, DbgpSpeaker, IslandConfig, NeighborId};
 use dbgp_protocols::hlp::{HlpModule, HLP_PATH_COST};
 use dbgp_protocols::{RankedPolicyModule, WiserModule};
-use dbgp_wire::ia::{dkey, PathDescriptor};
+use dbgp_wire::ia::dkey;
 use dbgp_wire::{Ia, Ipv4Addr, Ipv4Prefix, IslandId, ProtocolId};
 use proptest::prelude::*;
 
@@ -39,7 +39,7 @@ fn ia_from(n: usize, tail: &[u32], cost: Option<(ProtocolId, u16, u64)>) -> Ia {
     }
     ia.prepend_as(n as u32 + 1);
     if let Some((proto, key, value)) = cost {
-        ia.path_descriptors.push(PathDescriptor::new(proto, key, value.to_be_bytes().to_vec()));
+        ia.set_path_descriptor(proto, key, value.to_be_bytes().to_vec());
     }
     ia
 }

@@ -116,16 +116,18 @@ fn build(spec: &Spec) -> Ia {
     }
     if spec.pathlets > 0 {
         let pathlets: Vec<_> = (0..spec.pathlets).map(|i| Pathlet::between(i + 1, 1, 2)).collect();
-        ia.island_descriptors.push(egress_translate(IslandId(7), &pathlets));
+        ia.with_records(|r| r.island_descriptors.push(egress_translate(IslandId(7), &pathlets)));
     }
     if spec.scion_paths > 0 {
         let paths = (0..spec.scion_paths).map(|i| vec![70, i, 1]).collect();
-        ia.island_descriptors.push(IslandDescriptor::new(
-            IslandId(8),
-            ProtocolId::SCION,
-            dkey::SCION_PATHS,
-            PathSet { paths }.to_bytes(),
-        ));
+        ia.with_records(|r| {
+            r.island_descriptors.push(IslandDescriptor::new(
+                IslandId(8),
+                ProtocolId::SCION,
+                dkey::SCION_PATHS,
+                PathSet { paths }.to_bytes(),
+            ))
+        });
     }
     ia
 }

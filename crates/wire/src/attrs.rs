@@ -208,11 +208,15 @@ impl AsPath {
     /// The path as an IA path vector: each sequenced AS one element, each
     /// set one `AsSet`.
     pub fn to_path_vector(&self) -> Vec<PathElem> {
-        let mut out = Vec::with_capacity(self.segments.iter().map(|s| s.ases().len()).sum());
+        let len =
+            self.segments
+                .iter()
+                .map(|s| if let AsSegment::Set(_) = s { 1 } else { s.ases().len() });
+        let mut out = Vec::with_capacity(len.sum());
         for seg in &self.segments {
             match seg {
                 AsSegment::Sequence(ases) => out.extend(ases.iter().map(|&a| PathElem::As(a))),
-                AsSegment::Set(ases) => out.push(PathElem::AsSet(ases.clone())),
+                AsSegment::Set(ases) => out.push(PathElem::AsSet(Box::new(ases.clone()))),
             }
         }
         out
@@ -226,7 +230,7 @@ impl AsPath {
             match (elem, segments.last_mut()) {
                 (PathElem::As(asn), Some(AsSegment::Sequence(ases))) => ases.push(*asn),
                 (PathElem::As(asn), _) => segments.push(AsSegment::Sequence(vec![*asn])),
-                (PathElem::AsSet(ases), _) => segments.push(AsSegment::Set(ases.clone())),
+                (PathElem::AsSet(ases), _) => segments.push(AsSegment::Set(ases.to_vec())),
                 (PathElem::Island(_), _) => {
                     return Err(WireError::MalformedAttribute {
                         code: code::AS_PATH,

@@ -65,8 +65,12 @@ pub mod dkey {
     pub const ADDR_LOOKUP_SERVICE: u16 = 9;
 }
 
-/// One element of an IA path vector.
+/// One element of an IA path vector: 16 bytes, the set behind one thin
+/// pointer, so the common elements (an AS, an island) pay no more than
+/// that.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
+// `Box<[u32]>` would be a fat pointer and make every element 24 bytes.
+#[allow(clippy::box_collection)]
 pub enum PathElem {
     /// An ordinary AS number.
     As(u32),
@@ -75,7 +79,7 @@ pub enum PathElem {
     Island(IslandId),
     /// An unordered set of ASes, used by islands that list member ASes
     /// inside an AS_SET so gulf ASes do not see an overly long path.
-    AsSet(Vec<u32>),
+    AsSet(Box<Vec<u32>>),
 }
 
 impl PathElem {
@@ -183,6 +187,13 @@ pub struct UnknownRecord {
 }
 
 /// An Integrated Advertisement.
+///
+/// The records a protocol *adds* — island memberships, path and island
+/// descriptors, unknown records — live in one [`IaRecords`] box that an
+/// IA without any of them (a gulf AS's, every IA of a BGP-only world)
+/// does not allocate. The box is `None` exactly when all four lists are
+/// empty; [`Ia::with_records`], the one way to change them, keeps that
+/// true, so the derived equality and the encoder need no special case.
 #[derive(Clone, PartialEq, Eq)]
 pub struct Ia {
     /// Destination, in the baseline address format (paper: IPv4).
@@ -197,6 +208,15 @@ pub struct Ia {
     pub bgp: Option<Box<BgpAttrs>>,
     /// The shared path vector, most recently prepended element first.
     pub path_vector: Vec<PathElem>,
+    /// The rare records, `None` when there are none.
+    records: Option<Box<IaRecords>>,
+}
+
+/// The records of an IA that only a protocol adds, in one allocation
+/// beside the baseline fields: read them through [`Ia::memberships`] and
+/// its siblings, change them through [`Ia::with_records`].
+#[derive(Clone, Default, PartialEq, Eq)]
+pub struct IaRecords {
     /// Which path-vector entries belong to which island.
     pub memberships: Vec<IslandMembership>,
     /// Per-protocol path attributes.
@@ -209,15 +229,25 @@ pub struct Ia {
     window: TailWindow,
 }
 
+/// What an IA without a records box reads.
+static NO_RECORDS: IaRecords = IaRecords {
+    memberships: Vec::new(),
+    path_descriptors: Vec::new(),
+    island_descriptors: Vec::new(),
+    unknown_records: Vec::new(),
+    window: TailWindow(None),
+};
+
 /// The window of the arrival frame that held a decoded IA's *tail*
 /// records — path descriptors, island descriptors, unknown records:
 /// everything [`Ia::encode_into`] writes after the memberships. Pass-
 /// through leaves those records alone, so [`Ia::encode`] can hand the
 /// window on instead of writing them again. It is a hint and never part
-/// of the IA's value: every field stays `pub`, and `encode` checks the
-/// window against the fields each time before it trusts it. One pointer
-/// wide, so an IA without a window (every BGP-only one) pays 8 bytes,
-/// and behind an `Arc`, so cloning an IA does not allocate for it.
+/// of the IA's value: the record lists are `pub` inside
+/// [`Ia::with_records`], and `encode` checks the window against them
+/// each time before it trusts it. It lives in the records box, which an
+/// IA without tail records (every BGP-only one) does not have, and
+/// behind an `Arc`, so cloning an IA does not allocate for it.
 #[derive(Clone, Default)]
 struct TailWindow(Option<Arc<Bytes>>);
 
@@ -239,10 +269,10 @@ impl fmt::Debug for Ia {
             .field("next_hop", &self.next_hop)
             .field("bgp", &self.bgp)
             .field("path_vector", &self.path_vector)
-            .field("memberships", &self.memberships)
-            .field("path_descriptors", &self.path_descriptors)
-            .field("island_descriptors", &self.island_descriptors)
-            .field("unknown_records", &self.unknown_records)
+            .field("memberships", &self.memberships())
+            .field("path_descriptors", &self.path_descriptors())
+            .field("island_descriptors", &self.island_descriptors())
+            .field("unknown_records", &self.unknown_records())
             .finish()
     }
 }
@@ -332,17 +362,67 @@ impl Ia {
             next_hop,
             bgp: None,
             path_vector: Vec::new(),
-            memberships: Vec::new(),
-            path_descriptors: Vec::new(),
-            island_descriptors: Vec::new(),
-            unknown_records: Vec::new(),
-            window: TailWindow::default(),
+            records: None,
         }
     }
 
     /// Start building an IA fluently.
     pub fn builder(prefix: Ipv4Prefix, next_hop: Ipv4Addr) -> IaBuilder {
         IaBuilder { ia: Ia::originate(prefix, next_hop) }
+    }
+
+    /// The rare records, or the empty ones.
+    fn records(&self) -> &IaRecords {
+        self.records.as_deref().unwrap_or(&NO_RECORDS)
+    }
+
+    /// Which path-vector entries belong to which island.
+    pub fn memberships(&self) -> &[IslandMembership] {
+        &self.records().memberships
+    }
+
+    /// Per-protocol path attributes.
+    pub fn path_descriptors(&self) -> &[PathDescriptor] {
+        &self.records().path_descriptors
+    }
+
+    /// Per-island attributes.
+    pub fn island_descriptors(&self) -> &[IslandDescriptor] {
+        &self.records().island_descriptors
+    }
+
+    /// Unrecognized records preserved for pass-through.
+    pub fn unknown_records(&self) -> &[UnknownRecord] {
+        &self.records().unknown_records
+    }
+
+    /// Does this IA hold a records box? Only when it has a membership, a
+    /// descriptor or an unknown record.
+    pub fn has_records(&self) -> bool {
+        self.records.is_some()
+    }
+
+    /// Change the rare records in place: `edit` gets them (empty ones,
+    /// on the stack, if there are none), and records it leaves empty go,
+    /// box and all. A box is allocated only for records `edit` adds.
+    pub fn with_records<R>(&mut self, edit: impl FnOnce(&mut IaRecords) -> R) -> R {
+        match &mut self.records {
+            Some(records) => {
+                let out = edit(records);
+                if records.is_empty() {
+                    self.records = None;
+                }
+                out
+            }
+            None => {
+                let mut records = IaRecords::default();
+                let out = edit(&mut records);
+                if !records.is_empty() {
+                    self.records = Some(Box::new(records));
+                }
+                out
+            }
+        }
     }
 
     /// Path length for BGP-style comparison (AS_SETs and islands count 1).
@@ -372,7 +452,7 @@ impl Ia {
     /// Loop check: does the path already mention this island?
     pub fn contains_island(&self, island: IslandId) -> bool {
         self.path_vector.iter().any(|e| matches!(e, PathElem::Island(i) if *i == island))
-            || self.memberships.iter().any(|m| m.island == island)
+            || self.memberships().iter().any(|m| m.island == island)
     }
 
     /// Prepend an AS number (the normal per-hop operation), shifting all
@@ -385,9 +465,11 @@ impl Ia {
     /// Move every membership range one entry toward the origin: the
     /// path vector just grew by one at the front.
     fn shift_memberships(&mut self) {
-        for m in &mut self.memberships {
-            m.start += 1;
-            m.end += 1;
+        if let Some(records) = &mut self.records {
+            for m in &mut records.memberships {
+                m.start += 1;
+                m.end += 1;
+            }
         }
     }
 
@@ -405,11 +487,7 @@ impl Ia {
             next_hop: self.next_hop,
             bgp: self.bgp.clone(),
             path_vector,
-            memberships: self.memberships.clone(),
-            path_descriptors: self.path_descriptors.clone(),
-            island_descriptors: self.island_descriptors.clone(),
-            unknown_records: self.unknown_records.clone(),
-            window: self.window.clone(),
+            records: self.records.clone(),
         };
         ia.shift_memberships();
         ia
@@ -429,7 +507,9 @@ impl Ia {
         if count as usize > self.path_vector.len() {
             return Err(WireError::BadMembershipRange);
         }
-        self.memberships.push(IslandMembership { island, start: 0, end: count });
+        self.with_records(|r| {
+            r.memberships.push(IslandMembership { island, start: 0, end: count })
+        });
         Ok(())
     }
 
@@ -445,12 +525,14 @@ impl Ia {
         }
         self.path_vector.splice(0..count, [PathElem::Island(island)]);
         let removed = count as i32 - 1;
-        self.memberships.retain(|m| m.start as usize >= count);
-        for m in &mut self.memberships {
-            m.start = (m.start as i32 - removed) as u16;
-            m.end = (m.end as i32 - removed) as u16;
-        }
-        self.memberships.push(IslandMembership { island, start: 0, end: 1 });
+        self.with_records(|r| {
+            r.memberships.retain(|m| m.start as usize >= count);
+            for m in &mut r.memberships {
+                m.start = (m.start as i32 - removed) as u16;
+                m.end = (m.end as i32 - removed) as u16;
+            }
+            r.memberships.push(IslandMembership { island, start: 0, end: 1 });
+        });
         Ok(())
     }
 
@@ -459,12 +541,12 @@ impl Ia {
         &self,
         protocol: ProtocolId,
     ) -> impl Iterator<Item = &PathDescriptor> {
-        self.path_descriptors.iter().filter(move |d| d.owned_by(protocol))
+        self.path_descriptors().iter().filter(move |d| d.owned_by(protocol))
     }
 
     /// The first path descriptor with this protocol + key, if any.
     pub fn path_descriptor(&self, protocol: ProtocolId, key: u16) -> Option<&PathDescriptor> {
-        self.path_descriptors.iter().find(|d| d.owned_by(protocol) && d.key == key)
+        self.path_descriptors().iter().find(|d| d.owned_by(protocol) && d.key == key)
     }
 
     /// A protocol's own 8-byte big-endian value under `key` (a cost, a
@@ -477,8 +559,11 @@ impl Ia {
     /// Replace every descriptor `protocol` owns under `key` with one
     /// single-protocol descriptor holding `value`, appended last.
     pub fn set_path_descriptor(&mut self, protocol: ProtocolId, key: u16, value: impl Into<Bytes>) {
-        self.path_descriptors.retain(|d| !(d.owned_by(protocol) && d.key == key));
-        self.path_descriptors.push(PathDescriptor::new(protocol, key, value));
+        let descriptor = PathDescriptor::new(protocol, key, value);
+        self.with_records(|r| {
+            r.path_descriptors.retain(|d| !(d.owned_by(protocol) && d.key == key));
+            r.path_descriptors.push(descriptor);
+        });
     }
 
     /// All island descriptors owned by `protocol`.
@@ -486,7 +571,7 @@ impl Ia {
         &self,
         protocol: ProtocolId,
     ) -> impl Iterator<Item = &IslandDescriptor> {
-        self.island_descriptors.iter().filter(move |d| d.protocol == protocol)
+        self.island_descriptors().iter().filter(move |d| d.protocol == protocol)
     }
 
     /// Every `(island, IPv4 address)` that `protocol` filed under `key`
@@ -517,7 +602,8 @@ impl Ia {
         let exists =
             self.island_descriptors_for(protocol).any(|d| d.island == island && d.key == key);
         if !exists {
-            self.island_descriptors.push(IslandDescriptor::new(island, protocol, key, value()));
+            let descriptor = IslandDescriptor::new(island, protocol, key, value());
+            self.with_records(|r| r.island_descriptors.push(descriptor));
         }
     }
 
@@ -531,12 +617,12 @@ impl Ia {
             }
         };
         push(ProtocolId::BGP);
-        for d in &self.path_descriptors {
+        for d in self.path_descriptors() {
             for &p in &d.protocols {
                 push(p);
             }
         }
-        for d in &self.island_descriptors {
+        for d in self.island_descriptors() {
             push(d.protocol);
         }
         out
@@ -547,10 +633,25 @@ impl Ia {
     /// gulf hop (§6.3's comparison case) and what a gulf operator's
     /// global filter does to a protocol it has blacklisted.
     pub fn retain_protocols(&mut self, keep: &[ProtocolId]) {
-        self.path_descriptors.retain(|d| d.protocols.iter().any(|p| keep.contains(p)));
-        self.island_descriptors.retain(|d| keep.contains(&d.protocol));
-        self.unknown_records.clear();
-        self.drop_stale_window();
+        self.with_records(|r| {
+            r.path_descriptors.retain(|d| d.protocols.iter().any(|p| keep.contains(p)));
+            r.island_descriptors.retain(|d| keep.contains(&d.protocol));
+            r.unknown_records.clear();
+            r.drop_stale_window();
+        });
+    }
+
+    /// What a legacy BGP neighbor is sent in transitional mode (§3.5):
+    /// BGP's own path descriptors, and no membership, island descriptor
+    /// or unknown record.
+    pub fn strip_to_bgp(&mut self) {
+        self.with_records(|r| {
+            r.path_descriptors.retain(|d| d.owned_by(ProtocolId::BGP));
+            r.memberships.clear();
+            r.island_descriptors.clear();
+            r.unknown_records.clear();
+            r.drop_stale_window();
+        });
     }
 
     /// Remove descriptors belonging to the given protocols, keeping
@@ -558,32 +659,14 @@ impl Ia {
     /// operator's per-protocol blacklist filter of §3.3 — "they would
     /// only need to know the protocol ID to do so".
     pub fn strip_protocols(&mut self, remove: &[ProtocolId]) {
-        for d in &mut self.path_descriptors {
-            d.protocols.retain(|p| !remove.contains(p));
-        }
-        self.path_descriptors.retain(|d| !d.protocols.is_empty());
-        self.island_descriptors.retain(|d| !remove.contains(&d.protocol));
-        self.drop_stale_window();
-    }
-
-    /// A filter that removed something leaves the window useless, and an
-    /// IA stripped to a few small descriptors must not keep a whole
-    /// frame alive through it (DESIGN.md §6, the retention bound).
-    fn drop_stale_window(&mut self) {
-        if self.spliceable_tail().is_none() {
-            self.window = TailWindow(None);
-        }
-    }
-
-    /// The arrival window, if the tail records as they stand now would
-    /// encode to exactly its bytes. Decided by checking, not by tracking
-    /// writes: the fields are `pub`, and a peer's frame may hold the
-    /// records in another order or with non-minimal varints.
-    fn spliceable_tail(&self) -> Option<Arc<Bytes>> {
-        let window = self.window.0.as_ref()?;
-        let mut check = TailCheck { rest: window, same: true };
-        self.encode_tail(&mut check);
-        (check.same && check.rest.is_empty()).then(|| Arc::clone(window))
+        self.with_records(|r| {
+            for d in &mut r.path_descriptors {
+                d.protocols.retain(|p| !remove.contains(p));
+            }
+            r.path_descriptors.retain(|d| !d.protocols.is_empty());
+            r.island_descriptors.retain(|d| !remove.contains(&d.protocol));
+            r.drop_stale_window();
+        });
     }
 
     /// The island that `path_vector[idx]` belongs to, if declared.
@@ -591,19 +674,19 @@ impl Ia {
         if let Some(PathElem::Island(id)) = self.path_vector.get(idx as usize) {
             return Some(*id);
         }
-        self.memberships.iter().find(|m| m.start <= idx && idx < m.end).map(|m| m.island)
+        self.memberships().iter().find(|m| m.start <= idx && idx < m.end).map(|m| m.island)
     }
 
     /// Validate structural invariants (membership ranges inside the path
     /// vector, non-empty descriptor protocol lists).
     pub fn validate(&self) -> WireResult<()> {
         let len = self.path_vector.len() as u16;
-        for m in &self.memberships {
+        for m in self.memberships() {
             if m.start >= m.end || m.end > len {
                 return Err(WireError::BadMembershipRange);
             }
         }
-        for d in &self.path_descriptors {
+        for d in self.path_descriptors() {
             if d.protocols.is_empty() {
                 return Err(WireError::MalformedIa("path descriptor with no protocols"));
             }
@@ -621,12 +704,13 @@ impl Ia {
     /// once. Either way the bytes are the ones [`Ia::encode_into`]
     /// writes.
     pub fn encode(&self) -> EncodedIa {
-        let tail = self.spliceable_tail();
-        let size = self.head_size() + if tail.is_some() { 0 } else { self.tail_size() };
+        let records = self.records();
+        let tail = records.spliceable_tail();
+        let size = self.head_size() + if tail.is_some() { 0 } else { records.tail_size() };
         let mut buf = BytesMut::with_capacity(size);
         self.encode_head(&mut buf);
         if tail.is_none() {
-            self.encode_tail(&mut buf);
+            records.encode_tail(&mut buf);
         }
         debug_assert_eq!(buf.len(), size, "the size arithmetic and the writers agree");
         EncodedIa { head: buf.freeze(), tail }
@@ -638,7 +722,7 @@ impl Ia {
     /// destination (a frame under assembly, say) is written in place.
     pub fn encode_into(&self, buf: &mut impl BufMut) {
         self.encode_head(buf);
-        self.encode_tail(buf);
+        self.records().encode_tail(buf);
     }
 
     /// The records every hop rewrites: prefix, origin, next hop, MED,
@@ -675,13 +759,13 @@ impl Ia {
                 PathElem::AsSet(ases) => {
                     buf.put_u8(2);
                     put_uvarint(buf, ases.len() as u64);
-                    for asn in ases {
+                    for asn in ases.iter() {
                         put_uvarint(buf, *asn as u64);
                     }
                 }
             }
         }
-        for m in &self.memberships {
+        for m in self.memberships() {
             put_header(buf, tag::MEMBERSHIP, m.body_len());
             put_uvarint(buf, m.island.0 as u64);
             put_uvarint(buf, m.start as u64);
@@ -689,36 +773,11 @@ impl Ia {
         }
     }
 
-    /// The records pass-through carries untouched: path descriptors,
-    /// island descriptors, unknown records.
-    fn encode_tail(&self, buf: &mut impl BufMut) {
-        for d in &self.path_descriptors {
-            put_header(buf, tag::PATH_DESC, d.body_len());
-            put_uvarint(buf, d.protocols.len() as u64);
-            for p in &d.protocols {
-                put_uvarint(buf, p.0 as u64);
-            }
-            put_uvarint(buf, d.key as u64);
-            put_value(buf, &d.value);
-        }
-        for d in &self.island_descriptors {
-            put_header(buf, tag::ISLAND_DESC, d.body_len());
-            put_uvarint(buf, d.island.0 as u64);
-            put_uvarint(buf, d.protocol.0 as u64);
-            put_uvarint(buf, d.key as u64);
-            put_value(buf, &d.value);
-        }
-        for r in &self.unknown_records {
-            put_header(buf, r.tag, r.data.len());
-            buf.put_slice(&r.data);
-        }
-    }
-
     /// Exact encoded size in bytes, by arithmetic over the record
     /// lengths (nothing is encoded). Sizes [`Ia::encode`]'s buffer and
     /// feeds the overhead experiments and the stress-test workload.
     pub fn wire_size(&self) -> usize {
-        self.head_size() + self.tail_size()
+        self.head_size() + self.records().tail_size()
     }
 
     /// What [`Ia::encode_head`] writes.
@@ -738,23 +797,8 @@ impl Ia {
         for elem in &self.path_vector {
             n += record_len(tag::PATH_ELEM, elem.body_len());
         }
-        for m in &self.memberships {
+        for m in self.memberships() {
             n += record_len(tag::MEMBERSHIP, m.body_len());
-        }
-        n
-    }
-
-    /// What [`Ia::encode_tail`] writes.
-    fn tail_size(&self) -> usize {
-        let mut n = 0;
-        for d in &self.path_descriptors {
-            n += record_len(tag::PATH_DESC, d.body_len());
-        }
-        for d in &self.island_descriptors {
-            n += record_len(tag::ISLAND_DESC, d.body_len());
-        }
-        for r in &self.unknown_records {
-            n += record_len(r.tag, r.data.len());
         }
         n
     }
@@ -770,11 +814,8 @@ impl Ia {
         let mut origin = Origin::Incomplete;
         let mut next_hop = Ipv4Addr(0);
         let mut bgp = BgpAttrs::default();
-        let mut path_vector = Vec::new();
-        let mut memberships = Vec::new();
-        let mut path_descriptors = Vec::new();
-        let mut island_descriptors = Vec::new();
-        let mut unknown_records = Vec::new();
+        let mut path_vector = Vec::with_capacity(count_path_elems(&buf));
+        let mut records = IaRecords::default();
         // Where the first tail record (descriptor or unknown) starts.
         let mut tail_at = None;
 
@@ -826,7 +867,7 @@ impl Ia {
                             for _ in 0..n {
                                 ases.push(read_u32(&mut body)?);
                             }
-                            PathElem::AsSet(ases)
+                            PathElem::AsSet(Box::new(ases))
                         }
                         _ => return Err(WireError::MalformedIa("unknown path element kind")),
                     });
@@ -835,7 +876,7 @@ impl Ia {
                     let island = IslandId(read_u32(&mut body)?);
                     let start = read_u16(&mut body)?;
                     let end = read_u16(&mut body)?;
-                    memberships.push(IslandMembership { island, start, end });
+                    records.memberships.push(IslandMembership { island, start, end });
                 }
                 tag::PATH_DESC => {
                     let nproto = get_uvarint(&mut body)? as usize;
@@ -854,7 +895,7 @@ impl Ia {
                         return Err(WireError::MalformedIa("short descriptor value"));
                     }
                     let value = buf.slice_ref(&body[..vlen]);
-                    path_descriptors.push(PathDescriptor { protocols, key, value });
+                    records.path_descriptors.push(PathDescriptor { protocols, key, value });
                     tail_at.get_or_insert(record_at);
                 }
                 tag::ISLAND_DESC => {
@@ -866,31 +907,106 @@ impl Ia {
                         return Err(WireError::MalformedIa("short island descriptor value"));
                     }
                     let value = buf.slice_ref(&body[..vlen]);
-                    island_descriptors.push(IslandDescriptor { island, protocol, key, value });
+                    records.island_descriptors.push(IslandDescriptor {
+                        island,
+                        protocol,
+                        key,
+                        value,
+                    });
                     tail_at.get_or_insert(record_at);
                 }
                 other => {
-                    unknown_records.push(UnknownRecord { tag: other, data: buf.slice_ref(body) });
+                    records
+                        .unknown_records
+                        .push(UnknownRecord { tag: other, data: buf.slice_ref(body) });
                     tail_at.get_or_insert(record_at);
                 }
             }
         }
 
         let prefix = prefix.ok_or(WireError::MalformedIa("missing prefix record"))?;
+        // A window exists only beside a tail record, so never in an empty
+        // box.
+        records.window = TailWindow(tail_at.map(|at| Arc::new(buf.slice(at..))));
         let ia = Ia {
             prefix,
             origin,
             next_hop,
             bgp: (!bgp.is_empty()).then(|| Box::new(bgp)),
             path_vector,
-            memberships,
-            path_descriptors,
-            island_descriptors,
-            unknown_records,
-            window: TailWindow(tail_at.map(|at| Arc::new(buf.slice(at..)))),
+            records: (!records.is_empty()).then(|| Box::new(records)),
         };
         ia.validate()?;
         Ok(ia)
+    }
+}
+
+impl IaRecords {
+    fn is_empty(&self) -> bool {
+        self.memberships.is_empty()
+            && self.path_descriptors.is_empty()
+            && self.island_descriptors.is_empty()
+            && self.unknown_records.is_empty()
+    }
+
+    /// The records pass-through carries untouched: path descriptors,
+    /// island descriptors, unknown records.
+    fn encode_tail(&self, buf: &mut impl BufMut) {
+        for d in &self.path_descriptors {
+            put_header(buf, tag::PATH_DESC, d.body_len());
+            put_uvarint(buf, d.protocols.len() as u64);
+            for p in &d.protocols {
+                put_uvarint(buf, p.0 as u64);
+            }
+            put_uvarint(buf, d.key as u64);
+            put_value(buf, &d.value);
+        }
+        for d in &self.island_descriptors {
+            put_header(buf, tag::ISLAND_DESC, d.body_len());
+            put_uvarint(buf, d.island.0 as u64);
+            put_uvarint(buf, d.protocol.0 as u64);
+            put_uvarint(buf, d.key as u64);
+            put_value(buf, &d.value);
+        }
+        for r in &self.unknown_records {
+            put_header(buf, r.tag, r.data.len());
+            buf.put_slice(&r.data);
+        }
+    }
+
+    /// What [`IaRecords::encode_tail`] writes.
+    fn tail_size(&self) -> usize {
+        let mut n = 0;
+        for d in &self.path_descriptors {
+            n += record_len(tag::PATH_DESC, d.body_len());
+        }
+        for d in &self.island_descriptors {
+            n += record_len(tag::ISLAND_DESC, d.body_len());
+        }
+        for r in &self.unknown_records {
+            n += record_len(r.tag, r.data.len());
+        }
+        n
+    }
+
+    /// A filter that removed something leaves the window useless, and an
+    /// IA stripped to a few small descriptors must not keep a whole
+    /// frame alive through it (DESIGN.md §6, the retention bound).
+    fn drop_stale_window(&mut self) {
+        if self.spliceable_tail().is_none() {
+            self.window = TailWindow(None);
+        }
+    }
+
+    /// The arrival window, if the tail records as they stand now would
+    /// encode to exactly its bytes. Decided by checking, not by tracking
+    /// writes: the fields are `pub`, and a peer's frame may hold the
+    /// records in another order or with non-minimal varints.
+    fn spliceable_tail(&self) -> Option<Arc<Bytes>> {
+        let window = self.window.0.as_ref()?;
+        let mut check = TailCheck { rest: window, same: true };
+        self.encode_tail(&mut check);
+        (check.same && check.rest.is_empty()).then(|| Arc::clone(window))
     }
 }
 
@@ -951,7 +1067,7 @@ impl IaBuilder {
 
     /// Declare island membership over `[start, end)`.
     pub fn membership(mut self, island: IslandId, start: u16, end: u16) -> Self {
-        self.ia.memberships.push(IslandMembership { island, start, end });
+        self.ia.with_records(|r| r.memberships.push(IslandMembership { island, start, end }));
         self
     }
 
@@ -962,7 +1078,8 @@ impl IaBuilder {
         key: u16,
         value: impl Into<Bytes>,
     ) -> Self {
-        self.ia.path_descriptors.push(PathDescriptor::new(protocol, key, value));
+        let descriptor = PathDescriptor::new(protocol, key, value);
+        self.ia.with_records(|r| r.path_descriptors.push(descriptor));
         self
     }
 
@@ -973,7 +1090,8 @@ impl IaBuilder {
         key: u16,
         value: impl Into<Bytes>,
     ) -> Self {
-        self.ia.path_descriptors.push(PathDescriptor::shared(protocols, key, value));
+        let descriptor = PathDescriptor::shared(protocols, key, value);
+        self.ia.with_records(|r| r.path_descriptors.push(descriptor));
         self
     }
 
@@ -985,7 +1103,8 @@ impl IaBuilder {
         key: u16,
         value: impl Into<Bytes>,
     ) -> Self {
-        self.ia.island_descriptors.push(IslandDescriptor::new(island, protocol, key, value));
+        let descriptor = IslandDescriptor::new(island, protocol, key, value);
+        self.ia.with_records(|r| r.island_descriptors.push(descriptor));
         self
     }
 
@@ -1117,6 +1236,19 @@ impl IslandDescriptor {
     }
 }
 
+/// How many path-element records `ia` holds, from its record headers
+/// alone, so the decoder allocates the path vector once at its length. A
+/// malformed header ends the count; the decoder reports it.
+fn count_path_elems(mut ia: &[u8]) -> usize {
+    let mut n = 0;
+    while let (Ok(t), Ok(len)) = (get_uvarint(&mut ia), get_uvarint(&mut ia)) {
+        let Some(rest) = usize::try_from(len).ok().and_then(|len| ia.get(len..)) else { break };
+        ia = rest;
+        n += usize::from(t == tag::PATH_ELEM);
+    }
+    n
+}
+
 fn read_u32(buf: &mut &[u8]) -> WireResult<u32> {
     let v = get_uvarint(buf)?;
     u32::try_from(v).map_err(|_| WireError::Overflow("u32 field"))
@@ -1192,7 +1324,7 @@ mod tests {
         assert_eq!(ia.path_descriptor_u64(ProtocolId::WISER, dkey::WISER_PATH_COST), Some(7));
         // Retain-then-push: the other protocol's descriptor moves up, the
         // new value goes last, and nothing is left of the old one.
-        let keys: Vec<_> = ia.path_descriptors.iter().map(|d| (d.protocols[0], d.key)).collect();
+        let keys: Vec<_> = ia.path_descriptors().iter().map(|d| (d.protocols[0], d.key)).collect();
         assert_eq!(
             keys,
             [
@@ -1213,20 +1345,20 @@ mod tests {
         let (ours, theirs) = (ProtocolId::EQBGP, ProtocolId::HLP);
         let mut ia = figure4_ia();
         let portal = Ipv4Addr::new(198, 18, 0, 1);
-        let before = ia.island_descriptors.clone();
+        let before = ia.island_descriptors().to_vec();
         for _ in 0..2 {
             ia.ensure_island_descriptor(IslandId(70), ours, KEY, || portal.octets().to_vec());
         }
         // Appended last, once; what was there is untouched.
-        assert_eq!(ia.island_descriptors.len(), before.len() + 1);
-        assert_eq!(ia.island_descriptors[..before.len()], before[..]);
+        assert_eq!(ia.island_descriptors().len(), before.len() + 1);
+        assert_eq!(ia.island_descriptors()[..before.len()], before[..]);
         let addrs = |ia: &Ia, protocol| ia.island_addrs(protocol, KEY).collect::<Vec<_>>();
         assert_eq!(addrs(&ia, ours), [(IslandId(70), portal)]);
         // Another island's descriptor, or another protocol's under the
         // same key number, is a different descriptor.
         ia.ensure_island_descriptor(IslandId(71), ours, KEY, || vec![1]);
         ia.ensure_island_descriptor(IslandId(70), theirs, KEY, || vec![9, 9, 9, 9]);
-        assert_eq!(ia.island_descriptors.len(), before.len() + 3);
+        assert_eq!(ia.island_descriptors().len(), before.len() + 3);
         // One byte is not an address; their four bytes are not ours.
         assert_eq!(addrs(&ia, ours), [(IslandId(70), portal)]);
         assert_eq!(addrs(&ia, theirs), [(IslandId(70), Ipv4Addr::new(9, 9, 9, 9))]);
@@ -1234,7 +1366,7 @@ mod tests {
         ia.ensure_island_descriptor(IslandId(71), ours, KEY, || -> Vec<u8> {
             unreachable!("there is one already")
         });
-        assert_eq!(ia.island_descriptors.len(), before.len() + 3);
+        assert_eq!(ia.island_descriptors().len(), before.len() + 3);
     }
 
     #[test]
@@ -1272,7 +1404,7 @@ mod tests {
     #[test]
     fn as_set_members_count_for_loops() {
         let mut ia = Ia::originate(p("10.0.0.0/8"), Ipv4Addr::new(1, 1, 1, 1));
-        ia.path_vector.push(PathElem::AsSet(vec![10, 20, 30]));
+        ia.path_vector.push(PathElem::AsSet(Box::new(vec![10, 20, 30])));
         assert!(ia.contains_as(20));
         assert_eq!(ia.hop_count(), 1);
     }
@@ -1280,10 +1412,10 @@ mod tests {
     #[test]
     fn prepend_shifts_memberships() {
         let mut ia = figure4_ia();
-        let before: Vec<_> = ia.memberships.clone();
+        let before = ia.memberships().to_vec();
         ia.prepend_as(42);
         assert_eq!(ia.path_vector[0], PathElem::As(42));
-        for (b, a) in before.iter().zip(&ia.memberships) {
+        for (b, a) in before.iter().zip(ia.memberships()) {
             assert_eq!(a.start, b.start + 1);
             assert_eq!(a.end, b.end + 1);
         }
@@ -1295,7 +1427,8 @@ mod tests {
         // Memberships, shared/path/island descriptors, an unknown record.
         let mut ia = figure4_ia();
         ia.edit_bgp(|b| b.med = Some(7));
-        ia.unknown_records.push(UnknownRecord { tag: 999, data: Bytes::from_static(b"future") });
+        let future = UnknownRecord { tag: 999, data: Bytes::from_static(b"future") };
+        ia.with_records(|r| r.unknown_records.push(future));
         for ia in [ia, Ia::originate(p("10.0.0.0/8"), Ipv4Addr::new(10, 0, 0, 1))] {
             let mut expected = ia.clone();
             expected.prepend_as(42);
@@ -1351,10 +1484,11 @@ mod tests {
         for asn in [6, 5, 4, 3, 2, 1] {
             ia.prepend_as(asn);
         }
-        ia.memberships.push(IslandMembership { island: IslandId(777), start: 4, end: 6 });
+        let m = IslandMembership { island: IslandId(777), start: 4, end: 6 };
+        ia.with_records(|r| r.memberships.push(m));
         ia.abstract_island(IslandId(900), 2).unwrap();
         // Two entries became one: the old [4,6) range must now be [3,5).
-        let m = ia.memberships.iter().find(|m| m.island == IslandId(777)).unwrap();
+        let m = ia.memberships().iter().find(|m| m.island == IslandId(777)).unwrap();
         assert_eq!((m.start, m.end), (3, 5));
         assert!(ia.validate().is_ok());
     }
@@ -1388,9 +1522,10 @@ mod tests {
     #[test]
     fn unknown_records_survive_roundtrip() {
         let mut ia = figure4_ia();
-        ia.unknown_records.push(UnknownRecord { tag: 4242, data: Bytes::from_static(b"future") });
+        let future = UnknownRecord { tag: 4242, data: Bytes::from_static(b"future") };
+        ia.with_records(|r| r.unknown_records.push(future));
         let decoded = Ia::decode(ia.encode().into_bytes()).unwrap();
-        assert_eq!(decoded.unknown_records, ia.unknown_records);
+        assert_eq!(decoded.unknown_records(), ia.unknown_records());
     }
 
     #[test]
@@ -1404,7 +1539,8 @@ mod tests {
     #[test]
     fn decode_rejects_bad_membership_range() {
         let mut ia = figure4_ia();
-        ia.memberships.push(IslandMembership { island: IslandId(1), start: 90, end: 91 });
+        let m = IslandMembership { island: IslandId(1), start: 90, end: 91 };
+        ia.with_records(|r| r.memberships.push(m));
         assert_eq!(Ia::decode(ia.encode().into_bytes()), Err(WireError::BadMembershipRange));
     }
 
@@ -1483,7 +1619,8 @@ mod tests {
     fn wire_size_tracks_payload() {
         let small = figure4_ia().wire_size();
         let mut big = figure4_ia();
-        big.path_descriptors.push(PathDescriptor::new(ProtocolId(50), 1, vec![0u8; 1000]));
+        let descriptor = PathDescriptor::new(ProtocolId(50), 1, vec![0u8; 1000]);
+        big.with_records(|r| r.path_descriptors.push(descriptor));
         assert!(big.wire_size() > small + 1000);
     }
 }

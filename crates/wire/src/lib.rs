@@ -30,7 +30,8 @@ pub mod varint;
 pub use attrs::{AsPath, AsSegment, BgpAttrs, Origin, PathAttribute};
 pub use error::WireError;
 pub use ia::{
-    EncodedIa, Ia, IaBuilder, IslandDescriptor, IslandMembership, PathDescriptor, PathElem,
+    EncodedIa, Ia, IaBuilder, IaRecords, IslandDescriptor, IslandMembership, PathDescriptor,
+    PathElem,
 };
 pub use ids::{IslandId, ProtocolId};
 pub use message::{BgpMessage, Capability, NotificationMsg, OpenMsg, UpdateMsg};

@@ -118,11 +118,11 @@ fn corpus_inputs_fail_with_typed_errors() {
     // Unknown records and unknown-protocol descriptors must pass
     // through (CF-R1 at the codec layer), not error.
     let unknown = decode(&read("unknown-record-passthrough.bin")).expect("pass-through");
-    assert_eq!(unknown.unknown_records.len(), 1);
-    assert_eq!(unknown.unknown_records[0].tag, 200);
+    assert_eq!(unknown.unknown_records().len(), 1);
+    assert_eq!(unknown.unknown_records()[0].tag, 200);
     let dup = decode(&read("dup-protocol-desc.bin")).expect("dup descriptors are legal");
-    assert_eq!(dup.path_descriptors.len(), 2);
-    assert_eq!(dup.path_descriptors[0].protocols, vec![ProtocolId(999)]);
+    assert_eq!(dup.path_descriptors().len(), 2);
+    assert_eq!(dup.path_descriptors()[0].protocols, vec![ProtocolId(999)]);
 }
 
 // ----- mutation fuzzing ------------------------------------------------
@@ -174,45 +174,47 @@ fn seed_ia(rng: &mut TestRng) -> Ia {
         ia.path_vector.push(match rng.below(3) {
             0 => PathElem::As(1 + rng.below(1_000_000) as u32),
             1 => PathElem::Island(IslandId(1 + rng.below(1_000_000) as u32)),
-            _ => PathElem::AsSet(
+            _ => PathElem::AsSet(Box::new(
                 (0..1 + rng.below(4)).map(|_| 1 + rng.below(1_000_000) as u32).collect(),
-            ),
+            )),
         });
     }
     let pvlen = ia.path_vector.len() as u16;
-    if pvlen >= 2 && rng.below(2) == 1 {
-        ia.memberships.push(IslandMembership {
-            island: IslandId(7),
-            start: 0,
-            end: 1 + rng.below(u64::from(pvlen)) as u16,
-        });
-    }
-    for _ in 0..rng.below(3) {
-        // Unknown protocol IDs included on purpose: descriptors of
-        // protocols this build has never heard of must survive.
-        let proto = ProtocolId(rng.below(2000) as u16);
-        ia.path_descriptors.push(PathDescriptor::new(
-            proto,
-            rng.below(200) as u16,
-            (0..rng.below(32)).map(|_| rng.next_u64() as u8).collect::<Vec<u8>>(),
-        ));
-    }
-    for _ in 0..rng.below(3) {
-        ia.island_descriptors.push(IslandDescriptor::new(
-            IslandId(1 + rng.below(1000) as u32),
-            ProtocolId(rng.below(2000) as u16),
-            rng.below(200) as u16,
-            (0..rng.below(32)).map(|_| rng.next_u64() as u8).collect::<Vec<u8>>(),
-        ));
-    }
-    if rng.below(4) == 0 {
-        ia.unknown_records.push(UnknownRecord {
-            tag: 100 + rng.below(1000),
-            data: Bytes::from(
-                (0..rng.below(16)).map(|_| rng.next_u64() as u8).collect::<Vec<u8>>(),
-            ),
-        });
-    }
+    ia.with_records(|r| {
+        if pvlen >= 2 && rng.below(2) == 1 {
+            r.memberships.push(IslandMembership {
+                island: IslandId(7),
+                start: 0,
+                end: 1 + rng.below(u64::from(pvlen)) as u16,
+            });
+        }
+        for _ in 0..rng.below(3) {
+            // Unknown protocol IDs included on purpose: descriptors of
+            // protocols this build has never heard of must survive.
+            let proto = ProtocolId(rng.below(2000) as u16);
+            r.path_descriptors.push(PathDescriptor::new(
+                proto,
+                rng.below(200) as u16,
+                (0..rng.below(32)).map(|_| rng.next_u64() as u8).collect::<Vec<u8>>(),
+            ));
+        }
+        for _ in 0..rng.below(3) {
+            r.island_descriptors.push(IslandDescriptor::new(
+                IslandId(1 + rng.below(1000) as u32),
+                ProtocolId(rng.below(2000) as u16),
+                rng.below(200) as u16,
+                (0..rng.below(32)).map(|_| rng.next_u64() as u8).collect::<Vec<u8>>(),
+            ));
+        }
+        if rng.below(4) == 0 {
+            r.unknown_records.push(UnknownRecord {
+                tag: 100 + rng.below(1000),
+                data: Bytes::from(
+                    (0..rng.below(16)).map(|_| rng.next_u64() as u8).collect::<Vec<u8>>(),
+                ),
+            });
+        }
+    });
     ia
 }
 

@@ -76,16 +76,13 @@ fn as_set_and_two_memberships() -> Ia {
     ia.origin = Origin::Incomplete;
     ia.path_vector = vec![
         PathElem::As(300),
-        PathElem::AsSet(vec![10, 20_000, 3_000_000]),
+        PathElem::AsSet(Box::new(vec![10, 20_000, 3_000_000])),
         PathElem::Island(IslandId(70_000)),
         PathElem::As(1),
     ];
     ia.declare_membership(IslandId(500), 2).unwrap();
-    ia.memberships.push(dbgp_wire::ia::IslandMembership {
-        island: IslandId(70_000),
-        start: 2,
-        end: 4,
-    });
+    let m = dbgp_wire::ia::IslandMembership { island: IslandId(70_000), start: 2, end: 4 };
+    ia.with_records(|r| r.memberships.push(m));
     ia.validate().unwrap();
     ia
 }
@@ -100,8 +97,10 @@ fn unknown_record_and_long_descriptor() -> Ia {
         .island_descriptor(IslandId(9), ProtocolId::PATHLET, dkey::PATHLET_PATHLETS, Vec::new())
         .build()
         .unwrap();
-    ia.unknown_records.push(UnknownRecord { tag: 4242, data: Bytes::from_static(b"future") });
-    ia.unknown_records.push(UnknownRecord { tag: 9, data: Bytes::new() });
+    ia.with_records(|r| {
+        r.unknown_records.push(UnknownRecord { tag: 4242, data: Bytes::from_static(b"future") });
+        r.unknown_records.push(UnknownRecord { tag: 9, data: Bytes::new() });
+    });
     ia
 }
 
@@ -145,17 +144,39 @@ fn the_wire_format_did_not_move() {
 
 /// In-memory sizes. `sim_hier50k` keeps 50k × 8 IAs resident; none of
 /// these may grow by accident. The descriptor types are as they were
-/// when the values were `Vec<u8>`. `Ia` grew once, on purpose, from 144:
-/// the tail window `encode` splices is one pointer (`Option<Arc<Bytes>>`
-/// — 8 bytes for an IA without one, where an inline `Option<Bytes>`
-/// would be 24), and the 141 bytes of fields leave no room for it.
+/// when the values were `Vec<u8>`. `Ia` went from 152 to 56 bytes when
+/// the four rare record lists and the tail window moved into one box an
+/// IA without them does not allocate: an `Arc<Ia>` now takes an 80-byte
+/// allocator chunk, not a 176-byte one. A path element went from 24 to
+/// 16 bytes when its AS_SET moved behind a thin pointer.
 #[test]
 fn the_layout_did_not_grow() {
     use std::mem::size_of;
-    assert_eq!(size_of::<Ia>(), 152);
+    assert_eq!(size_of::<Ia>(), 56);
+    assert_eq!(size_of::<PathElem>(), 16);
     assert_eq!(size_of::<PathDescriptor>(), 56);
     assert_eq!(size_of::<IslandDescriptor>(), 32);
     assert_eq!(size_of::<UnknownRecord>(), 32);
+}
+
+/// A BGP-only IA, decoded, holds no records box, and its path vector is
+/// allocated once at its length; one that carries a descriptor holds a
+/// box, exactly sized path vector and all.
+#[test]
+fn a_decoded_bgp_only_ia_holds_no_records_box_and_an_exact_path_vector() {
+    for len in 0..12u32 {
+        let mut ia = bgp_only_with_med();
+        ia.path_vector = (0..len).map(|asn| PathElem::As(65_000 + asn)).collect();
+        let decoded = Ia::decode(ia.encode().into_bytes()).unwrap();
+        assert!(!decoded.has_records(), "{len} hops: a records box");
+        assert_eq!(decoded.path_vector.capacity(), decoded.path_vector.len(), "{len} hops");
+        assert_eq!(decoded, ia);
+    }
+    for ia in [figure4_ia(), as_set_and_two_memberships(), unknown_record_and_long_descriptor()] {
+        let decoded = Ia::decode(ia.encode().into_bytes()).unwrap();
+        assert!(decoded.has_records());
+        assert_eq!(decoded.path_vector.capacity(), decoded.path_vector.len());
+    }
 }
 
 /// Every payload of a decoded IA is a view into the frame it was decoded
@@ -177,22 +198,22 @@ fn decoded_payloads_are_views_of_the_frame() {
 
     let ia = Ia::decode(frame.slice(5..5 + body.len())).unwrap();
     assert_eq!(ia, unknown_record_and_long_descriptor());
-    assert_eq!(ia.path_descriptors[0].value.len(), 300);
-    for d in &ia.path_descriptors {
+    assert_eq!(ia.path_descriptors()[0].value.len(), 300);
+    for d in ia.path_descriptors() {
         inside("path descriptor value", &d.value);
     }
-    for d in &ia.island_descriptors {
+    for d in ia.island_descriptors() {
         inside("island descriptor value", &d.value);
     }
-    for r in &ia.unknown_records {
+    for r in ia.unknown_records() {
         inside("unknown record", &r.data);
     }
 
     let copy = ia.clone();
-    for (a, b) in ia.path_descriptors.iter().zip(&copy.path_descriptors) {
+    for (a, b) in ia.path_descriptors().iter().zip(copy.path_descriptors()) {
         assert_eq!(a.value.as_ptr(), b.value.as_ptr(), "clone shares the payload");
     }
-    for (a, b) in ia.unknown_records.iter().zip(&copy.unknown_records) {
+    for (a, b) in ia.unknown_records().iter().zip(copy.unknown_records()) {
         assert_eq!(a.data.as_ptr(), b.data.as_ptr(), "clone shares the unknown record");
     }
 }
@@ -223,7 +244,7 @@ fn a_stripped_ia_stops_pinning_its_arrival_frame() {
     let mut one_left = ia.clone();
     one_left.strip_protocols(&[ProtocolId(100)]);
     assert!(!one_left.encode().is_spliced());
-    let survivor = one_left.island_descriptors[0].value.clone();
+    let survivor = one_left.island_descriptors()[0].value.clone();
     drop((ia, one_left));
     assert!(!frame.is_unique());
     drop(survivor);
@@ -233,5 +254,6 @@ fn a_stripped_ia_stops_pinning_its_arrival_frame() {
     let mut ia = Ia::decode(frame.clone()).unwrap();
     ia.retain_protocols(&[ProtocolId::BGP]);
     assert!(frame.is_unique(), "a baseline IA still pins the frame it arrived in");
+    assert!(!ia.has_records(), "a baseline IA keeps an empty records box");
     assert_eq!(ia.wire_size(), ia.encode().head().len());
 }

@@ -49,7 +49,8 @@ fn arb_path_elem() -> impl Strategy<Value = PathElem> {
     prop_oneof![
         (1u32..1_000_000).prop_map(PathElem::As),
         (1u32..1_000_000).prop_map(|i| PathElem::Island(IslandId(i))),
-        proptest::collection::vec(1u32..1_000_000, 1..6).prop_map(PathElem::AsSet),
+        proptest::collection::vec(1u32..1_000_000, 1..6)
+            .prop_map(|ases| PathElem::AsSet(Box::new(ases))),
     ]
 }
 
@@ -111,30 +112,32 @@ fn arb_ia() -> impl Strategy<Value = Ia> {
             ia.origin = origin;
             ia.bgp = bgp;
             ia.path_vector = pv;
-            // Memberships must be valid ranges; derive them from the
-            // path-vector length.
-            if pvlen >= 2 {
-                ia.memberships.push(IslandMembership {
-                    island: IslandId(7),
-                    start: 0,
-                    end: pvlen / 2,
-                });
-            }
-            for (key, value) in pds {
-                ia.path_descriptors.push(PathDescriptor::shared(
-                    vec![ProtocolId::WISER, ProtocolId::BGP],
-                    key,
-                    value,
-                ));
-            }
-            for (island, key, value) in ids {
-                ia.island_descriptors.push(IslandDescriptor::new(
-                    IslandId(island),
-                    ProtocolId::SCION,
-                    key,
-                    value,
-                ));
-            }
+            ia.with_records(|r| {
+                // Memberships must be valid ranges; derive them from the
+                // path-vector length.
+                if pvlen >= 2 {
+                    r.memberships.push(IslandMembership {
+                        island: IslandId(7),
+                        start: 0,
+                        end: pvlen / 2,
+                    });
+                }
+                for (key, value) in pds {
+                    r.path_descriptors.push(PathDescriptor::shared(
+                        vec![ProtocolId::WISER, ProtocolId::BGP],
+                        key,
+                        value,
+                    ));
+                }
+                for (island, key, value) in ids {
+                    r.island_descriptors.push(IslandDescriptor::new(
+                        IslandId(island),
+                        ProtocolId::SCION,
+                        key,
+                        value,
+                    ));
+                }
+            });
             ia
         })
         .prop_filter("memberships need nonempty range", |ia| ia.validate().is_ok())
@@ -275,7 +278,8 @@ proptest! {
         payload in proptest::collection::vec(any::<u8>(), 0..300),
     ) {
         let mut ia = ia;
-        ia.unknown_records.push(UnknownRecord { tag, data: Bytes::from(payload) });
+        let record = UnknownRecord { tag, data: Bytes::from(payload) };
+        ia.with_records(|r| r.unknown_records.push(record));
         prop_assert_eq!(ia.wire_size(), ia.encode().len());
     }
 
@@ -298,13 +302,14 @@ proptest! {
     #[test]
     fn ia_unknown_records_pass_through(ia in arb_ia(), tag in 100u64..10_000, payload in proptest::collection::vec(any::<u8>(), 0..64)) {
         let mut ia = ia;
-        ia.unknown_records.push(UnknownRecord { tag, data: Bytes::from(payload) });
+        let record = UnknownRecord { tag, data: Bytes::from(payload) };
+        ia.with_records(|r| r.unknown_records.push(record));
         let decoded = Ia::decode(ia.encode().into_bytes()).unwrap();
-        prop_assert_eq!(&decoded.unknown_records, &ia.unknown_records);
+        prop_assert_eq!(decoded.unknown_records(), ia.unknown_records());
         // A second hop re-encodes what it decoded; the record must still
         // be there (transitivity of pass-through).
         let second = Ia::decode(decoded.encode().into_bytes()).unwrap();
-        prop_assert_eq!(&second.unknown_records, &ia.unknown_records);
+        prop_assert_eq!(second.unknown_records(), ia.unknown_records());
     }
 
     #[test]
@@ -319,14 +324,87 @@ proptest! {
     #[test]
     fn ia_wiser_cost_descriptor_is_findable(ia in arb_ia(), cost in any::<u64>()) {
         let mut ia = ia;
-        ia.path_descriptors.push(PathDescriptor::new(
+        ia.with_records(|r| r.path_descriptors.push(PathDescriptor::new(
             ProtocolId::WISER,
             dkey::WISER_PATH_COST,
             cost.to_be_bytes().to_vec(),
-        ));
+        )));
         let decoded = Ia::decode(ia.encode().into_bytes()).unwrap();
         let d = decoded.path_descriptor(ProtocolId::WISER, dkey::WISER_PATH_COST).unwrap();
         prop_assert_eq!(&d.value[..], &cost.to_be_bytes()[..]);
+    }
+}
+
+// ----- the records box ------------------------------------------------
+//
+// An IA holds its memberships, descriptors and unknown records in one box
+// that exists only while one of them does, so the derived equality and
+// the encoder see no difference between an IA emptied of its records and
+// one that never had any.
+
+/// `ia`'s head fields on an IA that never had a record.
+fn never_had_records(ia: &Ia) -> Ia {
+    let mut never = Ia::originate(ia.prefix, ia.next_hop);
+    never.origin = ia.origin;
+    never.bgp = ia.bgp.clone();
+    never.path_vector = ia.path_vector.clone();
+    assert!(!never.has_records());
+    never
+}
+
+proptest! {
+    #[test]
+    fn an_ia_emptied_of_its_records_is_one_that_never_had_them(
+        ia in arb_ia(),
+        tag in 100u64..10_000,
+        data in proptest::collection::vec(any::<u8>(), 0..32),
+    ) {
+        let mut ia = ia;
+        ia.with_records(|r| r.unknown_records.push(UnknownRecord { tag, data: data.into() }));
+        let never = never_had_records(&ia);
+        let same = |emptied: &Ia, what: &str| -> Result<(), TestCaseError> {
+            prop_assert!(!emptied.has_records(), "{}: a records box is left", what);
+            prop_assert_eq!(emptied, &never, "{}", what);
+            prop_assert_eq!(emptied.wire_size(), never.wire_size(), "{}", what);
+            prop_assert_eq!(emptied.encode().into_bytes(), never.encode().into_bytes(), "{}", what);
+            Ok(())
+        };
+
+        // Built here, and decoded from a frame (a window in the box).
+        let decoded = Ia::decode(ia.encode().into_bytes()).unwrap();
+        for (what, arrived) in [("built", ia), ("decoded", decoded)] {
+            let mut emptied = arrived.clone();
+            emptied.with_records(|r| {
+                r.memberships.clear();
+                r.path_descriptors.clear();
+                r.island_descriptors.clear();
+                r.unknown_records.clear();
+            });
+            same(&emptied, what)?;
+
+            // The filters: every protocol's records removed, then the
+            // memberships a filter leaves.
+            let mut filtered = arrived.clone();
+            filtered.retain_protocols(&[]);
+            filtered.with_records(|r| r.memberships.clear());
+            same(&filtered, what)?;
+
+            // What a legacy BGP neighbor is sent: BGP's own path
+            // descriptors, and a box only if there is one.
+            let mut legacy = arrived.clone();
+            legacy.strip_to_bgp();
+            let mut expected = never.clone();
+            let bgp_own: Vec<_> = arrived.path_descriptors_for(ProtocolId::BGP).cloned().collect();
+            expected.with_records(|r| r.path_descriptors = bgp_own);
+            prop_assert_eq!(legacy.has_records(), expected.has_records(), "{}", what);
+            prop_assert_eq!(&legacy, &expected, "{}", what);
+            let wire = (legacy.encode().into_bytes(), expected.encode().into_bytes());
+            prop_assert_eq!(wire.0, wire.1, "{}", what);
+            if !legacy.path_descriptors().is_empty() {
+                legacy.with_records(|r| r.path_descriptors.clear());
+                same(&legacy, what)?;
+            }
+        }
     }
 }
 
@@ -343,9 +421,11 @@ fn written(ia: &Ia) -> (Vec<u8>, usize) {
     let mut whole = Vec::new();
     ia.encode_into(&mut whole);
     let mut head_only = ia.clone();
-    head_only.path_descriptors.clear();
-    head_only.island_descriptors.clear();
-    head_only.unknown_records.clear();
+    head_only.with_records(|r| {
+        r.path_descriptors.clear();
+        r.island_descriptors.clear();
+        r.unknown_records.clear();
+    });
     (whole, head_only.wire_size())
 }
 
@@ -377,48 +457,50 @@ fn apply_edit(ia: &mut Ia, kind: u8, a: u32, bytes: Vec<u8>) -> bool {
         // Head fields written directly: the tail is not touched.
         6 => ia.edit_bgp(|b| b.med = Some(a)),
         7 => ia.next_hop = Ipv4Addr(a),
-        // Tail fields written directly.
-        8 => ia.path_descriptors.push(PathDescriptor::new(ProtocolId(77), 1, bytes)),
-        9 => {
-            if let Some(i) = pick(ia.path_descriptors.len()) {
-                ia.path_descriptors.remove(i);
-            }
-        }
-        10 => ia.island_descriptors.reverse(),
-        11 => ia.unknown_records.clear(),
-        12 => {
-            if let Some(i) = pick(ia.path_descriptors.len()) {
-                ia.path_descriptors[i].key ^= 1;
-            }
-        }
-        13 => {
-            if let Some(i) = pick(ia.path_descriptors.len()) {
-                ia.path_descriptors[i].protocols.push(ProtocolId(77));
-            }
-        }
-        14 => {
-            // An equal value in a fresh buffer: the bytes did not change.
-            if let Some(i) = pick(ia.island_descriptors.len()) {
-                let fresh = ia.island_descriptors[i].value.to_vec();
-                ia.island_descriptors[i].value = Bytes::from(fresh);
-            }
-        }
-        15 => {
-            // A different value of the same length.
-            if let Some(i) = pick(ia.island_descriptors.len()) {
-                let mut other = ia.island_descriptors[i].value.to_vec();
-                if let Some(first) = other.first_mut() {
-                    *first = !*first;
+        // Tail records written directly, through the one mutator.
+        _ => ia.with_records(|r| match kind {
+            8 => r.path_descriptors.push(PathDescriptor::new(ProtocolId(77), 1, bytes)),
+            9 => {
+                if let Some(i) = pick(r.path_descriptors.len()) {
+                    r.path_descriptors.remove(i);
                 }
-                ia.island_descriptors[i].value = Bytes::from(other);
             }
-        }
-        16 => {
-            if let Some(i) = pick(ia.path_descriptors.len()) {
-                ia.path_descriptors[i].value = Bytes::new();
+            10 => r.island_descriptors.reverse(),
+            11 => r.unknown_records.clear(),
+            12 => {
+                if let Some(i) = pick(r.path_descriptors.len()) {
+                    r.path_descriptors[i].key ^= 1;
+                }
             }
-        }
-        _ => ia.unknown_records.push(UnknownRecord { tag: 100 + a as u64, data: bytes.into() }),
+            13 => {
+                if let Some(i) = pick(r.path_descriptors.len()) {
+                    r.path_descriptors[i].protocols.push(ProtocolId(77));
+                }
+            }
+            14 => {
+                // An equal value in a fresh buffer: the bytes did not change.
+                if let Some(i) = pick(r.island_descriptors.len()) {
+                    let fresh = r.island_descriptors[i].value.to_vec();
+                    r.island_descriptors[i].value = Bytes::from(fresh);
+                }
+            }
+            15 => {
+                // A different value of the same length.
+                if let Some(i) = pick(r.island_descriptors.len()) {
+                    let mut other = r.island_descriptors[i].value.to_vec();
+                    if let Some(first) = other.first_mut() {
+                        *first = !*first;
+                    }
+                    r.island_descriptors[i].value = Bytes::from(other);
+                }
+            }
+            16 => {
+                if let Some(i) = pick(r.path_descriptors.len()) {
+                    r.path_descriptors[i].value = Bytes::new();
+                }
+            }
+            _ => r.unknown_records.push(UnknownRecord { tag: 100 + a as u64, data: bytes.into() }),
+        }),
     }
     false
 }
@@ -436,7 +518,8 @@ proptest! {
     ) {
         let mut ia = ia;
         if let Some(data) = unknown {
-            ia.unknown_records.push(UnknownRecord { tag: 4242, data: data.into() });
+            let record = UnknownRecord { tag: 4242, data: data.into() };
+            ia.with_records(|r| r.unknown_records.push(record));
         }
         // The IA arrives in the middle of a larger frame.
         let (body, head_len) = written(&ia);
@@ -470,6 +553,8 @@ proptest! {
                 let (whole, head_len) = written(&ia);
                 window_dropped |= whole[head_len..] != *arrived_tail;
             }
+            // Records left empty go, and the window with them.
+            window_dropped |= !ia.has_records();
         }
     }
 }

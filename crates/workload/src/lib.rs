@@ -196,19 +196,21 @@ impl WorkloadGen {
         }
         if payload_bytes > 0 && n_protocols > 0 {
             let per = payload_bytes / n_protocols;
-            for i in 0..n_protocols {
-                let proto = ProtocolId(100 + i as u16);
-                let mut body = vec![0u8; per];
-                self.rng.fill(body.as_mut_slice());
-                ia.path_descriptors.push(PathDescriptor::new(proto, 1, body));
-            }
-            // One island descriptor to exercise that path too.
-            ia.island_descriptors.push(IslandDescriptor::new(
-                IslandId(self.rng.gen_range(1..1000)),
-                ProtocolId(100),
-                dkey::SCION_PATHS,
-                vec![0u8; 32],
-            ));
+            ia.with_records(|r| {
+                for i in 0..n_protocols {
+                    let proto = ProtocolId(100 + i as u16);
+                    let mut body = vec![0u8; per];
+                    self.rng.fill(body.as_mut_slice());
+                    r.path_descriptors.push(PathDescriptor::new(proto, 1, body));
+                }
+                // One island descriptor to exercise that path too.
+                r.island_descriptors.push(IslandDescriptor::new(
+                    IslandId(self.rng.gen_range(1..1000)),
+                    ProtocolId(100),
+                    dkey::SCION_PATHS,
+                    vec![0u8; 32],
+                ));
+            });
         }
         ia
     }
@@ -343,7 +345,7 @@ mod tests {
     fn zero_payload_ia_has_no_descriptors() {
         let mut gen = WorkloadGen::new(5);
         let ia = gen.ia(0, 5);
-        assert!(ia.path_descriptors.is_empty());
-        assert!(ia.island_descriptors.is_empty());
+        assert!(ia.path_descriptors().is_empty());
+        assert!(ia.island_descriptors().is_empty());
     }
 }

@@ -103,11 +103,11 @@ fn main() {
         ia.path_vector.iter().map(|e| e.to_string()).collect::<Vec<_>>().join(" ")
     );
     println!("Island memberships:");
-    for m in &ia.memberships {
+    for m in ia.memberships() {
         println!("  {} covers path-vector entries [{}, {})", m.island, m.start, m.end);
     }
     println!("\nPath descriptors:");
-    for pd in &ia.path_descriptors {
+    for pd in ia.path_descriptors() {
         let protos: Vec<String> = pd.protocols.iter().map(|p| p.to_string()).collect();
         println!("  [{}] key {} ({} bytes)", protos.join(", "), pd.key, pd.value.len());
     }
@@ -115,7 +115,7 @@ fn main() {
         println!("  -> Wiser path cost: {cost} (island 11's contribution: 75)");
     }
     println!("\nIsland descriptors:");
-    for id in &ia.island_descriptors {
+    for id in ia.island_descriptors() {
         println!(
             "  island {} / {}: key {} ({} bytes)",
             id.island,

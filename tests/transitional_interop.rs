@@ -53,11 +53,13 @@ fn established(local_as: u32, peer_as: u32) -> Speaker {
 fn dbgp_island_update(prefix: Ipv4Prefix, origin_as: u32) -> (UpdateMsg, Ia) {
     let mut ia = Ia::originate(prefix, Ipv4Addr::new(9, 9, 9, 9));
     ia.prepend_as(origin_as);
-    ia.path_descriptors.push(dbgp::wire::ia::PathDescriptor::new(
-        ProtocolId::WISER,
-        dkey::WISER_PATH_COST,
-        321u64.to_be_bytes().to_vec(),
-    ));
+    ia.with_records(|r| {
+        r.path_descriptors.push(dbgp::wire::ia::PathDescriptor::new(
+            ProtocolId::WISER,
+            dkey::WISER_PATH_COST,
+            321u64.to_be_bytes().to_vec(),
+        ))
+    });
     let route = Route::from_ia(&ia).unwrap();
     let mut update = UpdateMsg::announce(vec![prefix], route.to_attrs(false));
     embed_ia(&mut update, &ia).unwrap();
