@@ -6,16 +6,29 @@
 //! experiment harness assert exact results. Ties in time are broken by
 //! insertion sequence number.
 //!
-//! # Storage model: a binary heap over an arena
+//! # Storage model: per-tick FIFO lists through an arena
 //!
-//! One `BinaryHeap` orders a `(at, seq, slot)` key per pending event;
-//! the event itself sits in a `u32`-indexed arena slot and never moves,
-//! so the heap's sift shuffles 24-byte keys, not payloads. A popped
-//! slot goes on a free list and the next schedule reuses it (mirroring
-//! `crates/rib`'s node arena), so the arena holds as many slots as the
-//! most events ever in flight at once. `seq` is unique, so the heap's
-//! minimum is the exact `(at, seq)` minimum: pop order does not depend
-//! on the heap's internal layout or on which slot an event landed in.
+//! Every pending event sits in a `u32`-indexed arena slot and never
+//! moves. Each of the `WINDOW` (64) ticks from the clock on owns a FIFO
+//! list of slots, a `(head, tail)` pair at index `at % WINDOW` chained
+//! through a `next` vector that runs parallel to the arena, and one
+//! `u64` mask has a tick's bit set while its list is non-empty. The next
+//! event is the head of the first set bit from the clock's, found by
+//! one rotate and one `trailing_zeros`: nothing is searched or sifted
+//! per event. An event at or beyond `now + WINDOW` waits in a small
+//! `far` heap of `(at, seq, slot)` keys and joins its tick's list as
+//! soon as a pop brings the clock within the window of it, before
+//! anything else can be scheduled at that tick. So a tick's list is in
+//! `seq` order, and pop order is exactly `(at, seq)`: it does not depend
+//! on which slot an event landed in. The window is wider than any delay
+//! the simulator schedules itself (link delays, the 30-tick MRAI, the
+//! out-of-band bus), so only what a driver schedules far ahead waits in
+//! the far heap.
+//!
+//! A popped slot heads a free list chained through the same `next`
+//! vector and the next schedule reuses it (mirroring `crates/rib`'s
+//! node arena), so the arena holds as many slots as the most events
+//! ever in flight at once.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -23,14 +36,31 @@ use std::collections::BinaryHeap;
 /// Simulated milliseconds.
 pub type SimTime = u64;
 
+/// Ticks from the clock on that have a list of their own: one bit each
+/// of the occupancy mask.
+const WINDOW: SimTime = 64;
+
+/// The end of a slot chain.
+const NIL: u32 = u32::MAX;
+
 /// A deterministic event queue.
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    /// One `(at, seq, slot)` key per pending event, least first.
-    heap: BinaryHeap<Reverse<(SimTime, u64, u32)>>,
-    /// Event arena; a `None` slot is free and listed in `free`.
+    /// Event arena; a `None` slot is free.
     slots: Vec<Option<E>>,
-    free: Vec<u32>,
+    /// Per slot, the slot after it in its tick's list or in the free
+    /// list (`NIL` at the end).
+    next: Vec<u32>,
+    /// First and last slot of each tick's list, at `at % WINDOW`.
+    ticks: [(u32, u32); WINDOW as usize],
+    /// Bit `at % WINDOW` set while that tick's list is non-empty.
+    occupied: u64,
+    /// One `(at, seq, slot)` key per event at or beyond `now + WINDOW`,
+    /// least first.
+    far: BinaryHeap<Reverse<(SimTime, u64, u32)>>,
+    /// Head of the free-slot list.
+    free: u32,
+    len: usize,
     now: SimTime,
     seq: u64,
     popped: u64,
@@ -49,12 +79,16 @@ impl<E> EventQueue<E> {
     }
 
     /// An empty queue with room for `cap` events in flight before the
-    /// heap or the arena has to regrow.
+    /// arena has to regrow.
     pub fn with_capacity(cap: usize) -> Self {
         EventQueue {
-            heap: BinaryHeap::with_capacity(cap),
             slots: Vec::with_capacity(cap),
-            free: Vec::new(),
+            next: Vec::with_capacity(cap),
+            ticks: [(NIL, NIL); WINDOW as usize],
+            occupied: 0,
+            far: BinaryHeap::new(),
+            free: NIL,
+            len: 0,
             now: 0,
             seq: 0,
             popped: 0,
@@ -74,23 +108,74 @@ impl<E> EventQueue<E> {
 
     /// Schedule at an absolute time (clamped to never run backwards).
     pub fn schedule_at(&mut self, at: SimTime, event: E) {
-        let idx = if let Some(idx) = self.free.pop() {
-            self.slots[idx as usize] = Some(event);
-            idx
+        let at = at.max(self.now);
+        let slot = if self.free != NIL {
+            let slot = self.free;
+            self.free = self.next[slot as usize];
+            self.slots[slot as usize] = Some(event);
+            slot
         } else {
+            let slot = u32::try_from(self.slots.len())
+                .ok()
+                .filter(|&slot| slot != NIL)
+                .expect("event arena exhausted u32 indices");
             self.slots.push(Some(event));
-            u32::try_from(self.slots.len() - 1).expect("event arena exhausted u32 indices")
+            self.next.push(NIL);
+            slot
         };
-        self.heap.push(Reverse((at.max(self.now), self.seq, idx)));
+        if at - self.now < WINDOW {
+            self.append(at, slot);
+        } else {
+            self.far.push(Reverse((at, self.seq, slot)));
+        }
         self.seq += 1;
+        self.len += 1;
+    }
+
+    /// Put `slot` at the tail of tick `at`'s list.
+    fn append(&mut self, at: SimTime, slot: u32) {
+        let tick = (at % WINDOW) as usize;
+        self.next[slot as usize] = NIL;
+        let (head, tail) = &mut self.ticks[tick];
+        if self.occupied & (1 << tick) == 0 {
+            *head = slot;
+            self.occupied |= 1 << tick;
+        } else {
+            self.next[*tail as usize] = slot;
+        }
+        *tail = slot;
+    }
+
+    /// Move the clock to `at`: every far event now inside the window
+    /// joins its tick's list, least `(at, seq)` first.
+    fn advance(&mut self, at: SimTime) {
+        self.now = at;
+        while let Some(&Reverse((far_at, _, slot))) = self.far.peek() {
+            if far_at - at >= WINDOW {
+                break;
+            }
+            self.far.pop();
+            self.append(far_at, slot);
+        }
     }
 
     /// Pop the next event, advancing the clock.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let Reverse((at, _seq, idx)) = self.heap.pop()?;
-        let event = self.slots[idx as usize].take().expect("popped a freed slot");
-        self.free.push(idx);
-        self.now = at;
+        let at = self.peek_time()?;
+        if at != self.now {
+            self.advance(at);
+        }
+        let tick = (at % WINDOW) as usize;
+        let slot = self.ticks[tick].0;
+        let after = self.next[slot as usize];
+        self.ticks[tick].0 = after;
+        if after == NIL {
+            self.occupied &= !(1 << tick);
+        }
+        let event = self.slots[slot as usize].take().expect("a listed slot holds an event");
+        self.next[slot as usize] = self.free;
+        self.free = slot;
+        self.len -= 1;
         self.popped += 1;
         Some((at, event))
     }
@@ -99,17 +184,22 @@ impl<E> EventQueue<E> {
     /// advancing the clock). Lets callers honor a time horizon while
     /// leaving later events queued for a subsequent run.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|Reverse((at, _, _))| *at)
+        if self.occupied == 0 {
+            return self.far.peek().map(|Reverse((at, ..))| *at);
+        }
+        // Every tick's list is earlier than every far event.
+        let ahead = self.occupied.rotate_right((self.now % WINDOW) as u32).trailing_zeros();
+        Some(self.now + SimTime::from(ahead))
     }
 
     /// Events waiting.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.len
     }
 
     /// True if nothing is scheduled.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.len == 0
     }
 
     /// Total events processed so far.
@@ -240,6 +330,34 @@ mod tests {
         assert_eq!(q.pop(), None);
     }
 
+    /// An event 64 ticks or more ahead waits in the far heap and joins
+    /// its tick's list as soon as the clock comes within 64 of it, so a
+    /// tie scheduled after that pops after it; an empty window is
+    /// crossed straight to the far heap's least event.
+    #[test]
+    fn far_events_join_their_tick_ahead_of_later_ties() {
+        let mut q = EventQueue::new();
+        q.schedule(63, "edge");
+        q.schedule(64, "far");
+        q.schedule(65, "farther");
+        q.schedule(1, "soon");
+        assert_eq!(q.pop(), Some((1, "soon")));
+        q.schedule(63, "tie");
+        assert_eq!(q.len(), 4);
+        assert_eq!(q.pop(), Some((63, "edge")));
+        assert_eq!(q.pop(), Some((64, "far")));
+        assert_eq!(q.pop(), Some((64, "tie")));
+        q.schedule_at(1_000, "across");
+        q.schedule_at(1_000, "across2");
+        assert_eq!(q.pop(), Some((65, "farther")));
+        assert_eq!(q.peek_time(), Some(1_000));
+        assert_eq!(q.pop(), Some((1_000, "across")));
+        q.schedule_at(7, "clamped");
+        assert_eq!(q.pop(), Some((1_000, "across2")));
+        assert_eq!(q.pop(), Some((1_000, "clamped")));
+        assert!(q.is_empty());
+    }
+
     /// A popped event's slot is reused by the next schedule: draining
     /// and refilling the queue, or keeping a steady number in flight,
     /// never grows the arena past the most events ever pending at once.
@@ -261,7 +379,13 @@ mod tests {
         assert_eq!(q.len(), 100);
         assert_eq!(q.slots.len(), 100, "arena grew past the peak in flight");
         while q.pop().is_some() {}
-        assert_eq!(q.free.len(), 100);
+        let mut free = 0;
+        let mut slot = q.free;
+        while slot != NIL {
+            free += 1;
+            slot = q.next[slot as usize];
+        }
+        assert_eq!(free, 100, "every slot is back on the free list");
         assert_eq!(q.processed(), 1_100);
     }
 }

@@ -46,6 +46,20 @@ fn link_key(a: NodeId, b: NodeId) -> (u32, u32) {
     (a.min(b), a.max(b))
 }
 
+/// A neighbor's node and the index of the link record it shares with
+/// us, so a send reaches the link without a lookup by node pair.
+#[derive(Debug, Clone, Copy)]
+struct Peer {
+    node: u32,
+    link: u32,
+}
+
+impl Peer {
+    fn node(self) -> NodeId {
+        self.node as NodeId
+    }
+}
+
 /// One-way delay of the out-of-band bus.
 const OOB_DELAY: SimTime = 5;
 
@@ -86,8 +100,9 @@ enum Event {
         decoded: Decoded,
         trace: Option<Box<DeliverTrace>>,
     },
-    /// MRAI window expired: flush pending advertisements to a neighbor.
-    Flush { node: NodeId, neighbor: NeighborId },
+    /// MRAI window expired: flush pending advertisements to a neighbor,
+    /// over the link `peer` names.
+    Flush { node: NodeId, neighbor: NeighborId, peer: Peer },
     /// Out-of-band request to a service address.
     OobRequest { to_addr: Ipv4Addr, from: NodeId, payload: Vec<u8> },
     /// Out-of-band response back to a node.
@@ -112,8 +127,8 @@ type PendingAdvert = (NeighborId, Ipv4Prefix, Option<Arc<Ia>>, Option<EventId>);
 
 struct Node {
     speaker: DbgpSpeaker,
-    /// Neighbor ID -> peer node.
-    neighbor_nodes: VecMap<NeighborId, NodeId>,
+    /// Neighbor ID -> peer node and our link to it.
+    neighbor_nodes: VecMap<NeighborId, Peer>,
     /// Peer node -> our neighbor ID for it.
     ids_by_node: VecMap<NodeId, NeighborId>,
     /// Route-churn records per prefix, cumulative since the start of
@@ -365,8 +380,11 @@ impl BestChangeCapture {
 /// The simulator.
 pub struct Sim {
     nodes: Vec<Node>,
-    /// Undirected link state, keyed by `(min, max)` node pair.
-    links: BTreeMap<(u32, u32), LinkState>,
+    /// Undirected link state, in creation order; a [`Peer`] names its
+    /// link by index here.
+    links: Vec<LinkState>,
+    /// Each link's index in `links`, keyed by `(min, max)` node pair.
+    link_ids: BTreeMap<(u32, u32), u32>,
     /// Out-of-band responses each node received, for inspection by
     /// drivers; only nodes that received one have a record.
     oob_inboxes: VecMap<NodeId, Vec<(Ipv4Addr, Vec<u8>)>>,
@@ -420,8 +438,9 @@ pub struct Sim {
 /// `decode` covers IA decoding (a sender's, on an encode-cache miss,
 /// and a receiver's parse of bytes that came without it), `decide` the
 /// receiving speakers' import/decision work, `encode` outbound
-/// wire-byte assembly, and `queue` delivery scheduling (including
-/// link-model application).
+/// wire-byte assembly, and `queue` the event queue: scheduling
+/// deliveries onto links (including link-model application) and
+/// [`Sim::run`]'s pop of every event.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseTimes {
     /// Nanoseconds spent decoding IAs and frames.
@@ -430,7 +449,8 @@ pub struct PhaseTimes {
     pub decide_ns: u64,
     /// Nanoseconds spent assembling outbound wire bytes.
     pub encode_ns: u64,
-    /// Nanoseconds spent scheduling deliveries onto links.
+    /// Nanoseconds spent scheduling deliveries onto links and popping
+    /// events off the queue.
     pub queue_ns: u64,
 }
 
@@ -454,7 +474,8 @@ impl Sim {
     pub fn new() -> Self {
         Sim {
             nodes: Vec::new(),
-            links: BTreeMap::new(),
+            links: Vec::new(),
+            link_ids: BTreeMap::new(),
             oob_inboxes: VecMap::new(),
             services: HashMap::new(),
             queue: EventQueue::new(),
@@ -747,13 +768,22 @@ impl Sim {
         speaks_dbgp: bool,
         classes: Option<(PeerClass, PeerClass)>,
     ) {
-        self.links.insert(
-            link_key(a, b),
-            LinkState { delay, model: None, same_island, speaks_dbgp, up: true, classes },
-        );
-        for (me, peer) in [(a, b), (b, a)] {
-            self.establish(me, peer, same_island, speaks_dbgp, "link-up", None);
+        let record = LinkState { delay, model: None, same_island, speaks_dbgp, up: true, classes };
+        let fresh = u32::try_from(self.links.len()).expect("a link index must fit a u32");
+        let link = *self.link_ids.entry(link_key(a, b)).or_insert(fresh);
+        if link == fresh {
+            self.links.push(record);
+        } else {
+            self.links[link as usize] = record;
         }
+        for (me, peer) in [(a, b), (b, a)] {
+            self.establish(me, peer, link, "link-up", None);
+        }
+    }
+
+    /// The index of the link between two nodes, if they were ever linked.
+    fn link_between(&self, a: NodeId, b: NodeId) -> Option<u32> {
+        self.link_ids.get(&link_key(a, b)).copied()
     }
 
     /// Attach a perturbation model to an existing link (both directions).
@@ -761,21 +791,22 @@ impl Sim {
     /// Panics if the nodes were never linked: a chaos plan naming a
     /// non-existent link is a scenario bug worth failing loudly on.
     pub fn set_link_model(&mut self, a: NodeId, b: NodeId, model: LinkModel) {
-        self.links
-            .get_mut(&link_key(a, b))
-            .unwrap_or_else(|| panic!("set_link_model: no link {a}-{b}"))
-            .model = (!model.is_reliable()).then(|| Box::new(model));
+        let link =
+            self.link_between(a, b).unwrap_or_else(|| panic!("set_link_model: no link {a}-{b}"));
+        self.links[link as usize].model = (!model.is_reliable()).then(|| Box::new(model));
     }
 
     /// Whether the link between two nodes exists and is up.
     pub fn link_is_up(&self, a: NodeId, b: NodeId) -> bool {
-        self.links.get(&link_key(a, b)).is_some_and(|l| l.up)
+        self.link_between(a, b).is_some_and(|link| self.links[link as usize].up)
     }
 
     /// All links ever created, as `(a, b, up)` with `a < b`, in
-    /// deterministic order.
+    /// ascending `(a, b)` order.
     pub fn links(&self) -> impl Iterator<Item = (NodeId, NodeId, bool)> + '_ {
-        self.links.iter().map(|(&(a, b), l)| (a as NodeId, b as NodeId, l.up))
+        self.link_ids
+            .iter()
+            .map(|(&(a, b), &link)| (a as NodeId, b as NodeId, self.links[link as usize].up))
     }
 
     /// Register an out-of-band service at `addr`, owned by `node`.
@@ -811,10 +842,10 @@ impl Sim {
     /// events of §3.5, "about 172 per day" in the wild). The link's
     /// parameters are remembered so [`Sim::restore_link`] can undo this.
     pub fn fail_link(&mut self, a: NodeId, b: NodeId) {
-        match self.links.get_mut(&link_key(a, b)) {
-            Some(l) if l.up => l.up = false,
-            _ => return,
-        }
+        let Some(link) = self.link_between(a, b).filter(|&l| self.links[l as usize].up) else {
+            return;
+        };
+        self.links[link as usize].up = false;
         let root = self.record(a, None, TraceKind::LinkDown { a: a as u32, b: b as u32 });
         for (me, peer) in [(a, b), (b, a)] {
             self.teardown_neighbor(me, peer, "link-down", root);
@@ -827,16 +858,13 @@ impl Sim {
     /// to the other, exactly like a BGP session re-establishing after an
     /// outage.
     pub fn restore_link(&mut self, a: NodeId, b: NodeId) {
-        let (same_island, speaks_dbgp) = match self.links.get_mut(&link_key(a, b)) {
-            Some(l) if !l.up => {
-                l.up = true;
-                (l.same_island, l.speaks_dbgp)
-            }
-            _ => return,
+        let Some(link) = self.link_between(a, b).filter(|&l| !self.links[l as usize].up) else {
+            return;
         };
+        self.links[link as usize].up = true;
         let root = self.record(a, None, TraceKind::LinkUp { a: a as u32, b: b as u32 });
         for (me, peer) in [(a, b), (b, a)] {
-            self.establish(me, peer, same_island, speaks_dbgp, "link-up", root);
+            self.establish(me, peer, link, "link-up", root);
         }
     }
 
@@ -847,13 +875,11 @@ impl Sim {
     /// restarting node drops all queued outbound state.
     pub fn restart_node(&mut self, node: NodeId) {
         let me = node as u32;
-        let peers: Vec<(NodeId, bool, bool)> = self
-            .links
+        let peers: Vec<(NodeId, u32)> = self
+            .link_ids
             .iter()
-            .filter(|(&(x, y), l)| l.up && (x == me || y == me))
-            .map(|(&(x, y), l)| {
-                ((if x == me { y } else { x }) as NodeId, l.same_island, l.speaks_dbgp)
-            })
+            .filter(|(&(x, y), &link)| self.links[link as usize].up && (x == me || y == me))
+            .map(|(&(x, y), &link)| ((if x == me { y } else { x }) as NodeId, link))
             .collect();
         // The restart opens a new incarnation: the node's generation
         // bumps (engine totals keep accumulating, per-node counters
@@ -874,9 +900,9 @@ impl Sim {
         self.oob_inboxes.remove(&node);
         self.nodes[node].encode_cache.clear();
         self.nodes[node].sweep_at = 0;
-        for &(peer, same_island, speaks_dbgp) in &peers {
-            self.establish(node, peer, same_island, speaks_dbgp, "node-restart", root);
-            self.establish(peer, node, same_island, speaks_dbgp, "node-restart", root);
+        for &(peer, link) in &peers {
+            self.establish(node, peer, link, "node-restart", root);
+            self.establish(peer, node, link, "node-restart", root);
         }
     }
 
@@ -912,11 +938,10 @@ impl Sim {
     /// call picks up exactly where this one stopped. Returns the
     /// statistics snapshot.
     pub fn run(&mut self, max_time: SimTime) -> SimStats {
-        while let Some(next_at) = self.queue.peek_time() {
-            if next_at > max_time {
-                break;
-            }
+        while self.queue.peek_time().is_some_and(|at| at <= max_time) {
+            let t = self.phase_now();
             let (_, event) = self.queue.pop().expect("peeked event must pop");
+            self.phase_add(t, Phase::Queue);
             self.handle_event(event);
         }
         self.stats()
@@ -972,8 +997,8 @@ impl Sim {
                     Decoded::No => unreachable!("parsed above"),
                 }
             }
-            Event::Flush { node, neighbor } => {
-                self.flush(node, neighbor);
+            Event::Flush { node, neighbor, peer } => {
+                self.flush(node, neighbor, peer);
             }
             Event::OobRequest { to_addr, from, payload } => {
                 self.stats.oob_requests += 1;
@@ -1058,34 +1083,32 @@ impl Sim {
 
     // ----- internals ----------------------------------------------------
 
-    /// One end of session bring-up: allocate a neighbor ID for `peer`,
-    /// register the adjacency, and dispatch the speaker's full-table
-    /// transfer to it. The transfer's advertisements chain to the
-    /// adjacency's session-up event (itself a child of `parent`, e.g. the
-    /// LinkUp or NodeRestart that caused the bring-up).
+    /// One end of session bring-up over `link`: allocate a neighbor ID
+    /// for `peer`, register the adjacency, and dispatch the speaker's
+    /// full-table transfer to it. The transfer's advertisements chain to
+    /// the adjacency's session-up event (itself a child of `parent`, e.g.
+    /// the LinkUp or NodeRestart that caused the bring-up).
     fn establish(
         &mut self,
         me: NodeId,
         peer: NodeId,
-        same_island: bool,
-        speaks_dbgp: bool,
+        link: u32,
         trigger: &'static str,
         parent: Option<EventId>,
     ) {
         let peer_as = self.nodes[peer].speaker.asn();
         let id = NeighborId(self.nodes[me].next_neighbor_id);
         self.nodes[me].next_neighbor_id += 1;
-        self.nodes[me].neighbor_nodes.insert(id, peer);
+        self.nodes[me].neighbor_nodes.insert(id, Peer { node: peer as u32, link });
         self.nodes[me].ids_by_node.insert(peer, id);
+        // Reading the session's parameters off the link record keeps
+        // restarts and link restores re-establishing with the same
+        // capability and commercial relationship.
+        let l = &self.links[link as usize];
         let mut neighbor =
-            if speaks_dbgp { DbgpNeighbor::dbgp(peer_as) } else { DbgpNeighbor::legacy(peer_as) };
-        neighbor.same_island = same_island;
-        // Re-reading the annotation from the link table (rather than
-        // threading it through every call site) keeps restarts and link
-        // restores re-establishing with the same commercial relationship.
-        if let Some((lo_view, hi_view)) =
-            self.links.get(&link_key(me, peer)).and_then(|l| l.classes)
-        {
+            if l.speaks_dbgp { DbgpNeighbor::dbgp(peer_as) } else { DbgpNeighbor::legacy(peer_as) };
+        neighbor.same_island = l.same_island;
+        if let Some((lo_view, hi_view)) = l.classes {
             neighbor.class = Some(if me < peer { lo_view } else { hi_view });
         }
         let root = self.record_adjacency(me, peer, parent, true, trigger);
@@ -1148,7 +1171,7 @@ impl Sim {
                         let from_as = self.nodes[node]
                             .neighbor_nodes
                             .get(from)
-                            .map_or(0, |&peer| self.nodes[peer].speaker.asn());
+                            .map_or(0, |peer| self.nodes[peer.node()].speaker.asn());
                         let reason = format!("{reason:?}");
                         self.record(
                             node,
@@ -1165,6 +1188,9 @@ impl Sim {
             let record = self.nodes[node].churn.get_or_insert_with(prefix, PrefixChurn::default);
             record.best_changes += 1;
             record.last_change_at = at;
+            if self.capture.is_none() && self.recorder.is_none() {
+                continue;
+            }
             let next = chosen.and_then(|c| self.nodes[node].next_node(c));
             if let Some(capture) = &mut self.capture {
                 let installed = chosen.is_some();
@@ -1200,11 +1226,9 @@ impl Sim {
                 | DbgpOutput::Unreachable(..)
                 | DbgpOutput::Rejected(..) => continue,
             };
-            if !self.nodes[node].neighbor_nodes.contains_key(&neighbor) {
-                continue;
-            }
+            let Some(&peer) = self.nodes[node].neighbor_nodes.get(&neighbor) else { continue };
             if self.mrai == 0 {
-                self.send_now(node, neighbor, prefix, ia, cause);
+                self.send_now(node, peer, prefix, ia, cause);
                 continue;
             }
             // Latest state wins; a neighbor's first element opens its
@@ -1218,7 +1242,7 @@ impl Sim {
                         !pending[..i].last().is_some_and(same) && !pending.get(i).is_some_and(same);
                     pending.insert(i, (neighbor, prefix, ia, cause));
                     if arm {
-                        self.queue.schedule(self.mrai, Event::Flush { node, neighbor });
+                        self.queue.schedule(self.mrai, Event::Flush { node, neighbor, peer });
                     }
                 }
             }
@@ -1332,22 +1356,24 @@ impl Sim {
     fn send_now(
         &mut self,
         node: NodeId,
-        neighbor: NeighborId,
+        peer: Peer,
         prefix: Ipv4Prefix,
         ia: Option<Arc<Ia>>,
         cause: Option<EventId>,
     ) {
-        let Some(&to) = self.nodes[node].neighbor_nodes.get(&neighbor) else { return };
         let cause = std::slice::from_ref(&cause);
         match ia {
-            Some(ia) => self.emit(node, to, &[], std::slice::from_ref(&ia), cause),
-            None => self.emit(node, to, std::slice::from_ref(&prefix), &[], cause),
+            Some(ia) => self.emit(node, peer, &[], std::slice::from_ref(&ia), cause),
+            None => self.emit(node, peer, std::slice::from_ref(&prefix), &[], cause),
         }
     }
 
     /// The MRAI window to `neighbor` closed: everything pending goes out
-    /// as one frame, withdraws and then IAs, each in prefix order.
-    fn flush(&mut self, node: NodeId, neighbor: NeighborId) {
+    /// as one frame, withdraws and then IAs, each in prefix order, to
+    /// `peer`. A neighbor with elements pending is still the one its
+    /// Flush was armed for: a teardown drops its elements, and a session
+    /// that comes back gets a fresh neighbor ID.
+    fn flush(&mut self, node: NodeId, neighbor: NeighborId, peer: Peer) {
         let traced = self.recorder.is_some();
         let mut withdrawn = std::mem::take(&mut self.flush_withdrawn);
         let mut ias = std::mem::take(&mut self.flush_ias);
@@ -1378,11 +1404,14 @@ impl Sim {
             *pending = Vec::new();
         }
         let elements = withdrawn.len() + ias.len();
-        let to = self.nodes[node].neighbor_nodes.get(&neighbor).copied();
-        if let Some(to) = to.filter(|_| elements > 0) {
+        debug_assert!(
+            elements == 0 || self.nodes[node].neighbor_nodes.contains_key(&neighbor),
+            "elements pending for a neighbor that is gone"
+        );
+        if elements > 0 {
             causes.append(&mut ia_causes);
             self.flush_batch.observe(elements as u64);
-            self.emit(node, to, &withdrawn, &ias, &causes);
+            self.emit(node, peer, &withdrawn, &ias, &causes);
         }
         withdrawn.clear();
         ias.clear();
@@ -1391,7 +1420,7 @@ impl Sim {
     }
 
     /// The one frame emitter: put `withdrawn` and `ias` on the
-    /// `node -> to` link as a single frame. `causes` runs parallel to the
+    /// `node -> peer` link as a single frame. `causes` runs parallel to the
     /// elements in frame order — withdraws first, then IAs, matching
     /// `DbgpUpdate` encode/decode order so the receiver can zip its
     /// copy against the decoded elements — and is read only while
@@ -1399,7 +1428,7 @@ impl Sim {
     fn emit(
         &mut self,
         node: NodeId,
-        to: NodeId,
+        peer: Peer,
         withdrawn: &[Ipv4Prefix],
         ias: &[Arc<Ia>],
         causes: &[Option<EventId>],
@@ -1445,6 +1474,7 @@ impl Sim {
             // The decodes `cached_wire` timed are not encoding.
             pt.encode_ns = pt.encode_ns.saturating_sub(pt.decode_ns - decode_ns);
         }
+        let to = peer.node();
         let trace = if self.recorder.is_some() {
             let elements = withdrawn
                 .iter()
@@ -1464,11 +1494,11 @@ impl Sim {
             None
         };
         let t = self.phase_now();
-        self.deliver_on_link(node, to, bytes, decoded, trace);
+        self.deliver_on_link(node, peer, bytes, decoded, trace);
         self.phase_add(t, Phase::Queue);
     }
 
-    /// Schedule a control-plane delivery across the `node -> to` link,
+    /// Schedule a control-plane delivery across the `node -> peer` link,
     /// applying the link's perturbation model.
     ///
     /// For an unreliable model the RNG draw order per message is fixed —
@@ -1483,15 +1513,13 @@ impl Sim {
     fn deliver_on_link(
         &mut self,
         node: NodeId,
-        to: NodeId,
+        peer: Peer,
         mut bytes: Bytes,
         mut decoded: Decoded,
         trace: Option<Box<DeliverTrace>>,
     ) {
-        // A neighbor exists only through `establish`, whose callers all
-        // act on a link record, and no link record is ever removed.
-        let link =
-            self.links.get(&link_key(node, to)).expect("a neighbor always has a link record");
+        let to = peer.node();
+        let link = &self.links[peer.link as usize];
         let (mut delay, up, model) = (link.delay, link.up, link.model.as_deref().copied());
         if !up {
             // The adjacency map normally prevents this; a message racing
@@ -1606,7 +1634,7 @@ impl Node {
     /// The FIB next hop of an installed route: the node it was learned
     /// from, `None` for one originated here.
     fn next_node(&self, chosen: &Chosen) -> Option<NodeId> {
-        self.neighbor_nodes.get(&chosen.neighbor?).copied()
+        self.neighbor_nodes.get(&chosen.neighbor?).map(|peer| peer.node())
     }
 }
 
@@ -1614,20 +1642,27 @@ impl Node {
 mod tests {
     use super::*;
 
-    /// What a 50,000-AS world holds once per node, once per link and
-    /// once per encoded IA: 440, 40 and 64 bytes before the trie lost
-    /// its free-list `Vec`, the out-of-band inbox moved to one table
-    /// on `Sim`, a link's model went out of line and an encode-cache
-    /// entry kept its body as an offset into its announce frame. (The
-    /// link map's keys are two `u32`s: a B-tree leaf is 368 bytes, not
-    /// 632.)
+    /// What a 50,000-AS world holds once per node, once per neighbor,
+    /// once per link, once per encoded IA and once per event in flight:
+    /// the node was 440 bytes, a link record 40 and an encode-cache
+    /// entry 64 before the trie lost its free-list `Vec`, the out-of-band
+    /// inbox moved to one table on `Sim`, a link's model went out of line
+    /// and an entry kept its body as an offset into its announce frame.
+    /// A neighbor entry names its peer and its link by `u32` index, 12
+    /// bytes where a `(NeighborId, NodeId)` pair was 16; the link records
+    /// sit in a `Vec`, found by node pair through a B-tree of 12-byte
+    /// `((u32, u32), u32)` entries. An event's arena slot is the event
+    /// itself: its list link lives in a parallel `Vec<u32>`.
     #[test]
     fn the_per_node_records_did_not_grow() {
         use std::mem::size_of;
         assert_eq!(size_of::<Node>(), 392);
+        assert_eq!(size_of::<(NeighborId, Peer)>(), 12);
         assert_eq!(size_of::<LinkState>(), 24);
+        assert_eq!(size_of::<((u32, u32), u32)>(), 12);
         assert_eq!(size_of::<EncodeCacheEntry>(), 48);
-        assert_eq!(size_of::<((u32, u32), LinkState)>(), 32);
+        assert_eq!(size_of::<Event>(), 64);
+        assert_eq!(size_of::<Option<Event>>(), 64);
     }
 
     /// A 50-node Waxman world, converged, then a storm of 30 windows of
