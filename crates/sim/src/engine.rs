@@ -22,7 +22,7 @@
 //! `seq` order, and pop order is exactly `(at, seq)`: it does not depend
 //! on which slot an event landed in. The window is wider than any delay
 //! the simulator schedules itself (link delays, the 30-tick MRAI, the
-//! out-of-band bus), so only what a driver schedules far ahead waits in
+//! out-of-band bus), so only what a caller schedules far ahead waits in
 //! the far heap.
 //!
 //! A popped slot heads a free list chained through the same `next`
